@@ -16,9 +16,13 @@ from __future__ import annotations
 
 import json
 import os
+import time
 from pathlib import Path
 
 import pytest
+
+from repro.runtime.executor import SerialExecutor
+from repro.scenarios.runner import evaluate_cell, finalise_batch
 
 #: Machine-readable benchmark trajectory files, written at the repo
 #: root so successive PRs accumulate comparable first-class numbers
@@ -30,7 +34,6 @@ BENCH_PR5_PATH = _REPO_ROOT / "BENCH_pr5.json"
 BENCH_PR6_PATH = _REPO_ROOT / "BENCH_pr6.json"
 BENCH_PR7_PATH = _REPO_ROOT / "BENCH_pr7.json"
 BENCH_PR8_PATH = _REPO_ROOT / "BENCH_pr8.json"
-BENCH_PR9_PATH = _REPO_ROOT / "BENCH_pr9.json"
 
 
 @pytest.fixture(scope="session")
@@ -129,14 +132,16 @@ def bench_pr8():
     _merge_bench_file(BENCH_PR8_PATH, 8, data)
 
 
-@pytest.fixture(scope="session")
-def bench_pr9():
-    """Collects PR-9 batched-realisation metrics; merged into ``BENCH_pr9.json``."""
-    data: dict = {}
-    yield data
-    _merge_bench_file(BENCH_PR9_PATH, 9, data)
-
-
 def run_once(benchmark, fn, *args, **kwargs):
     """Run ``fn`` exactly once under the benchmark timer."""
     return benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1, iterations=1)
+
+
+def run_percell(cells, **map_kwargs):
+    """The per-cell reference the grouped path is measured against:
+    ``evaluate_cell`` on every cell in process (``map_kwargs`` go to
+    ``SerialExecutor.map_tasks``), then the same vectorised bounds and
+    verdicts as ``run_batch``."""
+    t0 = time.perf_counter()
+    tasks = SerialExecutor().map_tasks(evaluate_cell, cells, **map_kwargs)
+    return finalise_batch(cells, tasks, time.perf_counter() - t0)

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import time
 
-from benchmarks.conftest import run_once
+from benchmarks.conftest import run_once, run_percell
 from repro.runtime.executor import SerialExecutor
 from repro.scenarios import generate_scenarios, run_batch
 from repro.scenarios.spec import Scenario
@@ -72,12 +72,8 @@ def _best_of(n: int, fn, *args, **kwargs):
 
 
 def _grouped_vs_percell(cells):
-    t_per, per = _best_of(
-        2, run_batch, cells, executor=SerialExecutor(), group_cells=False
-    )
-    t_grp, grp = _best_of(
-        2, run_batch, cells, executor=SerialExecutor(), group_cells=True
-    )
+    t_per, per = _best_of(2, run_percell, cells)
+    t_grp, grp = _best_of(2, run_batch, cells, executor=SerialExecutor())
     for p, g in zip(per.outcomes, grp.outcomes):
         assert g.measured == p.measured and g.bound == p.bound
         assert g.events == p.events and g.sound == p.sound
@@ -88,10 +84,7 @@ def test_fluid_closed_form_campaign_grouped_speedup(
     benchmark, bench_pr6, artifact_report
 ):
     cells = _closed_form_matrix("fluid")
-    run_once(
-        benchmark, run_batch, cells,
-        executor=SerialExecutor(), group_cells=True,
-    )
+    run_once(benchmark, run_batch, cells, executor=SerialExecutor())
     t_per, t_grp = _grouped_vs_percell(cells)
     speedup = t_per / t_grp
     bench_pr6["fluid_closed_form"] = {

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import time
 
-from benchmarks.conftest import run_once
+from benchmarks.conftest import run_once, run_percell
 from repro.runtime import RetryPolicy
 from repro.runtime.executor import SerialExecutor
 from repro.runtime.faults import FaultPlan
@@ -53,26 +53,25 @@ def _closed_form_matrix(n: int = N_CELLS, k: int = 12):
     ]
 
 
-def _timed_run(cells, **kwargs):
+def _timed(fn, cells, **kwargs):
     t0 = time.perf_counter()
-    report = run_batch(cells, executor=SerialExecutor(), **kwargs)
+    report = fn(cells, **kwargs)
     return time.perf_counter() - t0, report
 
 
 def _plain_hardened_best(cells):
-    """Best-of-N interleaved plain/hardened timings (noise lands on
-    both sides of the ratio)."""
+    """Best-of-N interleaved plain/hardened per-cell timings (noise
+    lands on both sides of the ratio)."""
     hardened_kwargs = dict(
         retry=RetryPolicy(max_attempts=3),
         cell_timeout=300.0,
-        group_cells=False,
     )
     t_plain = t_hard = float("inf")
     plain = hard = None
     for _ in range(ROUNDS):
-        t, plain = _timed_run(cells, group_cells=False)
+        t, plain = _timed(run_percell, cells)
         t_plain = min(t_plain, t)
-        t, hard = _timed_run(cells, **hardened_kwargs)
+        t, hard = _timed(run_percell, cells, **hardened_kwargs)
         t_hard = min(t_hard, t)
     return t_plain, t_hard, plain, hard
 
@@ -86,8 +85,10 @@ def test_fault_tolerance_overhead_under_five_percent(
         t_plain, t_hard, plain, hard = _plain_hardened_best(cells)
         # The recovery price: the same matrix under injected raises and
         # delays, retried to a clean finish, vs its undisturbed twin.
-        t_chaos, chaos = _timed_run(
+        t_chaos, chaos = _timed(
+            run_batch,
             cells,
+            executor=SerialExecutor(),
             retry=RetryPolicy(max_attempts=3, backoff_base=0.0, jitter=0.0),
             fault_plan=FaultPlan(seed=7, rate=0.15, kinds=("raise", "delay")),
         )

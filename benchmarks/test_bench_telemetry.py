@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import time
 
-from benchmarks.conftest import run_once
+from benchmarks.conftest import run_once, run_percell
 from repro.runtime import set_telemetry_enabled, telemetry_enabled
 from repro.runtime.executor import SerialExecutor
 from repro.scenarios import run_batch
@@ -64,8 +64,10 @@ def _timed_run(cells, *, telemetry: bool, grouped: bool):
     set_telemetry_enabled(telemetry)
     try:
         t0 = time.perf_counter()
-        report = run_batch(
-            cells, executor=SerialExecutor(), group_cells=grouped
+        report = (
+            run_batch(cells, executor=SerialExecutor())
+            if grouped
+            else run_percell(cells)
         )
         return time.perf_counter() - t0, report
     finally:

@@ -3,17 +3,18 @@
 # 24-cell matrix tests/test_runtime_campaign.py keeps alive) against
 # the pinned baseline store checked in at ci/baseline_smoke, and fail
 # on any soundness or perf-budget regression.  Then re-run the same
-# matrix through the grouped (structure-of-arrays) evaluator and the
-# per-cell evaluator and require byte-identical summaries -- the
-# grouped path's bit-identity contract, gated end to end.
+# matrix serially -- the grouped (structure-of-arrays) evaluator with
+# batch realisation, the only in-process path -- on both store
+# backends and require each summary to match the pinned baseline byte
+# for byte: the grouped path's bit-identity contract, gated end to end.
 #
 # Usage: ci/gate.sh [STORE_DIR]
 #   STORE_DIR  where to write the fresh campaign store
 #              (default: a temporary directory)
 #
 # Exit status: 0 when the campaign is clean AND the diff against the
-# pinned baseline shows no regression AND the grouped/per-cell
-# summaries match byte for byte AND telemetry collection is invisible
+# pinned baseline shows no regression AND the serial grouped
+# summaries match it byte for byte AND telemetry collection is invisible
 # to summaries (telemetry-on == telemetry-off == pinned baseline,
 # byte for byte, with `scenarios report` rendering the telemetry-on
 # store); 1 otherwise (the CLI's --baseline flag gates the first part
@@ -36,43 +37,21 @@ PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m repro.experiments.cli \
 
 echo "baseline gate: clean (store: $STORE)"
 
-# Grouped vs per-cell bit-identity: same matrix, both evaluators,
-# byte-identical summary.json required.
-SOA_DIR="$(mktemp -d)"
-for variant in group-cells no-group-cells; do
+# Serial grouped path vs the pinned baseline: the same matrix with no
+# --jobs (grouped evaluation, batch realisation), on both store
+# backends, byte-identical summary.json required.
+SERIAL_DIR="$(mktemp -d)"
+for backend in jsonl sqlite; do
   PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m repro.experiments.cli \
     scenarios run \
     --count 24 --seed 11 --no-corpus \
-    --"$variant" \
-    --store "$SOA_DIR/$variant" >/dev/null
-done
-if ! cmp "$SOA_DIR/group-cells/summary.json" \
-         "$SOA_DIR/no-group-cells/summary.json"; then
-  echo "grouped gate: FAILED (grouped and per-cell summaries differ)" >&2
-  exit 1
-fi
-echo "grouped gate: clean (grouped == per-cell, byte-identical summary)"
-
-# Batched vs per-cell realisation: same matrix through the grouped
-# evaluator with batch realisation on and off, byte-identical
-# summary.json required -- on both store backends (the PR 9 tentpole's
-# bit-identity contract, gated end to end).
-BATCH_DIR="$(mktemp -d)"
-for backend in jsonl sqlite; do
-  for variant in batch-realise no-batch-realise; do
-    PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m repro.experiments.cli \
-      scenarios run \
-      --count 24 --seed 11 --no-corpus \
-      --group-cells --"$variant" \
-      --store "$backend:$BATCH_DIR/$backend-$variant" >/dev/null
-  done
-  if ! cmp "$BATCH_DIR/$backend-batch-realise/summary.json" \
-           "$BATCH_DIR/$backend-no-batch-realise/summary.json"; then
-    echo "batch-realise gate: FAILED ($backend summaries differ)" >&2
+    --store "$backend:$SERIAL_DIR/$backend" >/dev/null
+  if ! cmp "$SERIAL_DIR/$backend/summary.json" ci/baseline_smoke/summary.json; then
+    echo "grouped gate: FAILED ($backend serial summary drifted from pinned baseline)" >&2
     exit 1
   fi
 done
-echo "batch-realise gate: clean (batched == per-cell realisation, both backends)"
+echo "grouped gate: clean (serial grouped == pinned baseline, both backends)"
 
 # Telemetry invisibility: collection is on by default, so the smoke
 # store above already carries telemetry; a --no-telemetry rerun of the

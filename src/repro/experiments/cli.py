@@ -246,30 +246,6 @@ def _scenarios_main(argv: list[str]) -> int:
         help="disable cost-aware scheduling (uniform contiguous chunks)",
     )
     p_run.add_argument(
-        "--group-cells", dest="group_cells", action="store_true",
-        default=None,
-        help="force the structure-of-arrays grouped evaluator (cells "
-        "sharing backend/discipline/topology/mode evaluate as one "
-        "vectorised pass; bit-identical outcomes, higher throughput)",
-    )
-    p_run.add_argument(
-        "--no-group-cells", dest="group_cells", action="store_false",
-        help="force per-cell evaluation (default: grouped on the "
-        "serial in-process executor, per-cell on worker pools)",
-    )
-    p_run.add_argument(
-        "--batch-realise", dest="batch_realise", action="store_true",
-        default=None,
-        help="force batched cross-cell trace synthesis inside the "
-        "grouped evaluator (one flat pass realises every candidate "
-        "cell's traces; bit-identical outcomes, higher throughput)",
-    )
-    p_run.add_argument(
-        "--no-batch-realise", dest="batch_realise", action="store_false",
-        help="force per-cell trace realisation (default: batched "
-        "whenever the grouped evaluator has more than one candidate)",
-    )
-    p_run.add_argument(
         "--profile", action="store_true",
         help="print a per-backend cell-cost breakdown after the run "
         "(from the store when given, else from this run's cells)",
@@ -797,7 +773,9 @@ def _scenarios_main(argv: list[str]) -> int:
                         f"source cache: {hits} hits / {misses} misses "
                         f"({100.0 * hits / max(hits + misses, 1):.0f}% hit rate)"
                     )
-                if s.get("batch_realise"):
+                # Older summaries from runs with batch realisation
+                # switched off record 0 cells: no line for them.
+                if s.get("batch_realised_cells"):
                     line = (
                         f"batch realise: {s.get('batch_realised_cells', 0)} "
                         f"cells, {s.get('batch_lanes_generated', 0)} lanes "
@@ -1066,8 +1044,6 @@ def _scenarios_main(argv: list[str]) -> int:
             tick=tick,
             progress=progress,
             cost_model=None if args.no_cost_model else "auto",
-            group_cells=args.group_cells,
-            batch_realise=args.batch_realise,
             retry=retry,
             cell_timeout=args.cell_timeout,
             fault_plan=fault_plan,

@@ -313,8 +313,6 @@ def run_campaign(
     progress: Optional[callable] = None,
     tick: Optional[callable] = None,
     cost_model: Union[str, None, "CellCostModel"] = "auto",
-    group_cells: Optional[bool] = None,
-    batch_realise: Optional[bool] = None,
     retry: Optional[RetryPolicy] = None,
     cell_timeout: Optional[float] = None,
     fault_plan: Optional[FaultPlan] = None,
@@ -347,14 +345,10 @@ def run_campaign(
     :class:`repro.runtime.cost.CellCostModel` is used as given.
     Scheduling-only in every case: cell outcomes are bit-identical.
 
-    ``group_cells`` is forwarded to :func:`run_batch`: ``None`` (the
-    default) lets the structure-of-arrays grouped evaluator kick in
-    automatically on in-process executors, ``True``/``False`` force it
-    on/off.  Throughput-only -- outcomes and store records are
-    bit-identical either way (``wall_time`` attribution aside).
-    ``batch_realise`` rides along the same way: ``None`` (the default)
-    lets grouped evaluation batch trace synthesis across cells,
-    ``True``/``False`` force it; bit-identical in every case.
+    In-process executors evaluate through the structure-of-arrays
+    grouped evaluator, pool executors per cell (see :func:`run_batch`);
+    outcomes and store records are bit-identical either way
+    (``wall_time`` attribution aside).
 
     ``retry``/``cell_timeout``/``fault_plan`` are the fault-tolerance
     knobs (all off by default with zero overhead): bounded per-cell
@@ -419,8 +413,6 @@ def run_campaign(
             progress=progress,
             tick=tick,
             cost_model=model,
-            group_cells=group_cells,
-            batch_realise=batch_realise,
             retry=retry,
             cell_timeout=cell_timeout,
             fault_plan=fault_plan,

@@ -38,7 +38,7 @@ import numpy as np
 
 __all__ = [
     "DEFAULT_COEFFICIENTS",
-    "REALISE_COEFFICIENTS",
+    "REALISE_COEFFICIENT",
     "BACKEND_VARIANCE",
     "CellCostModel",
     "spec_group_key",
@@ -59,26 +59,19 @@ DEFAULT_COEFFICIENTS: dict[str, float] = {
     "fluid": 3.0e-8,          # per grid point x flow x hop
     "des": 4.0e-6,            # per expected packet x flow x hop
     "des_primed": 3.0e-7,     # per expected packet (array kernels)
-    "des_legacy": 1.2e-5,
     "tree_des": 6.0e-6,       # per expected packet x flow x member
     "tree_des_primed": 4.0e-7,
-    "tree_des_legacy": 1.0e-5,
 }
 
 #: Seconds per expected packet of trace realisation (seed derivation,
-#: source generation, sigma measurement, envelope/fragmentation), on
-#: the reference container.  ``realise`` prices the per-cell path;
-#: ``realise_batched`` the cross-cell batch kernels of
-#: :mod:`repro.scenarios.tracebatch`, whose per-packet cost is
-#: dominated by flat array passes plus a small per-lane constant.
-REALISE_COEFFICIENTS: dict[str, float] = {
-    "realise": 4.0e-7,
-    "realise_batched": 8.0e-8,
-}
+#: source generation, sigma measurement, envelope/fragmentation) by the
+#: cross-cell batch kernels of :mod:`repro.scenarios.tracebatch`, on
+#: the reference container; their per-packet cost is dominated by flat
+#: array passes plus a small per-lane constant.
+REALISE_COEFFICIENT = 8.0e-8
 
-#: Fixed per-lane overhead of realisation (seconds); the batched path
-#: amortises Python dispatch across lanes so its constant is smaller.
-_REALISE_LANE_OVERHEAD = {"realise": 3.0e-5, "realise_batched": 6.0e-6}
+#: Fixed per-lane overhead of batch realisation (seconds).
+_REALISE_LANE_OVERHEAD = 6.0e-6
 
 #: Relative cost-prediction variance per backend family.  DES cells'
 #: realised packet counts (and the vacation fit's fluid fallback) swing
@@ -89,10 +82,8 @@ BACKEND_VARIANCE: dict[str, float] = {
     "fluid": 0.15,
     "des": 0.8,
     "des_primed": 0.4,
-    "des_legacy": 0.8,
     "tree_des": 1.0,
     "tree_des_primed": 0.5,
-    "tree_des_legacy": 1.0,
 }
 
 #: Fallbacks for unknown backends (forward compatibility).
@@ -197,23 +188,18 @@ class CellCostModel:
         backend, _ = _spec_features(spec)
         return self.variance.get(backend, _DEFAULT_VARIANCE)
 
-    def estimate_realise(
-        self, specs: Sequence[Any], *, grouped: bool = False
-    ) -> float:
-        """Predicted wall-clock seconds to realise ``specs``' traces.
+    def estimate_realise(self, specs: Sequence[Any]) -> float:
+        """Predicted wall-clock seconds to batch-realise ``specs``.
 
         Prices the realisation stage alone (trace synthesis, empirical
-        sigma, envelopes, fragmentation) as ``coeff * expected packets
-        + lane overhead``, summed over all flows of all cells.
-        ``grouped=True`` uses the batched-kernel coefficients
-        (:mod:`repro.scenarios.tracebatch`); the grouped evaluator
-        records this prediction next to the measured batch seconds in
-        its grouping summary, so realisation-cost calibration is
-        observable in ``scenarios report``.
+        sigma, envelopes, fragmentation) by the batch kernels of
+        :mod:`repro.scenarios.tracebatch` as ``coeff * expected packets
+        + lane overhead``, summed over all flows of all cells.  The
+        grouped evaluator records this prediction next to the measured
+        batch seconds in its grouping summary, so realisation-cost
+        calibration is observable in ``scenarios report``.
         """
-        label = "realise_batched" if grouped else "realise"
-        coeff = self.coefficients.get(label, REALISE_COEFFICIENTS[label])
-        per_lane = _REALISE_LANE_OVERHEAD[label]
+        coeff = self.coefficients.get("realise_batched", REALISE_COEFFICIENT)
         total = 0.0
         for spec in specs:
             get = (
@@ -223,7 +209,9 @@ class CellCostModel:
             )
             horizon = float(get("horizon", 2.0) or 2.0)
             k = float(get("k", 0) or len(get("kinds", ()) or ()) or 2)
-            total += k * (coeff * horizon * _PACKETS_PER_SEC + per_lane)
+            total += k * (
+                coeff * horizon * _PACKETS_PER_SEC + _REALISE_LANE_OVERHEAD
+            )
         return total
 
     @classmethod

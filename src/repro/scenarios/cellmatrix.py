@@ -6,14 +6,12 @@ kernel dispatch, regulator passes and curve bookkeeping even when the
 matrix holds hundreds of cells that differ only in parameters.  This
 module evaluates a *batch of cells* instead:
 
-1. **Lean realisation** -- each cell's traces and envelopes are
-   realised with the exact seed derivations of
-   :meth:`Scenario.realise_traces` / :meth:`realise_envelopes`, but the
-   mix is built once, the empirical sigma is measured once per unique
-   trace (:func:`_empirical_sigma_fast`, a flat-array restatement of
-   ``PacketTrace.empirical_sigma``) and fragmentation is memoised.
-   The tail (backend fallback, topology resolution) is delegated to
-   :func:`repro.scenarios.runner._realise_from` -- one source of truth.
+1. **Batch realisation** -- every candidate cell's traces and
+   envelopes are realised in flat cross-cell passes by
+   :func:`repro.scenarios.tracebatch.realise_batch` (a group of one is
+   just a batch of one), which replays the per-cell float sequence
+   exactly.  A cell it cannot realise is re-run through
+   :func:`evaluate_cell`, which reproduces the exact error.
 2. **Grouping** -- cells are keyed by
    ``(backend, discipline, topology, mode shape)``; two group kernels
    exist today, the adversarial fluid host and the adversarial primed
@@ -47,19 +45,17 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.calculus.envelope import ArrivalEnvelope
 from repro.core.adaptive import AdaptiveController
 from repro.runtime.executor import TaskResult, _run_one
-from repro.runtime.telemetry import begin_cell, end_cell, span
+from repro.runtime.telemetry import begin_cell, end_cell
 from repro.scenarios.runner import (
     CellResult,
     _Realised,
     _quant_eps,
-    _realise_from,
     evaluate_cell,
 )
 from repro.scenarios.spec import Scenario
-from repro.scenarios.tracebatch import _empirical_sigma_fast, realise_batch
+from repro.scenarios.tracebatch import realise_batch
 from repro.simulation.batched import PRIMED_MODES, primed_adversarial_worst
 from repro.simulation.fluid import (
     _adversarial_worst_arrays,
@@ -69,7 +65,6 @@ from repro.simulation.fluid import (
     batch_fluid_token_bucket,
     batch_fluid_work_conserving,
 )
-from repro.utils.rng import derive_seed
 
 __all__ = [
     "evaluate_grouped",
@@ -91,59 +86,6 @@ MAX_PACK_ELEMENTS = 4_000_000
 #: grid) would multiply the whole pack's kernel cost; with cells
 #: sorted ascending the waste per pack is bounded by the factor.
 MAX_PACK_WIDTH_RATIO = 1.3
-
-
-# ----------------------------------------------------------------------
-# Lean realisation
-# ----------------------------------------------------------------------
-def _lean_realise(
-    sc: Scenario, fragment_cache: dict, source_cache: dict
-) -> _Realised:
-    """Realise one cell with the per-cell path's exact float sequence.
-
-    Replicates :meth:`Scenario.realise_traces` (``mtu=None``) and
-    :meth:`Scenario.realise_envelopes` -- same seed derivations, same
-    generation order, same envelope arithmetic -- while building the
-    source list once per unique ``(kinds, utilization, capacity)``
-    instead of twice per cell (sources are pure parameter records:
-    equal construction inputs give bit-equal rates; ``mix.name``, the
-    only per-cell part, reaches nothing but the seed derivation, which
-    uses ``sc.name`` directly) and measuring each unique trace's
-    empirical sigma once instead of once per flow.
-    """
-    skey = (tuple(sc.kinds), sc.utilization, sc.capacity)
-    sources = source_cache.get(skey)
-    if sources is None:
-        sources = sc.mix().sources
-        source_cache[skey] = sources
-    rng = derive_seed(sc.seed, "scenario", sc.name)
-    traces = []
-    cache: dict[tuple[str, float], object] = {}
-    for g, (src, kind) in enumerate(zip(sources, sc.kinds)):
-        key = (kind, round(src.rate, 12))
-        if sc.shared and key in cache:
-            traces.append(cache[key])
-            continue
-        seed = derive_seed(rng, "trace", sc.name, kind if sc.shared else g)
-        trace = src.generate(sc.horizon, rng=seed)
-        cache[key] = trace
-        traces.append(trace)
-    if sc.start_offsets:
-        traces = [
-            tr.shifted(off) if off > 0 else tr
-            for tr, off in zip(traces, sc.start_offsets)
-        ]
-    env_cache: dict[tuple[int, float], ArrivalEnvelope] = {}
-    envelopes = []
-    for tr, src in zip(traces, sources):
-        ek = (id(tr), src.rate)
-        env = env_cache.get(ek)
-        if env is None:
-            sigma = _empirical_sigma_fast(tr.times, tr.sizes, src.rate)
-            env = ArrivalEnvelope(max(sigma, 1e-9), src.rate)
-            env_cache[ek] = env
-        envelopes.append(env)
-    return _realise_from(sc, traces, envelopes, fragment_cache)
 
 
 # ----------------------------------------------------------------------
@@ -542,32 +484,27 @@ def evaluate_grouped(
     *,
     tick: Optional[callable] = None,
     stats: Optional[dict] = None,
-    batch_realise: Optional[bool] = None,
     cost_model=None,
 ) -> list[TaskResult]:
     """Evaluate a matrix with SoA grouping; per-scenario task results.
 
-    The contract of ``SerialExecutor.map_tasks(evaluate_cell, ...)``:
-    one :class:`TaskResult` per scenario in input order, failures
-    captured per cell, bit-identical values.  ``tick(done, total)`` is
-    called as cells complete (grouped cells complete per group).
+    The in-process evaluation path of every serial campaign, with the
+    contract of ``SerialExecutor.map_tasks(evaluate_cell, ...)``: one
+    :class:`TaskResult` per scenario in input order, failures captured
+    per cell, bit-identical values.  ``tick(done, total)`` is called as
+    cells complete (grouped cells complete per group).
 
-    ``batch_realise`` selects how candidate cells are realised:
-    ``True`` synthesises the whole batch's traces/envelopes in flat
-    passes (:func:`repro.scenarios.tracebatch.realise_batch`),
-    ``False`` realises per cell (:func:`_lean_realise`), and ``None``
-    (the default) batches whenever more than one candidate exists.
-    Throughput-only either way -- the batch realiser replays the
-    per-cell float sequence exactly, and any cell it cannot realise
-    drops to the per-cell path (then to :func:`evaluate_cell`), so
-    results are bit-identical.
+    Candidate cells -- a single cell included -- are realised in one
+    :func:`repro.scenarios.tracebatch.realise_batch` pass, which replays
+    the per-cell float sequence exactly; a cell it cannot realise falls
+    back to :func:`evaluate_cell` (reason ``realise-error``), which
+    reproduces the exact error.
 
     ``cost_model`` (optional,
     :class:`repro.runtime.cost.CellCostModel`) prices the batch's
-    realisation cost per group (``estimate_realise``); the prediction
-    lands in the grouping summary record next to the measured batch
-    seconds, so realisation-cost calibration is observable in
-    ``scenarios report``.
+    realisation cost (``estimate_realise``); the prediction lands in the
+    grouping summary record next to the measured batch seconds, so
+    realisation-cost calibration is observable in ``scenarios report``.
 
     ``stats`` (optional, a mutable mapping) receives
     ``stats["records"]``: one mapping per evaluated group
@@ -575,20 +512,16 @@ def evaluate_grouped(
     padding waste) plus one ``kind == "grouping_summary"`` mapping
     (grouped vs. fallback cell counts, per-reason fallback tallies, the
     realisation source-cache hit rate, and the batch-realisation tally:
-    cells realised batched, lanes generated, batch seconds vs. the cost
-    model's prediction) -- the "no silent caps" ledger of the grouped
-    path.
+    cells realised, lanes generated, batch seconds vs. the cost model's
+    prediction) -- the "no silent caps" ledger of the grouped path.
     """
     scenarios = list(scenarios)
     n = len(scenarios)
     results: list[Optional[TaskResult]] = [None] * n
-    fragment_cache: dict = {}
-    source_cache: dict = {}
     groups: dict[tuple, list[tuple]] = {}
     fallback: list[tuple[int, str]] = []
     reasons: dict[str, int] = {}
     records: list[dict] = []
-    src_hits = src_misses = 0
     done = 0
 
     def _tick():
@@ -607,73 +540,50 @@ def evaluate_grouped(
             continue
         candidates.append(i)
 
-    if batch_realise is None:
-        batch_realise = len(candidates) > 1
-
     realised: dict[int, _Realised] = {}
     batch_s = batch_share = 0.0
     batch_info: dict = {}
     predicted_realise_s = None
-    if batch_realise and candidates:
+    if candidates:
         specs = [scenarios[i] for i in candidates]
         if cost_model is not None and hasattr(cost_model, "estimate_realise"):
             try:
-                predicted_realise_s = float(
-                    cost_model.estimate_realise(specs, grouped=True)
-                )
+                predicted_realise_s = float(cost_model.estimate_realise(specs))
             except Exception:
                 predicted_realise_s = None
         t0 = time.perf_counter()
         try:
-            batch_results, batch_info = realise_batch(
-                specs, fragment_cache, source_cache
-            )
+            batch_results, batch_info = realise_batch(specs)
         except Exception:
             batch_results = [None] * len(specs)
         batch_s = time.perf_counter() - t0
         for i, r in zip(candidates, batch_results):
             if r is not None:
                 realised[i] = r
-        src_hits += batch_info.get("source_cache_hits", 0)
-        src_misses += batch_info.get("source_cache_misses", 0)
         # The batch pass ran cells batch-wise: amortise its wall time
         # evenly over the cells it realised (the same attribution rule
         # as the group kernels below).
         batch_share = batch_s / max(len(realised), 1)
 
     for i in candidates:
-        sc = scenarios[i]
-        tel = begin_cell(sc.name)
-        t0 = time.perf_counter()
-        key = None
         r = realised.get(i)
-        from_batch = r is not None
-        try:
-            if r is None:
-                cached = len(source_cache)
-                with span("realise"):
-                    r = _lean_realise(sc, fragment_cache, source_cache)
-                if len(source_cache) == cached:
-                    src_hits += 1
-                else:
-                    src_misses += 1
-            elif tel is not None:
-                # Batch-realised before this cell's telemetry began:
-                # credit the amortised share so the report's phase
-                # breakdown still accounts for realisation honestly.
-                tel.add_phase("realise", batch_share, offset=0.0)
-            key = group_key(r)
-        except Exception:
-            key = None
-        prep = time.perf_counter() - t0
-        if from_batch:
-            prep += batch_share
+        if r is None:
+            fallback.append((i, "realise-error"))
+            continue
+        tel = begin_cell(scenarios[i].name)
+        t0 = time.perf_counter()
+        if tel is not None:
+            # Batch-realised before this cell's telemetry began: credit
+            # the amortised share so the report's phase breakdown still
+            # accounts for realisation honestly.
+            tel.add_phase("realise", batch_share, offset=0.0)
+        key = group_key(r)
+        prep = time.perf_counter() - t0 + batch_share
         end_cell(tel)
         if key is None:
             # The fallback re-runs evaluate_cell with fresh telemetry,
-            # so the lean-realisation attempt's record is discarded.
-            reason = "realise-error" if r is None else _fallback_reason(r)
-            fallback.append((i, reason))
+            # so this cell's record is discarded.
+            fallback.append((i, _fallback_reason(r)))
         else:
             groups.setdefault(key, []).append((i, r, prep, tel))
 
@@ -744,9 +654,8 @@ def evaluate_grouped(
         "grouped_cells": grouped_cells,
         "fallback_cells": n - grouped_cells,
         "fallback_reasons": dict(sorted(reasons.items())),
-        "source_cache_hits": src_hits,
-        "source_cache_misses": src_misses,
-        "batch_realise": bool(batch_realise),
+        "source_cache_hits": batch_info.get("source_cache_hits", 0),
+        "source_cache_misses": batch_info.get("source_cache_misses", 0),
         "batch_realised_cells": len(realised),
         "batch_realise_s": batch_s,
     }

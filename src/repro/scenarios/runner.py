@@ -79,7 +79,6 @@ __all__ = [
     "ScenarioOutcome",
     "BatchReport",
     "evaluate_cell",
-    "evaluate_cells_grouped",
     "finalise_batch",
     "run_batch",
     "run_scenario",
@@ -414,9 +413,9 @@ def _realise_from(
 ) -> _Realised:
     """Finish realising a scenario whose traces/envelopes are known.
 
-    The tail of :func:`_realise`, factored out so the grouped
-    cell-matrix evaluator (:mod:`repro.scenarios.cellmatrix`) can feed
-    its cached trace/envelope realisation through the *same* backend
+    The tail of :func:`_realise`, factored out so the batch realiser
+    (:func:`repro.scenarios.tracebatch.realise_batch`) can feed its
+    cross-cell trace/envelope realisation through the *same* backend
     fallback, fragmentation and topology resolution code -- one source
     of truth for the effective execution facts.  ``fragment_cache``
     (optional, keyed by ``(id(trace), mtu)``) memoises
@@ -426,7 +425,7 @@ def _realise_from(
     envelopes = list(envelopes)
     eff_mode = sc.effective_mode(envelopes)
     backend, mtu, extra_eps = sc.backend, DEFAULT_MTU, 0.0
-    if backend in ("des", "des_legacy") and eff_mode == "sigma-rho-lambda":
+    if backend == "des" and eff_mode == "sigma-rho-lambda":
         fit = _des_lambda_fit(sc, envelopes)
         if fit is None:
             backend = "fluid"
@@ -449,7 +448,7 @@ def _realise_from(
             traces.append(entry[1])
     tree_ctx = None
     if sc.topology == "tree":
-        if backend in ("tree_des", "tree_des_legacy"):
+        if backend == "tree_des":
             hops, prop, height_ok, tree_ctx = _resolve_tree_full(sc)
         else:
             hops, prop, height_ok = _resolve_tree(sc)
@@ -475,10 +474,7 @@ def _simulate(r: _Realised) -> tuple[float, int, int, bool]:
     the flag feeds the cost model's primed-vs-evented pricing).
     """
     sc = r.scenario
-    # The *_legacy backends run the identical cell on the per-packet
-    # legacy DES engine (the equivalence suite's reference).
-    engine = "legacy" if r.eff_backend.endswith("_legacy") else "batched"
-    if r.eff_backend in ("tree_des", "tree_des_legacy"):
+    if r.eff_backend == "tree_des":
         tree, latency = r.tree_ctx
         res = simulate_multicast_tree(
             [tree],
@@ -489,7 +485,6 @@ def _simulate(r: _Realised) -> tuple[float, int, int, bool]:
             mode=r.eff_mode,
             capacity=sc.capacity,
             discipline=sc.discipline,
-            engine=engine,
         )
         return res.worst_case_delay, res.events, 0, res.primed
     if sc.topology == "host":
@@ -511,7 +506,6 @@ def _simulate(r: _Realised) -> tuple[float, int, int, bool]:
             capacity=sc.capacity,
             discipline=sc.discipline,
             stagger_phase=sc.stagger_phase,
-            engine=engine,
         )
         return res.worst_case_delay, res.events, res.cancelled_events, res.primed
     tagged, cross = r.traces[0], list(r.traces[1:])
@@ -538,21 +532,15 @@ def _simulate(r: _Realised) -> tuple[float, int, int, bool]:
         discipline=sc.discipline,
         stagger_phase=sc.stagger_phase,
         propagation=list(r.propagation),
-        engine=engine,
     )
     return des.worst_case_delay, des.events, des.cancelled_events, des.primed
 
 
 def _quant_eps(r: _Realised) -> float:
-    """Backend quantisation slack, already scaled by hop count.
-
-    The legacy backends charge the same eps as their batched
-    counterparts -- the engines are delay-equivalent, so the verdict
-    thresholds must not differ between them.
-    """
+    """Backend quantisation slack, already scaled by hop count."""
     if r.eff_backend == "fluid":
         return FLUID_GRID_FACTOR * r.scenario.dt * r.hops
-    if r.eff_backend in ("tree_des", "tree_des_legacy"):
+    if r.eff_backend == "tree_des":
         return DES_MTU_FACTOR * r.mtu * r.hops
     return (DES_MTU_FACTOR * r.mtu + r.extra_eps) * r.hops
 
@@ -590,48 +578,6 @@ def evaluate_cell(scenario: Scenario) -> CellResult:
         height_ok=r.height_ok,
         quant_eps=_quant_eps(r),
         primed=primed,
-    )
-
-
-def evaluate_cells_grouped(
-    scenarios: Sequence[Scenario],
-    *,
-    tick: Optional[callable] = None,
-    stats: Optional[dict] = None,
-    batch_realise: Optional[bool] = None,
-    cost_model=None,
-) -> list[TaskResult]:
-    """Evaluate a matrix with structure-of-arrays cell grouping.
-
-    Cells sharing ``(backend, discipline, topology, mode shape)`` are
-    packed into parameter matrices and resolved by one vectorised pass
-    per group (:mod:`repro.scenarios.cellmatrix`); cells no group
-    kernel covers -- and cells whose grouped realisation raises -- fall
-    back to :func:`evaluate_cell` semantics individually, so results
-    (including error strings) are bit-identical to the per-cell path.
-
-    ``batch_realise`` selects batched cross-cell trace synthesis
-    (:mod:`repro.scenarios.tracebatch`) for the candidate cells:
-    ``None`` (default) batches whenever more than one candidate exists,
-    ``True``/``False`` force it.  Throughput-only; bit-identical either
-    way.  ``cost_model`` (optional) prices the batch realisation so the
-    grouping summary can compare prediction with measurement.
-
-    Returns one :class:`~repro.runtime.executor.TaskResult` per
-    scenario, in input order, exactly like
-    ``SerialExecutor.map_tasks(evaluate_cell, scenarios)``.  ``stats``
-    (optional, a mutable mapping) receives grouping telemetry: per-group
-    sizes, lane packing and padding waste, per-reason fallback counts,
-    and the source-cache hit rate.
-    """
-    from repro.scenarios.cellmatrix import evaluate_grouped
-
-    return evaluate_grouped(
-        scenarios,
-        tick=tick,
-        stats=stats,
-        batch_realise=batch_realise,
-        cost_model=cost_model,
     )
 
 
@@ -765,8 +711,6 @@ def run_batch(
     progress: Optional[callable] = None,
     tick: Optional[callable] = None,
     cost_model=None,
-    group_cells: Optional[bool] = None,
-    batch_realise: Optional[bool] = None,
     retry: Optional[RetryPolicy] = None,
     cell_timeout: Optional[float] = None,
     fault_plan: Optional[faults.FaultPlan] = None,
@@ -786,23 +730,14 @@ def run_batch(
     (:func:`repro.runtime.cost.plan_chunks`).  Scheduling-only -- the
     outcomes are bit-identical with or without it.
 
-    ``group_cells`` routes the worker stage through the
+    In-process executors (``Executor.supports_cell_grouping``, i.e.
+    the serial default) evaluate the matrix through the
     structure-of-arrays grouped evaluator
-    (:func:`evaluate_cells_grouped`) instead of per-cell
-    :func:`evaluate_cell` calls.  ``None`` (the default) enables
-    grouping automatically when the executor runs in-process
-    (``Executor.supports_cell_grouping``); ``True`` forces it (still
-    in-process, bypassing the executor's worker pool); ``False``
-    disables it.  Grouping is throughput-only: outcomes are
-    bit-identical either way (``wall_time`` attribution aside, which
-    grouped evaluation estimates by amortising each group kernel over
-    its cells).
-
-    ``batch_realise`` is forwarded to the grouped evaluator: ``None``
-    (default) lets it batch trace synthesis across cells whenever more
-    than one grouping candidate exists, ``True``/``False`` force it.
-    Like grouping itself it is throughput-only and bit-identical; it
-    has no effect when ``group_cells`` resolves to ``False``.
+    (:func:`repro.scenarios.cellmatrix.evaluate_grouped`); pool
+    executors ship per-cell :func:`evaluate_cell` calls to their
+    workers.  Outcomes are bit-identical either way (``wall_time``
+    attribution aside, which grouped evaluation estimates by
+    amortising each group kernel over its cells).
 
     ``retry``/``cell_timeout`` opt into the executor's fault-tolerant
     path (see :class:`repro.runtime.executor.RetryPolicy`); grouped
@@ -820,25 +755,15 @@ def run_batch(
     scenarios = list(scenarios)
     t0 = time.perf_counter()
     ex = executor if executor is not None else SerialExecutor()
-    if fault_plan is not None:
-        # Injection lives in evaluate_cell; the grouped evaluator's
-        # batch kernels would bypass it.
-        group_cells = False
-    if group_cells is None:
-        group_cells = getattr(ex, "supports_cell_grouping", False)
-    worker = (
-        evaluate_cell
-        if fault_plan is None
-        else functools.partial(faults.evaluate_cell_under_plan, fault_plan)
-    )
-    if group_cells:
+    # Injection lives in evaluate_cell, which the grouped evaluator's
+    # batch kernels would bypass: an armed fault plan runs per cell.
+    if fault_plan is None and getattr(ex, "supports_cell_grouping", False):
+        # Looked up at call time (cellmatrix imports this module).
+        from repro.scenarios.cellmatrix import evaluate_grouped
+
         stats: dict = {}
-        tasks = evaluate_cells_grouped(
-            scenarios,
-            tick=tick,
-            stats=stats,
-            batch_realise=batch_realise,
-            cost_model=cost_model,
+        tasks = evaluate_grouped(
+            scenarios, tick=tick, stats=stats, cost_model=cost_model
         )
         if retry is not None and retry.max_attempts > 1:
             # Grouped evaluation already spent attempt 1 of any cell
@@ -875,6 +800,11 @@ def run_batch(
             variances=[cost_model.relative_variance(sc) for sc in scenarios],
             groups=[spec_group_key(sc) for sc in scenarios],
         )
+    worker = (
+        evaluate_cell
+        if fault_plan is None
+        else functools.partial(faults.evaluate_cell_under_plan, fault_plan)
+    )
     tasks = ex.map_tasks(
         worker,
         scenarios,

@@ -55,11 +55,10 @@ __all__ = [
 TOPOLOGIES = ("host", "chain", "tree")
 #: Simulation backends.  ``tree_des`` runs the packet DES over the
 #: *whole* DSCT tree (replication at every member) instead of the
-#: critical-path chain reduction.  The ``*_legacy`` variants run the
-#: same cells through the per-packet-event DES engine (the pre-batching
-#: hot path): they exist for the batched-vs-legacy equivalence suite
-#: and as an escape hatch, not for production campaigns.
-BACKENDS = ("fluid", "des", "tree_des", "des_legacy", "tree_des_legacy")
+#: critical-path chain reduction.  Both DES backends run the batched
+#: engine; the per-packet legacy engine is reachable only through the
+#: simulators' ``engine="legacy"``, as the equivalence suite's oracle.
+BACKENDS = ("fluid", "des", "tree_des")
 #: Control modes (``adaptive`` resolves per realisation).
 SCENARIO_MODES = ("sigma-rho", "sigma-rho-lambda", "adaptive")
 
@@ -96,10 +95,7 @@ class Scenario:
         over the whole DSCT tree with per-member replication; requires
         ``topology="tree"`` and ``mode="sigma-rho"`` -- the vacation
         window fit of the (sigma, rho, lambda) DES regulator does not
-        scale to a hundred member pipelines).  ``"des_legacy"`` /
-        ``"tree_des_legacy"`` run the same cells on the per-packet
-        legacy DES engine (the batched-vs-legacy equivalence suite's
-        reference).
+        scale to a hundred member pipelines).
     discipline:
         Worst-case service discipline for the measurement; the default
         adversarial accounting realises the general-MUX worst case.
@@ -180,7 +176,7 @@ class Scenario:
             raise ValueError("chain scenarios need hops >= 1")
         if self.topology == "tree" and self.tree_members < 4:
             raise ValueError("tree scenarios need tree_members >= 4")
-        if self.backend in ("tree_des", "tree_des_legacy"):
+        if self.backend == "tree_des":
             if self.topology != "tree":
                 raise ValueError(
                     f"backend {self.backend!r} requires topology 'tree'"

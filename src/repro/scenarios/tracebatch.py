@@ -1,18 +1,18 @@
 """Batched cross-cell trace synthesis for the grouped cell matrix.
 
-PR 6's structure-of-arrays evaluator removed per-cell kernel dispatch;
-what remained of the campaign hot path was the per-cell, per-flow
-Python of *realisation*: seed derivation, one ``TrafficSource.generate``
-call per lane, one empirical-sigma measurement per unique trace, and
-envelope/fragmentation object churn.  This module realises an entire
-candidate batch in flat passes instead:
+The grouped evaluator (:mod:`repro.scenarios.cellmatrix`) realises
+every candidate cell here -- a single cell is a batch of one.  What
+per-cell realisation pays in Python (seed derivation, one
+``TrafficSource.generate`` call per lane, one empirical-sigma
+measurement per unique trace, envelope/fragmentation object churn)
+this module pays once per batch, in flat passes:
 
-* **Lane planning** replicates :func:`cellmatrix._lean_realise`'s exact
-  cache and seed semantics (the ``(kinds, utilization, capacity)``
-  source cache, the per-cell shared-trace cache keyed
-  ``(kind, round(rate, 12))``, the
-  ``derive_seed(rng, "trace", name, ...)`` stream per generated lane)
-  while splitting the lanes by source kind.
+* **Lane planning** replicates :meth:`Scenario.realise_traces`
+  (``mtu=None``) exactly -- the ``derive_seed(rng, "trace", name, ...)``
+  stream per generated lane, the per-cell shared-trace cache keyed
+  ``(kind, round(rate, 12))`` -- while building each
+  ``(kinds, utilization, capacity)`` source list once per batch and
+  splitting the lanes by source kind.
 * **Deterministic kinds** (cbr, the audio frame grid) ride shared
   arrays: one ``arange`` per unique ``(phase, interval, horizon)``
   serves every lane, and cbr lanes sharing ``(grid, packet_size)``
@@ -31,11 +31,12 @@ candidate batch in flat passes instead:
 The tail of every cell (backend fallback, fragmentation, topology
 resolution) still goes through :func:`repro.scenarios.runner._realise_from`
 -- one source of truth -- and any cell whose batched realisation raises
-is handed back to the caller (``None``) for the per-cell path, which
-reproduces the error exactly.  Equivalence contract: like the group
-kernels, batched realisation is throughput-only -- every trace,
-envelope and ``_Realised`` field matches the per-cell path bit for bit
-(``tests/test_tracebatch.py`` enforces it over generated scenarios).
+is handed back to the caller (``None``), which re-runs it through
+:func:`repro.scenarios.runner.evaluate_cell` to reproduce the error
+exactly.  Equivalence contract: batched realisation is throughput-only
+-- every trace, envelope and ``_Realised`` field matches the per-cell
+``runner._realise`` bit for bit (``tests/test_tracebatch.py`` enforces
+it over generated scenarios).
 """
 
 from __future__ import annotations
@@ -198,8 +199,6 @@ class _CellPlan:
 
 def realise_batch(
     scenarios: Sequence[Scenario],
-    fragment_cache: dict,
-    source_cache: dict,
 ) -> tuple[list[Optional[_Realised]], dict]:
     """Realise a batch of cells in flat passes; ``None`` marks fallback.
 
@@ -213,6 +212,8 @@ def realise_batch(
     n = len(scenarios)
     results: list[Optional[_Realised]] = [None] * n
     plans: list[Optional[_CellPlan]] = [None] * n
+    source_cache: dict[tuple, list] = {}
+    fragment_cache: dict = {}
     by_kind: dict[str, list[tuple[int, int, object, int, float]]] = {}
     info = {
         "source_cache_hits": 0,
@@ -221,7 +222,7 @@ def realise_batch(
         "sigma_lanes": 0,
     }
 
-    # -- pass 1: plan lanes (exact _lean_realise cache/seed semantics) --
+    # -- pass 1: plan lanes (exact realise_traces cache/seed semantics) -
     for ci, sc in enumerate(scenarios):
         try:
             skey = (tuple(sc.kinds), sc.utilization, sc.capacity)

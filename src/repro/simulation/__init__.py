@@ -17,10 +17,10 @@ inputs, so any scenario can be run on either and compared.
 
 The DES ships two component engines: the **batched** engine
 (:mod:`repro.simulation.batched`: window-batched vacation service,
-commit-on-receive MUX drains, and an event-free array fast path for the
-primed vacation host -- the default) and the **legacy** per-packet
-event chain (kept addressable as ``engine="legacy"`` /
-``backend="des_legacy"`` for the equivalence suite).
+commit-on-receive MUX drains, and event-free array fast paths for
+primed adversarial hosts -- the only engine scenarios run on) and the
+**legacy** per-packet event chain (``engine="legacy"``, kept only as
+the test oracle of the equivalence suite).
 """
 
 from repro.simulation.batched import (

@@ -33,21 +33,22 @@ This module exploits exactly that structure, at three levels:
     the adversarial discipline, delivers each busy period with a single
     lazily-rescheduled release event.
 
-:func:`primed_vacation_host` / :func:`primed_adversarial_host`
+:func:`primed_adversarial_host` / :func:`primed_adversarial_worst`
     The array fast paths for fully-known single-host cells: all flows'
     traces are known up front, so the entire cell -- regulators,
     adversarial MUX, delay recording -- collapses into NumPy passes
     over merged departure arrays with *no per-packet events at all*.
-    PR 5 extends the original vacation-only path to every regulator
-    family: :func:`sigma_rho_departures` is the token-bucket analogue
-    of :func:`vacation_departures` (closed-form departures, float ops
-    sequenced identically to the legacy ``TokenBucketComponent``), and
-    :func:`primed_adversarial_host` dispatches on the control mode
-    (``sigma-rho`` / ``sigma-rho-lambda`` / ``none``).  Used by
+    :func:`sigma_rho_departures` is the token-bucket analogue of
+    :func:`vacation_departures` (closed-form departures, float ops
+    sequenced identically to the legacy ``TokenBucketComponent``); one
+    private per-flow dispatch (``_flow_departures``) picks between them
+    -- or the raw arrival times for mode ``none`` -- for both kernels
+    and for the background trains below.  The host kernel serves
     :func:`repro.simulation.host_sim.simulate_regulated_host` whenever
-    the batched engine meets ``discipline="adversarial"``, and by
+    the batched engine meets ``discipline="adversarial"``, and
     :func:`repro.simulation.chain.simulate_regulated_chain` to resolve
-    hop 0 (whose arrivals are all known) as a pure array pass.
+    hop 0 (whose arrivals are all known) as a pure array pass; the
+    lean worst-delay-only kernel serves the grouped cell matrix.
 
 Background-primed MUX (:meth:`BatchMuxServer.prime_background`)
     Chain hops past hop 0 and every tree member host serve K-1 *cross*
@@ -66,9 +67,8 @@ components must reproduce the legacy components' measured delays
 bit-for-bit (the float arithmetic is sequenced identically; only event
 *counts* differ).  ``tests/test_des_batched_equivalence.py`` enforces
 this over the curated corpus and hypothesis-generated traces; the
-legacy path stays addressable as ``backend="des_legacy"`` /
-``engine="legacy"`` precisely so that suite keeps both implementations
-honest.
+legacy path stays addressable as ``engine="legacy"`` only as that
+suite's test oracle.
 """
 
 from __future__ import annotations
@@ -78,6 +78,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
+from repro.core.adaptive import AdaptiveController
 from repro.core.regulator import SigmaRhoLambdaRegulator
 from repro.simulation.engine import Simulator
 from repro.simulation.packet import Packet
@@ -88,7 +89,6 @@ __all__ = [
     "sigma_rho_departures",
     "BatchVacationComponent",
     "BatchMuxServer",
-    "primed_vacation_host",
     "primed_adversarial_host",
     "primed_adversarial_worst",
     "PrimedHostOutcome",
@@ -806,61 +806,104 @@ def _merge_and_deliver(
     return PrimedHostOutcome(per_flow, trains, busy_periods, per_deliv)
 
 
-def primed_vacation_host(
-    traces: Sequence[tuple[np.ndarray, np.ndarray]],
-    regulators: Sequence[SigmaRhoLambdaRegulator],
-    offsets: Sequence[float],
-    *,
-    capacity: float = 1.0,
-    horizon: Optional[float] = None,
-    drain: bool = True,
-) -> PrimedHostOutcome:
-    """Array fast path for the staggered-vacation single host.
+def _stagger_schedule(
+    controller: AdaptiveController, stagger_phase: float
+) -> tuple[list, list[float]]:
+    """Per-flow vacation regulators and absolute window offsets.
 
-    Every flow's full arrival trace is known up front, so the cell
-    needs no event loop at all: per-flow regulator departures come from
-    :func:`vacation_departures`, the adversarial general MUX is a
-    single merged pass (running ``busy_until`` float recurrence --
-    sequenced exactly like the legacy per-packet events -- then a
-    vectorised busy-period-end assignment), and per-flow delays are one
-    subtraction.  Delivery times equal the end of each packet's MUX
-    busy period, which is the legacy adversarial MUX's hold-and-release
-    instant.
-
-    Parameters
-    ----------
-    traces:
-        Per-flow ``(times, sizes)`` arrays (already horizon-restricted).
-    regulators, offsets:
-        The stagger plan realised by the builder (absolute offsets).
-    capacity:
-        MUX service rate; also the regulators' in-window rate.
-    horizon:
-        With ``drain=False``, deliveries after this instant are
-        discarded (the legacy ``run(until=horizon)`` truncation).
-    drain:
-        Keep every delivery (the default, like the legacy drain loop).
+    The controller's stagger plan shifted by ``stagger_phase`` (a
+    fraction of the plan period): the one derivation shared by the
+    vacation entries of
+    :func:`repro.simulation.host_sim.build_regulated_host` and every
+    primed departure pass.
     """
+    plan = controller.build_stagger_plan()
+    base = (stagger_phase % 1.0) * plan.period
+    return plan.regulators, [base + off for off in plan.offsets]
+
+
+def _flow_departures(
+    mode: str,
+    f: int,
+    times: np.ndarray,
+    sizes: np.ndarray,
+    envelopes: Sequence,
+    capacity: float,
+    schedule: Optional[tuple],
+) -> tuple[np.ndarray, int]:
+    """Regulator departures ``(deps, passes)`` of flow ``f`` under ``mode``.
+
+    The per-flow dispatch of every primed pass: a token bucket
+    parameterised like the builders (``sigma = e.sigma``,
+    ``rho = e.rho / capacity``), a staggered vacation regulator from
+    ``schedule`` (:func:`_stagger_schedule`, ``None`` outside
+    ``"sigma-rho-lambda"``), or -- mode ``"none"`` -- the arrival times
+    themselves.
+    """
+    if mode == "sigma-rho":
+        env = envelopes[f]
+        return sigma_rho_departures(
+            times, sizes, env.sigma, env.rho / capacity
+        )
+    if mode == "sigma-rho-lambda":
+        regulators, offsets = schedule
+        return vacation_departures(
+            times, sizes, regulators[f], offset=float(offsets[f]),
+            out_rate=capacity,
+        )
+    return np.ascontiguousarray(times, dtype=np.float64), 0
+
+
+def _primed_departures(
+    traces: Sequence[tuple[np.ndarray, np.ndarray]],
+    envelopes: Sequence,
+    mode: str,
+    capacity: float,
+    stagger_phase: float,
+    dep_cache: Optional[dict] = None,
+    cache_keys: Optional[Sequence] = None,
+) -> tuple[list[np.ndarray], list[np.ndarray], list[np.ndarray], int]:
+    """Every flow's regulator departures, emissions and sizes, plus the
+    summed pass count, for a fully-known adversarial host.
+
+    ``dep_cache`` / ``cache_keys``: see :func:`primed_adversarial_worst`.
+    """
+    if mode not in PRIMED_MODES:
+        raise ValueError(
+            f"primed adversarial hosts support modes {PRIMED_MODES}, "
+            f"got {mode!r}"
+        )
     check_positive(capacity, "capacity")
-    k = len(traces)
+    schedule = (
+        _stagger_schedule(
+            AdaptiveController(envelopes, capacity), stagger_phase
+        )
+        if mode == "sigma-rho-lambda"
+        else None
+    )
     dep_list: list[np.ndarray] = []
     emit_list: list[np.ndarray] = []
     size_list: list[np.ndarray] = []
     trains_total = 0
-    for f in range(k):
-        times, sizes = traces[f]
-        deps, trains = vacation_departures(
-            times, sizes, regulators[f], offset=float(offsets[f]),
-            out_rate=capacity,
+    for f, (times, sizes) in enumerate(traces):
+        key = cache_keys[f] if cache_keys is not None else None
+        cached = (
+            dep_cache.get(key)
+            if dep_cache is not None and key is not None
+            else None
         )
+        if cached is None:
+            cached = _flow_departures(
+                mode, f, times, sizes, envelopes, capacity, schedule
+            )
+            if dep_cache is not None and key is not None:
+                dep_cache[key] = cached
+        deps, trains = cached
         trains_total += trains
         dep_list.append(deps)
         emit_list.append(np.asarray(times, dtype=np.float64))
         size_list.append(np.asarray(sizes, dtype=np.float64))
-    return _merge_and_deliver(
-        dep_list, emit_list, size_list,
-        capacity=capacity, trains=trains_total, horizon=horizon, drain=drain,
-    )
+    return dep_list, emit_list, size_list, trains_total
 
 
 def primed_adversarial_host(
@@ -875,13 +918,19 @@ def primed_adversarial_host(
 ) -> PrimedHostOutcome:
     """Array fast path for any fully-known adversarial host cell.
 
-    Generalises :func:`primed_vacation_host` over the control mode:
+    Every flow's full arrival trace is known up front, so the cell
+    needs no event loop at all: per-flow regulator departures are
+    closed form, the adversarial general MUX is a single merged pass
+    (running ``busy_until`` float recurrence, then a vectorised
+    busy-period-end assignment), and per-flow delays are one
+    subtraction.  Per control mode:
 
     * ``"sigma-rho"`` -- per-flow token buckets
       (:func:`sigma_rho_departures`, parameterised exactly like the
       builder: ``sigma = e.sigma``, ``rho = e.rho / capacity``);
-    * ``"sigma-rho-lambda"`` -- the staggered vacation regulators (the
-      stagger plan is rebuilt from the envelopes the way
+    * ``"sigma-rho-lambda"`` -- the staggered vacation regulators
+      (:func:`vacation_departures`; the stagger plan is rebuilt from the
+      envelopes the way
       :func:`repro.simulation.host_sim.build_regulated_host` does);
     * ``"none"`` -- no regulation: arrivals feed the MUX directly.
 
@@ -889,48 +938,15 @@ def primed_adversarial_host(
     caller resolves it exactly like the builders do).  Delivery times
     equal the end of each packet's MUX busy period, the adversarial
     hold-and-release instant, bit-identical to the evented batched
-    engine.
+    engine.  With ``drain=False``, deliveries after ``horizon`` are
+    discarded (the evented ``run(until=horizon)`` truncation).
     """
-    if mode not in PRIMED_MODES:
-        raise ValueError(
-            f"primed_adversarial_host supports modes {PRIMED_MODES}, "
-            f"got {mode!r}"
-        )
-    check_positive(capacity, "capacity")
-    k = len(traces)
-    dep_list: list[np.ndarray] = []
-    emit_list: list[np.ndarray] = []
-    size_list: list[np.ndarray] = []
-    trains_total = 0
-    if mode == "sigma-rho-lambda":
-        from repro.core.adaptive import AdaptiveController
-
-        plan = AdaptiveController(envelopes, capacity).build_stagger_plan()
-        base = (stagger_phase % 1.0) * plan.period
-        regulators = plan.regulators
-        offsets = [base + off for off in plan.offsets]
-    for f in range(k):
-        times, sizes = traces[f]
-        if mode == "sigma-rho":
-            env = envelopes[f]
-            deps, trains = sigma_rho_departures(
-                times, sizes, env.sigma, env.rho / capacity
-            )
-        elif mode == "sigma-rho-lambda":
-            deps, trains = vacation_departures(
-                times, sizes, regulators[f], offset=float(offsets[f]),
-                out_rate=capacity,
-            )
-        else:  # none: arrivals feed the MUX directly
-            deps = np.ascontiguousarray(times, dtype=np.float64)
-            trains = 0
-        trains_total += trains
-        dep_list.append(deps)
-        emit_list.append(np.asarray(times, dtype=np.float64))
-        size_list.append(np.asarray(sizes, dtype=np.float64))
+    dep_list, emit_list, size_list, trains = _primed_departures(
+        traces, envelopes, mode, capacity, stagger_phase
+    )
     return _merge_and_deliver(
         dep_list, emit_list, size_list,
-        capacity=capacity, trains=trains_total, horizon=horizon, drain=drain,
+        capacity=capacity, trains=trains, horizon=horizon, drain=drain,
     )
 
 
@@ -966,54 +982,10 @@ def primed_adversarial_worst(
     Returns ``(worst_delay, batch_events)`` with ``drain=True``
     semantics (every delivery kept).
     """
-    if mode not in PRIMED_MODES:
-        raise ValueError(
-            f"primed_adversarial_worst supports modes {PRIMED_MODES}, "
-            f"got {mode!r}"
-        )
-    check_positive(capacity, "capacity")
-    k = len(traces)
-    dep_list: list[np.ndarray] = []
-    emit_list: list[np.ndarray] = []
-    size_list: list[np.ndarray] = []
-    trains_total = 0
-    if mode == "sigma-rho-lambda":
-        from repro.core.adaptive import AdaptiveController
-
-        plan = AdaptiveController(envelopes, capacity).build_stagger_plan()
-        base = (stagger_phase % 1.0) * plan.period
-        regulators = plan.regulators
-        offsets = [base + off for off in plan.offsets]
-    for f in range(k):
-        times, sizes = traces[f]
-        key = cache_keys[f] if cache_keys is not None else None
-        cached = (
-            dep_cache.get(key)
-            if dep_cache is not None and key is not None
-            else None
-        )
-        if cached is not None:
-            deps, trains = cached
-        else:
-            if mode == "sigma-rho":
-                env = envelopes[f]
-                deps, trains = sigma_rho_departures(
-                    times, sizes, env.sigma, env.rho / capacity
-                )
-            elif mode == "sigma-rho-lambda":
-                deps, trains = vacation_departures(
-                    times, sizes, regulators[f], offset=float(offsets[f]),
-                    out_rate=capacity,
-                )
-            else:  # none: arrivals feed the MUX directly
-                deps = np.ascontiguousarray(times, dtype=np.float64)
-                trains = 0
-            if dep_cache is not None and key is not None:
-                dep_cache[key] = (deps, trains)
-        trains_total += trains
-        dep_list.append(deps)
-        emit_list.append(np.asarray(times, dtype=np.float64))
-        size_list.append(np.asarray(sizes, dtype=np.float64))
+    dep_list, emit_list, size_list, trains = _primed_departures(
+        traces, envelopes, mode, capacity, stagger_phase,
+        dep_cache, cache_keys,
+    )
     arr = np.concatenate(dep_list) if dep_list else np.empty(0)
     if arr.size == 0:
         return 0.0, 0
@@ -1029,4 +1001,4 @@ def primed_adversarial_worst(
     delivery, busy_periods = _adversarial_mux_deliveries(arr, tx)
     delays = delivery - emits
     worst = float(max(delays.max(), 0.0))
-    return worst, trains_total + busy_periods
+    return worst, trains + busy_periods

@@ -34,9 +34,9 @@ from repro.simulation.batched import (
     PRIMED_MODES,
     BatchMuxServer,
     BatchVacationComponent,
+    _flow_departures,
+    _stagger_schedule,
     primed_adversarial_host,
-    sigma_rho_departures,
-    vacation_departures,
 )
 from repro.simulation.engine import Simulator
 from repro.simulation.flow import PacketTrace
@@ -62,8 +62,8 @@ MODES = ("sigma-rho", "sigma-rho-lambda", "none", "adaptive")
 #: same window-batched components but *no* closed-form shortcuts --
 #: the PR-3 behaviour, kept as the mid-rung of the equivalence ladder
 #: and as the benchmark baseline the primed paths are measured
-#: against) or ``"legacy"`` (the per-packet event chain, addressable
-#: as ``backend="des_legacy"``).
+#: against) or ``"legacy"`` (the per-packet event chain, kept only as
+#: the test oracle of the batched-vs-legacy equivalence suite).
 ENGINES = ("batched", "evented", "legacy")
 
 #: Engines built from the window-batched components.
@@ -222,12 +222,13 @@ def build_regulated_host(
             if controller.select_mode() is ControlMode.SIGMA_RHO
             else "sigma-rho-lambda"
         )
-    # One stagger plan serves both the vacation entries and the primed
-    # cross-flow departures below.
-    plan = base = None
-    if mode == "sigma-rho-lambda":
-        plan = controller.build_stagger_plan()
-        base = (stagger_phase % 1.0) * plan.period
+    # One stagger schedule serves both the vacation entries and the
+    # primed cross-flow departures below.
+    schedule = (
+        _stagger_schedule(controller, stagger_phase)
+        if mode == "sigma-rho-lambda"
+        else None
+    )
     priorities = {i: i for i in range(len(envelopes))}
     if engine in _BATCH_ENGINES and discipline in ("fifo", "adversarial"):
         mux = BatchMuxServer(
@@ -257,14 +258,8 @@ def build_regulated_host(
             else VacationComponent
         )
         entries = [
-            vacation_cls(
-                sim,
-                reg,
-                mux,
-                offset=base + off,
-                out_rate=capacity,
-            )
-            for reg, off in zip(plan.regulators, plan.offsets)
+            vacation_cls(sim, reg, mux, offset=off, out_rate=capacity)
+            for reg, off in zip(*schedule)
         ]
     if primed_traces:
         dep_parts: list[np.ndarray] = []
@@ -273,18 +268,10 @@ def build_regulated_host(
             trace = primed_traces[f]
             if not 0 <= f < len(envelopes):
                 raise ValueError(f"primed flow id {f} out of range")
-            if mode == "sigma-rho":
-                e = envelopes[f]
-                deps, _ = sigma_rho_departures(
-                    trace.times, trace.sizes, e.sigma, e.rho / capacity
-                )
-            elif mode == "sigma-rho-lambda":
-                deps, _ = vacation_departures(
-                    trace.times, trace.sizes, plan.regulators[f],
-                    offset=base + plan.offsets[f], out_rate=capacity,
-                )
-            else:  # none: arrivals feed the MUX directly
-                deps = trace.times
+            deps, _ = _flow_departures(
+                mode, f, trace.times, trace.sizes, envelopes, capacity,
+                schedule,
+            )
             dep_parts.append(np.asarray(deps, dtype=np.float64))
             size_parts.append(np.asarray(trace.sizes, dtype=np.float64))
             entries[f] = _PrimedEntry(f)

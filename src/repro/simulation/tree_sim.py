@@ -37,8 +37,8 @@ from repro.core.adaptive import AdaptiveController
 from repro.overlay.tree import MulticastTree
 from repro.simulation.batched import (
     _adversarial_mux_deliveries,
-    sigma_rho_departures,
-    vacation_departures,
+    _flow_departures,
+    _stagger_schedule,
 )
 from repro.simulation.engine import Simulator
 from repro.simulation.flow import PacketTrace
@@ -157,23 +157,18 @@ def _primed_root_release(
     the busy period's end with the packets the evented MUX would hold.
     """
     eff = resolve_mode(mode, env_order, capacity)
-    if eff == "sigma-rho-lambda":
-        plan = AdaptiveController(env_order, capacity).build_stagger_plan()
-        base = (stagger_phase % 1.0) * plan.period
+    schedule = (
+        _stagger_schedule(
+            AdaptiveController(env_order, capacity), stagger_phase
+        )
+        if eff == "sigma-rho-lambda"
+        else None
+    )
 
     def _departures(f: int, tr: PacketTrace) -> np.ndarray:
-        if eff == "sigma-rho":
-            e = env_order[f]
-            deps, _ = sigma_rho_departures(
-                tr.times, tr.sizes, e.sigma, e.rho / capacity
-            )
-        elif eff == "sigma-rho-lambda":
-            deps, _ = vacation_departures(
-                tr.times, tr.sizes, plan.regulators[f],
-                offset=base + plan.offsets[f], out_rate=capacity,
-            )
-        else:  # none: arrivals feed the MUX directly
-            deps = np.asarray(tr.times, dtype=np.float64)
+        deps, _ = _flow_departures(
+            eff, f, tr.times, tr.sizes, env_order, capacity, schedule
+        )
         return np.asarray(deps, dtype=np.float64)
 
     # The cross background train, rebuilt with the builder's arithmetic

@@ -21,8 +21,8 @@ suite enforces, cell by cell:
   paper showcases (batched adversarial == FIFO there, as the staggering
   theory predicts: no MUX pileup).
 * **Verdict equality**: per-cell soundness verdicts agree across the
-  full curated corpus (``backend="des"``/``"tree_des"`` vs their
-  ``*_legacy`` twins), and the batched engine never measures *larger*.
+  full curated DES corpus (each realised cell re-simulated with
+  ``engine="legacy"``), and the batched engine never measures *larger*.
 * **Event-count reduction**: batching must actually remove events.
 """
 
@@ -37,7 +37,7 @@ from hypothesis import given, settings, strategies as st
 from repro.calculus.envelope import ArrivalEnvelope
 from repro.core.adaptive import AdaptiveController
 from repro.scenarios import adversarial_corpus
-from repro.scenarios.runner import evaluate_cell, run_batch
+from repro.scenarios.runner import _realise, evaluate_cell, run_scenario
 from repro.simulation.batched import vacation_departures
 from repro.simulation.chain import simulate_regulated_chain
 from repro.simulation.engine import Simulator
@@ -289,7 +289,7 @@ def test_vacation_kernel_empty_trace():
 
 
 # ----------------------------------------------------------------------
-# Scenario level: the curated corpus, batched vs *_legacy backends
+# Scenario level: the curated corpus, batched vs the legacy engine
 # ----------------------------------------------------------------------
 def _corpus_des_cells():
     return [
@@ -299,48 +299,60 @@ def _corpus_des_cells():
     ]
 
 
+def _legacy_measured(r) -> float:
+    """The realised cell ``r`` re-simulated on the legacy engine, routed
+    exactly like ``runner._simulate`` routes the DES backends."""
+    sc = r.scenario
+    common = dict(
+        mode=r.eff_mode, capacity=sc.capacity, discipline=sc.discipline,
+        engine="legacy",
+    )
+    if r.eff_backend == "tree_des":
+        tree, latency = r.tree_ctx
+        return simulate_multicast_tree(
+            [tree], 0, r.traces, r.envelopes, latency, **common
+        ).worst_case_delay
+    if sc.topology == "host":
+        return simulate_regulated_host(
+            r.traces, r.envelopes, stagger_phase=sc.stagger_phase, **common
+        ).worst_case_delay
+    return simulate_regulated_chain(
+        r.traces[0], [list(r.traces[1:])] * r.hops, r.envelopes,
+        stagger_phase=sc.stagger_phase, propagation=list(r.propagation),
+        **common,
+    ).worst_case_delay
+
+
 @pytest.mark.parametrize(
     "scenario", _corpus_des_cells(), ids=lambda sc: sc.name
 )
 def test_corpus_batched_vs_legacy_backend(scenario):
-    # Same name and seed: trace realisation is a function of
-    # (seed, name), so the twin differs in the engine alone.
-    legacy = dataclasses.replace(
-        scenario, backend=scenario.backend + "_legacy"
-    )
-    cell_b = evaluate_cell(scenario)
-    cell_l = evaluate_cell(legacy)
-    # Identical realisation facts: same effective mode, hop accounting,
-    # quantisation slack, propagation and packet population.
-    assert cell_b.eff_mode == cell_l.eff_mode
-    assert cell_b.hops == cell_l.hops
-    assert cell_b.propagation_total == cell_l.propagation_total
-    assert cell_b.quant_eps == cell_l.quant_eps
-    assert cell_b.sigmas == cell_l.sigmas and cell_b.rhos == cell_l.rhos
+    # One realisation feeds both engines, so they differ in the engine
+    # alone.
+    r = _realise(scenario)
+    assert r.eff_backend == scenario.backend
+    legacy = _legacy_measured(r)
+    outcome = run_scenario(scenario)
+    assert outcome.measured == evaluate_cell(scenario).measured
     # Delay refinement: never larger, equal off the zero-backlog ties.
-    assert cell_b.measured <= cell_l.measured + 1e-12
-    # Verdicts agree (both must be sound against the identical bound).
-    report = run_batch([scenario, legacy])
-    assert [o.sound for o in report.outcomes] == [True, True]
-    assert report.outcomes[0].bound == report.outcomes[1].bound
+    assert outcome.measured <= legacy + 1e-12
+    # Verdicts agree: both sound against the identical bound.
+    assert outcome.sound
+    assert legacy <= outcome.bound + outcome.eps
 
 
-def test_des_legacy_fluid_fallback_matches():
+def test_des_fluid_fallback_matches_fluid_backend():
     """A lambda cell the DES cannot resolve falls back to the fluid
-    backend identically under both DES backends."""
+    backend and measures exactly what the fluid backend measures."""
     base = dataclasses.replace(
         next(sc for sc in adversarial_corpus() if sc.name == "des-host-lambda"),
         name="fallback-probe",
-        utilization=0.2,  # huge windows -> tiny mtu -> fluid fallback
+        utilization=0.1,  # tiny windows -> tiny mtu -> fluid fallback
     )
-    legacy = dataclasses.replace(
-        base, name="fallback-probe-legacy", backend="des_legacy"
-    )
-    cell_b = evaluate_cell(base)
-    cell_l = evaluate_cell(legacy)
-    if cell_b.eff_backend == "fluid":
-        assert cell_l.eff_backend == "fluid"
-        assert cell_b.measured == cell_l.measured
+    cell_des = evaluate_cell(base)
+    cell_fluid = evaluate_cell(dataclasses.replace(base, backend="fluid"))
+    assert cell_des.eff_backend == "fluid"
+    assert cell_des == dataclasses.replace(cell_fluid, name=cell_des.name)
 
 
 # ----------------------------------------------------------------------

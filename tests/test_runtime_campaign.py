@@ -18,6 +18,7 @@ from repro.runtime import (
     ProcessExecutor,
     ResultStore,
     SerialExecutor,
+    ThreadExecutor,
     build_campaign,
     cell_key,
     outcome_record,
@@ -129,12 +130,12 @@ def test_crashing_cell_fails_its_verdict_not_the_campaign(
         return real_simulate(realised)
 
     monkeypatch.setattr(runner_mod, "_simulate", sabotage)
-    # Pin the per-cell path: the grouped evaluator resolves eligible
-    # cells without _simulate (its error isolation has its own test in
-    # test_scenarios_cellmatrix.py).
+    # Pin the per-cell path with an in-process pool: the grouped
+    # evaluator resolves eligible cells without _simulate (its error
+    # isolation has its own test in test_scenarios_cellmatrix.py).
     campaign = run_campaign(
-        smoke_matrix[:6], executor=SerialExecutor(), store=tmp_path / "crash",
-        group_cells=False,
+        smoke_matrix[:6], executor=ThreadExecutor(jobs=1),
+        store=tmp_path / "crash",
     )
     assert campaign.evaluated == 6
     errors = campaign.report.errors

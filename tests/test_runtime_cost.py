@@ -51,13 +51,6 @@ def test_estimate_scales_with_workload():
     assert deep == pytest.approx(3.0 * shallow)
 
 
-def test_legacy_backends_estimated_dearer_than_batched():
-    model = CellCostModel()
-    assert model.estimate(
-        _cell(backend="des_legacy")
-    ) > model.estimate(_cell(backend="des"))
-
-
 def test_variance_marks_des_high():
     model = CellCostModel()
     assert model.relative_variance(_cell(backend="des")) > \

@@ -1,12 +1,13 @@
 """SoA grouped cell-matrix evaluation: the bit-identity contract.
 
-``evaluate_cells_grouped`` is throughput-only: every ``CellResult``
-field must equal the per-cell ``evaluate_cell`` path bit for bit, over
-the curated corpus, generated matrices (which mix groupable hosts with
-chain/tree/fifo fallback cells) and hand-built edge cells; a cell whose
-grouped evaluation raises must fail only its own verdict with the exact
-per-cell error.  The lean kernels the grouped path substitutes for the
-scalar ones (`_empirical_sigma_fast`, `_first_passage_arrays`, the
+``evaluate_grouped`` is throughput-only: every ``CellResult`` field
+must equal the per-cell ``evaluate_cell`` path bit for bit, over the
+curated corpus, generated matrices (which mix groupable hosts with
+chain/tree/fifo fallback cells), hand-built edge cells and groups of
+one; a cell whose grouped realisation or evaluation raises must fail
+only its own verdict with the exact per-cell error.  The lean kernels
+the grouped path substitutes for the scalar ones
+(`_empirical_sigma_fast`, `_first_passage_arrays`, the
 ``batch_fluid_*`` rows, ``primed_adversarial_worst``) are pinned
 against their scalar references here too.
 """
@@ -24,14 +25,15 @@ from repro.calculus.envelope import ArrivalEnvelope
 from repro.runtime.cost import _spec_features, plan_chunks, spec_group_key
 from repro.runtime.executor import SerialExecutor, _run_one
 from repro.scenarios import adversarial_corpus, generate_scenarios, run_batch
-from repro.scenarios import cellmatrix as cm
-from repro.scenarios.runner import evaluate_cell, evaluate_cells_grouped
+from repro.scenarios.cellmatrix import evaluate_grouped
+from repro.scenarios.runner import evaluate_cell
 from repro.scenarios.spec import Scenario
+from repro.scenarios.tracebatch import _empirical_sigma_fast
 from repro.simulation.batched import (
     primed_adversarial_host,
     primed_adversarial_worst,
 )
-from repro.simulation.flow import PacketTrace
+from repro.simulation.flow import OnOffSource, PacketTrace
 from repro.simulation.fluid import (
     _first_passage_arrays,
     batch_fluid_next_empty,
@@ -50,7 +52,7 @@ pytestmark = pytest.mark.runtime
 
 def _assert_grouped_matches_percell(scenarios):
     per_cell = [_run_one(evaluate_cell, i, sc) for i, sc in enumerate(scenarios)]
-    grouped = evaluate_cells_grouped(scenarios)
+    grouped = evaluate_grouped(scenarios)
     assert len(grouped) == len(scenarios)
     for p, g in zip(per_cell, grouped):
         assert g.index == p.index
@@ -68,7 +70,7 @@ class TestGroupedEquivalence:
 
     def test_generated_matrix_bit_identical(self):
         # 256 generated cells: hosts (groupable) mixed with chains,
-        # trees, legacy backends and adaptive modes (fallback).
+        # trees, fifo cells and adaptive modes (fallback).
         _assert_grouped_matches_percell(generate_scenarios(256, seed=77))
 
     def test_edge_cells_bit_identical(self):
@@ -98,26 +100,11 @@ class TestGroupedEquivalence:
                 **base,
             ),
             Scenario(name="edge-des-sr", backend="des", mode="sigma-rho", **base),
-            Scenario(name="edge-legacy", backend="des_legacy", **base),
         ]
         _assert_grouped_matches_percell(cells)
-
-    def test_run_batch_grouping_toggle_is_invisible(self):
-        scenarios = generate_scenarios(24, seed=11)
-        grouped = run_batch(
-            scenarios, executor=SerialExecutor(), group_cells=True
-        )
-        plain = run_batch(
-            scenarios, executor=SerialExecutor(), group_cells=False
-        )
-        for g, p in zip(grouped.outcomes, plain.outcomes):
-            assert g.scenario.name == p.scenario.name
-            assert g.measured == p.measured
-            assert g.bound == p.bound
-            assert g.eps == p.eps
-            assert g.events == p.events
-            assert g.sound == p.sound
-            assert g.error == p.error
+        # A group of one is realised and evaluated like any batch.
+        for sc in cells:
+            _assert_grouped_matches_percell([sc])
 
     def test_serial_executor_advertises_grouping(self):
         assert SerialExecutor().supports_cell_grouping
@@ -161,7 +148,7 @@ class TestErrorIsolation:
                 hops=2,
             ),
         ]
-        healthy = evaluate_cells_grouped(cells)
+        healthy = evaluate_grouped(cells)
         assert all(r.error is None for r in healthy)
 
         real = batched_mod.sigma_rho_departures
@@ -172,7 +159,7 @@ class TestErrorIsolation:
         # Both the grouped kernel and the per-cell primed host resolve
         # sigma_rho_departures through this module global.
         monkeypatch.setattr(batched_mod, "sigma_rho_departures", sabotage)
-        grouped = evaluate_cells_grouped(cells)
+        grouped = evaluate_grouped(cells)
         per_cell = [_run_one(evaluate_cell, i, sc) for i, sc in enumerate(cells)]
         monkeypatch.setattr(batched_mod, "sigma_rho_departures", real)
 
@@ -184,6 +171,32 @@ class TestErrorIsolation:
         for r, h in zip(grouped[1:], healthy[1:]):
             assert r.error is None
             assert r.value == h.value
+
+        # A cell the batch realiser cannot realise (every onoff lane
+        # crashes) fails alone, with the per-cell error and reason.
+        cells.append(
+            Scenario(
+                name="victim-onoff", kinds=("onoff", "cbr"), utilization=0.5
+            )
+        )
+        healthy.append(_run_one(evaluate_cell, len(healthy), cells[-1]))
+
+        def crash(self, horizon, rng=None):
+            raise RuntimeError("injected generate crash")
+
+        monkeypatch.setattr(OnOffSource, "generate", crash)
+        stats: dict = {}
+        grouped = evaluate_grouped(cells, stats=stats)
+        per_cell = _run_one(evaluate_cell, len(cells) - 1, cells[-1])
+        monkeypatch.undo()
+
+        assert "injected generate crash" in grouped[-1].error
+        assert grouped[-1].error == per_cell.error
+        for r, h in zip(grouped[:-1], healthy[:-1]):
+            assert r.error is None
+            assert r.value == h.value
+        summary = stats["records"][-1]
+        assert summary["fallback_reasons"]["realise-error"] == 1
 
 
 # ----------------------------------------------------------------------
@@ -199,10 +212,10 @@ class TestLeanKernels:
             sizes = rng.uniform(1e-4, 0.01, n)
             tr = PacketTrace(times=times, sizes=sizes)
             for rho in (0.0, 0.3, 1.7):
-                assert cm._empirical_sigma_fast(
+                assert _empirical_sigma_fast(
                     tr.times, tr.sizes, rho
                 ) == tr.empirical_sigma(rho)
-        assert cm._empirical_sigma_fast(np.empty(0), np.empty(0), 0.5) == 0.0
+        assert _empirical_sigma_fast(np.empty(0), np.empty(0), 0.5) == 0.0
 
     def test_first_passage_arrays_matches_curve(self):
         rng = np.random.default_rng(9)

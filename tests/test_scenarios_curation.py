@@ -7,6 +7,7 @@ curated corpus without the generating code.
 """
 
 import dataclasses
+import json
 
 import pytest
 
@@ -117,11 +118,31 @@ class TestCuratedCorpusFile:
         path = save_curated(scenarios, tmp_path / "corpus.json")
         assert load_curated(path) == tuple(scenarios)
 
-    def test_malformed_file_rejected(self, tmp_path):
+    def test_malformed_file_rejected(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("[1, 2, 3]\n")
         with pytest.raises(ValueError, match="scenarios"):
             load_curated(path)
+        # The retired per-packet *_legacy backends are rejected at the
+        # boundary with the one-line backend error, by the loader and
+        # by `scenarios run --corpus` alike.
+        from repro.experiments.cli import main
+
+        for backend in ("des", "tree_des"):
+            payload = json.loads(
+                save_curated(generate_scenarios(1, seed=17), path).read_text()
+            )
+            payload["scenarios"][0]["backend"] = f"{backend}_legacy"
+            path.write_text(json.dumps(payload))
+            with pytest.raises(ValueError, match="backend must be one of"):
+                load_curated(path)
+            with pytest.raises(SystemExit) as exit_info:
+                main(["scenarios", "run", "--no-corpus", "--count", "0",
+                      "--corpus", str(path)])
+            assert exit_info.value.code == 2
+            err = capsys.readouterr().err.strip().splitlines()[-1]
+            assert "backend must be one of" in err
+            assert f"got '{backend}_legacy'" in err
 
 
 class TestEndToEnd:

@@ -13,6 +13,7 @@ emits loadable Chrome trace-event JSON.
 import dataclasses
 import json
 import pickle
+import shutil
 
 import pytest
 
@@ -24,6 +25,7 @@ from repro.runtime import (
     ResultStore,
     SerialExecutor,
     SqliteResultStore,
+    ThreadExecutor,
     chrome_trace_events,
     set_telemetry_enabled,
     telemetry_enabled,
@@ -31,7 +33,7 @@ from repro.runtime import (
 from repro.runtime import telemetry as tele
 from repro.runtime.cost import CellCostModel
 from repro.scenarios import generate_scenarios, run_batch
-from repro.scenarios.runner import evaluate_cells_grouped
+from repro.scenarios.cellmatrix import evaluate_grouped
 
 pytestmark = pytest.mark.runtime
 
@@ -70,19 +72,18 @@ class TestVerdictInvariance:
         try:
             for flag in (True, False):
                 set_telemetry_enabled(flag)
-                runs[flag, "serial"] = run_batch(
-                    scenarios, executor=SerialExecutor(), group_cells=False
+                runs[flag, "thread"] = run_batch(
+                    scenarios, executor=ThreadExecutor(jobs=1)
                 )
                 runs[flag, "parallel"] = run_batch(
-                    scenarios, executor=ProcessExecutor(jobs=2),
-                    group_cells=False,
+                    scenarios, executor=ProcessExecutor(jobs=2)
                 )
                 runs[flag, "grouped"] = run_batch(
-                    scenarios, executor=SerialExecutor(), group_cells=True
+                    scenarios, executor=SerialExecutor()
                 )
         finally:
             set_telemetry_enabled(was)
-        reference = _normalised(runs[True, "serial"].outcomes)
+        reference = _normalised(runs[True, "thread"].outcomes)
         for key, report in runs.items():
             assert _normalised(report.outcomes) == reference, key
 
@@ -91,9 +92,9 @@ class TestVerdictInvariance:
         was = telemetry_enabled()
         try:
             set_telemetry_enabled(True)
-            on = evaluate_cells_grouped(scenarios)
+            on = evaluate_grouped(scenarios)
             set_telemetry_enabled(False)
-            off = evaluate_cells_grouped(scenarios)
+            off = evaluate_grouped(scenarios)
         finally:
             set_telemetry_enabled(was)
         for a, b in zip(on, off):
@@ -195,9 +196,7 @@ class TestCollection:
         # Telemetry must survive the worker -> parent pickle hop and
         # carry the worker's pid (the trace's track id).
         scenarios = generate_scenarios(6, seed=5)
-        report = run_batch(
-            scenarios, executor=ProcessExecutor(jobs=2), group_cells=False
-        )
+        report = run_batch(scenarios, executor=ProcessExecutor(jobs=2))
         tels = [o.telemetry for o in report.outcomes]
         assert all(t is not None for t in tels)
         assert all(t.dur > 0.0 and t.worker > 0 for t in tels)
@@ -211,7 +210,7 @@ class TestGroupedStats:
     def test_mixed_matrix_stats(self, telemetry_on):
         scenarios = generate_scenarios(24, seed=11)  # hosts + chains/trees
         stats: dict = {}
-        tasks = evaluate_cells_grouped(scenarios, stats=stats)
+        tasks = evaluate_grouped(scenarios, stats=stats)
         records = stats["records"]
         summary = [r for r in records if r["kind"] == "grouping_summary"]
         groups = [r for r in records if r["kind"] == "grouping"]
@@ -336,7 +335,7 @@ def smoke_store(tmp_path_factory):
 
 
 class TestCliLenses:
-    def test_report_renders_every_section(self, smoke_store, capsys):
+    def test_report_renders_every_section(self, smoke_store, tmp_path, capsys):
         assert main(["scenarios", "report", str(smoke_store)]) == 0
         out = capsys.readouterr().out
         assert "Campaign telemetry report" in out
@@ -350,6 +349,22 @@ class TestCliLenses:
         assert "Grouping efficiency" in out
         assert "grouped cells:" in out
         assert "source cache:" in out
+        assert "batch realise:" in out
+        # Stores written while batch realisation could be switched off
+        # still render; their 0-cell batch tally prints no batch line.
+        root = tmp_path / "old"
+        shutil.copytree(smoke_store, root)
+        JsonlResultStore(root).append_telemetry([{
+            "kind": "grouping_summary", "cells": 24, "grouped_cells": 12,
+            "fallback_cells": 12, "fallback_reasons": {"topology:chain": 12},
+            "source_cache_hits": 0, "source_cache_misses": 0,
+            "batch_realise": False, "batch_realised_cells": 0,
+            "batch_realise_s": 0.0,
+        }])
+        assert main(["scenarios", "report", str(root)]) == 0
+        out = capsys.readouterr().out
+        assert "grouped cells: 12/24" in out
+        assert "batch realise:" not in out
 
     def test_report_top_flag(self, smoke_store, capsys):
         assert main(

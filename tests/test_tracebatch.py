@@ -1,17 +1,14 @@
 """Batched trace synthesis: the bit-identity contract.
 
 ``realise_batch`` is throughput-only: every trace, envelope and
-``_Realised`` execution fact must equal the per-cell ``_lean_realise``
-path bit for bit, over generated matrices and hand-built edge cells
-covering every mix kind, start offsets, unshared flows and the MTU
-fragmentation split.  The batch sigma kernel is pinned against its
-scalar reference (including pack splitting), the vectorised on/off
-generator against the retired scalar while-loop, and the
-``batch_realise`` toggle against byte-identical campaign summaries.
+``_Realised`` execution fact must equal ``runner._realise`` -- what
+the per-cell ``evaluate_cell`` realises -- bit for bit, over generated
+matrices and hand-built edge cells covering every mix kind, start
+offsets, unshared flows and the MTU fragmentation split.  The batch
+sigma kernel is pinned against its scalar reference (including pack
+splitting), and the vectorised on/off generator against the retired
+scalar while-loop.
 """
-
-import filecmp
-import json
 
 import numpy as np
 import pytest
@@ -19,9 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.scenarios.tracebatch as tb
-from repro.runtime.executor import SerialExecutor
-from repro.scenarios import generate_scenarios, run_batch
-from repro.scenarios.cellmatrix import _lean_realise
+from repro.scenarios import generate_scenarios
+from repro.scenarios.runner import _realise
 from repro.scenarios.spec import Scenario
 from repro.scenarios.tracebatch import (
     _empirical_sigma_fast,
@@ -35,12 +31,11 @@ pytestmark = pytest.mark.runtime
 
 
 def _assert_batch_matches_percell(scenarios):
-    batch, info = realise_batch(scenarios, {}, {})
+    batch, info = realise_batch(scenarios)
     assert len(batch) == len(scenarios)
     assert info["lanes_generated"] > 0
-    frag, src = {}, {}
     for sc, b in zip(scenarios, batch):
-        p = _lean_realise(sc, frag, src)
+        p = _realise(sc)
         assert b is not None, sc.name
         assert b.eff_mode == p.eff_mode
         assert b.eff_backend == p.eff_backend
@@ -152,7 +147,7 @@ class TestBatchRealisationEquivalence:
         # Crash every onoff lane: the two cells that own one fall back
         # (None), the audio/cbr-only cell still realises.
         monkeypatch.setattr(OnOffSource, "generate", sabotage)
-        batch, _ = realise_batch(cells, {}, {})
+        batch, _ = realise_batch(cells)
         monkeypatch.setattr(OnOffSource, "generate", real)
         assert batch[0] is None and batch[1] is None
         assert batch[2] is not None
@@ -238,47 +233,3 @@ class TestOnOffVectorised:
             out = src.generate(horizon, rng=seed)
             assert np.array_equal(out.times, ref.times), trial
             assert np.array_equal(out.sizes, ref.sizes), trial
-
-
-# ----------------------------------------------------------------------
-# The batch_realise toggle through the campaign stack
-# ----------------------------------------------------------------------
-class TestBatchRealiseToggle:
-    def test_run_batch_toggle_is_invisible(self):
-        scenarios = generate_scenarios(24, seed=11)
-        on = run_batch(
-            scenarios, executor=SerialExecutor(), group_cells=True,
-            batch_realise=True,
-        )
-        off = run_batch(
-            scenarios, executor=SerialExecutor(), group_cells=True,
-            batch_realise=False,
-        )
-        for a, b in zip(on.outcomes, off.outcomes):
-            assert a.scenario.name == b.scenario.name
-            assert a.measured == b.measured
-            assert a.bound == b.bound
-            assert a.eps == b.eps
-            assert a.events == b.events
-            assert a.sound == b.sound
-            assert a.error == b.error
-
-    def test_summaries_byte_identical(self, tmp_path, capsys):
-        """CLI end to end: the batch-realise toggle changes no byte of
-        the campaign summary (grouped == per-cell realisation)."""
-        from repro.experiments.cli import main
-
-        stores = {}
-        for label, flag in (("on", "--batch-realise"),
-                            ("off", "--no-batch-realise")):
-            store = tmp_path / label
-            args = [
-                "scenarios", "run", "--count", "12", "--seed", "5",
-                "--no-corpus", "--store", str(store), flag,
-            ]
-            assert main(args) == 0
-            stores[label] = store / "summary.json"
-        capsys.readouterr()
-        assert filecmp.cmp(stores["on"], stores["off"], shallow=False)
-        summary = json.loads(stores["on"].read_text())
-        assert summary["cells"] == 12
