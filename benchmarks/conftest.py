@@ -10,30 +10,21 @@ Benchmarks run once per artefact (``benchmark.pedantic`` with a single
 round) -- they are measurements of the reproduction pipeline, not
 micro-benchmarks; kernel-level micro-benchmarks live in
 ``test_bench_kernels.py``.
+
+The ``bench_prN`` fixtures only collect a test's metrics for its own
+floor assertions.  The ``BENCH_prN.json`` files at the repo root are
+frozen history that no test rewrites; ``bench/run.py`` (see
+``bench/README.md``) is the repeated, noise-banded yardstick.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import time
-from pathlib import Path
 
 import pytest
 
 from repro.runtime.executor import SerialExecutor
 from repro.scenarios.runner import evaluate_cell, finalise_batch
-
-#: Machine-readable benchmark trajectory files, written at the repo
-#: root so successive PRs accumulate comparable first-class numbers
-#: (one ``BENCH_prN.json`` per PR that shipped a perf surface).
-_REPO_ROOT = Path(__file__).resolve().parent.parent
-BENCH_PR3_PATH = _REPO_ROOT / "BENCH_pr3.json"
-BENCH_PR4_PATH = _REPO_ROOT / "BENCH_pr4.json"
-BENCH_PR5_PATH = _REPO_ROOT / "BENCH_pr5.json"
-BENCH_PR6_PATH = _REPO_ROOT / "BENCH_pr6.json"
-BENCH_PR7_PATH = _REPO_ROOT / "BENCH_pr7.json"
-BENCH_PR8_PATH = _REPO_ROOT / "BENCH_pr8.json"
 
 
 @pytest.fixture(scope="session")
@@ -51,85 +42,40 @@ def artifact_report():
 PARALLEL_JOBS = 4
 
 
-def _merge_bench_file(path: Path, pr: int, data: dict) -> None:
-    """Merge collected metrics into a trajectory file (sections merge,
-    not replace, so opt-in ``-m scenario`` runs can add their numbers
-    to a file produced by a default run).
-
-    Every file carries a prominent top-level ``context`` block
-    describing **the box that last wrote the file** (cross-machine
-    merges keep each section's own ``cpu_count`` where recorded):
-    parallel-speedup sections are meaningless without it -- a 4-job
-    campaign on a 1-core container is *expected* to run below 1x, and
-    the speedup floors are asserted only on >= ``PARALLEL_JOBS``
-    cores.
-    """
-    if not data:
-        return
-    existing: dict = {}
-    if path.exists():
-        try:
-            existing = json.loads(path.read_text())
-        except ValueError:
-            existing = {}
-    existing.update(data)
-    existing["pr"] = pr
-    cores = os.cpu_count() or 1
-    existing["context"] = {
-        "cpu_count": cores,
-        "parallel_floors_asserted": cores >= PARALLEL_JOBS,
-        "describes": "the machine that last regenerated this file",
-    }
-    path.write_text(json.dumps(existing, indent=2, sort_keys=True) + "\n")
-    print(f"\n{path.name} updated: {sorted(data)}")
-
-
 @pytest.fixture(scope="session")
 def bench_pr3():
-    """Collects PR-3 perf metrics; merged into ``BENCH_pr3.json``."""
-    data: dict = {}
-    yield data
-    _merge_bench_file(BENCH_PR3_PATH, 3, data)
+    """Collects PR-3 perf metrics (``BENCH_pr3.json`` is frozen)."""
+    return {}
 
 
 @pytest.fixture(scope="session")
 def bench_pr4():
-    """Collects PR-4 store metrics; merged into ``BENCH_pr4.json``."""
-    data: dict = {}
-    yield data
-    _merge_bench_file(BENCH_PR4_PATH, 4, data)
+    """Collects PR-4 store metrics (``BENCH_pr4.json`` is frozen)."""
+    return {}
 
 
 @pytest.fixture(scope="session")
 def bench_pr5():
-    """Collects PR-5 fast-path metrics; merged into ``BENCH_pr5.json``."""
-    data: dict = {}
-    yield data
-    _merge_bench_file(BENCH_PR5_PATH, 5, data)
+    """Collects PR-5 fast-path metrics (``BENCH_pr5.json`` is frozen)."""
+    return {}
 
 
 @pytest.fixture(scope="session")
 def bench_pr6():
-    """Collects PR-6 cell-matrix metrics; merged into ``BENCH_pr6.json``."""
-    data: dict = {}
-    yield data
-    _merge_bench_file(BENCH_PR6_PATH, 6, data)
+    """Collects PR-6 cell-matrix metrics (``BENCH_pr6.json`` is frozen)."""
+    return {}
 
 
 @pytest.fixture(scope="session")
 def bench_pr7():
-    """Collects PR-7 telemetry-overhead metrics; merged into ``BENCH_pr7.json``."""
-    data: dict = {}
-    yield data
-    _merge_bench_file(BENCH_PR7_PATH, 7, data)
+    """Collects PR-7 telemetry metrics (``BENCH_pr7.json`` is frozen)."""
+    return {}
 
 
 @pytest.fixture(scope="session")
 def bench_pr8():
-    """Collects PR-8 fault-tolerance metrics; merged into ``BENCH_pr8.json``."""
-    data: dict = {}
-    yield data
-    _merge_bench_file(BENCH_PR8_PATH, 8, data)
+    """Collects PR-8 fault metrics (``BENCH_pr8.json`` is frozen)."""
+    return {}
 
 
 def run_once(benchmark, fn, *args, **kwargs):

@@ -8,8 +8,8 @@ into padded matrices for the ``batch_fluid_*`` kernels, DES cells run
 through the lean ``primed_adversarial_worst`` kernel with regulator
 passes shared across flows on the same trace.  Results stay
 bit-identical to the per-cell path (``tests/test_scenarios_cellmatrix``
-enforces it); these benchmarks measure the throughput side and emit
-``BENCH_pr6.json`` at the repo root.
+enforces it); these benchmarks measure the throughput side (the
+frozen ``BENCH_pr6.json`` at the repo root holds their history).
 
 The homogeneous closed-form campaigns (k = 12 shared CBR flows per
 cell: the per-cell path shapes and measures 12 lanes, the grouped path

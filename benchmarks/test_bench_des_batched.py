@@ -3,9 +3,9 @@
 The expensive scenario cells are DES-backed: vacation-regulator hosts
 and whole-tree runs dominate campaign wall-clock (the ROADMAP's
 10-100x observation).  These benchmarks measure exactly those cells on
-both engines, assert the batched engine's speedup floors, and emit the
-machine-readable ``BENCH_pr3.json`` trajectory point (events/sec,
-cells/sec, campaign wall-clock, parallel speedup) at the repo root.
+both engines and assert the batched engine's speedup floors (events/sec,
+cells/sec, campaign wall-clock, parallel speedup; the frozen
+``BENCH_pr3.json`` at the repo root holds their history).
 
 Timing uses best-of-N wall clocks around the same calls both engines
 get; the floors leave generous headroom under the observed numbers so

@@ -5,9 +5,8 @@ hot paths array-first: the sigma-rho host collapses into closed-form
 token-bucket kernels, chain hop 0 resolves without an event loop, and
 whole-tree replication commits one fanout event per busy period per
 child with all cross traffic folded into the MUXes as zero-event
-background trains.  These benchmarks measure exactly those cells and
-emit the machine-readable ``BENCH_pr5.json`` trajectory point at the
-repo root, alongside the PR-3/PR-4 files.
+background trains.  These benchmarks measure exactly those cells (the
+frozen ``BENCH_pr5.json`` at the repo root holds their history).
 
 Floors (generous headroom under observed numbers so CI noise does not
 flake; observed on the 1-core reference container: ~8-9x primed
@@ -20,8 +19,7 @@ members and ~10-11x at 64 members over legacy):
 
 The parallel-campaign section records ``cpu_count`` next to its
 speedup and asserts the floor only on >= 4 cores (process parallelism
-cannot win on fewer; the number is recorded as-is there -- see the
-``context`` block every trajectory file carries).
+cannot win on fewer; the number is reported as-is there).
 """
 
 from __future__ import annotations

@@ -1,13 +1,13 @@
 """Result-store backend benchmarks (the PR-4 trajectory numbers).
 
 Ingest and load throughput of the two store backends on a
-1024-cell campaign's worth of records -- the workload the sharded
-runtime actually generates (shard processes committing whole batches,
-resume passes re-loading the full store).  Emits ``BENCH_pr4.json`` at
-the repo root.
+1024-cell campaign's worth of records -- the workload the campaign
+runtime actually generates (worker processes committing whole batches,
+resume passes re-loading the full store).  The frozen
+``BENCH_pr4.json`` at the repo root holds their history.
 
 Floors are deliberately loose (CI containers jitter), but they pin the
-property the sharding design relies on: batched ingest of a
+property the campaign design relies on: batched ingest of a
 thousand-cell campaign is a sub-second affair on either backend, so
 the store is never the campaign bottleneck.
 """

@@ -98,7 +98,7 @@ for backend in jsonl sqlite; do
   PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m repro.experiments.cli \
     scenarios run \
     --count 24 --seed 11 --no-corpus \
-    --jobs 2 --executor process \
+    --jobs 2 \
     --retries 3 --cell-timeout 30 --inject-faults 7:0.15 \
     --store "$backend:$CHAOS_DIR/$backend" >/dev/null
   if ! cmp "$CHAOS_DIR/$backend/summary.json" ci/baseline_smoke/summary.json; then

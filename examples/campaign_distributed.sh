@@ -4,12 +4,11 @@
 # leases from one shared store -- then an extra late-joining worker
 # attaches by hand, exactly as a second host would.
 #
-# Unlike static sharding (examples/campaign_sharded.sh), the lease
-# queue balances work dynamically: a slow, dead, or hung worker's
-# lease lapses and a live peer steals it.  Every cell's RNG derives
-# from (campaign seed, spec fingerprint), so no matter which worker
-# runs a cell -- or how many times it is re-run after a steal -- the
-# store converges to records and a summary.json byte-identical to a
+# The lease queue balances work dynamically: a slow, dead, or hung
+# worker's lease lapses and a live peer steals it.  Every cell's RNG
+# derives from (campaign seed, spec fingerprint), so no matter which
+# worker runs a cell -- or how many times it is re-run after a steal --
+# the store converges to records and a summary.json byte-identical to a
 # serial `scenarios run` over the same matrix.
 #
 # Usage: examples/campaign_distributed.sh [STORE_DIR] [BASELINE_STORE]

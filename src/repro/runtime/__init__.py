@@ -11,39 +11,38 @@ tier-1 smoke slice to thousands of cells:
     The **executor contract**: ``map_tasks(fn, payloads)`` evaluates a
     picklable module-level function over picklable payloads and returns
     one ``TaskResult`` per payload *in payload order*.  Implementations:
-    ``SerialExecutor`` (the in-process reference), ``ThreadExecutor``
-    and ``ProcessExecutor`` (chunked ``concurrent.futures`` pools).
-    Failures are captured worker-side into per-cell ``TaskResult.error``
-    tracebacks -- one crashing cell fails its own verdict, never the
-    campaign -- and a hard worker death degrades into error results for
-    its chunk only.  Backends must be *semantically interchangeable*:
-    for a deterministic ``fn``, every backend returns bit-identical
-    values (the scenario runner guarantees its side by deriving all
-    randomness from the spec's seed).
+    ``SerialExecutor`` (the in-process reference) and
+    ``ProcessExecutor`` (a chunked ``concurrent.futures`` process pool,
+    ``scenarios run --jobs N``).  Failures are captured worker-side
+    into per-cell ``TaskResult.error`` tracebacks -- one crashing cell
+    fails its own verdict, never the campaign -- and a hard worker
+    death is absorbed by pool resurrection.  Backends must be
+    *semantically interchangeable*: for a deterministic ``fn``, both
+    return bit-identical values (the scenario runner guarantees its
+    side by deriving all randomness from the spec's seed).
 
 ``store`` (:mod:`repro.runtime.store`)
     The **pluggable persistent result store**: one record per evaluated
     cell, keyed by a sha256 content hash of the full spec (``cell_key``)
     plus a seed-independent ``spec_fingerprint`` used for deterministic
-    per-cell seed derivation and campaign sharding.  Two backends share
+    per-cell seed derivation and lease planning.  Two backends share
     the contract behind ``open_store(url_or_path)``: the append-only
     JSONL directory store (``jsonl:DIR`` or a bare path) and a WAL-mode
     SQLite store (``sqlite:DIR``, :mod:`repro.runtime.store_sqlite`)
-    that is safe for concurrent shard writers.  Corrupt rows are
+    that is safe for concurrent coordinator workers.  Corrupt rows are
     quarantined (file or table), never fatal; ``summary.json``
     aggregates the store **deterministically** (verdict counts only, no
-    wall clocks), so sharded and serial runs summarise bit-identically;
-    ``diff_stores`` compares two campaigns cell-by-cell and flags
-    soundness and perf-budget regressions (the CI baseline gate);
-    ``merge_stores`` joins per-shard stores.  The record schema is
-    documented in the module docstring.
+    wall clocks), so coordinated, pooled and serial runs summarise
+    bit-identically; ``diff_stores`` compares two campaigns
+    cell-by-cell and flags soundness and perf-budget regressions (the
+    CI baseline gate).  The record schema is documented in the module
+    docstring.
 
 ``campaign`` (:mod:`repro.runtime.campaign`)
     The driver tying both together: ``run_campaign`` evaluates a matrix
     on an executor, appends verdicts to a store, skips already-completed
-    cells on ``resume``, restricts itself to a fingerprint-partitioned
-    slice under ``shard="i/N"``, and reports perf-budget violations
-    alongside soundness.  ``CampaignConfig`` is the JSON description
+    cells on ``resume``, and reports perf-budget violations alongside
+    soundness.  ``CampaignConfig`` is the JSON description
     behind the CLI's ``--campaign`` flag.
 
 ``cost`` (:mod:`repro.runtime.cost`)
@@ -77,7 +76,9 @@ tier-1 smoke slice to thousands of cells:
 
 ``coordinator`` (:mod:`repro.runtime.coordinator`)
     Lease-based work-stealing coordination for **multi-worker
-    campaigns** over one store: the coordinator plans cost-sized
+    campaigns** over one store (``scenarios run --coordinator N`` plus
+    any late-joining ``scenarios work``; beside the ``--jobs N`` process
+    pool, the only multi-worker path): the coordinator plans cost-sized
     fingerprint leases (dearest first, shrinking toward the tail) into
     the store's ``leases``/``heartbeats`` tables (created ``IF NOT
     EXISTS``; the JSONL backend uses a ``leases.sqlite`` sidecar),
@@ -115,9 +116,7 @@ from repro.runtime.campaign import (
     append_results_with_retry,
     build_campaign,
     outcome_record,
-    parse_shard,
     run_campaign,
-    shard_scenarios,
 )
 from repro.runtime.coordinator import (
     CoordinatorReport,
@@ -133,15 +132,12 @@ from repro.runtime.cost import (
     plan_leases,
 )
 from repro.runtime.executor import (
-    EXECUTOR_KINDS,
     CellTimeout,
     Executor,
     ProcessExecutor,
     RetryPolicy,
     SerialExecutor,
     TaskResult,
-    ThreadExecutor,
-    make_executor,
 )
 from repro.runtime.executor import run_one_with_retry
 from repro.runtime.faults import FaultPlan, InjectedFault
@@ -152,8 +148,6 @@ from repro.runtime.store import (
     cell_key,
     diff_records,
     diff_stores,
-    fingerprint_shard,
-    merge_stores,
     open_store,
     spec_fingerprint,
 )
@@ -192,7 +186,6 @@ __all__ = [
     "write_chrome_trace",
     "backend_profile",
     "plan_chunks",
-    "EXECUTOR_KINDS",
     "CellTimeout",
     "Executor",
     "FaultPlan",
@@ -204,18 +197,12 @@ __all__ = [
     "SerialExecutor",
     "SqliteResultStore",
     "TaskResult",
-    "ThreadExecutor",
     "build_campaign",
     "cell_key",
     "diff_records",
     "diff_stores",
-    "fingerprint_shard",
-    "make_executor",
-    "merge_stores",
     "open_store",
     "outcome_record",
-    "parse_shard",
     "run_campaign",
-    "shard_scenarios",
     "spec_fingerprint",
 ]

@@ -12,12 +12,12 @@ to a :class:`repro.runtime.store.ResultStore`.  On top of
 * **persistence** -- one store record per cell (JSONL or SQLite
   backend, see :mod:`repro.runtime.store`) plus a rewritten
   ``summary.json`` after every run, diffable across campaigns;
-* **sharding** -- ``shard="i/N"`` deterministically partitions the
-  matrix by cell fingerprint, so N independent processes (or hosts)
-  each run their slice against one shared SQLite store, or per-shard
-  stores later joined by :func:`repro.runtime.store.merge_stores`;
 * **perf budgets** -- per-cell wall-clock budgets (see
   ``Scenario.perf_budget``) verdicted alongside soundness.
+
+Multi-process campaigns over one shared store run through the lease
+coordinator (:mod:`repro.runtime.coordinator`), whose workers commit
+through :func:`append_results_with_retry` like this driver does.
 
 :class:`CampaignConfig` is the JSON-loadable description the CLI's
 ``--campaign`` flag consumes (see ``examples/campaign_thousand.json``).
@@ -40,7 +40,6 @@ from repro.runtime.faults import FaultPlan, InjectedFault
 from repro.runtime.store import (
     ResultStore,
     cell_key,
-    fingerprint_shard,
     open_store,
     spec_fingerprint,
 )
@@ -54,8 +53,6 @@ __all__ = [
     "append_results_with_retry",
     "build_campaign",
     "outcome_record",
-    "parse_shard",
-    "shard_scenarios",
     "run_campaign",
 ]
 
@@ -111,58 +108,6 @@ def build_campaign(config: CampaignConfig) -> list[Scenario]:
         dt=config.dt,
         perf_budget=config.perf_budget,
     )
-
-
-def parse_shard(spec: Union[str, None, tuple[int, int]]) -> Optional[tuple[int, int]]:
-    """Parse an ``"i/N"`` shard spec into a 0-based ``(index, total)``.
-
-    ``i`` is 1-based on the command line (``--shard 1/2`` and
-    ``--shard 2/2`` are the two halves); a ``(index, total)`` tuple is
-    validated and passed through; ``None`` means no sharding.
-    """
-    if spec is None:
-        return None
-    if isinstance(spec, str):
-        parts = spec.split("/")
-        try:
-            if len(parts) != 2:
-                raise ValueError(spec)
-            i, total = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ValueError(
-                f"shard must look like 'i/N' (e.g. 1/2), got {spec!r}"
-            ) from None
-        if total < 1 or not 1 <= i <= total:
-            raise ValueError(
-                f"shard index must lie in 1..N, got {spec!r}"
-            )
-        return i - 1, total
-    index, total = spec
-    if total < 1 or not 0 <= index < total:
-        raise ValueError(f"shard (index, total) out of range: {spec!r}")
-    return int(index), int(total)
-
-
-def shard_scenarios(
-    scenarios: Sequence[Scenario], shard: Union[str, None, tuple[int, int]]
-) -> list[Scenario]:
-    """The sub-matrix a shard owns, partitioned by cell fingerprint.
-
-    Pure content partitioning (``fingerprint_shard``): every cell lands
-    in exactly one shard, the assignment is identical on every host and
-    for any matrix ordering, and it ignores seeds and verdict knobs --
-    so concurrent shard runs against one store (or per-shard stores
-    merged later) reproduce the unsharded campaign record-for-record.
-    """
-    parsed = parse_shard(shard)
-    if parsed is None:
-        return list(scenarios)
-    index, total = parsed
-    return [
-        sc
-        for sc in scenarios
-        if fingerprint_shard(spec_fingerprint(sc), total) == index
-    ]
 
 
 def outcome_record(outcome: ScenarioOutcome) -> dict:
@@ -232,8 +177,6 @@ class CampaignReport:
     store_kind: Optional[str] = None
     store_records: int = 0
     quarantined: int = 0
-    #: ``(index, total)`` when this run evaluated one shard only.
-    shard: Optional[tuple[int, int]] = None
     #: Cost-model refit ledger (``CellCostModel.fit(report=...)``) when
     #: a resume refit ran; ``None`` otherwise.  Surfaced by the CLI's
     #: ``--profile`` so silently dropped degenerate samples are visible.
@@ -264,12 +207,7 @@ class CampaignReport:
 
     def summary_lines(self) -> list[str]:
         lines = [
-            f"cells requested: {self.requested}"
-            + (
-                f" (shard {self.shard[0] + 1}/{self.shard[1]})"
-                if self.shard
-                else ""
-            ),
+            f"cells requested: {self.requested}",
             f"cells skipped (already in store): {self.skipped}",
         ]
         if self.skipped_violations or self.skipped_budget_violations:
@@ -309,7 +247,6 @@ def run_campaign(
     executor: Optional[Executor] = None,
     store: Optional[Union[str, Path, ResultStore]] = None,
     resume: bool = False,
-    shard: Union[str, None, tuple[int, int]] = None,
     progress: Optional[callable] = None,
     tick: Optional[callable] = None,
     cost_model: Union[str, None, "CellCostModel"] = "auto",
@@ -330,12 +267,7 @@ def run_campaign(
 
     ``store`` accepts a store instance, a directory, or a backend URL
     (``sqlite:DIR`` / ``jsonl:DIR``, see
-    :func:`repro.runtime.store.open_store`).  ``shard`` (``"i/N"`` or a
-    0-based ``(index, total)``) restricts the run to the cells this
-    shard owns by content fingerprint: concurrent shard processes can
-    fill one shared SQLite store (or per-shard stores merged later by
-    :func:`repro.runtime.store.merge_stores`) and together reproduce
-    the unsharded campaign exactly.
+    :func:`repro.runtime.store.open_store`).
 
     ``cost_model`` steers the parallel scheduler (dearest-first,
     cost-equalised chunks): ``"auto"`` (default) uses the shipped
@@ -345,8 +277,8 @@ def run_campaign(
     :class:`repro.runtime.cost.CellCostModel` is used as given.
     Scheduling-only in every case: cell outcomes are bit-identical.
 
-    In-process executors evaluate through the structure-of-arrays
-    grouped evaluator, pool executors per cell (see :func:`run_batch`);
+    The serial executor evaluates through the structure-of-arrays
+    grouped evaluator, the process pool per cell (see :func:`run_batch`);
     outcomes and store records are bit-identical either way
     (``wall_time`` attribution aside).
 
@@ -367,7 +299,6 @@ def run_campaign(
     """
     from repro.runtime.cost import CellCostModel
 
-    scenarios = shard_scenarios(scenarios, shard)
     result_store: Optional[ResultStore] = None
     if store is not None:
         result_store = open_store(store)
@@ -467,8 +398,9 @@ def run_campaign(
             store_retries=store_retries,
         )
         # The summary is deterministic (content-derived aggregates
-        # only, no run-local extras): a sharded run's final summary is
-        # bit-identical to the serial one over the same records.
+        # only, no run-local extras): a coordinated or pooled run's
+        # final summary is bit-identical to the serial one over the
+        # same records.
         # Telemetry lives in its own table/file and never feeds it.
         summary = result_store.write_summary()
         store_records = int(summary["cells"])
@@ -484,7 +416,6 @@ def run_campaign(
         store_kind=result_store.kind if result_store else None,
         store_records=store_records,
         quarantined=quarantined,
-        shard=parse_shard(shard),
         cost_fit=cost_fit,
         telemetry_records=telemetry_count,
         retried_cells=retried,
@@ -542,10 +473,6 @@ def append_results_with_retry(
                 else _STORE_APPEND_BACKOFF_S
             )
     return attempts - 1  # pragma: no cover - loop always returns/raises
-
-
-#: Backwards-compatible private alias (pre-PR-10 internal name).
-_append_results_with_retry = append_results_with_retry
 
 
 def _persist_telemetry(

@@ -72,10 +72,10 @@ from repro.runtime import faults, telemetry
 from repro.runtime.campaign import append_results_with_retry, outcome_record
 from repro.runtime.cost import CellCostModel, plan_leases
 from repro.runtime.executor import (
-    MIN_DEATH_EXPOSURES,
     RetryPolicy,
     TaskResult,
     _error_head,
+    allowed_deaths,
     run_one_with_retry,
 )
 from repro.runtime.faults import FaultPlan
@@ -92,7 +92,6 @@ __all__ = [
     "RECOVERY_ROUNDS",
     "WorkerReport",
     "CoordinatorReport",
-    "allowed_deaths",
     "plan_campaign_leases",
     "work_store",
     "run_coordinator",
@@ -110,13 +109,6 @@ DEFAULT_LEASE_TTL = 30.0
 #: append) are re-leased to a fresh worker this many times before the
 #: coordinator reports non-convergence.
 RECOVERY_ROUNDS = 3
-
-
-def allowed_deaths(retry: Optional[RetryPolicy]) -> int:
-    """How many worker deaths a lease survives before its cells are
-    poisoned -- the lease-level mirror of the executor's pool-death
-    budget (``max(MIN_DEATH_EXPOSURES, retry.max_attempts)``)."""
-    return max(MIN_DEATH_EXPOSURES, retry.max_attempts if retry else 0)
 
 
 def _cell_payload(sc: Scenario, cost: float) -> dict:

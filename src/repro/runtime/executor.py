@@ -2,20 +2,20 @@
 
 An :class:`Executor` maps a picklable, module-level function over a
 sequence of picklable payloads and returns one :class:`TaskResult` per
-payload, **in payload order**, regardless of completion order.  Three
+payload, **in payload order**, regardless of completion order.  Two
 backends share the contract:
 
 ``SerialExecutor``
-    In-process loop; the reference semantics every other backend must
-    reproduce bit-for-bit (results may only differ by wall time).
-``ThreadExecutor``
-    ``concurrent.futures.ThreadPoolExecutor``; useful when the payload
-    releases the GIL (NumPy-heavy cells) or for I/O-bound stages.
+    In-process loop; the reference semantics the pool must reproduce
+    bit-for-bit (results may only differ by wall time).
 ``ProcessExecutor``
     ``concurrent.futures.ProcessPoolExecutor``; the scale backend for
     CPU-bound DES cells.  Payloads are submitted in contiguous chunks
     (amortising pickling and task dispatch), and the worker function
     plus payloads must be picklable.
+
+Multi-process campaigns over one shared store use the lease
+coordinator (:mod:`repro.runtime.coordinator`) instead of an executor.
 
 Failure containment: a payload that raises is captured **inside the
 worker** and returned as ``TaskResult(error=<traceback>)`` -- one
@@ -28,22 +28,22 @@ Fault tolerance (opt-in, zero-overhead default):
   the cell index, never from a shared RNG stream), so retry schedules
   are replayable.  Retries happen inside the worker, next to the cell.
 * ``cell_timeout`` -- a per-attempt wall-clock cap enforced with
-  ``SIGALRM`` inside the executing process (serial backend and process
-  workers; thread workers cannot use signals), surfaced as a
-  :class:`CellTimeout` error and therefore retryable.
+  ``SIGALRM`` inside the executing process (the serial backend and
+  process workers), surfaced as a :class:`CellTimeout` error and
+  therefore retryable.
 * Pool resurrection -- a hard worker death (``BrokenProcessPool``)
   breaks *every* in-flight future and cannot name the culprit cell.
   The process backend responds by killing the pool, re-submitting all
   outstanding cells **individually** to a fresh pool (so the next
   death isolates its culprit to one cell), and counting per-cell
-  *exposures*: a cell in flight during ``max(2, max_attempts)`` deaths
-  is declared poison and failed with its own disposition, while
-  collateral cells complete normally.  After :data:`MAX_POOL_DEATHS`
-  the backend degrades to in-parent serial execution rather than fail
-  the campaign.  A watchdog (armed only when ``cell_timeout`` is set)
-  additionally treats a chunk that overstays its worst-case attempt
-  budget as a pool death, which unsticks cells hung in C code where
-  ``SIGALRM`` cannot fire.
+  *exposures*: a cell in flight during more than
+  :func:`allowed_deaths` deaths is declared poison and failed with its
+  own disposition, while collateral cells complete normally.  After
+  :data:`MAX_POOL_DEATHS` the backend degrades to in-parent serial
+  execution rather than fail the campaign.  A watchdog (armed only
+  when ``cell_timeout`` is set) additionally treats a chunk that
+  overstays its worst-case attempt budget as a pool death, which
+  unsticks cells hung in C code where ``SIGALRM`` cannot fire.
 
 Determinism under retry: attempt numbers are visible only to the fault
 injection layer (:mod:`repro.runtime.faults`) and the attempt ledger
@@ -79,16 +79,11 @@ __all__ = [
     "CellTimeout",
     "Executor",
     "SerialExecutor",
-    "ThreadExecutor",
     "ProcessExecutor",
-    "EXECUTOR_KINDS",
-    "make_executor",
+    "allowed_deaths",
     "auto_chunksize",
     "run_one_with_retry",
 ]
-
-#: Executor kinds :func:`make_executor` accepts.
-EXECUTOR_KINDS = ("serial", "thread", "process")
 
 #: Upper bound on the automatic chunk size (keeps progress granular).
 MAX_AUTO_CHUNK = 16
@@ -99,10 +94,11 @@ CHUNKS_PER_WORKER = 4
 #: Pool deaths tolerated before the process backend stops resurrecting
 #: pools and degrades to in-parent serial execution for the remainder.
 MAX_POOL_DEATHS = 4
-#: Without a retry policy, a cell in flight during this many pool
-#: deaths is declared the culprit and failed (with retries the budget
-#: is ``max_attempts``); one exposure must stay survivable because a
-#: chunk death always exposes innocent chunk-mates.
+#: Without a retry policy, a cell in flight during more than this many
+#: worker deaths is declared the culprit and failed (with retries the
+#: budget is ``max_attempts``, see :func:`allowed_deaths`); one
+#: exposure must stay survivable because a chunk death always exposes
+#: innocent chunk-mates.
 MIN_DEATH_EXPOSURES = 2
 #: Watchdog poll interval (seconds) while a cell timeout is armed.
 WATCHDOG_TICK_S = 0.1
@@ -200,6 +196,17 @@ class RetryPolicy:
         )
 
 
+def allowed_deaths(retry: Optional[RetryPolicy]) -> int:
+    """Worker deaths a cell may be in flight for before it is declared
+    poison: ``max(MIN_DEATH_EXPOSURES, retry.max_attempts)``.
+
+    One budget for both multi-worker paths: the process pool counts
+    pool deaths per cell, the lease coordinator
+    (:mod:`repro.runtime.coordinator`) worker deaths per lease.
+    """
+    return max(MIN_DEATH_EXPOSURES, retry.max_attempts if retry else 0)
+
+
 def auto_chunksize(n_tasks: int, jobs: int) -> int:
     """Contiguous chunk size balancing dispatch overhead vs. skew."""
     if n_tasks <= 0:
@@ -239,9 +246,9 @@ def _alarm(seconds: Optional[float]):
     """Arm a ``SIGALRM``-based wall-clock cap around one cell attempt.
 
     Signals only work on the main thread of a process -- which is where
-    serial cells and process-pool worker cells run.  Elsewhere (thread
-    workers) this is a no-op and the parent-side watchdog, if armed, is
-    the only enforcement.
+    serial cells and process-pool worker cells run.  Off the main thread
+    (a caller running a campaign from a thread of its own) this is a
+    no-op rather than letting ``signal.signal`` raise.
     """
     if (
         seconds is None
@@ -346,10 +353,6 @@ def run_one_with_retry(
         attempt += 1
 
 
-#: Backwards-compatible private alias (pre-PR-10 internal name).
-_run_one_with_retry = run_one_with_retry
-
-
 def _run_chunk(
     fn: Callable[[Any], Any],
     chunk: Sequence[tuple[int, Any]],
@@ -370,7 +373,7 @@ def _run_chunk(
     results = []
     for pos, (index, payload) in enumerate(chunk):
         start = start_attempts[pos] if start_attempts is not None else 1
-        tr = _run_one_with_retry(
+        tr = run_one_with_retry(
             fn,
             index,
             payload,
@@ -396,9 +399,9 @@ class Executor(ABC):
     jobs: int = 1
     #: Whether callers may replace the per-payload worker stage with an
     #: in-process batch-of-cells pass (the structure-of-arrays grouped
-    #: evaluator).  Only sound for in-process execution: pool backends
-    #: ship payloads to workers one chunk at a time, so grouping there
-    #: would serialise the batch through the parent instead.
+    #: evaluator).  Only sound for in-process execution: the process
+    #: pool ships payloads to workers one chunk at a time, so grouping
+    #: there would serialise the batch through the parent instead.
     supports_cell_grouping: bool = False
 
     @abstractmethod
@@ -416,7 +419,7 @@ class Executor(ABC):
 
         ``progress`` (optional) is called as ``progress(done, total)``
         whenever the completed-task count advances.  ``chunk_plan``
-        (optional, pool backends) prescribes the submission chunks as
+        (optional, the process pool) prescribes the submission chunks as
         payload-index lists -- the cost-aware scheduler's hook (see
         :func:`repro.runtime.cost.plan_chunks`).  Every index must
         appear exactly once; results stay in payload order regardless.
@@ -457,7 +460,7 @@ class SerialExecutor(Executor):
                 results.append(_run_one(fn, i, payload))
             else:
                 results.append(
-                    _run_one_with_retry(
+                    run_one_with_retry(
                         fn, i, payload, True, retry, cell_timeout
                     )
                 )
@@ -467,11 +470,13 @@ class SerialExecutor(Executor):
 
 
 class _PoolExecutor(Executor):
-    """Shared chunked-submission driver for the futures-based backends."""
+    """The process pool's chunked, death-resilient submission driver.
 
-    #: Whether a dead pool can be rebuilt with the culprit isolated
-    #: (process workers can be killed and replaced; threads cannot).
-    resilient = False
+    :class:`ProcessExecutor` is its only subclass.  ``map_tasks`` stays
+    on this private base so the benchmark tracer (``bench/trace.py``)
+    can shadow it on ``ProcessExecutor`` while tracing and drop the
+    shadow afterwards.
+    """
 
     def __init__(self, jobs: int = 2, chunksize: Optional[int] = None):
         if jobs < 1:
@@ -481,8 +486,10 @@ class _PoolExecutor(Executor):
         self.jobs = jobs
         self.chunksize = chunksize
 
-    def _make_pool(self) -> _FuturesExecutor:  # pragma: no cover - abstract
-        raise NotImplementedError
+    def _make_pool(self) -> _FuturesExecutor:
+        from concurrent.futures import ProcessPoolExecutor
+
+        return ProcessPoolExecutor(max_workers=self.jobs)
 
     @staticmethod
     def _kill_pool(pool: _FuturesExecutor) -> None:
@@ -530,9 +537,7 @@ class _PoolExecutor(Executor):
         #: exposure consumes one attempt of its budget).
         exposures = [0] * n
         prior_errors: list[list[str]] = [[] for _ in range(n)]
-        allowed_exposures = max(
-            MIN_DEATH_EXPOSURES, retry.max_attempts if retry else 0
-        )
+        budget = allowed_deaths(retry)
         pool_deaths = 0
         # Watchdog budget: worst-case wall clock of one cell's full
         # attempt budget (attempts x timeout + backoff sleeps).
@@ -577,7 +582,7 @@ class _PoolExecutor(Executor):
         for idxs in chunk_indices:
             submit(idxs)
 
-        watchdog = self.resilient and per_cell_budget is not None
+        watchdog = per_cell_budget is not None
         try:
             while pending:
                 finished, _ = wait(
@@ -602,26 +607,21 @@ class _PoolExecutor(Executor):
                             expired = fut
                             break
 
-                death = None  # (chunk_idxs, was_running, error_text)
+                death = None  # (chunk_idxs, error_text)
                 for fut in finished:
                     idxs = pending.pop(fut)
-                    was_running = first_running.pop(fut, None) is not None
+                    first_running.pop(fut, None)
                     try:
                         for tr in fut.result():
                             finish(tr)
                     except Exception:
-                        death = (
-                            idxs,
-                            True if self.resilient else was_running,
-                            traceback.format_exc(limit=10),
-                        )
+                        death = (idxs, traceback.format_exc(limit=10))
                         break
                 if death is None and expired is not None and expired in pending:
                     idxs = pending.pop(expired)
                     first_running.pop(expired, None)
                     death = (
                         idxs,
-                        True,
                         f"watchdog: chunk of {len(idxs)} cell(s) exceeded "
                         f"its worst-case attempt budget "
                         f"({per_cell_budget * len(idxs) + WATCHDOG_GRACE_S:.1f} s); "
@@ -630,21 +630,11 @@ class _PoolExecutor(Executor):
                 if death is None:
                     continue
 
-                dead_idxs, dead_running, err = death
-                if not self.resilient:
-                    # Threads cannot be killed or replaced: fail the
-                    # chunk (a raise here means the runner machinery
-                    # itself broke, not the payload) and keep going.
-                    for i in dead_idxs:
-                        finish(TaskResult(index=i, error=err))
-                    continue
-
                 # --- pool death: resurrect, isolate, degrade ---------
+                dead_idxs, err = death
                 pool_deaths += 1
                 head = _error_head(err) or f"worker pool death #{pool_deaths}"
-                survivors: list[tuple[list[int], bool]] = [
-                    (dead_idxs, dead_running)
-                ]
+                survivors: list[tuple[list[int], bool]] = [(dead_idxs, True)]
                 for fut, idxs in list(pending.items()):
                     if fut.done():
                         try:
@@ -676,14 +666,14 @@ class _PoolExecutor(Executor):
                                 f"pool death #{pool_deaths} while in flight "
                                 f"({head})"
                             )
-                        if exposures[i] > allowed_exposures:
+                        if exposures[i] > budget:
                             finish(
                                 TaskResult(
                                     index=i,
                                     error=(
                                         f"cell was in flight during "
                                         f"{exposures[i]} worker-pool deaths "
-                                        f"(budget {allowed_exposures}); "
+                                        f"(budget {budget}); "
                                         f"declared poison. Last pool error:\n"
                                         f"{err}"
                                     ),
@@ -701,7 +691,7 @@ class _PoolExecutor(Executor):
                     # chaos campaigns still converge.
                     for i in resubmit:
                         finish(
-                            _run_one_with_retry(
+                            run_one_with_retry(
                                 fn,
                                 i,
                                 payloads[i],
@@ -723,49 +713,7 @@ class _PoolExecutor(Executor):
         return [results[i] for i in range(n)]
 
 
-class ThreadExecutor(_PoolExecutor):
-    """GIL-sharing pool; cheap dispatch, no pickling."""
-
-    kind = "thread"
-
-    def _make_pool(self):
-        from concurrent.futures import ThreadPoolExecutor
-
-        return ThreadPoolExecutor(max_workers=self.jobs)
-
-
 class ProcessExecutor(_PoolExecutor):
     """Multiprocessing pool; the scale backend for CPU-bound cells."""
 
     kind = "process"
-    resilient = True
-
-    def _make_pool(self):
-        from concurrent.futures import ProcessPoolExecutor
-
-        return ProcessPoolExecutor(max_workers=self.jobs)
-
-
-def make_executor(
-    kind: Optional[str] = None,
-    jobs: int = 1,
-    *,
-    chunksize: Optional[int] = None,
-) -> Executor:
-    """Build an executor from CLI-ish knobs.
-
-    ``kind=None`` picks ``serial`` for ``jobs == 1`` and ``process``
-    otherwise (the right default for CPU-bound cells).
-    """
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    if kind is None:
-        kind = "serial" if jobs == 1 else "process"
-    if kind not in EXECUTOR_KINDS:
-        raise ValueError(
-            f"executor kind must be one of {EXECUTOR_KINDS}, got {kind!r}"
-        )
-    if kind == "serial":
-        return SerialExecutor()
-    cls = ThreadExecutor if kind == "thread" else ProcessExecutor
-    return cls(jobs=jobs, chunksize=chunksize)

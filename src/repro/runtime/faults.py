@@ -14,8 +14,8 @@ evaluation or store write fails, and how:
 ``kill``
     ``os._exit`` in the worker **process** -- a hard death the parent
     only sees as a broken pool.  In the parent process itself (serial
-    executor, thread workers, degraded-serial fallback) a kill degrades
-    to ``raise``: the campaign must survive its own chaos harness.
+    executor, degraded-serial fallback) a kill degrades to ``raise``:
+    the campaign must survive its own chaos harness.
 ``delay`` / ``hang``
     ``time.sleep`` for :attr:`FaultPlan.delay_s` (a slow cell) or
     :attr:`FaultPlan.hang_s` (a stuck cell, long enough to trip the

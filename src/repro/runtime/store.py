@@ -12,16 +12,15 @@ keyed by a sha256 content hash of the cell's spec, plus an aggregate
     the quarantine then eats).
 :class:`SqliteResultStore` (``sqlite:DIR``)
     ``results.sqlite`` under a campaign directory, WAL-journaled, cell
-    keys as primary keys.  Safe for **concurrent writers**: independent
-    shard processes (or hosts on a shared filesystem) fill one store
-    without torn records, which is what campaign sharding
-    (``scenarios run --shard i/N``) builds on.
+    keys as primary keys.  Safe for **concurrent writers**: the lease
+    coordinator's worker processes (or hosts on a shared filesystem)
+    fill one store without torn records.
 
 :func:`open_store` is the factory: it accepts a store instance, a
 ``scheme:path`` URL, or a bare directory (auto-detected by the files
 present, defaulting to JSONL).  Everything above the store -- resume,
-cost-model refit, perf-budget verdicts, ``diff_stores``,
-``merge_stores`` -- is backend-agnostic.
+cost-model refit, perf-budget verdicts, ``diff_stores`` -- is
+backend-agnostic.
 
 Shared semantics (the backend contract)
 ---------------------------------------
@@ -34,7 +33,7 @@ Shared semantics (the backend contract)
 * ``write_summary`` rewrites ``summary.json`` from the records.  The
   summary is **deterministic**: it aggregates only content-derived
   fields (verdict counts, tightness), never wall clocks -- so a
-  campaign sharded over N concurrent processes produces a
+  campaign spread over N concurrent worker processes produces a
   ``summary.json`` bit-identical to the serial single-process run.
 
 Cell record schema (``v`` = 2)::
@@ -65,11 +64,9 @@ verdict threshold, so tightening it must neither invalidate stored
 measurements nor decouple two otherwise-identical campaigns under
 ``diff``.  ``fingerprint`` additionally drops the seed: it names the
 configuration alone, is what deterministic per-cell seed derivation
-hashes (:func:`repro.scenarios.generator.generate_scenarios`), and is
-what campaign sharding partitions on (a cell's shard never depends on
-its seed derivation, execution order, or verdict knobs).  Keys are
-content hashes, so two campaigns are diffable cell-by-cell no matter
-how their matrices were ordered, chunked, or sharded.
+hashes (:func:`repro.scenarios.generator.generate_scenarios`).  Keys
+are content hashes, so two campaigns are diffable cell-by-cell no
+matter how their matrices were ordered, chunked, or leased.
 """
 
 from __future__ import annotations
@@ -80,7 +77,7 @@ import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Optional, Sequence, Union
+from typing import Any, Iterable, Mapping, Optional, Union
 
 from repro.runtime.faults import InjectedFault, active_plan
 
@@ -88,11 +85,9 @@ __all__ = [
     "SCHEMA_VERSION",
     "spec_fingerprint",
     "cell_key",
-    "fingerprint_shard",
     "ResultStore",
     "JsonlResultStore",
     "open_store",
-    "merge_stores",
     "CampaignDiff",
     "diff_records",
     "diff_stores",
@@ -197,18 +192,6 @@ def cell_key(spec: Any) -> str:
     for name in _VERDICT_ONLY_FIELDS:
         fields.pop(name, None)
     return _hash_fields(fields)
-
-
-def fingerprint_shard(fingerprint: str, total: int) -> int:
-    """Deterministic shard index of a cell fingerprint, in ``[0, total)``.
-
-    Pure content partitioning: the same cell lands in the same shard on
-    every host, for any matrix ordering, because the fingerprint hashes
-    the configuration alone.
-    """
-    if total < 1:
-        raise ValueError(f"shard count must be >= 1, got {total}")
-    return int(fingerprint, 16) % total
 
 
 # ----------------------------------------------------------------------
@@ -382,7 +365,7 @@ class ResultStore:
         }
         if extra:
             summary.update(extra)
-        # Crash-consistent replace: concurrent shard processes each
+        # Crash-consistent replace: concurrent campaign processes each
         # rewrite the summary as they finish, and a reader (or a racing
         # writer, or a resume after SIGKILL) must never observe a
         # truncated file.  The tmp file is fsynced before the rename
@@ -409,8 +392,7 @@ class JsonlResultStore(ResultStore):
     Three files: ``results.jsonl`` (the source of truth),
     ``quarantine.jsonl`` (lines that failed to parse -- torn writes,
     manual edits), ``summary.json``.  Single-writer by design; use the
-    SQLite backend (or per-shard JSONL stores plus ``merge_stores``)
-    for concurrent writers.
+    SQLite backend for concurrent writers.
     """
 
     RESULTS = "results.jsonl"
@@ -584,9 +566,9 @@ def open_store(
     ``must_exist=True`` refuses to open a target with no results file
     on disk (``FileNotFoundError``) instead of silently creating an
     empty store.  Anything consumed as a *reference* -- a pinned
-    baseline, a diff side, a curation or merge source -- should pass
-    it: a typo'd path must fail the gate loudly, never pass it by
-    comparing against nothing.
+    baseline, a diff side, a curation source -- should pass it: a
+    typo'd path must fail the gate loudly, never pass it by comparing
+    against nothing.
     """
     if isinstance(target, ResultStore):
         return target
@@ -609,13 +591,13 @@ def open_store(
     else:
         cls, root = JsonlResultStore, Path(spec)
     # A store that never appended a record still writes summary.json
-    # (a shard can legitimately own zero cells), and a campaign that
-    # crashed before any result landed may hold only telemetry or
+    # (a campaign can legitimately evaluate zero cells), and a campaign
+    # that crashed before any result landed may hold only telemetry or
     # poison diagnoses -- all of it is evidence of a real store that a
-    # reference consumer (report, diff, merge source) must be able to
-    # open.  Checked before construction: the constructor would mkdir
-    # the (possibly typo'd) directory, and a reference store must never
-    # be conjured empty.
+    # reference consumer (report, diff, curate) must be able to open.
+    # Checked before construction: the constructor would mkdir the
+    # (possibly typo'd) directory, and a reference store must never be
+    # conjured empty.
     evidence = [root / cls.RESULTS, root / cls.SUMMARY]
     for attr in ("TELEMETRY", "POISON", "LEASES"):
         name = getattr(cls, attr, None)
@@ -626,74 +608,6 @@ def open_store(
             f"no result store at {spec!r} (missing {root / cls.RESULTS})"
         )
     return cls(root)
-
-
-def merge_stores(
-    dest: Union[str, Path, ResultStore],
-    sources: Sequence[Union[str, Path, ResultStore]] = (),
-) -> dict:
-    """Merge source stores into ``dest`` and rewrite its summary.
-
-    Records are merged key-sorted with later sources winning ties, so a
-    merge of disjoint campaign shards (the sharded-run layout) is fully
-    deterministic regardless of source completion order.  With no
-    sources this is a pure summary refresh -- the documented last step
-    after concurrent shards finish filling one shared store.
-
-    Backends may differ freely: JSONL shards can merge into a SQLite
-    store and vice versa.  Returns the rewritten summary.
-
-    The sources' telemetry and poison channels travel with their
-    records: both are appended to the destination's matching channel,
-    each record tagged ``merged_from: "<kind>:<root>"`` (an existing
-    tag from an earlier merge is preserved, so provenance points at the
-    original campaign, not the intermediate hop).  Dropping them --
-    the pre-PR-10 behaviour -- silently discarded every attempt ledger
-    and poison diagnosis the moment shards were folded together.
-
-    A locked destination (another shard mid-commit) is absorbed by the
-    SQLite backend's bounded busy-retry rather than failing the merge;
-    any retries spent are surfaced as a ``store_retries`` telemetry
-    record on the destination.
-    """
-    dest_store = open_store(dest)
-    merged: dict[str, dict[str, Any]] = {}
-    telemetry_carry: list[dict[str, Any]] = []
-    poison_carry: list[dict[str, Any]] = []
-    busy = 0
-    for src in sources:
-        src_store = open_store(src)
-        if (
-            src_store.root.resolve() == dest_store.root.resolve()
-            and src_store.kind == dest_store.kind
-        ):
-            raise ValueError(f"cannot merge store {src!r} into itself")
-        merged.update(src_store.load())
-        src_tag = f"{src_store.kind}:{src_store.root}"
-        telemetry_carry.extend(
-            {"merged_from": src_tag, **rec}
-            for rec in src_store.load_telemetry()
-        )
-        poison_carry.extend(
-            {"merged_from": src_tag, **rec}
-            for rec in src_store.load_poison()
-        )
-        busy += getattr(src_store, "busy_retries", 0)
-    if merged:
-        dest_store.append_many(
-            merged[key] for key in sorted(merged)
-        )
-    if telemetry_carry:
-        dest_store.append_telemetry(telemetry_carry)
-    if poison_carry:
-        dest_store.append_poison(poison_carry)
-    summary = dest_store.write_summary()
-    busy += getattr(dest_store, "busy_retries", 0)
-    if busy:
-        dest_store.append_telemetry(
-            [{"kind": "store_retries", "busy_retries": busy, "source": "merge"}]
-        )
-    return summary
 
 
 # ----------------------------------------------------------------------

@@ -6,9 +6,9 @@ backend keeps the exact store contract (records, last-write-wins keys,
 quarantine, deterministic ``summary.json``) on an SQLite file instead:
 
 * **WAL journal + busy timeout** -- readers never block writers and
-  concurrent writers serialise at commit granularity, so N campaign
-  shard processes (or hosts sharing a filesystem) fill one store
-  safely; ``append_many`` commits a whole batch of cells in one
+  concurrent writers serialise at commit granularity, so the lease
+  coordinator's N worker processes (or hosts sharing a filesystem)
+  fill one store safely; ``append_many`` commits a whole batch of cells in one
   transaction, which is also what makes ingest fast.
 * **content-hashed cell keys as primary keys** -- ``INSERT OR
   REPLACE`` gives the JSONL backend's duplicate-key semantics (the
@@ -21,8 +21,8 @@ quarantine, deterministic ``summary.json``) on an SQLite file instead:
 
 The JSON-text payload keeps the two backends bit-compatible: a record
 round-trips through either backend to the identical Python dict
-(non-finite floats included), so summaries, diffs, and merges never
-see which backend held the data.
+(non-finite floats included), so summaries and diffs never see which
+backend held the data.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ __all__ = [
 ]
 
 #: Milliseconds a writer waits on a locked database before erroring;
-#: generous because shard processes commit whole campaign batches.
+#: generous because campaign processes commit whole cell batches.
 BUSY_TIMEOUT_MS = 30_000
 
 #: Bounded busy-retry on top of SQLite's own busy timeout: attempts of
@@ -142,7 +142,7 @@ class SqliteResultStore(ResultStore):
         self.quarantined = 0
         #: Busy-retry accounting: transactions re-run after a
         #: ``database is locked/busy`` error (surfaced as a
-        #: ``store_retries`` telemetry record by campaign and merge).
+        #: ``store_retries`` telemetry record by campaign runs).
         self.busy_retries = 0
         self._conn: sqlite3.Connection | None = None
         self._leases: "LeaseTable | None" = None

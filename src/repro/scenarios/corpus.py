@@ -262,7 +262,7 @@ def curate_records(
     Promoted specs are returned **unchanged**: every spec field (tags
     included) enters ``cell_key``/``spec_fingerprint``, so any
     decoration would re-key the cell -- re-running a curated corpus
-    against the store it came from must resume/diff/shard in perfect
+    against the store it came from must resume/diff in perfect
     alignment with the original records.
 
     Unstable and error cells can never be promoted: their tightness is

@@ -59,7 +59,7 @@ from repro.runtime.executor import (
     SerialExecutor,
     TaskResult,
     _error_head,
-    _run_one_with_retry,
+    run_one_with_retry,
 )
 from repro.runtime.telemetry import CellTelemetry, counter_add, span
 from repro.scenarios.analytic import batch_bounds
@@ -733,11 +733,11 @@ def run_batch(
     In-process executors (``Executor.supports_cell_grouping``, i.e.
     the serial default) evaluate the matrix through the
     structure-of-arrays grouped evaluator
-    (:func:`repro.scenarios.cellmatrix.evaluate_grouped`); pool
-    executors ship per-cell :func:`evaluate_cell` calls to their
-    workers.  Outcomes are bit-identical either way (``wall_time``
-    attribution aside, which grouped evaluation estimates by
-    amortising each group kernel over its cells).
+    (:func:`repro.scenarios.cellmatrix.evaluate_grouped`); the process
+    pool ships per-cell :func:`evaluate_cell` calls to its workers.
+    Outcomes are bit-identical either way (``wall_time`` attribution
+    aside, which grouped evaluation estimates by amortising each group
+    kernel over its cells).
 
     ``retry``/``cell_timeout`` opt into the executor's fault-tolerant
     path (see :class:`repro.runtime.executor.RetryPolicy`); grouped
@@ -747,9 +747,9 @@ def run_batch(
     deterministic chaos harness; it forces per-cell evaluation, since
     injection targets the ``evaluate_cell`` path.
     """
-    # An empty matrix is a legal degenerate case (a shard that owns
-    # zero cells, `--shard i/N` with N > count): report nothing rather
-    # than raising, so sharded campaign scripts exit cleanly.
+    # An empty matrix is a legal degenerate case (e.g. a generator asked
+    # for zero cells): report nothing rather than raising, so callers
+    # need no special case.
     if not scenarios:
         return BatchReport(outcomes=(), elapsed=0.0)
     scenarios = list(scenarios)
@@ -771,7 +771,7 @@ def run_batch(
             tasks = [
                 t
                 if t.ok
-                else _run_one_with_retry(
+                else run_one_with_retry(
                     evaluate_cell,
                     t.index,
                     scenarios[t.index],

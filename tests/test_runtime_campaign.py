@@ -18,7 +18,6 @@ from repro.runtime import (
     ProcessExecutor,
     ResultStore,
     SerialExecutor,
-    ThreadExecutor,
     build_campaign,
     cell_key,
     outcome_record,
@@ -130,11 +129,12 @@ def test_crashing_cell_fails_its_verdict_not_the_campaign(
         return real_simulate(realised)
 
     monkeypatch.setattr(runner_mod, "_simulate", sabotage)
-    # Pin the per-cell path with an in-process pool: the grouped
-    # evaluator resolves eligible cells without _simulate (its error
-    # isolation has its own test in test_scenarios_cellmatrix.py).
+    # Pin the per-cell path with the process pool, whose fork-started
+    # workers inherit the patch: the grouped evaluator resolves
+    # eligible cells without _simulate (its error isolation has its own
+    # test in test_scenarios_cellmatrix.py).
     campaign = run_campaign(
-        smoke_matrix[:6], executor=ThreadExecutor(jobs=1),
+        smoke_matrix[:6], executor=ProcessExecutor(jobs=2),
         store=tmp_path / "crash",
     )
     assert campaign.evaluated == 6

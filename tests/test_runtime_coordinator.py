@@ -438,9 +438,6 @@ class TestCoordinatorCli:
 
         with pytest.raises(SystemExit):  # needs a store
             main(["scenarios", "run", "--count", "2", "--coordinator", "2"])
-        with pytest.raises(SystemExit):  # sharding is the other topology
-            main(["scenarios", "run", "--count", "2", "--coordinator", "2",
-                  "--store", str(tmp_path / "c"), "--shard", "0/2"])
         with pytest.raises(SystemExit):  # lease TTL is a coordinator knob
             main(["scenarios", "run", "--count", "2", "--lease-ttl", "5",
                   "--store", str(tmp_path / "c")])

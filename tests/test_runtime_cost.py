@@ -11,7 +11,7 @@ from repro.runtime.cost import (
     backend_profile,
     plan_chunks,
 )
-from repro.runtime.executor import SerialExecutor, ThreadExecutor
+from repro.runtime.executor import ProcessExecutor, SerialExecutor
 from repro.scenarios.generator import generate_scenarios
 from repro.scenarios.runner import run_batch
 from repro.scenarios.spec import Scenario
@@ -198,12 +198,12 @@ def test_single_high_variance_cell_travels_nearly_alone():
 def test_cost_scheduled_batch_is_bit_identical():
     scenarios = generate_scenarios(10, seed=3, horizon=0.6)
     serial = run_batch(scenarios, executor=SerialExecutor())
-    threaded = run_batch(
+    pooled = run_batch(
         scenarios,
-        executor=ThreadExecutor(jobs=2),
+        executor=ProcessExecutor(jobs=2),
         cost_model=CellCostModel(),
     )
-    for a, b in zip(serial.outcomes, threaded.outcomes):
+    for a, b in zip(serial.outcomes, pooled.outcomes):
         assert a.scenario.name == b.scenario.name
         assert a.measured == b.measured
         assert a.bound == b.bound

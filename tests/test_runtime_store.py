@@ -19,8 +19,6 @@ from repro.runtime.store import (
     cell_key,
     diff_records,
     diff_stores,
-    fingerprint_shard,
-    merge_stores,
     open_store,
     spec_fingerprint,
 )
@@ -77,16 +75,6 @@ class TestKeys:
         plain, budgeted = _sc(), _sc(perf_budget=60.0)
         assert cell_key(plain) == cell_key(budgeted)
         assert spec_fingerprint(plain) == spec_fingerprint(budgeted)
-
-    def test_fingerprint_shard_is_a_partition(self):
-        fps = [spec_fingerprint(_sc(name=f"c{i}")) for i in range(40)]
-        shards = [fingerprint_shard(fp, 4) for fp in fps]
-        assert set(shards) <= set(range(4))
-        assert len(set(shards)) > 1  # actually spreads
-        # Deterministic, and independent of the shard the caller asks for.
-        assert shards == [fingerprint_shard(fp, 4) for fp in fps]
-        with pytest.raises(ValueError):
-            fingerprint_shard(fps[0], 0)
 
 
 class TestFactory:
@@ -199,21 +187,14 @@ class TestFactory:
         assert open_store(tmp_path / "real", must_exist=True).load()
 
     def test_must_exist_accepts_zero_record_shard_store(self, tmp_path):
-        """A shard that owns zero cells writes only summary.json; that
-        store is real and must pass the reference check (the merge/diff
-        steps of the sharded workflow see it)."""
-        empty = open_store(tmp_path / "empty-shard")
+        """A campaign that evaluated zero cells writes only
+        summary.json; that store is real and must pass the reference
+        check (report/diff/curate consumers see it)."""
+        empty = open_store(tmp_path / "empty")
         empty.append_many([])           # no results file created...
         empty.write_summary()           # ...but the summary always is
-        reopened = open_store(tmp_path / "empty-shard", must_exist=True)
+        reopened = open_store(tmp_path / "empty", must_exist=True)
         assert reopened.load() == {}
-        # And the merge workflow digests it without complaint.
-        full = open_store(tmp_path / "full")
-        full.append(_rec("aa"))
-        summary = merge_stores(
-            tmp_path / "all", [tmp_path / "empty-shard", tmp_path / "full"]
-        )
-        assert summary["cells"] == 1
 
 
 @pytest.mark.parametrize("kind", BACKENDS)
@@ -314,7 +295,7 @@ class TestSummary:
 
     def test_summary_write_is_atomic_replace(self, tmp_path):
         """The summary lands via temp-file + os.replace, and the temp
-        file never survives (concurrent shard processes rewrite it)."""
+        file never survives (concurrent campaign processes rewrite it)."""
         store = JsonlResultStore(tmp_path)
         store.append(_rec("a"))
         store.write_summary()
@@ -335,85 +316,6 @@ class TestSummary:
             store.write_summary()
             files.append(store.summary_path.read_bytes())
         assert files[0] == files[1]
-
-
-class TestMerge:
-    @pytest.mark.parametrize("dest_kind", BACKENDS)
-    def test_merge_shard_stores(self, dest_kind, tmp_path):
-        a, b = JsonlResultStore(tmp_path / "a"), _make_store(
-            "sqlite", tmp_path / "b"
-        )
-        a.append(_rec("k1"))
-        b.append(_rec("k2", sound=False))
-        dest = f"{dest_kind}:{tmp_path / 'all'}"
-        summary = merge_stores(dest, [tmp_path / "a", f"sqlite:{tmp_path / 'b'}"])
-        assert summary["cells"] == 2
-        assert set(open_store(dest).load()) == {"k1", "k2"}
-
-    def test_merge_without_sources_refreshes_summary(self, tmp_path):
-        store = JsonlResultStore(tmp_path)
-        store.append(_rec("k1"))
-        summary = merge_stores(tmp_path)
-        assert summary["cells"] == 1
-        assert store.summary_path.exists()
-
-    def test_later_sources_win_ties(self, tmp_path):
-        a, b = JsonlResultStore(tmp_path / "a"), JsonlResultStore(tmp_path / "b")
-        a.append(_rec("k", sound=True))
-        b.append(_rec("k", sound=False))
-        merge_stores(tmp_path / "all", [tmp_path / "a", tmp_path / "b"])
-        assert open_store(tmp_path / "all").load()["k"]["sound"] is False
-
-    @pytest.mark.parametrize("dest_kind", BACKENDS)
-    def test_merge_carries_telemetry_and_poison(self, dest_kind, tmp_path):
-        """Folding shards together must not discard their attempt
-        ledgers or poison diagnoses (the pre-PR-10 regression)."""
-        a = _make_store("jsonl", tmp_path / "a")
-        b = _make_store("sqlite", tmp_path / "b")
-        a.append(_rec("k1"))
-        a.append_telemetry([{"kind": "attempts", "key": "k1", "attempts": 2}])
-        a.append_poison([{"key": "k1", "error_head": "boom"}])
-        b.append(_rec("k2"))
-        b.append_telemetry([{"kind": "lease", "lease": 1, "worker": "w1"}])
-        dest = _make_store(dest_kind, tmp_path / "all")
-        merge_stores(dest, [f"jsonl:{tmp_path / 'a'}", f"sqlite:{tmp_path / 'b'}"])
-        tele = dest.load_telemetry()
-        assert {t.get("merged_from") for t in tele} == {
-            f"jsonl:{tmp_path / 'a'}",
-            f"sqlite:{tmp_path / 'b'}",
-        }
-        assert any(t.get("kind") == "attempts" for t in tele)
-        assert any(t.get("kind") == "lease" for t in tele)
-        (diag,) = dest.load_poison()
-        assert diag["error_head"] == "boom"
-        assert diag["merged_from"] == f"jsonl:{tmp_path / 'a'}"
-
-    def test_merge_preserves_original_provenance_across_hops(self, tmp_path):
-        """A second merge hop keeps the *first* store's tag: provenance
-        points at the original campaign, not the intermediate."""
-        a = _make_store("jsonl", tmp_path / "a")
-        a.append(_rec("k1"))
-        a.append_poison([{"key": "k1", "error_head": "boom"}])
-        merge_stores(tmp_path / "mid", [tmp_path / "a"])
-        merge_stores(tmp_path / "final", [tmp_path / "mid"])
-        (diag,) = open_store(tmp_path / "final").load_poison()
-        assert diag["merged_from"] == f"jsonl:{tmp_path / 'a'}"
-
-    def test_self_merge_rejected(self, tmp_path):
-        store = JsonlResultStore(tmp_path)
-        store.append(_rec("k"))
-        with pytest.raises(ValueError, match="itself"):
-            merge_stores(tmp_path, [tmp_path])
-
-    def test_self_merge_rejected_through_path_aliases(self, tmp_path,
-                                                      monkeypatch):
-        """Relative vs absolute spellings of one store are still a
-        self-merge (the guard resolves paths)."""
-        store = JsonlResultStore(tmp_path / "camp")
-        store.append(_rec("k"))
-        monkeypatch.chdir(tmp_path)
-        with pytest.raises(ValueError, match="itself"):
-            merge_stores(tmp_path / "camp", ["camp"])
 
 
 class TestDiff:

@@ -1,6 +1,6 @@
 """SQLite store backend: concurrent writers and quarantine parity.
 
-The backend's reason to exist is multi-writer safety: N shard
+The backend's reason to exist is multi-writer safety: N worker
 processes filling one store must lose nothing and corrupt nothing,
 where concurrent JSONL appends could tear lines.  These tests drive
 real OS processes at one database, and pin the quarantine semantics
@@ -14,7 +14,7 @@ import sqlite3
 
 import pytest
 
-from repro.runtime.store import JsonlResultStore, merge_stores, open_store
+from repro.runtime.store import JsonlResultStore, open_store
 from repro.runtime.store_sqlite import SqliteResultStore
 
 pytestmark = pytest.mark.runtime
@@ -87,7 +87,7 @@ class TestConcurrentWriters:
         for p in procs:
             p.join(timeout=60)
             assert p.exitcode == 0
-        merge_stores(root)  # post-shard summary refresh
+        SqliteResultStore(root).write_summary()  # refresh over the union
         serial = JsonlResultStore(tmp_path / "serial")
         serial.append_many(
             [_rec(f"{prefix}{i:03d}") for prefix in ("x", "y") for i in range(25)]

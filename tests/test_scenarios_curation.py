@@ -73,7 +73,7 @@ class TestCurateRecords:
 
     def test_promoted_specs_keep_their_cell_keys(self):
         """Promotion must not decorate the spec: a curated cell has to
-        resume/diff/shard in alignment with the store it came from."""
+        resume/diff in alignment with the store it came from."""
         rec = _record("tight", tightness=0.97)
         (promoted,) = curate_records([rec], min_tightness=0.9)
         assert cell_key(promoted) == cell_key(rec["spec"])

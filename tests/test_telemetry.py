@@ -25,7 +25,6 @@ from repro.runtime import (
     ResultStore,
     SerialExecutor,
     SqliteResultStore,
-    ThreadExecutor,
     chrome_trace_events,
     set_telemetry_enabled,
     telemetry_enabled,
@@ -72,9 +71,6 @@ class TestVerdictInvariance:
         try:
             for flag in (True, False):
                 set_telemetry_enabled(flag)
-                runs[flag, "thread"] = run_batch(
-                    scenarios, executor=ThreadExecutor(jobs=1)
-                )
                 runs[flag, "parallel"] = run_batch(
                     scenarios, executor=ProcessExecutor(jobs=2)
                 )
@@ -83,7 +79,7 @@ class TestVerdictInvariance:
                 )
         finally:
             set_telemetry_enabled(was)
-        reference = _normalised(runs[True, "thread"].outcomes)
+        reference = _normalised(runs[True, "parallel"].outcomes)
         for key, report in runs.items():
             assert _normalised(report.outcomes) == reference, key
 
