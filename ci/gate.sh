@@ -14,7 +14,9 @@
 #
 # Exit status: 0 when the campaign is clean AND the diff against the
 # pinned baseline shows no regression AND the serial grouped
-# summaries match it byte for byte AND telemetry collection is invisible
+# summaries match it byte for byte AND every serial cell record carries
+# the baseline's measured/bound/baseline_bound/eps/sound values AND
+# telemetry collection is invisible
 # to summaries (telemetry-on == telemetry-off == pinned baseline,
 # byte for byte, with `scenarios report` rendering the telemetry-on
 # store); 1 otherwise (the CLI's --baseline flag gates the first part
@@ -52,6 +54,43 @@ for backend in jsonl sqlite; do
   fi
 done
 echo "grouped gate: clean (serial grouped == pinned baseline, both backends)"
+
+# Per-cell values, not only the summary (which holds verdict counts and
+# max tightness): each serial store must hold exactly the baseline's
+# cell keys, with equal measured/bound/baseline_bound/eps/sound in
+# every record.
+PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python - \
+  "jsonl:$SERIAL_DIR/jsonl" "sqlite:$SERIAL_DIR/sqlite" <<'EOF' || exit 1
+import json
+import sys
+
+from repro.runtime import open_store
+
+FIELDS = ("measured", "bound", "baseline_bound", "eps", "sound")
+
+
+def rows(target):
+    records = open_store(target, must_exist=True).load()
+    # json renders floats exactly (and NaN/inf as tokens), so equal
+    # strings mean bit-equal values.
+    return {k: json.dumps([r.get(f) for f in FIELDS]) for k, r in records.items()}
+
+
+baseline = rows("ci/baseline_smoke")
+for target in sys.argv[1:]:
+    fresh = rows(target)
+    if fresh.keys() != baseline.keys():
+        print(f"per-cell gate: FAILED ({target}: cell keys differ from the baseline)",
+              file=sys.stderr)
+        sys.exit(1)
+    drifted = sorted(k for k in fresh if fresh[k] != baseline[k])
+    if drifted:
+        print(f"per-cell gate: FAILED ({target}: {len(drifted)} cells drifted, "
+              f"first {drifted[0]}: {fresh[drifted[0]]} != {baseline[drifted[0]]})",
+              file=sys.stderr)
+        sys.exit(1)
+print(f"per-cell gate: clean ({len(baseline)} cells equal the pinned baseline, both backends)")
+EOF
 
 # Telemetry invisibility: collection is on by default, so the smoke
 # store above already carries telemetry; a --no-telemetry rerun of the

@@ -25,7 +25,6 @@ through :func:`append_results_with_retry` like this driver does.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import sqlite3
 import time
@@ -39,6 +38,7 @@ from repro.runtime.executor import Executor, RetryPolicy, _error_head
 from repro.runtime.faults import FaultPlan, InjectedFault
 from repro.runtime.store import (
     ResultStore,
+    _spec_dict,
     cell_key,
     open_store,
     spec_fingerprint,
@@ -113,9 +113,11 @@ def build_campaign(config: CampaignConfig) -> list[Scenario]:
 def outcome_record(outcome: ScenarioOutcome) -> dict:
     """The store record (schema in :mod:`repro.runtime.store`)."""
     sc = outcome.scenario
+    # One field dict serves both hashes and the stored spec.
+    spec = _spec_dict(sc)
     return {
-        "key": cell_key(sc),
-        "fingerprint": spec_fingerprint(sc),
+        "key": cell_key(spec),
+        "fingerprint": spec_fingerprint(spec),
         "name": sc.name,
         "sound": bool(outcome.sound),
         "error": outcome.error,
@@ -153,7 +155,7 @@ def outcome_record(outcome: ScenarioOutcome) -> dict:
         # The full spec (v2): makes the store self-contained, so
         # ``scenarios curate`` can re-materialise promising cells and
         # any record can be re-run without the generating code.
-        "spec": dataclasses.asdict(sc),
+        "spec": spec,
     }
 
 

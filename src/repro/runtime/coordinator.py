@@ -57,7 +57,6 @@ converges.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import json
 import os
@@ -81,6 +80,7 @@ from repro.runtime.executor import (
 from repro.runtime.faults import FaultPlan
 from repro.runtime.store import (
     ResultStore,
+    _spec_dict,
     cell_key,
     open_store,
     spec_fingerprint,
@@ -113,12 +113,13 @@ RECOVERY_ROUNDS = 3
 
 def _cell_payload(sc: Scenario, cost: float) -> dict:
     """The self-contained per-cell entry a lease row carries."""
+    spec = _spec_dict(sc)
     return {
-        "key": cell_key(sc),
-        "fingerprint": spec_fingerprint(sc),
+        "key": cell_key(spec),
+        "fingerprint": spec_fingerprint(spec),
         "name": sc.name,
         "cost": float(cost),
-        "spec": dataclasses.asdict(sc),
+        "spec": spec,
     }
 
 

@@ -146,8 +146,15 @@ def _coerce_root(root: Any, scheme: str) -> Path:
 
 
 def _spec_dict(spec: Any) -> dict[str, Any]:
+    """A spec's fields as a fresh top-level dict.
+
+    Dataclass specs are read field by field, without the recursive deep
+    copy of ``dataclasses.asdict``: scenario fields are scalars or
+    tuples of scalars, so both dicts serialise to the same canonical
+    JSON (the same keys, fingerprints and stored bytes).
+    """
     if dataclasses.is_dataclass(spec) and not isinstance(spec, type):
-        return dataclasses.asdict(spec)
+        return {f.name: getattr(spec, f.name) for f in dataclasses.fields(spec)}
     if isinstance(spec, Mapping):
         return dict(spec)
     raise TypeError(

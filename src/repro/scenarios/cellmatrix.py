@@ -58,7 +58,7 @@ from repro.scenarios.spec import Scenario
 from repro.scenarios.tracebatch import realise_batch
 from repro.simulation.batched import PRIMED_MODES, primed_adversarial_worst
 from repro.simulation.fluid import (
-    _adversarial_worst_arrays,
+    _adversarial_worst,
     _default_drain_margin,
     batch_fluid_next_empty,
     batch_fluid_on_time,
@@ -424,7 +424,7 @@ def _eval_fluid_pack(
                 continue
             arr = cell.arr_rows[cell.arr_of_flow["arr"][f]]
             shp = shaped[base + cell.arr_of_flow["shape"][f], : n + 1]
-            worst = _adversarial_worst_arrays(tg, arr, shp, ne)
+            worst = _adversarial_worst(tg, arr, shp, ne)
             if mkey is not None:
                 worst_cache[mkey] = worst
             per_flow_worst.append(worst)

@@ -28,6 +28,7 @@ from repro.simulation.fluid import (
     _adversarial_worst,
     _default_drain_margin,
     _regulator_stage,
+    _trace_cum,
     fluid_next_empty,
 )
 from repro.utils.validation import check_positive
@@ -99,13 +100,8 @@ def simulate_host_with_background(
     n_bins = int(np.ceil(total / dt))
     t_grid = dt * np.arange(n_bins + 1)
 
-    def cum(tr: PacketTrace) -> np.ndarray:
-        return np.concatenate(
-            ([0.0], np.cumsum(tr.restrict(horizon).binned_arrivals(dt, total)))
-        )
-
-    group_arr = [cum(tr) for tr in traces]
-    bg_arr = [cum(tr) for tr in background_traces]
+    group_arr = [_trace_cum(tr, horizon, dt, total) for tr in traces]
+    bg_arr = [_trace_cum(tr, horizon, dt, total) for tr in background_traces]
     # The regulators are sized against the residual capacity: the
     # controller normalises rho by what is actually available.
     eff_mode, shaped = _regulator_stage(

@@ -219,7 +219,17 @@ def fluid_next_empty(
     empty instant map to ``inf`` (extend the horizon).
     """
     dep = fluid_work_conserving(arrivals_agg, capacity * (t_grid - t_grid[0]))
-    backlog = arrivals_agg - dep
+    return _next_empty(t_grid, arrivals_agg, dep, tol)
+
+
+def _next_empty(
+    t_grid: np.ndarray,
+    arrivals_agg: np.ndarray,
+    dep_agg: np.ndarray,
+    tol: float = 1e-9,
+) -> np.ndarray:
+    """:func:`fluid_next_empty` from the aggregate's departures ``dep_agg``."""
+    backlog = arrivals_agg - dep_agg
     scale = max(float(arrivals_agg[-1]), 1.0)
     empty = backlog <= tol * scale
     empty_times = np.where(empty, t_grid, np.inf)
@@ -396,37 +406,6 @@ def _first_passage_arrays(
     return out
 
 
-def _adversarial_worst_arrays(
-    t_grid: np.ndarray,
-    arr_cum: np.ndarray,
-    reg_cum: np.ndarray,
-    next_empty: np.ndarray,
-) -> float:
-    """Lean replica of :func:`_adversarial_worst` on raw arrays.
-
-    Identical arithmetic, minus the :class:`PiecewiseLinearCurve`
-    construction (validation passes and array copies that never change
-    the values); the grouped cell-matrix evaluator calls this once per
-    unique lane.
-    """
-    inc = np.diff(arr_cum)
-    bins = np.nonzero(inc > 0)[0]
-    if bins.size == 0:
-        return 0.0
-    t_arr = t_grid[bins + 1]
-    levels = arr_cum[bins + 1]
-    tol = 1e-9 * max(float(arr_cum[-1]), 1.0)
-    release = _first_passage_arrays(
-        t_grid, reg_cum, np.maximum(levels - tol, 0.0)
-    )
-    idx = np.searchsorted(t_grid, release, side="left")
-    idx = np.clip(idx, 0, len(next_empty) - 1)
-    worst_dep = next_empty[idx]
-    if not np.all(np.isfinite(worst_dep)):
-        return float("inf")
-    return float(max((worst_dep - t_arr).max(), 0.0))
-
-
 # ----------------------------------------------------------------------
 # Host-level simulation
 # ----------------------------------------------------------------------
@@ -447,8 +426,16 @@ def _regulator_stage(
     mode: str,
     capacity: float,
     stagger_phase: float,
+    shaped_cache: Optional[dict] = None,
+    cache_keys: Optional[Sequence] = None,
 ) -> tuple[str, list[np.ndarray]]:
-    """Apply the selected regulator family; returns (effective mode, outputs)."""
+    """Apply the selected regulator family; returns (effective mode, outputs).
+
+    ``shaped_cache`` / ``cache_keys`` let a caller shaping the same
+    input more than once reuse σ-ρ outputs: flow ``f``'s token bucket
+    output is stored under ``(cache_keys[f], sigma, rho / capacity)``
+    unless its key is ``None``.  Equal keys must name equal inputs.
+    """
     controller = AdaptiveController(envelopes, capacity)
     if mode == "adaptive":
         mode = (
@@ -459,10 +446,18 @@ def _regulator_stage(
     if mode == "none":
         return mode, list(arrivals_cum)
     if mode == "sigma-rho":
-        return mode, [
-            fluid_token_bucket(a, t_grid, e.sigma, e.rho / capacity)
-            for a, e in zip(arrivals_cum, envelopes)
-        ]
+        out = []
+        for f, (a, e) in enumerate(zip(arrivals_cum, envelopes)):
+            rho = e.rho / capacity
+            key = cache_keys[f] if cache_keys is not None else None
+            if shaped_cache is None or key is None:
+                out.append(fluid_token_bucket(a, t_grid, e.sigma, rho))
+                continue
+            key = (key, e.sigma, rho)
+            if key not in shaped_cache:
+                shaped_cache[key] = fluid_token_bucket(a, t_grid, e.sigma, rho)
+            out.append(shaped_cache[key])
+        return mode, out
     if mode == "sigma-rho-lambda":
         plan = controller.build_stagger_plan()
         base = (stagger_phase % 1.0) * plan.period
@@ -498,6 +493,11 @@ def _adversarial_worst(
     than the first instant after ``T_R(y)`` at which the aggregate MUX
     backlog empties.  The supremum over levels is evaluated at bin
     granularity (O(dt) quantisation, like every fluid measure here).
+
+    The one adversarial-worst kernel: host, chain and the grouped cell
+    matrix all call it.  The regulator's first passage runs on the raw
+    arrays (:func:`_first_passage_arrays`, bit-identical to
+    :meth:`PiecewiseLinearCurve.first_passage`).
     """
     inc = np.diff(arr_cum)
     bins = np.nonzero(inc > 0)[0]
@@ -506,14 +506,24 @@ def _adversarial_worst(
     t_arr = t_grid[bins + 1]  # data in bin j has fully arrived by t[j+1]
     levels = arr_cum[bins + 1]
     tol = 1e-9 * max(float(arr_cum[-1]), 1.0)
-    reg_curve = PiecewiseLinearCurve(t_grid, reg_cum)
-    release = reg_curve.first_passage(np.maximum(levels - tol, 0.0))
+    release = _first_passage_arrays(
+        t_grid, reg_cum, np.maximum(levels - tol, 0.0)
+    )
     idx = np.searchsorted(t_grid, release, side="left")
     idx = np.clip(idx, 0, len(next_empty) - 1)
     worst_dep = next_empty[idx]
     if not np.all(np.isfinite(worst_dep)):
         return float("inf")
     return float(max((worst_dep - t_arr).max(), 0.0))
+
+
+def _trace_cum(
+    trace: PacketTrace, horizon: float, dt: float, total: float
+) -> np.ndarray:
+    """Cumulative arrivals of ``trace`` (injection cut at ``horizon``) on
+    the grid ``dt * arange(ceil(total / dt) + 1)``."""
+    binned = trace.restrict(horizon).binned_arrivals(dt, total)
+    return np.concatenate(([0.0], np.cumsum(binned)))
 
 
 def simulate_fluid_host(
@@ -562,10 +572,7 @@ def simulate_fluid_host(
     total = horizon + drain_margin
     n_bins = int(np.ceil(total / dt))
     t_grid = dt * np.arange(n_bins + 1)
-    arrivals = [
-        np.concatenate(([0.0], np.cumsum(tr.restrict(horizon).binned_arrivals(dt, total))))
-        for tr in traces
-    ]
+    arrivals = [_trace_cum(tr, horizon, dt, total) for tr in traces]
     eff_mode, shaped = _regulator_stage(
         arrivals, t_grid, envelopes, mode, capacity, stagger_phase
     )
@@ -656,6 +663,20 @@ def simulate_fluid_chain(
     capacity-aware scheme divides each host's output capacity by its
     fan-out (every packet is replicated to every child), yielding
     hop-specific effective service rates.
+
+    Work per call and per hop:
+
+    * **once per call**, keyed by the trace object: each distinct cross
+      trace's cumulative arrivals, and in σ-ρ mode its token-bucket
+      output per (envelope, hop capacity) -- callers typically pass the
+      same cross list at every hop;
+    * **per hop**: the tagged flow's regulator (its input changes), the
+      λ-mode regulators of all flows (their stagger offsets change),
+      the adaptive mode choice (it depends on the hop capacity), one
+      aggregate sum and work-conserving pass shared by the measurement
+      and the forwarding, and the tagged flow's FIFO share only -- the
+      curve forwarded to the next hop, which the FIFO discipline also
+      measures.  The priority discipline adds its one-vs-rest MUX.
     """
     hops = len(cross_traces_per_hop)
     if hops < 1:
@@ -671,6 +692,8 @@ def simulate_fluid_chain(
         capacities = [float(c) for c in capacity]
         if len(capacities) != hops:
             raise ValueError("capacity must be scalar or one entry per hop")
+    if discipline not in ("adversarial", "priority", "fifo"):
+        raise ValueError(f"unknown discipline {discipline!r}")
     if horizon is None:
         horizon = float(tagged_trace.times[-1]) + dt if len(tagged_trace) else 1.0
     margin = _default_drain_margin(envelopes, min(capacities)) * hops
@@ -678,45 +701,53 @@ def simulate_fluid_chain(
     n_bins = int(np.ceil(total / dt))
     t_grid = dt * np.arange(n_bins + 1)
 
-    source_cum = np.concatenate(
-        ([0.0], np.cumsum(tagged_trace.restrict(horizon).binned_arrivals(dt, total)))
-    )
+    source_cum = _trace_cum(tagged_trace, horizon, dt, total)
     current = _shift_cum(source_cum, t_grid, propagation[0])
+    # Hop-invariant work, done once per call and keyed by the trace
+    # object, since hops may carry different cross traces: each cross
+    # trace's cumulative arrivals (the entry holds the trace so its id
+    # cannot be reused) and, in σ-ρ mode, its shaped curve.
+    cross_cum: dict[int, tuple[PacketTrace, np.ndarray]] = {}
+    shaped_cache: dict = {}
     per_hop_delay = []
     for h in range(hops):
         cap_h = capacities[h]
         cross = cross_traces_per_hop[h]
         if len(cross) != k - 1:
             raise ValueError(f"hop {h}: expected {k - 1} cross traces, got {len(cross)}")
-        arrivals = [current] + [
-            np.concatenate(([0.0], np.cumsum(tr.restrict(horizon).binned_arrivals(dt, total))))
-            for tr in cross
-        ]
+        for tr in cross:
+            if id(tr) not in cross_cum:
+                cross_cum[id(tr)] = (tr, _trace_cum(tr, horizon, dt, total))
+        arrivals = [current] + [cross_cum[id(tr)][1] for tr in cross]
         _, shaped = _regulator_stage(
             arrivals, t_grid, envelopes, mode, cap_h,
             stagger_phase=(stagger_phase + h * 0.37) % 1.0,
+            shaped_cache=shaped_cache,
+            cache_keys=[None] + [id(tr) for tr in cross],
         )
+        # One aggregate pass (the arithmetic of fluid_mux's FIFO branch)
+        # serves both the measurement and the forwarding.
+        agg = np.sum(shaped, axis=0)
+        service = t_grid - t_grid[0]
+        service *= cap_h
+        dep_agg = fluid_work_conserving(agg, service)
+        # Physical forwarding to the next hop is FIFO; only the tagged
+        # flow's share is read, so only it is composed.
+        fwd = _compose_by_level(dep_agg, agg, shaped[0])
         # Per-hop worst-case measurement under the requested discipline.
         if discipline == "adversarial":
-            agg = np.sum(shaped, axis=0)
-            next_empty = fluid_next_empty(t_grid, agg, cap_h)
+            next_empty = _next_empty(t_grid, agg, dep_agg)
             per_hop_delay.append(
                 _adversarial_worst(t_grid, arrivals[0], shaped[0], next_empty)
             )
         elif discipline == "priority":
             deps_adv = fluid_mux(shaped, t_grid, cap_h, discipline="priority", tagged=0)
             per_hop_delay.append(_worst_delay(t_grid, arrivals[0], deps_adv[0]))
-        elif discipline == "fifo":
-            deps_f = fluid_mux(shaped, t_grid, cap_h, discipline="fifo")
-            per_hop_delay.append(_worst_delay(t_grid, arrivals[0], deps_f[0]))
-        else:
-            raise ValueError(f"unknown discipline {discipline!r}")
-        # Physical forwarding to the next hop is FIFO.
-        deps = fluid_mux(shaped, t_grid, cap_h, discipline="fifo")
-        nxt = deps[0]
+        else:  # fifo measures the forwarded curve itself
+            per_hop_delay.append(_worst_delay(t_grid, arrivals[0], fwd))
         if h + 1 < hops:
-            nxt = _shift_cum(nxt, t_grid, propagation[h + 1])
-        current = nxt
+            fwd = _shift_cum(fwd, t_grid, propagation[h + 1])
+        current = fwd
     fifo_e2e = _worst_delay(t_grid, source_cum, current)
     prop_total = float(np.sum(propagation))
     worst = float(sum(per_hop_delay)) + prop_total

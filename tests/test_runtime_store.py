@@ -8,11 +8,14 @@ contract both backends share; concurrency-specific coverage lives in
 ``test_runtime_store_sqlite.py``.
 """
 
+import dataclasses
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from repro.runtime.campaign import outcome_record
 from repro.runtime.store import (
     JsonlResultStore,
     ResultStore,
@@ -23,6 +26,7 @@ from repro.runtime.store import (
     spec_fingerprint,
 )
 from repro.runtime.store_sqlite import SqliteResultStore
+from repro.scenarios.runner import run_scenario
 from repro.scenarios.spec import Scenario
 
 pytestmark = pytest.mark.runtime
@@ -75,6 +79,28 @@ class TestKeys:
         plain, budgeted = _sc(), _sc(perf_budget=60.0)
         assert cell_key(plain) == cell_key(budgeted)
         assert spec_fingerprint(plain) == spec_fingerprint(budgeted)
+
+    def test_keys_and_stored_spec_are_pinned(self):
+        """The shallow spec dict hashes and serialises exactly like
+        ``dataclasses.asdict``: literal keys of a spec with tuple fields,
+        and the stored spec's JSON."""
+        sc = Scenario(
+            name="pinned-chain", kinds=("audio", "video", "audio"),
+            utilization=0.7, mode="sigma-rho", topology="chain", hops=3,
+            backend="fluid", discipline="adversarial", horizon=1.5,
+            dt=2e-3, seed=42, stagger_phase=0.25,
+            start_offsets=(0.0, 0.1, 0.25), propagation=0.01,
+            capacity=1.0, perf_budget=5.0, tags=("chain", "pinned"),
+        )
+        assert cell_key(sc) == "dac4f45bb2c353f6"
+        assert spec_fingerprint(sc) == "ea0140fecd14f50b"
+        outcome = run_scenario(replace(sc, horizon=0.3))
+        rec = outcome_record(outcome)
+        assert rec["key"] == cell_key(outcome.scenario)
+        assert rec["fingerprint"] == spec_fingerprint(outcome.scenario)
+        assert json.dumps(rec["spec"], sort_keys=True) == json.dumps(
+            dataclasses.asdict(outcome.scenario), sort_keys=True
+        )
 
 
 class TestFactory:
