@@ -83,11 +83,11 @@ def run_once(benchmark, fn, *args, **kwargs):
     return benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1, iterations=1)
 
 
-def run_percell(cells, **map_kwargs):
-    """The per-cell reference the grouped path is measured against:
-    ``evaluate_cell`` on every cell in process (``map_kwargs`` go to
+def run_percell(cells, worker=evaluate_cell, **map_kwargs):
+    """Cells evaluated one at a time: ``worker`` (default
+    ``evaluate_cell``) on every cell in process (``map_kwargs`` go to
     ``SerialExecutor.map_tasks``), then the same vectorised bounds and
     verdicts as ``run_batch``."""
     t0 = time.perf_counter()
-    tasks = SerialExecutor().map_tasks(evaluate_cell, cells, **map_kwargs)
+    tasks = SerialExecutor().map_tasks(worker, cells, **map_kwargs)
     return finalise_batch(cells, tasks, time.perf_counter() - t0)

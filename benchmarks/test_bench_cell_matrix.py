@@ -5,11 +5,14 @@ sharing ``(backend, discipline, topology, mode)`` evaluate as one
 grouped pass -- sources built once per parameter point, traces and
 sigma measurements deduplicated within each cell, fluid lanes packed
 into padded matrices for the ``batch_fluid_*`` kernels, DES cells run
-through the lean ``primed_adversarial_worst`` kernel with regulator
-passes shared across flows on the same trace.  Results stay
-bit-identical to the per-cell path (``tests/test_scenarios_cellmatrix``
-enforces it); these benchmarks measure the throughput side (the
-frozen ``BENCH_pr6.json`` at the repo root holds their history).
+through the primed host kernel with regulator passes shared across
+flows on the same trace.  Results stay bit-identical to the per-cell
+reference (``tests/reference.py``: per-cell realisation and the scalar
+simulators; ``tests/test_scenarios_cellmatrix`` enforces it); these
+benchmarks measure the throughput side against that reference, the
+code the floors were set on (the frozen ``BENCH_pr6.json`` at the repo
+root holds their history).  ``evaluate_cell`` itself is a batch of one
+through the grouped kernels, so it is not the per-cell side here.
 
 The homogeneous closed-form campaigns (k = 12 shared CBR flows per
 cell: the per-cell path shapes and measures 12 lanes, the grouped path
@@ -33,6 +36,7 @@ from benchmarks.conftest import run_once, run_percell
 from repro.runtime.executor import SerialExecutor
 from repro.scenarios import generate_scenarios, run_batch
 from repro.scenarios.spec import Scenario
+from tests.reference import reference_cell
 
 #: Asserted floor: grouped vs per-cell on the fluid closed-form campaign.
 FLUID_GROUPED_FLOOR = 5.0
@@ -72,7 +76,7 @@ def _best_of(n: int, fn, *args, **kwargs):
 
 
 def _grouped_vs_percell(cells):
-    t_per, per = _best_of(2, run_percell, cells)
+    t_per, per = _best_of(2, run_percell, cells, worker=reference_cell)
     t_grp, grp = _best_of(2, run_batch, cells, executor=SerialExecutor())
     for p, g in zip(per.outcomes, grp.outcomes):
         assert g.measured == p.measured and g.bound == p.bound

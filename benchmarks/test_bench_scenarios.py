@@ -16,6 +16,7 @@ from benchmarks.conftest import run_once
 from repro.runtime import ProcessExecutor
 from repro.scenarios import generate_scenarios, run_batch
 from repro.scenarios.analytic import batch_bounds
+from repro.scenarios.tracebatch import realise_batch
 
 #: Worker count of the parallel throughput benchmark.
 PARALLEL_JOBS = 4
@@ -33,11 +34,9 @@ def test_generate_200_scenarios(benchmark):
 def test_vectorised_analytic_pass(benchmark):
     """The batched bound evaluation over 200 realised envelope sets."""
     scenarios = generate_scenarios(200, seed=0)
-    envs, modes = [], []
-    for sc in scenarios:
-        e = sc.realise_envelopes(sc.realise_traces(mtu=None))
-        envs.append(e)
-        modes.append(sc.effective_mode(e))
+    realised, _ = realise_batch(scenarios)
+    envs = [r.envelopes for r in realised]
+    modes = [sc.effective_mode(e) for sc, e in zip(scenarios, envs)]
     bounds, baselines = benchmark(batch_bounds, envs, modes)
     assert bounds.shape == (200,)
     assert baselines.shape == (200,)

@@ -14,9 +14,10 @@
 #
 # Exit status: 0 when the campaign is clean AND the diff against the
 # pinned baseline shows no regression AND the serial grouped
-# summaries match it byte for byte AND every serial cell record carries
-# the baseline's measured/bound/baseline_bound/eps/sound values AND
-# telemetry collection is invisible
+# summaries match it byte for byte AND every cell record of every
+# store the gate writes (pool, serial, telemetry-off, chaos and
+# coordinator runs) carries the baseline's measured/bound/
+# baseline_bound/eps/sound values AND telemetry collection is invisible
 # to summaries (telemetry-on == telemetry-off == pinned baseline,
 # byte for byte, with `scenarios report` rendering the telemetry-on
 # store); 1 otherwise (the CLI's --baseline flag gates the first part
@@ -29,6 +30,46 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 STORE="${1:-$(mktemp -d)/smoke}"
+
+# Per-cell values, not only the summary (which holds verdict counts and
+# max tightness): each store named must hold exactly the baseline's
+# cell keys, with equal measured/bound/baseline_bound/eps/sound in
+# every record.  Usage: per_cell_gate LABEL STORE...
+per_cell_gate() {
+  PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python - "$@" <<'EOF'
+import json
+import sys
+
+from repro.runtime import open_store
+
+FIELDS = ("measured", "bound", "baseline_bound", "eps", "sound")
+
+
+def rows(target):
+    records = open_store(target, must_exist=True).load()
+    # json renders floats exactly (and NaN/inf as tokens), so equal
+    # strings mean bit-equal values.
+    return {k: json.dumps([r.get(f) for f in FIELDS]) for k, r in records.items()}
+
+
+label, targets = sys.argv[1], sys.argv[2:]
+baseline = rows("ci/baseline_smoke")
+for target in targets:
+    fresh = rows(target)
+    if fresh.keys() != baseline.keys():
+        print(f"per-cell gate: FAILED ({target}: cell keys differ from the baseline)",
+              file=sys.stderr)
+        sys.exit(1)
+    drifted = sorted(k for k in fresh if fresh[k] != baseline[k])
+    if drifted:
+        print(f"per-cell gate: FAILED ({target}: {len(drifted)} cells drifted, "
+              f"first {drifted[0]}: {fresh[drifted[0]]} != {baseline[drifted[0]]})",
+              file=sys.stderr)
+        sys.exit(1)
+print(f"per-cell gate: clean ({label}: {len(baseline)} cells equal the pinned "
+      f"baseline in each of {len(targets)} store(s))")
+EOF
+}
 
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m repro.experiments.cli \
   scenarios run \
@@ -55,42 +96,8 @@ for backend in jsonl sqlite; do
 done
 echo "grouped gate: clean (serial grouped == pinned baseline, both backends)"
 
-# Per-cell values, not only the summary (which holds verdict counts and
-# max tightness): each serial store must hold exactly the baseline's
-# cell keys, with equal measured/bound/baseline_bound/eps/sound in
-# every record.
-PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python - \
-  "jsonl:$SERIAL_DIR/jsonl" "sqlite:$SERIAL_DIR/sqlite" <<'EOF' || exit 1
-import json
-import sys
-
-from repro.runtime import open_store
-
-FIELDS = ("measured", "bound", "baseline_bound", "eps", "sound")
-
-
-def rows(target):
-    records = open_store(target, must_exist=True).load()
-    # json renders floats exactly (and NaN/inf as tokens), so equal
-    # strings mean bit-equal values.
-    return {k: json.dumps([r.get(f) for f in FIELDS]) for k, r in records.items()}
-
-
-baseline = rows("ci/baseline_smoke")
-for target in sys.argv[1:]:
-    fresh = rows(target)
-    if fresh.keys() != baseline.keys():
-        print(f"per-cell gate: FAILED ({target}: cell keys differ from the baseline)",
-              file=sys.stderr)
-        sys.exit(1)
-    drifted = sorted(k for k in fresh if fresh[k] != baseline[k])
-    if drifted:
-        print(f"per-cell gate: FAILED ({target}: {len(drifted)} cells drifted, "
-              f"first {drifted[0]}: {fresh[drifted[0]]} != {baseline[drifted[0]]})",
-              file=sys.stderr)
-        sys.exit(1)
-print(f"per-cell gate: clean ({len(baseline)} cells equal the pinned baseline, both backends)")
-EOF
+per_cell_gate "pool and serial" \
+  "$STORE" "jsonl:$SERIAL_DIR/jsonl" "sqlite:$SERIAL_DIR/sqlite"
 
 # Telemetry invisibility: collection is on by default, so the smoke
 # store above already carries telemetry; a --no-telemetry rerun of the
@@ -115,6 +122,7 @@ if [ -e "$TEL_DIR/off/telemetry.jsonl" ]; then
   echo "telemetry gate: FAILED (--no-telemetry store has telemetry.jsonl)" >&2
   exit 1
 fi
+per_cell_gate "telemetry off" "$TEL_DIR/off"
 
 # The report lens must render the telemetry the smoke run collected.
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m repro.experiments.cli \
@@ -145,6 +153,7 @@ for backend in jsonl sqlite; do
     exit 1
   fi
 done
+per_cell_gate "chaos" "jsonl:$CHAOS_DIR/jsonl" "sqlite:$CHAOS_DIR/sqlite"
 echo "chaos gate: clean (fault-injected summaries byte-identical, both backends)"
 
 # -- coordinator chaos gate: leases never change results -------------------
@@ -168,6 +177,7 @@ for backend in jsonl sqlite; do
     exit 1
   fi
 done
+per_cell_gate "coordinator" "jsonl:$COORD_DIR/jsonl" "sqlite:$COORD_DIR/sqlite"
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m repro.experiments.cli \
   scenarios report "sqlite:$COORD_DIR/sqlite" \
   | grep "Lease ledger" >/dev/null || {

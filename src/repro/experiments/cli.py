@@ -235,10 +235,6 @@ def _scenarios_main(argv: list[str]) -> int:
         help="skip the curated adversarial corpus",
     )
     p_run.add_argument(
-        "--no-cost-model", action="store_true",
-        help="disable cost-aware scheduling (uniform contiguous chunks)",
-    )
-    p_run.add_argument(
         "--profile", action="store_true",
         help="print a per-backend cell-cost breakdown after the run "
         "(from the store when given, else from this run's cells)",
@@ -999,7 +995,6 @@ def _scenarios_main(argv: list[str]) -> int:
             resume=args.resume,
             tick=tick,
             progress=progress,
-            cost_model=None if args.no_cost_model else "auto",
             retry=retry,
             cell_timeout=args.cell_timeout,
             fault_plan=fault_plan,

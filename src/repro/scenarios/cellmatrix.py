@@ -1,62 +1,66 @@
 """Structure-of-arrays grouped evaluation of a scenario matrix.
 
-The per-cell worker (:func:`repro.scenarios.runner.evaluate_cell`)
-realises and simulates one cell at a time: every cell pays its own
-kernel dispatch, regulator passes and curve bookkeeping even when the
-matrix holds hundreds of cells that differ only in parameters.  This
-module evaluates a *batch of cells* instead:
+Evaluating cells one at a time makes every cell pay its own kernel
+dispatch, regulator passes and curve bookkeeping even when the matrix
+holds hundreds of cells that differ only in parameters.  This module
+evaluates a *batch of cells* instead:
 
-1. **Batch realisation** -- every candidate cell's traces and
-   envelopes are realised in flat cross-cell passes by
-   :func:`repro.scenarios.tracebatch.realise_batch` (a group of one is
-   just a batch of one), which replays the per-cell float sequence
-   exactly.  A cell it cannot realise is re-run through
+1. **Batch realisation** -- every cell's traces and envelopes are
+   realised once, in flat cross-cell passes, by
+   :func:`repro.scenarios.tracebatch.realise_batch` (the only
+   realiser).  A cell it cannot realise is re-run through
    :func:`evaluate_cell`, which reproduces the exact error.
-2. **Grouping** -- cells are keyed by
+2. **Grouping and dispatch** -- realised cells are keyed by
    ``(backend, discipline, topology, mode shape)``; two group kernels
    exist today, the adversarial fluid host and the adversarial primed
-   DES host.  Cells outside both groups -- and cells whose grouped
-   realisation or evaluation raises -- are re-run through
-   :func:`evaluate_cell` individually, so results (including error
-   tracebacks) match the per-cell path exactly; a failing cell fails
-   only its own verdict.
+   DES host.  :func:`simulate_cells` is the one way a realised cell is
+   simulated: a group kernel for a group, :func:`runner._simulate
+   <repro.scenarios.runner._simulate>` for each cell outside both
+   groups.  :func:`evaluate_cell` is a batch of one through the same
+   realiser and dispatch, so a cell whose realisation or simulation
+   raises is re-run through it: its error (traceback included) is the
+   one a pool worker records, and a failing cell fails only its own
+   verdict.
 3. **Packed evaluation** -- each fluid group packs its unique
    (trace, envelope) lanes into padded ``(n_lanes, n_bins_max + 1)``
    matrices and shapes them with the ``batch_fluid_*`` kernels of
    :mod:`repro.simulation.fluid` in one vectorised pass per group; the
-   DES group runs :func:`repro.simulation.batched.primed_adversarial_worst`
+   DES group runs :func:`repro.simulation.batched.primed_adversarial_host`
    per cell with the regulator pass deduplicated across flows sharing
    a trace.
 
 Equivalence contract: grouped evaluation is throughput-only.  Every
-``CellResult`` field must equal the per-cell path bit for bit -- the
-shared-grid prefix property of the batch kernels, the exact-selection
-property of float min/max and the float-op-for-float-op lean replicas
-are what make that hold; ``tests/test_scenarios_cellmatrix.py``
-enforces it over the corpus and generated matrices.  Only the
-``wall_time`` attribution differs: group kernel time is amortised
-evenly over the group's cells.
+``CellResult`` field must equal the per-cell reference (the scalar
+simulators on a per-cell realisation, ``tests/reference.py``) bit for
+bit -- the shared-grid prefix property of the batch kernels, the
+exact-selection property of float min/max and the float-op-for-float-op
+lean replicas are what make that hold;
+``tests/test_scenarios_cellmatrix.py`` enforces it over the corpus and
+generated matrices.  Only the ``wall_time`` attribution differs: batch
+realisation and group kernel time are amortised evenly over their
+cells.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from repro.core.adaptive import AdaptiveController
 from repro.runtime.executor import TaskResult, _run_one
-from repro.runtime.telemetry import begin_cell, end_cell
+from repro.runtime.telemetry import begin_cell, counter_add, end_cell, span
 from repro.scenarios.runner import (
     CellResult,
+    _cell_result,
     _Realised,
-    _quant_eps,
+    _simulate,
     evaluate_cell,
 )
 from repro.scenarios.spec import Scenario
 from repro.scenarios.tracebatch import realise_batch
-from repro.simulation.batched import PRIMED_MODES, primed_adversarial_worst
+from repro.simulation.batched import PRIMED_MODES, primed_adversarial_host
 from repro.simulation.fluid import (
     _adversarial_worst,
     _default_drain_margin,
@@ -69,6 +73,7 @@ from repro.simulation.fluid import (
 __all__ = [
     "evaluate_grouped",
     "group_key",
+    "simulate_cells",
 ]
 
 #: Ceiling on one packed fluid sub-batch, in float64 elements per
@@ -134,35 +139,17 @@ def _annotate_fallback(task: TaskResult, reason: str) -> None:
         task.telemetry.counters["fallback_cells"] = 1
 
 
-def _cell_result(r: _Realised, measured, events, cancelled, primed):
-    sc = r.scenario
-    return CellResult(
-        name=sc.name,
-        eff_mode=r.eff_mode,
-        eff_backend=r.eff_backend,
-        hops=r.hops,
-        propagation_total=float(sum(r.propagation)),
-        sigmas=tuple(float(e.sigma) for e in r.envelopes),
-        rhos=tuple(float(e.rho) for e in r.envelopes),
-        measured=float(measured),
-        events=int(events),
-        cancelled_events=int(cancelled),
-        height_ok=r.height_ok,
-        quant_eps=_quant_eps(r),
-        primed=primed,
-    )
-
-
 # ----------------------------------------------------------------------
 # DES group: primed adversarial hosts
 # ----------------------------------------------------------------------
 def _eval_des_group(
-    mode: str, members: Sequence[tuple]
-) -> list[Optional[CellResult]]:
-    """Evaluate one primed-DES group; ``None`` marks per-cell fallback."""
-    out: list[Optional[CellResult]] = []
+    mode: str, realised: Sequence[_Realised]
+) -> list[Union[CellResult, Exception]]:
+    """Evaluate one primed-DES group: a result or the raised exception
+    per cell."""
+    out: list[Union[CellResult, Exception]] = []
     dedupe = mode in ("sigma-rho", "none")
-    for _i, r, _prep, _tel in members:
+    for r in realised:
         try:
             sc = r.scenario
             traces = r.traces
@@ -178,7 +165,7 @@ def _eval_des_group(
                 if dedupe
                 else None
             )
-            worst, events = primed_adversarial_worst(
+            host = primed_adversarial_host(
                 [(tr.times, tr.sizes) for tr in traces],
                 r.envelopes,
                 mode,
@@ -187,9 +174,13 @@ def _eval_des_group(
                 dep_cache={} if dedupe else None,
                 cache_keys=keys,
             )
-            out.append(_cell_result(r, worst, events, 0, True))
-        except Exception:
-            out.append(None)
+            worst = max(
+                (float(d.max()) for d in host.per_flow_delays if d.size),
+                default=0.0,
+            )
+            out.append(_cell_result(r, worst, host.batch_events, 0, True))
+        except Exception as exc:
+            out.append(exc)
     return out
 
 
@@ -235,14 +226,14 @@ def _binned_cum(tr, dt: float, horizon: float, total: float) -> np.ndarray:
 
 
 def _prep_fluid_cell(r: _Realised, mode: str, dt: float) -> _FluidCell:
-    """Realise one fluid cell's lanes (exceptions route to fallback).
+    """Realise one fluid cell's lanes.
 
     Mirrors ``simulate_fluid_host`` head for head: horizon and drain
     margin derivation, binned cumulative arrivals, the stagger plan and
     its offsets.  Every predicate a scalar kernel would raise on
     (``fluid_on_time`` window validation, the stagger-plan tiling
-    check) is evaluated here so violating cells fall back to the
-    per-cell path and reproduce its exact error.
+    check) is evaluated here, so exactly the cells the scalar
+    simulator rejects raise.
     """
     sc = r.scenario
     traces, envelopes = r.traces, r.envelopes
@@ -437,23 +428,24 @@ def _eval_fluid_pack(
 def _eval_fluid_group(
     mode: str,
     dt: float,
-    members: Sequence[tuple],
+    realised: Sequence[_Realised],
     pack_stats: Optional[dict] = None,
-) -> list[Optional[CellResult]]:
-    """Evaluate one fluid group; ``None`` marks per-cell fallback.
+) -> list[Union[CellResult, Exception]]:
+    """Evaluate one fluid group: a result or the raised exception per
+    cell (every member of a failing pack gets the pack's exception).
 
     ``pack_stats`` (optional, a mutable mapping) accumulates lane
     packing telemetry across the group's sub-batches: ``packs``,
     ``lanes``, and padded vs. valid float64 elements (their ratio is
     the padding-waste the pack-width cap bounds).
     """
-    out: list[Optional[CellResult]] = [None] * len(members)
+    out: list[Union[CellResult, Exception, None]] = [None] * len(realised)
     cells: list[tuple[int, _FluidCell]] = []
-    for slot, (_i, r, _prep, _tel) in enumerate(members):
+    for slot, r in enumerate(realised):
         try:
             cells.append((slot, _prep_fluid_cell(r, mode, dt)))
-        except Exception:
-            pass  # stays None: per-cell fallback reproduces the error
+        except Exception as exc:
+            out[slot] = exc
     for pack in _fluid_subbatches(cells):
         if pack_stats is not None and pack:
             n_max = max(cell.n_bins for _s, cell in pack)
@@ -471,8 +463,35 @@ def _eval_fluid_group(
         try:
             for slot, cell_result in _eval_fluid_pack(mode, dt, pack).items():
                 out[slot] = cell_result
-        except Exception:
-            pass  # whole pack falls back per-cell
+        except Exception as exc:
+            for slot, _cell in pack:
+                out[slot] = exc
+    return out
+
+
+def simulate_cells(
+    key: Optional[tuple],
+    realised: Sequence[_Realised],
+    pack_stats: Optional[dict] = None,
+) -> list[Union[CellResult, Exception]]:
+    """Simulate realised cells sharing :func:`group_key` ``key``.
+
+    The one way a realised cell is simulated: the group kernel for a
+    group, :func:`repro.scenarios.runner._simulate` per cell for
+    ``key is None``.  Returns, per cell in input order, its
+    :class:`CellResult` or the exception its simulation raised.
+    ``pack_stats``: see :func:`_eval_fluid_group`.
+    """
+    if key is not None:
+        if key[0] == "des":
+            return _eval_des_group(key[3], realised)
+        return _eval_fluid_group(key[3], key[4], realised, pack_stats)
+    out: list[Union[CellResult, Exception]] = []
+    for r in realised:
+        try:
+            out.append(_cell_result(r, *_simulate(r)))
+        except Exception as exc:
+            out.append(exc)
     return out
 
 
@@ -494,11 +513,14 @@ def evaluate_grouped(
     per cell, bit-identical values.  ``tick(done, total)`` is called as
     cells complete (grouped cells complete per group).
 
-    Candidate cells -- a single cell included -- are realised in one
-    :func:`repro.scenarios.tracebatch.realise_batch` pass, which replays
-    the per-cell float sequence exactly; a cell it cannot realise falls
-    back to :func:`evaluate_cell` (reason ``realise-error``), which
-    reproduces the exact error.
+    Every cell is realised once, in one
+    :func:`repro.scenarios.tracebatch.realise_batch` pass, and
+    simulated through :func:`simulate_cells`: grouped cells by their
+    group kernel, the rest (the *fallback* cells, labelled with the
+    :func:`group_key` fact that excluded them) one at a time, each with
+    its own telemetry record.  Only a cell whose realisation (reason
+    ``realise-error``) or simulation raised is re-run through
+    :func:`evaluate_cell`, which reproduces the exact error.
 
     ``cost_model`` (optional,
     :class:`repro.runtime.cost.CellCostModel`) prices the batch's
@@ -519,56 +541,44 @@ def evaluate_grouped(
     n = len(scenarios)
     results: list[Optional[TaskResult]] = [None] * n
     groups: dict[tuple, list[tuple]] = {}
-    fallback: list[tuple[int, str]] = []
     reasons: dict[str, int] = {}
     records: list[dict] = []
     done = 0
 
-    def _tick():
+    def _fallback(i: int, task: TaskResult, reason: str) -> None:
+        nonlocal done
+        results[i] = task
+        _annotate_fallback(task, reason)
+        reasons[reason] = reasons.get(reason, 0) + 1
+        done += 1
         if tick is not None:
             tick(done, n)
 
-    candidates: list[int] = []
-    for i, sc in enumerate(scenarios):
-        # Spec-level short-circuit: group_key() rejects these whatever
-        # the realisation says, so skip the realisation entirely.
-        if sc.topology != "host":
-            fallback.append((i, f"topology:{sc.topology}"))
-            continue
-        if sc.discipline != "adversarial":
-            fallback.append((i, f"discipline:{sc.discipline}"))
-            continue
-        candidates.append(i)
+    def _rerun(i: int, reason: str) -> None:
+        _fallback(i, _run_one(evaluate_cell, i, scenarios[i]), reason)
 
-    realised: dict[int, _Realised] = {}
-    batch_s = batch_share = 0.0
-    batch_info: dict = {}
     predicted_realise_s = None
-    if candidates:
-        specs = [scenarios[i] for i in candidates]
-        if cost_model is not None and hasattr(cost_model, "estimate_realise"):
-            try:
-                predicted_realise_s = float(cost_model.estimate_realise(specs))
-            except Exception:
-                predicted_realise_s = None
-        t0 = time.perf_counter()
+    if cost_model is not None and hasattr(cost_model, "estimate_realise"):
         try:
-            batch_results, batch_info = realise_batch(specs)
+            predicted_realise_s = float(cost_model.estimate_realise(scenarios))
         except Exception:
-            batch_results = [None] * len(specs)
-        batch_s = time.perf_counter() - t0
-        for i, r in zip(candidates, batch_results):
-            if r is not None:
-                realised[i] = r
-        # The batch pass ran cells batch-wise: amortise its wall time
-        # evenly over the cells it realised (the same attribution rule
-        # as the group kernels below).
-        batch_share = batch_s / max(len(realised), 1)
+            predicted_realise_s = None
+    batch_info: dict = {}
+    t0 = time.perf_counter()
+    try:
+        realised, batch_info = realise_batch(scenarios)
+    except Exception as exc:
+        realised = [exc] * n
+    batch_s = time.perf_counter() - t0
+    n_realised = sum(not isinstance(r, Exception) for r in realised)
+    # The batch pass ran cells batch-wise: amortise its wall time
+    # evenly over the cells it realised (the same attribution rule as
+    # the group kernels below).
+    batch_share = batch_s / max(n_realised, 1)
 
-    for i in candidates:
-        r = realised.get(i)
-        if r is None:
-            fallback.append((i, "realise-error"))
+    for i, r in enumerate(realised):
+        if isinstance(r, Exception):
+            _rerun(i, "realise-error")
             continue
         tel = begin_cell(scenarios[i].name)
         t0 = time.perf_counter()
@@ -578,58 +588,60 @@ def evaluate_grouped(
             # accounts for realisation honestly.
             tel.add_phase("realise", batch_share, offset=0.0)
         key = group_key(r)
-        prep = time.perf_counter() - t0 + batch_share
-        end_cell(tel)
-        if key is None:
-            # The fallback re-runs evaluate_cell with fresh telemetry,
-            # so this cell's record is discarded.
-            fallback.append((i, _fallback_reason(r)))
-        else:
+        if key is not None:
+            end_cell(tel)
+            prep = time.perf_counter() - t0 + batch_share
             groups.setdefault(key, []).append((i, r, prep, tel))
-
-    for i, reason in fallback:
-        results[i] = _run_one(evaluate_cell, i, scenarios[i])
-        _annotate_fallback(results[i], reason)
-        reasons[reason] = reasons.get(reason, 0) + 1
-        done += 1
-        _tick()
+            continue
+        with span("simulate"):
+            (cell,) = simulate_cells(None, [r])
+        if isinstance(cell, Exception):
+            end_cell(tel)
+            _rerun(i, _fallback_reason(r))
+            continue
+        if cell.primed:
+            counter_add("primed_cells")
+        end_cell(tel)
+        wall = time.perf_counter() - t0 + batch_share
+        if tel is not None:
+            tel.dur = wall
+        _fallback(
+            i,
+            TaskResult(index=i, value=cell, wall_time=wall, telemetry=tel),
+            _fallback_reason(r),
+        )
 
     grouped_cells = 0
     for key, members in groups.items():
         pack_stats: dict = {}
         t0 = time.perf_counter()
-        if key[0] == "des":
-            cell_results = _eval_des_group(key[3], members)
-        else:
-            cell_results = _eval_fluid_group(
-                key[3], key[4], members, pack_stats
-            )
+        cell_results = simulate_cells(
+            key, [m[1] for m in members], pack_stats
+        )
         kernel_s = time.perf_counter() - t0
         share = kernel_s / max(len(members), 1)
         kernel_fallbacks = 0
         for (i, _r, prep, tel), cell in zip(members, cell_results):
-            if cell is None:
-                results[i] = _run_one(evaluate_cell, i, scenarios[i])
-                _annotate_fallback(results[i], "kernel-error")
-                reasons["kernel-error"] = reasons.get("kernel-error", 0) + 1
+            if isinstance(cell, Exception):
+                _rerun(i, "kernel-error")
                 kernel_fallbacks += 1
-            else:
-                if tel is not None:
-                    # The kernel ran cells batch-wise: credit each cell
-                    # its amortised share, anchored at the kernel start
-                    # so trace slices line up on the timeline.
-                    tel.add_phase("simulate", share, offset=t0 - tel.t0)
-                    tel.dur = prep + share
-                    tel.counters["grouped_cells"] = 1
-                    if key[0] == "des":
-                        tel.counters["primed_cells"] = 1
-                results[i] = TaskResult(
-                    index=i, value=cell, wall_time=prep + share,
-                    telemetry=tel,
-                )
-                grouped_cells += 1
+                continue
+            if tel is not None:
+                # The kernel ran cells batch-wise: credit each cell its
+                # amortised share, anchored at the kernel start so trace
+                # slices line up on the timeline.
+                tel.add_phase("simulate", share, offset=t0 - tel.t0)
+                tel.dur = prep + share
+                tel.counters["grouped_cells"] = 1
+                if cell.primed:
+                    tel.counters["primed_cells"] = 1
+            results[i] = TaskResult(
+                index=i, value=cell, wall_time=prep + share, telemetry=tel,
+            )
+            grouped_cells += 1
             done += 1
-            _tick()
+            if tick is not None:
+                tick(done, n)
         rec = {
             "kind": "grouping",
             "backend": key[0],
@@ -656,7 +668,7 @@ def evaluate_grouped(
         "fallback_reasons": dict(sorted(reasons.items())),
         "source_cache_hits": batch_info.get("source_cache_hits", 0),
         "source_cache_misses": batch_info.get("source_cache_misses", 0),
-        "batch_realised_cells": len(realised),
+        "batch_realised_cells": n_realised,
         "batch_realise_s": batch_s,
     }
     if batch_info:

@@ -5,14 +5,19 @@
 campaigns parallelise over the :mod:`repro.runtime` executors:
 
 1. **evaluate (worker side, picklable)** -- :func:`evaluate_cell` takes
-   one :class:`Scenario` (pure primitives), realises it (traces
-   generated, empirical envelopes measured, adaptive mode resolved,
-   tree topologies built), runs the simulated side on the requested
-   backend (vectorised fluid engine, packet DES on the critical-path
-   reduction, or whole-tree packet DES) and returns a
-   :class:`CellResult` of primitives.  Both ends of the exchange pickle
-   cheaply; heavyweight intermediates (traces, trees, simulators) never
-   cross the process boundary.
+   one :class:`Scenario` (pure primitives) and evaluates it as a batch
+   of one: :func:`repro.scenarios.tracebatch.realise_batch` realises it
+   (traces generated, empirical envelopes measured, adaptive mode
+   resolved, tree topologies built), and the cell matrix's one
+   simulation dispatch (:func:`repro.scenarios.cellmatrix.simulate_cells`)
+   runs the simulated side -- a group kernel for groupable hosts,
+   :func:`_simulate` on the requested backend (vectorised fluid engine,
+   packet DES on the critical-path reduction, or whole-tree packet DES)
+   for the rest -- and returns a :class:`CellResult` of primitives.
+   Serial campaigns run the same realiser and dispatch over the whole
+   matrix at once (:func:`repro.scenarios.cellmatrix.evaluate_grouped`).
+   Both ends of the exchange pickle cheaply; heavyweight intermediates
+   (traces, trees, simulators) never cross the process boundary.
 2. **analytic (parent side, vectorised)** -- Theorem 1/2 per hop,
    scaled by the Theorem 7 / Remark 2 hop count, plus propagation, is
    evaluated for the whole batch in one NumPy pass
@@ -397,14 +402,6 @@ def _des_lambda_fit(
     return mtu, extra
 
 
-def _realise(sc: Scenario) -> _Realised:
-    raw = sc.realise_traces(mtu=None)
-    # Empirical envelopes are fragmentation-invariant (fragments share
-    # the original emission times), so measure them once on raw traces.
-    envelopes = sc.realise_envelopes(raw)
-    return _realise_from(sc, raw, envelopes)
-
-
 def _realise_from(
     sc: Scenario,
     raw: Sequence[PacketTrace],
@@ -413,14 +410,16 @@ def _realise_from(
 ) -> _Realised:
     """Finish realising a scenario whose traces/envelopes are known.
 
-    The tail of :func:`_realise`, factored out so the batch realiser
-    (:func:`repro.scenarios.tracebatch.realise_batch`) can feed its
-    cross-cell trace/envelope realisation through the *same* backend
-    fallback, fragmentation and topology resolution code -- one source
-    of truth for the effective execution facts.  ``fragment_cache``
-    (optional, keyed by ``(id(trace), mtu)``) memoises
-    :meth:`PacketTrace.fragment` across cells sharing trace objects;
-    fragmentation is deterministic, so sharing is exact.
+    The per-cell tail of the batch realiser
+    (:func:`repro.scenarios.tracebatch.realise_batch`): backend
+    fallback, fragmentation and topology resolution -- one source of
+    truth for the effective execution facts.  ``raw`` are the
+    unfragmented traces; empirical envelopes are fragmentation-invariant
+    (fragments share the original emission times), so they are measured
+    on ``raw``.  ``fragment_cache`` (optional, keyed by
+    ``(id(trace), mtu)``) memoises :meth:`PacketTrace.fragment` across
+    cells sharing trace objects; fragmentation is deterministic, so
+    sharing is exact.
     """
     envelopes = list(envelopes)
     eff_mode = sc.effective_mode(envelopes)
@@ -545,27 +544,13 @@ def _quant_eps(r: _Realised) -> float:
     return (DES_MTU_FACTOR * r.mtu + r.extra_eps) * r.hops
 
 
-# ----------------------------------------------------------------------
-# Worker stage
-# ----------------------------------------------------------------------
-def evaluate_cell(scenario: Scenario) -> CellResult:
-    """Realise and simulate one cell (the picklable worker stage).
-
-    Exceptions deliberately propagate: the executor layer captures them
-    into per-cell error results, which :func:`finalise_batch` turns
-    into failed verdicts.
-    """
-    with span("realise"):
-        r = _realise(scenario)
-    # Chaos-harness hook: a single None check when no FaultPlan is
-    # active, an injected failure (raise/kill/delay/hang) when one is.
-    faults.check_fault("kernel", scenario)
-    with span("simulate"):
-        measured, events, cancelled, primed = _simulate(r)
-    if primed:
-        counter_add("primed_cells")
+def _cell_result(
+    r: _Realised, measured: float, events: int, cancelled: int, primed: bool
+) -> CellResult:
+    """The :class:`CellResult` of realised cell ``r`` given its simulated
+    side (every simulation path builds its result here)."""
     return CellResult(
-        name=scenario.name,
+        name=r.scenario.name,
         eff_mode=r.eff_mode,
         eff_backend=r.eff_backend,
         hops=r.hops,
@@ -573,12 +558,44 @@ def evaluate_cell(scenario: Scenario) -> CellResult:
         sigmas=tuple(float(e.sigma) for e in r.envelopes),
         rhos=tuple(float(e.rho) for e in r.envelopes),
         measured=float(measured),
-        events=events,
-        cancelled_events=cancelled,
+        events=int(events),
+        cancelled_events=int(cancelled),
         height_ok=r.height_ok,
         quant_eps=_quant_eps(r),
         primed=primed,
     )
+
+
+# ----------------------------------------------------------------------
+# Worker stage
+# ----------------------------------------------------------------------
+def evaluate_cell(scenario: Scenario) -> CellResult:
+    """Realise and simulate one cell (the picklable worker stage).
+
+    A batch of one through the serial path's realiser and simulation
+    dispatch, so every worker runs the same code as a serial campaign.
+    Exceptions deliberately propagate: the executor layer captures them
+    into per-cell error results, which :func:`finalise_batch` turns
+    into failed verdicts.
+    """
+    # Looked up at call time: both modules import this one.
+    from repro.scenarios.cellmatrix import group_key, simulate_cells
+    from repro.scenarios.tracebatch import realise_batch
+
+    with span("realise"):
+        (r,), _info = realise_batch([scenario])
+    if isinstance(r, Exception):
+        raise r
+    # Chaos-harness hook: a single None check when no FaultPlan is
+    # active, an injected failure (raise/kill/delay/hang) when one is.
+    faults.check_fault("kernel", scenario)
+    with span("simulate"):
+        (cell,) = simulate_cells(group_key(r), [r])
+    if isinstance(cell, Exception):
+        raise cell
+    if cell.primed:
+        counter_add("primed_cells")
+    return cell
 
 
 # ----------------------------------------------------------------------
@@ -734,7 +751,8 @@ def run_batch(
     the serial default) evaluate the matrix through the
     structure-of-arrays grouped evaluator
     (:func:`repro.scenarios.cellmatrix.evaluate_grouped`); the process
-    pool ships per-cell :func:`evaluate_cell` calls to its workers.
+    pool ships :func:`evaluate_cell` calls -- batches of one through
+    the same realiser and kernels -- to its workers.
     Outcomes are bit-identical either way (``wall_time`` attribution
     aside, which grouped evaluation estimates by amortising each group
     kernel over its cells).

@@ -17,10 +17,10 @@ one analytic-vs-simulation cross-validation cell needs:
 * **execution** -- backend (vectorised fluid or packet DES), horizon,
   grid resolution and seed.
 
-Scenarios are *specs*, not runs: :mod:`repro.scenarios.runner` realises
-traces, evaluates the analytic side in one vectorised pass and the
-simulated side per scenario, and issues the soundness verdict
-``measured <= bound + eps``.
+Scenarios are *specs*, not runs: :mod:`repro.scenarios.tracebatch`
+realises their traces, and :mod:`repro.scenarios.runner` evaluates the
+analytic side in one vectorised pass and the simulated side per
+scenario, and issues the soundness verdict ``measured <= bound + eps``.
 
 The module also hosts the process-wide registry the curated corpus
 (:mod:`repro.scenarios.corpus`) and the CLI ``scenarios list`` use.
@@ -33,10 +33,13 @@ from typing import Optional, Sequence
 
 from repro.calculus.envelope import ArrivalEnvelope
 from repro.core.adaptive import AdaptiveController, ControlMode
-from repro.simulation.flow import PacketTrace
-from repro.utils.rng import derive_seed
-from repro.utils.validation import check_positive
-from repro.workloads.profiles import DEFAULT_MTU, MIX_KINDS, TrafficMix, make_mix
+from repro.utils.validation import (
+    check_non_negative,
+    check_non_negative_int,
+    check_positive,
+    check_positive_int,
+)
+from repro.workloads.profiles import MIX_KINDS, TrafficMix, make_mix
 
 __all__ = [
     "TOPOLOGIES",
@@ -172,8 +175,8 @@ class Scenario:
             raise ValueError(
                 f"backend must be one of {BACKENDS}, got {self.backend!r}"
             )
-        if self.topology == "chain" and self.hops < 1:
-            raise ValueError("chain scenarios need hops >= 1")
+        check_positive_int(self.hops, "hops")
+        check_non_negative_int(self.tree_members, "tree_members")
         if self.topology == "tree" and self.tree_members < 4:
             raise ValueError("tree scenarios need tree_members >= 4")
         if self.backend == "tree_des":
@@ -195,12 +198,10 @@ class Scenario:
         if self.start_offsets:
             if len(self.start_offsets) != len(self.kinds):
                 raise ValueError("start_offsets must have one entry per flow")
-            if any(o < 0 for o in self.start_offsets):
-                raise ValueError("start_offsets must be >= 0")
-        if self.propagation < 0:
-            raise ValueError("propagation must be >= 0")
-        if self.perf_budget < 0:
-            raise ValueError("perf_budget must be >= 0 (0 disables)")
+            for i, off in enumerate(self.start_offsets):
+                check_non_negative(off, f"start_offsets[{i}]")
+        check_non_negative(self.propagation, "propagation")
+        check_non_negative(self.perf_budget, "perf_budget")
 
     # -- derived ---------------------------------------------------------
     @property
@@ -218,38 +219,6 @@ class Scenario:
         return make_mix(self.name, self.kinds).at_utilization(
             self.utilization, self.capacity
         )
-
-    def realise_traces(self, mtu: Optional[float] = DEFAULT_MTU) -> list[PacketTrace]:
-        """Generate the per-flow packet traces (start skew applied)."""
-        mix = self.mix()
-        traces = mix.generate_traces(
-            self.horizon,
-            derive_seed(self.seed, "scenario", self.name),
-            shared=self.shared,
-            mtu=mtu,
-        )
-        if self.start_offsets:
-            traces = [
-                tr.shifted(off) if off > 0 else tr
-                for tr, off in zip(traces, self.start_offsets)
-            ]
-        return traces
-
-    def realise_envelopes(
-        self, traces: Sequence[PacketTrace]
-    ) -> list[ArrivalEnvelope]:
-        """Empirical (sigma_i, rho_i) envelopes of the realised traces.
-
-        The regulators are configured from these, and -- crucially for
-        soundness -- the analytic bounds are evaluated on the *same*
-        parameters, so every trace conforms to the envelope its bound
-        assumes (time skew does not change burstiness).
-        """
-        mix = self.mix()
-        return [
-            ArrivalEnvelope(max(tr.empirical_sigma(src.rate), 1e-9), src.rate)
-            for tr, src in zip(traces, mix.sources)
-        ]
 
     def effective_mode(self, envelopes: Sequence[ArrivalEnvelope]) -> str:
         """Resolve ``"adaptive"`` exactly the way the simulators do."""

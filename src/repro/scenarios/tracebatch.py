@@ -1,15 +1,15 @@
-"""Batched cross-cell trace synthesis for the grouped cell matrix.
+"""Batched cross-cell trace synthesis: the one realiser.
 
-The grouped evaluator (:mod:`repro.scenarios.cellmatrix`) realises
-every candidate cell here -- a single cell is a batch of one.  What
-per-cell realisation pays in Python (seed derivation, one
-``TrafficSource.generate`` call per lane, one empirical-sigma
-measurement per unique trace, envelope/fragmentation object churn)
-this module pays once per batch, in flat passes:
+Every cell is realised here -- the grouped evaluator
+(:mod:`repro.scenarios.cellmatrix`) passes the whole matrix, a worker
+passes a batch of one.  What per-cell realisation pays in Python (seed
+derivation, one ``TrafficSource.generate`` call per lane, one
+empirical-sigma measurement per unique trace, envelope/fragmentation
+object churn) this module pays once per batch, in flat passes:
 
-* **Lane planning** replicates :meth:`Scenario.realise_traces`
-  (``mtu=None``) exactly -- the ``derive_seed(rng, "trace", name, ...)``
-  stream per generated lane, the per-cell shared-trace cache keyed
+* **Lane planning** replicates ``TrafficMix.generate_traces`` (no MTU)
+  exactly -- the ``derive_seed(rng, "trace", name, ...)`` stream per
+  generated lane, the per-cell shared-trace cache keyed
   ``(kind, round(rate, 12))`` -- while building each
   ``(kinds, utilization, capacity)`` source list once per batch and
   splitting the lanes by source kind.
@@ -29,19 +29,17 @@ this module pays once per batch, in flat passes:
   the whole batch.
 
 The tail of every cell (backend fallback, fragmentation, topology
-resolution) still goes through :func:`repro.scenarios.runner._realise_from`
--- one source of truth -- and any cell whose batched realisation raises
-is handed back to the caller (``None``), which re-runs it through
-:func:`repro.scenarios.runner.evaluate_cell` to reproduce the error
-exactly.  Equivalence contract: batched realisation is throughput-only
--- every trace, envelope and ``_Realised`` field matches the per-cell
-``runner._realise`` bit for bit (``tests/test_tracebatch.py`` enforces
-it over generated scenarios).
+resolution) goes through :func:`repro.scenarios.runner._realise_from`.
+A cell whose realisation raises comes back as the exception it raised,
+so one bad cell never fails its batch-mates.  Equivalence contract:
+every trace, envelope and ``_Realised`` field matches the per-cell
+reference realiser in ``tests/reference.py`` bit for bit
+(``tests/test_tracebatch.py`` enforces it over generated scenarios).
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -199,18 +197,17 @@ class _CellPlan:
 
 def realise_batch(
     scenarios: Sequence[Scenario],
-) -> tuple[list[Optional[_Realised]], dict]:
-    """Realise a batch of cells in flat passes; ``None`` marks fallback.
+) -> tuple[list[Union[_Realised, Exception]], dict]:
+    """Realise a batch of cells in flat passes.
 
-    Returns ``(realised, info)`` with one ``_Realised`` (or ``None``)
-    per scenario in input order and an ``info`` mapping carrying the
-    source-cache hit/miss tally plus lane counters for the grouping
-    telemetry.  A cell whose planning, generation or tail raises is
-    returned as ``None`` so the caller's per-cell path can reproduce
-    the exact error; one bad cell never fails its batch-mates.
+    Returns ``(realised, info)`` with one entry per scenario in input
+    order -- its ``_Realised``, or the exception its planning,
+    generation or tail raised (one bad cell never fails its
+    batch-mates) -- and an ``info`` mapping carrying the source-cache
+    hit/miss tally plus lane counters for the grouping telemetry.
     """
     n = len(scenarios)
-    results: list[Optional[_Realised]] = [None] * n
+    results: list[Union[_Realised, Exception, None]] = [None] * n
     plans: list[Optional[_CellPlan]] = [None] * n
     source_cache: dict[tuple, list] = {}
     fragment_cache: dict = {}
@@ -222,7 +219,7 @@ def realise_batch(
         "sigma_lanes": 0,
     }
 
-    # -- pass 1: plan lanes (exact realise_traces cache/seed semantics) -
+    # -- pass 1: plan lanes (exact per-cell cache/seed semantics) -------
     for ci, sc in enumerate(scenarios):
         try:
             skey = (tuple(sc.kinds), sc.utilization, sc.capacity)
@@ -260,8 +257,8 @@ def realise_batch(
                 )
                 info["lanes_generated"] += 1
             plans[ci] = _CellPlan(sc, sources, slots)
-        except Exception:
-            plans[ci] = None
+        except Exception as exc:
+            results[ci] = exc
 
     # -- pass 2: generate, kind by kind ---------------------------------
     # Shared deterministic grids: one arange per unique (spec, horizon);
@@ -297,7 +294,8 @@ def realise_batch(
                 else:
                     trace = src.generate(horizon, rng=seed)
                 plan.traces[g] = trace
-            except Exception:
+            except Exception as exc:
+                results[ci] = exc
                 plans[ci] = None
 
     # -- pass 3: offsets, batched sigma, per-cell tail ------------------
@@ -329,8 +327,8 @@ def realise_batch(
                     sigma_lanes.append((tr.times, tr.sizes, src.rate))
                 flow_lane.append(lane)
             cell_lane_refs[ci] = (traces, flow_lane)
-        except Exception:
-            plans[ci] = None
+        except Exception as exc:
+            results[ci] = exc
 
     info["sigma_lanes"] = len(sigma_lanes)
     sigmas = (
@@ -356,6 +354,6 @@ def realise_batch(
                     env_of_lane[(lane, src.rate)] = env
                 envelopes.append(env)
             results[ci] = _realise_from(sc, traces, envelopes, fragment_cache)
-        except Exception:
-            results[ci] = None
+        except Exception as exc:
+            results[ci] = exc
     return results, info

@@ -33,8 +33,8 @@ This module exploits exactly that structure, at three levels:
     the adversarial discipline, delivers each busy period with a single
     lazily-rescheduled release event.
 
-:func:`primed_adversarial_host` / :func:`primed_adversarial_worst`
-    The array fast paths for fully-known single-host cells: all flows'
+:func:`primed_adversarial_host`
+    The array fast path for fully-known single-host cells: all flows'
     traces are known up front, so the entire cell -- regulators,
     adversarial MUX, delay recording -- collapses into NumPy passes
     over merged departure arrays with *no per-packet events at all*.
@@ -42,13 +42,13 @@ This module exploits exactly that structure, at three levels:
     :func:`vacation_departures` (closed-form departures, float ops
     sequenced identically to the legacy ``TokenBucketComponent``); one
     private per-flow dispatch (``_flow_departures``) picks between them
-    -- or the raw arrival times for mode ``none`` -- for both kernels
-    and for the background trains below.  The host kernel serves
-    :func:`repro.simulation.host_sim.simulate_regulated_host` whenever
-    the batched engine meets ``discipline="adversarial"``, and
+    -- or the raw arrival times for mode ``none`` -- for the host
+    kernel and for the background trains below.  The host kernel
+    serves :func:`repro.simulation.host_sim.simulate_regulated_host`
+    whenever the batched engine meets ``discipline="adversarial"``,
+    the primed DES group of the cell matrix, and
     :func:`repro.simulation.chain.simulate_regulated_chain` to resolve
-    hop 0 (whose arrivals are all known) as a pure array pass; the
-    lean worst-delay-only kernel serves the grouped cell matrix.
+    hop 0 (whose arrivals are all known) as a pure array pass.
 
 Background-primed MUX (:meth:`BatchMuxServer.prime_background`)
     Chain hops past hop 0 and every tree member host serve K-1 *cross*
@@ -90,7 +90,6 @@ __all__ = [
     "BatchVacationComponent",
     "BatchMuxServer",
     "primed_adversarial_host",
-    "primed_adversarial_worst",
     "PrimedHostOutcome",
     "PRIMED_MODES",
 ]
@@ -866,7 +865,7 @@ def _primed_departures(
     """Every flow's regulator departures, emissions and sizes, plus the
     summed pass count, for a fully-known adversarial host.
 
-    ``dep_cache`` / ``cache_keys``: see :func:`primed_adversarial_worst`.
+    ``dep_cache`` / ``cache_keys``: see :func:`primed_adversarial_host`.
     """
     if mode not in PRIMED_MODES:
         raise ValueError(
@@ -915,6 +914,8 @@ def primed_adversarial_host(
     stagger_phase: float = 0.0,
     horizon: Optional[float] = None,
     drain: bool = True,
+    dep_cache: Optional[dict] = None,
+    cache_keys: Optional[Sequence] = None,
 ) -> PrimedHostOutcome:
     """Array fast path for any fully-known adversarial host cell.
 
@@ -940,65 +941,21 @@ def primed_adversarial_host(
     hold-and-release instant, bit-identical to the evented batched
     engine.  With ``drain=False``, deliveries after ``horizon`` are
     discarded (the evented ``run(until=horizon)`` truncation).
-    """
-    dep_list, emit_list, size_list, trains = _primed_departures(
-        traces, envelopes, mode, capacity, stagger_phase
-    )
-    return _merge_and_deliver(
-        dep_list, emit_list, size_list,
-        capacity=capacity, trains=trains, horizon=horizon, drain=drain,
-    )
 
-
-def primed_adversarial_worst(
-    traces: Sequence[tuple[np.ndarray, np.ndarray]],
-    envelopes: Sequence,
-    mode: str,
-    *,
-    capacity: float = 1.0,
-    stagger_phase: float = 0.0,
-    dep_cache: Optional[dict] = None,
-    cache_keys: Optional[Sequence] = None,
-) -> tuple[float, int]:
-    """Worst delay (and batch-event count) of one primed adversarial
-    host cell, skipping the per-flow bookkeeping.
-
-    This is :func:`primed_adversarial_host` minus everything the
-    grouped cell-matrix evaluator does not consume: no per-flow delay
-    split, no delivery arrays, no :class:`PrimedHostOutcome`.  The
-    measured worst over *all* packets equals the per-cell
-    ``max(flow.worst)`` because delays are non-negative and the merged
-    array is exactly the concatenation of the per-flow splits.
-
-    ``dep_cache`` / ``cache_keys`` let a caller evaluating many cells
-    that share flow objects reuse regulator passes: flows whose
-    ``cache_keys[f]`` is not ``None`` and hashes equal are assumed to
-    have identical ``(times, sizes)`` arrays and regulator parameters
-    (only sound for ``"sigma-rho"`` / ``"none"`` -- the lambda mode's
-    per-flow stagger offsets differ between flows, so pass no keys
-    there).  Cache values are ``(departures, trains)`` tuples; the
-    departure arrays are never mutated, so sharing is safe.
-
-    Returns ``(worst_delay, batch_events)`` with ``drain=True``
-    semantics (every delivery kept).
+    ``dep_cache`` / ``cache_keys`` let a caller whose flows share trace
+    objects reuse regulator passes: flows whose ``cache_keys[f]`` is
+    not ``None`` and hashes equal are assumed to have identical
+    ``(times, sizes)`` arrays and regulator parameters (only sound for
+    ``"sigma-rho"`` / ``"none"`` -- the lambda mode's per-flow stagger
+    offsets differ between flows, so pass no keys there).  Cache values
+    are ``(departures, trains)`` tuples; the departure arrays are never
+    mutated, so sharing is safe.
     """
     dep_list, emit_list, size_list, trains = _primed_departures(
         traces, envelopes, mode, capacity, stagger_phase,
         dep_cache, cache_keys,
     )
-    arr = np.concatenate(dep_list) if dep_list else np.empty(0)
-    if arr.size == 0:
-        return 0.0, 0
-    emits = np.concatenate(emit_list)
-    sizes_all = np.concatenate(size_list)
-    # Same stable sort and busy-until recurrence as _merge_and_deliver:
-    # the merged delays are bit-identical, only the per-flow split and
-    # delivery bookkeeping are skipped.
-    order = np.argsort(arr, kind="stable")
-    arr = arr[order]
-    emits = emits[order]
-    tx = sizes_all[order] / capacity
-    delivery, busy_periods = _adversarial_mux_deliveries(arr, tx)
-    delays = delivery - emits
-    worst = float(max(delays.max(), 0.0))
-    return worst, trains + busy_periods
+    return _merge_and_deliver(
+        dep_list, emit_list, size_list,
+        capacity=capacity, trains=trains, horizon=horizon, drain=drain,
+    )

@@ -85,8 +85,14 @@ class TestScenariosSubcommand:
             ["run", "--count", "1", "--no-corpus", "--shard", "1/2"],
             ["run", "--count", "1", "--no-corpus", "--executor", "thread"],
             ["merge", "DIR"],
+            # Cost-aware scheduling is always on; outcomes never
+            # depended on it.
+            ["run", "--count", "1", "--no-corpus", "--no-cost-model"],
         ],
-        ids=["frobnicate", "run-shard", "run-executor", "merge"],
+        ids=[
+            "frobnicate", "run-shard", "run-executor", "merge",
+            "run-no-cost-model",
+        ],
     )
     def test_bad_subcommand_rejected(self, argv, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)  # nothing may land in the checkout

@@ -37,7 +37,8 @@ from hypothesis import given, settings, strategies as st
 from repro.calculus.envelope import ArrivalEnvelope
 from repro.core.adaptive import AdaptiveController
 from repro.scenarios import adversarial_corpus
-from repro.scenarios.runner import _realise, evaluate_cell, run_scenario
+from repro.scenarios.runner import evaluate_cell, run_scenario
+from repro.scenarios.tracebatch import realise_batch
 from repro.simulation.batched import vacation_departures
 from repro.simulation.chain import simulate_regulated_chain
 from repro.simulation.engine import Simulator
@@ -329,7 +330,7 @@ def _legacy_measured(r) -> float:
 def test_corpus_batched_vs_legacy_backend(scenario):
     # One realisation feeds both engines, so they differ in the engine
     # alone.
-    r = _realise(scenario)
+    (r,), _ = realise_batch([scenario])
     assert r.eff_backend == scenario.backend
     legacy = _legacy_measured(r)
     outcome = run_scenario(scenario)

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-import repro.scenarios.runner as runner_mod
+import repro.scenarios.cellmatrix as cellmatrix_mod
 from repro.runtime import (
     CampaignConfig,
     ProcessExecutor,
@@ -121,18 +121,22 @@ def test_crashing_cell_fails_its_verdict_not_the_campaign(
     smoke_matrix, monkeypatch, tmp_path
 ):
     victim = smoke_matrix[3].name
-    real_simulate = runner_mod._simulate
+    real_simulate = cellmatrix_mod.simulate_cells
 
-    def sabotage(realised):
-        if realised.scenario.name == victim:
-            raise RuntimeError("injected simulator crash")
-        return real_simulate(realised)
+    def sabotage(key, realised, pack_stats=None):
+        # The dispatch reports a failed cell as its exception.
+        out = real_simulate(key, realised, pack_stats)
+        return [
+            RuntimeError("injected simulator crash")
+            if r.scenario.name == victim
+            else cell
+            for r, cell in zip(realised, out)
+        ]
 
-    monkeypatch.setattr(runner_mod, "_simulate", sabotage)
-    # Pin the per-cell path with the process pool, whose fork-started
-    # workers inherit the patch: the grouped evaluator resolves
-    # eligible cells without _simulate (its error isolation has its own
-    # test in test_scenarios_cellmatrix.py).
+    monkeypatch.setattr(cellmatrix_mod, "simulate_cells", sabotage)
+    # Through the process pool, whose fork-started workers inherit the
+    # patch; the grouped evaluator's error isolation has its own test
+    # in test_scenarios_cellmatrix.py.
     campaign = run_campaign(
         smoke_matrix[:6], executor=ProcessExecutor(jobs=2),
         store=tmp_path / "crash",

@@ -1,14 +1,16 @@
 """SoA grouped cell-matrix evaluation: the bit-identity contract.
 
-``evaluate_grouped`` is throughput-only: every ``CellResult`` field
-must equal the per-cell ``evaluate_cell`` path bit for bit, over the
-curated corpus, generated matrices (which mix groupable hosts with
-chain/tree/fifo fallback cells), hand-built edge cells and groups of
-one; a cell whose grouped realisation or evaluation raises must fail
-only its own verdict with the exact per-cell error.  The lean kernels
-the grouped path substitutes for the scalar ones
+``evaluate_grouped`` and ``evaluate_cell`` (a batch of one) are
+throughput-only: every ``CellResult`` field must equal the per-cell
+reference (``tests/reference.py``: per-cell realisation, scalar
+simulators) bit for bit, over the curated corpus, generated matrices
+(which mix groupable hosts with chain/tree/fifo fallback cells),
+hand-built edge cells and groups of one; a cell whose grouped
+realisation or evaluation raises must fail only its own verdict with
+the exact error ``evaluate_cell`` records.  The lean kernels the
+grouped path substitutes for the scalar ones
 (`_empirical_sigma_fast`, `_first_passage_arrays`, the
-``batch_fluid_*`` rows, ``primed_adversarial_worst``) are pinned
+``batch_fluid_*`` rows, the primed host's dedupe cache) are pinned
 against their scalar references here too.
 """
 
@@ -19,19 +21,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.scenarios.cellmatrix as cellmatrix_mod
 import repro.simulation.batched as batched_mod
 from repro.calculus.envelope import ArrivalEnvelope
 from repro.runtime.cost import _spec_features, plan_chunks, spec_group_key
 from repro.runtime.executor import SerialExecutor, _run_one
 from repro.scenarios import adversarial_corpus, generate_scenarios, run_batch
-from repro.scenarios.cellmatrix import evaluate_grouped
+from repro.scenarios.cellmatrix import (
+    evaluate_grouped,
+    group_key,
+    simulate_cells,
+)
 from repro.scenarios.runner import evaluate_cell
 from repro.scenarios.spec import Scenario
-from repro.scenarios.tracebatch import _empirical_sigma_fast
-from repro.simulation.batched import (
-    primed_adversarial_host,
-    primed_adversarial_worst,
-)
+from repro.scenarios.tracebatch import _empirical_sigma_fast, realise_batch
+from repro.simulation.batched import primed_adversarial_host
 from repro.simulation.flow import OnOffSource, PacketTrace
 from repro.simulation.fluid import (
     _first_passage_arrays,
@@ -45,18 +49,27 @@ from repro.simulation.fluid import (
     fluid_work_conserving,
 )
 from repro.utils.piecewise import PiecewiseLinearCurve
+from tests.reference import reference_cell
 
 pytestmark = pytest.mark.runtime
 
 
 def _assert_grouped_matches_percell(scenarios):
+    reference = [
+        _run_one(reference_cell, i, sc) for i, sc in enumerate(scenarios)
+    ]
     per_cell = [_run_one(evaluate_cell, i, sc) for i, sc in enumerate(scenarios)]
     grouped = evaluate_grouped(scenarios)
     assert len(grouped) == len(scenarios)
-    for p, g in zip(per_cell, grouped):
-        assert g.index == p.index
+    for ref, p, g in zip(reference, per_cell, grouped):
+        assert g.index == p.index == ref.index
+        # Production (grouped and the batch of one) vs the reference;
+        # dataclass equality: every field, no approx.
+        assert p.ok == ref.ok, p.error or ref.error
+        assert p.value == ref.value
+        assert g.value == ref.value
+        # A failing cell records evaluate_cell's exact error.
         assert g.error == p.error
-        assert g.value == p.value  # dataclass equality: every field, no approx
         assert g.wall_time > 0.0
 
 
@@ -117,9 +130,9 @@ class TestGroupedEquivalence:
 # ----------------------------------------------------------------------
 class TestErrorIsolation:
     def test_crashing_cell_fails_only_its_own_verdict(self, monkeypatch):
-        """A kernel crash inside a group reruns per-cell: the failing
-        cell carries the per-cell path's exact error, neighbours keep
-        their values."""
+        """A kernel crash inside a group reruns the cell through
+        evaluate_cell: the failing cell carries the pool path's exact
+        error, neighbours keep their values."""
         cells = [
             Scenario(
                 name="victim-des",
@@ -155,8 +168,8 @@ class TestErrorIsolation:
         def sabotage(*args, **kwargs):
             raise RuntimeError("injected kernel crash")
 
-        # Both the grouped kernel and the per-cell primed host resolve
-        # sigma_rho_departures through this module global.
+        # The primed DES kernel resolves sigma_rho_departures through
+        # this module global.
         monkeypatch.setattr(batched_mod, "sigma_rho_departures", sabotage)
         grouped = evaluate_grouped(cells)
         per_cell = [_run_one(evaluate_cell, i, sc) for i, sc in enumerate(cells)]
@@ -196,6 +209,36 @@ class TestErrorIsolation:
             assert r.value == h.value
         summary = stats["records"][-1]
         assert summary["fallback_reasons"]["realise-error"] == 1
+
+    def test_failing_fluid_pack_fails_each_member(self, monkeypatch):
+        """Every member of a pack that raises gets the pack's exception
+        from the dispatch; the grouped path then records the error
+        evaluate_cell reproduces for each of them."""
+        cells = [
+            Scenario(
+                name=f"pack-{i}",
+                kinds=("cbr",) * 3,
+                utilization=0.5 + 0.1 * i,
+                mode="sigma-rho",
+            )
+            for i in range(3)
+        ]
+        realised, _ = realise_batch(cells)
+        key = group_key(realised[0])
+
+        def crash(*args, **kwargs):
+            raise RuntimeError("injected pack crash")
+
+        monkeypatch.setattr(cellmatrix_mod, "batch_fluid_token_bucket", crash)
+        out = simulate_cells(key, realised)
+        assert all(isinstance(o, RuntimeError) for o in out)
+        stats: dict = {}
+        grouped = evaluate_grouped(cells, stats=stats)
+        per_cell = [_run_one(evaluate_cell, i, sc) for i, sc in enumerate(cells)]
+        for g, p in zip(grouped, per_cell):
+            assert "injected pack crash" in g.error
+            assert g.error == p.error
+        assert stats["records"][-1]["fallback_reasons"] == {"kernel-error": 3}
 
 
 # ----------------------------------------------------------------------
@@ -294,43 +337,19 @@ class TestLeanKernels:
             scalar = fluid_next_empty(t_grid[:w], rows[i], caps[i])
             assert np.array_equal(batch[i, :w], scalar)
 
-    def test_primed_adversarial_worst_matches_host(self):
-        rng = np.random.default_rng(12)
-        traces = []
-        envelopes = []
-        for f in range(4):
-            n = int(rng.integers(3, 40))
-            times = np.sort(rng.uniform(0, 1.0, n))
-            sizes = rng.uniform(1e-3, 6e-3, n)
-            traces.append((times, sizes))
-            envelopes.append(
-                ArrivalEnvelope(float(rng.uniform(0.01, 0.1)), 0.2)
-            )
-        for mode in ("sigma-rho", "sigma-rho-lambda", "none"):
-            host = primed_adversarial_host(
-                traces, envelopes, mode, capacity=1.5, stagger_phase=0.2
-            )
-            worst, events = primed_adversarial_worst(
-                traces, envelopes, mode, capacity=1.5, stagger_phase=0.2
-            )
-            expected = max(
-                float(d.max()) if d.size else 0.0
-                for d in host.per_flow_delays
-            )
-            assert worst == max(expected, 0.0)
-            assert events == host.batch_events
-
     def test_primed_worst_dedupe_cache_is_invisible(self):
         times = np.sort(np.random.default_rng(2).uniform(0, 1.0, 30))
         sizes = np.full(30, 4e-3)
         traces = [(times, sizes)] * 3
         envelopes = [ArrivalEnvelope(0.05, 0.3)] * 3
         keys = [(id(times), 0.05, 0.3)] * 3
-        plain = primed_adversarial_worst(traces, envelopes, "sigma-rho")
-        cached = primed_adversarial_worst(
+        plain = primed_adversarial_host(traces, envelopes, "sigma-rho")
+        cached = primed_adversarial_host(
             traces, envelopes, "sigma-rho", dep_cache={}, cache_keys=keys
         )
-        assert plain == cached
+        assert cached.batch_events == plain.batch_events
+        for a, b in zip(cached.per_flow_delays, plain.per_flow_delays):
+            assert np.array_equal(a, b)
 
 
 # ----------------------------------------------------------------------

@@ -24,6 +24,8 @@ from repro.scenarios.analytic import (
     batch_theorem1_wdb,
     pack_envelopes,
 )
+from repro.scenarios.spec import scenario_from_dict
+from repro.scenarios.tracebatch import realise_batch
 
 
 class TestScenarioSpec:
@@ -44,14 +46,34 @@ class TestScenarioSpec:
             Scenario(**{**ok, "start_offsets": (0.1,)})  # wrong arity
         with pytest.raises(ValueError):
             Scenario(**{**ok, "topology": "tree"})  # needs tree_members
+        # Malformed numbers fail here, not inside a kernel.
+        nan = float("nan")
+        for bad in (
+            {"start_offsets": (nan, 0.0)},
+            {"start_offsets": (0.0, -0.1)},
+            {"perf_budget": nan},
+            {"propagation": nan},
+            {"propagation": -1.0},
+            {"topology": "chain", "hops": 2.5},
+            {"topology": "chain", "hops": 0},
+            {"tree_members": 10.5},
+            {"tree_members": -1},
+        ):
+            with pytest.raises((ValueError, TypeError)):
+                Scenario(**{**ok, **bad})
+        # Store records and campaign files go through the same checks.
+        with pytest.raises(ValueError):
+            scenario_from_dict({**ok, "start_offsets": [nan, 0.0]})
 
     def test_realise_is_deterministic(self):
         sc = Scenario(name="det", kinds=("video", "audio"), utilization=0.6, seed=5)
-        t1 = sc.realise_traces()
-        t2 = sc.realise_traces()
-        for a, b in zip(t1, t2):
+        (r1, r2), _ = realise_batch([sc, sc])
+        (r3,), _ = realise_batch([sc])
+        for a, b, c in zip(r1.traces, r2.traces, r3.traces):
             np.testing.assert_array_equal(a.times, b.times)
             np.testing.assert_array_equal(a.sizes, b.sizes)
+            np.testing.assert_array_equal(a.times, c.times)
+            np.testing.assert_array_equal(a.sizes, c.sizes)
 
     def test_start_offsets_shift_traces_not_envelopes(self):
         base = Scenario(name="p", kinds=("cbr",) * 2, utilization=0.5, seed=3)
@@ -59,11 +81,12 @@ class TestScenarioSpec:
             name="p", kinds=("cbr",) * 2, utilization=0.5, seed=3,
             start_offsets=(0.0, 0.25),
         )
-        t_base, t_skew = base.realise_traces(), skew.realise_traces()
+        (r_base, r_skew), _ = realise_batch([base, skew])
+        t_base, t_skew = r_base.traces, r_skew.traces
         assert t_skew[1].times[0] == pytest.approx(t_base[1].times[0] + 0.25)
-        e_base = base.realise_envelopes(t_base)
-        e_skew = skew.realise_envelopes(t_skew)
-        assert e_base[1].sigma == pytest.approx(e_skew[1].sigma)
+        assert r_base.envelopes[1].sigma == pytest.approx(
+            r_skew.envelopes[1].sigma
+        )
 
     def test_effective_mode_resolves_adaptive(self):
         sc = Scenario(name="a", kinds=("cbr",) * 3, utilization=0.9, mode="adaptive")

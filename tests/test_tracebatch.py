@@ -1,8 +1,8 @@
 """Batched trace synthesis: the bit-identity contract.
 
 ``realise_batch`` is throughput-only: every trace, envelope and
-``_Realised`` execution fact must equal ``runner._realise`` -- what
-the per-cell ``evaluate_cell`` realises -- bit for bit, over generated
+``_Realised`` execution fact must equal the per-cell reference
+realiser (``tests/reference.py``) bit for bit, over generated
 matrices and hand-built edge cells covering every mix kind, start
 offsets, unshared flows and the MTU fragmentation split.  The batch
 sigma kernel is pinned against its scalar reference (including pack
@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 import repro.scenarios.tracebatch as tb
 from repro.scenarios import generate_scenarios
-from repro.scenarios.runner import _realise
 from repro.scenarios.spec import Scenario
 from repro.scenarios.tracebatch import (
     _empirical_sigma_fast,
@@ -26,6 +25,7 @@ from repro.scenarios.tracebatch import (
 )
 from repro.simulation.flow import OnOffSource, PacketTrace
 from repro.workloads.profiles import MIX_KINDS
+from tests.reference import realise
 
 pytestmark = pytest.mark.runtime
 
@@ -35,8 +35,8 @@ def _assert_batch_matches_percell(scenarios):
     assert len(batch) == len(scenarios)
     assert info["lanes_generated"] > 0
     for sc, b in zip(scenarios, batch):
-        p = _realise(sc)
-        assert b is not None, sc.name
+        p = realise(sc)
+        assert not isinstance(b, Exception), sc.name
         assert b.eff_mode == p.eff_mode
         assert b.eff_backend == p.eff_backend
         assert b.mtu == p.mtu
@@ -144,13 +144,15 @@ class TestBatchRealisationEquivalence:
                 pass
             raise RuntimeError("injected generate crash")
 
-        # Crash every onoff lane: the two cells that own one fall back
-        # (None), the audio/cbr-only cell still realises.
+        # Crash every onoff lane: the two cells that own one come back
+        # as the exception, the audio/cbr-only cell still realises.
         monkeypatch.setattr(OnOffSource, "generate", sabotage)
         batch, _ = realise_batch(cells)
         monkeypatch.setattr(OnOffSource, "generate", real)
-        assert batch[0] is None and batch[1] is None
-        assert batch[2] is not None
+        for failed in batch[:2]:
+            assert isinstance(failed, RuntimeError)
+            assert "injected generate crash" in str(failed)
+        assert batch[2].scenario is cells[2]
 
 
 # ----------------------------------------------------------------------
