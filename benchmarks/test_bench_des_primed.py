@@ -1,12 +1,11 @@
-"""Primed fast-path benchmarks (the PR-5 tentpole numbers).
+"""Primed fast-path benchmarks.
 
-PR 3 made the vacation host cheap; PR 5 makes the *rest* of the DES
-hot paths array-first: the sigma-rho host collapses into closed-form
-token-bucket kernels, chain hop 0 resolves without an event loop, and
-whole-tree replication commits one fanout event per busy period per
-child with all cross traffic folded into the MUXes as zero-event
-background trains.  These benchmarks measure exactly those cells (the
-frozen ``BENCH_pr5.json`` at the repo root holds their history).
+PR 3 made the vacation host cheap; the primed paths make the *rest* of
+the adversarial DES array-first: the sigma-rho host collapses into
+closed-form token-bucket kernels, a chain is a loop of closed-form host
+passes, and a whole tree is the same pass per member, top down, with
+no event loop anywhere.  These benchmarks measure exactly those cells
+(the frozen ``BENCH_pr5.json`` at the repo root holds their history).
 
 Floors (generous headroom under observed numbers so CI noise does not
 flake; observed on the 1-core reference container: ~8-9x primed
@@ -138,8 +137,8 @@ def _tree_fixture(members: int, horizon: float):
 @pytest.mark.parametrize("members,horizon,rounds", [(16, 1.5, 3), (64, 1.5, 2)])
 def test_tree_busy_period_fanout_speedup(bench_pr5, artifact_report,
                                          members, horizon, rounds):
-    """Whole-tree DES with busy-period replication and background-folded
-    cross traffic, against the legacy per-packet chain."""
+    """Whole-tree DES as one closed-form pass per member, against the
+    legacy per-packet chain."""
     args, size = _tree_fixture(members, horizon)
     kwargs = dict(mode="sigma-rho", discipline="adversarial")
     t_legacy, legacy = _best_of(

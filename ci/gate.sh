@@ -20,12 +20,27 @@
 # baseline_bound/eps/sound values AND telemetry collection is invisible
 # to summaries (telemetry-on == telemetry-off == pinned baseline,
 # byte for byte, with `scenarios report` rendering the telemetry-on
-# store); 1 otherwise (the CLI's --baseline flag gates the first part
-# in one shot).
+# store) AND the DES corpus, run serially and with --jobs 2, matches
+# ci/baseline_des the same way; 1 otherwise (the CLI's --baseline flag
+# gates the first part in one shot).
 #
 # To re-pin the baseline after an intentional change:
 #   PYTHONPATH=src python -m repro.experiments.cli scenarios run \
 #     --count 24 --seed 11 --no-corpus --store ci/baseline_smoke
+#
+# The smoke matrix is all fluid cells, so a second leg gates the packet
+# DES: the 28 cells of ci/des_corpus.json (24 host and chain cells of
+# generate_scenarios(200, seed=11, horizon=0.8) forced to backend "des",
+# every 4th one FIFO, plus 4 tree_des sigma-rho cells, one FIFO), run
+# serially and with --jobs 2 against the pinned ci/baseline_des store.
+# Both summaries must match it byte for byte, and every record its
+# measured/bound/baseline_bound/eps/sound.  The corpus file is a
+# save_curated file: build the cells above, reseed each with
+# derive_seed(11, "cell", spec_fingerprint(cell)), pass them to
+# repro.scenarios.corpus.save_curated, then re-pin with
+#   PYTHONPATH=src python -m repro.experiments.cli scenarios run \
+#     --count 0 --no-corpus --corpus ci/des_corpus.json --no-telemetry \
+#     --store ci/baseline_des
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -34,7 +49,7 @@ STORE="${1:-$(mktemp -d)/smoke}"
 # Per-cell values, not only the summary (which holds verdict counts and
 # max tightness): each store named must hold exactly the baseline's
 # cell keys, with equal measured/bound/baseline_bound/eps/sound in
-# every record.  Usage: per_cell_gate LABEL STORE...
+# every record.  Usage: per_cell_gate LABEL BASELINE STORE...
 per_cell_gate() {
   PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python - "$@" <<'EOF'
 import json
@@ -52,8 +67,8 @@ def rows(target):
     return {k: json.dumps([r.get(f) for f in FIELDS]) for k, r in records.items()}
 
 
-label, targets = sys.argv[1], sys.argv[2:]
-baseline = rows("ci/baseline_smoke")
+label, pinned, targets = sys.argv[1], sys.argv[2], sys.argv[3:]
+baseline = rows(pinned)
 for target in targets:
     fresh = rows(target)
     if fresh.keys() != baseline.keys():
@@ -96,7 +111,7 @@ for backend in jsonl sqlite; do
 done
 echo "grouped gate: clean (serial grouped == pinned baseline, both backends)"
 
-per_cell_gate "pool and serial" \
+per_cell_gate "pool and serial" ci/baseline_smoke \
   "$STORE" "jsonl:$SERIAL_DIR/jsonl" "sqlite:$SERIAL_DIR/sqlite"
 
 # Telemetry invisibility: collection is on by default, so the smoke
@@ -122,7 +137,7 @@ if [ -e "$TEL_DIR/off/telemetry.jsonl" ]; then
   echo "telemetry gate: FAILED (--no-telemetry store has telemetry.jsonl)" >&2
   exit 1
 fi
-per_cell_gate "telemetry off" "$TEL_DIR/off"
+per_cell_gate "telemetry off" ci/baseline_smoke "$TEL_DIR/off"
 
 # The report lens must render the telemetry the smoke run collected.
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m repro.experiments.cli \
@@ -153,7 +168,7 @@ for backend in jsonl sqlite; do
     exit 1
   fi
 done
-per_cell_gate "chaos" "jsonl:$CHAOS_DIR/jsonl" "sqlite:$CHAOS_DIR/sqlite"
+per_cell_gate "chaos" ci/baseline_smoke "jsonl:$CHAOS_DIR/jsonl" "sqlite:$CHAOS_DIR/sqlite"
 echo "chaos gate: clean (fault-injected summaries byte-identical, both backends)"
 
 # -- coordinator chaos gate: leases never change results -------------------
@@ -177,7 +192,7 @@ for backend in jsonl sqlite; do
     exit 1
   fi
 done
-per_cell_gate "coordinator" "jsonl:$COORD_DIR/jsonl" "sqlite:$COORD_DIR/sqlite"
+per_cell_gate "coordinator" ci/baseline_smoke "jsonl:$COORD_DIR/jsonl" "sqlite:$COORD_DIR/sqlite"
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m repro.experiments.cli \
   scenarios report "sqlite:$COORD_DIR/sqlite" \
   | grep "Lease ledger" >/dev/null || {
@@ -185,3 +200,28 @@ PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m repro.experiments.cli \
   exit 1
 }
 echo "coordinator gate: clean (worker-killing chaos byte-identical, both backends)"
+
+# -- DES gate: the packet simulators against their pinned baseline ---------
+# The curated DES corpus (hosts, chains and whole trees; adversarial and
+# FIFO) serially and through the process pool.  Each run gates against
+# ci/baseline_des (--baseline), must write its summary.json byte for
+# byte, and must reproduce every record's verdict fields.
+DES_DIR="$(mktemp -d)"
+for run in serial jobs2; do
+  jobs=""
+  if [ "$run" = jobs2 ]; then
+    jobs="--jobs 2"
+  fi
+  # shellcheck disable=SC2086  # $jobs is empty or two words
+  PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m repro.experiments.cli \
+    scenarios run \
+    --count 0 --no-corpus --corpus ci/des_corpus.json $jobs \
+    --store "$DES_DIR/$run" \
+    --baseline ci/baseline_des >/dev/null
+  if ! cmp "$DES_DIR/$run/summary.json" ci/baseline_des/summary.json; then
+    echo "DES gate: FAILED ($run summary drifted from pinned baseline)" >&2
+    exit 1
+  fi
+done
+per_cell_gate "DES corpus" ci/baseline_des "$DES_DIR/serial" "$DES_DIR/jobs2"
+echo "DES gate: clean (serial and --jobs 2 byte-identical to ci/baseline_des)"

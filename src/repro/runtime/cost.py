@@ -95,10 +95,12 @@ _DEFAULT_VARIANCE = 1.0
 _PACKETS_PER_SEC = 500.0
 
 
-#: Evented-vs-array per-packet weight inside the primed workloads: the
-#: tagged flow's remaining evented hosts cost roughly this many array
-#: packets each.
-_EVENTED_WEIGHT = 3.0
+#: Weight of each primed chain hop past hop 0 (and of each primed tree
+#: member) per tagged packet, in hop-0 array packets: every such hop is
+#: a closed-form pass that regulates the tagged flow and re-merges it
+#: with the cross departures.  The value was fitted when those hops
+#: still ran event-driven; it only shapes scheduling.
+_TAGGED_HOP_WEIGHT = 3.0
 
 
 def _spec_features(spec: Any) -> tuple[str, float]:
@@ -149,18 +151,20 @@ def _spec_features(spec: Any) -> tuple[str, float]:
     packets = horizon * _PACKETS_PER_SEC * k
     if backend.startswith("tree_des"):
         if primed and backend == "tree_des":
-            # Cross traffic is one array pass per member; only the
-            # tagged flow (1/k of the packets) stays event-driven.
+            # Every member is one closed-form pass; the cross
+            # departures are computed once per tree (outside the
+            # lambda mode), the tagged flow once per member.
             per_flow = horizon * _PACKETS_PER_SEC
-            workload = per_flow * (k + _EVENTED_WEIGHT * max(members, 4.0))
+            workload = per_flow * (k + _TAGGED_HOP_WEIGHT * max(members, 4.0))
             return "tree_des_primed", workload
         # Every member runs the full pipeline for all K flows.
         return backend, packets * max(members, 4.0)
     if primed and backend == "des":
-        # Hop 0 (all K flows) is one array pass; later hops carry only
-        # the tagged flow, evented.
+        # Every hop is one closed-form pass; hop 0 regulates all K
+        # flows, later hops only the tagged flow (the cross departures
+        # are reused outside the lambda mode).
         per_flow = horizon * _PACKETS_PER_SEC
-        workload = per_flow * (k + _EVENTED_WEIGHT * max(hops - 1.0, 0.0))
+        workload = per_flow * (k + _TAGGED_HOP_WEIGHT * max(hops - 1.0, 0.0))
         return "des_primed", workload
     return backend, packets * hops
 

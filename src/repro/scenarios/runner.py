@@ -126,8 +126,8 @@ class CellResult:
     height_ok: bool
     quant_eps: float
     #: Whether the simulator resolved the cell on a closed-form primed
-    #: fast path (array kernels / background-folded cross traffic);
-    #: the cost model prices primed cells on their own coefficient.
+    #: fast path (array kernels, no event loop); the cost model prices
+    #: primed cells on their own coefficient.
     primed: bool = False
 
 

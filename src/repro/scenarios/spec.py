@@ -44,6 +44,7 @@ from repro.workloads.profiles import MIX_KINDS, TrafficMix, make_mix
 __all__ = [
     "TOPOLOGIES",
     "BACKENDS",
+    "DISCIPLINES",
     "SCENARIO_MODES",
     "Scenario",
     "scenario_from_dict",
@@ -62,6 +63,8 @@ TOPOLOGIES = ("host", "chain", "tree")
 #: engine; the per-packet legacy engine is reachable only through the
 #: simulators' ``engine="legacy"``, as the equivalence suite's oracle.
 BACKENDS = ("fluid", "des", "tree_des")
+#: MUX service disciplines of the measurement.
+DISCIPLINES = ("adversarial", "fifo", "priority")
 #: Control modes (``adaptive`` resolves per realisation).
 SCENARIO_MODES = ("sigma-rho", "sigma-rho-lambda", "adaptive")
 
@@ -174,6 +177,23 @@ class Scenario:
         if self.backend not in BACKENDS:
             raise ValueError(
                 f"backend must be one of {BACKENDS}, got {self.backend!r}"
+            )
+        if self.discipline not in DISCIPLINES:
+            raise ValueError(
+                f"discipline must be one of {DISCIPLINES}, "
+                f"got {self.discipline!r}"
+            )
+        # Exact types: True and 1.0 would run seed 1's computation (or
+        # fail inside realisation) under a different cell key.
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
+            raise TypeError(f"seed must be an int, got {self.seed!r}")
+        if not isinstance(self.shared, bool):
+            raise TypeError(f"shared must be a bool, got {self.shared!r}")
+        if not isinstance(self.tags, tuple) or not all(
+            isinstance(tag, str) for tag in self.tags
+        ):
+            raise TypeError(
+                f"tags must be a tuple of strings, got {self.tags!r}"
             )
         check_positive_int(self.hops, "hops")
         check_non_negative_int(self.tree_members, "tree_members")

@@ -24,43 +24,39 @@ This module exploits exactly that structure, at three levels:
 
 :class:`BatchVacationComponent` / :class:`BatchMuxServer`
     Drop-in evented components for pipelines whose arrivals are *not*
-    known in advance (chain hops, whole trees).  The vacation component
-    commits a whole window's worth of service per wakeup (one
-    continuation event per busy train instead of one finish event per
-    packet); the MUX commits each packet's departure at arrival time
-    (the constant-rate drain is a running ``busy_until`` float, no
-    internal heap, no per-packet finish/start-next events) and, under
-    the adversarial discipline, delivers each busy period with a single
-    lazily-rescheduled release event.
+    known in advance: FIFO cells, the vacation regulators of priority
+    cells, and the ``engine="evented"`` oracle the primed paths are
+    pinned against.
+    The vacation component commits a whole window's worth of service
+    per wakeup (one continuation event per busy train instead of one
+    finish event per packet); the MUX commits each packet's departure
+    at arrival time (the constant-rate drain is a running
+    ``busy_until`` float, no internal heap, no per-packet
+    finish/start-next events) and, under the adversarial discipline,
+    delivers each busy period with a single lazily-rescheduled release
+    event.
 
-:func:`primed_adversarial_host`
-    The array fast path for fully-known single-host cells: all flows'
-    traces are known up front, so the entire cell -- regulators,
+:func:`primed_adversarial_host` / :func:`primed_tagged_hop`
+    The array fast paths for fully-known adversarial hosts: every
+    flow's trace is known up front, so a host -- regulators,
     adversarial MUX, delay recording -- collapses into NumPy passes
     over merged departure arrays with *no per-packet events at all*.
     :func:`sigma_rho_departures` is the token-bucket analogue of
     :func:`vacation_departures` (closed-form departures, float ops
     sequenced identically to the legacy ``TokenBucketComponent``); one
     private per-flow dispatch (``_flow_departures``) picks between them
-    -- or the raw arrival times for mode ``none`` -- for the host
-    kernel and for the background trains below.  The host kernel
-    serves :func:`repro.simulation.host_sim.simulate_regulated_host`
-    whenever the batched engine meets ``discipline="adversarial"``,
-    the primed DES group of the cell matrix, and
-    :func:`repro.simulation.chain.simulate_regulated_chain` to resolve
-    hop 0 (whose arrivals are all known) as a pure array pass.
-
-Background-primed MUX (:meth:`BatchMuxServer.prime_background`)
-    Chain hops past hop 0 and every tree member host serve K-1 *cross*
-    flows whose traces are known up front while the tagged flow stays
-    event-driven.  The cross flows' regulator departures are closed
-    form, so they are folded into the MUX as a sorted *background
-    train*: they occupy the server (extending busy periods exactly as
-    evented arrivals would) but materialise **no events and no Packet
-    objects at all** -- the running ``busy_until`` recurrence absorbs
-    them lazily whenever a dynamic arrival or release check happens.
-    Packets materialise only where the adversarial MUX genuinely needs
-    events: the tagged flow.
+    -- or the raw arrival times for mode ``none`` -- for both.  The
+    host kernel serves
+    :func:`repro.simulation.host_sim.simulate_regulated_host` whenever
+    the batched engine meets ``discipline="adversarial"`` and the
+    primed DES group of the cell matrix.  The hop kernel serves every
+    hop of :func:`repro.simulation.chain.simulate_regulated_chain` and
+    every member of
+    :func:`repro.simulation.tree_sim.simulate_multicast_tree`: a hop's
+    tagged arrivals are the previous hop's deliveries plus the link
+    delay, so a chain is a loop of host passes and a tree the same
+    pass per member, top down.  Its docstring holds the one tie-order
+    rule those passes share.
 
 Equivalence contract: for every supported configuration the batched
 components must reproduce the legacy components' measured delays
@@ -90,11 +86,12 @@ __all__ = [
     "BatchVacationComponent",
     "BatchMuxServer",
     "primed_adversarial_host",
+    "primed_tagged_hop",
     "PrimedHostOutcome",
     "PRIMED_MODES",
 ]
 
-#: Control modes :func:`primed_adversarial_host` resolves closed-form.
+#: Control modes the primed passes resolve closed-form.
 PRIMED_MODES = ("sigma-rho", "sigma-rho-lambda", "none")
 
 #: Window-boundary tolerance -- identical to the legacy component's
@@ -291,7 +288,8 @@ def sigma_rho_departures(
       real arithmetic event the replay must keep.
 
     Returns ``(departures, drains)`` where ``drains`` counts drain
-    passes -- the evented path's event-count analogue.
+    passes -- the evented path's event-count analogue; a run of
+    arrivals at one instant is one drain, as one ``receive_batch`` is.
     """
     times = np.ascontiguousarray(times, dtype=np.float64)
     sizes = np.ascontiguousarray(sizes, dtype=np.float64)
@@ -313,6 +311,11 @@ def sigma_rho_departures(
         if arrived < n and (wake is None or t_l[arrived] <= wake):
             t = t_l[arrived]
             arrived += 1
+            # A run of same-instant arrivals is one drain, as in the
+            # evented bucket's receive_batch: the refills between them
+            # are zero-elapsed, so departures cannot change.
+            while arrived < n and t_l[arrived] == t:
+                arrived += 1
         else:
             t = wake
             wake = None  # the wake event is consumed by firing
@@ -486,21 +489,6 @@ class BatchMuxServer:
     ``receive_batch`` call when the target supports it, which is what
     lets tree replication commit one fanout event per busy period per
     child instead of one per packet.
-
-    **Background trains** (:meth:`prime_background`): flows whose full
-    MUX-arrival train is known up front (cross traffic through
-    closed-form regulators) need neither events nor ``Packet``
-    objects.  Their sorted ``(times, sizes)`` arrays are folded into
-    the ``busy_until`` recurrence lazily -- on each dynamic arrival
-    (arrivals up to and including ``now``: background events were
-    scheduled first, so they precede equal-time dynamic ones) and on
-    each release check (strictly before ``now``: the release decision
-    carries priority -1, so it precedes equal-time arrivals).
-    Background packets occupy the server and extend busy periods
-    exactly as evented arrivals would, but are never delivered and
-    never counted in ``served_count`` (their delivery target is the
-    cross-traffic drop sink).  ``queue_length``/``backlog`` report
-    held *dynamic* packets only.
     """
 
     def __init__(
@@ -529,11 +517,6 @@ class BatchMuxServer:
         self._check = None
         self.served_count = 0
         self.served_data = 0.0
-        #: Background train (sorted arrival times / serialisation
-        #: times) plus the fold pointer; see :meth:`prime_background`.
-        self._bg_t: list[float] = []
-        self._bg_tx: list[float] = []
-        self._bg_i = 0
 
     @property
     def queue_length(self) -> int:
@@ -544,60 +527,9 @@ class BatchMuxServer:
     def backlog(self) -> float:
         return sum(p.size for p in self._held)
 
-    # -- background trains -------------------------------------------------
-    def prime_background(self, times, sizes) -> None:
-        """Install a known train of arrivals that occupy the server but
-        are never delivered (cross traffic bound for a drop sink).
-
-        ``times`` must be non-decreasing; ``sizes`` are packet sizes in
-        capacity-seconds (the serialisation-time division happens here,
-        elementwise -- identical IEEE results to the evented per-packet
-        ``size / capacity``).  May be called once per MUX, before any
-        dynamic traffic is processed.
-        """
-        times = np.ascontiguousarray(times, dtype=np.float64)
-        sizes = np.ascontiguousarray(sizes, dtype=np.float64)
-        if times.size and np.any(np.diff(times) < 0):
-            raise ValueError("background train times must be non-decreasing")
-        if self._bg_t or self._bg_i:
-            raise ValueError("background train already primed")
-        if self._busy_until != -np.inf or self._held:
-            raise ValueError(
-                "prime_background must precede any dynamic traffic"
-            )
-        self._bg_t = times.tolist()
-        self._bg_tx = (sizes / self.capacity).tolist()
-        self._bg_i = 0
-
-    def _fold_background(self, limit: float, *, strict: bool) -> None:
-        """Advance ``busy_until`` over background arrivals up to
-        ``limit`` (exclusive when ``strict``).  The recurrence is the
-        exact arithmetic of :meth:`receive`: ``start = max(t, bu)``
-        then ``start + tx``."""
-        i = self._bg_i
-        bg_t = self._bg_t
-        n = len(bg_t)
-        if i >= n:
-            return
-        bg_tx = self._bg_tx
-        bu = self._busy_until
-        while i < n:
-            t = bg_t[i]
-            if t > limit or (strict and t == limit):
-                break
-            start = t if t > bu else bu
-            bu = start + bg_tx[i]
-            i += 1
-        self._bg_i = i
-        self._busy_until = bu
-
     # -- component interface ----------------------------------------------
     def receive(self, packet: Packet) -> None:
         now = self.sim.now
-        if self._bg_i < len(self._bg_t):
-            # Background arrivals up to *and including* now precede
-            # this dynamic arrival (they were scheduled first).
-            self._fold_background(now, strict=False)
         bu = self._busy_until
         start = now if now > bu else bu
         dep = start + packet.size / self.capacity
@@ -623,11 +555,6 @@ class BatchMuxServer:
             self.receive(pkt)
 
     def _release_check(self) -> None:
-        if self._bg_i < len(self._bg_t):
-            # Strictly-before-now only: an arrival at exactly the
-            # release instant opens a fresh busy period (priority -1
-            # runs first in the evented order).
-            self._fold_background(self.sim.now, strict=True)
         if self.sim.now < self._busy_until:
             # Arrivals extended the busy period past this check's
             # horizon: chase the new end (no cancellation residue).
@@ -681,34 +608,17 @@ class BatchMuxServer:
 
 
 # ----------------------------------------------------------------------
-# The primed single-host fast paths
+# The primed fast paths
 # ----------------------------------------------------------------------
 class PrimedHostOutcome:
-    """Raw product of the primed host passes (arrays, no Packets).
+    """Raw product of the primed host passes (arrays, no Packets)."""
 
-    ``per_flow_deliveries`` carries each flow's absolute delivery
-    instants in emission order -- the chain simulator consumes them to
-    forward hop-0 output into hop 1 without ever materialising hop-0
-    packets.
-    """
-
-    __slots__ = (
-        "per_flow_delays", "per_flow_deliveries", "trains", "busy_periods",
-    )
+    __slots__ = ("per_flow_delays", "trains", "busy_periods")
 
     def __init__(
-        self,
-        per_flow_delays: list[np.ndarray],
-        trains: int,
-        busy_periods: int,
-        per_flow_deliveries: Optional[list[np.ndarray]] = None,
+        self, per_flow_delays: list[np.ndarray], trains: int, busy_periods: int
     ):
         self.per_flow_delays = per_flow_delays
-        self.per_flow_deliveries = (
-            per_flow_deliveries
-            if per_flow_deliveries is not None
-            else [np.empty(0) for _ in per_flow_delays]
-        )
         self.trains = trains
         self.busy_periods = busy_periods
 
@@ -769,7 +679,7 @@ def _merge_and_deliver(
     drain: bool,
 ) -> PrimedHostOutcome:
     """Merge per-flow regulator departures through the adversarial MUX
-    pass and split delays/deliveries back per flow."""
+    pass and split delays back per flow."""
     k = len(dep_list)
     flow_list = [
         np.full(d.size, f, dtype=np.int64) for f, d in enumerate(dep_list)
@@ -780,10 +690,9 @@ def _merge_and_deliver(
     flows = np.concatenate(flow_list) if flow_list else np.empty(0, dtype=np.int64)
     n = arr.size
     if n == 0:
-        empty = [np.empty(0) for _ in range(k)]
-        return PrimedHostOutcome(empty, 0, 0, [np.empty(0) for _ in range(k)])
-    # Stable sort: equal departure instants keep flow-injection order,
-    # matching the evented engines' event-sequence tie-break.
+        return PrimedHostOutcome([np.empty(0) for _ in range(k)], 0, 0)
+    # Stable sort: equal departure instants keep flow order, the
+    # injection order of a host (see primed_tagged_hop's tie order).
     order = np.argsort(arr, kind="stable")
     arr = arr[order]
     emits = emits[order]
@@ -801,8 +710,7 @@ def _merge_and_deliver(
     # Per-flow split preserves emission order: each flow's regulator
     # departures are non-decreasing, and the sort above is stable.
     per_flow = [delays[flows == f] for f in range(k)]
-    per_deliv = [delivery[flows == f] for f in range(k)]
-    return PrimedHostOutcome(per_flow, trains, busy_periods, per_deliv)
+    return PrimedHostOutcome(per_flow, trains, busy_periods)
 
 
 def _stagger_schedule(
@@ -853,6 +761,25 @@ def _flow_departures(
     return np.ascontiguousarray(times, dtype=np.float64), 0
 
 
+def _primed_schedule(
+    envelopes: Sequence, mode: str, capacity: float, stagger_phase: float
+) -> Optional[tuple]:
+    """Check a primed pass's mode and capacity; return the vacation
+    stagger schedule of its host (``None`` outside
+    ``"sigma-rho-lambda"``)."""
+    if mode not in PRIMED_MODES:
+        raise ValueError(
+            f"primed adversarial hosts support modes {PRIMED_MODES}, "
+            f"got {mode!r}"
+        )
+    check_positive(capacity, "capacity")
+    if mode != "sigma-rho-lambda":
+        return None
+    return _stagger_schedule(
+        AdaptiveController(envelopes, capacity), stagger_phase
+    )
+
+
 def _primed_departures(
     traces: Sequence[tuple[np.ndarray, np.ndarray]],
     envelopes: Sequence,
@@ -867,19 +794,7 @@ def _primed_departures(
 
     ``dep_cache`` / ``cache_keys``: see :func:`primed_adversarial_host`.
     """
-    if mode not in PRIMED_MODES:
-        raise ValueError(
-            f"primed adversarial hosts support modes {PRIMED_MODES}, "
-            f"got {mode!r}"
-        )
-    check_positive(capacity, "capacity")
-    schedule = (
-        _stagger_schedule(
-            AdaptiveController(envelopes, capacity), stagger_phase
-        )
-        if mode == "sigma-rho-lambda"
-        else None
-    )
+    schedule = _primed_schedule(envelopes, mode, capacity, stagger_phase)
     dep_list: list[np.ndarray] = []
     emit_list: list[np.ndarray] = []
     size_list: list[np.ndarray] = []
@@ -959,3 +874,97 @@ def primed_adversarial_host(
         dep_list, emit_list, size_list,
         capacity=capacity, trains=trains, horizon=horizon, drain=drain,
     )
+
+
+def primed_tagged_hop(
+    arrivals: np.ndarray,
+    sizes: np.ndarray,
+    cross: Sequence,
+    envelopes: Sequence,
+    mode: str,
+    *,
+    capacity: float,
+    stagger_phase: float,
+    cross_cache: dict,
+    tagged_first: bool = False,
+) -> tuple[np.ndarray, int]:
+    """Tagged-flow deliveries of one fully-known adversarial host.
+
+    One hop of a relayed tagged flow (flow 0): ``arrivals`` and
+    ``sizes`` are its arrival instants at this host and its packet
+    sizes; ``cross`` holds the K-1 cross traces (flows 1..K-1, objects
+    with ``times`` and ``sizes``) entering the host.  Every flow is
+    regulated in closed form and the merged departures take the
+    adversarial MUX pass of :func:`primed_adversarial_host`; ``mode``
+    must already be resolved.  Returns the tagged flow's delivery
+    instants, in emission order, and the passes run: regulator passes
+    plus one release per MUX busy period holding tagged packets (a
+    period of cross traffic alone delivers nothing that is measured or
+    forwarded).
+
+    **Tie order.**  At equal MUX instants service times add in arrival
+    order, and that order changes the last bits of the busy-period
+    ends.  The pass serves equal instants in the order the evented
+    pipeline (``engine="evented"``) sees them:
+
+    * ``tagged_first=True``: the tagged flow, then the cross flows in
+      flow order.  This is injection order at chain hop 0, whose
+      tagged flow is injected before its cross traffic, and the order
+      :func:`primed_adversarial_host` serves every host in.
+    * ``tagged_first=False``: the cross flows first, in flow order,
+      then the tagged flow.  This holds at chain hops past 0, whose
+      tagged packets are relayed at run time after every cross packet
+      was injected, and at every tree member, the root included, since
+      the tree injects all cross traffic before the tagged flow.
+
+    ``cross_cache``, a dict owned by one chain or tree call, computes
+    each cross flow's departures once per call.  Outside
+    ``"sigma-rho-lambda"`` they depend only on the trace, the flow
+    index and the capacity, so entries are keyed by
+    ``(id(trace), f, capacity)`` and hold the trace, which keeps its
+    ``id`` valid; a reused entry adds no passes.  The lambda mode's
+    stagger offsets differ per hop, so its cross departures are
+    recomputed at every hop.
+    """
+    schedule = _primed_schedule(envelopes, mode, capacity, stagger_phase)
+    tagged_deps, passes = _flow_departures(
+        mode, 0, arrivals, sizes, envelopes, capacity, schedule
+    )
+    # Outside the lambda mode (no stagger schedule) cross departures
+    # do not depend on the hop.
+    cacheable = schedule is None
+    dep_parts = [tagged_deps]
+    size_parts = [np.asarray(sizes, dtype=np.float64)]
+    for f, tr in enumerate(cross, start=1):
+        key = (id(tr), f, capacity)
+        entry = cross_cache.get(key) if cacheable else None
+        if entry is None:
+            deps, n = _flow_departures(
+                mode, f, tr.times, tr.sizes, envelopes, capacity, schedule
+            )
+            passes += n
+            entry = (tr, deps)
+            if cacheable:
+                cross_cache[key] = entry
+        dep_parts.append(entry[1])
+        size_parts.append(tr.sizes)
+    if not tagged_first:
+        dep_parts.append(dep_parts.pop(0))
+        size_parts.append(size_parts.pop(0))
+    arr = np.concatenate(dep_parts)
+    if arr.size == 0:
+        return arr, passes
+    # Stable sort: equal instants keep the list order set above.
+    order = np.argsort(arr, kind="stable")
+    delivery, _ = _adversarial_mux_deliveries(
+        arr[order], np.concatenate(size_parts)[order] / capacity
+    )
+    n_tagged = tagged_deps.size
+    is_tagged = (
+        order < n_tagged if tagged_first else order >= arr.size - n_tagged
+    )
+    tagged = delivery[is_tagged]
+    # Busy-period ends strictly increase, so each distinct delivery
+    # instant is one release.
+    releases = int(np.count_nonzero(np.diff(tagged))) + 1 if tagged.size else 0
+    return tagged, passes + releases

@@ -12,6 +12,13 @@ are used in the test suite to validate this critical-path reduction.
 Propagation delays between consecutive hosts are taken from the overlay
 path (underlay shortest-path latencies); queueing/regulation delays
 emerge from the components.
+
+Under the batched engine with the adversarial discipline every flow's
+traffic is known hop by hop, so the chain is a loop of closed-form host
+passes (:func:`repro.simulation.batched.primed_tagged_hop`) with no
+event loop: hop h's tagged arrivals are hop h-1's deliveries plus the
+propagation delay.  Every other configuration runs the evented
+pipeline.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.calculus.envelope import ArrivalEnvelope
-from repro.simulation.batched import PRIMED_MODES, primed_adversarial_host
+from repro.simulation.batched import PRIMED_MODES, primed_tagged_hop
 from repro.simulation.engine import Simulator
 from repro.simulation.flow import PacketTrace
 from repro.simulation.host_sim import (
@@ -43,11 +50,14 @@ class ChainResult:
     hops: int
     worst_case_delay: float
     tagged_stats: DelayStats
+    #: Events processed by the evented pipeline; for a primed chain the
+    #: closed-form passes it ran instead (regulator passes plus MUX
+    #: busy periods, summed over hops).
     events: int
     #: Cancelled events popped off the heap (see ``HostResult``).
     cancelled_events: int = 0
-    #: Whether hop 0 (and the cross traffic of every later hop) was
-    #: resolved closed-form (see ``simulate_regulated_chain`` notes).
+    #: Whether every hop was resolved closed-form (see
+    #: ``simulate_regulated_chain`` notes).
     primed: bool = False
 
 
@@ -56,7 +66,7 @@ class _Relay:
 
     def __init__(self, sim: Simulator, delay: float, next_entry):
         self.sim = sim
-        self.delay = check_non_negative(delay, "propagation delay")
+        self.delay = delay
         self.next_entry = next_entry
 
     def receive(self, packet: Packet) -> None:
@@ -122,9 +132,15 @@ def simulate_regulated_chain(
         scenario sweeps shift it).
     propagation:
         Per-hop propagation delay entering each host (length ``hops``;
-        index 0 is source -> host 0).  Defaults to zero.
+        index 0 is source -> host 0).  Defaults to zero; every entry
+        must be finite and non-negative.
+    horizon:
+        Injection stops here (defaults to just past the tagged flow's
+        last emission); cross traffic is cut at the same instant.
     engine:
-        ``"batched"`` (window-batched components, default) or
+        ``"batched"`` (window-batched components plus the closed-form
+        primed path, default), ``"evented"`` (the same components, never
+        primed -- the oracle the primed path is pinned against) or
         ``"legacy"`` (per-packet event chain); see
         :func:`repro.simulation.host_sim.build_regulated_host`.
 
@@ -133,16 +149,14 @@ def simulate_regulated_chain(
     Consecutive hosts use staggered vacation offsets shifted by half a
     window so the tagged flow does not ride a lucky synchronisation.
 
-    Under the batched engine with the adversarial discipline the chain
-    is *array-first*: every flow entering hop 0 is known up front, so
-    hop 0 resolves as one closed-form pass
-    (:func:`repro.simulation.batched.primed_adversarial_host`) and the
-    tagged packets materialise only at hop 1; the K-1 cross flows of
-    every later hop are likewise known up front, so their regulator
-    departures fold into each hop's MUX as a zero-event background
-    train.  Only the tagged flow is event-driven past hop 0, and its
-    inter-hop handoff travels one relay event per MUX busy period.
-    Measured delays are bit-identical to the fully evented batched
+    Under the batched engine with the adversarial discipline every
+    flow entering a hop is known once the previous hop is resolved, so
+    each hop is one closed-form host pass
+    (:func:`repro.simulation.batched.primed_tagged_hop`) and no
+    ``Simulator`` runs: hop h's tagged arrivals are hop h-1's
+    deliveries plus ``propagation[h]``.  Cross departures are computed
+    once per call outside the lambda mode.  ``events`` then counts the
+    passes run, and measured delays are bit-identical to the evented
     engine (``engine="evented"``).
     """
     hops = len(cross_traces_per_hop)
@@ -158,48 +172,55 @@ def simulate_regulated_chain(
         propagation = [0.0] * hops
     if len(propagation) != hops:
         raise ValueError("propagation must have one entry per hop")
+    for h, delay in enumerate(propagation):
+        check_non_negative(delay, f"propagation[{h}]")
     if horizon is None:
         horizon = float(tagged_trace.times[-1]) + 1e-9 if len(tagged_trace) else 1.0
 
+    tagged_in = tagged_trace.restrict(horizon)
+    # Restrict each distinct cross trace once: callers typically pass
+    # the same cross list at every hop.
+    restricted: dict[int, PacketTrace] = {}
+    cross_in = []
+    for cross in cross_traces_per_hop:
+        for trace in cross:
+            if id(trace) not in restricted:
+                restricted[id(trace)] = trace.restrict(horizon)
+        cross_in.append([restricted[id(trace)] for trace in cross])
+
     mode_eff = resolve_mode(mode, envelopes, capacity)
-    primed = (
+    if (
         engine == "batched"
         and discipline == "adversarial"
         and mode_eff in PRIMED_MODES
-    )
-    tagged_in = tagged_trace.restrict(horizon)
-    cross_in = [
-        [trace.restrict(horizon) for trace in cross]
-        for cross in cross_traces_per_hop
-    ]
-
-    batch_events = 0
-    if primed:
-        # Hop 0: every flow's arrival train is known, so the whole host
-        # (regulators, adversarial MUX, delivery) is one array pass.
-        # The tagged flow enters after its access propagation delay;
-        # delays are still measured against the original emissions.
-        outcome0 = primed_adversarial_host(
-            [(tagged_in.times + propagation[0], tagged_in.sizes)]
-            + [(tr.times, tr.sizes) for tr in cross_in[0]],
-            envelopes,
-            mode_eff,
-            capacity=capacity,
-            stagger_phase=(stagger_phase + 0 * 0.37) % 1.0,
-        )
-        batch_events = outcome0.batch_events
-        hop0_out = outcome0.per_flow_deliveries[0]
-        if hops == 1:
-            stats = DelayStats.from_delays(hop0_out - tagged_in.times)
-            return ChainResult(
-                mode=mode,
-                hops=hops,
-                worst_case_delay=stats.worst,
-                tagged_stats=stats,
-                events=batch_events,
-                cancelled_events=0,
-                primed=True,
+    ):
+        cross_cache: dict = {}
+        events = 0
+        # The source hands the tagged flow to hop 0 as every hop hands
+        # it to the next: deliveries plus the propagation delay.
+        deliveries = tagged_in.times
+        for h in range(hops):
+            deliveries, passes = primed_tagged_hop(
+                deliveries + propagation[h],
+                tagged_in.sizes,
+                cross_in[h],
+                envelopes,
+                mode_eff,
+                capacity=capacity,
+                stagger_phase=(stagger_phase + h * 0.37) % 1.0,
+                tagged_first=(h == 0),
+                cross_cache=cross_cache,
             )
+            events += passes
+        stats = DelayStats.from_delays(deliveries - tagged_in.times)
+        return ChainResult(
+            mode=mode,
+            hops=hops,
+            worst_case_delay=stats.worst,
+            tagged_stats=stats,
+            events=events,
+            primed=True,
+        )
 
     sim = Simulator()
     recorder = DelayRecorder(sim)
@@ -207,11 +228,9 @@ def simulate_regulated_chain(
     # The adversarial priority order serves the tagged flow last: larger
     # value = later service in MuxServer, so tagged flow 0 gets k.
     # Build hosts back to front so each host's tagged-flow output can be
-    # wired to the next host's entry.  With hop 0 primed, its host is
-    # never built -- the closed-form deliveries feed hop 1 directly.
-    first_hop = 1 if primed else 0
+    # wired to the next host's entry.
     entries_per_hop: list = [None] * hops
-    for h in reversed(range(first_hop, hops)):
+    for h in reversed(range(hops)):
         if h == hops - 1:
             tagged_sink = recorder
         else:
@@ -230,42 +249,23 @@ def simulate_regulated_chain(
             # golden-ratio-ish fraction of the stagger period.
             stagger_phase=(stagger_phase + h * 0.37) % 1.0,
             engine=engine,
-            # Cross traffic is known up front: fold it into the MUX as
-            # a zero-event background train instead of injecting it.
-            primed_traces=(
-                {f: cross_in[h][f - 1] for f in range(1, k)} if primed else None
-            ),
         )
         mux.priorities = {0: k, **{f: f for f in range(1, k)}}
         entries_per_hop[h] = entries
 
-    if primed:
-        # The hop-0 array pass feeds hop 1: tagged packets materialise
-        # here, one delivery event each (the only per-packet events the
-        # chain still pays), sorted into an empty queue.
-        sim.schedule_batch(
-            hop0_out + propagation[1],
-            entries_per_hop[1][0].receive,
-            (
-                (Packet(flow_id=0, size=float(s), t_emit=float(t), hops=1),)
-                for t, s in zip(tagged_in.times, tagged_in.sizes)
-            ),
-        )
-    else:
-        # Tagged flow enters host 0 after its access propagation delay.
-        first_entry = entries_per_hop[0][0]
-        sim.schedule_batch(
-            tagged_in.times + propagation[0],
-            first_entry.receive,
-            (
-                (Packet(flow_id=0, size=float(s), t_emit=float(t)),)
-                for t, s in zip(tagged_in.times, tagged_in.sizes)
-            ),
-        )
-        # Cross flows enter their hop directly.
-        for h, cross in enumerate(cross_in):
-            for f, trace in enumerate(cross, start=1):
-                inject_trace(sim, trace, f, entries_per_hop[h][f])
+    # Tagged flow enters host 0 after its access propagation delay,
+    # ahead of the cross flows, which enter their hop directly.
+    sim.schedule_batch(
+        tagged_in.times + propagation[0],
+        entries_per_hop[0][0].receive,
+        (
+            (Packet(flow_id=0, size=float(s), t_emit=float(t)),)
+            for t, s in zip(tagged_in.times, tagged_in.sizes)
+        ),
+    )
+    for h, cross in enumerate(cross_in):
+        for f, trace in enumerate(cross, start=1):
+            inject_trace(sim, trace, f, entries_per_hop[h][f])
 
     sim.run()
     # Function-local import: keeps the simulation layer importable
@@ -279,7 +279,6 @@ def simulate_regulated_chain(
         hops=hops,
         worst_case_delay=stats.worst,
         tagged_stats=stats,
-        events=sim.events_processed + batch_events,
+        events=sim.events_processed,
         cancelled_events=sim.cancelled_events,
-        primed=primed,
     )

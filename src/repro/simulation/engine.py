@@ -157,8 +157,6 @@ class Simulator:
         times: Sequence[float],
         callback: Callable[..., None],
         args_seq: Optional[Iterable[tuple]] = None,
-        *,
-        priority: int = 0,
     ) -> list[ScheduledEvent]:
         """Schedule ``callback(*args)`` at every time of a whole train.
 
@@ -183,12 +181,12 @@ class Simulator:
         sim = self
         if args_seq is None:
             events = [
-                ScheduledEvent(t, priority, next(seq), callback, (), sim)
+                ScheduledEvent(t, 0, next(seq), callback, (), sim)
                 for t in times
             ]
         else:
             events = [
-                ScheduledEvent(t, priority, next(seq), callback, args, sim)
+                ScheduledEvent(t, 0, next(seq), callback, args, sim)
                 for t, args in zip(times, args_seq)
             ]
             if len(events) != len(times):

@@ -24,9 +24,7 @@ Control modes
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
-
-import numpy as np
+from typing import Optional, Sequence
 
 from repro.calculus.envelope import ArrivalEnvelope
 from repro.core.adaptive import AdaptiveController, ControlMode
@@ -34,7 +32,6 @@ from repro.simulation.batched import (
     PRIMED_MODES,
     BatchMuxServer,
     BatchVacationComponent,
-    _flow_departures,
     _stagger_schedule,
     primed_adversarial_host,
 )
@@ -125,28 +122,6 @@ def resolve_mode(
     )
 
 
-class _PrimedEntry:
-    """Entry sentinel for a flow whose traffic was primed closed-form.
-
-    A primed flow's packets must never be injected -- its regulator
-    departures are already folded into the MUX background train -- so
-    any ``receive`` on this entry is a builder-contract violation.
-    """
-
-    __slots__ = ("flow_id",)
-
-    def __init__(self, flow_id: int):
-        self.flow_id = flow_id
-
-    def receive(self, packet: Packet) -> None:
-        raise RuntimeError(
-            f"flow {self.flow_id} was primed closed-form; do not inject "
-            "its trace into the evented pipeline"
-        )
-
-    receive_batch = receive
-
-
 def build_regulated_host(
     sim: Simulator,
     envelopes: Sequence[ArrivalEnvelope],
@@ -157,9 +132,13 @@ def build_regulated_host(
     discipline: str = "priority",
     stagger_phase: float = 0.0,
     engine: str = "batched",
-    primed_traces: Optional[Mapping[int, PacketTrace]] = None,
 ):
     """Assemble regulators + MUX for one end host; return per-flow entry points.
+
+    This is the evented pipeline: FIFO and priority cells, and the
+    ``"evented"``/``"legacy"`` oracles.  Adversarial cells whose traffic
+    is fully known never build it under the batched engine -- they run
+    the closed-form passes of :mod:`repro.simulation.batched`.
 
     Parameters
     ----------
@@ -193,16 +172,6 @@ def build_regulated_host(
         engine's (whose release at exact ties was an event-order race).
         ``"priority"`` MUXes always use the legacy server (a strict
         priority order cannot be committed ahead of arrivals).
-    primed_traces:
-        Optional ``flow_id -> PacketTrace`` of flows whose *complete*
-        arrival traces are known up front (cross traffic).  Their
-        regulator departures are computed closed-form and folded into
-        the MUX as a zero-event background train
-        (:meth:`repro.simulation.batched.BatchMuxServer.prime_background`);
-        the returned entry for such a flow is a sentinel that rejects
-        injection.  Requires a batch engine and a fifo/adversarial
-        discipline (the callers gate on adversarial, where delivery
-        instants are provably tie-order invariant).
 
     Returns
     -------
@@ -222,13 +191,6 @@ def build_regulated_host(
             if controller.select_mode() is ControlMode.SIGMA_RHO
             else "sigma-rho-lambda"
         )
-    # One stagger schedule serves both the vacation entries and the
-    # primed cross-flow departures below.
-    schedule = (
-        _stagger_schedule(controller, stagger_phase)
-        if mode == "sigma-rho-lambda"
-        else None
-    )
     priorities = {i: i for i in range(len(envelopes))}
     if engine in _BATCH_ENGINES and discipline in ("fifo", "adversarial"):
         mux = BatchMuxServer(
@@ -237,12 +199,6 @@ def build_regulated_host(
     else:
         mux = MuxServer(
             sim, capacity, sink, discipline=discipline, priorities=priorities
-        )
-    if primed_traces and not isinstance(mux, BatchMuxServer):
-        raise ValueError(
-            "primed_traces requires a batch engine with a fifo or "
-            f"adversarial discipline, got engine={engine!r} "
-            f"discipline={discipline!r}"
         )
     if mode == "none":
         entries: list = [mux] * len(envelopes)
@@ -259,28 +215,8 @@ def build_regulated_host(
         )
         entries = [
             vacation_cls(sim, reg, mux, offset=off, out_rate=capacity)
-            for reg, off in zip(*schedule)
+            for reg, off in zip(*_stagger_schedule(controller, stagger_phase))
         ]
-    if primed_traces:
-        dep_parts: list[np.ndarray] = []
-        size_parts: list[np.ndarray] = []
-        for f in sorted(primed_traces):
-            trace = primed_traces[f]
-            if not 0 <= f < len(envelopes):
-                raise ValueError(f"primed flow id {f} out of range")
-            deps, _ = _flow_departures(
-                mode, f, trace.times, trace.sizes, envelopes, capacity,
-                schedule,
-            )
-            dep_parts.append(np.asarray(deps, dtype=np.float64))
-            size_parts.append(np.asarray(trace.sizes, dtype=np.float64))
-            entries[f] = _PrimedEntry(f)
-        merged_t = np.concatenate(dep_parts) if dep_parts else np.empty(0)
-        merged_s = np.concatenate(size_parts) if size_parts else np.empty(0)
-        # Stable sort keeps flow-injection order at equal instants --
-        # the same tie-break the evented event sequence realises.
-        order = np.argsort(merged_t, kind="stable")
-        mux.prime_background(merged_t[order], merged_s[order])
     return entries, mux
 
 

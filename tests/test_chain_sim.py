@@ -279,3 +279,14 @@ class TestDesChain:
             simulate_regulated_chain(
                 trace, [[trace, trace]] * 2, envs, propagation=[0.0],
             )
+        # Every entry is checked on entry, by the primed and the
+        # evented engine alike.
+        nan, inf = float("nan"), float("inf")
+        for engine in ("batched", "evented"):
+            for bad in ([-0.01, 0.0], [0.0, -0.01], [nan, 0.0], [0.0, inf]):
+                with pytest.raises(ValueError, match="propagation"):
+                    simulate_regulated_chain(
+                        trace, [[trace, trace]] * 2, envs, propagation=bad,
+                        mode="sigma-rho", discipline="adversarial",
+                        engine=engine,
+                    )

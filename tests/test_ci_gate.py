@@ -11,9 +11,12 @@ keep the checked-in ``ci/baseline_smoke`` store honest:
 * a fresh evaluation of that matrix must gate cleanly against it --
   cell keys are content hashes, so any drift in spec hashing, seeding
   or verdicts breaks the diff loudly here rather than at night;
-* ``ci/gate.sh`` must keep pointing at the pinned store and matrix.
+* ``ci/gate.sh`` must keep pointing at the pinned store and matrix;
+* the DES leg's curated corpus (``ci/des_corpus.json``) must reproduce
+  every verdict field of its pinned ``ci/baseline_des`` store.
 """
 
+import json
 from pathlib import Path
 
 import pytest
@@ -21,12 +24,15 @@ import pytest
 from repro.runtime import diff_records, open_store, run_campaign
 from repro.runtime.store import cell_key
 from repro.scenarios import generate_scenarios
+from repro.scenarios.corpus import load_curated
 
 pytestmark = pytest.mark.runtime
 
 REPO = Path(__file__).resolve().parents[1]
 BASELINE = REPO / "ci" / "baseline_smoke"
 GATE = REPO / "ci" / "gate.sh"
+DES_CORPUS = REPO / "ci" / "des_corpus.json"
+DES_BASELINE = REPO / "ci" / "baseline_des"
 
 #: The tier-1 smoke campaign (must match ci/gate.sh and
 #: tests/test_runtime_campaign.py).
@@ -63,3 +69,25 @@ def test_gate_script_targets_the_pinned_store():
     assert f"--count {N_SMOKE}" in text and f"--seed {SMOKE_SEED}" in text
     assert "--baseline" in text
     assert GATE.stat().st_mode & 0o111, "ci/gate.sh must be executable"
+
+
+def test_des_corpus_reproduces_its_pinned_baseline(tmp_path):
+    cells = load_curated(DES_CORPUS)
+    assert len(cells) == 28
+    assert {sc.backend for sc in cells} == {"des", "tree_des"}
+    assert sum(sc.backend == "tree_des" for sc in cells) == 4
+    assert {sc.discipline for sc in cells} == {"adversarial", "fifo"}
+    campaign = run_campaign(cells, store=tmp_path / "des")
+    assert campaign.clean
+    fields = ("measured", "bound", "baseline_bound", "eps", "sound")
+
+    def rows(store):
+        # json renders floats exactly: equal strings are bit-equal values.
+        return {
+            key: json.dumps([rec.get(f) for f in fields])
+            for key, rec in open_store(store, must_exist=True).load().items()
+        }
+
+    assert rows(tmp_path / "des") == rows(DES_BASELINE)
+    text = GATE.read_text()
+    assert "ci/des_corpus.json" in text and "ci/baseline_des" in text

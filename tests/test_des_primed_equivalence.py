@@ -1,8 +1,8 @@
-"""Primed-vs-evented-vs-legacy equivalence for the PR-5 fast paths.
+"""Primed-vs-evented-vs-legacy equivalence for the closed-form DES paths.
 
-PR 3 pinned the window-batched components against the legacy
-per-packet chain; this suite pins the PR-5 *closed-form* layer against
-both.  The equivalence ladder per cell is::
+The window-batched components are pinned against the legacy per-packet
+chain elsewhere; this suite pins the *closed-form* layer against both.
+The equivalence ladder per cell is::
 
     primed (engine="batched")  ==  evented (engine="evented")
                                <=  legacy  (engine="legacy")
@@ -19,11 +19,12 @@ Covered surfaces:
   evented ``TokenBucketComponent`` (corpus-style and hypothesis
   traces) -- including the stale-wakeup refill subtlety;
 * the primed sigma-rho host and the primed ``mode="none"`` host;
-* chain hop 0 as an array pass plus background-folded cross traffic at
-  the later hops;
-* busy-period tree fanout (one replication event per busy period per
-  child) with background-folded cross traffic at every member;
-* the background-train MUX fold against explicit packet injection.
+* chains as a loop of closed-form host passes, one per hop;
+* whole trees as one closed-form host pass per member, top down, in
+  every control mode;
+* the tie order of those passes: exact ties between cross and tagged
+  arrivals at a hop or member, where the order in which service times
+  add decides the last bits.
 """
 
 from __future__ import annotations
@@ -33,15 +34,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.calculus.envelope import ArrivalEnvelope
-from repro.simulation.batched import (
-    BatchMuxServer,
-    sigma_rho_departures,
-)
+from repro.simulation.batched import sigma_rho_departures
 from repro.simulation.chain import simulate_regulated_chain
 from repro.simulation.engine import Simulator
 from repro.simulation.flow import AudioSource, PacketTrace, VBRVideoSource
-from repro.simulation.host_sim import simulate_regulated_host
-from repro.simulation.packet import Packet
+from repro.simulation.host_sim import (
+    build_regulated_host,
+    inject_trace,
+    simulate_regulated_host,
+)
 from repro.simulation.regulator_sim import TokenBucketComponent
 from repro.simulation.tree_sim import simulate_multicast_tree
 
@@ -79,8 +80,6 @@ def _evented_bucket_departures(times, sizes, sigma, rho):
 
     tap = _Tap()
     comp = TokenBucketComponent(sim, sigma, rho, tap)
-    from repro.simulation.host_sim import inject_trace
-
     inject_trace(sim, PacketTrace(times, sizes), 0, comp)
     sim.run()
     return np.asarray(tap.deps)
@@ -196,7 +195,7 @@ def test_primed_host_respects_horizon_truncation(video_traces):
 
 
 # ----------------------------------------------------------------------
-# Chain level: hop-0 array pass + background-folded cross traffic
+# Chain level: one closed-form host pass per hop
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("mode", ["sigma-rho", "sigma-rho-lambda"])
 @pytest.mark.parametrize("hops", [1, 2, 3])
@@ -317,7 +316,7 @@ def test_hypothesis_primed_host_and_chain_equal_evented(data, mode):
 
 
 # ----------------------------------------------------------------------
-# Tree level: busy-period fanout + background-folded cross traffic
+# Tree level: one closed-form host pass per member
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def small_tree():
@@ -340,10 +339,13 @@ def small_tree():
     return tree, mgn.latency, traces, envs
 
 
-def test_tree_busy_period_fanout_bit_identical(small_tree):
+@pytest.mark.parametrize(
+    "mode", ["sigma-rho", "sigma-rho-lambda", "none", "adaptive"]
+)
+def test_tree_busy_period_fanout_bit_identical(small_tree, mode):
     tree, latency, traces, envs = small_tree
     args = ([tree] * 3, 0, traces, envs, latency)
-    kwargs = dict(mode="sigma-rho", discipline="adversarial")
+    kwargs = dict(mode=mode, discipline="adversarial")
     primed = simulate_multicast_tree(*args, engine="batched", **kwargs)
     evented = simulate_multicast_tree(*args, engine="evented", **kwargs)
     legacy = simulate_multicast_tree(*args, engine="legacy", **kwargs)
@@ -370,69 +372,114 @@ def test_tree_fifo_stays_evented_and_bit_identical(small_tree):
 
 
 # ----------------------------------------------------------------------
-# The background-train MUX fold against explicit injection
+# Tie order: cross and tagged arrivals at the same instant
 # ----------------------------------------------------------------------
-def _run_mux(discipline, bg_as_background):
-    """One MUX fed a dynamic tagged flow plus cross traffic, the cross
-    either injected as packets (reference) or primed as a background
-    train; returns the tagged deliveries."""
-    rng = np.random.default_rng(7)
-    tagged_t = np.sort(rng.uniform(0.0, 2.0, size=40))
-    tagged_s = rng.uniform(0.002, 0.01, size=40)
-    cross_t = np.sort(rng.uniform(0.0, 2.0, size=120))
-    cross_s = rng.uniform(0.002, 0.01, size=120)
+#: Unlimited buckets: sigma exceeds every flow's total traffic, so a
+#: token bucket forwards each packet at its arrival instant and the
+#: ties below reach the MUX in modes "none" and "sigma-rho" alike.
+_TIE_ENVS = [ArrivalEnvelope(1.0, 0.3)] * 3
 
+
+def _tie_bursts(rng, n_bursts=4, size=3):
+    """Bursts of ``size`` same-instant packets, far enough apart that
+    every hop's busy periods end before the next burst arrives."""
+    times = np.repeat(np.arange(n_bursts) * 0.25, size)
+    return PacketTrace(times, rng.uniform(0.003, 0.02, times.size))
+
+
+def _evented_deliveries(arrivals, sizes, cross, *, tagged_first):
+    """Tagged-flow delivery instants of one evented adversarial host in
+    mode "none", with the tagged flow injected before or after the
+    cross flows."""
     sim = Simulator()
-    delivered = []
+    out = []
 
     class _Tap:
         def receive(self, pkt):
-            delivered.append((pkt.flow_id, sim.now))
+            out.append(sim.now)
 
         def receive_batch(self, pkts):
-            for p in pkts:
-                delivered.append((p.flow_id, sim.now))
+            out.extend([sim.now] * len(pkts))
 
-    mux = BatchMuxServer(
-        sim, 1.0, {0: _Tap(), 1: _Tap() if not bg_as_background else None},
-        discipline=discipline,
+    entries, _ = build_regulated_host(
+        sim, _TIE_ENVS[: len(cross) + 1], {0: _Tap()}, mode="none",
+        discipline="adversarial", engine="evented",
     )
-    if bg_as_background:
-        mux.prime_background(cross_t, cross_s)
-    else:
-        sim.schedule_batch(
-            cross_t,
-            mux.receive,
-            (
-                (Packet(flow_id=1, size=float(s), t_emit=float(t)),)
-                for t, s in zip(cross_t, cross_s)
-            ),
-        )
-    sim.schedule_batch(
-        tagged_t,
-        mux.receive,
-        (
-            (Packet(flow_id=0, size=float(s), t_emit=float(t)),)
-            for t, s in zip(tagged_t, tagged_s)
-        ),
-    )
+    flows = [(0, PacketTrace(arrivals, sizes))] + list(enumerate(cross, 1))
+    if not tagged_first:
+        flows = flows[1:] + flows[:1]
+    for f, trace in flows:
+        inject_trace(sim, trace, f, entries[f])
     sim.run()
-    return [t for fid, t in delivered if fid == 0], sim.events_processed
+    return np.asarray(out)
 
 
-@pytest.mark.parametrize("discipline", ["adversarial", "fifo"])
-def test_background_fold_matches_explicit_injection(discipline):
-    primed, ev_primed = _run_mux(discipline, bg_as_background=True)
-    explicit, ev_explicit = _run_mux(discipline, bg_as_background=False)
-    assert primed == explicit  # bit-identical delivery instants
-    assert ev_primed < ev_explicit  # background packets cost no events
+def _tie_chain(seed: int, hops: int):
+    """A chain whose every hop sees exact ties: hop 0's first cross flow
+    copies the tagged emissions, and hop h+1's copies the tagged
+    deliveries of hop h (propagation is zero)."""
+    rng = np.random.default_rng(seed)
+    tagged = _tie_bursts(rng)
+    background = PacketTrace(
+        np.sort(rng.uniform(0.0, 1.0, 8)), rng.uniform(0.003, 0.02, 8)
+    )
+    cross = []
+    arrivals = tagged.times
+    for h in range(hops):
+        tie = PacketTrace(arrivals, rng.uniform(0.003, 0.02, arrivals.size))
+        cross.append([tie, background])
+        arrivals = _evented_deliveries(
+            arrivals, tagged.sizes, cross[h], tagged_first=(h == 0)
+        )
+    return tagged, cross
 
 
-def test_background_fold_guards():
-    sim = Simulator()
-    mux = BatchMuxServer(sim, 1.0, None, discipline="adversarial")
-    with pytest.raises(ValueError, match="non-decreasing"):
-        mux.prime_background(np.array([1.0, 0.5]), np.array([0.1, 0.1]))
-    mux.prime_background(np.array([0.5]), np.array([0.1]))
-    with pytest.raises(ValueError, match="already primed"):
-        mux.prime_background(np.array([1.0]), np.array([0.1]))
+@pytest.mark.parametrize("mode", ["none", "sigma-rho"])
+def test_primed_chain_tie_order_matches_evented(mode):
+    """Hop 0 serves the tagged flow first (it is injected first); later
+    hops serve cross departures first (the tagged packets are relayed
+    after every injected cross packet).  ``horizon`` keeps the cross
+    traffic that arrives after the tagged flow's last emission."""
+    hops = 3
+    kwargs = dict(
+        mode=mode, discipline="adversarial", propagation=[0.0] * hops,
+        horizon=10.0,
+    )
+    for seed in range(8):
+        tagged, cross = _tie_chain(seed, hops)
+        primed = simulate_regulated_chain(
+            tagged, cross, _TIE_ENVS, engine="batched", **kwargs
+        )
+        evented = simulate_regulated_chain(
+            tagged, cross, _TIE_ENVS, engine="evented", **kwargs
+        )
+        assert primed.primed and not evented.primed
+        assert _stats_equal(primed.tagged_stats, evented.tagged_stats), seed
+
+
+@pytest.mark.parametrize("mode", ["none", "sigma-rho"])
+def test_primed_tree_tie_order_matches_evented(small_tree, mode):
+    """Every member, the root included, serves cross departures first.
+    One cross flow copies the tagged emissions (ties at the root); with
+    zero latency the other copies the root's deliveries (ties at the
+    root's children)."""
+    tree, latency, _, _ = small_tree
+    zero = np.zeros_like(latency)
+    for seed in range(8):
+        rng = np.random.default_rng(seed)
+        tagged = _tie_bursts(rng)
+        root_tie = PacketTrace(
+            tagged.times, rng.uniform(0.003, 0.02, len(tagged))
+        )
+        root_out = _evented_deliveries(
+            tagged.times, tagged.sizes, [root_tie], tagged_first=False
+        )
+        child_tie = PacketTrace(
+            root_out, rng.uniform(0.003, 0.02, root_out.size)
+        )
+        args = ([tree] * 3, 0, [tagged, root_tie, child_tie], _TIE_ENVS, zero)
+        kwargs = dict(mode=mode, discipline="adversarial")
+        primed = simulate_multicast_tree(*args, engine="batched", **kwargs)
+        evented = simulate_multicast_tree(*args, engine="evented", **kwargs)
+        assert primed.primed and not evented.primed
+        assert primed.per_receiver_worst == evented.per_receiver_worst, seed

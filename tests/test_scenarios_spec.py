@@ -58,12 +58,25 @@ class TestScenarioSpec:
             {"topology": "chain", "hops": 0},
             {"tree_members": 10.5},
             {"tree_members": -1},
+            # Malformed specs that used to get a key and fail in a worker
+            # (or run a duplicate computation under another key).
+            {"discipline": "bogus"},
+            {"discipline": "Adversarial"},
+            {"seed": 1.5},
+            {"seed": nan},
+            {"seed": True},
+            {"shared": 1},
+            {"tags": "smoke"},
+            {"tags": ("smoke", 3)},
         ):
             with pytest.raises((ValueError, TypeError)):
                 Scenario(**{**ok, **bad})
         # Store records and campaign files go through the same checks.
         with pytest.raises(ValueError):
             scenario_from_dict({**ok, "start_offsets": [nan, 0.0]})
+        for bad in ({"discipline": "bogus"}, {"seed": 1.5}, {"tags": "smoke"}):
+            with pytest.raises((ValueError, TypeError)):
+                scenario_from_dict({**ok, **bad})
 
     def test_realise_is_deterministic(self):
         sc = Scenario(name="det", kinds=("video", "audio"), utilization=0.6, seed=5)

@@ -56,6 +56,20 @@ class TestWholeTree:
         means = [float(np.mean(by_depth[d])) for d in depths]
         assert means[-1] > means[0]
 
+    @pytest.mark.parametrize("engine", ["batched", "evented"])
+    def test_tree_edge_latency_validation(self, world, engine):
+        mgn, trees, traces, envs = world
+        tree = trees[0]
+        child = min(tree.parent)
+        for bad in (-0.01, float("nan"), float("inf")):
+            latency = mgn.latency.copy()
+            latency[tree.parent[child], child] = bad
+            with pytest.raises(ValueError, match="latency"):
+                simulate_multicast_tree(
+                    trees, 0, traces, envs, latency, mode="sigma-rho",
+                    discipline="adversarial", engine=engine,
+                )
+
     def test_vacation_mode_runs(self, world):
         mgn, trees, traces, envs = world
         res = simulate_multicast_tree(
