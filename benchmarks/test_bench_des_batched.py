@@ -2,12 +2,13 @@
 
 The expensive scenario cells are DES-backed: vacation-regulator hosts
 and whole-tree runs dominate campaign wall-clock (the ROADMAP's
-10-100x observation).  These benchmarks measure exactly those cells on
-both engines and assert the batched engine's speedup floors (events/sec,
-cells/sec, campaign wall-clock, parallel speedup; the frozen
-``BENCH_pr3.json`` at the repo root holds their history).
+10-100x observation).  These benchmarks measure exactly those cells in
+production and on the legacy per-packet pipeline of
+``tests/des_oracle.py``, and assert production's speedup floors
+(events/sec, cells/sec, campaign wall-clock, parallel speedup; the
+frozen ``BENCH_pr3.json`` at the repo root holds their history).
 
-Timing uses best-of-N wall clocks around the same calls both engines
+Timing uses best-of-N wall clocks around the same calls both pipelines
 get; the floors leave generous headroom under the observed numbers so
 CI noise does not flake (observed: ~15-30x on the vacation host,
 ~1.5-2x on whole trees).
@@ -28,6 +29,7 @@ from repro.scenarios import generate_scenarios, run_batch
 from repro.simulation.flow import VBRVideoSource
 from repro.simulation.host_sim import simulate_regulated_host
 from repro.simulation.tree_sim import simulate_multicast_tree
+from tests.des_oracle import simulate_host, simulate_tree
 
 #: Asserted speedup floor for the vacation-regulator host cell.
 VACATION_SPEEDUP_FLOOR = 5.0
@@ -64,14 +66,13 @@ def test_vacation_host_batched_speedup(benchmark, bench_pr3, artifact_report,
     traces, envs = vacation_workload
     kwargs = dict(mode="sigma-rho-lambda", discipline="adversarial")
     t_legacy, legacy = _best_of(
-        3, simulate_regulated_host, traces, envs, engine="legacy", **kwargs
+        3, simulate_host, traces, envs, engine="legacy", **kwargs
     )
     batched = run_once(
-        benchmark, simulate_regulated_host, traces, envs,
-        engine="batched", **kwargs,
+        benchmark, simulate_regulated_host, traces, envs, **kwargs,
     )
     t_batched, _ = _best_of(
-        3, simulate_regulated_host, traces, envs, engine="batched", **kwargs
+        3, simulate_regulated_host, traces, envs, **kwargs
     )
     assert batched.worst_case_delay <= legacy.worst_case_delay + 1e-15
     packets = sum(len(tr) for tr in traces)
@@ -125,10 +126,10 @@ def test_tree_des_batched_speedup(bench_pr3, artifact_report):
     args = ([tree] * 3, 0, traces, envs, mgn.latency)
     kwargs = dict(mode="sigma-rho", discipline="adversarial")
     t_legacy, legacy = _best_of(
-        3, simulate_multicast_tree, *args, engine="legacy", **kwargs
+        3, simulate_tree, *args, engine="legacy", **kwargs
     )
     t_batched, batched = _best_of(
-        3, simulate_multicast_tree, *args, engine="batched", **kwargs
+        3, simulate_multicast_tree, *args, **kwargs
     )
     for host, worst in batched.per_receiver_worst.items():
         assert worst <= legacy.per_receiver_worst[host] + 1e-15

@@ -5,7 +5,9 @@ the adversarial DES array-first: the sigma-rho host collapses into
 closed-form token-bucket kernels, a chain is a loop of closed-form host
 passes, and a whole tree is the same pass per member, top down, with
 no event loop anywhere.  These benchmarks measure exactly those cells
-(the frozen ``BENCH_pr5.json`` at the repo root holds their history).
+against the evented and legacy reference pipelines of
+``tests/des_oracle.py`` (the frozen ``BENCH_pr5.json`` at the repo root
+holds their history).
 
 Floors (generous headroom under observed numbers so CI noise does not
 flake; observed on the 1-core reference container: ~8-9x primed
@@ -36,6 +38,7 @@ from repro.scenarios import generate_scenarios, run_batch
 from repro.simulation.flow import VBRVideoSource
 from repro.simulation.host_sim import simulate_regulated_host
 from repro.simulation.tree_sim import simulate_multicast_tree
+from tests.des_oracle import simulate_host, simulate_tree
 
 #: Asserted floor: primed sigma-rho host vs the evented batched path.
 SIGMA_RHO_PRIMED_FLOOR = 5.0
@@ -72,17 +75,16 @@ def test_sigma_rho_host_primed_speedup(benchmark, bench_pr5, artifact_report,
     traces, envs = sigma_rho_workload
     kwargs = dict(mode="sigma-rho", discipline="adversarial")
     t_evented, evented = _best_of(
-        3, simulate_regulated_host, traces, envs, engine="evented", **kwargs
+        3, simulate_host, traces, envs, engine="evented", **kwargs
     )
     t_legacy, legacy = _best_of(
-        3, simulate_regulated_host, traces, envs, engine="legacy", **kwargs
+        3, simulate_host, traces, envs, engine="legacy", **kwargs
     )
     primed = run_once(
-        benchmark, simulate_regulated_host, traces, envs,
-        engine="batched", **kwargs,
+        benchmark, simulate_regulated_host, traces, envs, **kwargs,
     )
     t_primed, _ = _best_of(
-        3, simulate_regulated_host, traces, envs, engine="batched", **kwargs
+        3, simulate_regulated_host, traces, envs, **kwargs
     )
     # sigma-rho adversarial cells are in the bit-identical class.
     assert primed.worst_case_delay == evented.worst_case_delay
@@ -142,10 +144,10 @@ def test_tree_busy_period_fanout_speedup(bench_pr5, artifact_report,
     args, size = _tree_fixture(members, horizon)
     kwargs = dict(mode="sigma-rho", discipline="adversarial")
     t_legacy, legacy = _best_of(
-        rounds, simulate_multicast_tree, *args, engine="legacy", **kwargs
+        rounds, simulate_tree, *args, engine="legacy", **kwargs
     )
     t_batched, batched = _best_of(
-        rounds, simulate_multicast_tree, *args, engine="batched", **kwargs
+        rounds, simulate_multicast_tree, *args, **kwargs
     )
     for host, worst in batched.per_receiver_worst.items():
         assert worst <= legacy.per_receiver_worst[host] + 1e-15

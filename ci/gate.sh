@@ -29,18 +29,22 @@
 #     --count 24 --seed 11 --no-corpus --store ci/baseline_smoke
 #
 # The smoke matrix is all fluid cells, so a second leg gates the packet
-# DES: the 28 cells of ci/des_corpus.json (24 host and chain cells of
-# generate_scenarios(200, seed=11, horizon=0.8) forced to backend "des",
-# every 4th one FIFO, plus 4 tree_des sigma-rho cells, one FIFO), run
-# serially and with --jobs 2 against the pinned ci/baseline_des store.
-# Both summaries must match it byte for byte, and every record its
+# DES: the 36 cells of ci/des_corpus.json, run serially and with
+# --jobs 2 against the pinned ci/baseline_des store.  In file order,
+# from generate_scenarios(200, seed=11, horizon=0.8): the first 24
+# non-tree cells forced to backend "des" (every 4th one FIFO, the rest
+# adversarial); the first 4 tree cells as tree_des sigma-rho cells (the
+# 4th FIFO); the next 8 non-tree cells forced to "des" with the
+# priority discipline.  Forcing a backend also renames its tag.  Both
+# summaries must match the baseline byte for byte, and every record its
 # measured/bound/baseline_bound/eps/sound.  The corpus file is a
 # save_curated file: build the cells above, reseed each with
 # derive_seed(11, "cell", spec_fingerprint(cell)), pass them to
 # repro.scenarios.corpus.save_curated, then re-pin with
 #   PYTHONPATH=src python -m repro.experiments.cli scenarios run \
 #     --count 0 --no-corpus --corpus ci/des_corpus.json --no-telemetry \
-#     --store ci/baseline_des
+#     --store ci/baseline_des --resume
+# (--resume keeps the records already pinned and appends new cells).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

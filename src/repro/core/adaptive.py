@@ -34,7 +34,7 @@ from repro.core.regulator import (
 from repro.core.threshold import heterogeneous_threshold, homogeneous_threshold
 from repro.utils.validation import check_positive
 
-__all__ = ["ControlMode", "StaggerPlan", "AdaptiveController"]
+__all__ = ["ControlMode", "StaggerPlan", "AdaptiveController", "resolve_mode"]
 
 _RHO_TOL = 1e-9
 
@@ -235,3 +235,14 @@ class AdaptiveController:
             info["stagger_period"] = plan.period
             info["stagger_utilization"] = plan.utilization
         return info
+
+
+def resolve_mode(
+    mode: str, envelopes: Sequence[ArrivalEnvelope], capacity: float = 1.0
+) -> str:
+    """The concrete control mode of a host: ``"adaptive"`` becomes the
+    mode :meth:`AdaptiveController.select_mode` picks for ``envelopes``
+    at ``capacity``; every other mode passes through unchanged."""
+    if mode != "adaptive":
+        return mode
+    return AdaptiveController(envelopes, capacity).select_mode().value

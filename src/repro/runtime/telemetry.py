@@ -200,19 +200,13 @@ def extra_set(name: str, value: Any) -> None:
 
 def record_engine(sim: Any) -> None:
     """Fold a finished :class:`~repro.simulation.engine.Simulator`'s
-    event/batch counters into the active cell (called once per cell by
-    the simulate functions; no-op without an active cell)."""
+    event counters into the active cell (called once per cell by the
+    simulate functions; no-op without an active cell)."""
     cell = getattr(_TLS, "cell", None)
     if cell is None:
         return
     c = cell.counters
-    for name in (
-        "events_processed",
-        "events_scheduled",
-        "cancelled_events",
-        "busy_periods",
-        "receive_batch_calls",
-    ):
+    for name in ("events_processed", "events_scheduled", "cancelled_events"):
         n = getattr(sim, name, 0)
         if n:
             c[name] = c.get(name, 0) + int(n)

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.calculus.envelope import ArrivalEnvelope
-from repro.core.adaptive import AdaptiveController, ControlMode
+from repro.core.adaptive import resolve_mode
 from repro.utils.validation import (
     check_non_negative,
     check_non_negative_int,
@@ -59,9 +59,9 @@ __all__ = [
 TOPOLOGIES = ("host", "chain", "tree")
 #: Simulation backends.  ``tree_des`` runs the packet DES over the
 #: *whole* DSCT tree (replication at every member) instead of the
-#: critical-path chain reduction.  Both DES backends run the batched
-#: engine; the per-packet legacy engine is reachable only through the
-#: simulators' ``engine="legacy"``, as the equivalence suite's oracle.
+#: critical-path chain reduction.  In both DES backends the discipline
+#: picks the pipeline: adversarial cells run closed-form passes, FIFO
+#: and priority cells the evented components.
 BACKENDS = ("fluid", "des", "tree_des")
 #: MUX service disciplines of the measurement.
 DISCIPLINES = ("adversarial", "fifo", "priority")
@@ -242,14 +242,7 @@ class Scenario:
 
     def effective_mode(self, envelopes: Sequence[ArrivalEnvelope]) -> str:
         """Resolve ``"adaptive"`` exactly the way the simulators do."""
-        if self.mode != "adaptive":
-            return self.mode
-        ctrl = AdaptiveController(envelopes, self.capacity)
-        return (
-            "sigma-rho"
-            if ctrl.select_mode() is ControlMode.SIGMA_RHO
-            else "sigma-rho-lambda"
-        )
+        return resolve_mode(self.mode, envelopes, self.capacity)
 
 
 #: Scenario fields serialised as JSON arrays that the dataclass holds

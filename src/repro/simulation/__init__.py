@@ -15,12 +15,11 @@ same regulator/MUX semantics (see DESIGN.md, substitution table):
 Both backends consume the same :class:`~repro.simulation.flow.PacketTrace`
 inputs, so any scenario can be run on either and compared.
 
-The DES ships two component engines: the **batched** engine
-(:mod:`repro.simulation.batched`: window-batched vacation service,
-commit-on-receive MUX drains, and event-free array fast paths for
-primed adversarial hosts -- the only engine scenarios run on) and the
-**legacy** per-packet event chain (``engine="legacy"``, kept only as
-the test oracle of the equivalence suite).
+In the DES the MUX discipline alone picks the pipeline: adversarial
+hosts, chains and trees run event-free closed-form passes
+(:mod:`repro.simulation.batched`), FIFO and priority cells the evented
+components (window-batched vacation service, commit-on-receive FIFO
+drains, and the per-packet priority :class:`MuxServer`).
 """
 
 from repro.simulation.batched import (
@@ -53,7 +52,7 @@ from repro.simulation.tree_sim import TreeSimResult, simulate_multicast_tree
 from repro.simulation.measures import DelayRecorder, DelayStats
 from repro.simulation.mux_sim import MuxServer
 from repro.simulation.packet import Packet
-from repro.simulation.regulator_sim import TokenBucketComponent, VacationComponent
+from repro.simulation.regulator_sim import TokenBucketComponent
 
 __all__ = [
     "Simulator",
@@ -66,7 +65,6 @@ __all__ = [
     "OnOffSource",
     "PoissonSource",
     "TokenBucketComponent",
-    "VacationComponent",
     "BatchVacationComponent",
     "BatchMuxServer",
     "vacation_departures",

@@ -1,12 +1,10 @@
-"""Window-batched DES components: the engine-hot-path overhaul.
+"""Window-batched DES components and the closed-form adversarial passes.
 
-The legacy components (:mod:`repro.simulation.regulator_sim`,
-:mod:`repro.simulation.mux_sim`) drive one callback chain per packet:
+A per-packet DES component drives one callback chain per packet:
 ``receive -> schedule finish -> finish -> try-start-next``, with wakeup
-cancel/reschedule churn on top.  For the expensive cells -- vacation
-regulators and whole-tree runs -- almost all of that per-packet event
-traffic is redundant, because the service inside a vacation window (and
-a constant-rate MUX drain between arrival epochs) is a *closed-form
+cancel/reschedule churn on top.  Almost all of that event traffic is
+redundant, because the service inside a vacation window (and a
+constant-rate MUX drain between arrival epochs) is a *closed-form
 drain*: once the head of the queue starts transmitting, every
 subsequent departure in the same busy train is determined by a
 cumulative sum of serialisation times, and the non-preemptive fit check
@@ -18,53 +16,49 @@ This module exploits exactly that structure, at three levels:
     The pure kernel: departure times of a *fully known* arrival train
     through a (sigma, rho, lambda) vacation regulator, computed one
     busy train at a time with ``np.add.accumulate`` -- the float
-    operations are sequenced identically to the legacy per-packet
-    event chain, so the results are bit-identical to running the
-    legacy :class:`~repro.simulation.regulator_sim.VacationComponent`.
+    operations are sequenced identically to the per-packet event
+    chain, so the results are bit-identical to it.
 
 :class:`BatchVacationComponent` / :class:`BatchMuxServer`
-    Drop-in evented components for pipelines whose arrivals are *not*
-    known in advance: FIFO cells, the vacation regulators of priority
-    cells, and the ``engine="evented"`` oracle the primed paths are
-    pinned against.
-    The vacation component commits a whole window's worth of service
-    per wakeup (one continuation event per busy train instead of one
-    finish event per packet); the MUX commits each packet's departure
-    at arrival time (the constant-rate drain is a running
+    Evented components for pipelines whose arrivals are *not* known in
+    advance: the regulators of FIFO and priority cells and the FIFO
+    MUX.  The vacation component commits a whole window's worth of
+    service per wakeup (one continuation event per busy train instead
+    of one finish event per packet); the MUX commits each packet's
+    departure at arrival time (the constant-rate drain is a running
     ``busy_until`` float, no internal heap, no per-packet
-    finish/start-next events) and, under the adversarial discipline,
-    delivers each busy period with a single lazily-rescheduled release
-    event.
+    finish/start-next events).
 
 :func:`primed_adversarial_host` / :func:`primed_tagged_hop`
-    The array fast paths for fully-known adversarial hosts: every
-    flow's trace is known up front, so a host -- regulators,
-    adversarial MUX, delay recording -- collapses into NumPy passes
-    over merged departure arrays with *no per-packet events at all*.
+    The array passes of the adversarial discipline: every flow's trace
+    is known up front, so a host -- regulators, adversarial MUX, delay
+    recording -- collapses into NumPy passes over merged departure
+    arrays with *no per-packet events at all*.
     :func:`sigma_rho_departures` is the token-bucket analogue of
     :func:`vacation_departures` (closed-form departures, float ops
-    sequenced identically to the legacy ``TokenBucketComponent``); one
-    private per-flow dispatch (``_flow_departures``) picks between them
-    -- or the raw arrival times for mode ``none`` -- for both.  The
-    host kernel serves
-    :func:`repro.simulation.host_sim.simulate_regulated_host` whenever
-    the batched engine meets ``discipline="adversarial"`` and the
-    primed DES group of the cell matrix.  The hop kernel serves every
-    hop of :func:`repro.simulation.chain.simulate_regulated_chain` and
-    every member of
+    sequenced identically to ``TokenBucketComponent``); one private
+    per-flow dispatch (``_flow_departures``) picks between them -- or
+    the raw arrival times for mode ``none`` -- for both.  The host
+    kernel serves every adversarial
+    :func:`repro.simulation.host_sim.simulate_regulated_host` call and
+    the primed DES group of the cell matrix.  The hop kernel serves
+    every hop of :func:`repro.simulation.chain.simulate_regulated_chain`
+    and every member of
     :func:`repro.simulation.tree_sim.simulate_multicast_tree`: a hop's
     tagged arrivals are the previous hop's deliveries plus the link
     delay, so a chain is a loop of host passes and a tree the same
     pass per member, top down.  Its docstring holds the one tie-order
     rule those passes share.
 
-Equivalence contract: for every supported configuration the batched
-components must reproduce the legacy components' measured delays
-bit-for-bit (the float arithmetic is sequenced identically; only event
-*counts* differ).  ``tests/test_des_batched_equivalence.py`` enforces
-this over the curated corpus and hypothesis-generated traces; the
-legacy path stays addressable as ``engine="legacy"`` only as that
-suite's test oracle.
+Equivalence contract: the float arithmetic is sequenced identically to
+the per-packet event chain, so measured delays are bit-identical to it
+(only event *counts* differ) -- except where the adversarial MUX
+backlog touches exactly zero, where the passes release
+deterministically and measure no more than the per-packet chain.  The
+reference pipelines live in ``tests/des_oracle.py``;
+``tests/test_des_batched_equivalence.py`` and
+``tests/test_des_primed_equivalence.py`` enforce the contract over the
+curated corpus and hypothesis-generated traces.
 """
 
 from __future__ import annotations
@@ -94,11 +88,11 @@ __all__ = [
 #: Control modes the primed passes resolve closed-form.
 PRIMED_MODES = ("sigma-rho", "sigma-rho-lambda", "none")
 
-#: Window-boundary tolerance -- identical to the legacy component's
-#: ``VacationComponent._TOL`` (the two implementations must agree on
-#: every boundary decision to stay bit-identical).
+#: Window-boundary tolerance -- identical to the per-packet reference
+#: component's (the two implementations must agree on every boundary
+#: decision to stay bit-identical).
 _TOL = 1e-12
-#: Fit-check slack, identical to the legacy ``_try_start`` comparison.
+#: Fit-check slack, identical to the per-packet ``_try_start`` comparison.
 _FIT_EPS = 1e-15
 
 _OVERSIZE_MSG = (
@@ -108,7 +102,7 @@ _OVERSIZE_MSG = (
 
 
 # ----------------------------------------------------------------------
-# Window arithmetic (kept formula-identical to the legacy component)
+# Window arithmetic (kept formula-identical to the per-packet regulator)
 # ----------------------------------------------------------------------
 def _window_index(t: float, offset: float, period: float) -> int:
     """Index of the cycle containing ``t`` (-1 before the first)."""
@@ -120,11 +114,11 @@ def _window_index(t: float, offset: float, period: float) -> int:
 def _service_step(
     t: float, tx_head: float, working: float, period: float, offset: float
 ) -> tuple[str, float]:
-    """One legacy ``_try_start`` decision for a head packet at time ``t``.
+    """One per-packet ``_try_start`` decision for a head packet at ``t``.
 
     Returns ``("serve", window_end)`` when the head may start now
     (non-preemptive fit check), else ``("wake", wake_time)`` with the
-    legacy wake instant (including the ``max(start, now + TOL)``
+    per-packet wake instant (including the ``max(start, now + TOL)``
     nudge).  Both the evented component and the primed kernel route
     every tolerance-critical boundary decision through this single
     helper so the two paths cannot drift.
@@ -152,7 +146,7 @@ def _service_step(
     else:
         # Inside a window the head does not fit into: next cycle.
         nxt = offset + (m + 1) * period
-    # The legacy wake never lands at (or before) the current instant --
+    # The wake never lands at (or before) the current instant --
     # float noise there would spin the event loop.
     return "wake", (nxt if nxt > t + _TOL else t + _TOL)
 
@@ -162,7 +156,7 @@ def _service_base(
 ) -> tuple[float, float]:
     """First instant >= ``t`` at which a head packet of serialisation
     time ``tx_head`` may start, plus the end of the window it starts
-    in: the legacy ``_try_start`` / ``_wake_up`` loop without events.
+    in: the per-packet ``_try_start`` / ``_wake_up`` loop without events.
     """
     for _ in range(64):
         action, value = _service_step(t, tx_head, working, period, offset)
@@ -200,15 +194,15 @@ def vacation_departures(
     -------
     (departures, trains):
         Per-packet departure times, plus the number of busy trains
-        processed (the batched path's event-count analogue: the legacy
-        component pays one finish event per *packet*, this kernel one
+        processed (the batched path's event-count analogue: a per-packet
+        regulator pays one finish event per *packet*, this kernel one
         pass per *train*).
 
-    The float arithmetic reproduces the legacy component exactly: each
-    busy train's finish times are ``np.add.accumulate`` over
+    The float arithmetic reproduces the per-packet regulator exactly:
+    each busy train's finish times are ``np.add.accumulate`` over
     ``[base, tx_0, tx_1, ...]`` -- the same left-to-right additions the
     per-packet ``schedule_in`` chain performs -- and every window
-    boundary decision uses the legacy tolerances.
+    boundary decision uses the same tolerances.
     """
     times = np.ascontiguousarray(times, dtype=np.float64)
     sizes = np.ascontiguousarray(sizes, dtype=np.float64)
@@ -240,7 +234,7 @@ def vacation_departures(
         seg[1:] = tx[i:hi]
         fin = np.add.accumulate(seg)[1:]
         if hi > i + 1:
-            # Non-preemptive continuation, exactly the legacy per-packet
+            # Non-preemptive continuation, exactly the per-packet
             # checks: the server must still be inside the window when
             # the previous packet finishes (window_at), the next packet
             # must have arrived by then (queue non-empty; equal-time
@@ -269,7 +263,7 @@ def sigma_rho_departures(
     """Departure times of a known arrival train through a token bucket.
 
     The (sigma, rho) analogue of :func:`vacation_departures`: replays
-    the exact event sequence of the legacy
+    the exact event sequence of the evented
     :class:`~repro.simulation.regulator_sim.TokenBucketComponent`
     without an event loop, so the departures are bit-identical.
 
@@ -289,7 +283,7 @@ def sigma_rho_departures(
 
     Returns ``(departures, drains)`` where ``drains`` counts drain
     passes -- the evented path's event-count analogue; a run of
-    arrivals at one instant is one drain, as one ``receive_batch`` is.
+    arrivals at one instant is one drain.
     """
     times = np.ascontiguousarray(times, dtype=np.float64)
     sizes = np.ascontiguousarray(sizes, dtype=np.float64)
@@ -311,9 +305,9 @@ def sigma_rho_departures(
         if arrived < n and (wake is None or t_l[arrived] <= wake):
             t = t_l[arrived]
             arrived += 1
-            # A run of same-instant arrivals is one drain, as in the
-            # evented bucket's receive_batch: the refills between them
-            # are zero-elapsed, so departures cannot change.
+            # A run of same-instant arrivals is one drain: the evented
+            # bucket's refills between them are zero-elapsed, so
+            # departures cannot change.
             while arrived < n and t_l[arrived] == t:
                 arrived += 1
         else:
@@ -330,8 +324,8 @@ def sigma_rho_departures(
         if head < arrived:
             # Queue non-empty: cancel-and-reschedule the wakeup.
             wake = t + (s_l[head] - tokens) / rho
-        # else: any pending stale wake stays pending (legacy leaves it
-        # uncancelled; its refill still happens).
+        # else: any pending stale wake stays pending (the component
+        # leaves it uncancelled; its refill still happens).
     return deps, drains
 
 
@@ -341,8 +335,7 @@ def sigma_rho_departures(
 class BatchVacationComponent:
     """(sigma, rho, lambda) vacation regulator with window-batched service.
 
-    Semantics are identical to the legacy
-    :class:`~repro.simulation.regulator_sim.VacationComponent`; the
+    Semantics are identical to a per-packet vacation regulator; the
     difference is purely mechanical: when service starts, the whole
     backlog that fits into the current window is committed in one
     cumulative-sum pass -- one delivery event per packet plus a single
@@ -370,7 +363,7 @@ class BatchVacationComponent:
         self._committed = False
         self._wake = None
 
-    # -- inspection (parity with the legacy component) -------------------
+    # -- inspection -------------------------------------------------------
     @property
     def queue_length(self) -> int:
         return len(self._queue)
@@ -382,21 +375,6 @@ class BatchVacationComponent:
     # -- component interface ----------------------------------------------
     def receive(self, packet: Packet) -> None:
         self._queue.append(packet)
-        if not self._committed:
-            self._try_start()
-
-    def receive_batch(self, packets: Sequence[Packet]) -> None:
-        """Accept several packets arriving at the current instant (one
-        replicated busy period).
-
-        Equivalent to sequential :meth:`receive` calls: a single
-        commit over the longer queue performs the same left-to-right
-        cumulative-sum additions and the same window boundary checks
-        the per-packet chain would, so departures are identical --
-        only the event count drops.
-        """
-        self.sim.receive_batch_calls += 1
-        self._queue.extend(packets)
         if not self._committed:
             self._try_start()
 
@@ -458,8 +436,8 @@ class BatchVacationComponent:
     def _finish_train(self, last_pkt: Packet) -> None:
         """Deliver the train's last packet, then look for more work.
 
-        Mirrors the legacy ``_finish_tx``: the delivery happens before
-        the next service decision, at the same timestamp.
+        As in the per-packet chain, the delivery happens before the
+        next service decision, at the same timestamp.
         """
         self._committed = False
         self.sink.receive(last_pkt)
@@ -467,65 +445,26 @@ class BatchVacationComponent:
 
 
 class BatchMuxServer:
-    """Work-conserving MUX with commit-on-receive constant-rate drains.
-
-    Supports the ``"fifo"`` and ``"adversarial"`` disciplines of the
-    legacy :class:`~repro.simulation.mux_sim.MuxServer` (for
-    ``"priority"`` the builders keep the legacy component -- a strict
-    priority order cannot be committed ahead of future arrivals).
+    """Work-conserving FIFO MUX with commit-on-receive constant-rate drains.
 
     FIFO service order equals arrival order, so each packet's departure
     is fixed the instant it arrives: ``dep = max(now, busy_until) +
     size/C`` -- a running float instead of an internal heap, and one
     delivery event per packet instead of a finish/start-next pair.
-
-    The adversarial discipline (deliver at the end of the busy period;
-    the general-MUX worst case the paper bounds) needs no per-packet
-    events at all: packets are held, and a single *release check* event
-    lazily chases the end of the busy period (rescheduling itself only
-    when arrivals extended the period past its horizon -- typically one
-    or two events per busy period, never more than one per packet).
-    The release delivers each flow's packets of the busy period in one
-    ``receive_batch`` call when the target supports it, which is what
-    lets tree replication commit one fanout event per busy period per
-    child instead of one per packet.
+    Delays are bit-identical to the FIFO discipline of
+    :class:`~repro.simulation.mux_sim.MuxServer`, which serves the
+    priority discipline (a strict priority order cannot be committed
+    ahead of future arrivals).  Adversarial hosts need no evented MUX:
+    they run the closed-form passes below.
     """
 
-    def __init__(
-        self,
-        sim: Simulator,
-        capacity: float,
-        sink,
-        *,
-        discipline: str = "fifo",
-        priorities: Optional[Mapping[int, int]] = None,
-    ):
-        if discipline not in ("fifo", "adversarial"):
-            raise ValueError(
-                f"BatchMuxServer supports 'fifo'/'adversarial', got {discipline!r}"
-                " (use the legacy MuxServer for 'priority')"
-            )
+    def __init__(self, sim: Simulator, capacity: float, sink):
         self.sim = sim
         self.capacity = check_positive(capacity, "capacity")
         self.sink = sink
-        self.discipline = discipline
-        # Kept for interface parity (chain builders assign priorities
-        # unconditionally); unused by these disciplines.
-        self.priorities = dict(priorities or {})
         self._busy_until = -np.inf
-        self._held: list[Packet] = []
-        self._check = None
         self.served_count = 0
         self.served_data = 0.0
-
-    @property
-    def queue_length(self) -> int:
-        """Committed-but-undelivered packets (adversarial hold depth)."""
-        return len(self._held)
-
-    @property
-    def backlog(self) -> float:
-        return sum(p.size for p in self._held)
 
     # -- component interface ----------------------------------------------
     def receive(self, packet: Packet) -> None:
@@ -534,68 +473,12 @@ class BatchMuxServer:
         start = now if now > bu else bu
         dep = start + packet.size / self.capacity
         self._busy_until = dep
-        if self.discipline == "adversarial":
-            self._held.append(packet)
-            if self._check is None:
-                # priority=-1: the release decision precedes equal-time
-                # arrivals, matching the legacy finish-before-delivery
-                # event order (an arrival at exactly the completion
-                # instant opens a fresh busy period).
-                self._check = self.sim.schedule(
-                    dep, self._release_check, priority=-1
-                )
-        else:
-            self.sim.schedule(dep, self._route, packet)
-
-    def receive_batch(self, packets: Sequence[Packet]) -> None:
-        """Accept several packets arriving at the current instant (a
-        replicated busy period); equivalent to sequential receives."""
-        self.sim.receive_batch_calls += 1
-        for pkt in packets:
-            self.receive(pkt)
-
-    def _release_check(self) -> None:
-        if self.sim.now < self._busy_until:
-            # Arrivals extended the busy period past this check's
-            # horizon: chase the new end (no cancellation residue).
-            self._check = self.sim.schedule(
-                self._busy_until, self._release_check, priority=-1
-            )
-            return
-        self._check = None
-        self.sim.busy_periods += 1
-        held, self._held = self._held, []
-        if len(held) == 1:
-            self._route(held[0])
-            return
-        # One delivery per (flow, busy period): group in first-arrival
-        # order and hand each flow's packets over in a single batch
-        # when the target supports it.  Targets are per-flow components
-        # (or one shared terminal sink), so regrouping by flow cannot
-        # change any measured delay -- every delivery happens at this
-        # same instant.
-        groups: dict[int, list[Packet]] = {}
-        for pkt in held:
-            groups.setdefault(pkt.flow_id, []).append(pkt)
-        sink = self.sink
-        for flow_id, pkts in groups.items():
-            self.served_count += len(pkts)
-            self.served_data += sum(p.size for p in pkts)
-            target = sink.get(flow_id) if isinstance(sink, Mapping) else sink
-            if target is None:
-                continue
-            batch = getattr(target, "receive_batch", None)
-            if batch is not None:
-                batch(pkts)
-            else:
-                for pkt in pkts:
-                    target.receive(pkt)
+        self.sim.schedule(dep, self._route, packet)
 
     def _route(self, pkt: Packet) -> None:
         # Served accounting happens here -- at delivery, not arrival --
-        # so FIFO counters match the legacy completion-time counting
-        # under horizon truncation (adversarial counts lag until the
-        # busy period's release, equal once drained).
+        # so the counters match MuxServer's completion-time counting
+        # under horizon truncation.
         self.served_count += 1
         self.served_data += pkt.size
         sink = self.sink
@@ -613,21 +496,21 @@ class BatchMuxServer:
 class PrimedHostOutcome:
     """Raw product of the primed host passes (arrays, no Packets)."""
 
-    __slots__ = ("per_flow_delays", "trains", "busy_periods")
+    __slots__ = ("per_flow_delays", "trains", "releases")
 
     def __init__(
-        self, per_flow_delays: list[np.ndarray], trains: int, busy_periods: int
+        self, per_flow_delays: list[np.ndarray], trains: int, releases: int
     ):
         self.per_flow_delays = per_flow_delays
         self.trains = trains
-        self.busy_periods = busy_periods
+        self.releases = releases
 
     @property
     def batch_events(self) -> int:
         """The batched path's event-count analogue: one pass per
         regulator busy train (or token-bucket drain) plus one release
         per MUX busy period."""
-        return self.trains + self.busy_periods
+        return self.trains + self.releases
 
 
 def _adversarial_mux_deliveries(
@@ -637,15 +520,15 @@ def _adversarial_mux_deliveries(
     adversarial hold-and-release discipline.
 
     The constant-rate drain is the ``busy_until`` recurrence,
-    float-sequenced exactly like the evented MUX's per-packet chain;
+    float-sequenced exactly like an evented MUX's per-packet chain;
     delivery equals the end of each packet's busy period.  A busy
     period ends where the next arrival does not precede the
     completion; an arrival at *exactly* the completion instant starts
-    a fresh period (in the evented chain the release decision carries
-    priority -1, so it precedes the equal-time arrival -- and in the
-    legacy chain the finish event popped first for the same reason).
+    a fresh period (an evented hold-and-release MUX schedules its
+    release decision ahead of equal-time arrivals, and a per-packet
+    MUX pops its finish event first for the same reason).
 
-    Returns ``(delivery, busy_periods)``.
+    Returns ``(delivery, releases)``: one release per busy period.
     """
     n = arr.size
     bu = np.empty(n, dtype=np.float64)
@@ -698,7 +581,7 @@ def _merge_and_deliver(
     emits = emits[order]
     flows = flows[order]
     tx = sizes_all[order] / capacity
-    delivery, busy_periods = _adversarial_mux_deliveries(arr, tx)
+    delivery, releases = _adversarial_mux_deliveries(arr, tx)
     if not drain:
         if horizon is None:
             raise ValueError("drain=False requires a horizon")
@@ -710,7 +593,7 @@ def _merge_and_deliver(
     # Per-flow split preserves emission order: each flow's regulator
     # departures are non-decreasing, and the sort above is stable.
     per_flow = [delays[flows == f] for f in range(k)]
-    return PrimedHostOutcome(per_flow, trains, busy_periods)
+    return PrimedHostOutcome(per_flow, trains, releases)
 
 
 def _stagger_schedule(
@@ -853,9 +736,9 @@ def primed_adversarial_host(
     ``mode`` must already be resolved (no ``"adaptive"`` here -- the
     caller resolves it exactly like the builders do).  Delivery times
     equal the end of each packet's MUX busy period, the adversarial
-    hold-and-release instant, bit-identical to the evented batched
-    engine.  With ``drain=False``, deliveries after ``horizon`` are
-    discarded (the evented ``run(until=horizon)`` truncation).
+    hold-and-release instant.  With ``drain=False``, deliveries after
+    ``horizon`` are discarded (an evented ``run(until=horizon)``
+    truncation).
 
     ``dep_cache`` / ``cache_keys`` let a caller whose flows share trace
     objects reuse regulator passes: flows whose ``cache_keys[f]`` is
@@ -904,8 +787,8 @@ def primed_tagged_hop(
 
     **Tie order.**  At equal MUX instants service times add in arrival
     order, and that order changes the last bits of the busy-period
-    ends.  The pass serves equal instants in the order the evented
-    pipeline (``engine="evented"``) sees them:
+    ends.  The pass serves equal instants in the order an evented
+    pipeline of the same chain or tree sees them:
 
     * ``tagged_first=True``: the tagged flow, then the cross flows in
       flow order.  This is injection order at chain hop 0, whose

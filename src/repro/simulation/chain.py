@@ -13,12 +13,11 @@ Propagation delays between consecutive hosts are taken from the overlay
 path (underlay shortest-path latencies); queueing/regulation delays
 emerge from the components.
 
-Under the batched engine with the adversarial discipline every flow's
-traffic is known hop by hop, so the chain is a loop of closed-form host
-passes (:func:`repro.simulation.batched.primed_tagged_hop`) with no
-event loop: hop h's tagged arrivals are hop h-1's deliveries plus the
-propagation delay.  Every other configuration runs the evented
-pipeline.
+Under the adversarial discipline every flow's traffic is known hop by
+hop, so the chain is a loop of closed-form host passes
+(:func:`repro.simulation.batched.primed_tagged_hop`) with no event
+loop: hop h's tagged arrivals are hop h-1's deliveries plus the
+propagation delay.  FIFO and priority chains run the evented pipeline.
 """
 
 from __future__ import annotations
@@ -27,13 +26,14 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.calculus.envelope import ArrivalEnvelope
-from repro.simulation.batched import PRIMED_MODES, primed_tagged_hop
+from repro.core.adaptive import resolve_mode
+from repro.simulation.batched import primed_tagged_hop
 from repro.simulation.engine import Simulator
 from repro.simulation.flow import PacketTrace
 from repro.simulation.host_sim import (
+    _serve_tagged_last,
     build_regulated_host,
     inject_trace,
-    resolve_mode,
 )
 from repro.simulation.measures import DelayRecorder, DelayStats
 from repro.simulation.packet import Packet
@@ -73,22 +73,11 @@ class _Relay:
         packet.hops += 1
         self.sim.schedule_in(self.delay, self.next_entry.receive, packet)
 
-    def receive_batch(self, packets: Sequence[Packet]) -> None:
-        """Forward a whole released busy period in one event."""
-        for packet in packets:
-            packet.hops += 1
-        self.sim.schedule_in(
-            self.delay, self.next_entry.receive_batch, packets
-        )
-
 
 class _Drop:
     """Terminal sink for cross-traffic (delays measured only for the tagged flow)."""
 
     def receive(self, packet: Packet) -> None:  # noqa: D102 - trivial
-        pass
-
-    def receive_batch(self, packets) -> None:  # noqa: D102 - trivial
         pass
 
 
@@ -103,7 +92,6 @@ def simulate_regulated_chain(
     stagger_phase: float = 0.0,
     propagation: Optional[Sequence[float]] = None,
     horizon: Optional[float] = None,
-    engine: str = "batched",
 ) -> ChainResult:
     """Simulate the tagged flow across a chain of regulated hosts.
 
@@ -120,11 +108,10 @@ def simulate_regulated_chain(
         The K per-flow envelopes (tagged first); every host uses the
         same flow population, per the Theorem 7 worst-case construction.
     mode, capacity, discipline:
-        As in :func:`repro.simulation.host_sim.build_regulated_host`.
-        With ``discipline="priority"`` the tagged flow carries the
-        lowest priority (flow id 0 -> priority 0 serves *first*), so we
-        remap: the tagged flow is assigned the largest priority value to
-        realise the adversarial general MUX.
+        As in :func:`repro.simulation.host_sim.simulate_regulated_host`.
+        Under ``discipline="priority"`` every host serves the tagged
+        flow last (it gets the largest priority value), realising the
+        adversarial general MUX.
     stagger_phase:
         Base fraction of the stagger period added to every hop's
         vacation offsets, on top of the built-in per-hop
@@ -137,27 +124,19 @@ def simulate_regulated_chain(
     horizon:
         Injection stops here (defaults to just past the tagged flow's
         last emission); cross traffic is cut at the same instant.
-    engine:
-        ``"batched"`` (window-batched components plus the closed-form
-        primed path, default), ``"evented"`` (the same components, never
-        primed -- the oracle the primed path is pinned against) or
-        ``"legacy"`` (per-packet event chain); see
-        :func:`repro.simulation.host_sim.build_regulated_host`.
 
     Notes
     -----
     Consecutive hosts use staggered vacation offsets shifted by half a
     window so the tagged flow does not ride a lucky synchronisation.
 
-    Under the batched engine with the adversarial discipline every
-    flow entering a hop is known once the previous hop is resolved, so
-    each hop is one closed-form host pass
-    (:func:`repro.simulation.batched.primed_tagged_hop`) and no
-    ``Simulator`` runs: hop h's tagged arrivals are hop h-1's
+    Under the adversarial discipline every flow entering a hop is known
+    once the previous hop is resolved, so each hop is one closed-form
+    host pass (:func:`repro.simulation.batched.primed_tagged_hop`) and
+    no ``Simulator`` runs: hop h's tagged arrivals are hop h-1's
     deliveries plus ``propagation[h]``.  Cross departures are computed
     once per call outside the lambda mode.  ``events`` then counts the
-    passes run, and measured delays are bit-identical to the evented
-    engine (``engine="evented"``).
+    passes run.
     """
     hops = len(cross_traces_per_hop)
     if hops < 1:
@@ -188,12 +167,8 @@ def simulate_regulated_chain(
                 restricted[id(trace)] = trace.restrict(horizon)
         cross_in.append([restricted[id(trace)] for trace in cross])
 
-    mode_eff = resolve_mode(mode, envelopes, capacity)
-    if (
-        engine == "batched"
-        and discipline == "adversarial"
-        and mode_eff in PRIMED_MODES
-    ):
+    if discipline == "adversarial":
+        mode_eff = resolve_mode(mode, envelopes, capacity)
         cross_cache: dict = {}
         events = 0
         # The source hands the tagged flow to hop 0 as every hop hands
@@ -225,8 +200,6 @@ def simulate_regulated_chain(
     sim = Simulator()
     recorder = DelayRecorder(sim)
 
-    # The adversarial priority order serves the tagged flow last: larger
-    # value = later service in MuxServer, so tagged flow 0 gets k.
     # Build hosts back to front so each host's tagged-flow output can be
     # wired to the next host's entry.
     entries_per_hop: list = [None] * hops
@@ -248,9 +221,8 @@ def simulate_regulated_chain(
             # De-synchronise consecutive hops' vacation schedules by a
             # golden-ratio-ish fraction of the stagger period.
             stagger_phase=(stagger_phase + h * 0.37) % 1.0,
-            engine=engine,
         )
-        mux.priorities = {0: k, **{f: f for f in range(1, k)}}
+        _serve_tagged_last(mux, discipline, k)
         entries_per_hop[h] = entries
 
     # Tagged flow enters host 0 after its access propagation delay,

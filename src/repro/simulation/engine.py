@@ -112,12 +112,6 @@ class Simulator:
         self.cancelled_events: int = 0
         #: Total events ever pushed (single or batch scheduling).
         self.events_scheduled: int = 0
-        # Engine-adjacent telemetry tallies: batched components fold
-        # their own structural counts into the simulator they share, so
-        # one :func:`repro.runtime.telemetry.record_engine` call per
-        # cell captures the whole engine picture.
-        self.busy_periods: int = 0
-        self.receive_batch_calls: int = 0
 
     # ------------------------------------------------------------------
     def schedule(

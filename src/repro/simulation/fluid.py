@@ -37,7 +37,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.calculus.envelope import ArrivalEnvelope
-from repro.core.adaptive import AdaptiveController, ControlMode
+from repro.core.adaptive import AdaptiveController, resolve_mode
 from repro.core.regulator import SigmaRhoLambdaRegulator
 from repro.simulation.flow import PacketTrace
 from repro.utils.piecewise import PiecewiseLinearCurve
@@ -436,13 +436,7 @@ def _regulator_stage(
     output is stored under ``(cache_keys[f], sigma, rho / capacity)``
     unless its key is ``None``.  Equal keys must name equal inputs.
     """
-    controller = AdaptiveController(envelopes, capacity)
-    if mode == "adaptive":
-        mode = (
-            "sigma-rho"
-            if controller.select_mode() is ControlMode.SIGMA_RHO
-            else "sigma-rho-lambda"
-        )
+    mode = resolve_mode(mode, envelopes, capacity)
     if mode == "none":
         return mode, list(arrivals_cum)
     if mode == "sigma-rho":
@@ -459,7 +453,7 @@ def _regulator_stage(
             out.append(shaped_cache[key])
         return mode, out
     if mode == "sigma-rho-lambda":
-        plan = controller.build_stagger_plan()
+        plan = AdaptiveController(envelopes, capacity).build_stagger_plan()
         base = (stagger_phase % 1.0) * plan.period
         return mode, [
             fluid_vacation_regulator(
@@ -686,6 +680,8 @@ def simulate_fluid_chain(
         propagation = [0.0] * hops
     if len(propagation) != hops:
         raise ValueError("propagation must have one entry per hop")
+    for h, delay in enumerate(propagation):
+        check_non_negative(delay, f"propagation[{h}]")
     if np.ndim(capacity) == 0:
         capacities = [float(capacity)] * hops
     else:

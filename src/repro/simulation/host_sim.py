@@ -27,9 +27,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.calculus.envelope import ArrivalEnvelope
-from repro.core.adaptive import AdaptiveController, ControlMode
+from repro.core.adaptive import AdaptiveController, resolve_mode
 from repro.simulation.batched import (
-    PRIMED_MODES,
     BatchMuxServer,
     BatchVacationComponent,
     _stagger_schedule,
@@ -40,7 +39,7 @@ from repro.simulation.flow import PacketTrace
 from repro.simulation.measures import DelayRecorder, DelayStats
 from repro.simulation.mux_sim import MuxServer
 from repro.simulation.packet import Packet
-from repro.simulation.regulator_sim import TokenBucketComponent, VacationComponent
+from repro.simulation.regulator_sim import TokenBucketComponent
 from repro.utils.validation import check_positive
 
 __all__ = [
@@ -48,23 +47,10 @@ __all__ = [
     "simulate_regulated_host",
     "build_regulated_host",
     "inject_trace",
-    "resolve_mode",
 ]
 
 #: Control-mode strings accepted by the builders.
 MODES = ("sigma-rho", "sigma-rho-lambda", "none", "adaptive")
-
-#: DES engines: ``"batched"`` (window-batched components plus the
-#: closed-form primed fast paths, the default), ``"evented"`` (the
-#: same window-batched components but *no* closed-form shortcuts --
-#: the PR-3 behaviour, kept as the mid-rung of the equivalence ladder
-#: and as the benchmark baseline the primed paths are measured
-#: against) or ``"legacy"`` (the per-packet event chain, kept only as
-#: the test oracle of the batched-vs-legacy equivalence suite).
-ENGINES = ("batched", "evented", "legacy")
-
-#: Engines built from the window-batched components.
-_BATCH_ENGINES = ("batched", "evented")
 
 
 @dataclass(frozen=True)
@@ -107,21 +93,6 @@ def inject_trace(
     )
 
 
-def resolve_mode(
-    mode: str, envelopes: Sequence[ArrivalEnvelope], capacity: float
-) -> str:
-    """Resolve ``"adaptive"`` into a concrete control mode, exactly the
-    way :func:`build_regulated_host` does."""
-    if mode != "adaptive":
-        return mode
-    ctrl = AdaptiveController(envelopes, capacity)
-    return (
-        "sigma-rho"
-        if ctrl.select_mode() is ControlMode.SIGMA_RHO
-        else "sigma-rho-lambda"
-    )
-
-
 def build_regulated_host(
     sim: Simulator,
     envelopes: Sequence[ArrivalEnvelope],
@@ -131,14 +102,12 @@ def build_regulated_host(
     capacity: float = 1.0,
     discipline: str = "priority",
     stagger_phase: float = 0.0,
-    engine: str = "batched",
 ):
     """Assemble regulators + MUX for one end host; return per-flow entry points.
 
-    This is the evented pipeline: FIFO and priority cells, and the
-    ``"evented"``/``"legacy"`` oracles.  Adversarial cells whose traffic
-    is fully known never build it under the batched engine -- they run
-    the closed-form passes of :mod:`repro.simulation.batched`.
+    This is the evented pipeline of FIFO and priority cells.
+    Adversarial cells never build it: their traffic is fully known, so
+    they run the closed-form passes of :mod:`repro.simulation.batched`.
 
     Parameters
     ----------
@@ -150,28 +119,15 @@ def build_regulated_host(
     capacity:
         MUX service rate ``C``.
     discipline:
-        MUX discipline; ``"priority"`` with flow index as priority
-        realises the adversarial *general MUX* (the last flow is the
-        tagged worst-case flow), ``"fifo"`` the benign one.
+        ``"fifo"`` (a :class:`~repro.simulation.batched.BatchMuxServer`)
+        or ``"priority"`` (a :class:`~repro.simulation.mux_sim.MuxServer`
+        giving flow ``i`` priority ``i``, so the last flow is served
+        last; a strict priority order cannot be committed ahead of
+        arrivals).
     stagger_phase:
         Fraction of the stagger period added to every vacation-regulator
         offset (used by multi-hop chains to de-synchronise consecutive
         hosts' window schedules).
-    engine:
-        One of :data:`ENGINES`: ``"batched"`` commits whole busy trains
-        per event (window-batched vacation service, commit-on-receive
-        MUX drains) and is the only engine eligible for the primed
-        closed-form fast paths; ``"evented"`` uses the same components
-        but never shortcuts the event loop (the equivalence ladder's
-        mid-rung); ``"legacy"`` is the per-packet event chain.  The
-        equivalence contract (``tests/test_des_batched_equivalence``):
-        bit-identical delays for FIFO/priority disciplines; under the
-        adversarial discipline the batched engines release held batches
-        deterministically at zero-backlog instants (the fluid backend's
-        semantics), so their delays are pointwise <= the legacy
-        engine's (whose release at exact ties was an event-order race).
-        ``"priority"`` MUXes always use the legacy server (a strict
-        priority order cannot be committed ahead of arrivals).
 
     Returns
     -------
@@ -181,24 +137,19 @@ def build_regulated_host(
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    if engine not in ENGINES:
-        raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
     check_positive(capacity, "capacity")
-    controller = AdaptiveController(envelopes, capacity)
-    if mode == "adaptive":
-        mode = (
-            "sigma-rho"
-            if controller.select_mode() is ControlMode.SIGMA_RHO
-            else "sigma-rho-lambda"
-        )
-    priorities = {i: i for i in range(len(envelopes))}
-    if engine in _BATCH_ENGINES and discipline in ("fifo", "adversarial"):
-        mux = BatchMuxServer(
-            sim, capacity, sink, discipline=discipline, priorities=priorities
+    mode = resolve_mode(mode, envelopes, capacity)
+    if discipline == "fifo":
+        mux = BatchMuxServer(sim, capacity, sink)
+    elif discipline == "priority":
+        mux = MuxServer(
+            sim, capacity, sink, discipline="priority",
+            priorities={i: i for i in range(len(envelopes))},
         )
     else:
-        mux = MuxServer(
-            sim, capacity, sink, discipline=discipline, priorities=priorities
+        raise ValueError(
+            "evented hosts serve the 'fifo' or 'priority' discipline, got "
+            f"{discipline!r} (adversarial hosts run closed form)"
         )
     if mode == "none":
         entries: list = [mux] * len(envelopes)
@@ -208,16 +159,20 @@ def build_regulated_host(
             for e in envelopes
         ]
     else:  # sigma-rho-lambda
-        vacation_cls = (
-            BatchVacationComponent
-            if engine in _BATCH_ENGINES
-            else VacationComponent
-        )
+        controller = AdaptiveController(envelopes, capacity)
         entries = [
-            vacation_cls(sim, reg, mux, offset=off, out_rate=capacity)
+            BatchVacationComponent(sim, reg, mux, offset=off, out_rate=capacity)
             for reg, off in zip(*_stagger_schedule(controller, stagger_phase))
         ]
     return entries, mux
+
+
+def _serve_tagged_last(mux, discipline: str, k: int) -> None:
+    """Under the priority discipline, make ``mux`` serve tagged flow 0
+    last: the adversarial general MUX of chains and trees.
+    :class:`MuxServer` serves lower values first, so flow 0 gets ``k``."""
+    if discipline == "priority":
+        mux.priorities = {0: k, **{f: f for f in range(1, k)}}
 
 
 def simulate_regulated_host(
@@ -230,7 +185,6 @@ def simulate_regulated_host(
     stagger_phase: float = 0.0,
     horizon: Optional[float] = None,
     drain: bool = True,
-    engine: str = "batched",
 ) -> HostResult:
     """Run the Fig.-3 topology: K flows through one regulated host.
 
@@ -240,6 +194,14 @@ def simulate_regulated_host(
         One packet trace per flow (same indices as ``envelopes``).
     envelopes:
         Per-flow (sigma, rho) descriptions used to configure regulators.
+    discipline:
+        ``"adversarial"``, ``"fifo"`` or ``"priority"``.  It alone picks
+        the pipeline: under the adversarial discipline all arrivals are
+        known up front, so the cell collapses into the array fast path
+        (:func:`repro.simulation.batched.primed_adversarial_host`) --
+        token-bucket and vacation departures are both closed form --
+        with no event loop; FIFO and priority cells run the evented
+        pipeline of :func:`build_regulated_host`.
     stagger_phase:
         Fraction of the stagger period added to every vacation-regulator
         offset (the bounds hold for *any* phase; adversarial scenario
@@ -249,16 +211,6 @@ def simulate_regulated_host(
     drain:
         Keep running after the horizon until every queued packet is
         delivered, so worst-case delays are not truncated.
-    engine:
-        ``"batched"`` (default), ``"evented"`` or ``"legacy"`` -- see
-        :func:`build_regulated_host`.  For *any* regulated host under
-        the adversarial discipline the batched engine skips the event
-        loop entirely: all arrivals are known up front, so the cell
-        collapses into the array fast path
-        (:func:`repro.simulation.batched.primed_adversarial_host`) --
-        token-bucket and vacation departures are both closed form --
-        with bit-identical delays and orders of magnitude fewer
-        events.
 
     Returns
     -------
@@ -269,18 +221,10 @@ def simulate_regulated_host(
         raise ValueError("traces and envelopes must align")
     if not traces:
         raise ValueError("at least one flow is required")
-    if engine not in ENGINES:
-        raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
-    # Resolve the effective mode up front (the builders resolve it the
-    # same way; needed here to route the primed fast paths).
     effective_mode = resolve_mode(mode, envelopes, capacity)
     if horizon is None:
         horizon = max(tr.times[-1] + 1e-9 for tr in traces if len(tr))
-    if (
-        engine == "batched"
-        and effective_mode in PRIMED_MODES
-        and discipline == "adversarial"
-    ):
+    if discipline == "adversarial":
         restricted = [tr.restrict(horizon) for tr in traces]
         outcome = primed_adversarial_host(
             [(tr.times, tr.sizes) for tr in restricted],
@@ -306,7 +250,7 @@ def simulate_regulated_host(
     recorder = DelayRecorder(sim)
     entries, _mux = build_regulated_host(
         sim, envelopes, recorder, mode=mode, capacity=capacity,
-        discipline=discipline, stagger_phase=stagger_phase, engine=engine,
+        discipline=discipline, stagger_phase=stagger_phase,
     )
     for flow_id, (trace, entry) in enumerate(zip(traces, entries)):
         inject_trace(sim, trace.restrict(horizon), flow_id, entry)

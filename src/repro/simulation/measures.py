@@ -61,17 +61,6 @@ class DelayRecorder:
         self._arrival_times.setdefault(packet.flow_id, []).append(self._sim.now)
         self._sizes.setdefault(packet.flow_id, []).append(packet.size)
 
-    def receive_batch(self, packets) -> None:
-        """Record several packets delivered at the current instant (one
-        busy period released by a batched MUX)."""
-        now = self._sim.now
-        for packet in packets:
-            self._delays.setdefault(packet.flow_id, []).append(
-                now - packet.t_emit
-            )
-            self._arrival_times.setdefault(packet.flow_id, []).append(now)
-            self._sizes.setdefault(packet.flow_id, []).append(packet.size)
-
     # -- queries ---------------------------------------------------------
     def flows(self) -> list[int]:
         return sorted(self._delays)

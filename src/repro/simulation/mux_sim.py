@@ -9,6 +9,11 @@ another flow").  The bounds of Theorems 1/2 and Remark 1 hold for every
 such discipline, so the worst-case measurements use the adversarial
 one: serve the tagged flow last (static priority).  FIFO is available
 for comparison (its delays are no larger, as a property test verifies).
+
+DES cells use this server for the priority discipline; FIFO cells run
+the commit-on-receive :class:`~repro.simulation.batched.BatchMuxServer`
+and adversarial cells closed-form passes.  Its FIFO and adversarial
+modes remain the per-packet reference those are tested against.
 """
 
 from __future__ import annotations

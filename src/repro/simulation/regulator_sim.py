@@ -1,38 +1,26 @@
-"""Event-driven regulator components.
+"""Event-driven token-bucket regulator.
 
-Two regulator realisations for the discrete-event simulator:
+:class:`TokenBucketComponent` is the classical (sigma, rho) regulator.
+A packet may pass the instant the bucket holds its size in tokens (peak
+rate unbounded, exactly Cruz's greedy (sigma, rho) shaper); the bucket
+refills at ``rho`` up to ``sigma``.  An input that already conforms to
+(sigma, rho) passes through undelayed -- which is why simultaneous
+bursts from K groups pile up in the downstream MUX, the failure mode
+the paper attacks.
 
-* :class:`TokenBucketComponent` -- the classical (sigma, rho) regulator.
-  A packet may pass the instant the bucket holds its size in tokens
-  (peak rate unbounded, exactly Cruz's greedy (sigma, rho) shaper); the
-  bucket refills at ``rho`` up to ``sigma``.  An input that already
-  conforms to (sigma, rho) passes through undelayed -- which is why
-  simultaneous bursts from K groups pile up in the downstream MUX, the
-  failure mode the paper attacks.
-
-* :class:`VacationComponent` -- the (sigma, rho, lambda) regulator of
-  Section III.  It alternates working periods (forwarding queued
-  traffic work-conservingly at the output rate, slope 1 in Fig. 2) and
-  vacations (forwarding nothing).  The window schedule comes from a
-  :class:`~repro.core.regulator.SigmaRhoLambdaRegulator` plus a phase
-  offset assigned by the
-  :class:`~repro.core.adaptive.AdaptiveController`'s stagger plan.
-  Transmission is non-preemptive with a fit check: a packet starts only
-  if it can finish inside the current window (deviation from the fluid
-  model bounded by one packet serialisation time).
+The (sigma, rho, lambda) regulator of Section III is
+:class:`~repro.simulation.batched.BatchVacationComponent`.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Optional
 
-from repro.core.regulator import SigmaRhoLambdaRegulator
 from repro.simulation.engine import Simulator
 from repro.simulation.packet import Packet
-from repro.utils.validation import check_non_negative, check_positive
+from repro.utils.validation import check_positive
 
-__all__ = ["TokenBucketComponent", "VacationComponent"]
+__all__ = ["TokenBucketComponent"]
 
 
 class TokenBucketComponent:
@@ -90,18 +78,6 @@ class TokenBucketComponent:
         self._queue.append(packet)
         self._drain()
 
-    def receive_batch(self, packets) -> None:
-        """Accept several packets arriving at the current instant (one
-        replicated busy period from a batched MUX release).
-
-        Equivalent to sequential :meth:`receive` calls: the extra
-        refills sequential receives would perform are zero-elapsed
-        (``tokens + rho * 0.0 == tokens``), so one drain pass over the
-        longer queue yields identical departures.
-        """
-        self._queue.extend(packets)
-        self._drain()
-
     def _drain(self) -> None:
         self._refill()
         while self._queue and self._tokens >= self._queue[0].size - 1e-15:
@@ -114,135 +90,3 @@ class TokenBucketComponent:
             if self._wakeup is not None:
                 self._wakeup.cancel()
             self._wakeup = self.sim.schedule_in(eta, self._drain)
-
-
-class VacationComponent:
-    """(sigma, rho, lambda) vacation regulator as a DES component.
-
-    Parameters
-    ----------
-    sim:
-        The simulator.
-    regulator:
-        Parameter object providing working period / vacation / period.
-    sink:
-        Downstream component.
-    offset:
-        Phase offset of the window cycle (stagger plan).
-    out_rate:
-        Forwarding rate during working periods.  The paper sets it to
-        the full output capacity ``C = 1`` ("the value of the slope of
-        the (sigma, rho, lambda) regulator curve is 1").
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        regulator: SigmaRhoLambdaRegulator,
-        sink,
-        *,
-        offset: float = 0.0,
-        out_rate: float = 1.0,
-    ):
-        self.sim = sim
-        self.regulator = regulator
-        self.sink = sink
-        self.offset = check_non_negative(offset, "offset")
-        self.out_rate = check_positive(out_rate, "out_rate")
-        self._queue: deque[Packet] = deque()
-        self._busy = False
-        self._wake = None
-
-    # -- window arithmetic -------------------------------------------------
-    # Window m covers [offset + m P, offset + m P + W).  All queries go
-    # through the integer window index so that float noise at a window
-    # boundary cannot produce a "next window" equal to the current time
-    # (which would spin the event loop).
-    _TOL = 1e-12
-
-    def _window_index(self, t: float) -> int:
-        """Index of the cycle containing ``t`` (-1 before the first)."""
-        if t < self.offset - self._TOL:
-            return -1
-        return int((t - self.offset) // self.regulator.regulator_period)
-
-    def window_at(self, t: float) -> Optional[tuple[float, float]]:
-        """The working window containing ``t``, or None if on vacation."""
-        m = self._window_index(t)
-        if m < 0:
-            return None
-        period = self.regulator.regulator_period
-        start = self.offset + m * period
-        end = start + self.regulator.working_period
-        if start - self._TOL <= t < end - self._TOL:
-            return (start, end)
-        return None
-
-    def next_window_start(self, t: float) -> float:
-        """Start time of the first working window at or after ``t``."""
-        m = self._window_index(t)
-        if m < 0:
-            return self.offset
-        period = self.regulator.regulator_period
-        start = self.offset + m * period
-        if t < start + self.regulator.working_period - self._TOL:
-            return max(t, start)  # inside window m already
-        return self.offset + (m + 1) * period
-
-    @property
-    def queue_length(self) -> int:
-        return len(self._queue)
-
-    @property
-    def backlog(self) -> float:
-        return sum(p.size for p in self._queue)
-
-    # -- component interface ----------------------------------------------
-    def receive(self, packet: Packet) -> None:
-        self._queue.append(packet)
-        if not self._busy:
-            self._try_start()
-
-    def _try_start(self) -> None:
-        """Start transmitting the head packet if a window allows it."""
-        if self._busy or not self._queue:
-            return
-        now = self.sim.now
-        head = self._queue[0]
-        tx_time = head.size / self.out_rate
-        window = self.window_at(now)
-        if window is not None and now + tx_time <= window[1] + 1e-15:
-            self._busy = True
-            self.sim.schedule_in(tx_time, self._finish_tx)
-            return
-        # Doesn't fit (or on vacation): wait for the next window in which
-        # the packet fits entirely (fit check, non-preemptive).
-        if tx_time > self.regulator.working_period + 1e-15:
-            raise ValueError(
-                "packet serialisation time exceeds the working period; "
-                "decrease packet sizes or increase sigma"
-            )
-        if window is None:
-            start = self.next_window_start(now)
-        else:
-            # Inside a window the packet does not fit into: jump to the
-            # next cycle via the window index (strictly in the future).
-            m = self._window_index(now)
-            start = self.offset + (m + 1) * self.regulator.regulator_period
-        # Never allow a wake at (or before) the current instant -- float
-        # noise here would spin the event loop at a frozen clock.
-        start = max(start, now + self._TOL)
-        if self._wake is None or self._wake.cancelled or self._wake.time > start:
-            if self._wake is not None:
-                self._wake.cancel()
-            self._wake = self.sim.schedule(start, self._wake_up)
-
-    def _wake_up(self) -> None:
-        self._wake = None
-        self._try_start()
-
-    def _finish_tx(self) -> None:
-        pkt = self._queue.popleft()
-        self._busy = False
-        self.sink.receive(pkt)
-        self._try_start()

@@ -9,17 +9,15 @@ ground truth the critical-path reduction is validated against in
 ``tests/test_tree_sim.py`` -- and a realistic substrate in its own
 right (per-receiver delays, loss hooks, churn interplay).
 
-Cost: the legacy engine pays events scaling with
-(members x packets x K).  The batched engine under the adversarial
-discipline runs no event loop at all: every member is a fully-known
-host once its parent is resolved, so the tree is one closed-form host
-pass per member, top down
-(:func:`repro.simulation.batched.primed_tagged_hop`).  A member's
+Cost: an evented tree pays events scaling with
+(members x packets x K).  Under the adversarial discipline no event
+loop runs at all: every member is a fully-known host once its parent
+is resolved, so the tree is one closed-form host pass per member, top
+down (:func:`repro.simulation.batched.primed_tagged_hop`).  A member's
 tagged arrivals are its parent's deliveries plus the link latency, and
 the K-1 cross flows' regulator departures are computed once per call
-outside the lambda mode.  FIFO and priority trees, and the
-``engine="evented"`` oracle, run the evented pipeline, where
-replication commits one fanout event per MUX busy period per child.
+outside the lambda mode.  FIFO and priority trees run the evented
+pipeline, replicating every served packet to each child.
 """
 
 from __future__ import annotations
@@ -30,15 +28,16 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from repro.calculus.envelope import ArrivalEnvelope
+from repro.core.adaptive import resolve_mode
 from repro.overlay.tree import MulticastTree
 from repro.simulation.batched import primed_tagged_hop
 from repro.simulation.engine import Simulator
 from repro.simulation.flow import PacketTrace
 from repro.simulation.host_sim import (
     MODES,
+    _serve_tagged_last,
     build_regulated_host,
     inject_trace,
-    resolve_mode,
 )
 from repro.simulation.measures import DelayStats
 from repro.simulation.packet import Packet
@@ -63,8 +62,8 @@ class TreeSimResult:
     #: closed-form passes it ran instead (regulator passes plus MUX
     #: busy periods, summed over members).
     events: int
-    #: Whether every member was resolved closed-form (batched engine +
-    #: adversarial discipline).
+    #: Whether every member was resolved closed-form (the adversarial
+    #: discipline).
     primed: bool = False
 
     def stats(self) -> DelayStats:
@@ -74,16 +73,8 @@ class TreeSimResult:
 
 
 class _Replicator:
-    """Fan a served packet out to every child entry (plus local delivery).
-
-    Two paths: the per-packet :meth:`receive` (legacy engine, FIFO
-    deliveries) copies each packet per child with its ``hops`` counter
-    bumped; the busy-period :meth:`receive_batch` (adversarial batched
-    MUX release) forwards the released batch as **one event per child,
-    sharing the packet objects** -- nothing downstream mutates them and
-    delays are measured against ``t_emit`` alone, so the copies (and
-    their ``hops`` bookkeeping) are pure churn the fast path skips.
-    """
+    """Fan a served packet out to every child entry (plus local delivery):
+    each child gets a copy with its ``hops`` counter bumped."""
 
     def __init__(
         self,
@@ -92,14 +83,12 @@ class _Replicator:
         flow_id: int,
         children_entries: Sequence[tuple[int, object, float]],
         deliver,
-        deliver_batch,
     ):
         self.sim = sim
         self.host = host
         self.flow_id = flow_id
         self.children_entries = children_entries  # (child, entry, latency)
         self.deliver = deliver
-        self.deliver_batch = deliver_batch
 
     def receive(self, packet: Packet) -> None:
         # Local delivery at this host (it is a receiver too).
@@ -112,14 +101,6 @@ class _Replicator:
                 hops=packet.hops + 1,
             )
             self.sim.schedule_in(latency, entry.receive, copy)
-
-    def receive_batch(self, packets: Sequence[Packet]) -> None:
-        """Deliver and replicate one released busy period: a single
-        vectorised local update plus one fanout event per child."""
-        self.deliver_batch(self.host, packets)
-        sim = self.sim
-        for child, entry, latency in self.children_entries:
-            sim.schedule_in(latency, entry.receive_batch, packets)
 
 
 def simulate_multicast_tree(
@@ -134,7 +115,6 @@ def simulate_multicast_tree(
     discipline: str = "fifo",
     horizon: Optional[float] = None,
     host_capacity: Optional[Mapping[int, float]] = None,
-    engine: str = "batched",
 ) -> TreeSimResult:
     """Simulate group ``group``'s flow over its full tree.
 
@@ -157,15 +137,11 @@ def simulate_multicast_tree(
         Host-to-host one-way underlay latency matrix.
     mode, capacity, discipline:
         Regulated-host pipeline configuration (see
-        :func:`repro.simulation.host_sim.build_regulated_host`).
+        :func:`repro.simulation.host_sim.simulate_regulated_host`).
+        Under ``discipline="priority"`` every member serves the tagged
+        flow last (it gets the largest priority value).
     host_capacity:
         Optional per-host MUX capacity override (capacity-aware runs).
-    engine:
-        ``"batched"`` (window-batched components plus the closed-form
-        primed path, default), ``"evented"`` (the same components, never
-        primed -- the oracle the primed path is pinned against) or
-        ``"legacy"`` (per-packet event chain); see
-        :func:`repro.simulation.host_sim.build_regulated_host`.
 
     Returns
     -------
@@ -174,9 +150,8 @@ def simulate_multicast_tree(
         network-wide worst case (the WDB of the paper).
 
     The latency of every tree edge must be finite and non-negative.
-    Under the batched engine with the adversarial discipline each
-    member is one closed-form host pass, top down, with no
-    ``Simulator``; delays are bit-identical to ``engine="evented"``.
+    Under the adversarial discipline each member is one closed-form
+    host pass, top down, with no ``Simulator``.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -209,8 +184,7 @@ def simulate_multicast_tree(
     def host_phase(host: int) -> float:
         return (hash(host) % 997) / 997.0
 
-    # Flow order inside each host: tagged flow first (index 0) so the
-    # adversarial priority, when used, targets it.
+    # Flow order inside each host: tagged flow first (index 0).
     env_order = [envelopes[group]] + [
         envelopes[g] for g in range(k) if g != group
     ]
@@ -218,7 +192,7 @@ def simulate_multicast_tree(
     tagged = traces[group].restrict(horizon)
     per_receiver: dict[int, float] = {}
 
-    primed = engine == "batched" and discipline == "adversarial"
+    primed = discipline == "adversarial"
     if primed:
         cross_cache: dict = {}
         deliveries: dict[int, np.ndarray] = {}
@@ -254,40 +228,30 @@ def simulate_multicast_tree(
             if delay > per_receiver.get(host, 0.0):
                 per_receiver[host] = delay
 
-        def deliver_batch(host: int, packets: Sequence[Packet]) -> None:
-            # One released busy period, all delivered now: the worst
-            # delay of the batch is measured against its earliest
-            # emission.
-            delay = sim.now - min(p.t_emit for p in packets)
-            if delay > per_receiver.get(host, 0.0):
-                per_receiver[host] = delay
-
         # Build hosts bottom-up so children entries exist before parents.
         entries_by_host: dict[int, list] = {}
         for host in reversed(top_down):
             child_entries = [
                 (c, entries_by_host[c][0], link[c]) for c in children[host]
             ]
-            replicator = _Replicator(
-                sim, host, group, child_entries, deliver, deliver_batch
-            )
+            replicator = _Replicator(sim, host, group, child_entries, deliver)
             sink_map: dict[int, object] = {0: replicator}
             for f in range(1, k):
                 sink_map[f] = _Drop()
-            entries, _ = build_regulated_host(
+            entries, mux = build_regulated_host(
                 sim, env_order, sink_map,
                 mode=mode, capacity=host_cap(host), discipline=discipline,
                 stagger_phase=host_phase(host),
-                engine=engine,
             )
+            _serve_tagged_last(mux, discipline, k)
             entries_by_host[host] = entries
 
         # Inject the K-1 cross flows at every member (each host serves
         # all K groups), then the tagged flow at the root.  Cross flows
         # go first so that at equal-time ties cross arrivals precede
         # tagged ones everywhere (fanout events always carry later
-        # sequence numbers than injections) -- the order the primed
-        # pass realises.
+        # sequence numbers than injections) -- the tie order the
+        # closed-form pass uses too.
         for host in tree.members():
             for f, tr in enumerate(cross, start=1):
                 inject_trace(sim, tr, f, entries_by_host[host][f])

@@ -3,7 +3,12 @@
 import pytest
 
 from repro.calculus.envelope import ArrivalEnvelope
-from repro.core.adaptive import AdaptiveController, ControlMode, StaggerPlan
+from repro.core.adaptive import (
+    AdaptiveController,
+    ControlMode,
+    StaggerPlan,
+    resolve_mode,
+)
 from repro.core.regulator import SigmaRhoLambdaRegulator, SigmaRhoRegulator
 from repro.core.threshold import heterogeneous_threshold, homogeneous_threshold
 
@@ -65,6 +70,17 @@ class TestModeSelection:
     def test_empty_flows_rejected(self):
         with pytest.raises(ValueError):
             AdaptiveController([])
+
+    def test_resolve_mode(self):
+        """``adaptive`` resolves to the controller's choice; concrete
+        modes pass through, without building a controller."""
+        k = 3
+        light = hom_envs(k, 0.1, homogeneous_threshold(k) * 0.5)
+        heavy = hom_envs(k, 0.1, homogeneous_threshold(k) * 1.2)
+        assert resolve_mode("adaptive", light) == "sigma-rho"
+        assert resolve_mode("adaptive", heavy) == "sigma-rho-lambda"
+        for mode in ("sigma-rho", "sigma-rho-lambda", "none"):
+            assert resolve_mode(mode, []) == mode
 
 
 class TestStaggerPlan:

@@ -279,14 +279,19 @@ class TestDesChain:
             simulate_regulated_chain(
                 trace, [[trace, trace]] * 2, envs, propagation=[0.0],
             )
-        # Every entry is checked on entry, by the primed and the
-        # evented engine alike.
+        # Every entry is checked on entry: by the closed-form
+        # (adversarial) and the evented (FIFO) DES pipelines alike, and
+        # by the fluid chain before it sizes its grid.
         nan, inf = float("nan"), float("inf")
-        for engine in ("batched", "evented"):
-            for bad in ([-0.01, 0.0], [0.0, -0.01], [nan, 0.0], [0.0, inf]):
+        for bad in ([-0.01, 0.0], [0.0, -0.01], [nan, 0.0], [0.0, inf]):
+            for discipline in ("adversarial", "fifo"):
                 with pytest.raises(ValueError, match="propagation"):
                     simulate_regulated_chain(
                         trace, [[trace, trace]] * 2, envs, propagation=bad,
-                        mode="sigma-rho", discipline="adversarial",
-                        engine=engine,
+                        mode="sigma-rho", discipline=discipline,
                     )
+            with pytest.raises(ValueError, match="propagation"):
+                simulate_fluid_chain(
+                    trace, [[trace, trace]] * 2, envs, propagation=bad,
+                    mode="sigma-rho", discipline="adversarial",
+                )

@@ -73,10 +73,13 @@ def test_gate_script_targets_the_pinned_store():
 
 def test_des_corpus_reproduces_its_pinned_baseline(tmp_path):
     cells = load_curated(DES_CORPUS)
-    assert len(cells) == 28
+    assert len(cells) == 36
     assert {sc.backend for sc in cells} == {"des", "tree_des"}
     assert sum(sc.backend == "tree_des" for sc in cells) == 4
-    assert {sc.discipline for sc in cells} == {"adversarial", "fifo"}
+    assert {sc.discipline for sc in cells} == {"adversarial", "fifo", "priority"}
+    priority = [sc for sc in cells if sc.discipline == "priority"]
+    assert len(priority) == 8
+    assert all(sc.backend == "des" for sc in priority)
     campaign = run_campaign(cells, store=tmp_path / "des")
     assert campaign.clean
     fields = ("measured", "bound", "baseline_bound", "eps", "sound")

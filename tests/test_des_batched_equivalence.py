@@ -1,17 +1,20 @@
-"""Batched-vs-legacy DES engine equivalence regression.
+"""Production DES vs the legacy per-packet reference pipeline.
 
-The batched engine (``repro.simulation.batched``) must reproduce the
-legacy per-packet event chain's measured delays.  The contract this
-suite enforces, cell by cell:
+The production simulators (FIFO and priority cells on the evented
+window-batched components, adversarial cells on the closed-form passes
+of ``repro.simulation.batched``) must reproduce the measured delays of
+the legacy per-packet event chain, which ``tests/des_oracle.py`` wires
+as ``engine="legacy"``.  The contract this suite enforces, cell by
+cell:
 
 * **Bit-identical** per-flow delay statistics (worst/mean/percentiles/
   counts) for every FIFO and priority discipline run, and for
   ``sigma-rho`` adversarial runs off the tie grid -- the float
-  arithmetic of both engines is sequenced identically.
+  arithmetic of both pipelines is sequenced identically.
 * **Adversarial hold-release refinement**: at instants where the MUX
-  backlog touches exactly zero, the legacy engine's release decision
-  was an event-sequence race (history-dependent); the batched engine
-  releases deterministically, matching the fluid backend's empty-queue
+  backlog touches exactly zero, the legacy pipeline's release decision
+  is an event-sequence race (history-dependent); the closed-form passes
+  release deterministically, matching the fluid backend's empty-queue
   semantics (``fluid_next_empty``).  Batched busy periods therefore
   *refine* legacy ones, so batched delays are pointwise <= legacy
   delays, with equality away from exact zero-backlog ties.  Staggered
@@ -21,8 +24,8 @@ suite enforces, cell by cell:
   paper showcases (batched adversarial == FIFO there, as the staggering
   theory predicts: no MUX pileup).
 * **Verdict equality**: per-cell soundness verdicts agree across the
-  full curated DES corpus (each realised cell re-simulated with
-  ``engine="legacy"``), and the batched engine never measures *larger*.
+  full curated DES corpus (each realised cell re-simulated on the
+  legacy oracle), and production never measures *larger*.
 * **Event-count reduction**: batching must actually remove events.
 """
 
@@ -43,10 +46,14 @@ from repro.simulation.batched import vacation_departures
 from repro.simulation.chain import simulate_regulated_chain
 from repro.simulation.engine import Simulator
 from repro.simulation.flow import AudioSource, PacketTrace, VBRVideoSource
-from repro.simulation.host_sim import simulate_regulated_host
-from repro.simulation.measures import DelayRecorder
-from repro.simulation.regulator_sim import VacationComponent
+from repro.simulation.host_sim import inject_trace, simulate_regulated_host
 from repro.simulation.tree_sim import simulate_multicast_tree
+from tests.des_oracle import (
+    VacationComponent,
+    simulate_chain,
+    simulate_host,
+    simulate_tree,
+)
 
 
 def _stats_equal(a, b) -> bool:
@@ -83,13 +90,13 @@ def video_traces():
 @pytest.mark.parametrize("discipline", ["fifo", "priority"])
 def test_host_bit_identical_fifo_priority(video_traces, mode, discipline):
     traces, envs = video_traces
-    leg = simulate_regulated_host(
+    leg = simulate_host(
         traces, envs, mode=mode, discipline=discipline,
         stagger_phase=0.37, engine="legacy",
     )
     bat = simulate_regulated_host(
         traces, envs, mode=mode, discipline=discipline,
-        stagger_phase=0.37, engine="batched",
+        stagger_phase=0.37,
     )
     assert all(_stats_equal(a, b) for a, b in zip(bat.per_flow, leg.per_flow))
     assert bat.worst_case_delay == leg.worst_case_delay
@@ -97,13 +104,12 @@ def test_host_bit_identical_fifo_priority(video_traces, mode, discipline):
 
 def test_host_sigma_rho_adversarial_bit_identical(video_traces):
     traces, envs = video_traces
-    leg = simulate_regulated_host(
+    leg = simulate_host(
         traces, envs, mode="sigma-rho", discipline="adversarial",
         engine="legacy",
     )
     bat = simulate_regulated_host(
         traces, envs, mode="sigma-rho", discipline="adversarial",
-        engine="batched",
     )
     assert all(_stats_equal(a, b) for a, b in zip(bat.per_flow, leg.per_flow))
 
@@ -113,17 +119,15 @@ def test_host_vacation_adversarial_refinement(video_traces):
     the staggered cell collapses onto its FIFO measurement (no MUX
     pileup -- the paper's own claim)."""
     traces, envs = video_traces
-    leg = simulate_regulated_host(
+    leg = simulate_host(
         traces, envs, mode="sigma-rho-lambda", discipline="adversarial",
         engine="legacy",
     )
     bat = simulate_regulated_host(
         traces, envs, mode="sigma-rho-lambda", discipline="adversarial",
-        engine="batched",
     )
     fifo = simulate_regulated_host(
         traces, envs, mode="sigma-rho-lambda", discipline="fifo",
-        engine="batched",
     )
     assert all(_stats_le(b, a) for b, a in zip(bat.per_flow, leg.per_flow))
     # Sandwich: fifo <= adversarial(batched) <= adversarial(legacy).
@@ -133,13 +137,12 @@ def test_host_vacation_adversarial_refinement(video_traces):
 
 def test_host_batched_slashes_events(video_traces):
     traces, envs = video_traces
-    leg = simulate_regulated_host(
+    leg = simulate_host(
         traces, envs, mode="sigma-rho-lambda", discipline="adversarial",
         engine="legacy",
     )
     bat = simulate_regulated_host(
         traces, envs, mode="sigma-rho-lambda", discipline="adversarial",
-        engine="batched",
     )
     # The primed fast path runs one kernel pass per busy train + one
     # release per MUX busy period -- well below per-packet event counts
@@ -154,13 +157,13 @@ def test_host_batched_slashes_events(video_traces):
 @pytest.mark.parametrize("mode", ["sigma-rho", "sigma-rho-lambda"])
 def test_chain_priority_bit_identical(video_traces, mode):
     traces, envs = video_traces
-    leg = simulate_regulated_chain(
+    leg = simulate_chain(
         traces[0], [traces[1:]] * 2, envs, mode=mode,
         discipline="priority", propagation=[0.0, 0.003], engine="legacy",
     )
     bat = simulate_regulated_chain(
         traces[0], [traces[1:]] * 2, envs, mode=mode,
-        discipline="priority", propagation=[0.0, 0.003], engine="batched",
+        discipline="priority", propagation=[0.0, 0.003],
     )
     assert _stats_equal(bat.tagged_stats, leg.tagged_stats)
     assert bat.worst_case_delay == leg.worst_case_delay
@@ -169,13 +172,13 @@ def test_chain_priority_bit_identical(video_traces, mode):
 def test_chain_adversarial_refinement(video_traces):
     traces, envs = video_traces
     for mode in ("sigma-rho", "sigma-rho-lambda"):
-        leg = simulate_regulated_chain(
+        leg = simulate_chain(
             traces[0], [traces[1:]] * 2, envs, mode=mode,
             discipline="adversarial", engine="legacy",
         )
         bat = simulate_regulated_chain(
             traces[0], [traces[1:]] * 2, envs, mode=mode,
-            discipline="adversarial", engine="batched",
+            discipline="adversarial",
         )
         assert _stats_le(bat.tagged_stats, leg.tagged_stats)
 
@@ -203,26 +206,37 @@ def small_tree():
 
 def test_tree_fifo_bit_identical(small_tree):
     tree, latency, traces, envs = small_tree
-    leg = simulate_multicast_tree(
+    leg = simulate_tree(
         [tree] * 3, 0, traces, envs, latency, mode="sigma-rho",
         discipline="fifo", engine="legacy",
     )
     bat = simulate_multicast_tree(
         [tree] * 3, 0, traces, envs, latency, mode="sigma-rho",
-        discipline="fifo", engine="batched",
+        discipline="fifo",
     )
+    assert bat.per_receiver_worst == leg.per_receiver_worst
+
+
+@pytest.mark.parametrize("mode", ["sigma-rho", "sigma-rho-lambda"])
+def test_tree_priority_bit_identical(small_tree, mode):
+    """Both pipelines serve the tagged flow last at every member."""
+    tree, latency, traces, envs = small_tree
+    args = ([tree] * 3, 0, traces, envs, latency)
+    leg = simulate_tree(*args, mode=mode, discipline="priority", engine="legacy")
+    bat = simulate_multicast_tree(*args, mode=mode, discipline="priority")
+    assert not bat.primed
     assert bat.per_receiver_worst == leg.per_receiver_worst
 
 
 def test_tree_adversarial_refinement(small_tree):
     tree, latency, traces, envs = small_tree
-    leg = simulate_multicast_tree(
+    leg = simulate_tree(
         [tree] * 3, 0, traces, envs, latency, mode="sigma-rho",
         discipline="adversarial", engine="legacy",
     )
     bat = simulate_multicast_tree(
         [tree] * 3, 0, traces, envs, latency, mode="sigma-rho",
-        discipline="adversarial", engine="batched",
+        discipline="adversarial",
     )
     assert set(bat.per_receiver_worst) == set(leg.per_receiver_worst)
     for host, worst in bat.per_receiver_worst.items():
@@ -245,8 +259,6 @@ def _legacy_vacation_departures(times, sizes, regulator, offset, out_rate):
 
     tap = _Tap()
     comp = VacationComponent(sim, regulator, tap, offset=offset, out_rate=out_rate)
-    from repro.simulation.host_sim import inject_trace
-
     inject_trace(sim, PacketTrace(times, sizes), 0, comp)
     sim.run()
     return np.asarray(tap.deps)
@@ -290,7 +302,7 @@ def test_vacation_kernel_empty_trace():
 
 
 # ----------------------------------------------------------------------
-# Scenario level: the curated corpus, batched vs the legacy engine
+# Scenario level: the curated corpus, production vs the legacy oracle
 # ----------------------------------------------------------------------
 def _corpus_des_cells():
     return [
@@ -301,7 +313,7 @@ def _corpus_des_cells():
 
 
 def _legacy_measured(r) -> float:
-    """The realised cell ``r`` re-simulated on the legacy engine, routed
+    """The realised cell ``r`` re-simulated on the legacy oracle, routed
     exactly like ``runner._simulate`` routes the DES backends."""
     sc = r.scenario
     common = dict(
@@ -310,14 +322,14 @@ def _legacy_measured(r) -> float:
     )
     if r.eff_backend == "tree_des":
         tree, latency = r.tree_ctx
-        return simulate_multicast_tree(
+        return simulate_tree(
             [tree], 0, r.traces, r.envelopes, latency, **common
         ).worst_case_delay
     if sc.topology == "host":
-        return simulate_regulated_host(
+        return simulate_host(
             r.traces, r.envelopes, stagger_phase=sc.stagger_phase, **common
         ).worst_case_delay
-    return simulate_regulated_chain(
+    return simulate_chain(
         r.traces[0], [list(r.traces[1:])] * r.hops, r.envelopes,
         stagger_phase=sc.stagger_phase, propagation=list(r.propagation),
         **common,
@@ -328,8 +340,8 @@ def _legacy_measured(r) -> float:
     "scenario", _corpus_des_cells(), ids=lambda sc: sc.name
 )
 def test_corpus_batched_vs_legacy_backend(scenario):
-    # One realisation feeds both engines, so they differ in the engine
-    # alone.
+    # One realisation feeds both pipelines, so they differ in the
+    # pipeline alone.
     (r,), _ = realise_batch([scenario])
     assert r.eff_backend == scenario.backend
     legacy = _legacy_measured(r)
@@ -393,20 +405,19 @@ def test_hypothesis_host_fifo_priority_bit_identical(data, mode):
     traces, envs = data
     for discipline in ("fifo", "priority"):
         try:
-            leg = simulate_regulated_host(
+            leg = simulate_host(
                 traces, envs, mode=mode, discipline=discipline, engine="legacy"
             )
         except ValueError:
-            # Packet exceeds the vacation working period: the batched
-            # engine must reject the same configurations.
+            # Packet exceeds the vacation working period: production
+            # must reject the same configurations.
             with pytest.raises(ValueError, match="working period"):
                 simulate_regulated_host(
                     traces, envs, mode=mode, discipline=discipline,
-                    engine="batched",
                 )
             continue
         bat = simulate_regulated_host(
-            traces, envs, mode=mode, discipline=discipline, engine="batched"
+            traces, envs, mode=mode, discipline=discipline
         )
         assert all(
             _stats_equal(a, b) for a, b in zip(bat.per_flow, leg.per_flow)
@@ -419,7 +430,7 @@ def test_hypothesis_host_adversarial_refinement(data):
     traces, envs = data
     for mode in ("sigma-rho", "sigma-rho-lambda"):
         try:
-            leg = simulate_regulated_host(
+            leg = simulate_host(
                 traces, envs, mode=mode, discipline="adversarial",
                 engine="legacy",
             )
@@ -427,12 +438,10 @@ def test_hypothesis_host_adversarial_refinement(data):
             with pytest.raises(ValueError, match="working period"):
                 simulate_regulated_host(
                     traces, envs, mode=mode, discipline="adversarial",
-                    engine="batched",
                 )
             continue
         bat = simulate_regulated_host(
             traces, envs, mode=mode, discipline="adversarial",
-            engine="batched",
         )
         assert all(
             _stats_le(b, a) for b, a in zip(bat.per_flow, leg.per_flow)

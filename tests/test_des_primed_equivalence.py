@@ -1,11 +1,12 @@
 """Primed-vs-evented-vs-legacy equivalence for the closed-form DES paths.
 
 The window-batched components are pinned against the legacy per-packet
-chain elsewhere; this suite pins the *closed-form* layer against both.
-The equivalence ladder per cell is::
+chain elsewhere; this suite pins the *closed-form* layer against both
+reference pipelines of ``tests/des_oracle.py``.  The equivalence ladder
+per cell is::
 
-    primed (engine="batched")  ==  evented (engine="evented")
-                               <=  legacy  (engine="legacy")
+    primed (production)  ==  evented (engine="evented")
+                         <=  legacy  (engine="legacy")
 
 with strict bit-identity on the first rung (the kernels sequence the
 same float operations the evented components perform) and the
@@ -38,13 +39,15 @@ from repro.simulation.batched import sigma_rho_departures
 from repro.simulation.chain import simulate_regulated_chain
 from repro.simulation.engine import Simulator
 from repro.simulation.flow import AudioSource, PacketTrace, VBRVideoSource
-from repro.simulation.host_sim import (
-    build_regulated_host,
-    inject_trace,
-    simulate_regulated_host,
-)
+from repro.simulation.host_sim import inject_trace, simulate_regulated_host
 from repro.simulation.regulator_sim import TokenBucketComponent
 from repro.simulation.tree_sim import simulate_multicast_tree
+from tests.des_oracle import (
+    build_host,
+    simulate_chain,
+    simulate_host,
+    simulate_tree,
+)
 
 
 def _stats_equal(a, b) -> bool:
@@ -147,8 +150,8 @@ def test_hypothesis_sigma_rho_kernel_bit_identical(data):
 def test_primed_host_equals_evented_host(video_traces, mode):
     traces, envs = video_traces
     kwargs = dict(mode=mode, discipline="adversarial", stagger_phase=0.21)
-    primed = simulate_regulated_host(traces, envs, engine="batched", **kwargs)
-    evented = simulate_regulated_host(traces, envs, engine="evented", **kwargs)
+    primed = simulate_regulated_host(traces, envs, **kwargs)
+    evented = simulate_host(traces, envs, engine="evented", **kwargs)
     assert primed.primed and not evented.primed
     assert all(
         _stats_equal(a, b) for a, b in zip(primed.per_flow, evented.per_flow)
@@ -170,8 +173,8 @@ def test_primed_sigma_rho_host_bit_identical_to_legacy(video_traces):
     cells, so primed == evented == legacy exactly."""
     traces, envs = video_traces
     kwargs = dict(mode="sigma-rho", discipline="adversarial")
-    primed = simulate_regulated_host(traces, envs, engine="batched", **kwargs)
-    legacy = simulate_regulated_host(traces, envs, engine="legacy", **kwargs)
+    primed = simulate_regulated_host(traces, envs, **kwargs)
+    legacy = simulate_host(traces, envs, engine="legacy", **kwargs)
     assert all(
         _stats_equal(a, b) for a, b in zip(primed.per_flow, legacy.per_flow)
     )
@@ -179,19 +182,14 @@ def test_primed_sigma_rho_host_bit_identical_to_legacy(video_traces):
 
 def test_primed_host_respects_horizon_truncation(video_traces):
     traces, envs = video_traces
-    for engine in ("batched", "evented"):
-        kwargs = dict(
-            mode="sigma-rho", discipline="adversarial",
-            horizon=1.0, drain=False, engine=engine,
-        )
-        res = simulate_regulated_host(traces, envs, **kwargs)
-        if engine == "batched":
-            primed = res
-        else:
-            assert all(
-                _stats_equal(a, b)
-                for a, b in zip(primed.per_flow, res.per_flow)
-            )
+    kwargs = dict(
+        mode="sigma-rho", discipline="adversarial", horizon=1.0, drain=False,
+    )
+    primed = simulate_regulated_host(traces, envs, **kwargs)
+    evented = simulate_host(traces, envs, engine="evented", **kwargs)
+    assert all(
+        _stats_equal(a, b) for a, b in zip(primed.per_flow, evented.per_flow)
+    )
 
 
 # ----------------------------------------------------------------------
@@ -206,12 +204,12 @@ def test_primed_chain_equals_evented_chain(video_traces, mode, hops):
         propagation=[0.001 * h for h in range(hops)], stagger_phase=0.37,
     )
     primed = simulate_regulated_chain(
-        traces[0], [traces[1:]] * hops, envs, engine="batched", **kwargs
+        traces[0], [traces[1:]] * hops, envs, **kwargs
     )
-    evented = simulate_regulated_chain(
+    evented = simulate_chain(
         traces[0], [traces[1:]] * hops, envs, engine="evented", **kwargs
     )
-    legacy = simulate_regulated_chain(
+    legacy = simulate_chain(
         traces[0], [traces[1:]] * hops, envs, engine="legacy", **kwargs
     )
     assert primed.primed and not evented.primed
@@ -226,7 +224,7 @@ def test_single_hop_primed_chain_runs_without_event_loop(video_traces):
     traces, envs = video_traces
     res = simulate_regulated_chain(
         traces[0], [traces[1:]], envs,
-        mode="sigma-rho-lambda", discipline="adversarial", engine="batched",
+        mode="sigma-rho-lambda", discipline="adversarial",
     )
     assert res.primed
     # One kernel pass per vacation busy train + one per MUX busy
@@ -240,16 +238,16 @@ def test_priority_chain_unaffected_by_priming(video_traces):
     """The priority discipline stays on the evented path (a strict
     priority order cannot be committed ahead of arrivals)."""
     traces, envs = video_traces
-    batched = simulate_regulated_chain(
+    prod = simulate_regulated_chain(
         traces[0], [traces[1:]] * 2, envs,
-        mode="sigma-rho", discipline="priority", engine="batched",
+        mode="sigma-rho", discipline="priority",
     )
-    legacy = simulate_regulated_chain(
+    legacy = simulate_chain(
         traces[0], [traces[1:]] * 2, envs,
         mode="sigma-rho", discipline="priority", engine="legacy",
     )
-    assert not batched.primed
-    assert _stats_equal(batched.tagged_stats, legacy.tagged_stats)
+    assert not prod.primed
+    assert _stats_equal(prod.tagged_stats, legacy.tagged_stats)
 
 
 @st.composite
@@ -285,7 +283,7 @@ def _random_traces(draw):
 def test_hypothesis_primed_host_and_chain_equal_evented(data, mode):
     traces, envs = data
     try:
-        ev_host = simulate_regulated_host(
+        ev_host = simulate_host(
             traces, envs, mode=mode, discipline="adversarial",
             engine="evented",
         )
@@ -295,20 +293,19 @@ def test_hypothesis_primed_host_and_chain_equal_evented(data, mode):
         with pytest.raises(ValueError, match="working period"):
             simulate_regulated_host(
                 traces, envs, mode=mode, discipline="adversarial",
-                engine="batched",
             )
         return
     pr_host = simulate_regulated_host(
-        traces, envs, mode=mode, discipline="adversarial", engine="batched"
+        traces, envs, mode=mode, discipline="adversarial"
     )
     assert all(
         _stats_equal(a, b) for a, b in zip(pr_host.per_flow, ev_host.per_flow)
     )
     pr_chain = simulate_regulated_chain(
         traces[0], [traces[1:]] * 2, envs, mode=mode,
-        discipline="adversarial", engine="batched",
+        discipline="adversarial",
     )
-    ev_chain = simulate_regulated_chain(
+    ev_chain = simulate_chain(
         traces[0], [traces[1:]] * 2, envs, mode=mode,
         discipline="adversarial", engine="evented",
     )
@@ -346,17 +343,17 @@ def test_tree_busy_period_fanout_bit_identical(small_tree, mode):
     tree, latency, traces, envs = small_tree
     args = ([tree] * 3, 0, traces, envs, latency)
     kwargs = dict(mode=mode, discipline="adversarial")
-    primed = simulate_multicast_tree(*args, engine="batched", **kwargs)
-    evented = simulate_multicast_tree(*args, engine="evented", **kwargs)
-    legacy = simulate_multicast_tree(*args, engine="legacy", **kwargs)
+    primed = simulate_multicast_tree(*args, **kwargs)
+    evented = simulate_tree(*args, engine="evented", **kwargs)
+    legacy = simulate_tree(*args, engine="legacy", **kwargs)
     assert primed.primed and not evented.primed
     assert primed.per_receiver_worst == evented.per_receiver_worst
     assert set(primed.per_receiver_worst) == set(legacy.per_receiver_worst)
     for host, worst in primed.per_receiver_worst.items():
         assert worst <= legacy.per_receiver_worst[host] + 1e-15
-    # Replication is busy-period bound now: the whole tree must run on
-    # a fraction of the evented engine's events (which already avoids
-    # per-packet MUX finish events), let alone the legacy chain.
+    # The whole tree must run on a fraction of the evented oracle's
+    # events (which already avoids per-packet MUX finish events), let
+    # alone the legacy chain's.
     assert primed.events < evented.events / 2
     assert primed.events < legacy.events / 4
 
@@ -365,10 +362,10 @@ def test_tree_fifo_stays_evented_and_bit_identical(small_tree):
     tree, latency, traces, envs = small_tree
     args = ([tree] * 3, 0, traces, envs, latency)
     kwargs = dict(mode="sigma-rho", discipline="fifo")
-    batched = simulate_multicast_tree(*args, engine="batched", **kwargs)
-    legacy = simulate_multicast_tree(*args, engine="legacy", **kwargs)
-    assert not batched.primed
-    assert batched.per_receiver_worst == legacy.per_receiver_worst
+    prod = simulate_multicast_tree(*args, **kwargs)
+    legacy = simulate_tree(*args, engine="legacy", **kwargs)
+    assert not prod.primed
+    assert prod.per_receiver_worst == legacy.per_receiver_worst
 
 
 # ----------------------------------------------------------------------
@@ -398,10 +395,7 @@ def _evented_deliveries(arrivals, sizes, cross, *, tagged_first):
         def receive(self, pkt):
             out.append(sim.now)
 
-        def receive_batch(self, pkts):
-            out.extend([sim.now] * len(pkts))
-
-    entries, _ = build_regulated_host(
+    entries, _ = build_host(
         sim, _TIE_ENVS[: len(cross) + 1], {0: _Tap()}, mode="none",
         discipline="adversarial", engine="evented",
     )
@@ -448,9 +442,9 @@ def test_primed_chain_tie_order_matches_evented(mode):
     for seed in range(8):
         tagged, cross = _tie_chain(seed, hops)
         primed = simulate_regulated_chain(
-            tagged, cross, _TIE_ENVS, engine="batched", **kwargs
+            tagged, cross, _TIE_ENVS, **kwargs
         )
-        evented = simulate_regulated_chain(
+        evented = simulate_chain(
             tagged, cross, _TIE_ENVS, engine="evented", **kwargs
         )
         assert primed.primed and not evented.primed
@@ -479,7 +473,7 @@ def test_primed_tree_tie_order_matches_evented(small_tree, mode):
         )
         args = ([tree] * 3, 0, [tagged, root_tie, child_tie], _TIE_ENVS, zero)
         kwargs = dict(mode=mode, discipline="adversarial")
-        primed = simulate_multicast_tree(*args, engine="batched", **kwargs)
-        evented = simulate_multicast_tree(*args, engine="evented", **kwargs)
+        primed = simulate_multicast_tree(*args, **kwargs)
+        evented = simulate_tree(*args, engine="evented", **kwargs)
         assert primed.primed and not evented.primed
         assert primed.per_receiver_worst == evented.per_receiver_worst, seed

@@ -10,7 +10,10 @@ from repro.core.delay_bounds import (
 )
 from repro.core.threshold import homogeneous_threshold
 from repro.simulation.flow import AudioSource, VBRVideoSource
-from repro.simulation.host_sim import simulate_regulated_host
+from repro.simulation.chain import simulate_regulated_chain
+from repro.simulation.engine import Simulator
+from repro.simulation.host_sim import build_regulated_host, simulate_regulated_host
+from repro.simulation.measures import DelayRecorder
 from tests.tolerances import SOUND_ABS_DES, sound_limit
 
 
@@ -121,3 +124,26 @@ class TestMechanics:
         assert res.per_flow[wf].worst == res.worst_case_delay
         # With per-index priorities the last flow is served last.
         assert wf == len(traces) - 1
+
+    def test_discipline_alone_picks_the_pipeline(self):
+        """No engine switch: adversarial hosts run closed form, FIFO
+        and priority hosts the evented pipeline."""
+        traces, envs, *_ = make_scenario(0.6, horizon=1.0)
+        for discipline, primed in (
+            ("adversarial", True), ("fifo", False), ("priority", False),
+        ):
+            res = simulate_regulated_host(
+                traces, envs, mode="sigma-rho", discipline=discipline
+            )
+            assert res.primed is primed
+        with pytest.raises(TypeError):
+            simulate_regulated_host(traces, envs, engine="batched")
+        with pytest.raises(TypeError):
+            simulate_regulated_chain(
+                traces[0], [traces[1:]], envs, engine="batched"
+            )
+        sim = Simulator()
+        with pytest.raises(ValueError, match="closed form"):
+            build_regulated_host(
+                sim, envs, DelayRecorder(sim), discipline="adversarial"
+            )

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from repro.core.regulator import SigmaRhoLambdaRegulator
+from repro.simulation.batched import BatchVacationComponent
 from repro.simulation.engine import Simulator
 from repro.simulation.flow import PacketTrace, VBRVideoSource
 from repro.simulation.packet import Packet
-from repro.simulation.regulator_sim import TokenBucketComponent, VacationComponent
+from repro.simulation.regulator_sim import TokenBucketComponent
 from repro.utils.piecewise import PiecewiseLinearCurve as PLC
+from tests.des_oracle import VacationComponent
 
 
 class Collector:
@@ -98,10 +100,14 @@ class TestTokenBucket:
 
 
 class TestVacationComponent:
+    """The per-packet reference regulator of ``tests/des_oracle.py``."""
+
+    component = VacationComponent
+
     def make(self, sim, sigma=0.05, rho=0.25, offset=0.0):
         reg = SigmaRhoLambdaRegulator(sigma, rho)
         sink = Collector(sim)
-        vc = VacationComponent(sim, reg, sink, offset=offset, out_rate=1.0)
+        vc = self.component(sim, reg, sink, offset=offset, out_rate=1.0)
         return reg, vc, sink
 
     def test_deliveries_only_during_windows(self):
@@ -168,3 +174,9 @@ class TestVacationComponent:
         inject(sim, vc, tr.times, tr.sizes)
         sim.run(max_events=200_000)
         assert sink.total == pytest.approx(tr.total)
+
+
+class TestBatchVacationComponent(TestVacationComponent):
+    """The window-batched production regulator meets the same contract."""
+
+    component = BatchVacationComponent

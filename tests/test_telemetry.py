@@ -138,8 +138,6 @@ class TestCollection:
             events_processed = 7
             events_scheduled = 9
             cancelled_events = 0  # zero counters are skipped
-            busy_periods = 2
-            receive_batch_calls = 4
 
         cell = tele.begin_cell("t-engine")
         tele.record_engine(FakeSim())
@@ -147,15 +145,13 @@ class TestCollection:
         assert cell.counters == {
             "events_processed": 7,
             "events_scheduled": 9,
-            "busy_periods": 2,
-            "receive_batch_calls": 4,
         }
 
     def test_evented_host_records_engine_tallies(self, telemetry_on):
-        # End-to-end through the real event engine: the evented rung
-        # (no closed-form shortcuts) must fold its scheduler tallies
-        # into the active cell; the primed batched rung runs no event
-        # loop and records none.
+        # End-to-end through the real event engine: a FIFO host runs the
+        # evented pipeline and must fold its scheduler tallies into the
+        # active cell; an adversarial host runs closed form, with no
+        # event loop, and records none.
         from repro.calculus.envelope import ArrivalEnvelope
         from repro.simulation.flow import VBRVideoSource
         from repro.simulation.host_sim import simulate_regulated_host
@@ -166,18 +162,16 @@ class TestCollection:
         traces = [trace] * 3
         envs = [ArrivalEnvelope(max(trace.empirical_sigma(rho), 1e-6), rho)] * 3
         tallies = {}
-        for engine in ("evented", "batched"):
-            cell = tele.begin_cell(engine)
+        for discipline in ("fifo", "adversarial"):
+            cell = tele.begin_cell(discipline)
             simulate_regulated_host(
-                traces, envs, mode="sigma-rho", discipline="adversarial",
-                engine=engine,
+                traces, envs, mode="sigma-rho", discipline=discipline,
             )
             tele.end_cell(cell)
-            tallies[engine] = cell.counters
-        assert tallies["evented"]["events_processed"] > 0
-        assert tallies["evented"]["events_scheduled"] > 0
-        assert tallies["evented"]["busy_periods"] > 0
-        assert tallies["batched"] == {}  # primed: no event loop ran
+            tallies[discipline] = cell.counters
+        assert tallies["fifo"]["events_processed"] > 0
+        assert tallies["fifo"]["events_scheduled"] > 0
+        assert tallies["adversarial"] == {}  # primed: no event loop ran
 
     def test_telemetry_pickles(self, telemetry_on):
         cell = tele.begin_cell("t-pickle")

@@ -10,6 +10,7 @@ from repro.simulation.fluid import simulate_fluid_chain
 from repro.simulation.tree_sim import simulate_multicast_tree
 from repro.topology.attach import attach_hosts
 from repro.topology.backbone import fig5_backbone
+from repro.topology.transit_stub import transit_stub_backbone
 
 
 @pytest.fixture(scope="module")
@@ -56,8 +57,12 @@ class TestWholeTree:
         means = [float(np.mean(by_depth[d])) for d in depths]
         assert means[-1] > means[0]
 
-    @pytest.mark.parametrize("engine", ["batched", "evented"])
-    def test_tree_edge_latency_validation(self, world, engine):
+    # The ids name the pipeline each discipline runs: the closed-form
+    # passes of simulation/batched.py, or the evented components.
+    @pytest.mark.parametrize(
+        "discipline", ["adversarial", "fifo"], ids=["batched", "evented"]
+    )
+    def test_tree_edge_latency_validation(self, world, discipline):
         mgn, trees, traces, envs = world
         tree = trees[0]
         child = min(tree.parent)
@@ -67,7 +72,7 @@ class TestWholeTree:
             with pytest.raises(ValueError, match="latency"):
                 simulate_multicast_tree(
                     trees, 0, traces, envs, latency, mode="sigma-rho",
-                    discipline="adversarial", engine=engine,
+                    discipline=discipline,
                 )
 
     def test_vacation_mode_runs(self, world):
@@ -77,6 +82,34 @@ class TestWholeTree:
         )
         assert res.worst_case_delay > 0
         assert res.events > 0
+
+
+class TestPriorityDiscipline:
+    def test_every_member_serves_the_tagged_flow_last(self):
+        """Under static priority the tagged flow is served last, as in
+        the chain.  At the root both disciplines see the same arrivals,
+        and serving a flow last can only delay it relative to FIFO."""
+        g = transit_stub_backbone(3, 2, 3, rng=1)
+        net = attach_hosts(g, 12, rng=2)
+        mgn = MultiGroupNetwork.fully_joined(net, 3, rng=3)
+        trees = [mgn.build_tree(0, "dsct", rng=4)] * 3
+        traces = [
+            VBRVideoSource(0.25).generate(0.8, rng=i).fragment(0.002)
+            for i in range(3)
+        ]
+        envs = [
+            ArrivalEnvelope(max(t.empirical_sigma(0.25), 1e-6), 0.25)
+            for t in traces
+        ]
+        worst = {
+            discipline: simulate_multicast_tree(
+                trees, 0, traces, envs, mgn.latency, mode="sigma-rho",
+                discipline=discipline,
+            ).per_receiver_worst
+            for discipline in ("priority", "fifo")
+        }
+        root = trees[0].root
+        assert worst["priority"][root] >= worst["fifo"][root]
 
 
 class TestCriticalPathReduction:
