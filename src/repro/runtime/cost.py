@@ -52,9 +52,9 @@ __all__ = [
 #: Absolute scale only matters relative to other backends -- scheduling
 #: uses cost *ratios* -- so stale coefficients degrade gracefully.
 #: The ``*_primed`` entries are *feature labels*, not spec backends:
-#: cells the simulators resolve on the closed-form fast paths (batched
-#: engine + adversarial discipline, PR 5) cost an order of magnitude
-#: less per packet than their evented twins and are priced separately.
+#: cells the simulators resolve on the closed-form passes (every DES
+#: cell but the priority discipline's) cost an order of magnitude less
+#: per packet than the evented priority cells and are priced separately.
 DEFAULT_COEFFICIENTS: dict[str, float] = {
     "fluid": 3.0e-8,          # per grid point x flow x hop
     "des": 4.0e-6,            # per expected packet x flow x hop
@@ -108,12 +108,12 @@ def _spec_features(spec: Any) -> tuple[str, float]:
 
     Accepts :class:`~repro.scenarios.spec.Scenario` instances or
     mapping-shaped records (store rows); unknown fields default
-    conservatively.  Cells that resolve on the closed-form primed fast
-    paths (PR 5) are classified under the ``*_primed`` labels: for
-    store records the recorded ``primed`` execution fact decides; for
-    specs it is inferred the way the simulators route
-    (``backend="des"``/``"tree_des"`` + ``discipline="adversarial"`` --
-    every resolved control mode is primeable).
+    conservatively.  Cells that resolve on the closed-form primed
+    passes are classified under the ``*_primed`` labels: for store
+    records the recorded ``primed`` execution fact decides; for specs
+    it is inferred the way the simulators route
+    (``backend="des"``/``"tree_des"`` with any discipline but
+    ``"priority"`` -- every resolved control mode is primeable).
     """
     get = (
         spec.get
@@ -139,7 +139,9 @@ def _spec_features(spec: Any) -> tuple[str, float]:
     if isinstance(sub, Mapping) and discipline is None:
         discipline = sub.get("discipline")
     if primed is None:
-        primed = backend in ("des", "tree_des") and discipline == "adversarial"
+        primed = backend in ("des", "tree_des") and discipline in (
+            "adversarial", "fifo",
+        )
     if members > 0:
         # Tree specs carry hops=1; the realised critical path is about
         # the DSCT height (Lemma 2) -- use it as the hop estimate.

@@ -12,8 +12,9 @@ evaluates a *batch of cells* instead:
    :func:`evaluate_cell`, which reproduces the exact error.
 2. **Grouping and dispatch** -- realised cells are keyed by
    ``(backend, discipline, topology, mode shape)``; two group kernels
-   exist today, the adversarial fluid host and the adversarial primed
-   DES host.  :func:`simulate_cells` is the one way a realised cell is
+   exist today, the adversarial fluid host and the primed DES host
+   (adversarial or FIFO, one group per discipline and mode).
+   :func:`simulate_cells` is the one way a realised cell is
    simulated: a group kernel for a group, :func:`runner._simulate
    <repro.scenarios.runner._simulate>` for each cell outside both
    groups.  :func:`evaluate_cell` is a batch of one through the same
@@ -24,10 +25,9 @@ evaluates a *batch of cells* instead:
 3. **Packed evaluation** -- each fluid group packs its unique
    (trace, envelope) lanes into padded ``(n_lanes, n_bins_max + 1)``
    matrices and shapes them with the ``batch_fluid_*`` kernels of
-   :mod:`repro.simulation.fluid` in one vectorised pass per group; the
-   DES group runs :func:`repro.simulation.batched.primed_adversarial_host`
-   per cell with the regulator pass deduplicated across flows sharing
-   a trace.
+   :mod:`repro.simulation.fluid` in one vectorised pass per group; a
+   DES group runs :func:`repro.simulation.batched.primed_host` per cell
+   with the regulator pass deduplicated across flows sharing a trace.
 
 Equivalence contract: grouped evaluation is throughput-only.  Every
 ``CellResult`` field must equal the per-cell reference (the scalar
@@ -60,7 +60,11 @@ from repro.scenarios.runner import (
 )
 from repro.scenarios.spec import Scenario
 from repro.scenarios.tracebatch import realise_batch
-from repro.simulation.batched import PRIMED_MODES, primed_adversarial_host
+from repro.simulation.batched import (
+    PRIMED_DISCIPLINES,
+    PRIMED_MODES,
+    primed_host,
+)
 from repro.simulation.fluid import (
     _adversarial_worst,
     _default_drain_margin,
@@ -106,12 +110,14 @@ def group_key(r: _Realised) -> Optional[tuple]:
     parameters of the kernels.
     """
     sc = r.scenario
-    if sc.topology != "host" or sc.discipline != "adversarial":
+    if sc.topology != "host":
         return None
-    if r.eff_backend == "fluid":
+    if r.eff_backend == "des":
+        if sc.discipline in PRIMED_DISCIPLINES and r.eff_mode in PRIMED_MODES:
+            return ("des", sc.discipline, "host", r.eff_mode)
+        return None
+    if r.eff_backend == "fluid" and sc.discipline == "adversarial":
         return ("fluid", "adversarial", "host", r.eff_mode, sc.dt)
-    if r.eff_backend == "des" and r.eff_mode in PRIMED_MODES:
-        return ("des", "adversarial", "host", r.eff_mode)
     return None
 
 
@@ -125,10 +131,12 @@ def _fallback_reason(r: _Realised) -> str:
     sc = r.scenario
     if sc.topology != "host":
         return f"topology:{sc.topology}"
+    if r.eff_backend == "des":
+        if sc.discipline not in PRIMED_DISCIPLINES:
+            return f"discipline:{sc.discipline}"
+        return f"mode:{r.eff_mode}"
     if sc.discipline != "adversarial":
         return f"discipline:{sc.discipline}"
-    if r.eff_backend == "des":
-        return f"mode:{r.eff_mode}"
     return f"backend:{r.eff_backend}"
 
 
@@ -140,10 +148,10 @@ def _annotate_fallback(task: TaskResult, reason: str) -> None:
 
 
 # ----------------------------------------------------------------------
-# DES group: primed adversarial hosts
+# DES group: primed adversarial and FIFO hosts
 # ----------------------------------------------------------------------
 def _eval_des_group(
-    mode: str, realised: Sequence[_Realised]
+    discipline: str, mode: str, realised: Sequence[_Realised]
 ) -> list[Union[CellResult, Exception]]:
     """Evaluate one primed-DES group: a result or the raised exception
     per cell."""
@@ -165,10 +173,11 @@ def _eval_des_group(
                 if dedupe
                 else None
             )
-            host = primed_adversarial_host(
+            host = primed_host(
                 [(tr.times, tr.sizes) for tr in traces],
                 r.envelopes,
                 mode,
+                discipline=discipline,
                 capacity=sc.capacity,
                 stagger_phase=sc.stagger_phase,
                 dep_cache={} if dedupe else None,
@@ -484,7 +493,7 @@ def simulate_cells(
     """
     if key is not None:
         if key[0] == "des":
-            return _eval_des_group(key[3], realised)
+            return _eval_des_group(key[1], key[3], realised)
         return _eval_fluid_group(key[3], key[4], realised, pack_stats)
     out: list[Union[CellResult, Exception]] = []
     for r in realised:

@@ -16,10 +16,10 @@ Both backends consume the same :class:`~repro.simulation.flow.PacketTrace`
 inputs, so any scenario can be run on either and compared.
 
 In the DES the MUX discipline alone picks the pipeline: adversarial
-hosts, chains and trees run event-free closed-form passes
-(:mod:`repro.simulation.batched`), FIFO and priority cells the evented
-components (window-batched vacation service, commit-on-receive FIFO
-drains, and the per-packet priority :class:`MuxServer`).
+and FIFO hosts, chains and trees run event-free closed-form passes
+(:mod:`repro.simulation.batched`), priority cells the evented
+components (window-batched vacation service, token buckets and the
+per-packet priority :class:`MuxServer`).
 """
 
 from repro.simulation.batched import (

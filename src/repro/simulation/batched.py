@@ -1,4 +1,4 @@
-"""Window-batched DES components and the closed-form adversarial passes.
+"""Window-batched DES components and the closed-form primed passes.
 
 A per-packet DES component drives one callback chain per packet:
 ``receive -> schedule finish -> finish -> try-start-next``, with wakeup
@@ -21,34 +21,75 @@ This module exploits exactly that structure, at three levels:
 
 :class:`BatchVacationComponent` / :class:`BatchMuxServer`
     Evented components for pipelines whose arrivals are *not* known in
-    advance: the regulators of FIFO and priority cells and the FIFO
-    MUX.  The vacation component commits a whole window's worth of
+    advance: the regulators of priority cells, and the FIFO MUX of
+    :class:`~repro.simulation.loss.LossyLink` pipelines and the test
+    oracle.  The vacation component commits a whole window's worth of
     service per wakeup (one continuation event per busy train instead
     of one finish event per packet); the MUX commits each packet's
     departure at arrival time (the constant-rate drain is a running
     ``busy_until`` float, no internal heap, no per-packet
     finish/start-next events).
 
-:func:`primed_adversarial_host` / :func:`primed_tagged_hop`
-    The array passes of the adversarial discipline: every flow's trace
-    is known up front, so a host -- regulators, adversarial MUX, delay
+:func:`primed_host` / :func:`primed_tagged_hop`
+    The array passes of the FIFO and adversarial disciplines: every
+    flow's trace is known up front, so a host -- regulators, MUX, delay
     recording -- collapses into NumPy passes over merged departure
     arrays with *no per-packet events at all*.
     :func:`sigma_rho_departures` is the token-bucket analogue of
     :func:`vacation_departures` (closed-form departures, float ops
     sequenced identically to ``TokenBucketComponent``); one private
     per-flow dispatch (``_flow_departures``) picks between them -- or
-    the raw arrival times for mode ``none`` -- for both.  The host
-    kernel serves every adversarial
+    the raw arrival times for mode ``none`` -- for both.  One
+    ``busy_until`` recurrence merges the departures; a FIFO packet is
+    delivered at its own completion, an adversarial one at the end of
+    its busy period.  The host kernel serves every FIFO and adversarial
     :func:`repro.simulation.host_sim.simulate_regulated_host` call and
-    the primed DES group of the cell matrix.  The hop kernel serves
+    the primed DES groups of the cell matrix.  The hop kernel serves
     every hop of :func:`repro.simulation.chain.simulate_regulated_chain`
     and every member of
     :func:`repro.simulation.tree_sim.simulate_multicast_tree`: a hop's
     tagged arrivals are the previous hop's deliveries plus the link
     delay, so a chain is a loop of host passes and a tree the same
-    pass per member, top down.  Its docstring holds the one tie-order
-    rule those passes share.
+    pass per member, top down.
+
+Tie order
+---------
+Packets that reach a MUX at one instant are served in the order an
+evented pipeline of the same cell hands them over, and that order
+decides FIFO delays (adversarial ones only in their last bits).
+:class:`~repro.simulation.engine.Simulator` runs equal-time events in
+schedule order, so at one instant:
+
+1. Packets released inside *injected* events -- scheduled before the
+   run -- come first, in injection order: at a host, flow order; at a
+   chain's hop 0, the tagged flow, then the hop's cross flows; at a
+   tree member, its cross flows, which the tree injects before the
+   root's tagged flow.
+2. Packets released inside *run-time* events follow: token-bucket
+   wakeups, relayed chain arrivals and fanned-out tree arrivals.  They
+   run in the order they were scheduled: by the instant of the event
+   that scheduled each one, then recursively by that event's own place
+   at its instant.
+3. Packets released inside one event keep their emission order.
+
+Each event therefore has a key: ``(t, 0, (block, index))`` when
+injected, ``(t, 1, key of the event that scheduled it)`` at run time
+(``_key_cmp``).  A stable sort by instant over the departures,
+concatenated in injection order, settles most ties
+(``_service_order``).  It leaves two kinds of run to reorder: a
+run-time release ahead of an injected one, which moves behind it, and
+run-time releases of two different flows, the only case that builds
+keys, from the regulator's lineage (``_Regulated.lineage``) and the
+relayed packets' delivery events (``_relay``).
+
+Vacation departures carry no keys: while sum(rho) <= C the stagger
+plan's windows tile without overlap, so no two flows' vacation
+departures share an instant.  Two cases stay undecided and keep the
+concatenation order: a tie on an overloaded lambda-mode host (the
+adaptive controller still assigns it the lambda model), and a tie that
+needs the release key of a packet relayed out of a vacation hop (a
+tree whose member capacities differ can mix modes), whose key ends at
+its delivery instant.
 
 Equivalence contract: the float arithmetic is sequenced identically to
 the per-packet event chain, so measured delays are bit-identical to it
@@ -63,7 +104,9 @@ curated corpus and hypothesis-generated traces.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
+from functools import cmp_to_key
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -79,9 +122,10 @@ __all__ = [
     "sigma_rho_departures",
     "BatchVacationComponent",
     "BatchMuxServer",
-    "primed_adversarial_host",
+    "primed_host",
     "primed_tagged_hop",
     "PrimedHostOutcome",
+    "PRIMED_DISCIPLINES",
     "PRIMED_MODES",
 ]
 
@@ -273,9 +317,9 @@ def sigma_rho_departures(
       wakeup -- because ``min(sigma, tokens + rho * dt)`` chains are
       not associative in floats; collapsing two refills into one would
       drift.
-    * At equal instants an arrival precedes a pending wakeup (arrival
-      events are batch-scheduled at injection with lower sequence
-      numbers than any runtime-scheduled wake).
+    * At equal instants the replay drains arrivals before a pending
+      wakeup.  Whichever runs first, the departures are the same: the
+      second drain refills over zero elapsed time.
     * A wakeup is *cancelled* only by a drain pass that leaves the
       queue non-empty (which reschedules it); a drain that empties the
       queue leaves the stale wake pending, and its later refill is a
@@ -285,12 +329,29 @@ def sigma_rho_departures(
     passes -- the evented path's event-count analogue; a run of
     arrivals at one instant is one drain.
     """
+    deps, drains, _ = _sigma_rho_pass(times, sizes, sigma, rho, False)
+    return deps, drains
+
+
+def _sigma_rho_pass(
+    times: np.ndarray,
+    sizes: np.ndarray,
+    sigma: float,
+    rho: float,
+    lineage: bool,
+) -> tuple[np.ndarray, int, Optional[tuple]]:
+    """:func:`sigma_rho_departures`, plus, with ``lineage``, the events
+    that released each departure: ``(src, wakes, contest)`` in the
+    encoding of :meth:`_Regulated.lineage`."""
     times = np.ascontiguousarray(times, dtype=np.float64)
     sizes = np.ascontiguousarray(sizes, dtype=np.float64)
     n = times.size
     deps = np.empty(n, dtype=np.float64)
+    src: list[int] = []
+    wakes: list[tuple[float, int]] = []
+    contest: dict[int, int] = {}
     if n == 0:
-        return deps, 0
+        return deps, 0, (src, wakes, contest) if lineage else None
     check_positive(sigma, "sigma")
     check_positive(rho, "rho")
     t_l = times.tolist()
@@ -300,33 +361,57 @@ def sigma_rho_departures(
     head = 0      # first unserved packet
     arrived = 0   # next arrival event to process
     wake = None   # pending wakeup instant (may be stale)
+    wake_src = 0  # lineage code of the pending wakeup
     drains = 0
     while head < n:
         if arrived < n and (wake is None or t_l[arrived] <= wake):
             t = t_l[arrived]
+            first = arrived
             arrived += 1
             # A run of same-instant arrivals is one drain: the evented
             # bucket's refills between them are zero-elapsed, so
             # departures cannot change.
             while arrived < n and t_l[arrived] == t:
                 arrived += 1
+            # The queued backlog leaves in the first event at t: the
+            # run's first arrival, or a wakeup due at t too.
+            backlog = first
+            tied = wake == t and head < first
+            # Every arrival of the run reschedules the wakeup in turn.
+            parent = arrived - 1
         else:
             t = wake
             wake = None  # the wake event is consumed by firing
+            first = arrived
+            backlog = parent = wake_src
+            tied = False
         drains += 1
         # _refill: one clamp per event instant, never coalesced.
         tokens = min(sigma, tokens + rho * (t - last))
         last = t
+        start = head
         while head < arrived and tokens >= s_l[head] - 1e-15:
             tokens -= s_l[head]
             deps[head] = t
             head += 1
+        if lineage:
+            for j in range(start, head):
+                if j >= first:
+                    src.append(j)
+                elif tied:
+                    src.append(wake_src)
+                    contest[j] = first
+                else:
+                    src.append(backlog)
         if head < arrived:
             # Queue non-empty: cancel-and-reschedule the wakeup.
             wake = t + (s_l[head] - tokens) / rho
+            if lineage:
+                wake_src = ~len(wakes)
+                wakes.append((wake, parent))
         # else: any pending stale wake stays pending (the component
         # leaves it uncancelled; its refill still happens).
-    return deps, drains
+    return deps, drains, (src, wakes, contest) if lineage else None
 
 
 # ----------------------------------------------------------------------
@@ -491,8 +576,14 @@ class BatchMuxServer:
 
 
 # ----------------------------------------------------------------------
-# The primed fast paths
+# The primed passes
 # ----------------------------------------------------------------------
+#: MUX disciplines the primed passes resolve: both drain the same
+#: merged arrival order, FIFO delivering each packet at its own
+#: completion, the adversarial MUX at the end of its busy period.
+PRIMED_DISCIPLINES = ("adversarial", "fifo")
+
+
 class PrimedHostOutcome:
     """Raw product of the primed host passes (arrays, no Packets)."""
 
@@ -508,27 +599,205 @@ class PrimedHostOutcome:
     @property
     def batch_events(self) -> int:
         """The batched path's event-count analogue: one pass per
-        regulator busy train (or token-bucket drain) plus one release
-        per MUX busy period."""
+        regulator busy train (or token-bucket drain) plus one per MUX
+        busy period."""
         return self.trains + self.releases
 
 
-def _adversarial_mux_deliveries(
-    arr: np.ndarray, tx: np.ndarray
-) -> tuple[np.ndarray, int]:
-    """Delivery instants of time-sorted MUX arrivals under the
-    adversarial hold-and-release discipline.
+class _Regulated:
+    """One flow's regulator departures at one host, and -- on demand --
+    the simulator events that released them into the MUX.
+
+    ``kind`` names the regulator: ``"sigma-rho"`` (``bucket`` holds the
+    ``(times, sizes, sigma, rho)`` it ran on), ``"none"`` or
+    ``"vacation"``.  Flows with equal traces and parameters share one
+    instance, so nothing here depends on a flow's injection position.
+    """
+
+    __slots__ = ("deps", "passes", "kind", "bucket", "_lineage")
+
+    def __init__(
+        self,
+        deps: np.ndarray,
+        passes: int,
+        kind: str,
+        bucket: Optional[tuple] = None,
+    ):
+        self.deps = deps
+        self.passes = passes
+        self.kind = kind
+        self.bucket = bucket
+        self._lineage = None
+
+    def runtime(self, injected: bool) -> np.ndarray:
+        """Which departures leave in a run-time event (the rest leave in
+        the arrival event that was injected before the run).
+
+        A vacation regulator delivers from scheduled events.  A token
+        bucket whose arrivals are injected releases at an arrival
+        instant only inside an arrival event, which precedes any wakeup
+        due then; at any other instant a wakeup releases.
+        """
+        n = self.deps.size
+        if not injected or self.kind == "vacation":
+            return np.ones(n, dtype=bool)
+        if self.kind == "none":
+            return np.zeros(n, dtype=bool)
+        times = self.bucket[0]
+        at = np.minimum(np.searchsorted(times, self.deps), times.size - 1)
+        return times[at] != self.deps
+
+    def lineage(self) -> Optional[tuple]:
+        """``(src, wakes, contest)``, or ``None`` for a vacation regulator.
+
+        ``src[j]`` is the event that released departure ``j``: ``a >= 0``
+        the flow's arrival event ``a``, ``~w`` its wakeup ``w``, which
+        ``wakes[w] = (instant, parent)`` scheduled from event ``parent``
+        (same encoding).  ``contest[j] = a``: departure ``j`` left in
+        whichever of ``src[j]`` and arrival ``a`` runs first -- a
+        wakeup and an arrival due at one instant, whose order only
+        their event keys decide.  Vacation departures are not traced
+        (see the module docstring).
+        """
+        if self._lineage is None:
+            if self.kind == "none":
+                self._lineage = (range(self.deps.size), (), {})
+            elif self.kind == "sigma-rho":
+                self._lineage = _sigma_rho_pass(*self.bucket, True)[2]
+        return self._lineage
+
+
+def _key_cmp(a: tuple, b: tuple) -> int:
+    """Order two event keys the way :class:`Simulator` runs the events.
+
+    A key is ``(instant, 0, (block, index))`` for the ``index``-th event
+    of injection block ``block``, scheduled before the run, and
+    ``(instant, rank, parent)`` for a run-time event scheduled by the
+    event keyed ``parent``: rank 1, or -1 for a hold-and-release MUX's
+    release decision (scheduled ahead of equal-time events; its
+    ``parent`` is ``None``, since no other flow's event shares both its
+    instant and its rank).  Levels compare iteratively: wakeup chains
+    run deep.
+    """
+    while a is not b:
+        if a[0] != b[0]:
+            return -1 if a[0] < b[0] else 1
+        if a[1] != b[1]:
+            return -1 if a[1] < b[1] else 1
+        if a[1] == 0:
+            return -1 if a[2] < b[2] else int(a[2] > b[2])
+        a, b = a[2], b[2]
+        if a is None or b is None:
+            break
+    return 0
+
+
+def _release_key(reg: _Regulated, j: int, arrival_key) -> Optional[tuple]:
+    """Event key of the event that released departure ``j`` of ``reg``
+    (``None`` when untraced); ``arrival_key(a)`` keys arrival event
+    ``a``."""
+    lineage = reg.lineage()
+    if lineage is None:
+        return None
+    src, wakes, contest = lineage
+    code = src[j]
+    instants = []
+    while code < 0:
+        instant, code = wakes[~code]
+        instants.append(instant)
+    key = arrival_key(code)
+    for instant in reversed(instants):
+        key = (instant, 1, key)
+    a = contest.get(j)
+    if a is not None:
+        alt = arrival_key(a)
+        if _key_cmp(alt, key) < 0:
+            key = alt
+    return key
+
+
+def _injected_key(times: np.ndarray, block: int):
+    """Arrival keys of a flow injected before the run as block
+    ``block``."""
+    return lambda a: (float(times[a]), 0, (block, a))
+
+
+def _service_order(
+    arr: np.ndarray,
+    counts: Sequence[int],
+    regs: Sequence[_Regulated],
+    injected: Sequence[bool],
+    arrival_keys: Sequence,
+) -> np.ndarray:
+    """Order in which one MUX serves the concatenated departures ``arr``
+    of ``regs`` (``counts`` each, concatenated in injection order).
+
+    Equal instants are served in the evented simulator's order (see the
+    module docstring): injected releases first, in injection order;
+    then run-time releases by event key.  The stable sort settles most
+    runs of equal instants; in the rest a run-time release precedes an
+    injected one or another flow's run-time release, and only those
+    runs are reordered, building keys for their run-time releases.
+    """
+    order = np.argsort(arr, kind="stable")
+    runtime = np.concatenate(
+        [r.runtime(inj) for r, inj in zip(regs, injected)]
+    )
+    if not runtime.any():
+        return order
+    s_arr = arr[order]
+    s_rt = runtime[order]
+    s_flow = np.repeat(np.arange(len(regs)), counts)[order]
+    flagged = np.flatnonzero(
+        (s_arr[1:] == s_arr[:-1])
+        & s_rt[:-1]
+        & (~s_rt[1:] | (s_flow[1:] != s_flow[:-1]))
+    )
+    offsets = np.concatenate(([0], np.cumsum(counts))).tolist()
+    n = arr.size
+    end = 0
+    for i in flagged.tolist():
+        if i < end:
+            continue
+        t = s_arr[i]
+        lo = i
+        while lo and s_arr[lo - 1] == t:
+            lo -= 1
+        end = i + 2
+        while end < n and s_arr[end] == t:
+            end += 1
+        run = order[lo:end].tolist()
+        first = [p for p in run if not runtime[p]]
+        later = [p for p in run if runtime[p]]
+        keys = []
+        for p in later:
+            f = bisect_right(offsets, p) - 1
+            keys.append(_release_key(regs[f], p - offsets[f], arrival_keys[f]))
+        if None not in keys:
+            rank = sorted(
+                range(len(later)),
+                key=cmp_to_key(lambda x, y: _key_cmp(keys[x], keys[y])),
+            )
+            later = [later[x] for x in rank]
+        order[lo:end] = first + later
+    return order
+
+
+def _mux_deliveries(
+    arr: np.ndarray, tx: np.ndarray, fifo: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """Delivery instants of MUX arrivals in service order, plus the end
+    of each one's busy period.
 
     The constant-rate drain is the ``busy_until`` recurrence,
-    float-sequenced exactly like an evented MUX's per-packet chain;
-    delivery equals the end of each packet's busy period.  A busy
-    period ends where the next arrival does not precede the
-    completion; an arrival at *exactly* the completion instant starts
-    a fresh period (an evented hold-and-release MUX schedules its
-    release decision ahead of equal-time arrivals, and a per-packet
-    MUX pops its finish event first for the same reason).
-
-    Returns ``(delivery, releases)``: one release per busy period.
+    float-sequenced exactly like the evented MUX.  A FIFO packet leaves
+    at its own completion, an adversarial one at the end of its busy
+    period (the hold-and-release instant).  A busy period ends where the
+    next arrival does not precede the completion; an arrival at
+    *exactly* the completion instant starts a fresh period (an evented
+    hold-and-release MUX schedules its release decision ahead of
+    equal-time arrivals, and a per-packet MUX pops its finish event
+    first for the same reason).
     """
     n = arr.size
     bu = np.empty(n, dtype=np.float64)
@@ -544,56 +813,15 @@ def _adversarial_mux_deliveries(
     nxt = np.empty(n, dtype=np.float64)
     nxt[:-1] = arr[1:]
     nxt[-1] = np.inf
-    is_end = nxt >= bu
-    end_idx = np.nonzero(is_end)[0]
-    reps = np.diff(np.concatenate(([-1], end_idx)))
-    delivery = np.repeat(bu[end_idx], reps)
-    return delivery, int(end_idx.size)
+    end_idx = np.nonzero(nxt >= bu)[0]
+    ends = np.repeat(bu[end_idx], np.diff(np.concatenate(([-1], end_idx))))
+    return (bu if fifo else ends), ends
 
 
-def _merge_and_deliver(
-    dep_list: Sequence[np.ndarray],
-    emit_list: Sequence[np.ndarray],
-    size_list: Sequence[np.ndarray],
-    *,
-    capacity: float,
-    trains: int,
-    horizon: Optional[float],
-    drain: bool,
-) -> PrimedHostOutcome:
-    """Merge per-flow regulator departures through the adversarial MUX
-    pass and split delays back per flow."""
-    k = len(dep_list)
-    flow_list = [
-        np.full(d.size, f, dtype=np.int64) for f, d in enumerate(dep_list)
-    ]
-    arr = np.concatenate(dep_list) if dep_list else np.empty(0)
-    emits = np.concatenate(emit_list) if emit_list else np.empty(0)
-    sizes_all = np.concatenate(size_list) if size_list else np.empty(0)
-    flows = np.concatenate(flow_list) if flow_list else np.empty(0, dtype=np.int64)
-    n = arr.size
-    if n == 0:
-        return PrimedHostOutcome([np.empty(0) for _ in range(k)], 0, 0)
-    # Stable sort: equal departure instants keep flow order, the
-    # injection order of a host (see primed_tagged_hop's tie order).
-    order = np.argsort(arr, kind="stable")
-    arr = arr[order]
-    emits = emits[order]
-    flows = flows[order]
-    tx = sizes_all[order] / capacity
-    delivery, releases = _adversarial_mux_deliveries(arr, tx)
-    if not drain:
-        if horizon is None:
-            raise ValueError("drain=False requires a horizon")
-        keep = delivery <= horizon
-        delivery = delivery[keep]
-        emits = emits[keep]
-        flows = flows[keep]
-    delays = delivery - emits
-    # Per-flow split preserves emission order: each flow's regulator
-    # departures are non-decreasing, and the sort above is stable.
-    per_flow = [delays[flows == f] for f in range(k)]
-    return PrimedHostOutcome(per_flow, trains, releases)
+def _periods(ends: np.ndarray) -> int:
+    """Busy periods among packets in service order, given each one's
+    period end (ends strictly increase from one period to the next)."""
+    return int(np.count_nonzero(np.diff(ends))) + 1 if ends.size else 0
 
 
 def _stagger_schedule(
@@ -620,8 +848,8 @@ def _flow_departures(
     envelopes: Sequence,
     capacity: float,
     schedule: Optional[tuple],
-) -> tuple[np.ndarray, int]:
-    """Regulator departures ``(deps, passes)`` of flow ``f`` under ``mode``.
+) -> _Regulated:
+    """Regulator departures of flow ``f`` under ``mode``.
 
     The per-flow dispatch of every primed pass: a token bucket
     parameterised like the builders (``sigma = e.sigma``,
@@ -630,30 +858,42 @@ def _flow_departures(
     ``"sigma-rho-lambda"``), or -- mode ``"none"`` -- the arrival times
     themselves.
     """
+    times = np.ascontiguousarray(times, dtype=np.float64)
     if mode == "sigma-rho":
         env = envelopes[f]
-        return sigma_rho_departures(
-            times, sizes, env.sigma, env.rho / capacity
+        rho = env.rho / capacity
+        deps, drains = sigma_rho_departures(times, sizes, env.sigma, rho)
+        return _Regulated(
+            deps, drains, "sigma-rho", (times, sizes, env.sigma, rho)
         )
     if mode == "sigma-rho-lambda":
         regulators, offsets = schedule
-        return vacation_departures(
+        deps, trains = vacation_departures(
             times, sizes, regulators[f], offset=float(offsets[f]),
             out_rate=capacity,
         )
-    return np.ascontiguousarray(times, dtype=np.float64), 0
+        return _Regulated(deps, trains, "vacation")
+    return _Regulated(times, 0, "none")
 
 
 def _primed_schedule(
-    envelopes: Sequence, mode: str, capacity: float, stagger_phase: float
+    envelopes: Sequence,
+    mode: str,
+    capacity: float,
+    stagger_phase: float,
+    discipline: str,
 ) -> Optional[tuple]:
-    """Check a primed pass's mode and capacity; return the vacation
-    stagger schedule of its host (``None`` outside
+    """Check a primed pass's discipline, mode and capacity; return the
+    vacation stagger schedule of its host (``None`` outside
     ``"sigma-rho-lambda"``)."""
+    if discipline not in PRIMED_DISCIPLINES:
+        raise ValueError(
+            f"primed passes serve the disciplines {PRIMED_DISCIPLINES}, "
+            f"got {discipline!r}"
+        )
     if mode not in PRIMED_MODES:
         raise ValueError(
-            f"primed adversarial hosts support modes {PRIMED_MODES}, "
-            f"got {mode!r}"
+            f"primed hosts support modes {PRIMED_MODES}, got {mode!r}"
         )
     check_positive(capacity, "capacity")
     if mode != "sigma-rho-lambda":
@@ -663,51 +903,12 @@ def _primed_schedule(
     )
 
 
-def _primed_departures(
-    traces: Sequence[tuple[np.ndarray, np.ndarray]],
-    envelopes: Sequence,
-    mode: str,
-    capacity: float,
-    stagger_phase: float,
-    dep_cache: Optional[dict] = None,
-    cache_keys: Optional[Sequence] = None,
-) -> tuple[list[np.ndarray], list[np.ndarray], list[np.ndarray], int]:
-    """Every flow's regulator departures, emissions and sizes, plus the
-    summed pass count, for a fully-known adversarial host.
-
-    ``dep_cache`` / ``cache_keys``: see :func:`primed_adversarial_host`.
-    """
-    schedule = _primed_schedule(envelopes, mode, capacity, stagger_phase)
-    dep_list: list[np.ndarray] = []
-    emit_list: list[np.ndarray] = []
-    size_list: list[np.ndarray] = []
-    trains_total = 0
-    for f, (times, sizes) in enumerate(traces):
-        key = cache_keys[f] if cache_keys is not None else None
-        cached = (
-            dep_cache.get(key)
-            if dep_cache is not None and key is not None
-            else None
-        )
-        if cached is None:
-            cached = _flow_departures(
-                mode, f, times, sizes, envelopes, capacity, schedule
-            )
-            if dep_cache is not None and key is not None:
-                dep_cache[key] = cached
-        deps, trains = cached
-        trains_total += trains
-        dep_list.append(deps)
-        emit_list.append(np.asarray(times, dtype=np.float64))
-        size_list.append(np.asarray(sizes, dtype=np.float64))
-    return dep_list, emit_list, size_list, trains_total
-
-
-def primed_adversarial_host(
+def primed_host(
     traces: Sequence[tuple[np.ndarray, np.ndarray]],
     envelopes: Sequence,
     mode: str,
     *,
+    discipline: str = "adversarial",
     capacity: float = 1.0,
     stagger_phase: float = 0.0,
     horizon: Optional[float] = None,
@@ -715,14 +916,14 @@ def primed_adversarial_host(
     dep_cache: Optional[dict] = None,
     cache_keys: Optional[Sequence] = None,
 ) -> PrimedHostOutcome:
-    """Array fast path for any fully-known adversarial host cell.
+    """Array fast path for any fully-known FIFO or adversarial host cell.
 
     Every flow's full arrival trace is known up front, so the cell
     needs no event loop at all: per-flow regulator departures are
-    closed form, the adversarial general MUX is a single merged pass
-    (running ``busy_until`` float recurrence, then a vectorised
-    busy-period-end assignment), and per-flow delays are one
-    subtraction.  Per control mode:
+    closed form, the MUX is a single merged pass (running
+    ``busy_until`` float recurrence over the departures in the evented
+    service order), and per-flow delays are one subtraction.  Per
+    control mode:
 
     * ``"sigma-rho"`` -- per-flow token buckets
       (:func:`sigma_rho_departures`, parameterised exactly like the
@@ -734,9 +935,10 @@ def primed_adversarial_host(
     * ``"none"`` -- no regulation: arrivals feed the MUX directly.
 
     ``mode`` must already be resolved (no ``"adaptive"`` here -- the
-    caller resolves it exactly like the builders do).  Delivery times
-    equal the end of each packet's MUX busy period, the adversarial
-    hold-and-release instant.  With ``drain=False``, deliveries after
+    caller resolves it exactly like the builders do).  A FIFO packet
+    is delivered at its own completion, an adversarial one at the end
+    of its MUX busy period, the hold-and-release instant.  Flows are
+    injected in flow order.  With ``drain=False``, deliveries after
     ``horizon`` are discarded (an evented ``run(until=horizon)``
     truncation).
 
@@ -746,17 +948,76 @@ def primed_adversarial_host(
     ``(times, sizes)`` arrays and regulator parameters (only sound for
     ``"sigma-rho"`` / ``"none"`` -- the lambda mode's per-flow stagger
     offsets differ between flows, so pass no keys there).  Cache values
-    are ``(departures, trains)`` tuples; the departure arrays are never
-    mutated, so sharing is safe.
+    are regulator passes, which hold nothing that depends on a flow's
+    position and are never mutated, so sharing is safe.
     """
-    dep_list, emit_list, size_list, trains = _primed_departures(
-        traces, envelopes, mode, capacity, stagger_phase,
-        dep_cache, cache_keys,
+    schedule = _primed_schedule(
+        envelopes, mode, capacity, stagger_phase, discipline
     )
-    return _merge_and_deliver(
-        dep_list, emit_list, size_list,
-        capacity=capacity, trains=trains, horizon=horizon, drain=drain,
+    regs: list[_Regulated] = []
+    trains = 0
+    for f, (times, sizes) in enumerate(traces):
+        key = cache_keys[f] if cache_keys is not None else None
+        reg = (
+            dep_cache.get(key)
+            if dep_cache is not None and key is not None
+            else None
+        )
+        if reg is None:
+            reg = _flow_departures(
+                mode, f, times, sizes, envelopes, capacity, schedule
+            )
+            if dep_cache is not None and key is not None:
+                dep_cache[key] = reg
+        trains += reg.passes
+        regs.append(reg)
+    k = len(regs)
+    counts = [r.deps.size for r in regs]
+    if not sum(counts):
+        return PrimedHostOutcome([np.empty(0) for _ in range(k)], 0, 0)
+    arr = np.concatenate([r.deps for r in regs])
+    emit_list = [np.asarray(times, dtype=np.float64) for times, _ in traces]
+    order = _service_order(
+        arr, counts, regs, [True] * k,
+        [_injected_key(e, f) for f, e in enumerate(emit_list)],
     )
+    emits = np.concatenate(emit_list)[order]
+    flows = np.repeat(np.arange(k), counts)[order]
+    sizes_all = np.concatenate(
+        [np.asarray(sizes, dtype=np.float64) for _, sizes in traces]
+    )
+    delivery, ends = _mux_deliveries(
+        arr[order], sizes_all[order] / capacity, discipline == "fifo"
+    )
+    releases = _periods(ends)
+    if not drain:
+        if horizon is None:
+            raise ValueError("drain=False requires a horizon")
+        keep = delivery <= horizon
+        delivery = delivery[keep]
+        emits = emits[keep]
+        flows = flows[keep]
+    delays = delivery - emits
+    # Per-flow split preserves emission order: the MUX serves each
+    # flow's departures in emission order.
+    per_flow = [delays[flows == f] for f in range(k)]
+    return PrimedHostOutcome(per_flow, trains, releases)
+
+
+def _relay(deliveries: np.ndarray, reg: _Regulated, arrival_key, fifo: bool):
+    """Arrival keys of a relayed tagged flow at the next hop.
+
+    ``relay(a, t)`` keys packet ``a``'s arrival there at instant ``t``:
+    an event scheduled by the one that delivered the packet here -- a
+    FIFO MUX's completion event, itself scheduled by the event that
+    released the packet into the MUX, or an adversarial MUX's release
+    decision.
+    """
+    if fifo:
+        return lambda a, t: (
+            t, 1, (float(deliveries[a]), 1, _release_key(reg, a, arrival_key))
+        )
+    return lambda a, t: (t, 1, (float(deliveries[a]), -1, None))
 
 
 def primed_tagged_hop(
@@ -769,36 +1030,32 @@ def primed_tagged_hop(
     capacity: float,
     stagger_phase: float,
     cross_cache: dict,
+    discipline: str = "adversarial",
     tagged_first: bool = False,
-) -> tuple[np.ndarray, int]:
-    """Tagged-flow deliveries of one fully-known adversarial host.
+    upstream=None,
+):
+    """Tagged-flow deliveries of one fully-known FIFO or adversarial host.
 
     One hop of a relayed tagged flow (flow 0): ``arrivals`` and
     ``sizes`` are its arrival instants at this host and its packet
     sizes; ``cross`` holds the K-1 cross traces (flows 1..K-1, objects
     with ``times`` and ``sizes``) entering the host.  Every flow is
-    regulated in closed form and the merged departures take the
-    adversarial MUX pass of :func:`primed_adversarial_host`; ``mode``
-    must already be resolved.  Returns the tagged flow's delivery
-    instants, in emission order, and the passes run: regulator passes
-    plus one release per MUX busy period holding tagged packets (a
-    period of cross traffic alone delivers nothing that is measured or
-    forwarded).
+    regulated in closed form and the merged departures take the MUX
+    pass of :func:`primed_host`; ``mode`` must already be resolved.
 
-    **Tie order.**  At equal MUX instants service times add in arrival
-    order, and that order changes the last bits of the busy-period
-    ends.  The pass serves equal instants in the order an evented
-    pipeline of the same chain or tree sees them:
+    Cross flows are injected before the run, in flow order.
+    ``upstream`` is ``None`` where the tagged flow is injected too --
+    before the cross traffic with ``tagged_first`` (a chain), after
+    all of it without (a tree, which injects every member's cross
+    traffic before the root's tagged flow) -- and otherwise the
+    ``relay`` the previous hop returned: the tagged packets then arrive
+    in run-time events.
 
-    * ``tagged_first=True``: the tagged flow, then the cross flows in
-      flow order.  This is injection order at chain hop 0, whose
-      tagged flow is injected before its cross traffic, and the order
-      :func:`primed_adversarial_host` serves every host in.
-    * ``tagged_first=False``: the cross flows first, in flow order,
-      then the tagged flow.  This holds at chain hops past 0, whose
-      tagged packets are relayed at run time after every cross packet
-      was injected, and at every tree member, the root included, since
-      the tree injects all cross traffic before the tagged flow.
+    Returns ``(deliveries, passes, relay)``: the tagged flow's delivery
+    instants in emission order; the passes run, regulator passes plus
+    one per MUX busy period holding tagged packets (a period of cross
+    traffic alone delivers nothing that is measured or forwarded); and
+    the ``upstream`` of the next hop.
 
     ``cross_cache``, a dict owned by one chain or tree call, computes
     each cross flow's departures once per call.  Outside
@@ -809,45 +1066,62 @@ def primed_tagged_hop(
     stagger offsets differ per hop, so its cross departures are
     recomputed at every hop.
     """
-    schedule = _primed_schedule(envelopes, mode, capacity, stagger_phase)
-    tagged_deps, passes = _flow_departures(
+    schedule = _primed_schedule(
+        envelopes, mode, capacity, stagger_phase, discipline
+    )
+    arrivals = np.ascontiguousarray(arrivals, dtype=np.float64)
+    tagged = _flow_departures(
         mode, 0, arrivals, sizes, envelopes, capacity, schedule
     )
+    passes = tagged.passes
     # Outside the lambda mode (no stagger schedule) cross departures
     # do not depend on the hop.
     cacheable = schedule is None
-    dep_parts = [tagged_deps]
-    size_parts = [np.asarray(sizes, dtype=np.float64)]
+    regs: list[_Regulated] = []
+    size_parts = []
+    keys = []
     for f, tr in enumerate(cross, start=1):
         key = (id(tr), f, capacity)
         entry = cross_cache.get(key) if cacheable else None
         if entry is None:
-            deps, n = _flow_departures(
+            reg = _flow_departures(
                 mode, f, tr.times, tr.sizes, envelopes, capacity, schedule
             )
-            passes += n
-            entry = (tr, deps)
+            passes += reg.passes
+            entry = (tr, reg)
             if cacheable:
                 cross_cache[key] = entry
-        dep_parts.append(entry[1])
+        regs.append(entry[1])
         size_parts.append(tr.sizes)
-    if not tagged_first:
-        dep_parts.append(dep_parts.pop(0))
-        size_parts.append(size_parts.pop(0))
-    arr = np.concatenate(dep_parts)
+        keys.append(_injected_key(tr.times, f))
+    if upstream is None:
+        block = 0 if tagged_first else len(regs) + 1
+        tagged_key = _injected_key(arrivals, block)
+    else:
+        def tagged_key(a):
+            return upstream(a, float(arrivals[a]))
+    # The concatenation follows injection order; a relayed tagged flow
+    # goes last, behind every injected release.
+    at = 0 if tagged_first and upstream is None else len(regs)
+    regs.insert(at, tagged)
+    size_parts.insert(at, np.asarray(sizes, dtype=np.float64))
+    keys.insert(at, tagged_key)
+    injected = [True] * len(regs)
+    injected[at] = upstream is None
+    fifo = discipline == "fifo"
+    counts = [r.deps.size for r in regs]
+    arr = np.concatenate([r.deps for r in regs])
     if arr.size == 0:
-        return arr, passes
-    # Stable sort: equal instants keep the list order set above.
-    order = np.argsort(arr, kind="stable")
-    delivery, _ = _adversarial_mux_deliveries(
-        arr[order], np.concatenate(size_parts)[order] / capacity
+        return arr, passes, _relay(arr, tagged, tagged_key, fifo)
+    order = _service_order(arr, counts, regs, injected, keys)
+    delivery, ends = _mux_deliveries(
+        arr[order], np.concatenate(size_parts)[order] / capacity, fifo
     )
-    n_tagged = tagged_deps.size
-    is_tagged = (
-        order < n_tagged if tagged_first else order >= arr.size - n_tagged
+    lo = sum(counts[:at])
+    is_tagged = (order >= lo) & (order < lo + counts[at])
+    deliveries = delivery[is_tagged]
+    return (
+        deliveries,
+        passes + _periods(ends[is_tagged]),
+        _relay(deliveries, tagged, tagged_key, fifo),
     )
-    tagged = delivery[is_tagged]
-    # Busy-period ends strictly increase, so each distinct delivery
-    # instant is one release.
-    releases = int(np.count_nonzero(np.diff(tagged))) + 1 if tagged.size else 0
-    return tagged, passes + releases

@@ -13,11 +13,11 @@ Propagation delays between consecutive hosts are taken from the overlay
 path (underlay shortest-path latencies); queueing/regulation delays
 emerge from the components.
 
-Under the adversarial discipline every flow's traffic is known hop by
-hop, so the chain is a loop of closed-form host passes
+Under the FIFO and adversarial disciplines every flow's traffic is
+known hop by hop, so the chain is a loop of closed-form host passes
 (:func:`repro.simulation.batched.primed_tagged_hop`) with no event
 loop: hop h's tagged arrivals are hop h-1's deliveries plus the
-propagation delay.  FIFO and priority chains run the evented pipeline.
+propagation delay.  Priority chains run the evented pipeline.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 
 from repro.calculus.envelope import ArrivalEnvelope
 from repro.core.adaptive import resolve_mode
-from repro.simulation.batched import primed_tagged_hop
+from repro.simulation.batched import PRIMED_DISCIPLINES, primed_tagged_hop
 from repro.simulation.engine import Simulator
 from repro.simulation.flow import PacketTrace
 from repro.simulation.host_sim import (
@@ -130,13 +130,15 @@ def simulate_regulated_chain(
     Consecutive hosts use staggered vacation offsets shifted by half a
     window so the tagged flow does not ride a lucky synchronisation.
 
-    Under the adversarial discipline every flow entering a hop is known
-    once the previous hop is resolved, so each hop is one closed-form
-    host pass (:func:`repro.simulation.batched.primed_tagged_hop`) and
-    no ``Simulator`` runs: hop h's tagged arrivals are hop h-1's
-    deliveries plus ``propagation[h]``.  Cross departures are computed
-    once per call outside the lambda mode.  ``events`` then counts the
-    passes run.
+    Under the FIFO and adversarial disciplines every flow entering a
+    hop is known once the previous hop is resolved, so each hop is one
+    closed-form host pass
+    (:func:`repro.simulation.batched.primed_tagged_hop`) and no
+    ``Simulator`` runs: hop h's tagged arrivals are hop h-1's
+    deliveries plus ``propagation[h]``, relayed at run time after the
+    tagged flow was injected at hop 0 ahead of all cross traffic.
+    Cross departures are computed once per call outside the lambda
+    mode.  ``events`` then counts the passes run.
     """
     hops = len(cross_traces_per_hop)
     if hops < 1:
@@ -167,15 +169,16 @@ def simulate_regulated_chain(
                 restricted[id(trace)] = trace.restrict(horizon)
         cross_in.append([restricted[id(trace)] for trace in cross])
 
-    if discipline == "adversarial":
+    if discipline in PRIMED_DISCIPLINES:
         mode_eff = resolve_mode(mode, envelopes, capacity)
         cross_cache: dict = {}
         events = 0
         # The source hands the tagged flow to hop 0 as every hop hands
         # it to the next: deliveries plus the propagation delay.
         deliveries = tagged_in.times
+        relay = None
         for h in range(hops):
-            deliveries, passes = primed_tagged_hop(
+            deliveries, passes, relay = primed_tagged_hop(
                 deliveries + propagation[h],
                 tagged_in.sizes,
                 cross_in[h],
@@ -183,8 +186,10 @@ def simulate_regulated_chain(
                 mode_eff,
                 capacity=capacity,
                 stagger_phase=(stagger_phase + h * 0.37) % 1.0,
-                tagged_first=(h == 0),
                 cross_cache=cross_cache,
+                discipline=discipline,
+                tagged_first=True,
+                upstream=relay,
             )
             events += passes
         stats = DelayStats.from_delays(deliveries - tagged_in.times)

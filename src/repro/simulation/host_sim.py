@@ -29,10 +29,11 @@ from typing import Optional, Sequence
 from repro.calculus.envelope import ArrivalEnvelope
 from repro.core.adaptive import AdaptiveController, resolve_mode
 from repro.simulation.batched import (
+    PRIMED_DISCIPLINES,
     BatchMuxServer,
     BatchVacationComponent,
     _stagger_schedule,
-    primed_adversarial_host,
+    primed_host,
 )
 from repro.simulation.engine import Simulator
 from repro.simulation.flow import PacketTrace
@@ -105,9 +106,12 @@ def build_regulated_host(
 ):
     """Assemble regulators + MUX for one end host; return per-flow entry points.
 
-    This is the evented pipeline of FIFO and priority cells.
-    Adversarial cells never build it: their traffic is fully known, so
+    This is the evented pipeline of priority cells.  FIFO and
+    adversarial cells never build it: their traffic is fully known, so
     they run the closed-form passes of :mod:`repro.simulation.batched`.
+    It still wires FIFO hosts, the evented builder that
+    :class:`~repro.simulation.loss.LossyLink` pipelines and the test
+    oracle compose; only the adversarial discipline is rejected.
 
     Parameters
     ----------
@@ -196,12 +200,13 @@ def simulate_regulated_host(
         Per-flow (sigma, rho) descriptions used to configure regulators.
     discipline:
         ``"adversarial"``, ``"fifo"`` or ``"priority"``.  It alone picks
-        the pipeline: under the adversarial discipline all arrivals are
-        known up front, so the cell collapses into the array fast path
-        (:func:`repro.simulation.batched.primed_adversarial_host`) --
-        token-bucket and vacation departures are both closed form --
-        with no event loop; FIFO and priority cells run the evented
-        pipeline of :func:`build_regulated_host`.
+        the pipeline: all arrivals are known up front, so FIFO and
+        adversarial cells collapse into the array fast path
+        (:func:`repro.simulation.batched.primed_host`) -- token-bucket
+        and vacation departures are both closed form, the MUX one
+        merged pass -- with no event loop; priority cells run the
+        evented pipeline of :func:`build_regulated_host` (a strict
+        priority order cannot be committed ahead of arrivals).
     stagger_phase:
         Fraction of the stagger period added to every vacation-regulator
         offset (the bounds hold for *any* phase; adversarial scenario
@@ -224,12 +229,13 @@ def simulate_regulated_host(
     effective_mode = resolve_mode(mode, envelopes, capacity)
     if horizon is None:
         horizon = max(tr.times[-1] + 1e-9 for tr in traces if len(tr))
-    if discipline == "adversarial":
+    if discipline in PRIMED_DISCIPLINES:
         restricted = [tr.restrict(horizon) for tr in traces]
-        outcome = primed_adversarial_host(
+        outcome = primed_host(
             [(tr.times, tr.sizes) for tr in restricted],
             envelopes,
             effective_mode,
+            discipline=discipline,
             capacity=capacity,
             stagger_phase=stagger_phase,
             horizon=horizon,

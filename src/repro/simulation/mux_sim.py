@@ -10,9 +10,8 @@ such discipline, so the worst-case measurements use the adversarial
 one: serve the tagged flow last (static priority).  FIFO is available
 for comparison (its delays are no larger, as a property test verifies).
 
-DES cells use this server for the priority discipline; FIFO cells run
-the commit-on-receive :class:`~repro.simulation.batched.BatchMuxServer`
-and adversarial cells closed-form passes.  Its FIFO and adversarial
+DES cells use this server for the priority discipline; FIFO and
+adversarial cells run closed-form passes.  Its FIFO and adversarial
 modes remain the per-packet reference those are tested against.
 """
 

@@ -10,14 +10,16 @@ ground truth the critical-path reduction is validated against in
 right (per-receiver delays, loss hooks, churn interplay).
 
 Cost: an evented tree pays events scaling with
-(members x packets x K).  Under the adversarial discipline no event
-loop runs at all: every member is a fully-known host once its parent
-is resolved, so the tree is one closed-form host pass per member, top
-down (:func:`repro.simulation.batched.primed_tagged_hop`).  A member's
-tagged arrivals are its parent's deliveries plus the link latency, and
-the K-1 cross flows' regulator departures are computed once per call
-outside the lambda mode.  FIFO and priority trees run the evented
-pipeline, replicating every served packet to each child.
+(members x packets x K).  Under the FIFO and adversarial disciplines no
+event loop runs at all: every member is a fully-known host once its
+parent is resolved, so the tree is one closed-form host pass per
+member, top down (:func:`repro.simulation.batched.primed_tagged_hop`).
+A member's tagged arrivals are its parent's deliveries plus the link
+latency, and the K-1 cross flows' regulator departures are computed
+once per call outside the lambda mode.  The tie order is the evented
+tree's, which injects every member's cross traffic before the root's
+tagged flow.  Priority trees run the evented pipeline, replicating
+every served packet to each child.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import numpy as np
 from repro.calculus.envelope import ArrivalEnvelope
 from repro.core.adaptive import resolve_mode
 from repro.overlay.tree import MulticastTree
-from repro.simulation.batched import primed_tagged_hop
+from repro.simulation.batched import PRIMED_DISCIPLINES, primed_tagged_hop
 from repro.simulation.engine import Simulator
 from repro.simulation.flow import PacketTrace
 from repro.simulation.host_sim import (
@@ -62,8 +64,8 @@ class TreeSimResult:
     #: closed-form passes it ran instead (regulator passes plus MUX
     #: busy periods, summed over members).
     events: int
-    #: Whether every member was resolved closed-form (the adversarial
-    #: discipline).
+    #: Whether every member was resolved closed-form (the FIFO and
+    #: adversarial disciplines).
     primed: bool = False
 
     def stats(self) -> DelayStats:
@@ -150,8 +152,8 @@ def simulate_multicast_tree(
         network-wide worst case (the WDB of the paper).
 
     The latency of every tree edge must be finite and non-negative.
-    Under the adversarial discipline each member is one closed-form
-    host pass, top down, with no ``Simulator``.
+    Under the FIFO and adversarial disciplines each member is one
+    closed-form host pass, top down, with no ``Simulator``.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -192,19 +194,21 @@ def simulate_multicast_tree(
     tagged = traces[group].restrict(horizon)
     per_receiver: dict[int, float] = {}
 
-    primed = discipline == "adversarial"
+    primed = discipline in PRIMED_DISCIPLINES
     if primed:
         cross_cache: dict = {}
         deliveries: dict[int, np.ndarray] = {}
+        relays: dict = {}
         events = 0
         for host in top_down:
             cap = host_cap(host)
-            arrivals = (
-                tagged.times
-                if host == tree.root
-                else deliveries[tree.parent[host]] + link[host]
-            )
-            deliveries[host], passes = primed_tagged_hop(
+            if host == tree.root:
+                arrivals, upstream = tagged.times, None
+            else:
+                parent = tree.parent[host]
+                arrivals = deliveries[parent] + link[host]
+                upstream = relays[parent]
+            deliveries[host], passes, relays[host] = primed_tagged_hop(
                 arrivals,
                 tagged.sizes,
                 cross,
@@ -213,6 +217,8 @@ def simulate_multicast_tree(
                 capacity=cap,
                 stagger_phase=host_phase(host),
                 cross_cache=cross_cache,
+                discipline=discipline,
+                upstream=upstream,
             )
             events += passes
             worst = float(np.max(deliveries[host] - tagged.times, initial=0.0))
@@ -250,8 +256,8 @@ def simulate_multicast_tree(
         # all K groups), then the tagged flow at the root.  Cross flows
         # go first so that at equal-time ties cross arrivals precede
         # tagged ones everywhere (fanout events always carry later
-        # sequence numbers than injections) -- the tie order the
-        # closed-form pass uses too.
+        # sequence numbers than injections) -- the injection order the
+        # closed-form passes reproduce too.
         for host in tree.members():
             for f, tr in enumerate(cross, start=1):
                 inject_trace(sim, tr, f, entries_by_host[host][f])

@@ -2,18 +2,18 @@
 pinned against.
 
 :mod:`repro.simulation` runs one pipeline per MUX discipline:
-adversarial hosts, chains and trees are closed-form passes
-(:mod:`repro.simulation.batched`), FIFO and priority cells the evented
+adversarial and FIFO hosts, chains and trees are closed-form passes
+(:mod:`repro.simulation.batched`), priority cells the evented
 components.  This module wires two reference pipelines of its own, for
 the equivalence suites and the DES benchmarks:
 
 ``"evented"``
-    The production components -- :class:`BatchMuxServer` (FIFO),
+    The evented components -- :class:`BatchMuxServer` (FIFO),
     :class:`MuxServer` (priority), :class:`TokenBucketComponent` and
     :class:`BatchVacationComponent` -- plus :class:`HoldReleaseMux`,
     an evented adversarial MUX that holds every packet of a busy
     period and releases them all at its end.  The closed-form passes
-    equal this pipeline bit for bit.
+    equal this pipeline bit for bit, FIFO and adversarial alike.
 ``"legacy"``
     The per-packet event chain: :class:`MuxServer` in every
     discipline, :class:`TokenBucketComponent` and the per-packet
@@ -24,10 +24,12 @@ the equivalence suites and the DES benchmarks:
 
 :func:`simulate_host`, :func:`simulate_chain` and :func:`simulate_tree`
 take the production simulators' arguments plus ``engine`` (one of
-:data:`ORACLES`) and return the production result types.  At equal
-instants their MUXes see traffic in the order the closed-form passes
-serve it: at a chain's hop 0 the tagged flow before the cross flows,
-everywhere else the cross flows first.
+:data:`ORACLES`) and return the production result types.  They inject
+traffic in the production simulators' order -- a host's flows in flow
+order, a chain's tagged flow before its cross flows, a tree's cross
+flows before its tagged flow -- and their event loop fixes the order in
+which equal-instant packets reach a MUX.  The closed-form passes
+reproduce that order (the tie rule in :mod:`repro.simulation.batched`).
 """
 
 from __future__ import annotations

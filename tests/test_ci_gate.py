@@ -73,9 +73,11 @@ def test_gate_script_targets_the_pinned_store():
 
 def test_des_corpus_reproduces_its_pinned_baseline(tmp_path):
     cells = load_curated(DES_CORPUS)
-    assert len(cells) == 36
+    assert len(cells) == 40
     assert {sc.backend for sc in cells} == {"des", "tree_des"}
-    assert sum(sc.backend == "tree_des" for sc in cells) == 4
+    trees = [sc for sc in cells if sc.backend == "tree_des"]
+    assert len(trees) == 8
+    assert sum(sc.discipline == "fifo" for sc in trees) == 5
     assert {sc.discipline for sc in cells} == {"adversarial", "fifo", "priority"}
     priority = [sc for sc in cells if sc.discipline == "priority"]
     assert len(priority) == 8

@@ -25,7 +25,12 @@ Covered surfaces:
   every control mode;
 * the tie order of those passes: exact ties between cross and tagged
   arrivals at a hop or member, where the order in which service times
-  add decides the last bits.
+  add decides the last bits;
+* the same passes under FIFO, where the tie order decides which packet
+  is served first: a named counterexample, dyadic hypothesis hosts,
+  chains and trees (exact float sums, so equal instants are common)
+  against both oracles, and the horizon, drain and per-host capacity
+  options.
 """
 
 from __future__ import annotations
@@ -35,11 +40,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.calculus.envelope import ArrivalEnvelope
-from repro.simulation.batched import sigma_rho_departures
+from repro.simulation.batched import primed_host, sigma_rho_departures
 from repro.simulation.chain import simulate_regulated_chain
 from repro.simulation.engine import Simulator
 from repro.simulation.flow import AudioSource, PacketTrace, VBRVideoSource
 from repro.simulation.host_sim import inject_trace, simulate_regulated_host
+from repro.simulation.measures import DelayRecorder
 from repro.simulation.regulator_sim import TokenBucketComponent
 from repro.simulation.tree_sim import simulate_multicast_tree
 from tests.des_oracle import (
@@ -358,13 +364,13 @@ def test_tree_busy_period_fanout_bit_identical(small_tree, mode):
     assert primed.events < legacy.events / 4
 
 
-def test_tree_fifo_stays_evented_and_bit_identical(small_tree):
+def test_tree_fifo_primed_and_bit_identical(small_tree):
     tree, latency, traces, envs = small_tree
     args = ([tree] * 3, 0, traces, envs, latency)
     kwargs = dict(mode="sigma-rho", discipline="fifo")
     prod = simulate_multicast_tree(*args, **kwargs)
     legacy = simulate_tree(*args, engine="legacy", **kwargs)
-    assert not prod.primed
+    assert prod.primed
     assert prod.per_receiver_worst == legacy.per_receiver_worst
 
 
@@ -384,10 +390,9 @@ def _tie_bursts(rng, n_bursts=4, size=3):
     return PacketTrace(times, rng.uniform(0.003, 0.02, times.size))
 
 
-def _evented_deliveries(arrivals, sizes, cross, *, tagged_first):
-    """Tagged-flow delivery instants of one evented adversarial host in
-    mode "none", with the tagged flow injected before or after the
-    cross flows."""
+def _evented_deliveries(arrivals, sizes, cross, *, tagged_first, discipline):
+    """Tagged-flow delivery instants of one evented host in mode "none",
+    with the tagged flow injected before or after the cross flows."""
     sim = Simulator()
     out = []
 
@@ -397,7 +402,7 @@ def _evented_deliveries(arrivals, sizes, cross, *, tagged_first):
 
     entries, _ = build_host(
         sim, _TIE_ENVS[: len(cross) + 1], {0: _Tap()}, mode="none",
-        discipline="adversarial", engine="evented",
+        discipline=discipline, engine="evented",
     )
     flows = [(0, PacketTrace(arrivals, sizes))] + list(enumerate(cross, 1))
     if not tagged_first:
@@ -408,7 +413,7 @@ def _evented_deliveries(arrivals, sizes, cross, *, tagged_first):
     return np.asarray(out)
 
 
-def _tie_chain(seed: int, hops: int):
+def _tie_chain(seed: int, hops: int, discipline: str):
     """A chain whose every hop sees exact ties: hop 0's first cross flow
     copies the tagged emissions, and hop h+1's copies the tagged
     deliveries of hop h (propagation is zero)."""
@@ -423,24 +428,35 @@ def _tie_chain(seed: int, hops: int):
         tie = PacketTrace(arrivals, rng.uniform(0.003, 0.02, arrivals.size))
         cross.append([tie, background])
         arrivals = _evented_deliveries(
-            arrivals, tagged.sizes, cross[h], tagged_first=(h == 0)
+            arrivals, tagged.sizes, cross[h], tagged_first=(h == 0),
+            discipline=discipline,
         )
     return tagged, cross
 
 
-@pytest.mark.parametrize("mode", ["none", "sigma-rho"])
-def test_primed_chain_tie_order_matches_evented(mode):
+#: (discipline, mode) of the tie-order tests; the adversarial cases keep
+#: their original ids.
+_TIE_CASES = [
+    pytest.param("adversarial", "none", id="none"),
+    pytest.param("adversarial", "sigma-rho", id="sigma-rho"),
+    pytest.param("fifo", "none", id="fifo-none"),
+    pytest.param("fifo", "sigma-rho", id="fifo-sigma-rho"),
+]
+
+
+@pytest.mark.parametrize("discipline, mode", _TIE_CASES)
+def test_primed_chain_tie_order_matches_evented(discipline, mode):
     """Hop 0 serves the tagged flow first (it is injected first); later
     hops serve cross departures first (the tagged packets are relayed
     after every injected cross packet).  ``horizon`` keeps the cross
     traffic that arrives after the tagged flow's last emission."""
     hops = 3
     kwargs = dict(
-        mode=mode, discipline="adversarial", propagation=[0.0] * hops,
+        mode=mode, discipline=discipline, propagation=[0.0] * hops,
         horizon=10.0,
     )
     for seed in range(8):
-        tagged, cross = _tie_chain(seed, hops)
+        tagged, cross = _tie_chain(seed, hops, discipline)
         primed = simulate_regulated_chain(
             tagged, cross, _TIE_ENVS, **kwargs
         )
@@ -451,8 +467,8 @@ def test_primed_chain_tie_order_matches_evented(mode):
         assert _stats_equal(primed.tagged_stats, evented.tagged_stats), seed
 
 
-@pytest.mark.parametrize("mode", ["none", "sigma-rho"])
-def test_primed_tree_tie_order_matches_evented(small_tree, mode):
+@pytest.mark.parametrize("discipline, mode", _TIE_CASES)
+def test_primed_tree_tie_order_matches_evented(small_tree, discipline, mode):
     """Every member, the root included, serves cross departures first.
     One cross flow copies the tagged emissions (ties at the root); with
     zero latency the other copies the root's deliveries (ties at the
@@ -466,14 +482,228 @@ def test_primed_tree_tie_order_matches_evented(small_tree, mode):
             tagged.times, rng.uniform(0.003, 0.02, len(tagged))
         )
         root_out = _evented_deliveries(
-            tagged.times, tagged.sizes, [root_tie], tagged_first=False
+            tagged.times, tagged.sizes, [root_tie], tagged_first=False,
+            discipline=discipline,
         )
         child_tie = PacketTrace(
             root_out, rng.uniform(0.003, 0.02, root_out.size)
         )
         args = ([tree] * 3, 0, [tagged, root_tie, child_tie], _TIE_ENVS, zero)
-        kwargs = dict(mode=mode, discipline="adversarial")
+        kwargs = dict(mode=mode, discipline=discipline)
         primed = simulate_multicast_tree(*args, **kwargs)
         evented = simulate_tree(*args, engine="evented", **kwargs)
         assert primed.primed and not evented.primed
         assert primed.per_receiver_worst == evented.per_receiver_worst, seed
+
+
+# ----------------------------------------------------------------------
+# FIFO: the same passes, each packet delivered at its own completion
+# ----------------------------------------------------------------------
+def _oracle_host_delays(traces, envs, mode, engine, *, discipline="fifo"):
+    """Per-packet delays of every flow on a reference host."""
+    sim = Simulator()
+    recorder = DelayRecorder(sim)
+    entries, _ = build_host(
+        sim, envs, recorder, engine=engine, mode=mode, discipline=discipline,
+    )
+    for f, (trace, entry) in enumerate(zip(traces, entries)):
+        inject_trace(sim, trace, f, entry)
+    sim.run()
+    return [recorder.delays(f) for f in range(len(traces))]
+
+
+def _primed_host_delays(traces, envs, mode):
+    return primed_host(
+        [(tr.times, tr.sizes) for tr in traces], envs, mode,
+        discipline="fifo",
+    ).per_flow_delays
+
+
+def test_fifo_wakeup_tie_serves_the_injected_packet_first():
+    """Flow 0's second packet leaves its bucket on a wakeup at t = 2,
+    the instant flow 1's packet is injected.  The injected arrival's
+    event runs first (it was scheduled before the run), so flow 1 is
+    served first and flow 0's packet waits 2.5 s; serving equal
+    instants in flow order would measure 2.25 s."""
+    envs = [ArrivalEnvelope(0.25, 0.125)] * 2
+    traces = [
+        PacketTrace(np.array([0.0, 0.0]), np.array([0.25, 0.25])),
+        PacketTrace(np.array([2.0]), np.array([0.25])),
+    ]
+    for engine in ("evented", "legacy"):
+        oracle = _oracle_host_delays(traces, envs, "sigma-rho", engine)
+        assert float(oracle[0].max()) == 2.5
+    delays = _primed_host_delays(traces, envs, "sigma-rho")
+    assert float(delays[0].max()) == 2.5
+    assert float(delays[1].max()) == 0.25
+    res = simulate_regulated_host(
+        traces, envs, mode="sigma-rho", discipline="fifo"
+    )
+    assert res.primed and res.worst_case_delay == 2.5
+
+
+#: Dyadic inputs: every sum is exact, so equal instants are common.
+_DYADIC_SIZES = st.sampled_from([0.125, 0.25])
+
+
+@st.composite
+def _dyadic_trace(draw):
+    n = draw(st.integers(1, 8))
+    slots = sorted(draw(st.lists(st.integers(0, 24), min_size=n, max_size=n)))
+    sizes = draw(st.lists(_DYADIC_SIZES, min_size=n, max_size=n))
+    return PacketTrace(np.asarray(slots) / 8.0, np.asarray(sizes))
+
+
+@st.composite
+def _dyadic_flows(draw):
+    k = draw(st.integers(2, 3))
+    traces = [draw(_dyadic_trace()) for _ in range(k)]
+    envs = [
+        ArrivalEnvelope(
+            draw(st.sampled_from([0.25, 0.5])),
+            draw(st.sampled_from([0.125, 0.25])),
+        )
+        for _ in range(k)
+    ]
+    mode = draw(st.sampled_from(["sigma-rho", "none"]))
+    return traces, envs, mode
+
+
+@settings(max_examples=80, deadline=None)
+@given(flows=_dyadic_flows())
+def test_hypothesis_fifo_host_per_packet_equals_oracles(flows):
+    traces, envs, mode = flows
+    primed = _primed_host_delays(traces, envs, mode)
+    for engine in ("evented", "legacy"):
+        oracle = _oracle_host_delays(traces, envs, mode, engine)
+        for p, o in zip(primed, oracle):
+            assert np.array_equal(p, o), engine
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    flows=_dyadic_flows(),
+    data=st.data(),
+    propagation=st.sampled_from([0.0, 0.125]),
+)
+def test_hypothesis_fifo_chain_equals_oracles(flows, data, propagation):
+    traces, envs, mode = flows
+    hops = data.draw(st.integers(1, 3))
+    cross = [
+        [data.draw(_dyadic_trace()) for _ in traces[1:]] for _ in range(hops)
+    ]
+    kwargs = dict(
+        mode=mode, discipline="fifo", propagation=[propagation] * hops,
+        horizon=4.0,
+    )
+    primed = simulate_regulated_chain(traces[0], cross, envs, **kwargs)
+    assert primed.primed
+    for engine in ("evented", "legacy"):
+        oracle = simulate_chain(
+            traces[0], cross, envs, engine=engine, **kwargs
+        )
+        assert _stats_equal(primed.tagged_stats, oracle.tagged_stats), engine
+
+
+@settings(max_examples=40, deadline=None)
+@given(flows=_dyadic_flows(), edge=st.sampled_from([0.0, 0.125]))
+def test_hypothesis_fifo_tree_equals_oracles(small_tree, flows, edge):
+    tree, latency, _, _ = small_tree
+    traces, envs, mode = flows
+    args = (
+        [tree] * len(traces), 0, traces, envs, np.full_like(latency, edge)
+    )
+    kwargs = dict(mode=mode, discipline="fifo")
+    primed = simulate_multicast_tree(*args, **kwargs)
+    assert primed.primed
+    for engine in ("evented", "legacy"):
+        oracle = simulate_tree(*args, engine=engine, **kwargs)
+        assert primed.per_receiver_worst == oracle.per_receiver_worst, engine
+
+
+def test_fifo_host_respects_horizon_truncation(video_traces):
+    traces, envs = video_traces
+    for drain in (True, False):
+        kwargs = dict(
+            mode="sigma-rho", discipline="fifo", horizon=1.0, drain=drain,
+        )
+        primed = simulate_regulated_host(traces, envs, **kwargs)
+        assert primed.primed
+        for engine in ("evented", "legacy"):
+            oracle = simulate_host(traces, envs, engine=engine, **kwargs)
+            assert all(
+                _stats_equal(a, b)
+                for a, b in zip(primed.per_flow, oracle.per_flow)
+            ), (drain, engine)
+
+
+def test_fifo_chain_explicit_horizon(video_traces):
+    """An explicit horizon keeps (or cuts) cross traffic past the tagged
+    flow's last emission on every side alike."""
+    traces, envs = video_traces
+    for horizon in (1.0, 5.0):
+        kwargs = dict(
+            mode="sigma-rho", discipline="fifo", horizon=horizon,
+            propagation=[0.001, 0.0], stagger_phase=0.37,
+        )
+        primed = simulate_regulated_chain(
+            traces[0], [traces[1:]] * 2, envs, **kwargs
+        )
+        for engine in ("evented", "legacy"):
+            oracle = simulate_chain(
+                traces[0], [traces[1:]] * 2, envs, engine=engine, **kwargs
+            )
+            assert _stats_equal(primed.tagged_stats, oracle.tagged_stats)
+
+
+def test_fifo_tree_host_capacity(small_tree):
+    tree, latency, traces, envs = small_tree
+    members = sorted(tree.members())
+    capacity = {members[0]: 1.25, members[len(members) // 2]: 0.9}
+    args = ([tree] * 3, 0, traces, envs, latency)
+    kwargs = dict(mode="sigma-rho", discipline="fifo", host_capacity=capacity)
+    primed = simulate_multicast_tree(*args, **kwargs)
+    assert primed.primed
+    for engine in ("evented", "legacy"):
+        oracle = simulate_tree(*args, engine=engine, **kwargs)
+        assert primed.per_receiver_worst == oracle.per_receiver_worst
+    plain = simulate_multicast_tree(*args, mode="sigma-rho", discipline="fifo")
+    assert plain.per_receiver_worst != primed.per_receiver_worst
+
+
+def test_fifo_chain_wakeup_tied_with_relayed_arrival():
+    """A chain where a hop's tagged bucket has a wakeup and a relayed
+    tagged arrival due at one instant, with a cross flow releasing then
+    too.  The backlog leaves in whichever of the two events runs first,
+    here the arrival; keying it by the wakeup would serve the cross
+    packet ahead of it.  Found by a dyadic search; all sides agree."""
+    def trace(slots, sizes):
+        """A trace on the 1/8 s grid, sizes in eighths."""
+        return PacketTrace(np.asarray(slots) / 8.0, np.asarray(sizes) / 8.0)
+
+    tagged = trace(
+        [0, 0, 0, 1, 3, 3, 4, 5, 6, 7, 7], [1, 1, 1, 1, 1, 1, 2, 1, 1, 2, 2]
+    )
+    cross = [
+        [trace([2, 5, 17, 26, 27, 31], [2, 1, 1, 2, 1, 1]),
+         trace([4, 14, 20, 21, 25, 28], [2, 2, 2, 2, 1, 2])],
+        [trace([5], [2]),
+         trace([5, 8, 13, 15, 17, 19, 23, 28, 30, 31],
+               [2, 2, 1, 1, 2, 2, 2, 2, 1, 2])],
+        [trace([1, 21, 25, 28], [2, 1, 1, 2]),
+         trace([14, 16, 17, 19, 21, 27, 28], [2, 1, 1, 2, 1, 1, 1])],
+    ]
+    envs = [
+        ArrivalEnvelope(0.5, 0.25),
+        ArrivalEnvelope(0.25, 0.125),
+        ArrivalEnvelope(0.25, 0.25),
+    ]
+    kwargs = dict(
+        mode="sigma-rho", discipline="fifo", propagation=[0.0, 0.5, 0.5],
+        horizon=6.0,
+    )
+    primed = simulate_regulated_chain(tagged, cross, envs, **kwargs)
+    assert primed.primed
+    for engine in ("evented", "legacy"):
+        oracle = simulate_chain(tagged, cross, envs, engine=engine, **kwargs)
+        assert _stats_equal(primed.tagged_stats, oracle.tagged_stats), engine

@@ -126,11 +126,11 @@ class TestMechanics:
         assert wf == len(traces) - 1
 
     def test_discipline_alone_picks_the_pipeline(self):
-        """No engine switch: adversarial hosts run closed form, FIFO
-        and priority hosts the evented pipeline."""
+        """No engine switch: adversarial and FIFO hosts run closed form,
+        priority hosts the evented pipeline."""
         traces, envs, *_ = make_scenario(0.6, horizon=1.0)
         for discipline, primed in (
-            ("adversarial", True), ("fifo", False), ("priority", False),
+            ("adversarial", True), ("fifo", True), ("priority", False),
         ):
             res = simulate_regulated_host(
                 traces, envs, mode="sigma-rho", discipline=discipline
@@ -143,6 +143,9 @@ class TestMechanics:
                 traces[0], [traces[1:]], envs, engine="batched"
             )
         sim = Simulator()
+        # The evented builder still wires FIFO hosts (LossyLink
+        # pipelines and the test oracle compose it).
+        build_regulated_host(sim, envs, DelayRecorder(sim), discipline="fifo")
         with pytest.raises(ValueError, match="closed form"):
             build_regulated_host(
                 sim, envs, DelayRecorder(sim), discipline="adversarial"

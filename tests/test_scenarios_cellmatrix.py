@@ -35,7 +35,7 @@ from repro.scenarios.cellmatrix import (
 from repro.scenarios.runner import evaluate_cell
 from repro.scenarios.spec import Scenario
 from repro.scenarios.tracebatch import _empirical_sigma_fast, realise_batch
-from repro.simulation.batched import primed_adversarial_host
+from repro.simulation.batched import primed_host
 from repro.simulation.flow import OnOffSource, PacketTrace
 from repro.simulation.fluid import (
     _first_passage_arrays,
@@ -343,8 +343,8 @@ class TestLeanKernels:
         traces = [(times, sizes)] * 3
         envelopes = [ArrivalEnvelope(0.05, 0.3)] * 3
         keys = [(id(times), 0.05, 0.3)] * 3
-        plain = primed_adversarial_host(traces, envelopes, "sigma-rho")
-        cached = primed_adversarial_host(
+        plain = primed_host(traces, envelopes, "sigma-rho")
+        cached = primed_host(
             traces, envelopes, "sigma-rho", dep_cache={}, cache_keys=keys
         )
         assert cached.batch_events == plain.batch_events
@@ -410,6 +410,19 @@ class TestCostFeatureBackend:
         )
         label, _ = _spec_features(sc)
         assert label.startswith("des")
+        # Only priority DES cells run evented; FIFO chains are priced
+        # as the closed-form passes they run.
+        chain = dict(
+            name="c", kinds=("cbr",) * 4, utilization=0.5, backend="des",
+            topology="chain", hops=3, horizon=0.8,
+        )
+        for discipline, features in (
+            ("adversarial", ("des_primed", 4000.0)),
+            ("fifo", ("des_primed", 4000.0)),
+            ("priority", ("des", 4800.0)),
+        ):
+            sc = Scenario(discipline=discipline, **chain)
+            assert _spec_features(sc) == pytest.approx(features), discipline
 
 
 class TestStabilityBoundary:

@@ -148,10 +148,10 @@ class TestCollection:
         }
 
     def test_evented_host_records_engine_tallies(self, telemetry_on):
-        # End-to-end through the real event engine: a FIFO host runs the
-        # evented pipeline and must fold its scheduler tallies into the
-        # active cell; an adversarial host runs closed form, with no
-        # event loop, and records none.
+        # End-to-end through the real event engine: a priority host
+        # runs the evented pipeline and must fold its scheduler tallies
+        # into the active cell; an adversarial host runs closed form,
+        # with no event loop, and records none.
         from repro.calculus.envelope import ArrivalEnvelope
         from repro.simulation.flow import VBRVideoSource
         from repro.simulation.host_sim import simulate_regulated_host
@@ -162,15 +162,15 @@ class TestCollection:
         traces = [trace] * 3
         envs = [ArrivalEnvelope(max(trace.empirical_sigma(rho), 1e-6), rho)] * 3
         tallies = {}
-        for discipline in ("fifo", "adversarial"):
+        for discipline in ("priority", "adversarial"):
             cell = tele.begin_cell(discipline)
             simulate_regulated_host(
                 traces, envs, mode="sigma-rho", discipline=discipline,
             )
             tele.end_cell(cell)
             tallies[discipline] = cell.counters
-        assert tallies["fifo"]["events_processed"] > 0
-        assert tallies["fifo"]["events_scheduled"] > 0
+        assert tallies["priority"]["events_processed"] > 0
+        assert tallies["priority"]["events_scheduled"] > 0
         assert tallies["adversarial"] == {}  # primed: no event loop ran
 
     def test_telemetry_pickles(self, telemetry_on):
