@@ -29,14 +29,15 @@
 #     --count 24 --seed 11 --no-corpus --store ci/baseline_smoke
 #
 # The smoke matrix is all fluid cells, so a second leg gates the packet
-# DES: the 40 cells of ci/des_corpus.json, run serially and with
+# DES: the 44 cells of ci/des_corpus.json, run serially and with
 # --jobs 2 against the pinned ci/baseline_des store.  In file order,
 # from generate_scenarios(200, seed=11, horizon=0.8): the first 24
 # non-tree cells forced to backend "des" (every 4th one FIFO, the rest
 # adversarial); the first 4 tree cells as tree_des sigma-rho cells (the
 # 4th FIFO); the next 8 non-tree cells forced to "des" with the
 # priority discipline; the 5th-8th tree cells as tree_des sigma-rho
-# FIFO cells.  Forcing a backend also renames its tag.  Both
+# FIFO cells; the 9th-12th tree cells as tree_des sigma-rho priority
+# cells.  Forcing a backend also renames its tag.  Both
 # summaries must match the baseline byte for byte, and every record its
 # measured/bound/baseline_bound/eps/sound.  The corpus file is a
 # save_curated file: build the cells above, reseed each with

@@ -53,8 +53,9 @@ __all__ = [
 #: uses cost *ratios* -- so stale coefficients degrade gracefully.
 #: The ``*_primed`` entries are *feature labels*, not spec backends:
 #: cells the simulators resolve on the closed-form passes (every DES
-#: cell but the priority discipline's) cost an order of magnitude less
-#: per packet than the evented priority cells and are priced separately.
+#: cell today) cost an order of magnitude less per packet than the
+#: evented DES cells that older stored records (``primed: false``)
+#: describe, and are priced separately.
 DEFAULT_COEFFICIENTS: dict[str, float] = {
     "fluid": 3.0e-8,          # per grid point x flow x hop
     "des": 4.0e-6,            # per expected packet x flow x hop
@@ -111,9 +112,9 @@ def _spec_features(spec: Any) -> tuple[str, float]:
     conservatively.  Cells that resolve on the closed-form primed
     passes are classified under the ``*_primed`` labels: for store
     records the recorded ``primed`` execution fact decides; for specs
-    it is inferred the way the simulators route
-    (``backend="des"``/``"tree_des"`` with any discipline but
-    ``"priority"`` -- every resolved control mode is primeable).
+    it is inferred the way the simulators route: every
+    ``backend="des"``/``"tree_des"`` spec is primed, in every
+    discipline and resolved control mode.
     """
     get = (
         spec.get
@@ -134,14 +135,8 @@ def _spec_features(spec: Any) -> tuple[str, float]:
     members = float(get("tree_members", 0) or 0)
     dt = float(get("dt", 2e-3) or 2e-3)
     primed = get("primed", None)
-    discipline = get("discipline", None)
-    sub = get("spec", None)
-    if isinstance(sub, Mapping) and discipline is None:
-        discipline = sub.get("discipline")
     if primed is None:
-        primed = backend in ("des", "tree_des") and discipline in (
-            "adversarial", "fifo",
-        )
+        primed = backend in ("des", "tree_des")
     if members > 0:
         # Tree specs carry hops=1; the realised critical path is about
         # the DSCT height (Lemma 2) -- use it as the hop estimate.

@@ -26,8 +26,8 @@ Design constraints, in priority order:
   so every existing determinism gate is untouched by construction.
 * **No import cycles.**  This module imports only the stdlib.  Runtime
   and scenario modules may import it at module level; the simulation
-  layer (imported *during* ``repro.runtime``'s own init) reaches it
-  through function-local imports at per-cell granularity.
+  layer (imported *during* ``repro.runtime``'s own init) does not use
+  it.
 
 Collection protocol
 -------------------
@@ -76,7 +76,6 @@ __all__ = [
     "span",
     "counter_add",
     "extra_set",
-    "record_engine",
     "cell_record",
     "phase_breakdown",
     "counter_totals",
@@ -196,20 +195,6 @@ def extra_set(name: str, value: Any) -> None:
     cell = getattr(_TLS, "cell", None)
     if cell is not None:
         cell.extra[name] = value
-
-
-def record_engine(sim: Any) -> None:
-    """Fold a finished :class:`~repro.simulation.engine.Simulator`'s
-    event counters into the active cell (called once per cell by the
-    simulate functions; no-op without an active cell)."""
-    cell = getattr(_TLS, "cell", None)
-    if cell is None:
-        return
-    c = cell.counters
-    for name in ("events_processed", "events_scheduled", "cancelled_events"):
-        n = getattr(sim, name, 0)
-        if n:
-            c[name] = c.get(name, 0) + int(n)
 
 
 # ----------------------------------------------------------------------

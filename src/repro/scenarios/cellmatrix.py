@@ -13,7 +13,7 @@ evaluates a *batch of cells* instead:
 2. **Grouping and dispatch** -- realised cells are keyed by
    ``(backend, discipline, topology, mode shape)``; two group kernels
    exist today, the adversarial fluid host and the primed DES host
-   (adversarial or FIFO, one group per discipline and mode).
+   (one group per discipline and mode).
    :func:`simulate_cells` is the one way a realised cell is
    simulated: a group kernel for a group, :func:`runner._simulate
    <repro.scenarios.runner._simulate>` for each cell outside both
@@ -60,11 +60,7 @@ from repro.scenarios.runner import (
 )
 from repro.scenarios.spec import Scenario
 from repro.scenarios.tracebatch import realise_batch
-from repro.simulation.batched import (
-    PRIMED_DISCIPLINES,
-    PRIMED_MODES,
-    primed_host,
-)
+from repro.simulation.batched import PRIMED_MODES, primed_host
 from repro.simulation.fluid import (
     _adversarial_worst,
     _default_drain_margin,
@@ -113,7 +109,7 @@ def group_key(r: _Realised) -> Optional[tuple]:
     if sc.topology != "host":
         return None
     if r.eff_backend == "des":
-        if sc.discipline in PRIMED_DISCIPLINES and r.eff_mode in PRIMED_MODES:
+        if r.eff_mode in PRIMED_MODES:
             return ("des", sc.discipline, "host", r.eff_mode)
         return None
     if r.eff_backend == "fluid" and sc.discipline == "adversarial":
@@ -132,8 +128,6 @@ def _fallback_reason(r: _Realised) -> str:
     if sc.topology != "host":
         return f"topology:{sc.topology}"
     if r.eff_backend == "des":
-        if sc.discipline not in PRIMED_DISCIPLINES:
-            return f"discipline:{sc.discipline}"
         return f"mode:{r.eff_mode}"
     if sc.discipline != "adversarial":
         return f"discipline:{sc.discipline}"
@@ -148,7 +142,7 @@ def _annotate_fallback(task: TaskResult, reason: str) -> None:
 
 
 # ----------------------------------------------------------------------
-# DES group: primed adversarial and FIFO hosts
+# DES group: primed hosts
 # ----------------------------------------------------------------------
 def _eval_des_group(
     discipline: str, mode: str, realised: Sequence[_Realised]

@@ -469,8 +469,8 @@ def _simulate(r: _Realised) -> tuple[float, int, int, bool]:
 
     Returns ``(measured, events, cancelled, primed)`` where ``primed``
     reports whether the simulator resolved the cell on a closed-form
-    pass (every adversarial and FIFO DES cell does; the flag feeds the
-    cost model's primed-vs-evented pricing).
+    pass (every DES cell does, in every discipline; the flag feeds the
+    cost model, whose stored records may predate that).
     """
     sc = r.scenario
     if r.eff_backend == "tree_des":

@@ -59,9 +59,8 @@ __all__ = [
 TOPOLOGIES = ("host", "chain", "tree")
 #: Simulation backends.  ``tree_des`` runs the packet DES over the
 #: *whole* DSCT tree (replication at every member) instead of the
-#: critical-path chain reduction.  In both DES backends the discipline
-#: picks the pipeline: adversarial cells run closed-form passes, FIFO
-#: and priority cells the evented components.
+#: critical-path chain reduction.  Both DES backends run closed-form
+#: passes in every discipline.
 BACKENDS = ("fluid", "des", "tree_des")
 #: MUX service disciplines of the measurement.
 DISCIPLINES = ("adversarial", "fifo", "priority")
@@ -92,9 +91,9 @@ class Scenario:
         -- a DSCT tree over a transit-stub underlay, reduced to its
         critical path by the runner.
     hops:
-        Chain length (``topology="chain"`` only).
+        Chain length (``topology="chain"`` only; 1 elsewhere).
     tree_members:
-        Group size for ``topology="tree"``.
+        Group size for ``topology="tree"`` (0 elsewhere).
     backend:
         ``"fluid"`` (vectorised, default), ``"des"`` (packet-exact on
         the critical-path reduction) or ``"tree_des"`` (packet-exact
@@ -122,8 +121,8 @@ class Scenario:
         Optional per-flow start-time skew in seconds (adversarial
         staggered starts); empty means no skew.
     propagation:
-        Per-hop underlay propagation delay (chain topology; tree
-        scenarios derive it from the underlay instead).
+        Per-hop underlay propagation delay (chain topology only, 0
+        elsewhere; tree scenarios derive it from the underlay instead).
     capacity:
         Output link capacity ``C``.
     perf_budget:
@@ -222,6 +221,26 @@ class Scenario:
                 check_non_negative(off, f"start_offsets[{i}]")
         check_non_negative(self.propagation, "propagation")
         check_non_negative(self.perf_budget, "perf_budget")
+        # A field the topology ignores would run the default's
+        # computation under a different cell key.
+        if self.topology != "chain":
+            if self.hops != 1:
+                raise ValueError(
+                    f"hops applies to topology 'chain' only, got "
+                    f"hops={self.hops} on topology {self.topology!r}"
+                )
+            if self.propagation != 0.0:
+                raise ValueError(
+                    f"propagation applies to topology 'chain' only, got "
+                    f"propagation={self.propagation} on topology "
+                    f"{self.topology!r}"
+                )
+        if self.topology != "tree" and self.tree_members != 0:
+            raise ValueError(
+                f"tree_members applies to topology 'tree' only, got "
+                f"tree_members={self.tree_members} on topology "
+                f"{self.topology!r}"
+            )
 
     # -- derived ---------------------------------------------------------
     @property

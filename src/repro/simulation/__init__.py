@@ -15,11 +15,12 @@ same regulator/MUX semantics (see DESIGN.md, substitution table):
 Both backends consume the same :class:`~repro.simulation.flow.PacketTrace`
 inputs, so any scenario can be run on either and compared.
 
-In the DES the MUX discipline alone picks the pipeline: adversarial
-and FIFO hosts, chains and trees run event-free closed-form passes
-(:mod:`repro.simulation.batched`), priority cells the evented
-components (window-batched vacation service, token buckets and the
-per-packet priority :class:`MuxServer`).
+The DES has one pipeline: adversarial, FIFO and priority hosts, chains
+and trees all run event-free closed-form passes
+(:mod:`repro.simulation.batched`).  The evented components
+(window-batched vacation service, token buckets and the FIFO
+:class:`BatchMuxServer`) remain for pipelines whose arrivals are not
+known in advance, such as :class:`LossyLink` chains.
 """
 
 from repro.simulation.batched import (
@@ -50,7 +51,6 @@ from repro.simulation.host_sim import HostResult, simulate_regulated_host
 from repro.simulation.loss import LossAccountant, LossyLink
 from repro.simulation.tree_sim import TreeSimResult, simulate_multicast_tree
 from repro.simulation.measures import DelayRecorder, DelayStats
-from repro.simulation.mux_sim import MuxServer
 from repro.simulation.packet import Packet
 from repro.simulation.regulator_sim import TokenBucketComponent
 
@@ -68,7 +68,6 @@ __all__ = [
     "BatchVacationComponent",
     "BatchMuxServer",
     "vacation_departures",
-    "MuxServer",
     "DelayRecorder",
     "DelayStats",
     "HostResult",

@@ -21,28 +21,29 @@ This module exploits exactly that structure, at three levels:
 
 :class:`BatchVacationComponent` / :class:`BatchMuxServer`
     Evented components for pipelines whose arrivals are *not* known in
-    advance: the regulators of priority cells, and the FIFO MUX of
-    :class:`~repro.simulation.loss.LossyLink` pipelines and the test
-    oracle.  The vacation component commits a whole window's worth of
-    service per wakeup (one continuation event per busy train instead
-    of one finish event per packet); the MUX commits each packet's
+    advance: :class:`~repro.simulation.loss.LossyLink` pipelines and
+    the test oracle.  The vacation component commits a whole window's
+    worth of service per wakeup (one continuation event per busy train
+    instead of one finish event per packet); the MUX commits each packet's
     departure at arrival time (the constant-rate drain is a running
     ``busy_until`` float, no internal heap, no per-packet
     finish/start-next events).
 
 :func:`primed_host` / :func:`primed_tagged_hop`
-    The array passes of the FIFO and adversarial disciplines: every
-    flow's trace is known up front, so a host -- regulators, MUX, delay
-    recording -- collapses into NumPy passes over merged departure
-    arrays with *no per-packet events at all*.
+    The array passes of every MUX discipline: every flow's trace is
+    known up front, so a host -- regulators, MUX, delay recording --
+    collapses into NumPy passes over merged departure arrays with *no
+    per-packet events at all*.
     :func:`sigma_rho_departures` is the token-bucket analogue of
     :func:`vacation_departures` (closed-form departures, float ops
     sequenced identically to ``TokenBucketComponent``); one private
     per-flow dispatch (``_flow_departures``) picks between them -- or
-    the raw arrival times for mode ``none`` -- for both.  One
-    ``busy_until`` recurrence merges the departures; a FIFO packet is
-    delivered at its own completion, an adversarial one at the end of
-    its busy period.  The host kernel serves every FIFO and adversarial
+    the raw arrival times for mode ``none`` -- for both.  One MUX pass
+    (``_mux_pass``) serves the merged departures: the ``busy_until``
+    recurrence delivers a FIFO packet at its own completion and an
+    adversarial one at the end of its busy period; a static-priority
+    heap starts the best queued packet at each completion.  The host
+    kernel serves every
     :func:`repro.simulation.host_sim.simulate_regulated_host` call and
     the primed DES groups of the cell matrix.  The hop kernel serves
     every hop of :func:`repro.simulation.chain.simulate_regulated_chain`
@@ -54,9 +55,10 @@ This module exploits exactly that structure, at three levels:
 
 Tie order
 ---------
-Packets that reach a MUX at one instant are served in the order an
+Packets that reach a MUX at one instant arrive in the order an
 evented pipeline of the same cell hands them over, and that order
-decides FIFO delays (adversarial ones only in their last bits).
+decides FIFO and priority delays (adversarial ones only in their last
+bits).
 :class:`~repro.simulation.engine.Simulator` runs equal-time events in
 schedule order, so at one instant:
 
@@ -71,6 +73,14 @@ schedule order, so at one instant:
    that scheduled each one, then recursively by that event's own place
    at its instant.
 3. Packets released inside one event keep their emission order.
+4. A priority MUX decides, at each completion, which queued packet
+   starts next.  The completion is a run-time event keyed
+   ``(T, 1, start)``, where ``start`` keys the event that began that
+   service: the packet's own release event if the server was idle
+   when it arrived, otherwise the previous completion.  A packet
+   released at ``T`` joins the queue before that decision iff its
+   release key comes first: an injected release always does, a
+   run-time release compares keys.
 
 Each event therefore has a key: ``(t, 0, (block, index))`` when
 injected, ``(t, 1, key of the event that scheduled it)`` at run time
@@ -80,16 +90,20 @@ concatenated in injection order, settles most ties
 run-time release ahead of an injected one, which moves behind it, and
 run-time releases of two different flows, the only case that builds
 keys, from the regulator's lineage (``_Regulated.lineage``) and the
-relayed packets' delivery events (``_relay``).
+relayed packets' delivery events: the next hop keys a relayed packet
+``(t, 1, key of the MUX event that delivered it)`` (``_relay``).  A
+priority MUX builds finish keys only where a run-time release ties a
+completion (``_priority_deliveries``).
 
 Vacation departures carry no keys: while sum(rho) <= C the stagger
 plan's windows tile without overlap, so no two flows' vacation
-departures share an instant.  Two cases stay undecided and keep the
-concatenation order: a tie on an overloaded lambda-mode host (the
-adaptive controller still assigns it the lambda model), and a tie that
-needs the release key of a packet relayed out of a vacation hop (a
-tree whose member capacities differ can mix modes), whose key ends at
-its delivery instant.
+departures share an instant.  Three cases stay undecided: a tie on an
+overloaded lambda-mode host (the adaptive controller still assigns it
+the lambda model) and a tie that needs the release key of a packet
+relayed out of a vacation hop (a tree whose member capacities differ
+can mix modes), whose key ends at its delivery instant, both keep the
+concatenation order; and a vacation release that ties a priority
+completion, which joins the queue after it.
 
 Equivalence contract: the float arithmetic is sequenced identically to
 the per-packet event chain, so measured delays are bit-identical to it
@@ -99,7 +113,7 @@ deterministically and measure no more than the per-packet chain.  The
 reference pipelines live in ``tests/des_oracle.py``;
 ``tests/test_des_batched_equivalence.py`` and
 ``tests/test_des_primed_equivalence.py`` enforce the contract over the
-curated corpus and hypothesis-generated traces.
+curated corpus and hypothesis-generated traces, in every discipline.
 """
 
 from __future__ import annotations
@@ -107,6 +121,8 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import deque
 from functools import cmp_to_key
+from heapq import heappop, heappush
+from itertools import accumulate
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -125,7 +141,6 @@ __all__ = [
     "primed_host",
     "primed_tagged_hop",
     "PrimedHostOutcome",
-    "PRIMED_DISCIPLINES",
     "PRIMED_MODES",
 ]
 
@@ -536,11 +551,8 @@ class BatchMuxServer:
     is fixed the instant it arrives: ``dep = max(now, busy_until) +
     size/C`` -- a running float instead of an internal heap, and one
     delivery event per packet instead of a finish/start-next pair.
-    Delays are bit-identical to the FIFO discipline of
-    :class:`~repro.simulation.mux_sim.MuxServer`, which serves the
-    priority discipline (a strict priority order cannot be committed
-    ahead of future arrivals).  Adversarial hosts need no evented MUX:
-    they run the closed-form passes below.
+    Delays are bit-identical to a per-packet FIFO MUX.  Simulated hosts
+    need no evented MUX: they run the closed-form passes below.
     """
 
     def __init__(self, sim: Simulator, capacity: float, sink):
@@ -562,8 +574,8 @@ class BatchMuxServer:
 
     def _route(self, pkt: Packet) -> None:
         # Served accounting happens here -- at delivery, not arrival --
-        # so the counters match MuxServer's completion-time counting
-        # under horizon truncation.
+        # so the counters match a per-packet MUX's completion-time
+        # counting under horizon truncation.
         self.served_count += 1
         self.served_data += pkt.size
         sink = self.sink
@@ -578,12 +590,6 @@ class BatchMuxServer:
 # ----------------------------------------------------------------------
 # The primed passes
 # ----------------------------------------------------------------------
-#: MUX disciplines the primed passes resolve: both drain the same
-#: merged arrival order, FIFO delivering each packet at its own
-#: completion, the adversarial MUX at the end of its busy period.
-PRIMED_DISCIPLINES = ("adversarial", "fifo")
-
-
 class PrimedHostOutcome:
     """Raw product of the primed host passes (arrays, no Packets)."""
 
@@ -722,29 +728,45 @@ def _injected_key(times: np.ndarray, block: int):
     return lambda a: (float(times[a]), 0, (block, a))
 
 
+def _release_keys(
+    counts: Sequence[int], regs: Sequence[_Regulated], arrival_keys
+):
+    """``key(p)``: the key of the event that released concatenated
+    departure ``p`` of ``regs`` into the MUX (``None`` when untraced)."""
+    offsets = list(accumulate(counts, initial=0))
+
+    def key(p: int) -> Optional[tuple]:
+        f = bisect_right(offsets, p) - 1
+        return _release_key(regs[f], p - offsets[f], arrival_keys[f])
+
+    return key
+
+
 def _service_order(
     arr: np.ndarray,
     counts: Sequence[int],
     regs: Sequence[_Regulated],
     injected: Sequence[bool],
-    arrival_keys: Sequence,
-) -> np.ndarray:
-    """Order in which one MUX serves the concatenated departures ``arr``
-    of ``regs`` (``counts`` each, concatenated in injection order).
+    release_key,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Order in which one MUX receives the concatenated departures
+    ``arr`` of ``regs`` (``counts`` each, concatenated in injection
+    order), plus which departures leave in a run-time event.
 
-    Equal instants are served in the evented simulator's order (see the
+    Equal instants arrive in the evented simulator's order (see the
     module docstring): injected releases first, in injection order;
     then run-time releases by event key.  The stable sort settles most
     runs of equal instants; in the rest a run-time release precedes an
     injected one or another flow's run-time release, and only those
-    runs are reordered, building keys for their run-time releases.
+    runs are reordered, building keys (``release_key``) for their
+    run-time releases.
     """
     order = np.argsort(arr, kind="stable")
     runtime = np.concatenate(
         [r.runtime(inj) for r, inj in zip(regs, injected)]
     )
     if not runtime.any():
-        return order
+        return order, runtime
     s_arr = arr[order]
     s_rt = runtime[order]
     s_flow = np.repeat(np.arange(len(regs)), counts)[order]
@@ -753,7 +775,6 @@ def _service_order(
         & s_rt[:-1]
         & (~s_rt[1:] | (s_flow[1:] != s_flow[:-1]))
     )
-    offsets = np.concatenate(([0], np.cumsum(counts))).tolist()
     n = arr.size
     end = 0
     for i in flagged.tolist():
@@ -769,10 +790,7 @@ def _service_order(
         run = order[lo:end].tolist()
         first = [p for p in run if not runtime[p]]
         later = [p for p in run if runtime[p]]
-        keys = []
-        for p in later:
-            f = bisect_right(offsets, p) - 1
-            keys.append(_release_key(regs[f], p - offsets[f], arrival_keys[f]))
+        keys = [release_key(p) for p in later]
         if None not in keys:
             rank = sorted(
                 range(len(later)),
@@ -780,7 +798,7 @@ def _service_order(
             )
             later = [later[x] for x in rank]
         order[lo:end] = first + later
-    return order
+    return order, runtime
 
 
 def _mux_deliveries(
@@ -818,6 +836,138 @@ def _mux_deliveries(
     return (bu if fifo else ends), ends
 
 
+def _priority_deliveries(
+    arr: np.ndarray,
+    tx: np.ndarray,
+    rank: np.ndarray,
+    runtime: np.ndarray,
+    release_key,
+):
+    """Completion instants of MUX arrivals under static priority, plus
+    the end of each one's busy period and their completion keys.
+
+    ``arr``, ``tx``, ``rank`` and ``runtime`` list the arrivals in the
+    order the MUX receives them; ``release_key(i)`` keys arrival
+    ``i``'s release event.  A heap holds the queued arrivals by
+    ``(rank, i)``: each completion starts the queued packet of lowest
+    rank, earliest arrival first, exactly like the evented priority
+    MUX.  An arrival at a completion instant joins the queue before
+    that decision iff its release event runs first (the module
+    docstring's tie rule).  Returns ``(delivery, ends, finish_key)``;
+    ``finish_key(i)`` is the key of the completion event that delivers
+    arrival ``i``, built on demand.
+    """
+    n = arr.size
+    arr_l = arr.tolist()
+    tx_l = tx.tolist()
+    rank_l = rank.tolist()
+    rt_l = runtime.tolist()
+    fin = [0.0] * n
+    # prev[i]: the arrival whose completion started i's service, or -1
+    # when i found the server idle and started in its release event.
+    prev = [-1] * n
+    period = [0] * n
+    period_ends: list[float] = []
+    fkeys: dict[int, tuple] = {}
+
+    def finish_key(i: int) -> tuple:
+        todo = []
+        while i >= 0 and i not in fkeys:
+            todo.append(i)
+            i = prev[i]
+        key = fkeys.get(i)
+        for m in reversed(todo):
+            start = key if prev[m] >= 0 else release_key(m)
+            key = fkeys[m] = (fin[m], 1, start)
+        return key
+
+    def joins_first(i: int, cur: int) -> bool:
+        if not rt_l[i]:
+            return True
+        key = release_key(i)
+        return key is not None and _key_cmp(key, finish_key(cur)) < 0
+
+    heap: list[tuple[int, int]] = []
+    cur = -1  # the arrival in service, or -1 while the server is idle
+    finish = 0.0
+    i = 0
+    while i < n or cur >= 0:
+        if cur >= 0 and (
+            i == n
+            or arr_l[i] > finish
+            or (arr_l[i] == finish and not joins_first(i, cur))
+        ):
+            # Completion of ``cur``: start the best queued packet.
+            if heap:
+                nxt = heappop(heap)[1]
+                prev[nxt] = cur
+                period[nxt] = len(period_ends)
+                finish += tx_l[nxt]
+                fin[nxt] = finish
+                cur = nxt
+            else:
+                period_ends.append(finish)
+                cur = -1
+        else:
+            if cur < 0:
+                period[i] = len(period_ends)
+                finish = arr_l[i] + tx_l[i]
+                fin[i] = finish
+                cur = i
+            else:
+                heappush(heap, (rank_l[i], i))
+            i += 1
+    ends = np.asarray(period_ends, dtype=np.float64)[period]
+    return np.asarray(fin, dtype=np.float64), ends, finish_key
+
+
+def _mux_pass(
+    regs: Sequence[_Regulated],
+    sizes: Sequence[np.ndarray],
+    injected: Sequence[bool],
+    arrival_keys: Sequence,
+    ranks: Sequence[int],
+    discipline: str,
+    capacity: float,
+):
+    """Serve every flow's regulator departures through one MUX.
+
+    The MUX step shared by :func:`primed_host` and
+    :func:`primed_tagged_hop`: ``regs``, ``sizes``, ``injected`` and
+    ``arrival_keys`` list the flows in injection order, ``ranks`` their
+    priorities (lower served first; read only by the priority
+    discipline).  Returns ``(order, delivery, ends, finish_key)``: the
+    concatenated departures in the order the MUX receives them, each
+    one's delivery instant and busy-period end in that order, and
+    ``finish_key(i)``, the key of the event that delivers the ``i``-th.
+    """
+    counts = [r.deps.size for r in regs]
+    arr = np.concatenate([r.deps for r in regs])
+    release_key = _release_keys(counts, regs, arrival_keys)
+    order, runtime = _service_order(arr, counts, regs, injected, release_key)
+    arr = arr[order]
+    tx = np.concatenate(sizes)[order] / capacity
+    if discipline == "priority":
+        rank = np.repeat(np.asarray(ranks), counts)[order]
+        order_l = order.tolist()
+        delivery, ends, finish_key = _priority_deliveries(
+            arr, tx, rank, runtime[order], lambda i: release_key(order_l[i])
+        )
+    elif discipline == "fifo":
+        delivery, ends = _mux_deliveries(arr, tx, True)
+
+        # A FIFO completion event is scheduled by the release event.
+        def finish_key(i):
+            return (float(delivery[i]), 1, release_key(int(order[i])))
+    else:
+        delivery, ends = _mux_deliveries(arr, tx, False)
+
+        # A hold-and-release MUX delivers in its release decision.
+        def finish_key(i):
+            return (float(delivery[i]), -1, None)
+    return order, delivery, ends, finish_key
+
+
 def _periods(ends: np.ndarray) -> int:
     """Busy periods among packets in service order, given each one's
     period end (ends strictly increase from one period to the next)."""
@@ -830,10 +980,8 @@ def _stagger_schedule(
     """Per-flow vacation regulators and absolute window offsets.
 
     The controller's stagger plan shifted by ``stagger_phase`` (a
-    fraction of the plan period): the one derivation shared by the
-    vacation entries of
-    :func:`repro.simulation.host_sim.build_regulated_host` and every
-    primed departure pass.
+    fraction of the plan period), shared by every primed departure
+    pass.
     """
     plan = controller.build_stagger_plan()
     base = (stagger_phase % 1.0) * plan.period
@@ -886,11 +1034,8 @@ def _primed_schedule(
     """Check a primed pass's discipline, mode and capacity; return the
     vacation stagger schedule of its host (``None`` outside
     ``"sigma-rho-lambda"``)."""
-    if discipline not in PRIMED_DISCIPLINES:
-        raise ValueError(
-            f"primed passes serve the disciplines {PRIMED_DISCIPLINES}, "
-            f"got {discipline!r}"
-        )
+    if discipline not in ("adversarial", "fifo", "priority"):
+        raise ValueError(f"unknown discipline {discipline!r}")
     if mode not in PRIMED_MODES:
         raise ValueError(
             f"primed hosts support modes {PRIMED_MODES}, got {mode!r}"
@@ -916,31 +1061,30 @@ def primed_host(
     dep_cache: Optional[dict] = None,
     cache_keys: Optional[Sequence] = None,
 ) -> PrimedHostOutcome:
-    """Array fast path for any fully-known FIFO or adversarial host cell.
+    """Array fast path for any fully-known host cell.
 
     Every flow's full arrival trace is known up front, so the cell
     needs no event loop at all: per-flow regulator departures are
-    closed form, the MUX is a single merged pass (running
-    ``busy_until`` float recurrence over the departures in the evented
-    service order), and per-flow delays are one subtraction.  Per
-    control mode:
+    closed form, the MUX is a single merged pass over the departures
+    in the evented arrival order, and per-flow delays are one
+    subtraction.  Per control mode:
 
     * ``"sigma-rho"`` -- per-flow token buckets
-      (:func:`sigma_rho_departures`, parameterised exactly like the
-      builder: ``sigma = e.sigma``, ``rho = e.rho / capacity``);
+      (:func:`sigma_rho_departures`, ``sigma = e.sigma``,
+      ``rho = e.rho / capacity``);
     * ``"sigma-rho-lambda"`` -- the staggered vacation regulators
       (:func:`vacation_departures`; the stagger plan is rebuilt from the
-      envelopes the way
-      :func:`repro.simulation.host_sim.build_regulated_host` does);
+      envelopes by :func:`_stagger_schedule`);
     * ``"none"`` -- no regulation: arrivals feed the MUX directly.
 
-    ``mode`` must already be resolved (no ``"adaptive"`` here -- the
-    caller resolves it exactly like the builders do).  A FIFO packet
-    is delivered at its own completion, an adversarial one at the end
-    of its MUX busy period, the hold-and-release instant.  Flows are
-    injected in flow order.  With ``drain=False``, deliveries after
-    ``horizon`` are discarded (an evented ``run(until=horizon)``
-    truncation).
+    ``mode`` must already be resolved (no ``"adaptive"`` here).  A FIFO
+    packet is delivered at its own completion (the ``busy_until``
+    recurrence), an adversarial one at the end of its MUX busy period,
+    the hold-and-release instant, and a priority one at its own
+    completion, flow ``i`` at priority ``i`` (the heap of
+    :func:`_priority_deliveries`).  Flows are injected in flow order.
+    With ``drain=False``, deliveries after ``horizon`` are discarded
+    (an evented ``run(until=horizon)`` truncation).
 
     ``dep_cache`` / ``cache_keys`` let a caller whose flows share trace
     objects reuse regulator passes: flows whose ``cache_keys[f]`` is
@@ -975,20 +1119,18 @@ def primed_host(
     counts = [r.deps.size for r in regs]
     if not sum(counts):
         return PrimedHostOutcome([np.empty(0) for _ in range(k)], 0, 0)
-    arr = np.concatenate([r.deps for r in regs])
     emit_list = [np.asarray(times, dtype=np.float64) for times, _ in traces]
-    order = _service_order(
-        arr, counts, regs, [True] * k,
+    order, delivery, ends, _ = _mux_pass(
+        regs,
+        [np.asarray(sizes, dtype=np.float64) for _, sizes in traces],
+        [True] * k,
         [_injected_key(e, f) for f, e in enumerate(emit_list)],
+        range(k),
+        discipline,
+        capacity,
     )
     emits = np.concatenate(emit_list)[order]
     flows = np.repeat(np.arange(k), counts)[order]
-    sizes_all = np.concatenate(
-        [np.asarray(sizes, dtype=np.float64) for _, sizes in traces]
-    )
-    delivery, ends = _mux_deliveries(
-        arr[order], sizes_all[order] / capacity, discipline == "fifo"
-    )
     releases = _periods(ends)
     if not drain:
         if horizon is None:
@@ -1004,20 +1146,15 @@ def primed_host(
     return PrimedHostOutcome(per_flow, trains, releases)
 
 
-def _relay(deliveries: np.ndarray, reg: _Regulated, arrival_key, fifo: bool):
+def _relay(finish_key, positions: np.ndarray):
     """Arrival keys of a relayed tagged flow at the next hop.
 
     ``relay(a, t)`` keys packet ``a``'s arrival there at instant ``t``:
-    an event scheduled by the one that delivered the packet here -- a
-    FIFO MUX's completion event, itself scheduled by the event that
-    released the packet into the MUX, or an adversarial MUX's release
-    decision.
+    an event scheduled by the one that delivered the packet here, the
+    MUX event ``finish_key`` keys at the packet's position in
+    ``positions``.
     """
-    if fifo:
-        return lambda a, t: (
-            t, 1, (float(deliveries[a]), 1, _release_key(reg, a, arrival_key))
-        )
-    return lambda a, t: (t, 1, (float(deliveries[a]), -1, None))
+    return lambda a, t: (t, 1, finish_key(int(positions[a])))
 
 
 def primed_tagged_hop(
@@ -1034,14 +1171,15 @@ def primed_tagged_hop(
     tagged_first: bool = False,
     upstream=None,
 ):
-    """Tagged-flow deliveries of one fully-known FIFO or adversarial host.
+    """Tagged-flow deliveries of one fully-known host.
 
     One hop of a relayed tagged flow (flow 0): ``arrivals`` and
     ``sizes`` are its arrival instants at this host and its packet
     sizes; ``cross`` holds the K-1 cross traces (flows 1..K-1, objects
     with ``times`` and ``sizes``) entering the host.  Every flow is
     regulated in closed form and the merged departures take the MUX
-    pass of :func:`primed_host`; ``mode`` must already be resolved.
+    pass of :func:`primed_host`, whose priority MUX here serves the
+    tagged flow last; ``mode`` must already be resolved.
 
     Cross flows are injected before the run, in flow order.
     ``upstream`` is ``None`` where the tagged flow is injected too --
@@ -1108,20 +1246,21 @@ def primed_tagged_hop(
     keys.insert(at, tagged_key)
     injected = [True] * len(regs)
     injected[at] = upstream is None
-    fifo = discipline == "fifo"
+    # The MUX serves the tagged flow last: it ranks behind every cross
+    # flow.
+    ranks = list(range(1, len(regs)))
+    ranks.insert(at, len(regs))
     counts = [r.deps.size for r in regs]
-    arr = np.concatenate([r.deps for r in regs])
-    if arr.size == 0:
-        return arr, passes, _relay(arr, tagged, tagged_key, fifo)
-    order = _service_order(arr, counts, regs, injected, keys)
-    delivery, ends = _mux_deliveries(
-        arr[order], np.concatenate(size_parts)[order] / capacity, fifo
+    if not sum(counts):
+        # Nothing reaches the MUX, so nothing is relayed either.
+        return tagged.deps, passes, _relay(None, tagged.deps)
+    order, delivery, ends, finish_key = _mux_pass(
+        regs, size_parts, injected, keys, ranks, discipline, capacity
     )
     lo = sum(counts[:at])
     is_tagged = (order >= lo) & (order < lo + counts[at])
-    deliveries = delivery[is_tagged]
     return (
-        deliveries,
+        delivery[is_tagged],
         passes + _periods(ends[is_tagged]),
-        _relay(deliveries, tagged, tagged_key, fifo),
+        _relay(finish_key, np.flatnonzero(is_tagged)),
     )

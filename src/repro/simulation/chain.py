@@ -13,11 +13,11 @@ Propagation delays between consecutive hosts are taken from the overlay
 path (underlay shortest-path latencies); queueing/regulation delays
 emerge from the components.
 
-Under the FIFO and adversarial disciplines every flow's traffic is
-known hop by hop, so the chain is a loop of closed-form host passes
+Every flow's traffic is known hop by hop, so under every MUX
+discipline the chain is a loop of closed-form host passes
 (:func:`repro.simulation.batched.primed_tagged_hop`) with no event
 loop: hop h's tagged arrivals are hop h-1's deliveries plus the
-propagation delay.  Priority chains run the evented pipeline.
+propagation delay.
 """
 
 from __future__ import annotations
@@ -27,16 +27,9 @@ from typing import Optional, Sequence
 
 from repro.calculus.envelope import ArrivalEnvelope
 from repro.core.adaptive import resolve_mode
-from repro.simulation.batched import PRIMED_DISCIPLINES, primed_tagged_hop
-from repro.simulation.engine import Simulator
+from repro.simulation.batched import primed_tagged_hop
 from repro.simulation.flow import PacketTrace
-from repro.simulation.host_sim import (
-    _serve_tagged_last,
-    build_regulated_host,
-    inject_trace,
-)
-from repro.simulation.measures import DelayRecorder, DelayStats
-from repro.simulation.packet import Packet
+from repro.simulation.measures import DelayStats
 from repro.utils.validation import check_non_negative
 
 __all__ = ["ChainResult", "simulate_regulated_chain"]
@@ -50,35 +43,14 @@ class ChainResult:
     hops: int
     worst_case_delay: float
     tagged_stats: DelayStats
-    #: Events processed by the evented pipeline; for a primed chain the
-    #: closed-form passes it ran instead (regulator passes plus MUX
-    #: busy periods, summed over hops).
+    #: The closed-form passes run instead of events (regulator passes
+    #: plus MUX busy periods, summed over hops).
     events: int
-    #: Cancelled events popped off the heap (see ``HostResult``).
+    #: Cancelled heap events (see ``HostResult``).
     cancelled_events: int = 0
     #: Whether every hop was resolved closed-form (see
     #: ``simulate_regulated_chain`` notes).
     primed: bool = False
-
-
-class _Relay:
-    """Forward the tagged flow into the next hop after a propagation delay."""
-
-    def __init__(self, sim: Simulator, delay: float, next_entry):
-        self.sim = sim
-        self.delay = delay
-        self.next_entry = next_entry
-
-    def receive(self, packet: Packet) -> None:
-        packet.hops += 1
-        self.sim.schedule_in(self.delay, self.next_entry.receive, packet)
-
-
-class _Drop:
-    """Terminal sink for cross-traffic (delays measured only for the tagged flow)."""
-
-    def receive(self, packet: Packet) -> None:  # noqa: D102 - trivial
-        pass
 
 
 def simulate_regulated_chain(
@@ -130,15 +102,14 @@ def simulate_regulated_chain(
     Consecutive hosts use staggered vacation offsets shifted by half a
     window so the tagged flow does not ride a lucky synchronisation.
 
-    Under the FIFO and adversarial disciplines every flow entering a
-    hop is known once the previous hop is resolved, so each hop is one
-    closed-form host pass
+    Every flow entering a hop is known once the previous hop is
+    resolved, so each hop is one closed-form host pass
     (:func:`repro.simulation.batched.primed_tagged_hop`) and no
     ``Simulator`` runs: hop h's tagged arrivals are hop h-1's
     deliveries plus ``propagation[h]``, relayed at run time after the
     tagged flow was injected at hop 0 ahead of all cross traffic.
     Cross departures are computed once per call outside the lambda
-    mode.  ``events`` then counts the passes run.
+    mode.  ``events`` counts the passes run.
     """
     hops = len(cross_traces_per_hop)
     if hops < 1:
@@ -169,93 +140,34 @@ def simulate_regulated_chain(
                 restricted[id(trace)] = trace.restrict(horizon)
         cross_in.append([restricted[id(trace)] for trace in cross])
 
-    if discipline in PRIMED_DISCIPLINES:
-        mode_eff = resolve_mode(mode, envelopes, capacity)
-        cross_cache: dict = {}
-        events = 0
-        # The source hands the tagged flow to hop 0 as every hop hands
-        # it to the next: deliveries plus the propagation delay.
-        deliveries = tagged_in.times
-        relay = None
-        for h in range(hops):
-            deliveries, passes, relay = primed_tagged_hop(
-                deliveries + propagation[h],
-                tagged_in.sizes,
-                cross_in[h],
-                envelopes,
-                mode_eff,
-                capacity=capacity,
-                stagger_phase=(stagger_phase + h * 0.37) % 1.0,
-                cross_cache=cross_cache,
-                discipline=discipline,
-                tagged_first=True,
-                upstream=relay,
-            )
-            events += passes
-        stats = DelayStats.from_delays(deliveries - tagged_in.times)
-        return ChainResult(
-            mode=mode,
-            hops=hops,
-            worst_case_delay=stats.worst,
-            tagged_stats=stats,
-            events=events,
-            primed=True,
-        )
-
-    sim = Simulator()
-    recorder = DelayRecorder(sim)
-
-    # Build hosts back to front so each host's tagged-flow output can be
-    # wired to the next host's entry.
-    entries_per_hop: list = [None] * hops
-    for h in reversed(range(hops)):
-        if h == hops - 1:
-            tagged_sink = recorder
-        else:
-            tagged_sink = _Relay(sim, propagation[h + 1], entries_per_hop[h + 1][0])
-        sink_map = {0: tagged_sink}
-        for f in range(1, k):
-            sink_map[f] = _Drop()
-        entries, mux = build_regulated_host(
-            sim,
+    mode_eff = resolve_mode(mode, envelopes, capacity)
+    cross_cache: dict = {}
+    events = 0
+    # The source hands the tagged flow to hop 0 as every hop hands
+    # it to the next: deliveries plus the propagation delay.
+    deliveries = tagged_in.times
+    relay = None
+    for h in range(hops):
+        deliveries, passes, relay = primed_tagged_hop(
+            deliveries + propagation[h],
+            tagged_in.sizes,
+            cross_in[h],
             envelopes,
-            sink_map,
-            mode=mode,
+            mode_eff,
             capacity=capacity,
-            discipline=discipline,
-            # De-synchronise consecutive hops' vacation schedules by a
-            # golden-ratio-ish fraction of the stagger period.
             stagger_phase=(stagger_phase + h * 0.37) % 1.0,
+            cross_cache=cross_cache,
+            discipline=discipline,
+            tagged_first=True,
+            upstream=relay,
         )
-        _serve_tagged_last(mux, discipline, k)
-        entries_per_hop[h] = entries
-
-    # Tagged flow enters host 0 after its access propagation delay,
-    # ahead of the cross flows, which enter their hop directly.
-    sim.schedule_batch(
-        tagged_in.times + propagation[0],
-        entries_per_hop[0][0].receive,
-        (
-            (Packet(flow_id=0, size=float(s), t_emit=float(t)),)
-            for t, s in zip(tagged_in.times, tagged_in.sizes)
-        ),
-    )
-    for h, cross in enumerate(cross_in):
-        for f, trace in enumerate(cross, start=1):
-            inject_trace(sim, trace, f, entries_per_hop[h][f])
-
-    sim.run()
-    # Function-local import: keeps the simulation layer importable
-    # without the runtime package at module-load time.
-    from repro.runtime.telemetry import record_engine
-
-    record_engine(sim)
-    stats = recorder.stats(0)
+        events += passes
+    stats = DelayStats.from_delays(deliveries - tagged_in.times)
     return ChainResult(
         mode=mode,
         hops=hops,
         worst_case_delay=stats.worst,
         tagged_stats=stats,
-        events=sim.events_processed,
-        cancelled_events=sim.cancelled_events,
+        events=events,
+        primed=True,
     )

@@ -10,16 +10,14 @@ ground truth the critical-path reduction is validated against in
 right (per-receiver delays, loss hooks, churn interplay).
 
 Cost: an evented tree pays events scaling with
-(members x packets x K).  Under the FIFO and adversarial disciplines no
-event loop runs at all: every member is a fully-known host once its
-parent is resolved, so the tree is one closed-form host pass per
-member, top down (:func:`repro.simulation.batched.primed_tagged_hop`).
-A member's tagged arrivals are its parent's deliveries plus the link
-latency, and the K-1 cross flows' regulator departures are computed
-once per call outside the lambda mode.  The tie order is the evented
-tree's, which injects every member's cross traffic before the root's
-tagged flow.  Priority trees run the evented pipeline, replicating
-every served packet to each child.
+(members x packets x K).  Here no event loop runs at all, under any
+MUX discipline: every member is a fully-known host once its parent is
+resolved, so the tree is one closed-form host pass per member, top
+down (:func:`repro.simulation.batched.primed_tagged_hop`).  A member's
+tagged arrivals are its parent's deliveries plus the link latency, and
+the K-1 cross flows' regulator departures are computed once per call
+outside the lambda mode.  The tie order is the evented tree's, which
+injects every member's cross traffic before the root's tagged flow.
 """
 
 from __future__ import annotations
@@ -32,17 +30,10 @@ import numpy as np
 from repro.calculus.envelope import ArrivalEnvelope
 from repro.core.adaptive import resolve_mode
 from repro.overlay.tree import MulticastTree
-from repro.simulation.batched import PRIMED_DISCIPLINES, primed_tagged_hop
-from repro.simulation.engine import Simulator
+from repro.simulation.batched import primed_tagged_hop
 from repro.simulation.flow import PacketTrace
-from repro.simulation.host_sim import (
-    MODES,
-    _serve_tagged_last,
-    build_regulated_host,
-    inject_trace,
-)
+from repro.simulation.host_sim import MODES
 from repro.simulation.measures import DelayStats
-from repro.simulation.packet import Packet
 from repro.utils.validation import check_non_negative
 
 __all__ = ["TreeSimResult", "simulate_multicast_tree"]
@@ -56,53 +47,19 @@ class TreeSimResult:
     mode: str
     worst_case_delay: float
     #: The member with the largest worst-case delay; among exact ties,
-    #: the first in top-down (breadth-first) order for a primed tree,
-    #: the first to record it in event order for an evented one.
+    #: the first in top-down (breadth-first) order.
     worst_receiver: int
     per_receiver_worst: dict[int, float]
-    #: Events processed by the evented pipeline; for a primed tree the
-    #: closed-form passes it ran instead (regulator passes plus MUX
-    #: busy periods, summed over members).
+    #: The closed-form passes run instead of events (regulator passes
+    #: plus MUX busy periods, summed over members).
     events: int
-    #: Whether every member was resolved closed-form (the FIFO and
-    #: adversarial disciplines).
+    #: Whether every member was resolved closed-form.
     primed: bool = False
 
     def stats(self) -> DelayStats:
         return DelayStats.from_delays(
             np.asarray(list(self.per_receiver_worst.values()))
         )
-
-
-class _Replicator:
-    """Fan a served packet out to every child entry (plus local delivery):
-    each child gets a copy with its ``hops`` counter bumped."""
-
-    def __init__(
-        self,
-        sim: Simulator,
-        host: int,
-        flow_id: int,
-        children_entries: Sequence[tuple[int, object, float]],
-        deliver,
-    ):
-        self.sim = sim
-        self.host = host
-        self.flow_id = flow_id
-        self.children_entries = children_entries  # (child, entry, latency)
-        self.deliver = deliver
-
-    def receive(self, packet: Packet) -> None:
-        # Local delivery at this host (it is a receiver too).
-        self.deliver(self.host, self.flow_id, packet)
-        for child, entry, latency in self.children_entries:
-            copy = Packet(
-                flow_id=packet.flow_id,
-                size=packet.size,
-                t_emit=packet.t_emit,
-                hops=packet.hops + 1,
-            )
-            self.sim.schedule_in(latency, entry.receive, copy)
 
 
 def simulate_multicast_tree(
@@ -152,8 +109,8 @@ def simulate_multicast_tree(
         network-wide worst case (the WDB of the paper).
 
     The latency of every tree edge must be finite and non-negative.
-    Under the FIFO and adversarial disciplines each member is one
-    closed-form host pass, top down, with no ``Simulator``.
+    Each member is one closed-form host pass, top down, with no
+    ``Simulator``.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -162,8 +119,8 @@ def simulate_multicast_tree(
     if len(envelopes) != k:
         raise ValueError("traces and envelopes must align")
     children = tree.children()
-    # Top-down (breadth-first) member order; the primed path resolves
-    # members in it, so a parent is always done before its children.
+    # Top-down (breadth-first) member order: members are resolved in
+    # it, so a parent is always done before its children.
     top_down = [tree.root]
     for host in top_down:
         top_down.extend(children[host])
@@ -194,82 +151,34 @@ def simulate_multicast_tree(
     tagged = traces[group].restrict(horizon)
     per_receiver: dict[int, float] = {}
 
-    primed = discipline in PRIMED_DISCIPLINES
-    if primed:
-        cross_cache: dict = {}
-        deliveries: dict[int, np.ndarray] = {}
-        relays: dict = {}
-        events = 0
-        for host in top_down:
-            cap = host_cap(host)
-            if host == tree.root:
-                arrivals, upstream = tagged.times, None
-            else:
-                parent = tree.parent[host]
-                arrivals = deliveries[parent] + link[host]
-                upstream = relays[parent]
-            deliveries[host], passes, relays[host] = primed_tagged_hop(
-                arrivals,
-                tagged.sizes,
-                cross,
-                env_order,
-                resolve_mode(mode, env_order, cap),
-                capacity=cap,
-                stagger_phase=host_phase(host),
-                cross_cache=cross_cache,
-                discipline=discipline,
-                upstream=upstream,
-            )
-            events += passes
-            worst = float(np.max(deliveries[host] - tagged.times, initial=0.0))
-            if worst > 0.0:
-                per_receiver[host] = worst
-    else:
-        sim = Simulator()
-
-        def deliver(host: int, flow_id: int, packet: Packet) -> None:
-            if flow_id != group:
-                return
-            delay = sim.now - packet.t_emit
-            if delay > per_receiver.get(host, 0.0):
-                per_receiver[host] = delay
-
-        # Build hosts bottom-up so children entries exist before parents.
-        entries_by_host: dict[int, list] = {}
-        for host in reversed(top_down):
-            child_entries = [
-                (c, entries_by_host[c][0], link[c]) for c in children[host]
-            ]
-            replicator = _Replicator(sim, host, group, child_entries, deliver)
-            sink_map: dict[int, object] = {0: replicator}
-            for f in range(1, k):
-                sink_map[f] = _Drop()
-            entries, mux = build_regulated_host(
-                sim, env_order, sink_map,
-                mode=mode, capacity=host_cap(host), discipline=discipline,
-                stagger_phase=host_phase(host),
-            )
-            _serve_tagged_last(mux, discipline, k)
-            entries_by_host[host] = entries
-
-        # Inject the K-1 cross flows at every member (each host serves
-        # all K groups), then the tagged flow at the root.  Cross flows
-        # go first so that at equal-time ties cross arrivals precede
-        # tagged ones everywhere (fanout events always carry later
-        # sequence numbers than injections) -- the injection order the
-        # closed-form passes reproduce too.
-        for host in tree.members():
-            for f, tr in enumerate(cross, start=1):
-                inject_trace(sim, tr, f, entries_by_host[host][f])
-        inject_trace(sim, tagged, 0, entries_by_host[tree.root][0])
-
-        sim.run()
-        # Function-local import: keeps the simulation layer importable
-        # without the runtime package at module-load time.
-        from repro.runtime.telemetry import record_engine
-
-        record_engine(sim)
-        events = sim.events_processed
+    cross_cache: dict = {}
+    deliveries: dict[int, np.ndarray] = {}
+    relays: dict = {}
+    events = 0
+    for host in top_down:
+        cap = host_cap(host)
+        if host == tree.root:
+            arrivals, upstream = tagged.times, None
+        else:
+            parent = tree.parent[host]
+            arrivals = deliveries[parent] + link[host]
+            upstream = relays[parent]
+        deliveries[host], passes, relays[host] = primed_tagged_hop(
+            arrivals,
+            tagged.sizes,
+            cross,
+            env_order,
+            resolve_mode(mode, env_order, cap),
+            capacity=cap,
+            stagger_phase=host_phase(host),
+            cross_cache=cross_cache,
+            discipline=discipline,
+            upstream=upstream,
+        )
+        events += passes
+        worst = float(np.max(deliveries[host] - tagged.times, initial=0.0))
+        if worst > 0.0:
+            per_receiver[host] = worst
     if not per_receiver:
         raise RuntimeError("no packet was delivered; empty trace?")
     worst_host = max(per_receiver, key=lambda h: per_receiver[h])
@@ -280,12 +189,6 @@ def simulate_multicast_tree(
         worst_receiver=worst_host,
         per_receiver_worst=dict(per_receiver),
         events=events,
-        primed=primed,
+        primed=True,
     )
 
-
-class _Drop:
-    """Terminal sink for cross traffic."""
-
-    def receive(self, packet: Packet) -> None:  # noqa: D102 - trivial
-        pass

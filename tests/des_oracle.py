@@ -1,11 +1,11 @@
 """Reference DES pipelines: the oracles the production simulators are
 pinned against.
 
-:mod:`repro.simulation` runs one pipeline per MUX discipline:
-adversarial and FIFO hosts, chains and trees are closed-form passes
-(:mod:`repro.simulation.batched`), priority cells the evented
-components.  This module wires two reference pipelines of its own, for
-the equivalence suites and the DES benchmarks:
+:mod:`repro.simulation` runs one pipeline for every MUX discipline:
+adversarial, FIFO and priority hosts, chains and trees are closed-form
+passes (:mod:`repro.simulation.batched`) with no event loop.  This
+module wires two reference pipelines of its own, for the equivalence
+suites and the DES benchmarks:
 
 ``"evented"``
     The evented components -- :class:`BatchMuxServer` (FIFO),
@@ -13,7 +13,7 @@ the equivalence suites and the DES benchmarks:
     :class:`BatchVacationComponent` -- plus :class:`HoldReleaseMux`,
     an evented adversarial MUX that holds every packet of a busy
     period and releases them all at its end.  The closed-form passes
-    equal this pipeline bit for bit, FIFO and adversarial alike.
+    equal this pipeline bit for bit in every discipline.
 ``"legacy"``
     The per-packet event chain: :class:`MuxServer` in every
     discipline, :class:`TokenBucketComponent` and the per-packet
@@ -25,15 +25,19 @@ the equivalence suites and the DES benchmarks:
 :func:`simulate_host`, :func:`simulate_chain` and :func:`simulate_tree`
 take the production simulators' arguments plus ``engine`` (one of
 :data:`ORACLES`) and return the production result types.  They inject
-traffic in the production simulators' order -- a host's flows in flow
-order, a chain's tagged flow before its cross flows, a tree's cross
-flows before its tagged flow -- and their event loop fixes the order in
-which equal-instant packets reach a MUX.  The closed-form passes
-reproduce that order (the tie rule in :mod:`repro.simulation.batched`).
+traffic with :func:`inject_trace` in the production simulators' order
+-- a host's flows in flow order, a chain's tagged flow before its cross
+flows, a tree's cross flows before its tagged flow -- and their event
+loop fixes the order in which equal-instant packets reach a MUX and,
+under priority, which queued packet a completion starts.  The
+closed-form passes reproduce both (the tie rule in
+:mod:`repro.simulation.batched`).
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
 from collections import deque
 from typing import Mapping, Optional, Sequence
 
@@ -44,9 +48,9 @@ from repro.core.regulator import SigmaRhoLambdaRegulator
 from repro.simulation.batched import BatchMuxServer, BatchVacationComponent
 from repro.simulation.chain import ChainResult
 from repro.simulation.engine import Simulator
-from repro.simulation.host_sim import HostResult, inject_trace
+from repro.simulation.flow import PacketTrace
+from repro.simulation.host_sim import HostResult
 from repro.simulation.measures import DelayRecorder
-from repro.simulation.mux_sim import MuxServer
 from repro.simulation.packet import Packet
 from repro.simulation.regulator_sim import TokenBucketComponent
 from repro.simulation.tree_sim import TreeSimResult
@@ -54,6 +58,25 @@ from repro.utils.validation import check_non_negative, check_positive
 
 #: The reference pipelines.
 ORACLES = ("evented", "legacy")
+
+
+def inject_trace(
+    sim: Simulator, trace: PacketTrace, flow_id: int, sink
+) -> None:
+    """Schedule every packet of ``trace`` for delivery into ``sink``.
+
+    Uses the engine's batch-schedule API: one validation pass for the
+    whole train, and time-sorted traces load the heap without per-event
+    sift-ups.
+    """
+    sim.schedule_batch(
+        trace.times,
+        sink.receive,
+        (
+            (Packet(flow_id=flow_id, size=float(s), t_emit=float(t)),)
+            for t, s in zip(trace.times, trace.sizes)
+        ),
+    )
 
 
 def _route(sink, packet: Packet) -> None:
@@ -66,6 +89,111 @@ def _route(sink, packet: Packet) -> None:
             target.receive(packet)
         return
     sink.receive(packet)
+
+
+class MuxServer:
+    """Work-conserving server of rate ``capacity`` with pluggable
+    discipline, one finish event per packet: the paper's general MUX
+    (Section III) as a per-packet DES component.
+
+    Parameters
+    ----------
+    sim:
+        The simulator.
+    capacity:
+        Service rate ``C`` (1.0 under the paper's normalisation).
+    sink:
+        Downstream component receiving served packets, or a mapping
+        ``flow_id -> component`` to demultiplex (forwarding to per-flow
+        next hops in a tree).
+    discipline:
+        ``"fifo"``, ``"priority"`` or ``"adversarial"``.
+
+        The *general MUX* of the paper guarantees nothing about service
+        order, so the worst-case delay of a bit is the time until the
+        aggregate backlog next empties (it may be served dead last,
+        behind later arrivals of every flow -- this is the scenario that
+        attains Remark 1's ``sum sigma_i / (C - sum rho_i)``).  The
+        ``"adversarial"`` discipline realises exactly that measurement:
+        packets are *served* in FIFO order (the work-conserving schedule
+        is discipline-invariant in aggregate) but *delivered downstream*
+        at the instant the queue empties, which is each packet's worst
+        feasible departure time.
+    priorities:
+        For the priority discipline: ``flow_id -> priority`` (lower
+        serves first).  Missing flows default to priority 0.  To measure
+        the worst case of flow *f*, give *f* the largest value.
+    """
+
+    def __init__(
+        self,
+        sim: Simulator,
+        capacity: float,
+        sink,
+        *,
+        discipline: str = "fifo",
+        priorities: Optional[Mapping[int, int]] = None,
+    ):
+        if discipline not in ("fifo", "priority", "adversarial"):
+            raise ValueError(f"unknown discipline {discipline!r}")
+        self.sim = sim
+        self.capacity = check_positive(capacity, "capacity")
+        self.sink = sink
+        self.discipline = discipline
+        self.priorities = dict(priorities or {})
+        self._heap: list[tuple[int, int, Packet]] = []
+        self._seq = itertools.count()
+        self._busy = False
+        self._batch: list[Packet] = []  # adversarial: held until queue empties
+        self.served_count = 0
+        self.served_data = 0.0
+
+    # -- queue ordering ----------------------------------------------------
+    def _key(self, packet: Packet) -> int:
+        if self.discipline in ("fifo", "adversarial"):
+            return 0  # sequence number alone orders FIFO
+        return self.priorities.get(packet.flow_id, 0)
+
+    @property
+    def queue_length(self) -> int:
+        return len(self._heap)
+
+    @property
+    def backlog(self) -> float:
+        return sum(p.size for _, _, p in self._heap)
+
+    # -- component interface ----------------------------------------------
+    def receive(self, packet: Packet) -> None:
+        heapq.heappush(self._heap, (self._key(packet), next(self._seq), packet))
+        if not self._busy:
+            self._start_next()
+
+    def _start_next(self) -> None:
+        if not self._heap:
+            return
+        self._busy = True
+        _, _, pkt = heapq.heappop(self._heap)
+        self.sim.schedule_in(pkt.size / self.capacity, self._finish, pkt)
+
+    def _finish(self, pkt: Packet) -> None:
+        self._busy = False
+        self.served_count += 1
+        self.served_data += pkt.size
+        if self.discipline == "adversarial":
+            # Hold delivery until the queue empties: that instant is the
+            # worst feasible departure time of every packet in the busy
+            # period (the general-MUX worst case the paper bounds).
+            self._batch.append(pkt)
+            if not self._heap:
+                batch, self._batch = self._batch, []
+                for held in batch:
+                    self._route(held)
+        else:
+            self._route(pkt)
+        self._start_next()
+
+    def _route(self, pkt: Packet) -> None:
+        _route(self.sink, pkt)
 
 
 class HoldReleaseMux:

@@ -73,15 +73,15 @@ def test_gate_script_targets_the_pinned_store():
 
 def test_des_corpus_reproduces_its_pinned_baseline(tmp_path):
     cells = load_curated(DES_CORPUS)
-    assert len(cells) == 40
+    assert len(cells) == 44
     assert {sc.backend for sc in cells} == {"des", "tree_des"}
     trees = [sc for sc in cells if sc.backend == "tree_des"]
-    assert len(trees) == 8
+    assert len(trees) == 12
     assert sum(sc.discipline == "fifo" for sc in trees) == 5
     assert {sc.discipline for sc in cells} == {"adversarial", "fifo", "priority"}
     priority = [sc for sc in cells if sc.discipline == "priority"]
-    assert len(priority) == 8
-    assert all(sc.backend == "des" for sc in priority)
+    assert len(priority) == 12
+    assert sum(sc.backend == "tree_des" for sc in priority) == 4
     campaign = run_campaign(cells, store=tmp_path / "des")
     assert campaign.clean
     fields = ("measured", "bound", "baseline_bound", "eps", "sound")

@@ -1,10 +1,9 @@
 """Production DES vs the legacy per-packet reference pipeline.
 
-The production simulators (FIFO and priority cells on the evented
-window-batched components, adversarial cells on the closed-form passes
-of ``repro.simulation.batched``) must reproduce the measured delays of
-the legacy per-packet event chain, which ``tests/des_oracle.py`` wires
-as ``engine="legacy"``.  The contract this suite enforces, cell by
+The production simulators (the closed-form passes of
+``repro.simulation.batched``, in every discipline) must reproduce the
+measured delays of the legacy per-packet event chain, which
+``tests/des_oracle.py`` wires as ``engine="legacy"``.  The contract this suite enforces, cell by
 cell:
 
 * **Bit-identical** per-flow delay statistics (worst/mean/percentiles/
@@ -46,10 +45,11 @@ from repro.simulation.batched import vacation_departures
 from repro.simulation.chain import simulate_regulated_chain
 from repro.simulation.engine import Simulator
 from repro.simulation.flow import AudioSource, PacketTrace, VBRVideoSource
-from repro.simulation.host_sim import inject_trace, simulate_regulated_host
+from repro.simulation.host_sim import simulate_regulated_host
 from repro.simulation.tree_sim import simulate_multicast_tree
 from tests.des_oracle import (
     VacationComponent,
+    inject_trace,
     simulate_chain,
     simulate_host,
     simulate_tree,
@@ -224,7 +224,7 @@ def test_tree_priority_bit_identical(small_tree, mode):
     args = ([tree] * 3, 0, traces, envs, latency)
     leg = simulate_tree(*args, mode=mode, discipline="priority", engine="legacy")
     bat = simulate_multicast_tree(*args, mode=mode, discipline="priority")
-    assert not bat.primed
+    assert bat.primed
     assert bat.per_receiver_worst == leg.per_receiver_worst
 
 

@@ -26,11 +26,14 @@ Covered surfaces:
 * the tie order of those passes: exact ties between cross and tagged
   arrivals at a hop or member, where the order in which service times
   add decides the last bits;
-* the same passes under FIFO, where the tie order decides which packet
-  is served first: a named counterexample, dyadic hypothesis hosts,
-  chains and trees (exact float sums, so equal instants are common)
-  against both oracles, and the horizon, drain and per-host capacity
-  options.
+* the same passes under FIFO and static priority, where the tie order
+  decides which packet is served first: named counterexamples (for
+  priority, one per side of the completion tie rule), dyadic
+  hypothesis hosts, chains and trees (exact float sums, so equal
+  instants are common) against both oracles, and the horizon, drain
+  and per-host capacity options;
+* per-packet dominance: no work-conserving discipline delivers a
+  packet after the adversarial MUX does.
 """
 
 from __future__ import annotations
@@ -44,12 +47,14 @@ from repro.simulation.batched import primed_host, sigma_rho_departures
 from repro.simulation.chain import simulate_regulated_chain
 from repro.simulation.engine import Simulator
 from repro.simulation.flow import AudioSource, PacketTrace, VBRVideoSource
-from repro.simulation.host_sim import inject_trace, simulate_regulated_host
+from repro.simulation.host_sim import simulate_regulated_host
 from repro.simulation.measures import DelayRecorder
 from repro.simulation.regulator_sim import TokenBucketComponent
 from repro.simulation.tree_sim import simulate_multicast_tree
 from tests.des_oracle import (
+    _serve_tagged_last,
     build_host,
+    inject_trace,
     simulate_chain,
     simulate_host,
     simulate_tree,
@@ -240,9 +245,7 @@ def test_single_hop_primed_chain_runs_without_event_loop(video_traces):
     assert res.cancelled_events == 0
 
 
-def test_priority_chain_unaffected_by_priming(video_traces):
-    """The priority discipline stays on the evented path (a strict
-    priority order cannot be committed ahead of arrivals)."""
+def test_priority_chain_primed_and_bit_identical(video_traces):
     traces, envs = video_traces
     prod = simulate_regulated_chain(
         traces[0], [traces[1:]] * 2, envs,
@@ -252,7 +255,7 @@ def test_priority_chain_unaffected_by_priming(video_traces):
         traces[0], [traces[1:]] * 2, envs,
         mode="sigma-rho", discipline="priority", engine="legacy",
     )
-    assert not prod.primed
+    assert prod.primed
     assert _stats_equal(prod.tagged_stats, legacy.tagged_stats)
 
 
@@ -392,7 +395,8 @@ def _tie_bursts(rng, n_bursts=4, size=3):
 
 def _evented_deliveries(arrivals, sizes, cross, *, tagged_first, discipline):
     """Tagged-flow delivery instants of one evented host in mode "none",
-    with the tagged flow injected before or after the cross flows."""
+    with the tagged flow injected before or after the cross flows (and,
+    under priority, served last)."""
     sim = Simulator()
     out = []
 
@@ -400,10 +404,11 @@ def _evented_deliveries(arrivals, sizes, cross, *, tagged_first, discipline):
         def receive(self, pkt):
             out.append(sim.now)
 
-    entries, _ = build_host(
+    entries, mux = build_host(
         sim, _TIE_ENVS[: len(cross) + 1], {0: _Tap()}, mode="none",
         discipline=discipline, engine="evented",
     )
+    _serve_tagged_last(mux, discipline, len(cross) + 1)
     flows = [(0, PacketTrace(arrivals, sizes))] + list(enumerate(cross, 1))
     if not tagged_first:
         flows = flows[1:] + flows[:1]
@@ -441,6 +446,8 @@ _TIE_CASES = [
     pytest.param("adversarial", "sigma-rho", id="sigma-rho"),
     pytest.param("fifo", "none", id="fifo-none"),
     pytest.param("fifo", "sigma-rho", id="fifo-sigma-rho"),
+    pytest.param("priority", "none", id="priority-none"),
+    pytest.param("priority", "sigma-rho", id="priority-sigma-rho"),
 ]
 
 
@@ -497,7 +504,7 @@ def test_primed_tree_tie_order_matches_evented(small_tree, discipline, mode):
 
 
 # ----------------------------------------------------------------------
-# FIFO: the same passes, each packet delivered at its own completion
+# FIFO and priority: each packet delivered at its own completion
 # ----------------------------------------------------------------------
 def _oracle_host_delays(traces, envs, mode, engine, *, discipline="fifo"):
     """Per-packet delays of every flow on a reference host."""
@@ -512,10 +519,10 @@ def _oracle_host_delays(traces, envs, mode, engine, *, discipline="fifo"):
     return [recorder.delays(f) for f in range(len(traces))]
 
 
-def _primed_host_delays(traces, envs, mode):
+def _primed_host_delays(traces, envs, mode, discipline="fifo"):
     return primed_host(
         [(tr.times, tr.sizes) for tr in traces], envs, mode,
-        discipline="fifo",
+        discipline=discipline,
     ).per_flow_delays
 
 
@@ -540,6 +547,54 @@ def test_fifo_wakeup_tie_serves_the_injected_packet_first():
         traces, envs, mode="sigma-rho", discipline="fifo"
     )
     assert res.primed and res.worst_case_delay == 2.5
+
+
+def _assert_priority_host_worst(traces, envs, expected):
+    """Per-flow worst delays of a sigma-rho priority host, equal on
+    every side."""
+    for engine in ("evented", "legacy"):
+        oracle = _oracle_host_delays(
+            traces, envs, "sigma-rho", engine, discipline="priority"
+        )
+        assert [float(d.max()) for d in oracle] == expected, engine
+    res = simulate_regulated_host(
+        traces, envs, mode="sigma-rho", discipline="priority"
+    )
+    assert res.primed
+    assert [s.worst for s in res.per_flow] == expected
+
+
+def test_priority_wakeup_scheduled_before_completion_joins_first():
+    """Flow 0's second packet leaves its bucket on a wakeup at t = 2,
+    scheduled at t = 1.125; flow 1's first packet completes at t = 2,
+    its service begun at t = 1.75.  The wakeup runs first, so flow 0's
+    packet is queued when the completion picks the next packet and,
+    ranking first, goes ahead of flow 1's second packet.  Ordering
+    every run-time release after the completion measures
+    (1.25, 0.375)."""
+    envs = [ArrivalEnvelope(0.25, 0.125), ArrivalEnvelope(0.5, 0.25)]
+    traces = [
+        PacketTrace(np.array([1.0, 1.125]), np.array([0.125, 0.25])),
+        PacketTrace(np.array([1.75, 1.75]), np.array([0.25, 0.125])),
+    ]
+    _assert_priority_host_worst(traces, envs, [1.125, 0.625])
+
+
+def test_priority_completion_scheduled_before_wakeup_goes_first():
+    """Flow 0's third packet leaves its bucket on a wakeup at t = 1.125,
+    scheduled at t = 1; flow 0's second packet completes at t = 1.125,
+    its service begun at t = 0.875.  The completion runs first and
+    starts flow 1's queued packet, so flow 0's third packet waits
+    behind it.  Letting every release at the completion instant join
+    first measures (0.25, 0.625)."""
+    envs = [ArrivalEnvelope(0.5, 0.125), ArrivalEnvelope(0.25, 0.125)]
+    traces = [
+        PacketTrace(
+            np.array([0.125, 0.875, 1.0]), np.array([0.25, 0.25, 0.125])
+        ),
+        PacketTrace(np.array([0.875]), np.array([0.25])),
+    ]
+    _assert_priority_host_worst(traces, envs, [0.5, 0.5])
 
 
 #: Dyadic inputs: every sum is exact, so equal instants are common.
@@ -569,31 +624,50 @@ def _dyadic_flows(draw):
     return traces, envs, mode
 
 
-@settings(max_examples=80, deadline=None)
-@given(flows=_dyadic_flows())
-def test_hypothesis_fifo_host_per_packet_equals_oracles(flows):
+def _check_host_per_packet(flows, discipline):
     traces, envs, mode = flows
-    primed = _primed_host_delays(traces, envs, mode)
+    primed = _primed_host_delays(traces, envs, mode, discipline)
     for engine in ("evented", "legacy"):
-        oracle = _oracle_host_delays(traces, envs, mode, engine)
+        oracle = _oracle_host_delays(
+            traces, envs, mode, engine, discipline=discipline
+        )
         for p, o in zip(primed, oracle):
             assert np.array_equal(p, o), engine
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    flows=_dyadic_flows(),
-    data=st.data(),
-    propagation=st.sampled_from([0.0, 0.125]),
-)
-def test_hypothesis_fifo_chain_equals_oracles(flows, data, propagation):
+@settings(max_examples=80, deadline=None)
+@given(flows=_dyadic_flows())
+def test_hypothesis_fifo_host_per_packet_equals_oracles(flows):
+    _check_host_per_packet(flows, "fifo")
+
+
+@settings(max_examples=80, deadline=None)
+@given(flows=_dyadic_flows())
+def test_hypothesis_priority_host_per_packet_equals_oracles(flows):
+    _check_host_per_packet(flows, "priority")
+
+
+@settings(max_examples=80, deadline=None)
+@given(flows=_dyadic_flows())
+def test_hypothesis_adversarial_delay_dominates_per_packet(flows):
+    """Every work-conserving discipline delivers a packet within its own
+    busy period, whose end is the adversarial delivery instant."""
+    traces, envs, mode = flows
+    adversarial = _primed_host_delays(traces, envs, mode, "adversarial")
+    for discipline in ("fifo", "priority"):
+        delays = _primed_host_delays(traces, envs, mode, discipline)
+        for adv, d in zip(adversarial, delays):
+            assert np.all(adv >= d), discipline
+
+
+def _check_chain(flows, data, propagation, discipline):
     traces, envs, mode = flows
     hops = data.draw(st.integers(1, 3))
     cross = [
         [data.draw(_dyadic_trace()) for _ in traces[1:]] for _ in range(hops)
     ]
     kwargs = dict(
-        mode=mode, discipline="fifo", propagation=[propagation] * hops,
+        mode=mode, discipline=discipline, propagation=[propagation] * hops,
         horizon=4.0,
     )
     primed = simulate_regulated_chain(traces[0], cross, envs, **kwargs)
@@ -605,15 +679,33 @@ def test_hypothesis_fifo_chain_equals_oracles(flows, data, propagation):
         assert _stats_equal(primed.tagged_stats, oracle.tagged_stats), engine
 
 
-@settings(max_examples=40, deadline=None)
-@given(flows=_dyadic_flows(), edge=st.sampled_from([0.0, 0.125]))
-def test_hypothesis_fifo_tree_equals_oracles(small_tree, flows, edge):
+@settings(max_examples=60, deadline=None)
+@given(
+    flows=_dyadic_flows(),
+    data=st.data(),
+    propagation=st.sampled_from([0.0, 0.125]),
+)
+def test_hypothesis_fifo_chain_equals_oracles(flows, data, propagation):
+    _check_chain(flows, data, propagation, "fifo")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    flows=_dyadic_flows(),
+    data=st.data(),
+    propagation=st.sampled_from([0.0, 0.125]),
+)
+def test_hypothesis_priority_chain_equals_oracles(flows, data, propagation):
+    _check_chain(flows, data, propagation, "priority")
+
+
+def _check_tree(small_tree, flows, edge, discipline):
     tree, latency, _, _ = small_tree
     traces, envs, mode = flows
     args = (
         [tree] * len(traces), 0, traces, envs, np.full_like(latency, edge)
     )
-    kwargs = dict(mode=mode, discipline="fifo")
+    kwargs = dict(mode=mode, discipline=discipline)
     primed = simulate_multicast_tree(*args, **kwargs)
     assert primed.primed
     for engine in ("evented", "legacy"):
@@ -621,11 +713,24 @@ def test_hypothesis_fifo_tree_equals_oracles(small_tree, flows, edge):
         assert primed.per_receiver_worst == oracle.per_receiver_worst, engine
 
 
-def test_fifo_host_respects_horizon_truncation(video_traces):
+@settings(max_examples=40, deadline=None)
+@given(flows=_dyadic_flows(), edge=st.sampled_from([0.0, 0.125]))
+def test_hypothesis_fifo_tree_equals_oracles(small_tree, flows, edge):
+    _check_tree(small_tree, flows, edge, "fifo")
+
+
+@settings(max_examples=40, deadline=None)
+@given(flows=_dyadic_flows(), edge=st.sampled_from([0.0, 0.125]))
+def test_hypothesis_priority_tree_equals_oracles(small_tree, flows, edge):
+    _check_tree(small_tree, flows, edge, "priority")
+
+
+def _check_host_horizon(video_traces, discipline):
     traces, envs = video_traces
     for drain in (True, False):
         kwargs = dict(
-            mode="sigma-rho", discipline="fifo", horizon=1.0, drain=drain,
+            mode="sigma-rho", discipline=discipline, horizon=1.0,
+            drain=drain,
         )
         primed = simulate_regulated_host(traces, envs, **kwargs)
         assert primed.primed
@@ -637,13 +742,21 @@ def test_fifo_host_respects_horizon_truncation(video_traces):
             ), (drain, engine)
 
 
-def test_fifo_chain_explicit_horizon(video_traces):
+def test_fifo_host_respects_horizon_truncation(video_traces):
+    _check_host_horizon(video_traces, "fifo")
+
+
+def test_priority_host_respects_horizon_truncation(video_traces):
+    _check_host_horizon(video_traces, "priority")
+
+
+def _check_chain_horizon(video_traces, discipline):
     """An explicit horizon keeps (or cuts) cross traffic past the tagged
     flow's last emission on every side alike."""
     traces, envs = video_traces
     for horizon in (1.0, 5.0):
         kwargs = dict(
-            mode="sigma-rho", discipline="fifo", horizon=horizon,
+            mode="sigma-rho", discipline=discipline, horizon=horizon,
             propagation=[0.001, 0.0], stagger_phase=0.37,
         )
         primed = simulate_regulated_chain(
@@ -656,19 +769,39 @@ def test_fifo_chain_explicit_horizon(video_traces):
             assert _stats_equal(primed.tagged_stats, oracle.tagged_stats)
 
 
-def test_fifo_tree_host_capacity(small_tree):
+def test_fifo_chain_explicit_horizon(video_traces):
+    _check_chain_horizon(video_traces, "fifo")
+
+
+def test_priority_chain_explicit_horizon(video_traces):
+    _check_chain_horizon(video_traces, "priority")
+
+
+def _check_tree_host_capacity(small_tree, discipline):
     tree, latency, traces, envs = small_tree
     members = sorted(tree.members())
     capacity = {members[0]: 1.25, members[len(members) // 2]: 0.9}
     args = ([tree] * 3, 0, traces, envs, latency)
-    kwargs = dict(mode="sigma-rho", discipline="fifo", host_capacity=capacity)
+    kwargs = dict(
+        mode="sigma-rho", discipline=discipline, host_capacity=capacity
+    )
     primed = simulate_multicast_tree(*args, **kwargs)
     assert primed.primed
     for engine in ("evented", "legacy"):
         oracle = simulate_tree(*args, engine=engine, **kwargs)
         assert primed.per_receiver_worst == oracle.per_receiver_worst
-    plain = simulate_multicast_tree(*args, mode="sigma-rho", discipline="fifo")
+    plain = simulate_multicast_tree(
+        *args, mode="sigma-rho", discipline=discipline
+    )
     assert plain.per_receiver_worst != primed.per_receiver_worst
+
+
+def test_fifo_tree_host_capacity(small_tree):
+    _check_tree_host_capacity(small_tree, "fifo")
+
+
+def test_priority_tree_host_capacity(small_tree):
+    _check_tree_host_capacity(small_tree, "priority")
 
 
 def test_fifo_chain_wakeup_tied_with_relayed_arrival():

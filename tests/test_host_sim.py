@@ -11,9 +11,7 @@ from repro.core.delay_bounds import (
 from repro.core.threshold import homogeneous_threshold
 from repro.simulation.flow import AudioSource, VBRVideoSource
 from repro.simulation.chain import simulate_regulated_chain
-from repro.simulation.engine import Simulator
-from repro.simulation.host_sim import build_regulated_host, simulate_regulated_host
-from repro.simulation.measures import DelayRecorder
+from repro.simulation.host_sim import simulate_regulated_host
 from tests.tolerances import SOUND_ABS_DES, sound_limit
 
 
@@ -126,27 +124,16 @@ class TestMechanics:
         assert wf == len(traces) - 1
 
     def test_discipline_alone_picks_the_pipeline(self):
-        """No engine switch: adversarial and FIFO hosts run closed form,
-        priority hosts the evented pipeline."""
+        """No engine switch: every discipline runs closed form."""
         traces, envs, *_ = make_scenario(0.6, horizon=1.0)
-        for discipline, primed in (
-            ("adversarial", True), ("fifo", True), ("priority", False),
-        ):
+        for discipline in ("adversarial", "fifo", "priority"):
             res = simulate_regulated_host(
                 traces, envs, mode="sigma-rho", discipline=discipline
             )
-            assert res.primed is primed
+            assert res.primed
         with pytest.raises(TypeError):
             simulate_regulated_host(traces, envs, engine="batched")
         with pytest.raises(TypeError):
             simulate_regulated_chain(
                 traces[0], [traces[1:]], envs, engine="batched"
-            )
-        sim = Simulator()
-        # The evented builder still wires FIFO hosts (LossyLink
-        # pipelines and the test oracle compose it).
-        build_regulated_host(sim, envs, DelayRecorder(sim), discipline="fifo")
-        with pytest.raises(ValueError, match="closed form"):
-            build_regulated_host(
-                sim, envs, DelayRecorder(sim), discipline="adversarial"
             )

@@ -6,10 +6,10 @@ import pytest
 from repro.calculus.envelope import ArrivalEnvelope
 from repro.simulation.engine import Simulator
 from repro.simulation.flow import VBRVideoSource
-from repro.simulation.host_sim import build_regulated_host, inject_trace
 from repro.simulation.loss import LossAccountant, LossyLink
 from repro.simulation.measures import DelayRecorder
 from repro.simulation.packet import Packet
+from tests.des_oracle import build_host, inject_trace
 
 
 class Collector:
@@ -97,8 +97,9 @@ class TestRegulationUnderLoss:
             rec = DelayRecorder(sim)
             acct = LossAccountant()
             link = LossyLink(sim, rec, outages=[(1.0, 1.3)], accountant=acct)
-            entries, _ = build_regulated_host(
-                sim, envs, link, mode=mode, discipline="fifo"
+            entries, _ = build_host(
+                sim, envs, link, engine="evented", mode=mode,
+                discipline="fifo",
             )
             for f, e in enumerate(entries):
                 inject_trace(sim, trace, f, e)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.simulation.engine import Simulator
-from repro.simulation.mux_sim import MuxServer
 from repro.simulation.packet import Packet
+from tests.des_oracle import MuxServer
 
 
 class Collector:

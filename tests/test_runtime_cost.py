@@ -69,6 +69,8 @@ def test_fit_recovers_coefficient_from_records():
         from repro.runtime.cost import _spec_features
 
         _, workload = _spec_features(sc)
+        # Evented records (``primed: false``) fit the evented
+        # coefficient.
         records.append(
             {
                 "backend": "des",
@@ -77,6 +79,7 @@ def test_fit_recovers_coefficient_from_records():
                 "tree_members": 0,
                 "horizon": horizon,
                 "dt": sc.dt,
+                "primed": False,
                 "wall_time": coeff * workload,
             }
         )
@@ -134,7 +137,8 @@ def test_fit_guards_degenerate_feature_columns():
     _, workload = _spec_features(sc)
     records.append(
         {"backend": "des", "horizon": 2.0, "k": sc.k, "hops": 1,
-         "tree_members": 0, "dt": sc.dt, "wall_time": 3e-6 * workload}
+         "tree_members": 0, "dt": sc.dt, "primed": False,
+         "wall_time": 3e-6 * workload}
     )
     refit = CellCostModel.fit(records)
     assert refit.coefficients["des"] == pytest.approx(3e-6)

@@ -410,8 +410,7 @@ class TestCostFeatureBackend:
         )
         label, _ = _spec_features(sc)
         assert label.startswith("des")
-        # Only priority DES cells run evented; FIFO chains are priced
-        # as the closed-form passes they run.
+        # Every DES cell runs the closed-form passes and is priced so.
         chain = dict(
             name="c", kinds=("cbr",) * 4, utilization=0.5, backend="des",
             topology="chain", hops=3, horizon=0.8,
@@ -419,7 +418,7 @@ class TestCostFeatureBackend:
         for discipline, features in (
             ("adversarial", ("des_primed", 4000.0)),
             ("fifo", ("des_primed", 4000.0)),
-            ("priority", ("des", 4800.0)),
+            ("priority", ("des_primed", 4000.0)),
         ):
             sc = Scenario(discipline=discipline, **chain)
             assert _spec_features(sc) == pytest.approx(features), discipline

@@ -68,9 +68,19 @@ class TestScenarioSpec:
             {"shared": 1},
             {"tags": "smoke"},
             {"tags": ("smoke", 3)},
+            # Fields the topology ignores: they would run the default's
+            # computation under another key.
+            {"hops": 5},
+            {"topology": "tree", "tree_members": 9, "hops": 2},
+            {"propagation": 0.5},
+            {"topology": "tree", "tree_members": 9, "propagation": 0.5},
+            {"tree_members": 9},
+            {"topology": "chain", "hops": 2, "tree_members": 9},
         ):
             with pytest.raises((ValueError, TypeError)):
                 Scenario(**{**ok, **bad})
+        Scenario(**{**ok, "topology": "chain", "hops": 3, "propagation": 0.5})
+        Scenario(**{**ok, "topology": "tree", "tree_members": 9})
         # Store records and campaign files go through the same checks.
         with pytest.raises(ValueError):
             scenario_from_dict({**ok, "start_offsets": [nan, 0.0]})

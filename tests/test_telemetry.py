@@ -133,46 +133,6 @@ class TestCollection:
             tele.extra_set("orphan", 1)
         assert tele.active_cell() is None
 
-    def test_record_engine_folds_counters(self, telemetry_on):
-        class FakeSim:
-            events_processed = 7
-            events_scheduled = 9
-            cancelled_events = 0  # zero counters are skipped
-
-        cell = tele.begin_cell("t-engine")
-        tele.record_engine(FakeSim())
-        tele.end_cell(cell)
-        assert cell.counters == {
-            "events_processed": 7,
-            "events_scheduled": 9,
-        }
-
-    def test_evented_host_records_engine_tallies(self, telemetry_on):
-        # End-to-end through the real event engine: a priority host
-        # runs the evented pipeline and must fold its scheduler tallies
-        # into the active cell; an adversarial host runs closed form,
-        # with no event loop, and records none.
-        from repro.calculus.envelope import ArrivalEnvelope
-        from repro.simulation.flow import VBRVideoSource
-        from repro.simulation.host_sim import simulate_regulated_host
-
-        rho = 0.8 / 3
-        src = VBRVideoSource(rho, scene_strength=0.15, scene_persistence=0.9)
-        trace = src.generate(1.0, rng=42).fragment(0.002)
-        traces = [trace] * 3
-        envs = [ArrivalEnvelope(max(trace.empirical_sigma(rho), 1e-6), rho)] * 3
-        tallies = {}
-        for discipline in ("priority", "adversarial"):
-            cell = tele.begin_cell(discipline)
-            simulate_regulated_host(
-                traces, envs, mode="sigma-rho", discipline=discipline,
-            )
-            tele.end_cell(cell)
-            tallies[discipline] = cell.counters
-        assert tallies["priority"]["events_processed"] > 0
-        assert tallies["priority"]["events_scheduled"] > 0
-        assert tallies["adversarial"] == {}  # primed: no event loop ran
-
     def test_telemetry_pickles(self, telemetry_on):
         cell = tele.begin_cell("t-pickle")
         with tele.span("phase"):
