@@ -12,7 +12,6 @@ import pytest
 
 from repro.calculus.envelope import ArrivalEnvelope
 from repro.overlay.groups import MultiGroupNetwork
-from repro.simulation.engine import Simulator
 from repro.simulation.flow import VBRVideoSource
 from repro.simulation.fluid import (
     fluid_mux,
@@ -23,6 +22,7 @@ from repro.simulation.host_sim import simulate_regulated_host
 from repro.topology.attach import attach_hosts
 from repro.topology.backbone import fig5_backbone
 from repro.topology.routing import host_rtt_matrix
+from tests.evented import Simulator
 
 
 @pytest.fixture(scope="module")

@@ -2,9 +2,9 @@
 
 This module captures the *mathematics* of the two regulator families --
 parameters, derived quantities (working period, vacation, regulator
-period), envelopes and per-regulator delay bounds.  The event-driven
-and fluid realisations that actually move traffic live in
-:mod:`repro.simulation.regulator_sim` and :mod:`repro.simulation.fluid`;
+period), envelopes and per-regulator delay bounds.  The packet and
+fluid realisations that actually move traffic live in
+:mod:`repro.simulation.batched` and :mod:`repro.simulation.fluid`;
 they consume these parameter objects.
 
 The (sigma, rho, lambda) regulator (Section III, Fig. 2 of the paper)

@@ -45,7 +45,11 @@ from repro.runtime.store import (
 )
 from repro.scenarios.runner import BatchReport, ScenarioOutcome, run_batch
 from repro.scenarios.spec import Scenario
-from repro.utils.validation import check_positive, check_positive_int
+from repro.utils.validation import (
+    check_non_negative,
+    check_positive,
+    check_positive_int,
+)
 
 __all__ = [
     "CampaignConfig",
@@ -72,13 +76,23 @@ class CampaignConfig:
     perf_budget: float = 0.0
 
     def __post_init__(self) -> None:
+        if not isinstance(self.name, str) or not self.name:
+            raise ValueError(
+                f"name must be a non-empty string, got {self.name!r}"
+            )
         check_positive_int(self.count, "count")
-        check_positive_int(self.max_k, "max_k")
-        check_positive_int(self.max_hops, "max_hops")
+        # Exact type, as for Scenario.seed: True would build seed 1's
+        # matrix.
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
+            raise TypeError(f"seed must be an int, got {self.seed!r}")
+        # The generator draws K and chain hops from [2, max].
+        for name in ("max_k", "max_hops"):
+            value = check_positive_int(getattr(self, name), name)
+            if value < 2:
+                raise ValueError(f"{name} must be >= 2, got {value}")
         check_positive(self.horizon, "horizon")
         check_positive(self.dt, "dt")
-        if self.perf_budget < 0:
-            raise ValueError("perf_budget must be >= 0 (0 disables)")
+        check_non_negative(self.perf_budget, "perf_budget")
 
     @classmethod
     def from_file(cls, path: Union[str, Path]) -> "CampaignConfig":

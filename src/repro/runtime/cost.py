@@ -55,7 +55,11 @@ __all__ = [
 #: cells the simulators resolve on the closed-form passes (every DES
 #: cell today) cost an order of magnitude less per packet than the
 #: evented DES cells that older stored records (``primed: false``)
-#: describe, and are priced separately.
+#: describe, and are priced separately.  No spec is priced on the
+#: evented ``des`` / ``tree_des`` coefficients any more; they stay
+#: because stored records with ``primed: false`` remain -- 25 of the
+#: 44 in ``ci/baseline_des`` -- and are classed under them, both when
+#: priced and when :meth:`CellCostModel.fit` refits from a store.
 DEFAULT_COEFFICIENTS: dict[str, float] = {
     "fluid": 3.0e-8,          # per grid point x flow x hop
     "des": 4.0e-6,            # per expected packet x flow x hop

@@ -40,10 +40,9 @@ Quick tour
     (``evaluate_cell``: realise + simulate one cell) that any
     :mod:`repro.runtime` executor parallelises, then the vectorised
     analytic pass and per-cell verdicts on the parent; reported with
-    throughput (scenarios/sec, DES event rates including
-    cancelled-event heap residue).  Campaign-scale runs -- persistent
-    stores, resume, diffing, perf budgets -- layer on top in
-    :mod:`repro.runtime.campaign`.
+    throughput (scenarios/sec) and the closed-form DES passes run.
+    Campaign-scale runs -- persistent stores, resume, diffing, perf
+    budgets -- layer on top in :mod:`repro.runtime.campaign`.
 
 Usage::
 

@@ -230,11 +230,6 @@ class BatchReport:
         return sum(o.events for o in self.outcomes)
 
     @property
-    def cancelled_total(self) -> int:
-        """DES heap residue across the batch (cancelled-event pops)."""
-        return sum(o.cancelled_events for o in self.outcomes)
-
-    @property
     def worker_wall_total(self) -> float:
         """Summed per-cell worker seconds (> elapsed when parallel)."""
         return sum(o.wall_time for o in self.outcomes)
@@ -259,8 +254,7 @@ class BatchReport:
             f"max tightness (measured/bound): {self.max_tightness:.3f}",
             f"throughput: {self.scenarios_per_sec:.1f} scenarios/s "
             f"({self.elapsed:.1f}s wall, {self.worker_wall_total:.1f}s worker)",
-            f"DES events processed: {self.events_total} "
-            f"(+{self.cancelled_total} cancelled heap residue)",
+            f"DES passes: {self.events_total}",
         ]
         for o in self.violations:
             if o.error is not None:

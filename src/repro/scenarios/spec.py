@@ -80,9 +80,12 @@ class Scenario:
         Per-flow stream kinds, one entry per group flow
         (:data:`repro.workloads.profiles.MIX_KINDS`).
     utilization:
-        Aggregate sustained rate ``sum_i rho_i / C``.  Values >= 1 are
-        legal (unstable cells have infinite bounds and are vacuously
-        sound) but only meaningful with ``mode="sigma-rho"``.
+        Aggregate sustained rate ``sum_i rho_i / C``.  Unstable values
+        are legal with ``mode="sigma-rho"`` only (their bounds are
+        infinite, so the cells are vacuously sound): the staggered
+        vacation regulators of ``"sigma-rho-lambda"`` and
+        ``"adaptive"`` (which resolves to lambda above 1) need
+        ``utilization <= 1``, and ``< 1`` for a single flow.
     mode:
         Regulator family, or ``"adaptive"`` to let the controller pick.
     topology:
@@ -181,6 +184,19 @@ class Scenario:
             raise ValueError(
                 f"discipline must be one of {DISCIPLINES}, "
                 f"got {self.discipline!r}"
+            )
+        # Past full load the vacation windows cannot tile the stagger
+        # period (a single flow's rho must stay below 1), so the cell
+        # would fail inside the regulator.
+        k = len(self.kinds)
+        if self.mode != "sigma-rho" and (
+            self.utilization > 1.0 or (k == 1 and self.utilization >= 1.0)
+        ):
+            raise ValueError(
+                f"utilization={self.utilization} overloads mode "
+                f"{self.mode!r} with K={k}: its vacation regulators need "
+                f"utilization {'< 1' if k == 1 else '<= 1'}; "
+                f"use mode='sigma-rho' for unstable cells"
             )
         # Exact types: True and 1.0 would run seed 1's computation (or
         # fail inside realisation) under a different cell key.

@@ -3,10 +3,10 @@
 The paper evaluates with ns-2; we provide two in-repo backends with the
 same regulator/MUX semantics (see DESIGN.md, substitution table):
 
-* a **discrete-event simulator** (:mod:`repro.simulation.engine` and the
-  component modules) with exact packet semantics -- token-bucket
-  regulators, staggered vacation regulators, work-conserving
-  multiplexers with FIFO/priority disciplines, multi-hop host chains;
+* a **packet DES** (:mod:`repro.simulation.batched`) with exact packet
+  semantics -- token-bucket regulators, staggered vacation regulators,
+  work-conserving multiplexers with adversarial/FIFO/priority
+  disciplines, multi-hop host chains and whole trees;
 * a **fluid backend** (:mod:`repro.simulation.fluid`) that rasterises
   traffic onto a uniform time grid and pushes cumulative curves through
   vectorised NumPy kernels -- orders of magnitude faster for the
@@ -15,21 +15,15 @@ same regulator/MUX semantics (see DESIGN.md, substitution table):
 Both backends consume the same :class:`~repro.simulation.flow.PacketTrace`
 inputs, so any scenario can be run on either and compared.
 
-The DES has one pipeline: adversarial, FIFO and priority hosts, chains
-and trees all run event-free closed-form passes
-(:mod:`repro.simulation.batched`).  The evented components
-(window-batched vacation service, token buckets and the FIFO
-:class:`BatchMuxServer`) remain for pipelines whose arrivals are not
-known in advance, such as :class:`LossyLink` chains.
+Every flow's trace is known before a cell runs, so the DES has one
+pipeline and no event loop: adversarial, FIFO and priority hosts,
+chains and trees all run closed-form passes, whose tie order the
+:mod:`repro.simulation.batched` docstring defines.  The evented engine
+those passes are checked against is a test oracle (``tests/evented``).
 """
 
-from repro.simulation.batched import (
-    BatchMuxServer,
-    BatchVacationComponent,
-    vacation_departures,
-)
+from repro.simulation.batched import vacation_departures
 from repro.simulation.chain import ChainResult, simulate_regulated_chain
-from repro.simulation.engine import Simulator
 from repro.simulation.flow import (
     AudioSource,
     CBRSource,
@@ -48,15 +42,10 @@ from repro.simulation.fluid import (
     simulate_fluid_chain,
 )
 from repro.simulation.host_sim import HostResult, simulate_regulated_host
-from repro.simulation.loss import LossAccountant, LossyLink
 from repro.simulation.tree_sim import TreeSimResult, simulate_multicast_tree
-from repro.simulation.measures import DelayRecorder, DelayStats
-from repro.simulation.packet import Packet
-from repro.simulation.regulator_sim import TokenBucketComponent
+from repro.simulation.measures import DelayStats
 
 __all__ = [
-    "Simulator",
-    "Packet",
     "TrafficSource",
     "PacketTrace",
     "CBRSource",
@@ -64,16 +53,10 @@ __all__ = [
     "VBRVideoSource",
     "OnOffSource",
     "PoissonSource",
-    "TokenBucketComponent",
-    "BatchVacationComponent",
-    "BatchMuxServer",
     "vacation_departures",
-    "DelayRecorder",
     "DelayStats",
     "HostResult",
     "simulate_regulated_host",
-    "LossyLink",
-    "LossAccountant",
     "TreeSimResult",
     "simulate_multicast_tree",
     "ChainResult",

@@ -1,49 +1,31 @@
-"""Window-batched DES components and the closed-form primed passes.
+"""Closed-form packet passes: the DES of every host, chain and tree.
 
-A per-packet DES component drives one callback chain per packet:
-``receive -> schedule finish -> finish -> try-start-next``, with wakeup
-cancel/reschedule churn on top.  Almost all of that event traffic is
-redundant, because the service inside a vacation window (and a
-constant-rate MUX drain between arrival epochs) is a *closed-form
-drain*: once the head of the queue starts transmitting, every
-subsequent departure in the same busy train is determined by a
-cumulative sum of serialisation times, and the non-preemptive fit check
-is a cumulative-sum threshold against the window end.
+Every flow's trace is known before a cell runs, so a regulated host --
+regulators, MUX, delay recording -- needs no event loop.  Service
+inside a vacation window (and a constant-rate MUX drain between
+arrival epochs) is a *closed-form drain*: once the head of the queue
+starts transmitting, every subsequent departure in the same busy train
+is determined by a cumulative sum of serialisation times, and the
+non-preemptive fit check is a cumulative-sum threshold against the
+window end.  This module computes those drains directly, at two
+levels:
 
-This module exploits exactly that structure, at three levels:
-
-:func:`vacation_departures`
-    The pure kernel: departure times of a *fully known* arrival train
-    through a (sigma, rho, lambda) vacation regulator, computed one
-    busy train at a time with ``np.add.accumulate`` -- the float
-    operations are sequenced identically to the per-packet event
-    chain, so the results are bit-identical to it.
-
-:class:`BatchVacationComponent` / :class:`BatchMuxServer`
-    Evented components for pipelines whose arrivals are *not* known in
-    advance: :class:`~repro.simulation.loss.LossyLink` pipelines and
-    the test oracle.  The vacation component commits a whole window's
-    worth of service per wakeup (one continuation event per busy train
-    instead of one finish event per packet); the MUX commits each packet's
-    departure at arrival time (the constant-rate drain is a running
-    ``busy_until`` float, no internal heap, no per-packet
-    finish/start-next events).
+:func:`vacation_departures` / :func:`sigma_rho_departures`
+    Departure times of a *fully known* arrival train through a
+    (sigma, rho, lambda) vacation regulator, one busy train at a time
+    with ``np.add.accumulate``, and through a greedy token bucket, one
+    drain per arrival or wakeup instant.  One private per-flow
+    dispatch (``_flow_departures``) picks between them -- or the raw
+    arrival times for mode ``none``.
 
 :func:`primed_host` / :func:`primed_tagged_hop`
-    The array passes of every MUX discipline: every flow's trace is
-    known up front, so a host -- regulators, MUX, delay recording --
-    collapses into NumPy passes over merged departure arrays with *no
-    per-packet events at all*.
-    :func:`sigma_rho_departures` is the token-bucket analogue of
-    :func:`vacation_departures` (closed-form departures, float ops
-    sequenced identically to ``TokenBucketComponent``); one private
-    per-flow dispatch (``_flow_departures``) picks between them -- or
-    the raw arrival times for mode ``none`` -- for both.  One MUX pass
-    (``_mux_pass``) serves the merged departures: the ``busy_until``
-    recurrence delivers a FIFO packet at its own completion and an
-    adversarial one at the end of its busy period; a static-priority
-    heap starts the best queued packet at each completion.  The host
-    kernel serves every
+    The array passes of every MUX discipline: a host collapses into
+    NumPy passes over merged departure arrays with *no per-packet
+    events at all*.  One MUX pass (``_mux_pass``) serves the merged
+    departures: the ``busy_until`` recurrence delivers a FIFO packet
+    at its own completion and an adversarial one at the end of its
+    busy period; a static-priority heap starts the best queued packet
+    at each completion.  The host kernel serves every
     :func:`repro.simulation.host_sim.simulate_regulated_host` call and
     the primed DES groups of the cell matrix.  The hop kernel serves
     every hop of :func:`repro.simulation.chain.simulate_regulated_chain`
@@ -55,19 +37,20 @@ This module exploits exactly that structure, at three levels:
 
 Tie order
 ---------
-Packets that reach a MUX at one instant arrive in the order an
-evented pipeline of the same cell hands them over, and that order
-decides FIFO and priority delays (adversarial ones only in their last
-bits).
-:class:`~repro.simulation.engine.Simulator` runs equal-time events in
-schedule order, so at one instant:
+Packets that reach a MUX at one instant are served in the order of the
+*events* that release them, and that order decides FIFO and priority
+delays (adversarial ones only in their last bits).  An event is either
+*injected* -- a source emission, scheduled before the run -- or
+*run-time* -- a token-bucket wakeup, a vacation delivery, a MUX
+completion, or a relayed or fanned-out arrival, scheduled by an earlier
+event.  Events at one instant run in the order they were scheduled, so
+at one instant:
 
-1. Packets released inside *injected* events -- scheduled before the
-   run -- come first, in injection order: at a host, flow order; at a
-   chain's hop 0, the tagged flow, then the hop's cross flows; at a
-   tree member, its cross flows, which the tree injects before the
-   root's tagged flow.
-2. Packets released inside *run-time* events follow: token-bucket
+1. Packets released inside injected events come first, in injection
+   order: at a host, flow order; at a chain's hop 0, the tagged flow,
+   then the hop's cross flows; at a tree member, its cross flows,
+   which the tree injects before the root's tagged flow.
+2. Packets released inside run-time events follow: token-bucket
    wakeups, relayed chain arrivals and fanned-out tree arrivals.  They
    run in the order they were scheduled: by the instant of the event
    that scheduled each one, then recursively by that event's own place
@@ -105,39 +88,36 @@ can mix modes), whose key ends at its delivery instant, both keep the
 concatenation order; and a vacation release that ties a priority
 completion, which joins the queue after it.
 
-Equivalence contract: the float arithmetic is sequenced identically to
-the per-packet event chain, so measured delays are bit-identical to it
-(only event *counts* differ) -- except where the adversarial MUX
-backlog touches exactly zero, where the passes release
-deterministically and measure no more than the per-packet chain.  The
-reference pipelines live in ``tests/des_oracle.py``;
-``tests/test_des_batched_equivalence.py`` and
-``tests/test_des_primed_equivalence.py`` enforce the contract over the
-curated corpus and hypothesis-generated traces, in every discipline.
+Equivalence contract: this rule and the passes' float arithmetic are
+the DES's definition.  The test oracle runs the same cells as events
+ordered by ``(time, priority, sequence)`` on the evented engine and
+components of ``tests/evented``, wired into reference pipelines by
+``tests/des_oracle.py``.  ``tests/test_des_batched_equivalence.py`` and
+``tests/test_des_primed_equivalence.py`` check, over the curated corpus
+and hypothesis-generated traces in every discipline, that the passes'
+delays equal the evented pipeline's bit for bit (only event *counts*
+differ), and the per-packet chain's too -- except where the
+adversarial MUX backlog touches exactly zero: there the passes release
+deterministically and measure no more than that chain.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import deque
 from functools import cmp_to_key
 from heapq import heappop, heappush
 from itertools import accumulate
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.core.adaptive import AdaptiveController
 from repro.core.regulator import SigmaRhoLambdaRegulator
-from repro.simulation.engine import Simulator
-from repro.simulation.packet import Packet
 from repro.utils.validation import check_non_negative, check_positive
 
 __all__ = [
     "vacation_departures",
     "sigma_rho_departures",
-    "BatchVacationComponent",
-    "BatchMuxServer",
     "primed_host",
     "primed_tagged_hop",
     "PrimedHostOutcome",
@@ -178,9 +158,9 @@ def _service_step(
     Returns ``("serve", window_end)`` when the head may start now
     (non-preemptive fit check), else ``("wake", wake_time)`` with the
     per-packet wake instant (including the ``max(start, now + TOL)``
-    nudge).  Both the evented component and the primed kernel route
-    every tolerance-critical boundary decision through this single
-    helper so the two paths cannot drift.
+    nudge).  The primed kernel and the evented oracle's vacation
+    component route every tolerance-critical boundary decision through
+    this single helper so the two cannot drift.
     """
     m = _window_index(t, offset, period)
     window_end = None
@@ -322,9 +302,9 @@ def sigma_rho_departures(
     """Departure times of a known arrival train through a token bucket.
 
     The (sigma, rho) analogue of :func:`vacation_departures`: replays
-    the exact event sequence of the evented
-    :class:`~repro.simulation.regulator_sim.TokenBucketComponent`
-    without an event loop, so the departures are bit-identical.
+    the exact event sequence of an evented greedy token bucket -- a
+    refill and drain at every arrival and every wakeup -- without an
+    event loop, so the departures are bit-identical to it.
 
     Fidelity notes (each one matters for bit-identity):
 
@@ -430,164 +410,6 @@ def _sigma_rho_pass(
 
 
 # ----------------------------------------------------------------------
-# Evented batched components
-# ----------------------------------------------------------------------
-class BatchVacationComponent:
-    """(sigma, rho, lambda) vacation regulator with window-batched service.
-
-    Semantics are identical to a per-packet vacation regulator; the
-    difference is purely mechanical: when service starts, the whole
-    backlog that fits into the current window is committed in one
-    cumulative-sum pass -- one delivery event per packet plus a single
-    train-end continuation event, instead of a finish/try-start
-    callback pair per packet -- and the wakeup logic never reschedules
-    an already-correct wake (no cancel churn on bursts).
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        regulator: SigmaRhoLambdaRegulator,
-        sink,
-        *,
-        offset: float = 0.0,
-        out_rate: float = 1.0,
-    ):
-        self.sim = sim
-        self.regulator = regulator
-        self.sink = sink
-        self.offset = check_non_negative(offset, "offset")
-        self.out_rate = check_positive(out_rate, "out_rate")
-        self._queue: deque[Packet] = deque()
-        #: A committed busy train is in flight (deliveries scheduled).
-        self._committed = False
-        self._wake = None
-
-    # -- inspection -------------------------------------------------------
-    @property
-    def queue_length(self) -> int:
-        return len(self._queue)
-
-    @property
-    def backlog(self) -> float:
-        return sum(p.size for p in self._queue)
-
-    # -- component interface ----------------------------------------------
-    def receive(self, packet: Packet) -> None:
-        self._queue.append(packet)
-        if not self._committed:
-            self._try_start()
-
-    def _try_start(self) -> None:
-        """Commit the longest head train the current window admits."""
-        if self._committed or not self._queue:
-            return
-        sim = self.sim
-        now = sim.now
-        head_tx = self._queue[0].size / self.out_rate
-        action, value = _service_step(
-            now,
-            head_tx,
-            self.regulator.working_period,
-            self.regulator.regulator_period,
-            self.offset,
-        )
-        if action == "serve":
-            self._commit_train(now, value)
-            return
-        start = value
-        if self._wake is None or self._wake.cancelled or self._wake.time > start:
-            if self._wake is not None:
-                self._wake.cancel()
-            self._wake = sim.schedule(start, self._wake_up)
-
-    def _wake_up(self) -> None:
-        self._wake = None
-        self._try_start()
-
-    def _commit_train(self, base: float, end: float) -> None:
-        """Serve every queued packet that fits after ``base``; one pass."""
-        queue = self._queue
-        if len(queue) == 1:
-            # Scalar fast path: short queues dominate at low load.
-            pkt = queue.popleft()
-            fin = base + pkt.size / self.out_rate
-            self._committed = True
-            self.sim.schedule(fin, self._finish_train, pkt)
-            return
-        pkts = list(queue)
-        tx = np.array([p.size for p in pkts], dtype=np.float64) / self.out_rate
-        seg = np.empty(tx.size + 1, dtype=np.float64)
-        seg[0] = base
-        seg[1:] = tx
-        fin = np.add.accumulate(seg)[1:]
-        ok = (fin[:-1] < end - _TOL) & (fin[1:] <= end + _FIT_EPS)
-        k = tx.size if bool(ok.all()) else 1 + int(np.argmin(ok))
-        for _ in range(k):
-            queue.popleft()
-        self._committed = True
-        sim = self.sim
-        if k > 1:
-            sim.schedule_batch(
-                fin[: k - 1], self.sink.receive, ((p,) for p in pkts[: k - 1])
-            )
-        sim.schedule(float(fin[k - 1]), self._finish_train, pkts[k - 1])
-
-    def _finish_train(self, last_pkt: Packet) -> None:
-        """Deliver the train's last packet, then look for more work.
-
-        As in the per-packet chain, the delivery happens before the
-        next service decision, at the same timestamp.
-        """
-        self._committed = False
-        self.sink.receive(last_pkt)
-        self._try_start()
-
-
-class BatchMuxServer:
-    """Work-conserving FIFO MUX with commit-on-receive constant-rate drains.
-
-    FIFO service order equals arrival order, so each packet's departure
-    is fixed the instant it arrives: ``dep = max(now, busy_until) +
-    size/C`` -- a running float instead of an internal heap, and one
-    delivery event per packet instead of a finish/start-next pair.
-    Delays are bit-identical to a per-packet FIFO MUX.  Simulated hosts
-    need no evented MUX: they run the closed-form passes below.
-    """
-
-    def __init__(self, sim: Simulator, capacity: float, sink):
-        self.sim = sim
-        self.capacity = check_positive(capacity, "capacity")
-        self.sink = sink
-        self._busy_until = -np.inf
-        self.served_count = 0
-        self.served_data = 0.0
-
-    # -- component interface ----------------------------------------------
-    def receive(self, packet: Packet) -> None:
-        now = self.sim.now
-        bu = self._busy_until
-        start = now if now > bu else bu
-        dep = start + packet.size / self.capacity
-        self._busy_until = dep
-        self.sim.schedule(dep, self._route, packet)
-
-    def _route(self, pkt: Packet) -> None:
-        # Served accounting happens here -- at delivery, not arrival --
-        # so the counters match a per-packet MUX's completion-time
-        # counting under horizon truncation.
-        self.served_count += 1
-        self.served_data += pkt.size
-        sink = self.sink
-        if isinstance(sink, Mapping):
-            target = sink.get(pkt.flow_id)
-            if target is not None:
-                target.receive(pkt)
-            return
-        sink.receive(pkt)
-
-
-# ----------------------------------------------------------------------
 # The primed passes
 # ----------------------------------------------------------------------
 class PrimedHostOutcome:
@@ -674,7 +496,7 @@ class _Regulated:
 
 
 def _key_cmp(a: tuple, b: tuple) -> int:
-    """Order two event keys the way :class:`Simulator` runs the events.
+    """Order two event keys by the tie rule of the module docstring.
 
     A key is ``(instant, 0, (block, index))`` for the ``index``-th event
     of injection block ``block``, scheduled before the run, and
@@ -753,13 +575,12 @@ def _service_order(
     ``arr`` of ``regs`` (``counts`` each, concatenated in injection
     order), plus which departures leave in a run-time event.
 
-    Equal instants arrive in the evented simulator's order (see the
-    module docstring): injected releases first, in injection order;
-    then run-time releases by event key.  The stable sort settles most
-    runs of equal instants; in the rest a run-time release precedes an
-    injected one or another flow's run-time release, and only those
-    runs are reordered, building keys (``release_key``) for their
-    run-time releases.
+    Equal instants arrive in the tie order of the module docstring:
+    injected releases first, in injection order; then run-time releases
+    by event key.  The stable sort settles most runs of equal instants;
+    in the rest a run-time release precedes an injected one or another
+    flow's run-time release, and only those runs are reordered,
+    building keys (``release_key``) for their run-time releases.
     """
     order = np.argsort(arr, kind="stable")
     runtime = np.concatenate(

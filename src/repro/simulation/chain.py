@@ -104,8 +104,8 @@ def simulate_regulated_chain(
 
     Every flow entering a hop is known once the previous hop is
     resolved, so each hop is one closed-form host pass
-    (:func:`repro.simulation.batched.primed_tagged_hop`) and no
-    ``Simulator`` runs: hop h's tagged arrivals are hop h-1's
+    (:func:`repro.simulation.batched.primed_tagged_hop`) and no event
+    loop runs: hop h's tagged arrivals are hop h-1's
     deliveries plus ``propagation[h]``, relayed at run time after the
     tagged flow was injected at hop 0 ahead of all cross traffic.
     Cross departures are computed once per call outside the lambda

@@ -109,8 +109,8 @@ def simulate_multicast_tree(
         network-wide worst case (the WDB of the paper).
 
     The latency of every tree edge must be finite and non-negative.
-    Each member is one closed-form host pass, top down, with no
-    ``Simulator``.
+    Each member is one closed-form host pass, top down, with no event
+    loop.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")

@@ -4,8 +4,9 @@ pinned against.
 :mod:`repro.simulation` runs one pipeline for every MUX discipline:
 adversarial, FIFO and priority hosts, chains and trees are closed-form
 passes (:mod:`repro.simulation.batched`) with no event loop.  This
-module wires two reference pipelines of its own, for the equivalence
-suites and the DES benchmarks:
+module wires two reference pipelines of its own on the evented engine
+of :mod:`tests.evented`, for the equivalence suites and the DES
+benchmarks:
 
 ``"evented"``
     The evented components -- :class:`BatchMuxServer` (FIFO),
@@ -30,8 +31,9 @@ traffic with :func:`inject_trace` in the production simulators' order
 flows, a tree's cross flows before its tagged flow -- and their event
 loop fixes the order in which equal-instant packets reach a MUX and,
 under priority, which queued packet a completion starts.  The
-closed-form passes reproduce both (the tie rule in
-:mod:`repro.simulation.batched`).
+closed-form passes define both (the tie rule in
+:mod:`repro.simulation.batched`), and the equivalence suites check
+that this loop reproduces them.
 """
 
 from __future__ import annotations
@@ -45,16 +47,19 @@ import numpy as np
 
 from repro.core.adaptive import AdaptiveController, resolve_mode
 from repro.core.regulator import SigmaRhoLambdaRegulator
-from repro.simulation.batched import BatchMuxServer, BatchVacationComponent
 from repro.simulation.chain import ChainResult
-from repro.simulation.engine import Simulator
 from repro.simulation.flow import PacketTrace
 from repro.simulation.host_sim import HostResult
-from repro.simulation.measures import DelayRecorder
-from repro.simulation.packet import Packet
-from repro.simulation.regulator_sim import TokenBucketComponent
 from repro.simulation.tree_sim import TreeSimResult
 from repro.utils.validation import check_non_negative, check_positive
+from tests.evented import (
+    BatchMuxServer,
+    BatchVacationComponent,
+    DelayRecorder,
+    Packet,
+    Simulator,
+    TokenBucketComponent,
+)
 
 #: The reference pipelines.
 ORACLES = ("evented", "legacy")

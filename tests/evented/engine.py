@@ -3,11 +3,10 @@
 A deliberately small engine: a binary-heap event queue with a strict
 total order on events ``(time, priority, sequence)`` so that runs are
 bit-for-bit reproducible, plus the component conventions the rest of
-:mod:`repro.simulation` builds on (components hold a reference to the
+:mod:`tests.evented` builds on (components hold a reference to the
 simulator and schedule callbacks).
 
-The engine is profiling-friendly (see the HPC guidance in
-``/opt/skills/guides``): the hot loop does nothing but pop-and-call,
+The engine is profiling-friendly: the hot loop does nothing but pop-and-call,
 :attr:`Simulator.events_processed` lets benchmarks report event rates,
 and the hot-path data structure is deliberately lean --
 :class:`ScheduledEvent` is a ``__slots__`` record (no dataclass

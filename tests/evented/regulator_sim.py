@@ -9,16 +9,16 @@ bursts from K groups pile up in the downstream MUX, the failure mode
 the paper attacks.
 
 The (sigma, rho, lambda) regulator of Section III is
-:class:`~repro.simulation.batched.BatchVacationComponent`.
+:class:`~tests.evented.batched.BatchVacationComponent`.
 """
 
 from __future__ import annotations
 
 from collections import deque
 
-from repro.simulation.engine import Simulator
-from repro.simulation.packet import Packet
 from repro.utils.validation import check_positive
+from tests.evented.engine import Simulator
+from tests.evented.packet import Packet
 
 __all__ = ["TokenBucketComponent"]
 

@@ -13,10 +13,16 @@ keep the checked-in ``ci/baseline_smoke`` store honest:
   or verdicts breaks the diff loudly here rather than at night;
 * ``ci/gate.sh`` must keep pointing at the pinned store and matrix;
 * the DES leg's curated corpus (``ci/des_corpus.json``) must reproduce
-  every verdict field of its pinned ``ci/baseline_des`` store.
+  every verdict field of its pinned ``ci/baseline_des`` store;
+* production code must not reach into the test oracle: no module under
+  ``src/repro`` imports ``tests`` or the evented DES that lives there.
 """
 
+import ast
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -33,6 +39,24 @@ BASELINE = REPO / "ci" / "baseline_smoke"
 GATE = REPO / "ci" / "gate.sh"
 DES_CORPUS = REPO / "ci" / "des_corpus.json"
 DES_BASELINE = REPO / "ci" / "baseline_des"
+SRC = REPO / "src"
+
+#: Modules of the evented DES, which moved to ``tests/evented`` (or, for
+#: ``loss``, were deleted), and the names they defined.
+ORACLE_MODULES = tuple(
+    f"repro.simulation.{name}"
+    for name in ("engine", "packet", "regulator_sim", "loss")
+)
+ORACLE_NAMES = {
+    "Simulator",
+    "Packet",
+    "TokenBucketComponent",
+    "BatchVacationComponent",
+    "BatchMuxServer",
+    "DelayRecorder",
+    "LossyLink",
+    "LossAccountant",
+}
 
 #: The tier-1 smoke campaign (must match ci/gate.sh and
 #: tests/test_runtime_campaign.py).
@@ -96,3 +120,64 @@ def test_des_corpus_reproduces_its_pinned_baseline(tmp_path):
     assert rows(tmp_path / "des") == rows(DES_BASELINE)
     text = GATE.read_text()
     assert "ci/des_corpus.json" in text and "ci/baseline_des" in text
+
+
+def _is_test_code(module: str) -> bool:
+    return any(
+        module == m or module.startswith(m + ".")
+        for m in ("tests", *ORACLE_MODULES)
+    )
+
+
+def _layering_faults(path: Path) -> list[str]:
+    """Imports of test code, and oracle names defined or imported, in
+    one source file."""
+    # The package a relative import in this file starts from.
+    package = ".".join(path.relative_to(SRC).with_suffix("").parts[:-1])
+    faults = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        imported: list[str] = []
+        if isinstance(node, ast.Import):
+            imported = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                parent = package.rsplit(".", node.level - 1)[0]
+                base = f"{parent}.{base}" if base else parent
+            imported = [base] + [f"{base}.{a.name}" for a in node.names]
+            faults += [
+                f"imports {a.name}" for a in node.names if a.name in ORACLE_NAMES
+            ]
+        elif isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            if node.name in ORACLE_NAMES:
+                faults.append(f"defines {node.name}")
+        bad = [name for name in imported if _is_test_code(name)]
+        if bad:
+            faults.append(f"imports {bad[0]}")
+    return [f"{path.relative_to(REPO)}: {f}" for f in faults]
+
+
+def test_src_imports_no_test_code():
+    faults = [
+        fault
+        for path in sorted((SRC / "repro").rglob("*.py"))
+        for fault in _layering_faults(path)
+    ]
+    assert not faults, "\n".join(faults)
+    # The entry points load nothing from tests/, even with the repo
+    # root (where ``tests`` resolves) on sys.path.
+    code = (
+        "import sys\n"
+        "import repro.simulation, repro.scenarios, repro.runtime\n"
+        "import repro.experiments.cli\n"
+        "print(*sorted(m for m in sys.modules"
+        " if m == 'tests' or m.startswith('tests.')))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p
+    )}
+    done = subprocess.run(
+        [sys.executable, "-c", code], cwd=REPO, env=env,
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert done.stdout.split() == []

@@ -43,7 +43,6 @@ from repro.scenarios.runner import evaluate_cell, run_scenario
 from repro.scenarios.tracebatch import realise_batch
 from repro.simulation.batched import vacation_departures
 from repro.simulation.chain import simulate_regulated_chain
-from repro.simulation.engine import Simulator
 from repro.simulation.flow import AudioSource, PacketTrace, VBRVideoSource
 from repro.simulation.host_sim import simulate_regulated_host
 from repro.simulation.tree_sim import simulate_multicast_tree
@@ -54,6 +53,7 @@ from tests.des_oracle import (
     simulate_host,
     simulate_tree,
 )
+from tests.evented import Simulator
 
 
 def _stats_equal(a, b) -> bool:

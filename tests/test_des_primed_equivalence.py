@@ -45,11 +45,8 @@ from hypothesis import given, settings, strategies as st
 from repro.calculus.envelope import ArrivalEnvelope
 from repro.simulation.batched import primed_host, sigma_rho_departures
 from repro.simulation.chain import simulate_regulated_chain
-from repro.simulation.engine import Simulator
 from repro.simulation.flow import AudioSource, PacketTrace, VBRVideoSource
 from repro.simulation.host_sim import simulate_regulated_host
-from repro.simulation.measures import DelayRecorder
-from repro.simulation.regulator_sim import TokenBucketComponent
 from repro.simulation.tree_sim import simulate_multicast_tree
 from tests.des_oracle import (
     _serve_tagged_last,
@@ -59,6 +56,7 @@ from tests.des_oracle import (
     simulate_host,
     simulate_tree,
 )
+from tests.evented import DelayRecorder, Simulator, TokenBucketComponent
 
 
 def _stats_equal(a, b) -> bool:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.simulation.engine import Simulator
+from tests.evented import Simulator
 
 
 def test_events_run_in_time_order():

@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.simulation.engine import Simulator
-from repro.simulation.measures import DelayRecorder, DelayStats
-from repro.simulation.packet import Packet
+from repro.simulation.measures import DelayStats
+from tests.evented import DelayRecorder, Packet, Simulator
 
 
 class TestDelayStats:

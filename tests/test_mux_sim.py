@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.simulation.engine import Simulator
-from repro.simulation.packet import Packet
 from tests.des_oracle import MuxServer
+from tests.evented import Packet, Simulator
 
 
 class Collector:

@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 
 from repro.core.regulator import SigmaRhoLambdaRegulator
-from repro.simulation.batched import BatchVacationComponent
-from repro.simulation.engine import Simulator
 from repro.simulation.flow import PacketTrace, VBRVideoSource
-from repro.simulation.packet import Packet
-from repro.simulation.regulator_sim import TokenBucketComponent
 from repro.utils.piecewise import PiecewiseLinearCurve as PLC
 from tests.des_oracle import VacationComponent
+from tests.evented import (
+    BatchVacationComponent,
+    Packet,
+    Simulator,
+    TokenBucketComponent,
+)
 
 
 class Collector:

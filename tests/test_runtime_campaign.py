@@ -210,3 +210,19 @@ class TestCampaignConfig:
             CampaignConfig(count=0)
         with pytest.raises(ValueError):
             CampaignConfig(perf_budget=-1.0)
+        # Each fails here, not in the generator, the first Scenario or
+        # seed derivation -- or, for True, silently as seed 1.
+        for bad in (
+            {"seed": True},
+            {"seed": 1.5},
+            {"seed": "x"},
+            {"max_k": 1},
+            {"max_hops": 1},
+            {"perf_budget": float("nan")},
+            {"perf_budget": float("inf")},
+            {"name": ""},
+            {"name": None},
+        ):
+            field = next(iter(bad))
+            with pytest.raises((ValueError, TypeError), match=field):
+                CampaignConfig(**bad)

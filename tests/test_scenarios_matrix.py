@@ -67,6 +67,7 @@ def test_batch_report_accounting():
     assert not rep.violations
     lines = rep.summary_lines()
     assert any("soundness violations: 0" in ln for ln in lines)
+    assert f"DES passes: {rep.events_total}" in lines
 
 
 @pytest.mark.slow

@@ -87,6 +87,27 @@ class TestScenarioSpec:
         for bad in ({"discipline": "bogus"}, {"seed": 1.5}, {"tags": "smoke"}):
             with pytest.raises((ValueError, TypeError)):
                 scenario_from_dict({**ok, **bad})
+        # Overloaded vacation cells fail at the spec, not in the stagger
+        # plan or the single-flow regulator.
+        for mode in ("sigma-rho-lambda", "adaptive"):
+            for kinds, util in (
+                (("video",) * 2, 1.0 + 5e-10),
+                (("video",) * 2, 1.000001),
+                (("cbr",) * 4, 1.1),
+                (("video",), 1.0),
+                (("audio",), 1.1),
+            ):
+                bad = {**ok, "kinds": kinds, "utilization": util, "mode": mode}
+                for build in (lambda d: Scenario(**d), scenario_from_dict):
+                    with pytest.raises(
+                        ValueError, match=rf"utilization.*{mode}.*K={len(kinds)}"
+                    ):
+                        build(bad)
+        # Full load tiles with K >= 2; sigma-rho takes any load.
+        Scenario(**{**ok, "utilization": 1.0, "mode": "adaptive"})
+        Scenario(**{**ok, "utilization": 1.0, "topology": "chain", "hops": 2})
+        Scenario(**{**ok, "kinds": ("video",), "utilization": 1.5,
+                    "mode": "sigma-rho"})
 
     def test_realise_is_deterministic(self):
         sc = Scenario(name="det", kinds=("video", "audio"), utilization=0.6, seed=5)
