@@ -7,6 +7,7 @@
 # batch realisation, the only in-process path -- on both store
 # backends and require each summary to match the pinned baseline byte
 # for byte: the grouped path's bit-identity contract, gated end to end.
+# Each serial store must also report all 24 cells grouped.
 #
 # Usage: ci/gate.sh [STORE_DIR]
 #   STORE_DIR  where to write the fresh campaign store
@@ -14,7 +15,10 @@
 #
 # Exit status: 0 when the campaign is clean AND the diff against the
 # pinned baseline shows no regression AND the serial grouped
-# summaries match it byte for byte AND every cell record of every
+# summaries match it byte for byte AND each serial store's
+# grouping_summary reports all 24 cells grouped (the smoke matrix's
+# chains and trees are adversarial fluid cells, which the chain group
+# takes, so a silent fallback shows) AND every cell record of every
 # store the gate writes (pool, serial, telemetry-off, chaos and
 # coordinator runs) carries the baseline's measured/bound/
 # baseline_bound/eps/sound values AND telemetry collection is invisible
@@ -116,6 +120,34 @@ for backend in jsonl sqlite; do
   fi
 done
 echo "grouped gate: clean (serial grouped == pinned baseline, both backends)"
+
+# Every smoke cell must run in a group kernel: the matrix's 14 hosts
+# join the fluid host packs and its 6 chains and 4 trees (all
+# adversarial fluid cells) the chain group, so a cell that silently
+# falls back to per-cell simulation fails here.
+for backend in jsonl sqlite; do
+  PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python - "$backend:$SERIAL_DIR/$backend" <<'EOF'
+import sys
+
+from repro.runtime import open_store
+
+target = sys.argv[1]
+summaries = [
+    r for r in open_store(target, must_exist=True).load_telemetry()
+    if r.get("kind") == "grouping_summary"
+]
+if not summaries:
+    print(f"grouping gate: FAILED ({target}: no grouping_summary record)", file=sys.stderr)
+    sys.exit(1)
+s = summaries[-1]
+if (s.get("grouped_cells"), s.get("cells")) != (24, 24):
+    print(f"grouping gate: FAILED ({target}: {s.get('grouped_cells')} of "
+          f"{s.get('cells')} cells grouped, fallbacks {s.get('fallback_reasons')})",
+          file=sys.stderr)
+    sys.exit(1)
+EOF
+done
+echo "grouping gate: clean (24 of 24 smoke cells grouped, both backends)"
 
 per_cell_gate "pool and serial" ci/baseline_smoke \
   "$STORE" "jsonl:$SERIAL_DIR/jsonl" "sqlite:$SERIAL_DIR/sqlite"

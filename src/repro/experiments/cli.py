@@ -723,18 +723,23 @@ def _scenarios_main(argv: list[str]) -> int:
         if grouping["groups"] or grouping["summary"]:
             rows = [
                 [
-                    g.get("backend") or "?", g.get("mode") or "?",
+                    g.get("backend") or "?", g.get("topology") or "-",
+                    g.get("mode") or "?",
                     g.get("cells", 0), g.get("packs", "-"),
                     g.get("lanes", "-"),
                     f"{100.0 * g['padding_waste']:.1f}%"
                     if isinstance(g.get("padding_waste"), float) else "-",
+                    # Chain group: grid points simulated over every
+                    # cut attempt, against the full grids'.
+                    f"{100.0 * g['sim_bins'] / g['grid_bins']:.1f}%"
+                    if g.get("grid_bins") else "-",
                     _ms(g.get("kernel_s", 0.0)),
                 ]
                 for g in grouping["groups"]
             ]
             print(render_table(
-                ["backend", "mode", "cells", "packs", "lanes",
-                 "pad waste", "kernel [ms]"],
+                ["backend", "topology", "mode", "cells", "packs", "lanes",
+                 "pad waste", "grid kept", "kernel [ms]"],
                 rows, title="== Grouping efficiency ==",
             ))
             s = grouping["summary"]

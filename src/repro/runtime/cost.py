@@ -147,7 +147,9 @@ def _spec_features(spec: Any) -> tuple[str, float]:
         hops = max(hops, float(np.log2(max(members, 2.0))) + 1.0)
     if backend == "fluid":
         # Grid points x flows x hops: the vectorised kernels are O(n)
-        # in the (horizon + drain margin) / dt grid.
+        # in the grid.  A host's spans horizon + drain margin; an
+        # adversarial chain's is cut where every hop is quiet, at least
+        # 2 horizon + 64 bins.
         return backend, (3.0 * horizon / dt) * k * hops
     packets = horizon * _PACKETS_PER_SEC * k
     if backend.startswith("tree_des"):

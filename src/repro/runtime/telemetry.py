@@ -46,8 +46,10 @@ Record kinds (the ``telemetry`` table/file schema)
     annotations, and the scheduler's ``predicted_cost`` next to the
     recorded ``wall_time`` (the calibration residual's two sides).
 ``{"kind": "grouping", ...}``
-    One per SoA group evaluated by the grouped cell matrix: group key,
-    cell count, lanes, padding-waste ratio, prep/eval seconds.
+    One per SoA group evaluated by the grouped cell matrix: backend,
+    topology and mode, cell count, prep/eval seconds, and lanes and
+    padding-waste ratio (fluid host packs) or simulated vs. full-grid
+    bins and cut attempts (the fluid chain group).
 ``{"kind": "grouping_summary", ...}``
     One per grouped run: grouped/fallback cell totals, per-reason
     fallback counts, source-cache hit rate.

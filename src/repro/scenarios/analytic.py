@@ -78,7 +78,9 @@ def batch_theorem1_wdb(
         stars = r * (1.0 - r) * common_period[:, None]
         mux_term = np.nansum(stars / (1.0 - r), axis=1)
         stagger_term = 2.0 * common_period
-        excess_term = np.nanmax((s - stars) / r, axis=1)
+        # fmax skips NaN padding like nanmax, without nanmax's warning
+        # on the all-NaN row of a K = 1 cell at rho = C.
+        excess_term = np.fmax.reduce((s - stars) / r, axis=1)
     out = mux_term + stagger_term + np.maximum(excess_term, 0.0)
     unstable = np.nansum(r, axis=1) > 1.0 + _STAB_TOL
     out = np.where(unstable, np.inf, out)

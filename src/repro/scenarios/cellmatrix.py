@@ -11,23 +11,29 @@ evaluates a *batch of cells* instead:
    realiser).  A cell it cannot realise is re-run through
    :func:`evaluate_cell`, which reproduces the exact error.
 2. **Grouping and dispatch** -- realised cells are keyed by
-   ``(backend, discipline, topology, mode shape)``; two group kernels
-   exist today, the adversarial fluid host and the primed DES host
-   (one group per discipline and mode).
-   :func:`simulate_cells` is the one way a realised cell is
+   ``(backend, discipline, topology, mode shape)``; three group kernels
+   exist today: the adversarial fluid host (one group per mode and
+   grid resolution), the primed DES host (one group per discipline and
+   mode) and the adversarial fluid chain (one group for every fluid
+   adversarial chain and tree; a tree is its critical-path chain once
+   realised).  :func:`simulate_cells` is the one way a realised cell is
    simulated: a group kernel for a group, :func:`runner._simulate
-   <repro.scenarios.runner._simulate>` for each cell outside both
-   groups.  :func:`evaluate_cell` is a batch of one through the same
+   <repro.scenarios.runner._simulate>` for each cell outside every
+   group.  :func:`evaluate_cell` is a batch of one through the same
    realiser and dispatch, so a cell whose realisation or simulation
    raises is re-run through it: its error (traceback included) is the
    one a pool worker records, and a failing cell fails only its own
    verdict.
-3. **Packed evaluation** -- each fluid group packs its unique
+3. **Packed evaluation** -- each fluid host group packs its unique
    (trace, envelope) lanes into padded ``(n_lanes, n_bins_max + 1)``
    matrices and shapes them with the ``batch_fluid_*`` kernels of
    :mod:`repro.simulation.fluid` in one vectorised pass per group; a
    DES group runs :func:`repro.simulation.batched.primed_host` per cell
    with the regulator pass deduplicated across flows sharing a trace.
+   The chain group is not packed: its cost is elementwise work over a
+   grid that is mostly drain tail, so each cell runs
+   :func:`repro.simulation.fluid.adversarial_chain_delays`, which
+   simulates only the grid prefix up to where every hop is quiet.
 
 Equivalence contract: grouped evaluation is throughput-only.  Every
 ``CellResult`` field must equal the per-cell reference (the scalar
@@ -64,10 +70,12 @@ from repro.simulation.batched import PRIMED_MODES, primed_host
 from repro.simulation.fluid import (
     _adversarial_worst,
     _default_drain_margin,
+    adversarial_chain_delays,
     batch_fluid_next_empty,
     batch_fluid_on_time,
     batch_fluid_token_bucket,
     batch_fluid_work_conserving,
+    chain_worst_case,
 )
 
 __all__ = [
@@ -101,19 +109,23 @@ def group_key(r: _Realised) -> Optional[tuple]:
 
     Group members must share every structural fact a packed kernel
     depends on: effective backend, discipline, topology, effective mode
-    and (fluid) the grid resolution.  Capacities, envelopes, horizons
-    and flow counts may vary freely -- they are per-lane/per-cell
-    parameters of the kernels.
+    and (fluid hosts) the grid resolution.  Capacities, envelopes,
+    horizons and flow counts may vary freely -- they are
+    per-lane/per-cell parameters of the kernels.  The chain group runs
+    cell by cell, so its key is the topology alone; fluid trees join
+    it as their critical-path chains.
     """
     sc = r.scenario
+    if r.eff_backend == "fluid":
+        if sc.discipline != "adversarial":
+            return None
+        if sc.topology == "host":
+            return ("fluid", "adversarial", "host", r.eff_mode, sc.dt)
+        return ("fluid", "adversarial", "chain")
     if sc.topology != "host":
         return None
-    if r.eff_backend == "des":
-        if r.eff_mode in PRIMED_MODES:
-            return ("des", sc.discipline, "host", r.eff_mode)
-        return None
-    if r.eff_backend == "fluid" and sc.discipline == "adversarial":
-        return ("fluid", "adversarial", "host", r.eff_mode, sc.dt)
+    if r.eff_backend == "des" and r.eff_mode in PRIMED_MODES:
+        return ("des", sc.discipline, "host", r.eff_mode)
     return None
 
 
@@ -125,12 +137,12 @@ def _fallback_reason(r: _Realised) -> str:
     the grouping summary aggregate these per reason.
     """
     sc = r.scenario
+    if r.eff_backend == "fluid":
+        return f"discipline:{sc.discipline}"
     if sc.topology != "host":
         return f"topology:{sc.topology}"
     if r.eff_backend == "des":
         return f"mode:{r.eff_mode}"
-    if sc.discipline != "adversarial":
-        return f"discipline:{sc.discipline}"
     return f"backend:{r.eff_backend}"
 
 
@@ -472,6 +484,46 @@ def _eval_fluid_group(
     return out
 
 
+# ----------------------------------------------------------------------
+# Chain group: adversarial fluid chains and trees
+# ----------------------------------------------------------------------
+def _eval_fluid_chains(
+    realised: Sequence[_Realised], cut_stats: Optional[dict] = None
+) -> list[Union[CellResult, Exception]]:
+    """Evaluate the chain group one cell at a time: a result or the
+    raised exception per cell.
+
+    The arguments and the Theorem-7 total are those
+    :func:`repro.scenarios.runner._simulate` gives
+    :func:`repro.simulation.fluid.simulate_fluid_chain`, so the values
+    are that reference's.  ``cut_stats`` (optional, a mutable mapping)
+    accumulates the kernel's grid-cut telemetry: ``sim_bins``,
+    ``grid_bins`` and ``cut_attempts``.
+    """
+    out: list[Union[CellResult, Exception]] = []
+    for r in realised:
+        try:
+            sc = r.scenario
+            cross = list(r.traces[1:])
+            propagation = list(r.propagation)
+            per_hop = adversarial_chain_delays(
+                r.traces[0],
+                [cross] * r.hops,
+                r.envelopes,
+                mode=r.eff_mode,
+                capacity=sc.capacity,
+                stagger_phase=sc.stagger_phase,
+                propagation=propagation,
+                dt=sc.dt,
+                stats=cut_stats,
+            )
+            worst = chain_worst_case(per_hop, propagation)
+            out.append(_cell_result(r, worst, 0, 0, False))
+        except Exception as exc:
+            out.append(exc)
+    return out
+
+
 def simulate_cells(
     key: Optional[tuple],
     realised: Sequence[_Realised],
@@ -483,11 +535,14 @@ def simulate_cells(
     group, :func:`repro.scenarios.runner._simulate` per cell for
     ``key is None``.  Returns, per cell in input order, its
     :class:`CellResult` or the exception its simulation raised.
-    ``pack_stats``: see :func:`_eval_fluid_group`.
+    ``pack_stats``: see :func:`_eval_fluid_group` and
+    :func:`_eval_fluid_chains`.
     """
     if key is not None:
         if key[0] == "des":
             return _eval_des_group(key[1], key[3], realised)
+        if key[2] == "chain":
+            return _eval_fluid_chains(realised, pack_stats)
         return _eval_fluid_group(key[3], key[4], realised, pack_stats)
     out: list[Union[CellResult, Exception]] = []
     for r in realised:
@@ -533,8 +588,10 @@ def evaluate_grouped(
 
     ``stats`` (optional, a mutable mapping) receives
     ``stats["records"]``: one mapping per evaluated group
-    (``kind == "grouping"``: cells, kernel seconds, lane packing and
-    padding waste) plus one ``kind == "grouping_summary"`` mapping
+    (``kind == "grouping"``: backend, topology, mode, cells, kernel
+    seconds, and lane packing and padding waste for fluid host packs
+    or grid-cut bins and attempts for the chain group) plus one
+    ``kind == "grouping_summary"`` mapping
     (grouped vs. fallback cell counts, per-reason fallback tallies, the
     realisation source-cache hit rate, and the batch-realisation tally:
     cells realised, lanes generated, batch seconds vs. the cost model's
@@ -648,7 +705,9 @@ def evaluate_grouped(
         rec = {
             "kind": "grouping",
             "backend": key[0],
-            "mode": key[3],
+            "topology": key[2],
+            # The chain group spans every mode.
+            "mode": key[3] if len(key) > 3 else "mixed",
             "cells": len(members),
             "kernel_fallbacks": kernel_fallbacks,
             "prep_s": float(sum(m[2] for m in members)),

@@ -27,6 +27,15 @@ one ``np.minimum.accumulate``.  Every stage is an instance:
   ``S_tag = C t - D_others``;
 * token bucket: ``D = min(A, sigma + rho t + min_{u<=t}[A(u) - rho u])``
   (greedy (sigma, rho) shaper, bucket initially full).
+
+Every run spans its traffic horizon plus a drain margin sized from the
+bounds, so queues empty before the end.  That margin is mostly idle.
+Chains pay it on every hop, so :func:`adversarial_chain_delays`
+simulates only a prefix of the chain grid, up to a point where every
+hop is quiet, and returns the per-hop adversarial delays of the full
+grid.  :func:`simulate_fluid_chain` stays the full-grid reference and
+the path for the FIFO and priority disciplines, whose horizontal
+deviations read the drained tail.
 """
 
 from __future__ import annotations
@@ -57,6 +66,8 @@ __all__ = [
     "simulate_fluid_host",
     "FluidChainResult",
     "simulate_fluid_chain",
+    "adversarial_chain_delays",
+    "chain_worst_case",
 ]
 
 #: Interpolation tolerance of the lean first-passage replica -- the
@@ -512,12 +523,17 @@ def _adversarial_worst(
 
 
 def _trace_cum(
-    trace: PacketTrace, horizon: float, dt: float, total: float
+    trace: PacketTrace,
+    horizon: float,
+    dt: float,
+    total: float,
+    n_bins: Optional[int] = None,
 ) -> np.ndarray:
     """Cumulative arrivals of ``trace`` (injection cut at ``horizon``) on
-    the grid ``dt * arange(ceil(total / dt) + 1)``."""
+    the grid ``dt * arange(ceil(total / dt) + 1)``, or on its first
+    ``n_bins + 1`` points (a running sum, so the prefix is exact)."""
     binned = trace.restrict(horizon).binned_arrivals(dt, total)
-    return np.concatenate(([0.0], np.cumsum(binned)))
+    return np.concatenate(([0.0], np.cumsum(binned[:n_bins])))
 
 
 def simulate_fluid_host(
@@ -633,6 +649,140 @@ class FluidChainResult:
     dt: float
 
 
+def chain_worst_case(
+    per_hop_delay: Sequence[float], propagation: Sequence[float]
+) -> float:
+    """Theorem-7 accounting: the per-hop worst delays plus propagation.
+
+    The one formula behind :attr:`FluidChainResult.worst_case_delay`,
+    shared with callers of :func:`adversarial_chain_delays`.
+    """
+    return float(sum(per_hop_delay)) + float(np.sum(propagation))
+
+
+def _chain_grid(
+    tagged_trace: PacketTrace,
+    cross_traces_per_hop: Sequence[Sequence[PacketTrace]],
+    envelopes: Sequence[ArrivalEnvelope],
+    capacity,
+    propagation: Optional[Sequence[float]],
+    dt: float,
+    horizon: Optional[float],
+) -> tuple[list[float], list[float], float, float, int]:
+    """Validate a chain call and size its full grid.
+
+    Returns ``(capacities, propagation, horizon, total, n_bins)``: one
+    capacity and one propagation delay per hop, the injection horizon,
+    and the ``n_bins + 1``-point grid ``dt * arange(n_bins + 1)`` that
+    spans ``total`` -- the horizon plus the drain margin of every hop
+    plus the propagation.
+    """
+    hops = len(cross_traces_per_hop)
+    if hops < 1:
+        raise ValueError("at least one hop is required")
+    k = len(envelopes)
+    if propagation is None:
+        propagation = [0.0] * hops
+    if len(propagation) != hops:
+        raise ValueError("propagation must have one entry per hop")
+    for h, delay in enumerate(propagation):
+        check_non_negative(delay, f"propagation[{h}]")
+    if np.ndim(capacity) == 0:
+        capacities = [float(capacity)] * hops
+    else:
+        capacities = [float(c) for c in capacity]
+        if len(capacities) != hops:
+            raise ValueError("capacity must be scalar or one entry per hop")
+    for h, cross in enumerate(cross_traces_per_hop):
+        if len(cross) != k - 1:
+            raise ValueError(
+                f"hop {h}: expected {k - 1} cross traces, got {len(cross)}"
+            )
+    if horizon is None:
+        horizon = float(tagged_trace.times[-1]) + dt if len(tagged_trace) else 1.0
+    margin = _default_drain_margin(envelopes, min(capacities)) * hops
+    total = horizon + margin + float(np.sum(propagation))
+    n_bins = int(np.ceil(total / dt))
+    return capacities, list(propagation), horizon, total, n_bins
+
+
+def _chain_hops(
+    source_cum: np.ndarray,
+    t_grid: np.ndarray,
+    cross_cum,
+    cross_traces_per_hop: Sequence[Sequence[PacketTrace]],
+    envelopes: Sequence[ArrivalEnvelope],
+    *,
+    mode: str,
+    capacities: Sequence[float],
+    stagger_phase: float,
+    propagation: Sequence[float],
+    forward_last: bool,
+):
+    """The per-hop stages of a chain on ``t_grid``, one hop at a time.
+
+    Yields ``(arrivals, shaped, agg, dep_agg, fwd)`` per hop: the
+    hop's inputs (the tagged flow first), its regulator outputs, their
+    aggregate and the aggregate's work-conserving departures, and the
+    tagged flow's FIFO share -- the curve forwarded to the next hop
+    after its propagation delay.  ``fwd`` is ``None`` on the last hop
+    unless ``forward_last``.  ``cross_cum(trace)`` returns a cross
+    trace's cumulative arrivals on ``t_grid``.
+
+    In σ-ρ mode each cross trace is shaped once per call per
+    (envelope, hop capacity), keyed by the trace object.  Every stage
+    is elementwise or a forward running pass except the FIFO share's
+    level lookup, which reads the aggregate only up to the level the
+    aggregate has departed.
+    """
+    hops = len(cross_traces_per_hop)
+    current = _shift_cum(source_cum, t_grid, propagation[0])
+    shaped_cache: dict = {}
+    for h in range(hops):
+        cap_h = capacities[h]
+        cross = cross_traces_per_hop[h]
+        arrivals = [current] + [cross_cum(tr) for tr in cross]
+        _, shaped = _regulator_stage(
+            arrivals, t_grid, envelopes, mode, cap_h,
+            stagger_phase=(stagger_phase + h * 0.37) % 1.0,
+            shaped_cache=shaped_cache,
+            cache_keys=[None] + [id(tr) for tr in cross],
+        )
+        # One aggregate pass (the arithmetic of fluid_mux's FIFO branch)
+        # serves both the measurement and the forwarding.
+        agg = np.sum(shaped, axis=0)
+        service = t_grid - t_grid[0]
+        service *= cap_h
+        dep_agg = fluid_work_conserving(agg, service)
+        last = h + 1 == hops
+        # Physical forwarding to the next hop is FIFO; only the tagged
+        # flow's share is read, so only it is composed.
+        fwd = (
+            _compose_by_level(dep_agg, agg, shaped[0])
+            if forward_last or not last
+            else None
+        )
+        yield arrivals, shaped, agg, dep_agg, fwd
+        if not last:
+            current = _shift_cum(fwd, t_grid, propagation[h + 1])
+
+
+def _cross_cum_cache(horizon: float, dt: float, total: float, n_bins: int):
+    """``cross_cum`` for :func:`_chain_hops`: each distinct cross trace's
+    cumulative arrivals on the first ``n_bins + 1`` points of the grid
+    sized by ``total``, binned once per call and keyed by the trace
+    object (the entry holds the trace, so its id cannot be reused)."""
+    cache: dict[int, tuple[PacketTrace, np.ndarray]] = {}
+
+    def cross_cum(tr: PacketTrace) -> np.ndarray:
+        entry = cache.get(id(tr))
+        if entry is None:
+            entry = cache[id(tr)] = (tr, _trace_cum(tr, horizon, dt, total, n_bins))
+        return entry[1]
+
+    return cross_cum
+
+
 def simulate_fluid_chain(
     tagged_trace: PacketTrace,
     cross_traces_per_hop: Sequence[Sequence[PacketTrace]],
@@ -658,7 +808,7 @@ def simulate_fluid_chain(
     fan-out (every packet is replicated to every child), yielding
     hop-specific effective service rates.
 
-    Work per call and per hop:
+    Work per call and per hop (:func:`_chain_hops`):
 
     * **once per call**, keyed by the trace object: each distinct cross
       trace's cumulative arrivals, and in σ-ρ mode its token-bucket
@@ -671,65 +821,30 @@ def simulate_fluid_chain(
       and the forwarding, and the tagged flow's FIFO share only -- the
       curve forwarded to the next hop, which the FIFO discipline also
       measures.  The priority discipline adds its one-vs-rest MUX.
+
+    This is the full-grid reference: every hop runs to the end of the
+    drain margin.  :func:`adversarial_chain_delays` returns the same
+    adversarial per-hop delays from a grid cut where every hop is
+    quiet.
     """
-    hops = len(cross_traces_per_hop)
-    if hops < 1:
-        raise ValueError("at least one hop is required")
-    k = len(envelopes)
-    if propagation is None:
-        propagation = [0.0] * hops
-    if len(propagation) != hops:
-        raise ValueError("propagation must have one entry per hop")
-    for h, delay in enumerate(propagation):
-        check_non_negative(delay, f"propagation[{h}]")
-    if np.ndim(capacity) == 0:
-        capacities = [float(capacity)] * hops
-    else:
-        capacities = [float(c) for c in capacity]
-        if len(capacities) != hops:
-            raise ValueError("capacity must be scalar or one entry per hop")
+    capacities, propagation, horizon, total, n_bins = _chain_grid(
+        tagged_trace, cross_traces_per_hop, envelopes, capacity,
+        propagation, dt, horizon,
+    )
     if discipline not in ("adversarial", "priority", "fifo"):
         raise ValueError(f"unknown discipline {discipline!r}")
-    if horizon is None:
-        horizon = float(tagged_trace.times[-1]) + dt if len(tagged_trace) else 1.0
-    margin = _default_drain_margin(envelopes, min(capacities)) * hops
-    total = horizon + margin + float(np.sum(propagation))
-    n_bins = int(np.ceil(total / dt))
     t_grid = dt * np.arange(n_bins + 1)
-
     source_cum = _trace_cum(tagged_trace, horizon, dt, total)
-    current = _shift_cum(source_cum, t_grid, propagation[0])
-    # Hop-invariant work, done once per call and keyed by the trace
-    # object, since hops may carry different cross traces: each cross
-    # trace's cumulative arrivals (the entry holds the trace so its id
-    # cannot be reused) and, in σ-ρ mode, its shaped curve.
-    cross_cum: dict[int, tuple[PacketTrace, np.ndarray]] = {}
-    shaped_cache: dict = {}
     per_hop_delay = []
-    for h in range(hops):
-        cap_h = capacities[h]
-        cross = cross_traces_per_hop[h]
-        if len(cross) != k - 1:
-            raise ValueError(f"hop {h}: expected {k - 1} cross traces, got {len(cross)}")
-        for tr in cross:
-            if id(tr) not in cross_cum:
-                cross_cum[id(tr)] = (tr, _trace_cum(tr, horizon, dt, total))
-        arrivals = [current] + [cross_cum[id(tr)][1] for tr in cross]
-        _, shaped = _regulator_stage(
-            arrivals, t_grid, envelopes, mode, cap_h,
-            stagger_phase=(stagger_phase + h * 0.37) % 1.0,
-            shaped_cache=shaped_cache,
-            cache_keys=[None] + [id(tr) for tr in cross],
-        )
-        # One aggregate pass (the arithmetic of fluid_mux's FIFO branch)
-        # serves both the measurement and the forwarding.
-        agg = np.sum(shaped, axis=0)
-        service = t_grid - t_grid[0]
-        service *= cap_h
-        dep_agg = fluid_work_conserving(agg, service)
-        # Physical forwarding to the next hop is FIFO; only the tagged
-        # flow's share is read, so only it is composed.
-        fwd = _compose_by_level(dep_agg, agg, shaped[0])
+    hop_stages = _chain_hops(
+        source_cum, t_grid, _cross_cum_cache(horizon, dt, total, n_bins),
+        cross_traces_per_hop, envelopes, mode=mode, capacities=capacities,
+        stagger_phase=stagger_phase, propagation=propagation,
+        forward_last=True,
+    )
+    for cap_h, (arrivals, shaped, agg, dep_agg, fwd) in zip(
+        capacities, hop_stages
+    ):
         # Per-hop worst-case measurement under the requested discipline.
         if discipline == "adversarial":
             next_empty = _next_empty(t_grid, agg, dep_agg)
@@ -741,21 +856,140 @@ def simulate_fluid_chain(
             per_hop_delay.append(_worst_delay(t_grid, arrivals[0], deps_adv[0]))
         else:  # fifo measures the forwarded curve itself
             per_hop_delay.append(_worst_delay(t_grid, arrivals[0], fwd))
-        if h + 1 < hops:
-            fwd = _shift_cum(fwd, t_grid, propagation[h + 1])
-        current = fwd
-    fifo_e2e = _worst_delay(t_grid, source_cum, current)
-    prop_total = float(np.sum(propagation))
-    worst = float(sum(per_hop_delay)) + prop_total
+    # The last hop's forwarded curve is what the final receiver gets.
+    fifo_e2e = _worst_delay(t_grid, source_cum, fwd)
     return FluidChainResult(
         mode=mode,
-        hops=hops,
-        worst_case_delay=worst,
+        hops=len(capacities),
+        worst_case_delay=chain_worst_case(per_hop_delay, propagation),
         per_hop_delay=tuple(per_hop_delay),
         fifo_end_to_end=fifo_e2e,
-        propagation_total=prop_total,
+        propagation_total=float(np.sum(propagation)),
         dt=dt,
     )
+
+
+def adversarial_chain_delays(
+    tagged_trace: PacketTrace,
+    cross_traces_per_hop: Sequence[Sequence[PacketTrace]],
+    envelopes: Sequence[ArrivalEnvelope],
+    *,
+    mode: str = "sigma-rho",
+    capacity=1.0,
+    stagger_phase: float = 0.0,
+    propagation: Optional[Sequence[float]] = None,
+    dt: float = 1e-3,
+    horizon: Optional[float] = None,
+    stats: Optional[dict] = None,
+) -> tuple[float, ...]:
+    """Per-hop adversarial delays of a fluid chain, without the drain tail.
+
+    Equal to ``simulate_fluid_chain(..., discipline="adversarial")
+    .per_hop_delay`` (and :func:`chain_worst_case` of it to its
+    ``worst_case_delay``), computed on a prefix of the same grid.
+    The full grid of ``n`` bins is sized exactly as
+    :func:`simulate_fluid_chain` sizes it, and its drain margin is
+    mostly idle: the chain is simulated on ``t_grid[:m + 1]`` only,
+    starting at ``m = 2 ceil((horizon + sum(propagation)) / dt) + 64``
+    and doubling ``m`` (capped at ``n``) until every hop is *quiet* at
+    the cut ``t[m]``:
+
+    * the hop's tagged input has reached the source total;
+    * every regulator output of the hop has reached its input;
+    * the hop's MUX is empty, by :func:`_next_empty`'s own predicate.
+
+    The first two use the kernels' tolerance ``1e-9 max(total, 1)``,
+    ``total`` being the flow's own input at the cut.  The last attempt
+    is the full grid itself, so a chain that never goes quiet (an
+    overloaded hop) gets the full grid's result.
+
+    Why a quiet cut gives the full grid's delays: every stage of
+    :func:`_chain_hops` is a prefix pass -- binning, shifting, the
+    regulators and the work-conserving MUX read nothing after an index
+    to compute it -- except two reads of the future, both bounded by
+    the cut.  The FIFO share looks up the aggregate at the level the
+    aggregate has departed, which it has reached by the same index.
+    The backward running minimum of :func:`_next_empty` finds, from any
+    index up to ``m``, the empty instant ``t[m]`` at the latest.  In
+    the measurement (:func:`_adversarial_worst`), a tagged arrival bin
+    before the cut releases before the cut (its regulator has caught up
+    there); one after the cut -- at a later hop, the forwarded curve's
+    last rounding steps -- releases before the cut too, since the
+    tagged input had reached its total, and finds the MUX empty there,
+    so its delay is negative and the maximum ignores it.
+
+    One last-bit caveat: the tolerances ``tol`` of
+    :func:`_adversarial_worst` and ``scale`` of :func:`_next_empty` are
+    read off the grid's last point (``arr[-1]``, ``agg[-1]``), and at a
+    quiet cut those equal the full grid's only up to the tolerance.  A
+    comparison within a last-bit rescaling of the tolerance could flip.
+    None does in the equivalence tests, nor in any adversarial chain or
+    tree cell of the ``thousand`` matrix at seeds 2006, 7 and 517 or of
+    the ``des`` matrix at seed 11.
+
+    Only what the verdict reads is computed: no FIFO end-to-end delay
+    and no forwarding out of the last hop.  ``stats`` (optional, a
+    mutable mapping) accumulates ``sim_bins`` (grid points simulated,
+    over every attempt), ``grid_bins`` (the full grid's points) and
+    ``cut_attempts``.
+    """
+    capacities, propagation, horizon, total, n = _chain_grid(
+        tagged_trace, cross_traces_per_hop, envelopes, capacity,
+        propagation, dt, horizon,
+    )
+
+    def delays_on(m: int) -> Optional[tuple[float, ...]]:
+        """The per-hop delays on ``t_grid[:m + 1]``, or ``None`` as soon
+        as a hop is not quiet at the cut (never on the full grid)."""
+        t_grid = dt * np.arange(m + 1)
+        source_cum = _trace_cum(tagged_trace, horizon, dt, total, m)
+        per_hop = []
+        for arrivals, shaped, agg, dep_agg, _ in _chain_hops(
+            source_cum, t_grid, _cross_cum_cache(horizon, dt, total, m),
+            cross_traces_per_hop, envelopes, mode=mode,
+            capacities=capacities, stagger_phase=stagger_phase,
+            propagation=propagation, forward_last=False,
+        ):
+            next_empty = _next_empty(t_grid, agg, dep_agg)
+            if m < n and not _quiet(
+                float(source_cum[-1]), arrivals, shaped, next_empty
+            ):
+                return None
+            per_hop.append(
+                _adversarial_worst(t_grid, arrivals[0], shaped[0], next_empty)
+            )
+        return tuple(per_hop)
+
+    m = min(2 * int(np.ceil((horizon + float(np.sum(propagation))) / dt)) + 64, n)
+    while True:
+        per_hop = delays_on(m)
+        if stats is not None:
+            stats["sim_bins"] = stats.get("sim_bins", 0) + m + 1
+            stats["cut_attempts"] = stats.get("cut_attempts", 0) + 1
+        if per_hop is not None:
+            break
+        m = min(2 * m, n)
+    if stats is not None:
+        stats["grid_bins"] = stats.get("grid_bins", 0) + n + 1
+    return per_hop
+
+
+def _quiet(
+    source_total: float,
+    arrivals: Sequence[np.ndarray],
+    shaped: Sequence[np.ndarray],
+    next_empty: np.ndarray,
+) -> bool:
+    """Whether a hop is quiet at the grid's last point: the tagged input
+    (``arrivals[0]``) has reached ``source_total``, every regulator
+    output has reached its input, and the MUX is empty there."""
+    if arrivals[0][-1] < source_total - 1e-9 * max(source_total, 1.0):
+        return False
+    for a, s in zip(arrivals, shaped):
+        level = float(a[-1])
+        if s[-1] < level - 1e-9 * max(level, 1.0):
+            return False
+    return bool(np.isfinite(next_empty[-1]))
 
 
 def _shift_cum(cum: np.ndarray, t_grid: np.ndarray, delay: float) -> np.ndarray:

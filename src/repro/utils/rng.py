@@ -76,11 +76,12 @@ def derive_seed(source: RandomSource, *tokens: object) -> int:
     ``derive_seed(seed, "dsct", group_index)``.
     """
     base = 0 if source is None else _source_entropy(source)
-    h = np.uint64(1469598103934665603)  # FNV-1a offset basis
+    h = 1469598103934665603  # FNV-1a offset basis
+    # 64-bit FNV-1a over plain ints: masking is the uint64 wraparound.
     for token in (base, *tokens):
         for byte in repr(token).encode():
-            h = np.uint64((int(h) ^ byte) * 1099511628211 % 2**64)
-    return int(h % np.uint64(2**63 - 1))
+            h = ((h ^ byte) * 1099511628211) & 0xFFFFFFFFFFFFFFFF
+    return h % (2**63 - 1)
 
 
 def _source_entropy(source: RandomSource) -> int:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.calculus.envelope import ArrivalEnvelope
 from repro.core.multicast_bounds import (
@@ -9,13 +11,15 @@ from repro.core.multicast_bounds import (
     theorem8_multicast_wdb_homogeneous,
 )
 from repro.simulation.chain import simulate_regulated_chain
-from repro.simulation.flow import VBRVideoSource
+from repro.simulation.flow import PacketTrace, VBRVideoSource
 from repro.simulation.fluid import (
     _adversarial_worst,
     _default_drain_margin,
     _regulator_stage,
     _shift_cum,
     _worst_delay,
+    adversarial_chain_delays,
+    chain_worst_case,
     fluid_mux,
     fluid_next_empty,
     simulate_fluid_chain,
@@ -242,6 +246,171 @@ class TestFluidChainReference:
             simulate_fluid_chain(
                 tagged, layouts["same-list"], envs, discipline="lifo"
             )
+
+
+def _trace(times, sizes):
+    return PacketTrace(
+        np.asarray(times, dtype=np.float64), np.asarray(sizes, dtype=np.float64)
+    )
+
+
+def _cut_vs_full(tagged, cross_per_hop, envs, **kw):
+    """Run :func:`adversarial_chain_delays` and the full-grid reference
+    on one chain, assert they agree exactly, and return the reference
+    result and the cut kernel's stats."""
+    full = simulate_fluid_chain(
+        tagged, cross_per_hop, envs, discipline="adversarial", **kw
+    )
+    stats: dict = {}
+    per_hop = adversarial_chain_delays(
+        tagged, cross_per_hop, envs, stats=stats, **kw
+    )
+    propagation = kw.get("propagation") or [0.0] * len(cross_per_hop)
+    assert per_hop == full.per_hop_delay
+    assert chain_worst_case(per_hop, propagation) == full.worst_case_delay
+    return full, stats
+
+
+def _cut_schedule(horizon, propagation, dt, n_bins):
+    """The grid prefixes the cut kernel tries: ``m0`` doubled, capped
+    at the full grid."""
+    m = min(2 * int(np.ceil((horizon + sum(propagation)) / dt)) + 64, n_bins)
+    out = [m]
+    while m < n_bins:
+        m = min(2 * m, n_bins)
+        out.append(m)
+    return out
+
+
+@st.composite
+def _chains(draw):
+    """A chain as the runner builds one (the same cross list at every
+    hop), with random traces and envelopes whose bursts are the traces'
+    own or far below them (so token buckets hold data back)."""
+    k = draw(st.integers(1, 6))
+    hops = draw(st.integers(1, 6))
+    rho = draw(st.floats(0.05, 0.99)) / k
+    burst = draw(st.sampled_from([1.0, 0.3, 0.02]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    traces = []
+    for _ in range(k):
+        n = int(rng.integers(1, 30))
+        span = rng.uniform(0.05, 0.8)
+        times = np.sort(rng.uniform(0.0, span, n))
+        traces.append(_trace(times, rng.exponential(rho * span / n, n)))
+    envs = [
+        ArrivalEnvelope(max(tr.empirical_sigma(rho) * burst, 1e-9), rho)
+        for tr in traces
+    ]
+    kw = dict(
+        mode=draw(st.sampled_from(["none", "sigma-rho", "sigma-rho-lambda"])),
+        stagger_phase=draw(st.floats(0.0, 1.0, exclude_max=True)),
+        propagation=draw(
+            st.lists(st.floats(0.0, 0.05), min_size=hops, max_size=hops)
+        ),
+        dt=draw(st.sampled_from([1e-3, 2e-3])),
+    )
+    return traces[0], [traces[1:]] * hops, envs, kw
+
+
+class TestAdversarialChainCut:
+    """:func:`adversarial_chain_delays` simulates only the grid prefix up
+    to where every hop is quiet; its per-hop and worst-case delays must
+    equal the full-grid :func:`simulate_fluid_chain` bit for bit."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(_chains())
+    def test_matches_full_grid(self, chain):
+        tagged, cross, envs, kw = chain
+        _cut_vs_full(tagged, cross, envs, **kw)
+
+    def test_overloaded_chain_runs_the_full_grid(self):
+        """Six CBR flows at twice the capacity each: the MUX never
+        empties, every cut is rejected, and the last attempt is the
+        full grid, where both sides measure an infinite delay."""
+        dt = 2e-3
+        times = np.arange(0.0, 0.3, 1e-3)
+        traces = [_trace(times, np.full(times.size, 2e-3)) for _ in range(6)]
+        envs = [ArrivalEnvelope(2e-3, 2.0)] * 6
+        full, stats = _cut_vs_full(
+            traces[0], [traces[1:]] * 2, envs, mode="sigma-rho", dt=dt
+        )
+        assert full.per_hop_delay[0] == float("inf")
+        schedule = _cut_schedule(
+            float(times[-1]) + dt, [0.0, 0.0], dt, stats["grid_bins"] - 1
+        )
+        assert len(schedule) >= 3
+        assert stats["cut_attempts"] == len(schedule)
+        assert stats["sim_bins"] == sum(m + 1 for m in schedule)
+
+    def test_near_critical_chain_needs_three_doublings(self):
+        """Utilisation 0.99 with every flow's burst at t = 0: the MUX
+        drains long after the first cuts, but long before the end of a
+        grid sized by near-critical drain margins."""
+        rho = 0.33
+        traces = [
+            _trace([0.0, 0.05, 0.1], [0.6, 0.01, 0.01]) for _ in range(3)
+        ]
+        envs = [
+            ArrivalEnvelope(tr.empirical_sigma(rho), rho) for tr in traces
+        ]
+        _, stats = _cut_vs_full(
+            traces[0], [traces[1:]] * 2, envs, mode="sigma-rho", dt=2e-3,
+            propagation=[0.01, 0.02],
+        )
+        assert stats["cut_attempts"] >= 4
+        assert stats["sim_bins"] < stats["grid_bins"] / 4
+
+    @pytest.mark.parametrize("mode", ["none", "sigma-rho", "sigma-rho-lambda"])
+    def test_single_flow(self, mode):
+        trace, envs, *_ = chain_scenario(0.7, k=1, horizon=1.0)
+        _cut_vs_full(
+            trace, [[]] * 3, envs, mode=mode, dt=2e-3,
+            propagation=[0.0, 0.03, 0.01],
+        )
+
+    def test_empty_tagged_trace(self):
+        trace, envs, *_ = chain_scenario(0.6, horizon=1.0)
+        empty = _trace([], [])
+        full, _ = _cut_vs_full(
+            empty, [[trace, trace]] * 2, envs, mode="sigma-rho", dt=2e-3
+        )
+        assert full.per_hop_delay == (0.0, 0.0)
+
+    def test_tagged_regulator_holding_past_the_grid(self):
+        """A unit packet behind a token bucket of burst 0.01 and rate
+        0.2 takes about 5 s to leave, past the end of the full grid: no
+        cut is quiet, and the full grid's finite delay (its last point
+        less the arrival) is the one returned."""
+        dt = 1e-3
+        full, stats = _cut_vs_full(
+            _trace([0.0], [1.0]), [[]], [ArrivalEnvelope(0.01, 0.2)],
+            mode="sigma-rho", dt=dt,
+        )
+        n_bins = stats["grid_bins"] - 1
+        assert full.per_hop_delay == (n_bins * dt - dt,)
+        schedule = _cut_schedule(dt, [0.0], dt, n_bins)
+        assert stats["cut_attempts"] == len(schedule) >= 3
+
+    def test_tagged_input_still_arriving_at_the_cut(self):
+        """Hop 0 drains a cross burst just before the second cut and
+        only then forwards the tagged flow's last packet, which reaches
+        hop 1 (half the capacity, idle by then) after the cut.  Hop 1
+        is empty there, but its tagged input is short of the source
+        total, so the cut is rejected: that packet sets hop 1's delay."""
+        dt, prop = 1e-3, 0.05
+        tagged = _trace([0.0, 0.6], [1e-3, 1e-2])
+        second_cut = 2 * (2 * int(np.ceil((0.6 + dt + prop) / dt)) + 64)
+        burst = second_cut * dt - prop / 2 - 0.5
+        cross = [[_trace([0.5], [burst])], [_trace([0.0], [1e-3])]]
+        envs = [ArrivalEnvelope(0.01, 0.2), ArrivalEnvelope(burst, 0.3)]
+        full, stats = _cut_vs_full(
+            tagged, cross, envs, mode="none", dt=dt,
+            propagation=[0.0, prop], capacity=[1.0, 0.5],
+        )
+        assert stats["cut_attempts"] == 3
+        # Hop 1 queues the late 0.01 packet at half the capacity.
+        assert full.per_hop_delay[1] > 0.015
 
 
 class TestDesChain:

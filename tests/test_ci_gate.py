@@ -11,7 +11,9 @@ keep the checked-in ``ci/baseline_smoke`` store honest:
 * a fresh evaluation of that matrix must gate cleanly against it --
   cell keys are content hashes, so any drift in spec hashing, seeding
   or verdicts breaks the diff loudly here rather than at night;
-* ``ci/gate.sh`` must keep pointing at the pinned store and matrix;
+* ``ci/gate.sh`` must keep pointing at the pinned store and matrix,
+  and the matrix must keep the adversarial fluid chains and trees (σ-ρ
+  and λ) whose grouping the gate checks;
 * the DES leg's curated corpus (``ci/des_corpus.json``) must reproduce
   every verdict field of its pinned ``ci/baseline_des`` store;
 * production code must not reach into the test oracle: no module under
@@ -85,6 +87,22 @@ def test_fresh_smoke_run_gates_clean_against_pinned(pinned, tmp_path):
     # strict: coverage loss is a regression too.
     assert diff.gate(strict=True), diff.summary_lines()
     assert not diff.added and not diff.removed
+
+
+def test_pinned_baseline_keeps_adversarial_fluid_chains_and_trees(pinned):
+    """The smoke matrix must keep exercising the fluid chain group:
+    ``ci/gate.sh`` requires all 24 cells grouped, which only shows a
+    silent fallback of chain or tree cells while the matrix has them,
+    in both the σ-ρ and the λ mode."""
+    seen = {
+        (rec["topology"], rec["eff_mode"])
+        for rec in pinned.values()
+        if rec["eff_backend"] == "fluid" and rec["discipline"] == "adversarial"
+    }
+    for topology in ("chain", "tree"):
+        for mode in ("sigma-rho", "sigma-rho-lambda"):
+            assert (topology, mode) in seen, (topology, mode)
+    assert "grouping gate" in GATE.read_text()
 
 
 def test_gate_script_targets_the_pinned_store():

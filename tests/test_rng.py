@@ -50,6 +50,28 @@ class TestSpawnRngs:
 
 
 class TestDeriveSeed:
+    @pytest.mark.parametrize(
+        "source, tokens, expected",
+        [
+            (None, (), 4953216133211441449),
+            (None, ("tree-topology", "gen-11-0002"), 3602673417226114643),
+            (2006, ("cell", "93bb8533f13e74af"), 5194246703286151555),
+            (np.int64(11), ("scenario", 3, 0.37), 201330283717119943),
+            (
+                np.random.SeedSequence(12345),
+                ("dsct", (1, "a", 2.5)),
+                1151149942184710353,
+            ),
+            (0, (-7, 1e-3, ("x",)), 1321071928798671274),
+        ],
+    )
+    def test_pinned_values(self, source, tokens, expected):
+        # Every cell seed, tree topology and stream name derives from
+        # this hash: its values must never move.
+        seed = derive_seed(source, *tokens)
+        assert seed == expected
+        assert type(seed) is int
+
     def test_deterministic(self):
         assert derive_seed(1, "a", 2) == derive_seed(1, "a", 2)
 

@@ -3,8 +3,10 @@
 ``evaluate_grouped`` and ``evaluate_cell`` (a batch of one) are
 throughput-only: every ``CellResult`` field must equal the per-cell
 reference (``tests/reference.py``: per-cell realisation, scalar
-simulators) bit for bit, over the curated corpus, generated matrices
-(which mix groupable hosts with chain/tree/fifo fallback cells),
+simulators, the full-grid ``simulate_fluid_chain`` for chains and
+trees) bit for bit, over the curated corpus, generated matrices
+(which mix grouped hosts, chains and trees with DES chains, which
+fall back),
 hand-built edge cells and groups of one; a cell whose grouped
 realisation or evaluation raises must fail only its own verdict with
 the exact error ``evaluate_cell`` records.  The lean kernels the
@@ -81,8 +83,8 @@ class TestGroupedEquivalence:
         _assert_grouped_matches_percell(adversarial_corpus())
 
     def test_generated_matrix_bit_identical(self):
-        # 256 generated cells: hosts (groupable) mixed with chains,
-        # trees, fifo cells and adaptive modes (fallback).
+        # 256 generated cells: fluid hosts, chains and trees and DES
+        # hosts (grouped) mixed with DES chains (fallback).
         _assert_grouped_matches_percell(generate_scenarios(256, seed=77))
 
     def test_edge_cells_bit_identical(self):
@@ -105,6 +107,29 @@ class TestGroupedEquivalence:
             ),
             Scenario(name="edge-fifo", discipline="fifo", **base),
             Scenario(name="edge-chain", topology="chain", hops=3, **base),
+            Scenario(
+                name="edge-chain-sr",
+                topology="chain",
+                hops=2,
+                mode="sigma-rho",
+                propagation=0.01,
+                capacity=2.0,
+                **base,
+            ),
+            Scenario(
+                name="edge-tree",
+                topology="tree",
+                tree_members=12,
+                mode="sigma-rho",
+                **base,
+            ),
+            Scenario(
+                name="edge-chain-fifo",
+                topology="chain",
+                hops=2,
+                discipline="fifo",
+                **base,
+            ),
             Scenario(
                 name="edge-des-stagger",
                 backend="des",
@@ -209,6 +234,40 @@ class TestErrorIsolation:
             assert r.value == h.value
         summary = stats["records"][-1]
         assert summary["fallback_reasons"]["realise-error"] == 1
+
+    def test_failing_chain_kernel_fails_each_member(self, monkeypatch):
+        """The chain group runs cell by cell: a raising kernel fails
+        each member alone, with evaluate_cell's exact error."""
+        cells = [
+            Scenario(
+                name=f"chain-{i}",
+                kinds=("cbr", "poisson", "onoff"),
+                utilization=0.6,
+                mode="sigma-rho",
+                topology=topology,
+                hops=2 if topology == "chain" else 1,
+                tree_members=12 if topology == "tree" else 0,
+            )
+            for i, topology in enumerate(("chain", "tree"))
+        ]
+        realised, _ = realise_batch(cells)
+        assert {group_key(r) for r in realised} == {
+            ("fluid", "adversarial", "chain")
+        }
+
+        def crash(*args, **kwargs):
+            raise RuntimeError("injected chain crash")
+
+        monkeypatch.setattr(cellmatrix_mod, "adversarial_chain_delays", crash)
+        out = simulate_cells(group_key(realised[0]), realised)
+        assert all(isinstance(o, RuntimeError) for o in out)
+        stats: dict = {}
+        grouped = evaluate_grouped(cells, stats=stats)
+        per_cell = [_run_one(evaluate_cell, i, sc) for i, sc in enumerate(cells)]
+        for g, p in zip(grouped, per_cell):
+            assert "injected chain crash" in g.error
+            assert g.error == p.error
+        assert stats["records"][-1]["fallback_reasons"] == {"kernel-error": 2}
 
     def test_failing_fluid_pack_fails_each_member(self, monkeypatch):
         """Every member of a pack that raises gets the pack's exception
@@ -355,6 +414,45 @@ class TestLeanKernels:
 # ----------------------------------------------------------------------
 # Group-aware chunk planning
 # ----------------------------------------------------------------------
+class TestChainGroup:
+    def test_group_keys_and_fallback_reasons(self):
+        """Adversarial fluid chains and trees share one group; a fluid
+        FIFO chain falls back on its discipline and a DES chain on its
+        topology (the first fact group_key rejects)."""
+        base = dict(
+            kinds=("cbr", "poisson", "onoff"), utilization=0.6,
+            mode="sigma-rho",
+        )
+        cells = [
+            Scenario(name="c-sr", topology="chain", hops=2, **base),
+            Scenario(
+                name="c-lambda", topology="chain", hops=3,
+                **{**base, "mode": "sigma-rho-lambda"},
+            ),
+            Scenario(name="t-sr", topology="tree", tree_members=12, **base),
+            Scenario(
+                name="c-fifo", topology="chain", hops=2, discipline="fifo",
+                **base,
+            ),
+            Scenario(
+                name="c-des", topology="chain", hops=2, backend="des", **base
+            ),
+        ]
+        realised, _ = realise_batch(cells)
+        keys = [group_key(r) for r in realised]
+        assert keys[:3] == [("fluid", "adversarial", "chain")] * 3
+        assert keys[3:] == [None, None]
+        assert cellmatrix_mod._fallback_reason(realised[3]) == "discipline:fifo"
+        assert cellmatrix_mod._fallback_reason(realised[4]) == "topology:chain"
+        stats: dict = {}
+        evaluate_grouped(cells, stats=stats)
+        summary = stats["records"][-1]
+        assert summary["grouped_cells"] == 3
+        assert summary["fallback_reasons"] == {
+            "discipline:fifo": 1, "topology:chain": 1,
+        }
+
+
 class TestGroupAwarePlanning:
     def test_spec_group_key_separates_structures(self):
         host = Scenario(

@@ -1,5 +1,7 @@
 """Scenario spec, registry, generator and vectorised-bound unit tests."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from repro.scenarios import (
     generate_scenarios,
     get_scenario,
     registered_scenarios,
+    run_batch,
     scenario_names,
 )
 from repro.scenarios.analytic import (
@@ -224,6 +227,37 @@ class TestBatchAnalytic:
         assert np.isinf(batch_theorem1_wdb(sig, rho)[0])
         assert np.isinf(batch_remark1_wdb(sig, rho)[0])
         assert np.isfinite(batch_theorem1_wdb(sig, rho)[1])
+
+    def test_single_flow_at_capacity_does_not_warn(self):
+        """K = 1 at rho = C, which ``sigma-rho`` admits: Theorem 1's
+        excess terms form an all-NaN row.  Its reduction must not warn,
+        and neither value moves (Theorem 1 is NaN there; the cell is
+        judged on Remark 1 at the stability band's slack)."""
+        cell = Scenario(
+            name="k1-at-capacity", kinds=("cbr",), utilization=1.0,
+            mode="sigma-rho",
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            wdb = batch_theorem1_wdb([[0.01]], [[1.0]])
+            (outcome,) = run_batch([cell]).outcomes
+        assert np.isnan(wdb[0])
+        assert outcome.error is None and outcome.sound
+        assert outcome.measured == 0.0020000000000000018
+        assert outcome.bound == outcome.baseline_bound == 4000000000.001558
+
+    def test_excess_reduction_equals_nanmax(self, rng):
+        """The NaN-skipping reduction behind Theorem 1's excess term
+        equals ``np.nanmax`` on NaN-padded rows, all-NaN rows included."""
+        rows = rng.normal(size=(500, 6))
+        rows[rng.random(rows.shape) < 0.4] = np.nan
+        rows[::50] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            expected = np.nanmax(rows, axis=1)
+        assert np.array_equal(
+            np.fmax.reduce(rows, axis=1), expected, equal_nan=True
+        )
 
     def test_capacity_denormalisation(self):
         envs = [[ArrivalEnvelope(0.2, 0.8), ArrivalEnvelope(0.1, 0.6)]]

@@ -33,6 +33,8 @@ from repro.runtime import telemetry as tele
 from repro.runtime.cost import CellCostModel
 from repro.scenarios import generate_scenarios, run_batch
 from repro.scenarios.cellmatrix import evaluate_grouped
+from repro.scenarios.corpus import save_curated
+from repro.scenarios.spec import Scenario
 
 pytestmark = pytest.mark.runtime
 
@@ -158,7 +160,10 @@ class TestCollection:
 # ----------------------------------------------------------------------
 class TestGroupedStats:
     def test_mixed_matrix_stats(self, telemetry_on):
-        scenarios = generate_scenarios(24, seed=11)  # hosts + chains/trees
+        # Hosts, chains and trees; every chain and tree of this matrix
+        # is an adversarial fluid cell, which the chain group takes, so
+        # one DES chain is added to keep a topology fallback.
+        scenarios = generate_scenarios(24, seed=11) + [_DES_CHAIN]
         stats: dict = {}
         tasks = evaluate_grouped(scenarios, stats=stats)
         records = stats["records"]
@@ -188,6 +193,62 @@ class TestGroupedStats:
         )
         assert grouped_n == s["grouped_cells"]
         assert fallback_n == s["fallback_cells"]
+
+
+    def test_grouping_records_name_topology_and_grid_cut(
+        self, telemetry_on, tmp_path, capsys
+    ):
+        scenarios = generate_scenarios(24, seed=11) + [_DES_CHAIN]
+        stats: dict = {}
+        evaluate_grouped(scenarios, stats=stats)
+        groups = [r for r in stats["records"] if r["kind"] == "grouping"]
+        assert all(g["topology"] in ("host", "chain") for g in groups)
+        (chain,) = [g for g in groups if g["topology"] == "chain"]
+        # The smoke matrix's 6 chains and 4 trees, all adversarial fluid.
+        assert chain["backend"] == "fluid" and chain["cells"] == 10
+        assert chain["mode"] == "mixed"
+        assert 0 < chain["sim_bins"] < chain["grid_bins"]
+        assert chain["cut_attempts"] >= chain["cells"]
+        # Its bins are not lane packing: bench/trace.py reads those two
+        # keys as pack fill.
+        assert "pad_elements" not in chain and "valid_elements" not in chain
+        hosts = [g for g in groups if g["topology"] == "host"]
+        assert hosts and all("grid_bins" not in g for g in hosts)
+
+        # The report's grouping table shows both columns; host packs and
+        # records written before either existed show "-".
+        store = JsonlResultStore(tmp_path / "store")
+        old = {k: v for k, v in hosts[0].items() if k != "topology"}
+        store.append_telemetry(groups + [old])
+        assert main(["scenarios", "report", str(tmp_path / "store")]) == 0
+        out = capsys.readouterr().out
+        table = out[out.index("== Grouping efficiency =="):].splitlines()
+        header = [c.strip() for c in table[1].split("|")]
+        assert header[:3] == ["backend", "topology", "mode"]
+        kept = header.index("grid kept")
+        rows = [[c.strip() for c in line.split("|")] for line in table[3:]]
+        rows = rows[: len(groups) + 1]
+        chain_row = [r for r in rows if r[1] == "chain"]
+        assert len(chain_row) == 1
+        expected = 100.0 * chain["sim_bins"] / chain["grid_bins"]
+        assert chain_row[0][kept] == f"{expected:.1f}%"
+        host_rows = [r for r in rows if r[1] != "chain"]
+        assert len(host_rows) == len(hosts) + 1
+        assert all(r[kept] == "-" for r in host_rows)
+        assert host_rows[-1][1] == "-"
+
+
+#: A cell no group takes: DES chains fall back by topology.
+_DES_CHAIN = Scenario(
+    name="des-chain",
+    kinds=("cbr", "poisson", "onoff"),
+    utilization=0.6,
+    mode="sigma-rho",
+    topology="chain",
+    hops=2,
+    backend="des",
+    horizon=0.5,
+)
 
 
 # ----------------------------------------------------------------------
@@ -286,7 +347,19 @@ def smoke_store(tmp_path_factory):
 
 class TestCliLenses:
     def test_report_renders_every_section(self, smoke_store, tmp_path, capsys):
-        assert main(["scenarios", "report", str(smoke_store)]) == 0
+        # Every smoke cell runs in a group kernel, so one DES chain (a
+        # fallback cell) is added to the store, for the fallback
+        # counter to render.
+        mixed = tmp_path / "mixed"
+        shutil.copytree(smoke_store, mixed)
+        corpus = save_curated([_DES_CHAIN], tmp_path / "des_chain.json")
+        assert main(
+            ["scenarios", "run", "--count", "24", "--seed", "11",
+             "--no-corpus", "--corpus", str(corpus), "--resume",
+             "--store", str(mixed)]
+        ) == 0
+        capsys.readouterr()
+        assert main(["scenarios", "report", str(mixed)]) == 0
         out = capsys.readouterr().out
         assert "Campaign telemetry report" in out
         assert "Top 10 slowest cells" in out
