@@ -18,7 +18,9 @@
 # summaries match it byte for byte AND each serial store's
 # grouping_summary reports all 24 cells grouped (the smoke matrix's
 # chains and trees are adversarial fluid cells, which the chain group
-# takes, so a silent fallback shows) AND every cell record of every
+# takes, so a silent fallback shows) AND a clean --coordinator 2 run
+# on both backends matches the baseline byte for byte with all 24 cells
+# grouped in its lease workers AND every cell record of every
 # store the gate writes (pool, serial, telemetry-off, chaos and
 # coordinator runs) carries the baseline's measured/bound/
 # baseline_bound/eps/sound values AND telemetry collection is invisible
@@ -209,10 +211,49 @@ done
 per_cell_gate "chaos" ci/baseline_smoke "jsonl:$CHAOS_DIR/jsonl" "sqlite:$CHAOS_DIR/sqlite"
 echo "chaos gate: clean (fault-injected summaries byte-identical, both backends)"
 
+# -- clean coordinator gate: grouped leases keep the serial bytes ----------
+# The same 24-cell smoke through the lease coordinator with no faults:
+# its 2 forked workers evaluate each lease through the grouped cell
+# matrix (the chaos leg below runs cell by cell, because an armed fault
+# plan forces that path).  Both backends must write the pinned
+# summary.json byte for byte and every record's verdict fields, and
+# the workers' cell telemetry must show all 24 cells grouped.
+CLEAN_COORD_DIR="$(mktemp -d)"
+for backend in jsonl sqlite; do
+  PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m repro.experiments.cli \
+    scenarios run \
+    --count 24 --seed 11 --no-corpus \
+    --coordinator 2 \
+    --store "$backend:$CLEAN_COORD_DIR/$backend" >/dev/null
+  if ! cmp "$CLEAN_COORD_DIR/$backend/summary.json" ci/baseline_smoke/summary.json; then
+    echo "clean coordinator gate: FAILED ($backend summary drifted from pinned baseline)" >&2
+    exit 1
+  fi
+  PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python - "$backend:$CLEAN_COORD_DIR/$backend" <<'EOF'
+import sys
+
+from repro.runtime import open_store
+
+target = sys.argv[1]
+grouped = sum(
+    r.get("counters", {}).get("grouped_cells", 0)
+    for r in open_store(target, must_exist=True).load_telemetry()
+    if r.get("kind") == "cell"
+)
+if grouped != 24:
+    print(f"clean coordinator gate: FAILED ({target}: {grouped} of 24 cells "
+          f"grouped in the lease workers)", file=sys.stderr)
+    sys.exit(1)
+EOF
+done
+per_cell_gate "clean coordinator" ci/baseline_smoke \
+  "jsonl:$CLEAN_COORD_DIR/jsonl" "sqlite:$CLEAN_COORD_DIR/sqlite"
+echo "clean coordinator gate: clean (grouped leases byte-identical, both backends)"
+
 # -- coordinator chaos gate: leases never change results -------------------
 # The same 24-cell smoke through the lease-based coordinator: 2
 # workers, deterministic fault injection SIGKILLing workers mid-lease
-# (real kills -- `scenarios work` arms them).  Expired leases must be
+# (real kills -- the forked workers arm them).  Expired leases must be
 # stolen, split, and re-run until the store converges to a
 # summary.json byte-identical to the pinned baseline -- on both store
 # backends -- and `scenarios report` must render the lease ledger the

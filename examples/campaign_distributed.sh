@@ -1,5 +1,5 @@
 #!/bin/sh
-# Distributed thousand-cell campaign: a lease-based coordinator spawns
+# Distributed thousand-cell campaign: a lease-based coordinator forks
 # local workers that claim, renew, and steal cost-sized fingerprint
 # leases from one shared store -- then an extra late-joining worker
 # attaches by hand, exactly as a second host would.
@@ -18,11 +18,11 @@ STORE="sqlite:${1:-campaigns/distributed}"
 BASELINE="${2:-}"
 CAMPAIGN="$(dirname "$0")/campaign_thousand.json"
 
-# The coordinator: plans leases over the missing cells, spawns two
+# The coordinator: plans leases over the missing cells, forks two
 # supervised workers, respawns dead ones, reaps hung ones, and exits
 # once every cell has a record.  Keep --lease-ttl comfortably above
-# the slowest cell's full attempt budget; renewals happen between
-# cells only.
+# the slowest group kernel of one lease and the slowest cell's full
+# attempt budget; renewals happen between cells only.
 python -m repro.experiments.cli scenarios run \
     --campaign "$CAMPAIGN" \
     --store "$STORE" --resume \

@@ -24,6 +24,7 @@ paper-style value.
 
 from __future__ import annotations
 
+import functools
 import math
 
 from scipy.optimize import brentq
@@ -51,6 +52,31 @@ def _check_k(k: int) -> int:
     return k
 
 
+# The crossing depends on K alone, and every AdaptiveController solves
+# it again: cache the unit-capacity root per K.  Callers scale it by the
+# capacity afterwards, exactly as the uncached solve did.
+@functools.lru_cache(maxsize=None)
+def _homogeneous_root(k: int) -> float:
+    def gap(rho: float) -> float:
+        g1 = k / (1.0 - rho) + 2.0 / (rho * (1.0 - rho))
+        g2 = k / (1.0 - k * rho)
+        return g1 - g2
+
+    lo, hi = _BRACKET_EPS, 1.0 / k - _BRACKET_EPS
+    return brentq(gap, lo, hi, xtol=1e-14, rtol=1e-13)
+
+
+@functools.lru_cache(maxsize=None)
+def _heterogeneous_root(k: int) -> float:
+    def gap(rho: float) -> float:
+        g1 = k / (1.0 - rho) + 2.0 / (rho * (1.0 - rho)) + 1.0 / rho
+        g2 = k / (1.0 - k * rho)
+        return g1 - g2
+
+    lo, hi = _BRACKET_EPS, 1.0 / k - _BRACKET_EPS
+    return brentq(gap, lo, hi, xtol=1e-14, rtol=1e-13)
+
+
 def homogeneous_threshold(
     k: int, capacity: float = 1.0, *, aggregate: bool = False
 ) -> float:
@@ -72,15 +98,7 @@ def homogeneous_threshold(
     """
     k = _check_k(k)
     check_positive(capacity, "capacity")
-
-    def gap(rho: float) -> float:
-        g1 = k / (1.0 - rho) + 2.0 / (rho * (1.0 - rho))
-        g2 = k / (1.0 - k * rho)
-        return g1 - g2
-
-    lo, hi = _BRACKET_EPS, 1.0 / k - _BRACKET_EPS
-    rho_star = brentq(gap, lo, hi, xtol=1e-14, rtol=1e-13)
-    rho_star *= capacity
+    rho_star = _homogeneous_root(k) * capacity
     return k * rho_star if aggregate else rho_star
 
 
@@ -97,15 +115,7 @@ def heterogeneous_threshold(
     """
     k = _check_k(k)
     check_positive(capacity, "capacity")
-
-    def gap(rho: float) -> float:
-        g1 = k / (1.0 - rho) + 2.0 / (rho * (1.0 - rho)) + 1.0 / rho
-        g2 = k / (1.0 - k * rho)
-        return g1 - g2
-
-    lo, hi = _BRACKET_EPS, 1.0 / k - _BRACKET_EPS
-    rho_star = brentq(gap, lo, hi, xtol=1e-14, rtol=1e-13)
-    rho_star *= capacity
+    rho_star = _heterogeneous_root(k) * capacity
     return k * rho_star if aggregate else rho_star
 
 

@@ -283,16 +283,17 @@ def _scenarios_main(argv: list[str]) -> int:
     p_run.add_argument(
         "--coordinator", type=int, default=None, metavar="N",
         help="run the campaign through the lease-based work-stealing "
-        "coordinator with N local worker processes (requires --store; "
-        "workers claim cost-sized leases from the store, expired "
+        "coordinator with N forked local worker processes (requires "
+        "--store; workers claim cost-sized leases from the store, expired "
         "leases are stolen, and summary.json stays byte-identical to "
         "a serial run)",
     )
     p_run.add_argument(
         "--lease-ttl", type=float, default=None, metavar="SECONDS",
         help="coordinator lease time-to-live (default 30; keep it "
-        "above the slowest cell's full attempt budget -- workers "
-        "renew between cells, so a hung cell lapses its lease)",
+        "above the slowest group kernel of one lease and the slowest "
+        "cell's full attempt budget -- workers renew between cells, "
+        "so a hung cell lapses its lease)",
     )
     p_work = sub.add_parser(
         "work",
@@ -415,8 +416,6 @@ def _scenarios_main(argv: list[str]) -> int:
             parser.error(str(exc))
 
     if args.action == "work":
-        import os
-
         from repro.runtime import RetryPolicy, faults, work_store
         from repro.runtime.coordinator import DEFAULT_LEASE_TTL
 
@@ -441,15 +440,6 @@ def _scenarios_main(argv: list[str]) -> int:
                 fault_plan = FaultPlan.parse(args.inject_faults)
             except ValueError as exc:
                 parser.error(str(exc))
-        elif os.environ.get("REPRO_FAULT_PLAN"):
-            # The coordinator ships its exact plan (custom kinds and
-            # attempt ceilings included) through the environment.
-            try:
-                fault_plan = faults.plan_from_dict(
-                    json.loads(os.environ["REPRO_FAULT_PLAN"])
-                )
-            except (ValueError, TypeError) as exc:
-                parser.error(f"bad REPRO_FAULT_PLAN: {exc}")
         if fault_plan is not None:
             # A lease worker's death is what the coordinator's reclaim
             # path exists to absorb: injected kills must be real here.

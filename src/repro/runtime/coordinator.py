@@ -18,14 +18,18 @@ The protocol, end to end:
    self-scheduling, the chunk planner's idiom lifted one level up).
    Each lease row carries its cells' full specs, so workers need
    nothing but the store URL.
-2. **Workers** (``scenarios work``, or :func:`work_store` in-process)
-   claim the dearest open lease with an atomic compare-and-swap,
-   renew its deadline and their heartbeat *between* cells -- never
-   during one, so a hung cell lapses the lease -- evaluate cells
-   through the ordinary :func:`~repro.scenarios.runner.evaluate_cell`
-   path, and commit whole-lease batches through the campaign's
-   crash-consistent :func:`~repro.runtime.campaign
-   .append_results_with_retry`.
+2. **Workers** (forked by the coordinator, attached by hand with
+   ``scenarios work``, or :func:`work_store` in-process) claim the
+   dearest open lease with an atomic compare-and-swap and evaluate it
+   through the grouped cell matrix
+   (:func:`~repro.scenarios.runner.evaluate_grouped_with_retry`, the
+   serial campaign's worker stage).  They renew its deadline and their
+   heartbeat *between* cells -- never during one, and a group kernel
+   counts as one step, so a hung cell lapses the lease -- and commit
+   whole-lease batches through the campaign's crash-consistent
+   :func:`~repro.runtime.campaign.append_results_with_retry`.  A
+   reclaimed lease, or any lease under a fault plan, runs cell by cell
+   through :func:`~repro.scenarios.runner.evaluate_cell` instead.
 3. A lease whose holder stops renewing (SIGKILLed, hung, partitioned)
    is **stolen** by any live worker once its deadline passes; stealing
    increments the lease's ``deaths``.  A stolen multi-cell lease is
@@ -58,9 +62,8 @@ converges.
 from __future__ import annotations
 
 import functools
-import json
+import multiprocessing
 import os
-import subprocess
 import sys
 import time
 from dataclasses import dataclass
@@ -89,6 +92,7 @@ from repro.scenarios.spec import Scenario, scenario_from_dict
 
 __all__ = [
     "DEFAULT_LEASE_TTL",
+    "IDLE_POLL_S",
     "RECOVERY_ROUNDS",
     "WorkerReport",
     "CoordinatorReport",
@@ -98,11 +102,18 @@ __all__ = [
 ]
 
 #: Default lease time-to-live in seconds.  Guidance: comfortably above
-#: the slowest single cell's full attempt budget (attempts x timeout +
-#: backoff), because workers renew between cells only -- a TTL shorter
-#: than one cell makes healthy leases look dead and double-runs them
-#: (harmlessly, but wastefully).
+#: the slowest group kernel of one lease (at most ``max_cells`` cells)
+#: and the slowest single cell's full attempt budget (attempts x
+#: timeout + backoff), because workers renew between cells only and a
+#: group kernel is one step -- a shorter TTL makes healthy leases look
+#: dead and double-runs them (harmlessly, but wastefully).
 DEFAULT_LEASE_TTL = 30.0
+
+#: Sleep between polls, for an idle worker and for the supervising
+#: coordinator.  A poll is a few small SQLite transactions (tens of
+#: microseconds), so polling often is cheap, and it bounds the idle
+#: time between the last commit and the coordinator's return.
+IDLE_POLL_S = 0.05
 
 #: Bounded final-convergence rounds: after all workers exit, cells
 #: still missing a record (e.g. lost to a torn concurrent JSONL
@@ -210,7 +221,6 @@ def work_store(
     fault_plan: Optional[FaultPlan] = None,
     clock: Callable[[], float] = time.time,
     sleep: Callable[[float], None] = time.sleep,
-    poll_s: Optional[float] = None,
     max_leases: Optional[int] = None,
 ) -> WorkerReport:
     """Drain leases from ``store`` until no outstanding work remains.
@@ -225,12 +235,12 @@ def work_store(
     after ``max_leases`` leases (testing hook).
 
     ``clock``/``sleep`` are injectable for deterministic tests; real
-    workers use wall time, which all workers on a host share.
+    workers use wall time, which all workers on a host share.  An idle
+    worker sleeps :data:`IDLE_POLL_S` between polls.
     """
     st = open_store(store)
     lt = st.leases()
     budget = allowed_deaths(retry)
-    poll = poll_s if poll_s is not None else max(0.05, min(1.0, lease_ttl / 10))
     collect = telemetry.enabled()
     t_begin = time.perf_counter()
     done = stolen_n = split_n = poisoned_n = abandoned_n = 0
@@ -247,7 +257,7 @@ def work_store(
             if lease is None:
                 if lt.unfinished() == 0:
                     break
-                sleep(poll)
+                sleep(IDLE_POLL_S)
                 continue
             if was_stolen:
                 stolen_n += 1
@@ -313,6 +323,10 @@ def work_store(
     )
 
 
+class _LeaseLost(Exception):
+    """A renew failed: the lease was reclaimed mid-run."""
+
+
 def _run_lease(
     st: ResultStore,
     lt,
@@ -327,8 +341,22 @@ def _run_lease(
     clock: Callable[[], float],
     collect: bool,
 ) -> Optional[dict]:
-    """Evaluate one held lease; ``None`` means it was lost mid-run."""
-    from repro.scenarios.runner import evaluate_cell, finalise_batch
+    """Evaluate one held lease; ``None`` means it was lost mid-run.
+
+    A clean lease runs through the grouped cell matrix
+    (:func:`~repro.scenarios.runner.evaluate_grouped_with_retry`), whose
+    ``tick`` renews the lease and beats as each cell completes.  The
+    cell-by-cell loop remains for a lease under a fault plan (injection
+    targets :func:`~repro.scenarios.runner.evaluate_cell`) and for a
+    reclaimed one, whose cells start at attempt ``deaths + 1``.  Either
+    way the renews fall between cells, and the first failed renew
+    abandons the lease without committing.
+    """
+    from repro.scenarios.runner import (
+        evaluate_cell,
+        evaluate_grouped_with_retry,
+        finalise_batch,
+    )
 
     scenarios = [scenario_from_dict(c["spec"]) for c in lease["cells"]]
     worker_fn = (
@@ -342,25 +370,38 @@ def _run_lease(
         if deaths
         else ()
     )
-    tasks: list[TaskResult] = []
-    t0 = time.perf_counter()
-    for pos, sc in enumerate(scenarios):
+
+    def renew(*_progress) -> None:
         now = clock()
         if not lt.renew(lease["id"], worker_id, lease_ttl, now):
-            return None  # reclaimed: the thief owns these cells now
+            raise _LeaseLost  # reclaimed: the thief owns these cells now
         lt.beat(worker_id, now, lease["id"], os.getpid())
-        tasks.append(
-            run_one_with_retry(
-                worker_fn,
-                pos,
-                sc,
-                collect,
-                retry,
-                cell_timeout,
-                start_attempt=deaths + 1,
-                prior_errors=prior,
+
+    t0 = time.perf_counter()
+    try:
+        if fault_plan is None and deaths == 0:
+            renew()
+            tasks = evaluate_grouped_with_retry(
+                scenarios, tick=renew, retry=retry, cell_timeout=cell_timeout
             )
-        )
+        else:
+            tasks = []
+            for pos, sc in enumerate(scenarios):
+                renew()
+                tasks.append(
+                    run_one_with_retry(
+                        worker_fn,
+                        pos,
+                        sc,
+                        collect,
+                        retry,
+                        cell_timeout,
+                        start_attempt=deaths + 1,
+                        prior_errors=prior,
+                    )
+                )
+    except _LeaseLost:
+        return None
     report = finalise_batch(scenarios, tasks, time.perf_counter() - t0)
     store_retries = append_results_with_retry(
         st,
@@ -620,38 +661,64 @@ def _spawn_worker(
     cell_timeout: Optional[float],
     fault_plan: Optional[FaultPlan],
     log_dir: Path,
-) -> subprocess.Popen:
-    """Launch one ``scenarios work`` subprocess against the store."""
-    cmd = [
-        sys.executable,
-        "-m",
-        "repro.experiments.cli",
-        "scenarios",
-        "work",
-        store_url,
-        "--worker-id",
-        worker_id,
-        "--lease-ttl",
-        str(lease_ttl),
-    ]
-    if retry is not None and retry.max_attempts > 1:
-        cmd += ["--retries", str(retry.max_attempts - 1)]
-        cmd += ["--retry-seed", str(retry.seed)]
-    if cell_timeout:
-        cmd += ["--cell-timeout", str(cell_timeout)]
-    if not telemetry.enabled():
-        cmd += ["--no-telemetry"]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
+) -> multiprocessing.Process:
+    """Fork one lease worker off this already-imported process.
+
+    The child runs :func:`work_store` against ``store_url`` with the
+    coordinator's retry policy, cell timeout, fault plan and telemetry
+    switch, and writes its output to ``worker-<id>.log`` in ``log_dir``.
+    The caller must hold no open SQLite connection: none may cross a
+    fork.  Returns the started process (its ``pid`` is set).
+    """
+    proc = multiprocessing.get_context("fork").Process(
+        target=_worker_main,
+        args=(store_url, worker_id, log_dir / f"worker-{worker_id}.log"),
+        kwargs={
+            "collect": telemetry.enabled(),
+            "lease_ttl": lease_ttl,
+            "retry": retry,
+            "cell_timeout": cell_timeout,
+            "fault_plan": fault_plan,
+        },
+        name=f"lease-worker-{worker_id}",
+    )
+    proc.start()
+    return proc
+
+
+def _worker_main(
+    store_url: str,
+    worker_id: str,
+    log_path: Path,
+    *,
+    collect: bool,
+    fault_plan: Optional[FaultPlan],
+    **options,
+) -> None:
+    """Body of a forked lease worker (see :func:`_spawn_worker`)."""
+    fd = os.open(log_path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
+    os.dup2(fd, 1)
+    os.dup2(fd, 2)
+    os.close(fd)
+    sys.stdout = open(1, "w", buffering=1, closefd=False)
+    sys.stderr = open(2, "w", buffering=1, closefd=False)
+    telemetry.set_enabled(collect)
     if fault_plan is not None:
-        # The full plan (not the CLI's SEED:RATE shorthand): custom
-        # kinds and attempt ceilings must survive the process hop.
-        env["REPRO_FAULT_PLAN"] = json.dumps(faults.plan_to_dict(fault_plan))
-    log = open(log_dir / f"worker-{worker_id}.log", "ab")
-    try:
-        return subprocess.Popen(cmd, env=env, stdout=log, stderr=log)
-    finally:
-        log.close()
+        # A lease worker's death is what the coordinator's reclaim path
+        # exists to absorb: injected kills must be real here.
+        faults.allow_kill(True)
+    report = work_store(store_url, worker_id, fault_plan=fault_plan, **options)
+    print("== Lease worker ==")
+    for line in report.summary_lines():
+        print(line)
+
+
+def _reap(proc: multiprocessing.Process, *, kill: bool = False) -> None:
+    """Wait for a worker (SIGKILLed first with ``kill``) and release it."""
+    if kill:
+        proc.kill()
+    proc.join()
+    proc.close()
 
 
 def run_coordinator(
@@ -673,14 +740,15 @@ def run_coordinator(
     Plans leases over the cells missing from the store (a restarted
     coordinator therefore resumes for free: completed cells are never
     re-leased, stale leases are superseded with their death history
-    carried forward), spawns ``workers`` local ``scenarios work``
-    subprocesses, supervises them -- respawning dead ones and killing
-    hung ones under a bounded budget -- and finally heals the store
-    and writes ``summary.json``.  The summary is byte-identical to an
-    undisturbed serial run over the same matrix: leases change *who*
-    runs a cell, never its seed or record.
+    carried forward), forks ``workers`` local lease workers off this
+    already-imported process (see :func:`_spawn_worker`), supervises
+    them -- respawning dead ones and killing hung ones under a bounded
+    budget -- and finally heals the store and writes ``summary.json``.
+    Every worker has been waited for when this returns.  The summary is
+    byte-identical to an undisturbed serial run over the same matrix:
+    leases change *who* runs a cell, never its seed or record.
 
-    ``fault_plan`` is shipped to the workers verbatim (they arm real
+    ``fault_plan`` is handed to the workers as is (they arm real
     ``kill`` faults); the coordinator process itself never injects.
     """
     if workers < 1:
@@ -715,10 +783,9 @@ def run_coordinator(
     log_dir = Path(st.root)
     budget = max_respawns if max_respawns is not None else max(4, 2 * workers)
     hung_after = max(2.0 * lease_ttl, 5.0)
-    poll = max(0.05, min(0.5, lease_ttl / 10))
     tag = os.getpid()
 
-    procs: dict[str, subprocess.Popen] = {}
+    procs: dict[str, multiprocessing.Process] = {}
     spawned_at: dict[str, float] = {}
     respawns = hung_killed = worker_seq = 0
     converged = True
@@ -727,6 +794,7 @@ def run_coordinator(
         nonlocal worker_seq
         worker_seq += 1
         wid = f"w{worker_seq}-{tag}"
+        st.close()  # no SQLite connection may cross the fork
         procs[wid] = _spawn_worker(
             store_url,
             wid,
@@ -738,75 +806,73 @@ def run_coordinator(
         )
         spawned_at[wid] = time.time()
 
-    if planned:
-        for _ in range(workers):
-            _spawn()
-        while True:
-            for wid, proc in list(procs.items()):
-                if proc.poll() is not None:
-                    procs.pop(wid)
-            if lt.unfinished() == 0:
-                break
-            now = time.time()
-            beats = {hb["worker"]: hb for hb in lt.heartbeat_rows()}
-            for wid, proc in list(procs.items()):
-                hb = beats.get(wid)
-                if (
-                    hb is not None
-                    and now - hb["beat"] > hung_after
-                    and now - spawned_at[wid] > hung_after
-                ):
-                    # Alive but silent far beyond the TTL: a wedged
-                    # worker.  Its lease is already fair game; reap it.
-                    proc.kill()
-                    proc.wait()
-                    procs.pop(wid)
-                    hung_killed += 1
-            while len(procs) < workers and respawns < budget:
+    try:
+        if planned:
+            for _ in range(workers):
                 _spawn()
-                respawns += 1
-            if not procs:
-                converged = False  # respawn budget exhausted mid-campaign
-                break
-            time.sleep(poll)
-        for proc in procs.values():
-            try:
-                proc.wait(timeout=lease_ttl + 10)
-            except subprocess.TimeoutExpired:
-                proc.kill()
-                proc.wait()
-        procs.clear()
-
-    # Convergence: every planned cell must have landed a record (a
-    # concurrent torn JSONL append can lose one); re-lease stragglers
-    # to a fresh worker a bounded number of times.
-    rounds = 0
-    if converged:
-        for _ in range(max(0, recovery_rounds)):
-            records = st.load()  # heal pass: quarantine torn residue
-            missing = [sc for sc in todo if cell_key(sc) not in records]
-            if not missing:
-                break
-            rounds += 1
-            plan_campaign_leases(
-                st,
-                missing,
-                1,
-                cost_model=cost_model,
-                max_cells=max_cells,
-                deaths=carried or None,
-            )
-            _spawn()
+            while True:
+                for wid, proc in list(procs.items()):
+                    if proc.exitcode is not None:
+                        _reap(procs.pop(wid))
+                if lt.unfinished() == 0:
+                    break
+                now = time.time()
+                beats = {hb["worker"]: hb for hb in lt.heartbeat_rows()}
+                for wid in list(procs):
+                    hb = beats.get(wid)
+                    if (
+                        hb is not None
+                        and now - hb["beat"] > hung_after
+                        and now - spawned_at[wid] > hung_after
+                    ):
+                        # Alive but silent far beyond the TTL: a wedged
+                        # worker.  Its lease is already fair game; reap it.
+                        _reap(procs.pop(wid), kill=True)
+                        hung_killed += 1
+                while len(procs) < workers and respawns < budget:
+                    _spawn()
+                    respawns += 1
+                if not procs:
+                    converged = False  # respawn budget exhausted mid-campaign
+                    break
+                time.sleep(IDLE_POLL_S)
             for wid, proc in list(procs.items()):
-                proc.wait()
-                procs.pop(wid)
+                proc.join(timeout=lease_ttl + 10)
+                _reap(procs.pop(wid), kill=proc.exitcode is None)
+
+        # Convergence: every planned cell must have landed a record (a
+        # concurrent torn JSONL append can lose one); re-lease stragglers
+        # to a fresh worker a bounded number of times.
+        rounds = 0
+        if converged:
+            for _ in range(max(0, recovery_rounds)):
+                records = st.load()  # heal pass: quarantine torn residue
+                missing = [sc for sc in todo if cell_key(sc) not in records]
+                if not missing:
+                    break
+                rounds += 1
+                plan_campaign_leases(
+                    st,
+                    missing,
+                    1,
+                    cost_model=cost_model,
+                    max_cells=max_cells,
+                    deaths=carried or None,
+                )
+                _spawn()
+                for wid in list(procs):
+                    _reap(procs.pop(wid))
+            else:
+                records = st.load()
+                converged = not any(
+                    cell_key(sc) not in records for sc in todo
+                )
         else:
-            records = st.load()
-            converged = not any(
-                cell_key(sc) not in records for sc in todo
-            )
-    else:
-        st.load()
+            st.load()
+    finally:
+        # Only an exception leaves workers here: never orphan them.
+        for proc in procs.values():
+            _reap(proc, kill=True)
 
     counts = lt.counts()
     rows = lt.rows()

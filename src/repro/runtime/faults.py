@@ -73,8 +73,6 @@ __all__ = [
     "attempt_scope",
     "check_fault",
     "evaluate_cell_under_plan",
-    "plan_to_dict",
-    "plan_from_dict",
 ]
 
 #: Fault kinds the cell (kernel) site understands.
@@ -213,8 +211,9 @@ _PLAN: Optional[FaultPlan] = None
 #: Whether an injected ``kill`` may hard-exit *this* process even when
 #: it is not a multiprocessing pool child.  Off by default -- a
 #: campaign's own process must survive its chaos harness -- and armed
-#: only by dedicated worker processes (``scenarios work``) whose death
-#: the lease coordinator is built to reclaim.
+#: only by dedicated lease-worker processes (forked by the coordinator,
+#: or ``scenarios work``) whose death the coordinator is built to
+#: reclaim.
 _KILL_ALLOWED = False
 
 _TLS = threading.local()
@@ -240,9 +239,10 @@ def allow_kill(flag: bool = True) -> None:
     """Arm (or disarm) hard ``kill`` faults for this whole process.
 
     Pool children always honour kills; any other process degrades them
-    to ``raise`` unless it opts in here.  ``scenarios work`` opts in:
-    a lease worker's death is exactly what the coordinator's reclaim
-    path exists to absorb, so its chaos runs must die for real.
+    to ``raise`` unless it opts in here.  Lease workers opt in, forked
+    or started by ``scenarios work``: a lease worker's death is exactly
+    what the coordinator's reclaim path exists to absorb, so its chaos
+    runs must die for real.
     """
     global _KILL_ALLOWED
     _KILL_ALLOWED = bool(flag)
@@ -281,26 +281,6 @@ def check_fault(site: str, spec) -> None:
     from repro.runtime.store import spec_fingerprint
 
     _PLAN.apply_cell(spec_fingerprint(spec))
-
-
-def plan_to_dict(plan: FaultPlan) -> dict:
-    """A JSON-safe dict round-trippable through :func:`plan_from_dict`.
-
-    Lease coordinators hand their exact plan to ``scenarios work``
-    subprocesses this way (the CLI's ``SEED:RATE`` shorthand cannot
-    express custom kinds or attempt ceilings)."""
-    import dataclasses
-
-    return dataclasses.asdict(plan)
-
-
-def plan_from_dict(payload: dict) -> FaultPlan:
-    """Rebuild a :class:`FaultPlan` serialised by :func:`plan_to_dict`."""
-    data = dict(payload)
-    for field in ("kinds", "store_kinds"):
-        if field in data and data[field] is not None:
-            data[field] = tuple(data[field])
-    return FaultPlan(**data)
 
 
 def evaluate_cell_under_plan(plan: FaultPlan, scenario):

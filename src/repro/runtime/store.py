@@ -298,11 +298,11 @@ class ResultStore:
         return []
 
     def close(self) -> None:
-        """Release backend resources (no-op for file-based backends)."""
+        """Release backend resources: the lease table's connection (file
+        backends hold no other).  It reconnects lazily on next use."""
         table = getattr(self, "_lease_table", None)
         if table is not None:
             table.close()
-            self._lease_table = None
 
     def leases(self):
         """This store's lease/heartbeat table (the distributed-campaign

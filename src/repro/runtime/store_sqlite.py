@@ -171,12 +171,13 @@ class SqliteResultStore(ResultStore):
         return self._conn
 
     def close(self) -> None:
+        """Close the result and lease connections; both reconnect lazily
+        on next use (a lease coordinator closes them before each fork)."""
         if self._conn is not None:
             self._conn.close()
             self._conn = None
         if self._leases is not None:
             self._leases.close()
-            self._leases = None
 
     # -- writing ---------------------------------------------------------
     @staticmethod

@@ -43,12 +43,14 @@ exact-selection property of float min/max and the float-op-for-float-op
 lean replicas are what make that hold;
 ``tests/test_scenarios_cellmatrix.py`` enforces it over the corpus and
 generated matrices.  Only the ``wall_time`` attribution differs: batch
-realisation and group kernel time are amortised evenly over their
-cells.
+realisation time is amortised evenly over the realised cells, and so is
+a fluid host pack's kernel time; the chain and DES groups run their
+members one at a time, and each member is credited its own time.
 """
 
 from __future__ import annotations
 
+import functools
 import time
 from typing import Optional, Sequence, Union
 
@@ -156,47 +158,35 @@ def _annotate_fallback(task: TaskResult, reason: str) -> None:
 # ----------------------------------------------------------------------
 # DES group: primed hosts
 # ----------------------------------------------------------------------
-def _eval_des_group(
-    discipline: str, mode: str, realised: Sequence[_Realised]
-) -> list[Union[CellResult, Exception]]:
-    """Evaluate one primed-DES group: a result or the raised exception
-    per cell."""
-    out: list[Union[CellResult, Exception]] = []
+def _des_cell(discipline: str, mode: str, r: _Realised) -> CellResult:
+    """Evaluate one member of a primed-DES group."""
+    sc = r.scenario
+    traces = r.traces
+    # Same derivation (and the same all-empty ValueError) as
+    # simulate_regulated_host; the horizon always exceeds every
+    # emission, so its restrict() is the identity value-wise.
+    max(tr.times[-1] + 1e-9 for tr in traces if len(tr))
     dedupe = mode in ("sigma-rho", "none")
-    for r in realised:
-        try:
-            sc = r.scenario
-            traces = r.traces
-            # Same derivation (and the same all-empty ValueError) as
-            # simulate_regulated_host; the horizon always exceeds every
-            # emission, so its restrict() is the identity value-wise.
-            max(tr.times[-1] + 1e-9 for tr in traces if len(tr))
-            keys = (
-                [
-                    (id(tr), e.sigma, e.rho)
-                    for tr, e in zip(traces, r.envelopes)
-                ]
-                if dedupe
-                else None
-            )
-            host = primed_host(
-                [(tr.times, tr.sizes) for tr in traces],
-                r.envelopes,
-                mode,
-                discipline=discipline,
-                capacity=sc.capacity,
-                stagger_phase=sc.stagger_phase,
-                dep_cache={} if dedupe else None,
-                cache_keys=keys,
-            )
-            worst = max(
-                (float(d.max()) for d in host.per_flow_delays if d.size),
-                default=0.0,
-            )
-            out.append(_cell_result(r, worst, host.batch_events, 0, True))
-        except Exception as exc:
-            out.append(exc)
-    return out
+    keys = (
+        [(id(tr), e.sigma, e.rho) for tr, e in zip(traces, r.envelopes)]
+        if dedupe
+        else None
+    )
+    host = primed_host(
+        [(tr.times, tr.sizes) for tr in traces],
+        r.envelopes,
+        mode,
+        discipline=discipline,
+        capacity=sc.capacity,
+        stagger_phase=sc.stagger_phase,
+        dep_cache={} if dedupe else None,
+        cache_keys=keys,
+    )
+    worst = max(
+        (float(d.max()) for d in host.per_flow_delays if d.size),
+        default=0.0,
+    )
+    return _cell_result(r, worst, host.batch_events, 0, True)
 
 
 # ----------------------------------------------------------------------
@@ -487,11 +477,10 @@ def _eval_fluid_group(
 # ----------------------------------------------------------------------
 # Chain group: adversarial fluid chains and trees
 # ----------------------------------------------------------------------
-def _eval_fluid_chains(
-    realised: Sequence[_Realised], cut_stats: Optional[dict] = None
-) -> list[Union[CellResult, Exception]]:
-    """Evaluate the chain group one cell at a time: a result or the
-    raised exception per cell.
+def _fluid_chain_cell(
+    r: _Realised, cut_stats: Optional[dict] = None
+) -> CellResult:
+    """Evaluate one member of the chain group.
 
     The arguments and the Theorem-7 total are those
     :func:`repro.scenarios.runner._simulate` gives
@@ -500,34 +489,32 @@ def _eval_fluid_chains(
     accumulates the kernel's grid-cut telemetry: ``sim_bins``,
     ``grid_bins`` and ``cut_attempts``.
     """
-    out: list[Union[CellResult, Exception]] = []
-    for r in realised:
-        try:
-            sc = r.scenario
-            cross = list(r.traces[1:])
-            propagation = list(r.propagation)
-            per_hop = adversarial_chain_delays(
-                r.traces[0],
-                [cross] * r.hops,
-                r.envelopes,
-                mode=r.eff_mode,
-                capacity=sc.capacity,
-                stagger_phase=sc.stagger_phase,
-                propagation=propagation,
-                dt=sc.dt,
-                stats=cut_stats,
-            )
-            worst = chain_worst_case(per_hop, propagation)
-            out.append(_cell_result(r, worst, 0, 0, False))
-        except Exception as exc:
-            out.append(exc)
-    return out
+    sc = r.scenario
+    propagation = list(r.propagation)
+    per_hop = adversarial_chain_delays(
+        r.traces[0],
+        [list(r.traces[1:])] * r.hops,
+        r.envelopes,
+        mode=r.eff_mode,
+        capacity=sc.capacity,
+        stagger_phase=sc.stagger_phase,
+        propagation=propagation,
+        dt=sc.dt,
+        stats=cut_stats,
+    )
+    return _cell_result(r, chain_worst_case(per_hop, propagation), 0, 0, False)
+
+
+def _simulated_cell(r: _Realised) -> CellResult:
+    """Evaluate one cell outside every group."""
+    return _cell_result(r, *_simulate(r))
 
 
 def simulate_cells(
     key: Optional[tuple],
     realised: Sequence[_Realised],
     pack_stats: Optional[dict] = None,
+    marks: Optional[list] = None,
 ) -> list[Union[CellResult, Exception]]:
     """Simulate realised cells sharing :func:`group_key` ``key``.
 
@@ -536,20 +523,29 @@ def simulate_cells(
     ``key is None``.  Returns, per cell in input order, its
     :class:`CellResult` or the exception its simulation raised.
     ``pack_stats``: see :func:`_eval_fluid_group` and
-    :func:`_eval_fluid_chains`.
+    :func:`_fluid_chain_cell`.
+
+    Every kernel but the fluid host pack runs its cells one at a time;
+    those append ``time.perf_counter()`` to ``marks`` (optional) as each
+    cell ends, so callers can time each member on its own.  A fluid
+    host pack appends nothing: its members share one kernel pass.
     """
-    if key is not None:
-        if key[0] == "des":
-            return _eval_des_group(key[1], key[3], realised)
-        if key[2] == "chain":
-            return _eval_fluid_chains(realised, pack_stats)
+    if key is None:
+        one = _simulated_cell
+    elif key[0] == "des":
+        one = functools.partial(_des_cell, key[1], key[3])
+    elif key[2] == "chain":
+        one = functools.partial(_fluid_chain_cell, cut_stats=pack_stats)
+    else:
         return _eval_fluid_group(key[3], key[4], realised, pack_stats)
     out: list[Union[CellResult, Exception]] = []
     for r in realised:
         try:
-            out.append(_cell_result(r, *_simulate(r)))
+            out.append(one(r))
         except Exception as exc:
             out.append(exc)
+        if marks is not None:
+            marks.append(time.perf_counter())
     return out
 
 
@@ -674,23 +670,36 @@ def evaluate_grouped(
     grouped_cells = 0
     for key, members in groups.items():
         pack_stats: dict = {}
+        marks: list[float] = []
         t0 = time.perf_counter()
         cell_results = simulate_cells(
-            key, [m[1] for m in members], pack_stats
+            key, [m[1] for m in members], pack_stats, marks
         )
-        kernel_s = time.perf_counter() - t0
-        share = kernel_s / max(len(members), 1)
+        t_end = time.perf_counter()
+        kernel_s = t_end - t0
+        if marks:
+            # The kernel ran its members one at a time: credit each the
+            # time up to its own end mark (the last one also the return),
+            # so the shares sum to kernel_s.
+            starts = [t0, *marks[:-1]]
+            ends = [*marks[:-1], t_end]
+            shares = [b - a for a, b in zip(starts, ends)]
+        else:
+            # A packed kernel ran its members batch-wise: credit each
+            # the amortised share, anchored at the kernel start so trace
+            # slices line up on the timeline.
+            starts = [t0] * len(members)
+            shares = [kernel_s / max(len(members), 1)] * len(members)
         kernel_fallbacks = 0
-        for (i, _r, prep, tel), cell in zip(members, cell_results):
+        for (i, _r, prep, tel), cell, start, share in zip(
+            members, cell_results, starts, shares
+        ):
             if isinstance(cell, Exception):
                 _rerun(i, "kernel-error")
                 kernel_fallbacks += 1
                 continue
             if tel is not None:
-                # The kernel ran cells batch-wise: credit each cell its
-                # amortised share, anchored at the kernel start so trace
-                # slices line up on the timeline.
-                tel.add_phase("simulate", share, offset=t0 - tel.t0)
+                tel.add_phase("simulate", share, offset=start - tel.t0)
                 tel.dur = prep + share
                 tel.counters["grouped_cells"] = 1
                 if cell.primed:

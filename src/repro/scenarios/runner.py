@@ -84,6 +84,7 @@ __all__ = [
     "ScenarioOutcome",
     "BatchReport",
     "evaluate_cell",
+    "evaluate_grouped_with_retry",
     "finalise_batch",
     "run_batch",
     "run_scenario",
@@ -715,6 +716,50 @@ def finalise_batch(
 # ----------------------------------------------------------------------
 # Batch driver
 # ----------------------------------------------------------------------
+def evaluate_grouped_with_retry(
+    scenarios: Sequence[Scenario],
+    *,
+    tick: Optional[callable] = None,
+    stats: Optional[dict] = None,
+    cost_model=None,
+    retry: Optional[RetryPolicy] = None,
+    cell_timeout: Optional[float] = None,
+) -> list[TaskResult]:
+    """The in-process worker stage: grouped evaluation, then retries.
+
+    :func:`repro.scenarios.cellmatrix.evaluate_grouped` runs the whole
+    batch (``tick``, ``stats`` and ``cost_model`` go to it); each cell
+    whose grouped attempt errored then gets the rest of its ``retry``
+    budget one :func:`evaluate_cell` call at a time.  Serial campaigns
+    and lease workers both evaluate through this.
+    """
+    # Looked up at call time (cellmatrix imports this module).
+    from repro.scenarios.cellmatrix import evaluate_grouped
+
+    tasks = evaluate_grouped(
+        scenarios, tick=tick, stats=stats, cost_model=cost_model
+    )
+    if retry is None or retry.max_attempts <= 1:
+        return tasks
+    # Grouped evaluation already spent attempt 1 of any cell that
+    # errored; give it the rest of its budget per-cell.
+    return [
+        t
+        if t.ok
+        else run_one_with_retry(
+            evaluate_cell,
+            t.index,
+            scenarios[t.index],
+            True,
+            retry,
+            cell_timeout,
+            start_attempt=2,
+            prior_errors=(_error_head(t.error),),
+        )
+        for t in tasks
+    ]
+
+
 def run_batch(
     scenarios: Sequence[Scenario],
     *,
@@ -748,8 +793,8 @@ def run_batch(
     pool ships :func:`evaluate_cell` calls -- batches of one through
     the same realiser and kernels -- to its workers.
     Outcomes are bit-identical either way (``wall_time`` attribution
-    aside, which grouped evaluation estimates by amortising each group
-    kernel over its cells).
+    aside, which grouped evaluation estimates by amortising batch
+    realisation and each fluid host pack over their cells).
 
     ``retry``/``cell_timeout`` opt into the executor's fault-tolerant
     path (see :class:`repro.runtime.executor.RetryPolicy`); grouped
@@ -770,31 +815,15 @@ def run_batch(
     # Injection lives in evaluate_cell, which the grouped evaluator's
     # batch kernels would bypass: an armed fault plan runs per cell.
     if fault_plan is None and getattr(ex, "supports_cell_grouping", False):
-        # Looked up at call time (cellmatrix imports this module).
-        from repro.scenarios.cellmatrix import evaluate_grouped
-
         stats: dict = {}
-        tasks = evaluate_grouped(
-            scenarios, tick=tick, stats=stats, cost_model=cost_model
+        tasks = evaluate_grouped_with_retry(
+            scenarios,
+            tick=tick,
+            stats=stats,
+            cost_model=cost_model,
+            retry=retry,
+            cell_timeout=cell_timeout,
         )
-        if retry is not None and retry.max_attempts > 1:
-            # Grouped evaluation already spent attempt 1 of any cell
-            # that errored; give it the rest of its budget per-cell.
-            tasks = [
-                t
-                if t.ok
-                else run_one_with_retry(
-                    evaluate_cell,
-                    t.index,
-                    scenarios[t.index],
-                    True,
-                    retry,
-                    cell_timeout,
-                    start_attempt=2,
-                    prior_errors=(_error_head(t.error),),
-                )
-                for t in tasks
-            ]
         report = finalise_batch(
             scenarios, tasks, time.perf_counter() - t0, progress=progress
         )

@@ -14,6 +14,8 @@ keep the checked-in ``ci/baseline_smoke`` store honest:
 * ``ci/gate.sh`` must keep pointing at the pinned store and matrix,
   and the matrix must keep the adversarial fluid chains and trees (σ-ρ
   and λ) whose grouping the gate checks;
+* the gate must run the lease coordinator both clean (grouped leases)
+  and under worker-killing chaos (per-cell leases);
 * the DES leg's curated corpus (``ci/des_corpus.json``) must reproduce
   every verdict field of its pinned ``ci/baseline_des`` store;
 * production code must not reach into the test oracle: no module under
@@ -111,6 +113,29 @@ def test_gate_script_targets_the_pinned_store():
     assert f"--count {N_SMOKE}" in text and f"--seed {SMOKE_SEED}" in text
     assert "--baseline" in text
     assert GATE.stat().st_mode & 0o111, "ci/gate.sh must be executable"
+
+
+def _gate_commands(text: str) -> list[str]:
+    """The gate script's shell commands, continuation lines joined."""
+    return [cmd.strip() for cmd in text.replace("\\\n", " ").splitlines()]
+
+
+def test_gate_script_runs_clean_and_chaos_coordinator_legs():
+    """The coordinator is gated twice: clean, where the lease workers
+    take the grouped path, and under worker-killing chaos, where an
+    armed fault plan sends every lease down the per-cell loop."""
+    text = GATE.read_text()
+    coordinated = [
+        cmd
+        for cmd in _gate_commands(text)
+        if "scenarios run" in cmd and "--coordinator 2" in cmd
+    ]
+    clean = [cmd for cmd in coordinated if "--inject-faults" not in cmd]
+    chaos = [cmd for cmd in coordinated if "--inject-faults" in cmd]
+    assert len(clean) == 1 and len(chaos) == 1
+    assert f"--count {N_SMOKE} --seed {SMOKE_SEED}" in clean[0]
+    assert 'per_cell_gate "clean coordinator" ci/baseline_smoke' in text
+    assert "grouped in the lease workers" in text
 
 
 def test_des_corpus_reproduces_its_pinned_baseline(tmp_path):

@@ -6,10 +6,15 @@ any combination of steals, splits, injected worker kills, hangs and
 coordinator restarts is byte-identical to an undisturbed serial run.
 """
 
+import dataclasses
+import multiprocessing
+import os
 import time
+from pathlib import Path
 
 import pytest
 
+import repro.runtime.coordinator as coordinator_mod
 from repro.runtime import (
     FaultPlan,
     LeaseTable,
@@ -18,6 +23,7 @@ from repro.runtime import (
     run_campaign,
 )
 from repro.runtime.coordinator import (
+    IDLE_POLL_S,
     allowed_deaths,
     plan_campaign_leases,
     run_coordinator,
@@ -46,6 +52,22 @@ def reference_summary(matrix, tmp_path_factory):
     report = run_campaign(matrix, store=root)
     assert report.clean
     return (root / "summary.json").read_bytes()
+
+
+@pytest.fixture(scope="module")
+def mixed_matrix():
+    """Fluid hosts, chains and trees beside adversarial and FIFO DES
+    cells: every group kernel and a per-cell fallback."""
+    cells = generate_scenarios(24, seed=13, horizon=0.6)
+    host = next(
+        sc for sc in cells if sc.topology == "host" and sc.backend == "fluid"
+    )
+    cells.append(
+        dataclasses.replace(
+            host, name=f"{host.name}-fifo", backend="des", discipline="fifo"
+        )
+    )
+    return cells
 
 
 def _summary_bytes(store_root) -> bytes:
@@ -315,18 +337,112 @@ class TestWorkStore:
         report = work_store(url, "w1", lease_ttl=1.0)
         assert report.leases_done == 0 and report.cells_evaluated == 0
 
+    def test_grouped_leases_equal_per_cell_leases(self, mixed_matrix, tmp_path):
+        """A clean lease runs through the grouped cell matrix; an armed
+        fault plan (here one that injects nothing) forces the per-cell
+        loop.  Every record's verdict fields must agree exactly."""
+        structures = {(sc.topology, sc.backend) for sc in mixed_matrix}
+        assert structures >= {
+            ("host", "fluid"), ("chain", "fluid"), ("tree", "fluid"),
+            ("host", "des"), ("chain", "des"),
+        }
+        fields = ("measured", "bound", "baseline_bound", "eps", "sound")
+        values, grouped = {}, {}
+        for path, plan in (
+            ("grouped", None),
+            ("per-cell", FaultPlan(seed=SEED, rate=0.0, store_rate=0.0)),
+        ):
+            url = f"sqlite:{tmp_path / path}"
+            st = open_store(url)
+            plan_campaign_leases(st, mixed_matrix, 2)
+            report = work_store(url, "w1", lease_ttl=30.0, fault_plan=plan)
+            assert report.cells_evaluated == len(mixed_matrix)
+            records = st.load()
+            assert all(r["sound"] and not r["error"] for r in records.values())
+            values[path] = {
+                k: [r[f] for f in fields] for k, r in records.items()
+            }
+            grouped[path] = sum(
+                t.get("counters", {}).get("grouped_cells", 0)
+                for t in st.load_telemetry()
+                if t.get("kind") == "cell"
+            )
+            st.close()
+        assert set(values["grouped"]) == {cell_key(sc) for sc in mixed_matrix}
+        assert values["grouped"] == values["per-cell"]
+        assert grouped["grouped"] > 0 and grouped["per-cell"] == 0
+
+    def test_lost_renew_abandons_a_grouped_lease(self, matrix, tmp_path):
+        """The grouped path renews through its tick, between cells: a
+        renew that finds the lease stolen abandons it uncommitted."""
+        st = open_store(f"sqlite:{tmp_path / 'camp'}")
+        plan_campaign_leases(st, matrix, 1)
+        lt = st.leases()
+        lease = lt.claim("w1", ttl=30.0, now=time.time())
+        assert len(lease["cells"]) > 1
+        calls = []
+
+        def clock():
+            calls.append(time.time())
+            if len(calls) == 2:  # the tick after the first cell
+                assert lt.steal("thief", ttl=30.0, now=calls[-1] + 1e3)
+            return calls[-1]
+
+        out = coordinator_mod._run_lease(
+            st, lt, lease, "w1", stolen=False, lease_ttl=30.0, retry=None,
+            cell_timeout=None, fault_plan=None, clock=clock, collect=True,
+        )
+        assert out is None and len(calls) == 2
+        assert st.load() == {}
+        (row,) = [r for r in lt.rows() if r["id"] == lease["id"]]
+        assert row["worker"] == "thief" and row["state"] == "active"
+        st.close()
+
+    def test_default_idle_poll_is_short(self, matrix, tmp_path):
+        """An idle worker (every lease held by a live peer) polls at
+        most IDLE_POLL_S apart."""
+        url = f"sqlite:{tmp_path / 'camp'}"
+        st = open_store(url)
+        plan_campaign_leases(st, matrix, 2)
+        lt = st.leases()
+        held = []
+        while (lease := lt.claim("peer", ttl=300.0, now=time.time())):
+            held.append(lease)
+        slept = []
+
+        def sleep(seconds):
+            slept.append(seconds)
+            for lease in held:  # the peer finishes: the idle worker exits
+                lt.finish(lease["id"], "peer")
+
+        report = work_store(url, "idle", lease_ttl=30.0, sleep=sleep)
+        assert report.leases_done == 0
+        assert slept and max(slept) <= IDLE_POLL_S <= 0.05
+        st.close()
+
 
 # ----------------------------------------------------------------------
-# The coordinator (real worker subprocesses, injected chaos)
+# The coordinator (forked worker processes, injected chaos)
 # ----------------------------------------------------------------------
 class TestCoordinator:
     def test_clean_coordinated_run_matches_serial(
-        self, matrix, tmp_path, reference_summary
+        self, matrix, tmp_path, reference_summary, monkeypatch
     ):
+        slept = []
+        real_sleep = time.sleep
+
+        def sleep(seconds):
+            slept.append(seconds)
+            real_sleep(seconds)
+
+        monkeypatch.setattr(time, "sleep", sleep)
         coord = run_coordinator(
             matrix, store=f"sqlite:{tmp_path / 'camp'}", workers=2,
             lease_ttl=20.0,
         )
+        # Every forked worker has been waited for.
+        assert multiprocessing.active_children() == []
+        assert max(slept, default=0.0) <= IDLE_POLL_S
         assert coord.converged and coord.clean
         assert coord.summary["cells"] == N_CELLS
         assert _summary_bytes(tmp_path / "camp") == reference_summary
@@ -396,6 +512,48 @@ class TestCoordinator:
         assert coord.superseded_leases == len(planned)
         assert coord.converged and coord.clean
         assert _summary_bytes(tmp_path / "camp") == reference_summary
+
+    def test_no_store_connection_crosses_a_fork(
+        self, matrix, tmp_path, reference_summary, monkeypatch
+    ):
+        """The coordinator closes its store and lease connections before
+        every fork, also before respawns, after its supervision loop
+        has reconnected them."""
+        fd_dir = Path("/proc/self/fd")
+        if not fd_dir.is_dir():
+            pytest.skip("needs /proc/self/fd to list open files")
+        root = tmp_path / "camp"
+        open_at_fork = []
+        start = multiprocessing.context.ForkProcess.start
+
+        def checked_start(proc):
+            paths = []
+            for fd in os.listdir(fd_dir):
+                try:
+                    paths.append(os.readlink(fd_dir / fd))
+                except OSError:
+                    pass  # the listing's own descriptor, already closed
+            open_at_fork.append([p for p in paths if p.startswith(str(root))])
+            start(proc)
+
+        real_work = coordinator_mod.work_store
+
+        def first_two_die(store, worker_id, **kwargs):
+            if worker_id.split("-")[0] in ("w1", "w2"):
+                os._exit(3)  # before any claim: the coordinator respawns
+            return real_work(store, worker_id, **kwargs)
+
+        monkeypatch.setattr(
+            multiprocessing.context.ForkProcess, "start", checked_start
+        )
+        monkeypatch.setattr(coordinator_mod, "work_store", first_two_die)
+        coord = run_coordinator(
+            matrix, store=f"sqlite:{root}", workers=2, lease_ttl=20.0
+        )
+        assert coord.respawns >= 1 and coord.converged and coord.clean
+        assert open_at_fork == [[]] * (2 + coord.respawns)
+        assert multiprocessing.active_children() == []
+        assert _summary_bytes(root) == reference_summary
 
     def test_rejects_zero_workers(self, matrix, tmp_path):
         with pytest.raises(ValueError):

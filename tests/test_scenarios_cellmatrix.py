@@ -453,6 +453,45 @@ class TestChainGroup:
         }
 
 
+    def test_members_are_timed_one_by_one(self):
+        """The chain group runs cell by cell, so each member records its
+        own simulate time, not the group mean; the shares still add up
+        to the group's kernel time."""
+        base = dict(kinds=("cbr", "poisson", "onoff"), utilization=0.6)
+        cells = [
+            Scenario(name="c-short", topology="chain", hops=2,
+                     mode="sigma-rho", **base),
+            Scenario(name="c-long", topology="chain", hops=3,
+                     mode="sigma-rho-lambda", horizon=4.0, **base),
+            Scenario(name="t-sr", topology="tree", tree_members=12,
+                     mode="sigma-rho", **base),
+        ]
+        stats: dict = {}
+        tasks = evaluate_grouped(cells, stats=stats)
+        (group,) = [
+            r for r in stats["records"]
+            if r["kind"] == "grouping" and r["topology"] == "chain"
+        ]
+        assert group["cells"] == len(cells)
+        shares = [t.telemetry.phases["simulate"] for t in tasks]
+        assert len(set(shares)) == len(shares)
+        assert sum(shares) == pytest.approx(group["kernel_s"], rel=1e-9)
+        for t, share in zip(tasks, shares):
+            assert t.telemetry.dur == t.wall_time > share
+
+    def test_packed_hosts_keep_the_amortised_share(self):
+        cells = [
+            Scenario(name=f"h-{i}", kinds=("cbr",) * 3,
+                     utilization=0.5 + 0.1 * i, mode="sigma-rho")
+            for i in range(3)
+        ]
+        stats: dict = {}
+        tasks = evaluate_grouped(cells, stats=stats)
+        (group,) = [r for r in stats["records"] if r["kind"] == "grouping"]
+        shares = {t.telemetry.phases["simulate"] for t in tasks}
+        assert shares == {group["kernel_s"] / len(cells)}
+
+
 class TestGroupAwarePlanning:
     def test_spec_group_key_separates_structures(self):
         host = Scenario(

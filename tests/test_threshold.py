@@ -5,6 +5,7 @@ import math
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from repro.core.threshold import (
     control_range,
@@ -118,3 +119,33 @@ class TestControlRanges:
         for fn in (homogeneous_threshold, heterogeneous_threshold):
             rho = fn(k)
             assert 0.0 < rho < 1.0 / k
+
+
+class TestRootCache:
+    """The roots are cached per K; results must not move by a bit."""
+
+    @staticmethod
+    def _uncached(k, capacity, extra):
+        def gap(rho):
+            g1 = k / (1.0 - rho) + 2.0 / (rho * (1.0 - rho))
+            if extra:
+                g1 += 1.0 / rho
+            return g1 - k / (1.0 - k * rho)
+
+        eps = 1e-9
+        rho = brentq(gap, eps, 1.0 / k - eps, xtol=1e-14, rtol=1e-13)
+        rho *= capacity
+        return rho
+
+    @pytest.mark.parametrize("capacity", [1.0, 0.37, 2.5, 1e3])
+    def test_cached_roots_equal_an_uncached_solve(self, capacity):
+        for k in range(2, 65):
+            for fn, extra in (
+                (homogeneous_threshold, False),
+                (heterogeneous_threshold, True),
+            ):
+                expect = self._uncached(k, capacity, extra)
+                # Twice: the first call fills the cache, the second reads it.
+                for _ in range(2):
+                    assert fn(k, capacity) == expect
+                    assert fn(k, capacity, aggregate=True) == k * expect
