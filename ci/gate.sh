@@ -27,8 +27,10 @@
 # to summaries (telemetry-on == telemetry-off == pinned baseline,
 # byte for byte, with `scenarios report` rendering the telemetry-on
 # store) AND the DES corpus, run serially and with --jobs 2, matches
-# ci/baseline_des the same way; 1 otherwise (the CLI's --baseline flag
-# gates the first part in one shot).
+# ci/baseline_des the same way AND re-summarising copies of both pinned
+# stores with the current code writes their pinned summary.json byte
+# for byte; 1 otherwise (the CLI's --baseline flag gates the first part
+# in one shot).
 #
 # To re-pin the baseline after an intentional change:
 #   PYTHONPATH=src python -m repro.experiments.cli scenarios run \
@@ -304,3 +306,21 @@ for run in serial jobs2; do
 done
 per_cell_gate "DES corpus" ci/baseline_des "$DES_DIR/serial" "$DES_DIR/jobs2"
 echo "DES gate: clean (serial and --jobs 2 byte-identical to ci/baseline_des)"
+
+# -- re-summarise gate: the streamed summary on stores earlier code wrote --
+# write_summary reads a store one record at a time.  Copies of both
+# pinned stores, their summary.json removed, are re-summarised with the
+# current code and must reproduce the pinned summary.json byte for byte.
+RESUM_DIR="$(mktemp -d)"
+for pinned in baseline_smoke baseline_des; do
+  cp -r "ci/$pinned" "$RESUM_DIR/$pinned"
+  rm "$RESUM_DIR/$pinned/summary.json"
+  PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -c \
+    'import sys; from repro.runtime import open_store; open_store(sys.argv[1], must_exist=True).write_summary()' \
+    "$RESUM_DIR/$pinned"
+  if ! cmp "$RESUM_DIR/$pinned/summary.json" "ci/$pinned/summary.json"; then
+    echo "re-summarise gate: FAILED (ci/$pinned re-summarised differently)" >&2
+    exit 1
+  fi
+done
+echo "re-summarise gate: clean (both pinned stores re-summarise byte for byte)"

@@ -20,7 +20,7 @@ from repro.overlay.dsct import build_dsct_tree
 from repro.overlay.nice import build_nice_tree
 from repro.overlay.tree import MulticastTree
 from repro.topology.attach import AttachedNetwork
-from repro.topology.routing import host_latency_matrix, host_rtt_matrix
+from repro.topology.routing import host_latency_matrix
 from repro.utils.rng import RandomSource, derive_seed, ensure_rng
 
 __all__ = ["MultiGroupNetwork"]
@@ -112,7 +112,9 @@ class MultiGroupNetwork:
     @property
     def rtt(self) -> np.ndarray:
         if self._rtt is None:
-            self._rtt = host_rtt_matrix(self.network)
+            # host_rtt_matrix's own float ops, on the cached latency: the
+            # backbone's all-pairs Dijkstra runs once per network.
+            self._rtt = 2.0 * self.latency
         return self._rtt
 
     @property

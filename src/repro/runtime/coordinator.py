@@ -842,12 +842,15 @@ def run_coordinator(
 
         # Convergence: every planned cell must have landed a record (a
         # concurrent torn JSONL append can lose one); re-lease stragglers
-        # to a fresh worker a bounded number of times.
+        # to a fresh worker a bounded number of times.  Each pass is one
+        # streamed read that heals (its first corrupt row falls back to
+        # load(), which quarantines torn residue) and whose verdicts
+        # feed the missing set and, once no worker runs, the summary.
         rounds = 0
+        verdicts = st.verdicts()
         if converged:
             for _ in range(max(0, recovery_rounds)):
-                records = st.load()  # heal pass: quarantine torn residue
-                missing = [sc for sc in todo if cell_key(sc) not in records]
+                missing = [sc for sc in todo if cell_key(sc) not in verdicts]
                 if not missing:
                     break
                 rounds += 1
@@ -862,13 +865,11 @@ def run_coordinator(
                 _spawn()
                 for wid in list(procs):
                     _reap(procs.pop(wid))
+                verdicts = st.verdicts()
             else:
-                records = st.load()
                 converged = not any(
-                    cell_key(sc) not in records for sc in todo
+                    cell_key(sc) not in verdicts for sc in todo
                 )
-        else:
-            st.load()
     finally:
         # Only an exception leaves workers here: never orphan them.
         for proc in procs.values():
@@ -900,7 +901,10 @@ def run_coordinator(
                 }
             ]
         )
-    summary = st.write_summary()
+    # A read that quarantined rows healed the store; the summary then
+    # comes from a second read of the healed store, as it always has
+    # (whose quarantined_rows is 0).
+    summary = st.write_summary(verdicts=None if st.quarantined else verdicts)
     report = CoordinatorReport(
         requested=len(scenarios),
         skipped=len(scenarios) - len(todo),

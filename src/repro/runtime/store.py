@@ -35,6 +35,11 @@ Shared semantics (the backend contract)
   fields (verdict counts, tightness), never wall clocks -- so a
   campaign spread over N concurrent worker processes produces a
   ``summary.json`` bit-identical to the serial single-process run.
+  It streams: :meth:`ResultStore.verdicts` parses the store one record
+  at a time and keeps, per cell key, only the four fields the summary
+  aggregates (``sound``, ``error``, ``budget_ok``, ``tightness``), so
+  summarising never holds the full records.  Its first corrupt row
+  hands over to ``load``, whose quarantine then runs as described.
 
 Cell record schema (``v`` = 2)::
 
@@ -77,7 +82,16 @@ import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Optional, Union
+from typing import (
+    Any,
+    Callable,
+    Iterable,
+    Iterator,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Union,
+)
 
 from repro.runtime.faults import InjectedFault, active_plan
 
@@ -201,6 +215,26 @@ def cell_key(spec: Any) -> str:
     return _hash_fields(fields)
 
 
+class _Verdict(NamedTuple):
+    """What :meth:`ResultStore.write_summary` aggregates of one record."""
+
+    sound: bool
+    error: bool
+    over_budget: bool
+    #: The record's ``tightness`` if numeric (``NaN`` included), else ``None``.
+    tightness: Optional[float]
+
+
+def _verdict(rec: Mapping[str, Any]) -> _Verdict:
+    tightness = rec.get("tightness")
+    return _Verdict(
+        bool(rec.get("sound")),
+        bool(rec.get("error")),
+        rec.get("budget_ok") is False,
+        tightness if isinstance(tightness, (int, float)) else None,
+    )
+
+
 # ----------------------------------------------------------------------
 # The store contract
 # ----------------------------------------------------------------------
@@ -218,9 +252,10 @@ class ResultStore:
     instead: ``type.__call__`` would re-run the instance's ``__init__``
     after the dispatching ``__new__`` returned it.)
 
-    Subclasses implement ``append``/``append_many``/``load`` plus the
-    ``kind`` label; everything else (summaries, completed keys) is
-    shared and backend-agnostic.
+    Subclasses implement ``append``/``append_many``, the raw-row read
+    ``_rows`` and the quarantine move ``_quarantine``, plus the ``kind``
+    label; everything else (the parse loop behind ``load`` and the
+    summary, completed keys) is shared and backend-agnostic.
     """
 
     SUMMARY = "summary.json"
@@ -261,13 +296,74 @@ class ResultStore:
         for rec in records:
             self.append(rec)
 
+    def _rows(self) -> Iterator[tuple[Any, str]]:
+        """Every stored record row as ``(row id, raw JSON text)``, in
+        store order, read one at a time (the row id is whatever
+        :meth:`_quarantine` needs to move the row aside)."""
+        raise NotImplementedError
+
+    def _quarantine(
+        self, records: Mapping[str, Any], bad: list[tuple[Any, str]]
+    ) -> None:
+        """Move the corrupt rows ``bad`` aside; ``records`` holds every
+        valid record, for backends that rewrite the store."""
+        raise NotImplementedError
+
+    def _parse(
+        self, project: Optional[Callable[[dict], Any]] = None
+    ) -> tuple[dict[str, Any], list[tuple[Any, str]]]:
+        """The one parse loop: valid records keyed by cell key (last
+        record wins) and the corrupt rows, each as its ``_rows`` pair.
+
+        With ``project``, each valid record is kept as ``project(rec)``
+        and the read stops at the first corrupt row (the caller then
+        falls back to :meth:`load`).
+        """
+        records: dict[str, Any] = {}
+        bad: list[tuple[Any, str]] = []
+        rows = self._rows()
+        try:
+            for row_id, raw in rows:
+                try:
+                    rec = json.loads(raw)
+                    key = rec["key"]
+                except (json.JSONDecodeError, TypeError, KeyError):
+                    bad.append((row_id, raw))
+                    if project is not None:
+                        break
+                    continue
+                records[str(key)] = rec if project is None else project(rec)
+        finally:
+            rows.close()
+        return records, bad
+
     def load(self) -> dict[str, dict[str, Any]]:
         """All valid records keyed by cell key (last record wins).
 
         Corrupt rows are moved to the backend's quarantine and counted
         in :attr:`quarantined` -- never raised.
         """
-        raise NotImplementedError
+        self.quarantined = 0
+        records, bad = self._parse()
+        if bad:
+            self.quarantined = len(bad)
+            self._quarantine(records, bad)
+        return records
+
+    def verdicts(self) -> dict[str, _Verdict]:
+        """What the summary aggregates of each record, keyed by cell key.
+
+        One streamed read: records are parsed one at a time and only
+        their :class:`_Verdict` fields kept, in :meth:`load`'s key order
+        (which ``max_tightness`` over ``NaN`` depends on).  At the
+        first corrupt row this falls back to :meth:`load`, which
+        quarantines it; :attr:`quarantined` is set as ``load`` sets it.
+        """
+        verdicts, bad = self._parse(_verdict)
+        if bad:
+            return {key: _verdict(rec) for key, rec in self.load().items()}
+        self.quarantined = 0
+        return verdicts
 
     def append_telemetry(self, records: Iterable[Mapping[str, Any]]) -> None:
         """Persist run telemetry records (spans/counters/grouping/fit).
@@ -332,13 +428,14 @@ class ResultStore:
 
     def completed_keys(self) -> set[str]:
         """Keys of cells whose evaluation finished without a crash."""
-        return {
-            key
-            for key, rec in self.load().items()
-            if not rec.get("error")
-        }
+        return {key for key, v in self.verdicts().items() if not v.error}
 
-    def write_summary(self, extra: Optional[Mapping[str, Any]] = None) -> dict:
+    def write_summary(
+        self,
+        extra: Optional[Mapping[str, Any]] = None,
+        *,
+        verdicts: Optional[Mapping[str, _Verdict]] = None,
+    ) -> dict:
         """Aggregate the store into ``summary.json`` (and return it).
 
         Deterministic by construction: only content-derived verdict
@@ -347,27 +444,25 @@ class ResultStore:
         writers summarises bit-identically to the serial run.  Volatile
         run facts (throughput, worker wall time) live in the run report
         (:class:`repro.runtime.campaign.CampaignReport`) instead.
+
+        ``verdicts`` (optional) is a :meth:`verdicts` read the caller
+        just made, with :attr:`quarantined` as it left it; without one
+        the store is read here.
         """
-        records = self.load()
-        finite = [
-            r["tightness"]
-            for r in records.values()
-            if isinstance(r.get("tightness"), (int, float))
-        ]
+        if verdicts is None:
+            verdicts = self.verdicts()
+        cells = verdicts.values()
         summary = {
             "v": SCHEMA_VERSION,
-            "cells": len(records),
-            "sound": sum(1 for r in records.values() if r.get("sound")),
-            "unsound": sum(
-                1
-                for r in records.values()
-                if not r.get("sound") and not r.get("error")
+            "cells": len(verdicts),
+            "sound": sum(1 for v in cells if v.sound),
+            "unsound": sum(1 for v in cells if not v.sound and not v.error),
+            "errors": sum(1 for v in cells if v.error),
+            "budget_violations": sum(1 for v in cells if v.over_budget),
+            "max_tightness": max(
+                (v.tightness for v in cells if v.tightness is not None),
+                default=0.0,
             ),
-            "errors": sum(1 for r in records.values() if r.get("error")),
-            "budget_violations": sum(
-                1 for r in records.values() if r.get("budget_ok") is False
-            ),
-            "max_tightness": max(finite, default=0.0),
             "quarantined_rows": self.quarantined,
         }
         if extra:
@@ -528,32 +623,27 @@ class JsonlResultStore(ResultStore):
         return out
 
     # -- reading ---------------------------------------------------------
-    def load(self) -> dict[str, dict[str, Any]]:
-        self.quarantined = 0
-        records: dict[str, dict[str, Any]] = {}
+    def _rows(self) -> Iterator[tuple[None, str]]:
         if not self.results_path.exists():
-            return records
-        bad: list[str] = []
-        for line in self.results_path.read_text().splitlines():
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-                key = rec["key"]
-            except (json.JSONDecodeError, TypeError, KeyError):
-                bad.append(line)
-                continue
-            records[str(key)] = rec
-        if bad:
-            self.quarantined = len(bad)
-            with self.quarantine_path.open("a") as fh:
-                for line in bad:
-                    fh.write(line + "\n")
-            kept = [_canonical_json(rec) for rec in records.values()]
-            self.results_path.write_text(
-                "".join(r + "\n" for r in kept)
-            )
-        return records
+            return
+        with self.results_path.open() as fh:
+            for physical in fh:
+                # str.splitlines() also breaks at \f, \x1c, \u2028 and
+                # the like, which only a corrupt line holds raw: split
+                # each physical line the same way, so every line counts
+                # as it would in the whole file's splitlines().
+                for line in physical.splitlines():
+                    if line.strip():
+                        yield None, line
+
+    def _quarantine(
+        self, records: Mapping[str, Any], bad: list[tuple[None, str]]
+    ) -> None:
+        with self.quarantine_path.open("a") as fh:
+            for _row, line in bad:
+                fh.write(line + "\n")
+        kept = [_canonical_json(rec) for rec in records.values()]
+        self.results_path.write_text("".join(r + "\n" for r in kept))
 
 
 # ----------------------------------------------------------------------

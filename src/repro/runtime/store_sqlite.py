@@ -17,7 +17,10 @@ quarantine, deterministic ``summary.json``) on an SQLite file instead:
   canonical JSON text; a row whose payload no longer parses (manual
   edits, partial restores) is moved to a ``quarantine`` table on
   :meth:`load`, counted, and never raised -- the same recovery story
-  as ``quarantine.jsonl``.
+  as ``quarantine.jsonl``.  Both backends share the store's one parse
+  loop: this one only supplies the rows (a cursor read one row at a
+  time, so the streamed summary never holds every payload) and the
+  quarantine move.
 
 The JSON-text payload keeps the two backends bit-compatible: a record
 round-trips through either backend to the identical Python dict
@@ -31,7 +34,15 @@ import json
 import sqlite3
 import time
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping, Optional, Union
+from typing import (
+    Any,
+    Callable,
+    Iterable,
+    Iterator,
+    Mapping,
+    Optional,
+    Union,
+)
 
 from repro.runtime.faults import InjectedFault, active_plan
 from repro.runtime.store import ResultStore, _canonical_json, _coerce_root
@@ -294,39 +305,34 @@ class SqliteResultStore(ResultStore):
         return out
 
     # -- reading ---------------------------------------------------------
-    def load(self) -> dict[str, dict[str, Any]]:
-        self.quarantined = 0
+    def _rows(self) -> Iterator[tuple[str, str]]:
         if not self.db_path.exists():
-            return {}
-        conn = self._connect()
-        records: dict[str, dict[str, Any]] = {}
-        bad: list[tuple[str, str]] = []  # (key, raw payload)
-        for key, raw in conn.execute(
+            return
+        cur = self._connect().execute(
             "SELECT key, record FROM results ORDER BY rowid"
-        ):
-            try:
-                rec = json.loads(raw)
-                rec_key = rec["key"]
-            except (json.JSONDecodeError, TypeError, KeyError):
-                bad.append((key, raw))
-                continue
-            records[str(rec_key)] = rec
-        if bad:
-            self.quarantined = len(bad)
+        )
+        try:
+            yield from cur
+        finally:
+            cur.close()
 
-            def _commit():
-                with conn:
-                    conn.executemany(
-                        "INSERT INTO quarantine (line) VALUES (?)",
-                        [(raw,) for _, raw in bad],
-                    )
-                    conn.executemany(
-                        "DELETE FROM results WHERE key = ?",
-                        [(key,) for key, _ in bad],
-                    )
+    def _quarantine(
+        self, records: Mapping[str, Any], bad: list[tuple[str, str]]
+    ) -> None:
+        conn = self._connect()
 
-            self._with_busy_retry(_commit)
-        return records
+        def _commit():
+            with conn:
+                conn.executemany(
+                    "INSERT INTO quarantine (line) VALUES (?)",
+                    [(raw,) for _, raw in bad],
+                )
+                conn.executemany(
+                    "DELETE FROM results WHERE key = ?",
+                    [(key,) for key, _ in bad],
+                )
+
+        self._with_busy_retry(_commit)
 
     def quarantine_lines(self) -> list[str]:
         """Raw payloads moved aside so far (parity with ``quarantine.jsonl``)."""

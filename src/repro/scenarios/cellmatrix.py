@@ -27,9 +27,13 @@ evaluates a *batch of cells* instead:
 3. **Packed evaluation** -- each fluid host group packs its unique
    (trace, envelope) lanes into padded ``(n_lanes, n_bins_max + 1)``
    matrices and shapes them with the ``batch_fluid_*`` kernels of
-   :mod:`repro.simulation.fluid` in one vectorised pass per group; a
-   DES group runs :func:`repro.simulation.batched.primed_host` per cell
-   with the regulator pass deduplicated across flows sharing a trace.
+   :mod:`repro.simulation.fluid`, one vectorised pass per pack.  Packs
+   are capped at :data:`MAX_PACK_ELEMENTS`, and a cell's arrivals are
+   binned only when its pack is built and dropped once the pack is
+   measured, so a group holds the rows and matrices of one pack at a
+   time, however many cells it has.  A DES group runs
+   :func:`repro.simulation.batched.primed_host` per cell with the
+   regulator pass deduplicated across flows sharing a trace.
    The chain group is not packed: its cost is elementwise work over a
    grid that is mostly drain tail, so each cell runs
    :func:`repro.simulation.fluid.adversarial_chain_delays`, which
@@ -91,8 +95,16 @@ __all__ = [
 #: split into sub-batches of similar grid width (cells sorted by
 #: ``n_bins`` first, so padding waste stays small); splitting is
 #: invisible to results -- every kernel's valid prefix is independent
-#: of the batch it rides in.
-MAX_PACK_ELEMENTS = 4_000_000
+#: of the batch it rides in.  The cap bounds a fluid host group's peak
+#: memory: beside the realised traces, a group holds one pack's binned
+#: rows, its matrix and a few matrix-sized kernel temporaries.  At 1M
+#: elements (8 MB a matrix) the 16,384 hosts of the ``realise_bound``
+#: benchmark campaign (7 packs) peak at 220 MB RSS, against 283 MB at
+#: 2M and 408 MB at 4M, with no trend in wall time across the caps
+#: (single runs, 2-vCPU host).  500k would save another 19 MB but
+#: split wide groups further: ``thousand``'s λ hosts take 13 packs at
+#: 1M and 21 at 500k.
+MAX_PACK_ELEMENTS = 1_000_000
 
 #: Ceiling on padding waste within one pack: a cell whose grid is more
 #: than this factor wider than the pack's narrowest starts a new pack.
@@ -193,25 +205,44 @@ def _des_cell(discipline: str, mode: str, r: _Realised) -> CellResult:
 # Fluid group: adversarial fluid hosts
 # ----------------------------------------------------------------------
 class _FluidCell:
-    """One fluid cell's packed-evaluation state."""
+    """One fluid cell's packed-evaluation state.
+
+    Every member of a group is prepared before the group is split into
+    packs, so this holds only the cell's lane plan and the traces its
+    lanes bin.  The binned arrival rows (``arr_rows``) are filled when
+    the cell's pack is built and dropped once it is measured: a group
+    holds the rows of one pack at a time.
+    """
 
     __slots__ = (
-        "realised", "n_bins", "arr_rows", "arr_of_flow", "lane_params",
-        "measure_key",
+        "realised", "n_bins", "horizon", "total", "lane_traces",
+        "arr_rows", "arr_of_flow", "lane_params", "measure_key",
     )
 
-    def __init__(self, realised, n_bins, arr_rows, arr_of_flow,
-                 lane_params, measure_key):
+    def __init__(self, realised, n_bins, horizon, total, lane_traces,
+                 arr_of_flow, lane_params, measure_key):
         self.realised = realised
         self.n_bins = n_bins
-        #: Unique cumulative-arrival rows (one per shaped lane).
-        self.arr_rows = arr_rows
+        #: Injection cut and grid span (s) the arrival rows are binned on.
+        self.horizon = horizon
+        self.total = total
+        #: The unique traces, one per arrival row.
+        self.lane_traces = lane_traces
+        #: Unique cumulative-arrival rows (``None`` outside the pack).
+        self.arr_rows = None
         #: Flow index -> lane index into ``arr_rows``.
         self.arr_of_flow = arr_of_flow
         #: Per-lane shaper parameters (mode-dependent).
         self.lane_params = lane_params
         #: Flow index -> measurement-dedupe key (``None``: no sharing).
         self.measure_key = measure_key
+
+    def bin(self, dt: float) -> None:
+        """Fill ``arr_rows`` (see :func:`_binned_cum`)."""
+        self.arr_rows = [
+            _binned_cum(tr, dt, self.horizon, self.total)
+            for tr in self.lane_traces
+        ]
 
 
 def _binned_cum(tr, dt: float, horizon: float, total: float) -> np.ndarray:
@@ -231,14 +262,14 @@ def _binned_cum(tr, dt: float, horizon: float, total: float) -> np.ndarray:
 
 
 def _prep_fluid_cell(r: _Realised, mode: str, dt: float) -> _FluidCell:
-    """Realise one fluid cell's lanes.
+    """Plan one fluid cell's lanes.
 
     Mirrors ``simulate_fluid_host`` head for head: horizon and drain
-    margin derivation, binned cumulative arrivals, the stagger plan and
-    its offsets.  Every predicate a scalar kernel would raise on
-    (``fluid_on_time`` window validation, the stagger-plan tiling
-    check) is evaluated here, so exactly the cells the scalar
-    simulator rejects raise.
+    margin derivation, the stagger plan and its offsets (the binned
+    cumulative arrivals follow in :meth:`_FluidCell.bin`).  Every
+    predicate a scalar kernel would raise on (``fluid_on_time`` window
+    validation, the stagger-plan tiling check) is evaluated here, so
+    exactly the cells the scalar simulator rejects raise.
     """
     sc = r.scenario
     traces, envelopes = r.traces, r.envelopes
@@ -246,22 +277,22 @@ def _prep_fluid_cell(r: _Realised, mode: str, dt: float) -> _FluidCell:
     total = horizon + _default_drain_margin(envelopes, sc.capacity)
     n_bins = int(np.ceil(total / dt))
 
-    arr_rows: list[np.ndarray] = []
+    lane_traces: list = []
     arr_of_flow: list[int] = []
     lane_of: dict[tuple, int] = {}
     for tr in traces:
         key = (id(tr),)
         lane = lane_of.get(key)
         if lane is None:
-            lane = len(arr_rows)
+            lane = len(lane_traces)
             lane_of[key] = lane
-            arr_rows.append(_binned_cum(tr, dt, horizon, total))
+            lane_traces.append(tr)
         arr_of_flow.append(lane)
 
     k = len(traces)
     if mode == "none":
         # Shaping is the identity; one lane per unique arrival row.
-        lane_params = [()] * len(arr_rows)
+        lane_params = [()] * len(lane_traces)
         shape_of_flow = list(arr_of_flow)
         measure_key = list(arr_of_flow)
     elif mode == "sigma-rho":
@@ -297,7 +328,7 @@ def _prep_fluid_cell(r: _Realised, mode: str, dt: float) -> _FluidCell:
         shape_of_flow = list(range(k))
         measure_key = [None] * k
     return _FluidCell(
-        r, n_bins, arr_rows,
+        r, n_bins, horizon, total, lane_traces,
         {"arr": arr_of_flow, "shape": shape_of_flow}, lane_params,
         measure_key,
     )
@@ -336,15 +367,18 @@ def _fluid_subbatches(
 def _eval_fluid_pack(
     mode: str, dt: float, pack: Sequence[tuple[int, _FluidCell]]
 ) -> dict[int, CellResult]:
-    """Shape + measure one packed sub-batch of fluid cells."""
+    """Shape + measure one packed sub-batch of binned fluid cells."""
     n_max = max(cell.n_bins for _slot, cell in pack)
     t_grid = dt * np.arange(n_max + 1)
-    lane_rows = []
+    packed = np.empty(
+        (sum(len(cell.lane_params) for _slot, cell in pack), n_max + 1)
+    )
     lane_base: dict[int, int] = {}
     sigmas, rhos = [], []
     workings, periods, offsets, caps = [], [], [], []
+    lane = 0
     for slot, cell in pack:
-        lane_base[slot] = len(lane_rows)
+        lane_base[slot] = lane
         width = cell.n_bins + 1
         for params in cell.lane_params:
             if mode == "sigma-rho":
@@ -362,12 +396,10 @@ def _eval_fluid_pack(
             else [cell.arr_rows[p[0]] for p in cell.lane_params]
         )
         for row in rows:
-            padded = np.empty(n_max + 1, dtype=np.float64)
-            padded[:width] = row
-            padded[width:] = row[-1]
-            lane_rows.append(padded)
+            packed[lane, :width] = row
+            packed[lane, width:] = row[-1]
+            lane += 1
 
-    packed = np.asarray(lane_rows) if lane_rows else np.zeros((0, n_max + 1))
     if mode == "none" or packed.shape[0] == 0:
         shaped = packed
     elif mode == "sigma-rho":
@@ -437,7 +469,9 @@ def _eval_fluid_group(
     pack_stats: Optional[dict] = None,
 ) -> list[Union[CellResult, Exception]]:
     """Evaluate one fluid group: a result or the raised exception per
-    cell (every member of a failing pack gets the pack's exception).
+    cell.  A cell whose lane plan or binning raises gets its own
+    exception; every other member of a pack whose kernels raise gets
+    the pack's exception.
 
     ``pack_stats`` (optional, a mutable mapping) accumulates lane
     packing telemetry across the group's sub-batches: ``packs``,
@@ -465,12 +499,24 @@ def _eval_fluid_group(
             ) + sum(
                 len(cell.lane_params) * (cell.n_bins + 1) for _s, cell in pack
             )
-        try:
-            for slot, cell_result in _eval_fluid_pack(mode, dt, pack).items():
-                out[slot] = cell_result
-        except Exception as exc:
-            for slot, _cell in pack:
+        binned: list[tuple[int, _FluidCell]] = []
+        for slot, cell in pack:
+            try:
+                cell.bin(dt)
+            except Exception as exc:
                 out[slot] = exc
+                continue
+            binned.append((slot, cell))
+        try:
+            if binned:
+                for slot, res in _eval_fluid_pack(mode, dt, binned).items():
+                    out[slot] = res
+        except Exception as exc:
+            for slot, _cell in binned:
+                out[slot] = exc
+        finally:
+            for _slot, cell in binned:
+                cell.arr_rows = None
     return out
 
 

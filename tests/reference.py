@@ -11,10 +11,15 @@ the scalar simulators of ``runner._simulate`` (:func:`reference_cell`).
 It shares only ``runner._realise_from`` (backend fallback,
 fragmentation, topology) and the ``CellResult`` constructor with
 production.
+
+It also keeps the store summary's earlier form, :func:`load_summary_bytes`:
+``summary.json`` aggregated from a full ``load()``, the oracle of the
+streamed ``ResultStore.write_summary``.
 """
 
 from __future__ import annotations
 
+import json
 from typing import Optional, Sequence
 
 from repro.calculus.envelope import ArrivalEnvelope
@@ -79,3 +84,31 @@ def reference_cell(sc: Scenario) -> CellResult:
     """``sc`` realised per cell and simulated by the scalar simulators."""
     r = realise(sc)
     return _cell_result(r, *_simulate(r))
+
+
+def load_summary_bytes(store) -> bytes:
+    """The ``summary.json`` bytes of ``store`` aggregated from every full
+    record ``store.load()`` returns (quarantining as it goes)."""
+    records = store.load()
+    finite = [
+        r["tightness"]
+        for r in records.values()
+        if isinstance(r.get("tightness"), (int, float))
+    ]
+    summary = {
+        "v": 2,
+        "cells": len(records),
+        "sound": sum(1 for r in records.values() if r.get("sound")),
+        "unsound": sum(
+            1
+            for r in records.values()
+            if not r.get("sound") and not r.get("error")
+        ),
+        "errors": sum(1 for r in records.values() if r.get("error")),
+        "budget_violations": sum(
+            1 for r in records.values() if r.get("budget_ok") is False
+        ),
+        "max_tightness": max(finite, default=0.0),
+        "quarantined_rows": store.quarantined,
+    }
+    return (json.dumps(summary, indent=2) + "\n").encode()

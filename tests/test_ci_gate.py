@@ -18,6 +18,9 @@ keep the checked-in ``ci/baseline_smoke`` store honest:
   and under worker-killing chaos (per-cell leases);
 * the DES leg's curated corpus (``ci/des_corpus.json``) must reproduce
   every verdict field of its pinned ``ci/baseline_des`` store;
+* both pinned stores, re-summarised by the current code, must give
+  their pinned ``summary.json`` byte for byte, and the gate must check
+  that too;
 * production code must not reach into the test oracle: no module under
   ``src/repro`` imports ``tests`` or the evented DES that lives there.
 """
@@ -25,6 +28,7 @@ keep the checked-in ``ci/baseline_smoke`` store honest:
 import ast
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -163,6 +167,23 @@ def test_des_corpus_reproduces_its_pinned_baseline(tmp_path):
     assert rows(tmp_path / "des") == rows(DES_BASELINE)
     text = GATE.read_text()
     assert "ci/des_corpus.json" in text and "ci/baseline_des" in text
+
+
+@pytest.mark.parametrize("pinned", [BASELINE, DES_BASELINE], ids=lambda p: p.name)
+def test_pinned_stores_resummarise_byte_for_byte(pinned, tmp_path):
+    """The streamed summary, on stores earlier code wrote, gives the
+    pinned bytes; ``ci/gate.sh`` re-summarises both copies too."""
+    copy = tmp_path / pinned.name
+    shutil.copytree(pinned, copy)
+    (copy / "summary.json").unlink()
+    open_store(copy, must_exist=True).write_summary()
+    assert (copy / "summary.json").read_bytes() == (
+        pinned / "summary.json"
+    ).read_bytes()
+    leg = GATE.read_text().split("# -- re-summarise gate")[1]
+    assert "for pinned in baseline_smoke baseline_des" in leg
+    assert "write_summary()" in leg
+    assert 'cmp "$RESUM_DIR/$pinned/summary.json" "ci/$pinned/summary.json"' in leg
 
 
 def _is_test_code(module: str) -> bool:

@@ -4,6 +4,10 @@ import numpy as np
 import pytest
 
 from repro.overlay.groups import MultiGroupNetwork
+from repro.scenarios.runner import _resolve_tree
+from repro.scenarios.spec import Scenario
+from repro.topology import routing
+from repro.topology.routing import host_rtt_matrix
 
 
 class TestFullyJoined:
@@ -100,4 +104,25 @@ class TestTreeBuilding:
         r1 = small_mgn.rtt
         r2 = small_mgn.rtt
         assert r1 is r2
-        assert np.allclose(small_mgn.rtt, 2 * small_mgn.latency)
+        assert np.array_equal(small_mgn.rtt, 2 * small_mgn.latency)
+
+    def test_rtt_is_host_rtt_matrix(self, small_network):
+        mgn = MultiGroupNetwork.fully_joined(small_network, 2, rng=5)
+        assert (mgn.rtt == host_rtt_matrix(small_network)).all()
+
+    def test_tree_cell_runs_one_backbone_dijkstra(self, monkeypatch):
+        """A tree cell's network derives rtt from its cached latency, so
+        building the tree and reading hop latencies route the backbone
+        once."""
+        calls = []
+        real = routing.router_distance_matrix
+
+        def counted(backbone):
+            calls.append(backbone)
+            return real(backbone)
+
+        monkeypatch.setattr(routing, "router_distance_matrix", counted)
+        sc = Scenario(name="tree", kinds=("cbr",) * 3, utilization=0.5,
+                      mode="sigma-rho", topology="tree", tree_members=12)
+        _resolve_tree(sc)  # _build_tree, then the path's hop latencies
+        assert len(calls) == 1

@@ -30,7 +30,8 @@ from repro.runtime.coordinator import (
     work_store,
 )
 from repro.runtime.cost import CellCostModel, plan_leases
-from repro.runtime.store import cell_key
+from repro.runtime.store import JsonlResultStore, cell_key
+from repro.runtime.store_sqlite import SqliteResultStore
 from repro.runtime.telemetry import lease_rows, lease_summary
 from repro.scenarios import generate_scenarios
 
@@ -452,6 +453,32 @@ class TestCoordinator:
             lease_ttl=20.0,
         )
         assert again.skipped == N_CELLS and again.planned_leases == 0
+        assert _summary_bytes(tmp_path / "camp") == reference_summary
+
+    @pytest.mark.parametrize("backend", ["jsonl", "sqlite"])
+    def test_clean_run_reads_the_store_once_after_its_workers(
+        self, matrix, tmp_path, reference_summary, backend, monkeypatch
+    ):
+        """Once its workers exit, a clean coordinator reads the records
+        once: that read heals, finds no cell missing and feeds the
+        summary.  Its only other read plans the run (completed keys)."""
+        cls = {"jsonl": JsonlResultStore, "sqlite": SqliteResultStore}[backend]
+        reads = []
+        real_rows = cls._rows
+
+        def counted_rows(store):
+            reads.append(store.root)
+            return real_rows(store)
+
+        # The forked workers inherit the patch but count in their own
+        # memory: ``reads`` holds the coordinator process's reads.
+        monkeypatch.setattr(cls, "_rows", counted_rows)
+        coord = run_coordinator(
+            matrix, store=f"{backend}:{tmp_path / 'camp'}", workers=2,
+            lease_ttl=20.0,
+        )
+        assert coord.converged and coord.clean and coord.recovery_rounds == 0
+        assert reads == [tmp_path / "camp"] * 2
         assert _summary_bytes(tmp_path / "camp") == reference_summary
 
     @pytest.mark.parametrize("backend", ["jsonl", "sqlite"])

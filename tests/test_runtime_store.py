@@ -28,6 +28,7 @@ from repro.runtime.store import (
 from repro.runtime.store_sqlite import SqliteResultStore
 from repro.scenarios.runner import run_scenario
 from repro.scenarios.spec import Scenario
+from tests.reference import load_summary_bytes
 
 pytestmark = pytest.mark.runtime
 
@@ -299,6 +300,39 @@ class TestCorruption:
         assert store.load() == records
         assert store.quarantined == 0
 
+    def test_streamed_summary_quarantines_like_load(self, tmp_path, monkeypatch):
+        """The streamed summary hands a torn line to load(), once: the
+        quarantine, the rewritten results file and summary.json are
+        load()'s."""
+        twins = [JsonlResultStore(tmp_path / name) for name in ("oracle", "streamed")]
+        for store in twins:
+            store.append(_rec("aa", tightness=0.25))
+            with store.results_path.open("a") as fh:
+                fh.write("{torn json!!\n")       # unparseable
+                fh.write('{"sound": true}\n')    # keyless
+            store.append_many([_rec("bb", sound=False), _rec("aa", tightness=0.75)])
+            with store.results_path.open("a") as fh:
+                fh.write('{"key": "cc", "sou')    # a crash mid-append
+        oracle, streamed = twins
+        expected = load_summary_bytes(oracle)
+        loads = []
+        real_load = streamed.load
+
+        def counted_load():
+            loads.append(1)
+            return real_load()
+
+        monkeypatch.setattr(streamed, "load", counted_load)
+        summary = streamed.write_summary()
+        assert loads == [1]
+        assert summary["quarantined_rows"] == streamed.quarantined == 3
+        assert streamed.summary_path.read_bytes() == expected
+        for name in (JsonlResultStore.RESULTS, JsonlResultStore.QUARANTINE):
+            assert (streamed.root / name).read_bytes() == (oracle.root / name).read_bytes()
+        # Healed: the next summary streams without load() and counts 0.
+        assert streamed.write_summary()["quarantined_rows"] == 0
+        assert loads == [1]
+
 
 class TestSummary:
     @pytest.mark.parametrize("kind", BACKENDS)
@@ -342,6 +376,74 @@ class TestSummary:
             store.write_summary()
             files.append(store.summary_path.read_bytes())
         assert files[0] == files[1]
+
+
+NAN = float("nan")
+
+#: Record sequences whose streamed summary must equal load()'s, byte for
+#: byte.
+SUMMARY_CASES = {
+    "duplicate-keys": [
+        _rec("a", tightness=0.4),
+        _rec("b", sound=False, tightness=0.9),
+        _rec("a", sound=False, tightness=0.2),
+        _rec("b", tightness=0.3),
+    ],
+    "errors-and-budget": [
+        _rec("a", sound=False, error="Traceback ..."),
+        _rec("b", sound=False, error="boom", budget_ok=False),
+        _rec("c", budget_ok=False),
+        _rec("d", sound=False),
+        {"key": "e", "sound": True},
+    ],
+    # max() over NaN depends on the key order: the streamed summary
+    # must meet the re-appended "a" where load() puts it (JSONL: where
+    # it first appeared, before NaN, so 0.7; the other order reads NaN).
+    "missing-and-nan-tightness": [
+        _rec("a", tightness=0.5),
+        _rec("b", tightness=NAN),
+        {"key": "c", "sound": True},
+        _rec("d", tightness=None),
+        _rec("e", tightness="high"),
+        _rec("a", tightness=0.7),
+    ],
+    "nan-first": [_rec("a", tightness=NAN), _rec("b", tightness=0.5)],
+    "empty": [],
+}
+
+
+@pytest.mark.parametrize("kind", BACKENDS)
+class TestStreamedSummary:
+    """``write_summary`` reads one record at a time and keeps four
+    fields per key; its ``summary.json`` must be the one a full
+    ``load()`` gives (``tests/reference.py``), byte for byte."""
+
+    @pytest.mark.parametrize("case", sorted(SUMMARY_CASES))
+    def test_summary_bytes_equal_loads(self, kind, case, tmp_path, monkeypatch):
+        oracle = _make_store(kind, tmp_path / "oracle")
+        streamed = _make_store(kind, tmp_path / "streamed")
+        for rec in SUMMARY_CASES[case]:
+            oracle.append(rec)
+            streamed.append(rec)
+        expected = load_summary_bytes(oracle)
+
+        def no_load():
+            raise AssertionError("a clean store summarises without load()")
+
+        monkeypatch.setattr(streamed, "load", no_load)
+        summary = streamed.write_summary()
+        assert streamed.summary_path.read_bytes() == expected
+        assert summary["cells"] == len({r["key"] for r in SUMMARY_CASES[case]})
+
+    def test_summary_keeps_four_fields_per_key(self, kind, tmp_path):
+        store = _make_store(kind, tmp_path)
+        store.append(_rec("a", sound=False, error="boom", budget_ok=False))
+        store.append({**_rec("b", tightness=NAN), "spec": {"k": 3}})
+        verdicts = store.verdicts()
+        assert list(verdicts) == ["a", "b"]
+        assert verdicts["a"] == (False, True, True, 0.5)
+        assert verdicts["b"][:3] == (True, False, False)
+        assert verdicts["b"].tightness != verdicts["b"].tightness  # NaN
 
 
 class TestDiff:

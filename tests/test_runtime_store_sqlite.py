@@ -16,6 +16,7 @@ import pytest
 
 from repro.runtime.store import JsonlResultStore, open_store
 from repro.runtime.store_sqlite import SqliteResultStore
+from tests.reference import load_summary_bytes
 
 pytestmark = pytest.mark.runtime
 
@@ -129,6 +130,36 @@ class TestQuarantine:
         summary = store.write_summary()
         assert summary["cells"] == 1
         assert summary["quarantined_rows"] == 1
+
+    def test_streamed_summary_quarantines_like_load(self, tmp_path, monkeypatch):
+        """The streamed summary hands a corrupt payload to load(), once:
+        the quarantine table, the surviving rows and summary.json are
+        load()'s."""
+        twins = [SqliteResultStore(tmp_path / name) for name in ("oracle", "streamed")]
+        for store in twins:
+            store.append(_rec("aa", tightness=0.25))
+            self._corrupt(store, "zz", "{torn json!!")     # unparseable
+            store.append_many([_rec("bb", sound=False), _rec("cc", tightness=0.75)])
+            self._corrupt(store, "yy", '{"sound": true}')  # keyless payload
+        oracle, streamed = twins
+        expected = load_summary_bytes(oracle)
+        loads = []
+        real_load = streamed.load
+
+        def counted_load():
+            loads.append(1)
+            return real_load()
+
+        monkeypatch.setattr(streamed, "load", counted_load)
+        summary = streamed.write_summary()
+        assert loads == [1]
+        assert summary["quarantined_rows"] == streamed.quarantined == 2
+        assert streamed.summary_path.read_bytes() == expected
+        assert streamed.quarantine_lines() == oracle.quarantine_lines()
+        assert real_load() == oracle.load()
+        # Healed: the next summary streams without load() and counts 0.
+        assert streamed.write_summary()["quarantined_rows"] == 0
+        assert loads == [1]
 
     def test_quarantine_parity_with_jsonl(self, tmp_path):
         """Both backends eat the same corrupt payload the same way."""

@@ -9,7 +9,10 @@ trees) bit for bit, over the curated corpus, generated matrices
 fall back),
 hand-built edge cells and groups of one; a cell whose grouped
 realisation or evaluation raises must fail only its own verdict with
-the exact error ``evaluate_cell`` records.  The lean kernels the
+the exact error ``evaluate_cell`` records.  Splitting a fluid host
+group into packs must not move a result, no pack may outgrow
+``MAX_PACK_ELEMENTS`` unless one cell alone does, and a group holds
+the binned arrival rows of one pack at a time.  The lean kernels the
 grouped path substitutes for the scalar ones
 (`_empirical_sigma_fast`, `_first_passage_arrays`, the
 ``batch_fluid_*`` rows, the primed host's dedupe cache) are pinned
@@ -17,6 +20,7 @@ against their scalar references here too.
 """
 
 import dataclasses
+import weakref
 
 import numpy as np
 import pytest
@@ -34,7 +38,7 @@ from repro.scenarios.cellmatrix import (
     group_key,
     simulate_cells,
 )
-from repro.scenarios.runner import evaluate_cell
+from repro.scenarios.runner import CellResult, evaluate_cell
 from repro.scenarios.spec import Scenario
 from repro.scenarios.tracebatch import _empirical_sigma_fast, realise_batch
 from repro.simulation.batched import primed_host
@@ -298,6 +302,151 @@ class TestErrorIsolation:
             assert "injected pack crash" in g.error
             assert g.error == p.error
         assert stats["records"][-1]["fallback_reasons"] == {"kernel-error": 3}
+
+
+# ----------------------------------------------------------------------
+# Fluid host packs: splitting, the cap, one pack's rows at a time
+# ----------------------------------------------------------------------
+def _host_group(mode):
+    """Realised members of one fluid host group in ``mode``, with grids
+    of different widths (horizons and drain margins differ), and the
+    group's key.  ``"none"`` (no shaping; no scenario resolves to it)
+    packs the σ-ρ cells' arrival rows as they are."""
+    cell_mode = "sigma-rho" if mode == "none" else mode
+    kinds = ("cbr", "audio", "video", "cbr")
+    cells = [
+        Scenario(name=f"pack-{i}", kinds=kinds, utilization=u,
+                 mode=cell_mode, horizon=h, seed=i)
+        for i, (h, u) in enumerate(
+            [(0.5, 0.5), (0.5, 0.6), (0.55, 0.4), (0.6, 0.7), (1.2, 0.5)]
+        )
+    ]
+    # Twelve unshared flows: one cell with many more lanes than the rest.
+    cells.append(
+        Scenario(name="pack-wide", kinds=("cbr", "audio", "video") * 4,
+                 utilization=0.5, mode=cell_mode, horizon=0.5, shared=False,
+                 seed=9)
+    )
+    realised, _ = realise_batch(cells)
+    key = group_key(realised[0])
+    assert all(group_key(r) == key for r in realised)
+    return realised, (*key[:3], mode, key[4])
+
+
+def _sizes(realised, key):
+    """Each member's (lanes, padded grid width) in a pack."""
+    cells = [
+        cellmatrix_mod._prep_fluid_cell(r, key[3], key[4]) for r in realised
+    ]
+    return [(len(c.lane_params), c.n_bins + 1) for c in cells]
+
+
+class TestFluidPacks:
+    @pytest.mark.parametrize("mode", ["none", "sigma-rho", "sigma-rho-lambda"])
+    def test_pack_splitting_is_invisible(self, mode, monkeypatch):
+        realised, key = _host_group(mode)
+        assert len({w for _lanes, w in _sizes(realised, key)}) > 1
+        packed_stats: dict = {}
+        packed = simulate_cells(key, realised, packed_stats)
+        assert all(isinstance(r, CellResult) for r in packed)
+        monkeypatch.setattr(cellmatrix_mod, "MAX_PACK_ELEMENTS", 1)
+        alone_stats: dict = {}
+        alone = simulate_cells(key, realised, alone_stats)
+        assert alone_stats["packs"] == len(realised) > packed_stats["packs"]
+        assert alone == packed
+
+    def test_no_pack_matrix_exceeds_the_cap(self, monkeypatch):
+        realised, key = _host_group("sigma-rho")
+        sizes = [lanes * width for lanes, width in _sizes(realised, key)]
+        # Two of the small cells fit under the cap; the wide one alone
+        # does not.
+        cap = 2 * sorted(sizes)[-2]
+        assert max(sizes) > cap
+        monkeypatch.setattr(cellmatrix_mod, "MAX_PACK_ELEMENTS", cap)
+        matrices, members = [], []
+        real_shape = cellmatrix_mod.batch_fluid_token_bucket
+        real_pack = cellmatrix_mod._eval_fluid_pack
+
+        def shape(arrivals_cum, *args):
+            matrices.append(arrivals_cum.shape)
+            return real_shape(arrivals_cum, *args)
+
+        def pack(mode, dt, cells):
+            members.append(len(cells))
+            return real_pack(mode, dt, cells)
+
+        monkeypatch.setattr(cellmatrix_mod, "batch_fluid_token_bucket", shape)
+        monkeypatch.setattr(cellmatrix_mod, "_eval_fluid_pack", pack)
+        out = simulate_cells(key, realised)
+        assert all(isinstance(r, CellResult) for r in out)
+        assert len(matrices) == len(members) and max(members) > 1
+        over = [
+            n for (lanes, width), n in zip(matrices, members)
+            if lanes * width > cap
+        ]
+        assert over == [1]
+
+    def test_binned_rows_live_one_pack_at_a_time(self, monkeypatch):
+        realised, key = _host_group("sigma-rho-lambda")
+        rows = []
+        live_at_pack = []
+        real_bin = cellmatrix_mod._binned_cum
+        real_pack = cellmatrix_mod._eval_fluid_pack
+
+        def binned(*args):
+            row = real_bin(*args)
+            rows.append(weakref.ref(row))
+            return row
+
+        def pack(mode, dt, cells):
+            live = sum(ref() is not None for ref in rows)
+            own = sum(len(cell.arr_rows) for _slot, cell in cells)
+            live_at_pack.append((live, own))
+            return real_pack(mode, dt, cells)
+
+        monkeypatch.setattr(cellmatrix_mod, "_binned_cum", binned)
+        monkeypatch.setattr(cellmatrix_mod, "_eval_fluid_pack", pack)
+        monkeypatch.setattr(cellmatrix_mod, "MAX_PACK_ELEMENTS", 1)
+        out = simulate_cells(key, realised)
+        assert all(isinstance(r, CellResult) for r in out)
+        assert len(live_at_pack) == len(realised)
+        assert all(live == own > 0 for live, own in live_at_pack)
+        assert all(ref() is None for ref in rows)
+
+    def test_failing_binning_fails_only_its_cell(self, monkeypatch):
+        realised, key = _host_group("sigma-rho")
+        healthy = simulate_cells(key, realised)
+        victim = 1
+        packs = cellmatrix_mod._fluid_subbatches(
+            [
+                (i, cellmatrix_mod._prep_fluid_cell(r, key[3], key[4]))
+                for i, r in enumerate(realised)
+            ]
+        )
+        (victim_pack,) = [
+            pack for pack in packs if victim in [i for i, _cell in pack]
+        ]
+        assert len(victim_pack) > 1
+        doomed = {id(tr) for tr in realised[victim].traces} - {
+            id(tr)
+            for i, r in enumerate(realised) if i != victim
+            for tr in r.traces
+        }
+        assert doomed
+        real_bin = cellmatrix_mod._binned_cum
+
+        def crash(tr, *args):
+            if id(tr) in doomed:
+                raise RuntimeError("injected binning crash")
+            return real_bin(tr, *args)
+
+        monkeypatch.setattr(cellmatrix_mod, "_binned_cum", crash)
+        out = simulate_cells(key, realised)
+        assert isinstance(out[victim], RuntimeError)
+        assert "injected binning crash" in str(out[victim])
+        for i, (o, h) in enumerate(zip(out, healthy)):
+            if i != victim:
+                assert o == h
 
 
 # ----------------------------------------------------------------------
