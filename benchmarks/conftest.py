@@ -23,7 +23,7 @@ import time
 
 import pytest
 
-from repro.runtime.executor import SerialExecutor
+from repro.runtime.executor import run_each
 from repro.scenarios.runner import evaluate_cell, finalise_batch
 
 
@@ -86,8 +86,8 @@ def run_once(benchmark, fn, *args, **kwargs):
 def run_percell(cells, worker=evaluate_cell, **map_kwargs):
     """Cells evaluated one at a time: ``worker`` (default
     ``evaluate_cell``) on every cell in process (``map_kwargs`` go to
-    ``SerialExecutor.map_tasks``), then the same vectorised bounds and
-    verdicts as ``run_batch``."""
+    ``run_each``), then the same vectorised bounds and verdicts as
+    ``run_batch``."""
     t0 = time.perf_counter()
-    tasks = SerialExecutor().map_tasks(worker, cells, **map_kwargs)
+    tasks = run_each(worker, cells, **map_kwargs)
     return finalise_batch(cells, tasks, time.perf_counter() - t0)

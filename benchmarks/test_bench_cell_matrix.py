@@ -33,7 +33,6 @@ from __future__ import annotations
 import time
 
 from benchmarks.conftest import run_once, run_percell
-from repro.runtime.executor import SerialExecutor
 from repro.scenarios import generate_scenarios, run_batch
 from repro.scenarios.spec import Scenario
 from tests.reference import reference_cell
@@ -46,6 +45,13 @@ DES_GROUPED_FLOOR = 4.0
 MIXED_PARITY_FLOOR = 0.7
 
 N_CELLS = 256
+
+#: Back-to-back passes per timed sample of the DES floor.  One grouped
+#: pass of its 256 primed cells can take under 0.1 s, and one
+#: scheduler stall on a shared host then moves the ratio past the
+#: floor; four passes keep each timed window at about 0.3 s or more.
+#: Both sides are timed with the same count.
+DES_REPEATS = 4
 
 
 def _closed_form_matrix(backend: str, n: int = N_CELLS, k: int = 12):
@@ -65,19 +71,26 @@ def _closed_form_matrix(backend: str, n: int = N_CELLS, k: int = 12):
     ]
 
 
-def _best_of(n: int, fn, *args, **kwargs):
+def _best_of(n: int, fn, *args, repeats: int = 1, **kwargs):
+    """Seconds per call: the best of ``n`` samples, each timing
+    ``repeats`` back-to-back calls; also the last call's result."""
     best = float("inf")
     result = None
     for _ in range(n):
         t0 = time.perf_counter()
-        result = fn(*args, **kwargs)
+        for _ in range(repeats):
+            result = fn(*args, **kwargs)
         best = min(best, time.perf_counter() - t0)
-    return best, result
+    return best / repeats, result
 
 
-def _grouped_vs_percell(cells):
-    t_per, per = _best_of(2, run_percell, cells, worker=reference_cell)
-    t_grp, grp = _best_of(2, run_batch, cells, executor=SerialExecutor())
+def _grouped_vs_percell(cells, repeats: int = 1):
+    """Per-cell reference and grouped ``run_batch`` seconds per pass,
+    both timed as the best of 2 samples of ``repeats`` passes."""
+    t_per, per = _best_of(
+        2, run_percell, cells, worker=reference_cell, repeats=repeats
+    )
+    t_grp, grp = _best_of(2, run_batch, cells, repeats=repeats)
     for p, g in zip(per.outcomes, grp.outcomes):
         assert g.measured == p.measured and g.bound == p.bound
         assert g.events == p.events and g.sound == p.sound
@@ -88,7 +101,7 @@ def test_fluid_closed_form_campaign_grouped_speedup(
     benchmark, bench_pr6, artifact_report
 ):
     cells = _closed_form_matrix("fluid")
-    run_once(benchmark, run_batch, cells, executor=SerialExecutor())
+    run_once(benchmark, run_batch, cells)
     t_per, t_grp = _grouped_vs_percell(cells)
     speedup = t_per / t_grp
     bench_pr6["fluid_closed_form"] = {
@@ -115,7 +128,7 @@ def test_fluid_closed_form_campaign_grouped_speedup(
 
 def test_des_closed_form_campaign_grouped_speedup(bench_pr6, artifact_report):
     cells = _closed_form_matrix("des")
-    t_per, t_grp = _grouped_vs_percell(cells)
+    t_per, t_grp = _grouped_vs_percell(cells, repeats=DES_REPEATS)
     speedup = t_per / t_grp
     bench_pr6["des_closed_form"] = {
         "cells": len(cells),

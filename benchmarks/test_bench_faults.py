@@ -19,7 +19,6 @@ import time
 
 from benchmarks.conftest import run_once, run_percell
 from repro.runtime import RetryPolicy
-from repro.runtime.executor import SerialExecutor
 from repro.runtime.faults import FaultPlan
 from repro.scenarios import run_batch
 from repro.scenarios.spec import Scenario
@@ -88,7 +87,6 @@ def test_fault_tolerance_overhead_under_five_percent(
         t_chaos, chaos = _timed(
             run_batch,
             cells,
-            executor=SerialExecutor(),
             retry=RetryPolicy(max_attempts=3, backoff_base=0.0, jitter=0.0),
             fault_plan=FaultPlan(seed=7, rate=0.15, kinds=("raise", "delay")),
         )

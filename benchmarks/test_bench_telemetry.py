@@ -26,7 +26,6 @@ import time
 
 from benchmarks.conftest import run_once, run_percell
 from repro.runtime import set_telemetry_enabled, telemetry_enabled
-from repro.runtime.executor import SerialExecutor
 from repro.scenarios import run_batch
 from repro.scenarios.spec import Scenario
 
@@ -65,7 +64,7 @@ def _timed_run(cells, *, telemetry: bool, grouped: bool):
     try:
         t0 = time.perf_counter()
         report = (
-            run_batch(cells, executor=SerialExecutor())
+            run_batch(cells)
             if grouped
             else run_percell(cells)
         )

@@ -7,14 +7,17 @@
 # batch realisation, the only in-process path -- on both store
 # backends and require each summary to match the pinned baseline byte
 # for byte: the grouped path's bit-identity contract, gated end to end.
-# Each serial store must also report all 24 cells grouped.
+# Each serial store, and the pool run's workers, must also report all
+# 24 cells grouped.
 #
 # Usage: ci/gate.sh [STORE_DIR]
 #   STORE_DIR  where to write the fresh campaign store
 #              (default: a temporary directory)
 #
 # Exit status: 0 when the campaign is clean AND the diff against the
-# pinned baseline shows no regression AND the serial grouped
+# pinned baseline shows no regression AND the pool run's cell
+# telemetry counts all 24 cells grouped in its workers AND the serial
+# grouped
 # summaries match it byte for byte AND each serial store's
 # grouping_summary reports all 24 cells grouped (the smoke matrix's
 # chains and trees are adversarial fluid cells, which the chain group
@@ -108,6 +111,29 @@ PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m repro.experiments.cli \
   --baseline ci/baseline_smoke
 
 echo "baseline gate: clean (store: $STORE)"
+
+# The pool must group too: each --jobs worker evaluates its chunk
+# through the grouped cell matrix, so the cell telemetry of the pool
+# run above must count all 24 smoke cells grouped.  Results are the
+# same either way, so a silent return to per-cell evaluation would
+# pass every other leg.
+PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python - "$STORE" <<'EOF'
+import sys
+
+from repro.runtime import open_store
+
+target = sys.argv[1]
+grouped = sum(
+    r.get("counters", {}).get("grouped_cells", 0)
+    for r in open_store(target, must_exist=True).load_telemetry()
+    if r.get("kind") == "cell"
+)
+if grouped != 24:
+    print(f"pool grouping gate: FAILED ({target}: {grouped} of 24 cells "
+          f"grouped in the pool workers)", file=sys.stderr)
+    sys.exit(1)
+EOF
+echo "pool grouping gate: clean (24 of 24 smoke cells grouped in the pool workers)"
 
 # Serial grouped path vs the pinned baseline: the same matrix with no
 # --jobs (grouped evaluation, batch realisation), on both store

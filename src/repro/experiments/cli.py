@@ -155,11 +155,11 @@ def _print_theory() -> None:
 
 
 def executor_for_jobs(jobs: int):
-    """``scenarios run --jobs N``'s executor: serial for one job, else the
-    process pool."""
-    from repro.runtime import ProcessExecutor, SerialExecutor
+    """``scenarios run --jobs N``'s executor: ``None`` (in process) for
+    one job, else the process pool."""
+    from repro.runtime import ProcessExecutor
 
-    return SerialExecutor() if jobs == 1 else ProcessExecutor(jobs=jobs)
+    return None if jobs == 1 else ProcessExecutor(jobs=jobs)
 
 
 def _scenarios_main(argv: list[str]) -> int:

@@ -8,18 +8,20 @@ this package supplies the machinery that scales campaigns from the
 tier-1 smoke slice to thousands of cells:
 
 ``executor`` (:mod:`repro.runtime.executor`)
-    The **executor contract**: ``map_tasks(fn, payloads)`` evaluates a
-    picklable module-level function over picklable payloads and returns
-    one ``TaskResult`` per payload *in payload order*.  Implementations:
-    ``SerialExecutor`` (the in-process reference) and
-    ``ProcessExecutor`` (a chunked ``concurrent.futures`` process pool,
-    ``scenarios run --jobs N``).  Failures are captured worker-side
-    into per-cell ``TaskResult.error`` tracebacks -- one crashing cell
-    fails its own verdict, never the campaign -- and a hard worker
-    death is absorbed by pool resurrection.  Backends must be
-    *semantically interchangeable*: for a deterministic ``fn``, both
-    return bit-identical values (the scenario runner guarantees its
-    side by deriving all randomness from the spec's seed).
+    ``run_each(fn, payloads)`` calls ``fn`` on each payload in turn,
+    in process, with retries and per-attempt timeouts, and returns one
+    ``TaskResult`` per payload *in payload order*.
+    ``ProcessExecutor`` (``scenarios run --jobs N``) is a chunked
+    ``concurrent.futures`` process pool whose ``map_tasks`` maps a
+    picklable *batch function* over chunks of the payloads; campaigns
+    map the worker stage
+    (:func:`repro.scenarios.runner.evaluate_batch`), which runs
+    in process when no executor is given.  Failures are captured
+    worker-side into per-cell ``TaskResult.error`` tracebacks -- one
+    crashing cell fails its own verdict, never the campaign -- and a
+    hard worker death is absorbed by pool resurrection.  In-process
+    and pooled runs return bit-identical values (the scenario runner
+    derives all randomness from the spec's seed).
 
 ``store`` (:mod:`repro.runtime.store`)
     The **pluggable persistent result store**: one record per evaluated
@@ -40,7 +42,7 @@ tier-1 smoke slice to thousands of cells:
 
 ``campaign`` (:mod:`repro.runtime.campaign`)
     The driver tying both together: ``run_campaign`` evaluates a matrix
-    on an executor, appends verdicts to a store, skips already-completed
+    in process or on the process pool, appends verdicts to a store, skips already-completed
     cells on ``resume``, and reports perf-budget violations alongside
     soundness.  ``CampaignConfig`` is the JSON description
     behind the CLI's ``--campaign`` flag.
@@ -133,13 +135,12 @@ from repro.runtime.cost import (
 )
 from repro.runtime.executor import (
     CellTimeout,
-    Executor,
     ProcessExecutor,
     RetryPolicy,
-    SerialExecutor,
     TaskResult,
+    run_each,
+    run_one_with_retry,
 )
-from repro.runtime.executor import run_one_with_retry
 from repro.runtime.faults import FaultPlan, InjectedFault
 from repro.runtime.store import (
     CampaignDiff,
@@ -178,6 +179,7 @@ __all__ = [
     "plan_campaign_leases",
     "plan_leases",
     "run_coordinator",
+    "run_each",
     "run_one_with_retry",
     "work_store",
     "chrome_trace_events",
@@ -187,14 +189,12 @@ __all__ = [
     "backend_profile",
     "plan_chunks",
     "CellTimeout",
-    "Executor",
     "FaultPlan",
     "InjectedFault",
     "JsonlResultStore",
     "RetryPolicy",
     "ProcessExecutor",
     "ResultStore",
-    "SerialExecutor",
     "SqliteResultStore",
     "TaskResult",
     "build_campaign",

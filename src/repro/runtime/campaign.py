@@ -1,9 +1,9 @@
-"""Campaign driver: executor-parallel batches over a persistent store.
+"""Campaign driver: batched evaluation over a persistent store.
 
-A *campaign* is a (usually generated) scenario matrix evaluated through
-a :class:`repro.runtime.executor.Executor` with its verdicts appended
-to a :class:`repro.runtime.store.ResultStore`.  On top of
-:func:`repro.scenarios.runner.run_batch` this layer adds:
+A *campaign* is a (usually generated) scenario matrix evaluated in
+process or on a :class:`repro.runtime.executor.ProcessExecutor`, with
+its verdicts appended to a :class:`repro.runtime.store.ResultStore`.
+On top of :func:`repro.scenarios.runner.run_batch` this layer adds:
 
 * **resume** -- cells whose content-hashed key already has a completed
   record in the store are skipped, so an interrupted thousand-cell
@@ -34,7 +34,7 @@ from pathlib import Path
 from typing import Optional, Sequence, Union
 
 from repro.runtime import faults
-from repro.runtime.executor import Executor, RetryPolicy, _error_head
+from repro.runtime.executor import ProcessExecutor, RetryPolicy, _error_head
 from repro.runtime.faults import FaultPlan, InjectedFault
 from repro.runtime.store import (
     ResultStore,
@@ -260,7 +260,7 @@ def _empty_report() -> BatchReport:
 def run_campaign(
     scenarios: Sequence[Scenario],
     *,
-    executor: Optional[Executor] = None,
+    executor: Optional[ProcessExecutor] = None,
     store: Optional[Union[str, Path, ResultStore]] = None,
     resume: bool = False,
     progress: Optional[callable] = None,
@@ -293,10 +293,12 @@ def run_campaign(
     :class:`repro.runtime.cost.CellCostModel` is used as given.
     Scheduling-only in every case: cell outcomes are bit-identical.
 
-    The serial executor evaluates through the structure-of-arrays
-    grouped evaluator, the process pool per cell (see :func:`run_batch`);
-    outcomes and store records are bit-identical either way
-    (``wall_time`` attribution aside).
+    ``executor=None`` evaluates the matrix in this process, a
+    :class:`repro.runtime.executor.ProcessExecutor` in chunks on its
+    workers; both go through the same worker stage
+    (:func:`repro.scenarios.runner.evaluate_batch`, see
+    :func:`run_batch`), and outcomes and store records are
+    bit-identical either way (``wall_time`` attribution aside).
 
     ``retry``/``cell_timeout``/``fault_plan`` are the fault-tolerance
     knobs (all off by default with zero overhead): bounded per-cell

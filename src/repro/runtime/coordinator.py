@@ -21,15 +21,15 @@ The protocol, end to end:
 2. **Workers** (forked by the coordinator, attached by hand with
    ``scenarios work``, or :func:`work_store` in-process) claim the
    dearest open lease with an atomic compare-and-swap and evaluate it
-   through the grouped cell matrix
-   (:func:`~repro.scenarios.runner.evaluate_grouped_with_retry`, the
-   serial campaign's worker stage).  They renew its deadline and their
-   heartbeat *between* cells -- never during one, and a group kernel
-   counts as one step, so a hung cell lapses the lease -- and commit
-   whole-lease batches through the campaign's crash-consistent
-   :func:`~repro.runtime.campaign.append_results_with_retry`.  A
-   reclaimed lease, or any lease under a fault plan, runs cell by cell
-   through :func:`~repro.scenarios.runner.evaluate_cell` instead.
+   through the worker stage every campaign shares
+   (:func:`~repro.scenarios.runner.evaluate_batch`): a clean lease as
+   grouped cell-matrix batches, a reclaimed lease, or any lease under
+   a fault plan or a cell timeout, cell by cell.  They renew its
+   deadline and their heartbeat *between* cells -- never during one,
+   and a group kernel counts as one step, so a hung cell lapses the
+   lease -- and commit whole-lease batches through the campaign's
+   crash-consistent
+   :func:`~repro.runtime.campaign.append_results_with_retry`.
 3. A lease whose holder stops renewing (SIGKILLed, hung, partitioned)
    is **stolen** by any live worker once its deadline passes; stealing
    increments the lease's ``deaths``.  A stolen multi-cell lease is
@@ -61,7 +61,6 @@ converges.
 
 from __future__ import annotations
 
-import functools
 import multiprocessing
 import os
 import sys
@@ -78,7 +77,6 @@ from repro.runtime.executor import (
     TaskResult,
     _error_head,
     allowed_deaths,
-    run_one_with_retry,
 )
 from repro.runtime.faults import FaultPlan
 from repro.runtime.store import (
@@ -241,7 +239,6 @@ def work_store(
     st = open_store(store)
     lt = st.leases()
     budget = allowed_deaths(retry)
-    collect = telemetry.enabled()
     t_begin = time.perf_counter()
     done = stolen_n = split_n = poisoned_n = abandoned_n = 0
     cells_n = cells_poisoned = retried = store_retries = 0
@@ -296,7 +293,6 @@ def work_store(
                 cell_timeout=cell_timeout,
                 fault_plan=fault_plan,
                 clock=clock,
-                collect=collect,
             )
             if outcome is None:
                 abandoned_n += 1
@@ -339,31 +335,20 @@ def _run_lease(
     cell_timeout: Optional[float],
     fault_plan: Optional[FaultPlan],
     clock: Callable[[], float],
-    collect: bool,
 ) -> Optional[dict]:
     """Evaluate one held lease; ``None`` means it was lost mid-run.
 
-    A clean lease runs through the grouped cell matrix
-    (:func:`~repro.scenarios.runner.evaluate_grouped_with_retry`), whose
-    ``tick`` renews the lease and beats as each cell completes.  The
-    cell-by-cell loop remains for a lease under a fault plan (injection
-    targets :func:`~repro.scenarios.runner.evaluate_cell`) and for a
-    reclaimed one, whose cells start at attempt ``deaths + 1``.  Either
-    way the renews fall between cells, and the first failed renew
-    abandons the lease without committing.
+    The lease runs through the worker stage
+    (:func:`~repro.scenarios.runner.evaluate_batch`) from attempt
+    ``deaths + 1``: grouped on a clean first run, cell by cell when it
+    was reclaimed or runs under a fault plan or a cell timeout.  Its
+    ``tick`` renews the lease and beats as each cell completes, so the
+    renews fall between cells (a group kernel is one step), and the
+    first failed renew abandons the lease without committing.
     """
-    from repro.scenarios.runner import (
-        evaluate_cell,
-        evaluate_grouped_with_retry,
-        finalise_batch,
-    )
+    from repro.scenarios.runner import evaluate_batch, finalise_batch
 
     scenarios = [scenario_from_dict(c["spec"]) for c in lease["cells"]]
-    worker_fn = (
-        evaluate_cell
-        if fault_plan is None
-        else functools.partial(faults.evaluate_cell_under_plan, fault_plan)
-    )
     deaths = int(lease["deaths"])
     prior = (
         (f"lease {lease['id']} reclaimed after {deaths} worker death(s)",)
@@ -379,27 +364,16 @@ def _run_lease(
 
     t0 = time.perf_counter()
     try:
-        if fault_plan is None and deaths == 0:
-            renew()
-            tasks = evaluate_grouped_with_retry(
-                scenarios, tick=renew, retry=retry, cell_timeout=cell_timeout
-            )
-        else:
-            tasks = []
-            for pos, sc in enumerate(scenarios):
-                renew()
-                tasks.append(
-                    run_one_with_retry(
-                        worker_fn,
-                        pos,
-                        sc,
-                        collect,
-                        retry,
-                        cell_timeout,
-                        start_attempt=deaths + 1,
-                        prior_errors=prior,
-                    )
-                )
+        renew()
+        tasks = evaluate_batch(
+            scenarios,
+            deaths + 1,
+            retry=retry,
+            cell_timeout=cell_timeout,
+            fault_plan=fault_plan,
+            prior_errors=prior,
+            tick=renew,
+        )
     except _LeaseLost:
         return None
     report = finalise_batch(scenarios, tasks, time.perf_counter() - t0)

@@ -1,18 +1,19 @@
-"""Pluggable execution backends for embarrassingly parallel cell work.
+"""The per-payload loop and the process pool behind cell evaluation.
 
-An :class:`Executor` maps a picklable, module-level function over a
-sequence of picklable payloads and returns one :class:`TaskResult` per
-payload, **in payload order**, regardless of completion order.  Two
-backends share the contract:
+Both return one :class:`TaskResult` per payload, **in payload order**,
+with failures captured per payload:
 
-``SerialExecutor``
-    In-process loop; the reference semantics the pool must reproduce
-    bit-for-bit (results may only differ by wall time).
-``ProcessExecutor``
-    ``concurrent.futures.ProcessPoolExecutor``; the scale backend for
-    CPU-bound DES cells.  Payloads are submitted in contiguous chunks
-    (amortising pickling and task dispatch), and the worker function
-    plus payloads must be picklable.
+:func:`run_each`
+    The in-process loop: each payload in turn through its retry budget
+    and per-attempt ``cell_timeout``; the cell-by-cell half of the
+    worker stage (:func:`repro.scenarios.runner.evaluate_batch`).
+:class:`ProcessExecutor`
+    ``concurrent.futures.ProcessPoolExecutor``, the ``--jobs N``
+    backend: ``map_tasks`` maps a picklable *batch function*
+    ``fn(chunk_payloads, start_attempt, *, retry, cell_timeout)`` over
+    chunks of the payloads, so a worker evaluates a whole chunk per
+    call (``functools.partial(run_each, f)`` makes one of a
+    per-payload ``f``).
 
 Multi-process campaigns over one shared store use the lease
 coordinator (:mod:`repro.runtime.coordinator`) instead of an executor.
@@ -28,22 +29,25 @@ Fault tolerance (opt-in, zero-overhead default):
   the cell index, never from a shared RNG stream), so retry schedules
   are replayable.  Retries happen inside the worker, next to the cell.
 * ``cell_timeout`` -- a per-attempt wall-clock cap enforced with
-  ``SIGALRM`` inside the executing process (the serial backend and
-  process workers), surfaced as a :class:`CellTimeout` error and
+  ``SIGALRM`` inside the executing process (the campaign process or a
+  pool worker), surfaced as a :class:`CellTimeout` error and
   therefore retryable.
 * Pool resurrection -- a hard worker death (``BrokenProcessPool``)
   breaks *every* in-flight future and cannot name the culprit cell.
   The process backend responds by killing the pool, re-submitting all
   outstanding cells **individually** to a fresh pool (so the next
-  death isolates its culprit to one cell), and counting per-cell
-  *exposures*: a cell in flight during more than
-  :func:`allowed_deaths` deaths is declared poison and failed with its
-  own disposition, while collateral cells complete normally.  After
-  :data:`MAX_POOL_DEATHS` the backend degrades to in-parent serial
-  execution rather than fail the campaign.  A watchdog (armed only
-  when ``cell_timeout`` is set) additionally treats a chunk that
-  overstays its worst-case attempt budget as a pool death, which
-  unsticks cells hung in C code where ``SIGALRM`` cannot fire.
+  death isolates its culprit to one cell, which starts at attempt
+  ``exposures + 1``), and counting per-cell *exposures*: a cell in
+  flight during more than :func:`allowed_deaths` deaths is declared
+  poison and failed with its own disposition, while collateral cells
+  complete normally.  After :data:`MAX_POOL_DEATHS` the backend
+  degrades to in-parent serial execution rather than fail the
+  campaign.  A watchdog (armed only when ``cell_timeout`` is set)
+  additionally treats a chunk that overstays its worst-case attempt
+  budget as a pool death, which unsticks cells hung in C code where
+  ``SIGALRM`` cannot fire.  A torn-down pool's workers are terminated
+  and joined (SIGKILLed if they ignore that), so none outlives
+  ``map_tasks``.
 
 Determinism under retry: attempt numbers are visible only to the fault
 injection layer (:mod:`repro.runtime.faults`) and the attempt ledger
@@ -58,7 +62,6 @@ import signal
 import threading
 import time
 import traceback
-from abc import ABC, abstractmethod
 from concurrent.futures import FIRST_COMPLETED, Executor as _FuturesExecutor, wait
 from contextlib import contextmanager
 from dataclasses import dataclass, field as dataclass_field
@@ -70,6 +73,7 @@ from repro.runtime.telemetry import (
     begin_cell,
     end_cell,
     enabled as telemetry_enabled,
+    set_enabled as set_telemetry_enabled,
 )
 from repro.utils.rng import derive_seed
 
@@ -77,11 +81,10 @@ __all__ = [
     "TaskResult",
     "RetryPolicy",
     "CellTimeout",
-    "Executor",
-    "SerialExecutor",
     "ProcessExecutor",
     "allowed_deaths",
     "auto_chunksize",
+    "run_each",
     "run_one_with_retry",
 ]
 
@@ -105,6 +108,10 @@ WATCHDOG_TICK_S = 0.1
 #: Watchdog slack on top of a chunk's worst-case attempt budget
 #: (dispatch, pickling, scheduler noise).
 WATCHDOG_GRACE_S = 2.0
+#: How long a torn-down pool's terminated workers get to exit before
+#: they are SIGKILLed (a worker that blocks SIGTERM-driven exit, e.g.
+#: hung in C code, must not outlive the pool).
+KILL_JOIN_S = 1.0
 
 
 class CellTimeout(Exception):
@@ -276,24 +283,17 @@ def _run_one(
     fn: Callable[[Any], Any],
     index: int,
     payload: Any,
-    collect: bool = True,
     attempt: int = 1,
     cell_timeout: Optional[float] = None,
 ) -> TaskResult:
-    """Worker-side unit of execution with exception capture.
-
-    ``collect`` carries the parent's telemetry switch across the
-    process boundary (spawned workers re-import modules, so the global
-    flag alone cannot be trusted there); :func:`begin_cell` still
-    honours the local global, so both ends must agree to collect.
+    """One attempt of one payload, with exception capture.
 
     ``attempt`` is published thread-locally for the fault-injection
     layer and the ledger only -- the payload itself never sees it, so
-    retried evaluations stay bit-identical.
+    retried evaluations stay bit-identical.  Telemetry is collected
+    when this process's switch is on (:func:`begin_cell`).
     """
-    tel = (
-        begin_cell(str(getattr(payload, "name", index))) if collect else None
-    )
+    tel = begin_cell(str(getattr(payload, "name", index)))
     t0 = time.perf_counter()
     try:
         with faults.attempt_scope(attempt):
@@ -322,7 +322,6 @@ def run_one_with_retry(
     fn: Callable[[Any], Any],
     index: int,
     payload: Any,
-    collect: bool = True,
     retry: Optional[RetryPolicy] = None,
     cell_timeout: Optional[float] = None,
     start_attempt: int = 1,
@@ -341,135 +340,77 @@ def run_one_with_retry(
     log = list(prior_errors)
     attempt = max(1, start_attempt)
     while True:
-        tr = _run_one(fn, index, payload, collect, attempt, cell_timeout)
+        tr = _run_one(fn, index, payload, attempt, cell_timeout)
         if tr.ok or attempt >= budget:
-            if tr.error is not None:
-                log.append(_error_head(tr.error))
-            if log:
-                tr = dataclasses.replace(tr, attempt_errors=tuple(log))
-            return tr
+            break
         log.append(_error_head(tr.error))
         time.sleep(retry.delay(attempt, token=index))
         attempt += 1
+    # A lone failed attempt with no budget left keeps no ledger: its
+    # error is the result's, and the cell was never retried.
+    if tr.error is not None and (log or budget > 1):
+        log.append(_error_head(tr.error))
+    return dataclasses.replace(tr, attempt_errors=tuple(log)) if log else tr
 
 
-def _run_chunk(
+def run_each(
     fn: Callable[[Any], Any],
-    chunk: Sequence[tuple[int, Any]],
-    submit_t: Optional[float] = None,
-    collect: bool = True,
+    payloads: Sequence[Any],
+    start_attempt: int = 1,
+    *,
     retry: Optional[RetryPolicy] = None,
     cell_timeout: Optional[float] = None,
-    start_attempts: Optional[Sequence[int]] = None,
+    tick: Optional[Callable[[int, int], None]] = None,
 ) -> list[TaskResult]:
-    """Worker-side chunk loop (module-level, hence picklable).
+    """Call ``fn`` on each payload in turn, in this process.
 
-    ``submit_t`` is the parent's ``time.perf_counter()`` at submission
-    -- CLOCK_MONOTONIC is process-shared on Linux, so the difference to
-    the worker's first instruction is this chunk's queue latency.
+    Every payload runs through :func:`run_one_with_retry` from
+    ``start_attempt``, each attempt capped by ``cell_timeout``;
+    ``tick(done, total)`` (optional) is called after each payload.
+    ``functools.partial(run_each, fn)`` is a batch function for
+    :meth:`ProcessExecutor.map_tasks`.
     """
-    t_start = time.perf_counter()
-    queue_s = t_start - submit_t if submit_t is not None else None
     results = []
-    for pos, (index, payload) in enumerate(chunk):
-        start = start_attempts[pos] if start_attempts is not None else 1
-        tr = run_one_with_retry(
-            fn,
-            index,
-            payload,
-            collect,
-            retry,
-            cell_timeout,
-            start_attempt=start,
+    for i, payload in enumerate(payloads):
+        results.append(
+            run_one_with_retry(
+                fn, i, payload, retry, cell_timeout, start_attempt=start_attempt
+            )
         )
-        if tr.telemetry is not None:
-            tr.telemetry.extra["chunk_size"] = len(chunk)
-            if queue_s is not None:
-                tr.telemetry.extra["chunk_queue_s"] = queue_s
-        results.append(tr)
+        if tick is not None:
+            tick(i + 1, len(payloads))
     return results
 
 
-class Executor(ABC):
-    """The execution contract: ordered results, captured failures."""
+def _run_chunk(
+    fn: Callable[..., list[TaskResult]],
+    payloads: Sequence[Any],
+    start_attempt: int,
+    submit_t: float,
+    collect: bool,
+    retry: Optional[RetryPolicy],
+    cell_timeout: Optional[float],
+) -> list[TaskResult]:
+    """Worker-side chunk call (module-level, hence picklable).
 
-    #: Human-readable backend name (CLI/report labels).
-    kind: str = "abstract"
-    #: Degree of parallelism (1 for the serial backend).
-    jobs: int = 1
-    #: Whether callers may replace the per-payload worker stage with an
-    #: in-process batch-of-cells pass (the structure-of-arrays grouped
-    #: evaluator).  Only sound for in-process execution: the process
-    #: pool ships payloads to workers one chunk at a time, so grouping
-    #: there would serialise the batch through the parent instead.
-    supports_cell_grouping: bool = False
-
-    @abstractmethod
-    def map_tasks(
-        self,
-        fn: Callable[[Any], Any],
-        payloads: Sequence[Any],
-        *,
-        progress: Optional[Callable[[int, int], None]] = None,
-        chunk_plan: Optional[Sequence[Sequence[int]]] = None,
-        retry: Optional[RetryPolicy] = None,
-        cell_timeout: Optional[float] = None,
-    ) -> list[TaskResult]:
-        """Evaluate ``fn`` over ``payloads``; results in payload order.
-
-        ``progress`` (optional) is called as ``progress(done, total)``
-        whenever the completed-task count advances.  ``chunk_plan``
-        (optional, the process pool) prescribes the submission chunks as
-        payload-index lists -- the cost-aware scheduler's hook (see
-        :func:`repro.runtime.cost.plan_chunks`).  Every index must
-        appear exactly once; results stay in payload order regardless.
-        ``retry`` and ``cell_timeout`` opt into the fault-tolerant
-        path; both default to off with zero overhead.
-        """
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"{type(self).__name__}(jobs={self.jobs})"
-
-
-class SerialExecutor(Executor):
-    """The in-process reference backend.
-
-    A ``chunk_plan`` is validated but otherwise ignored: serial
-    execution has no dispatch skew to schedule around, and running in
-    payload order keeps the reference semantics trivially ordered.
+    ``collect`` carries the parent's telemetry switch across the
+    process boundary (a spawned worker re-imports modules, so its own
+    default cannot be trusted).  ``submit_t`` is the parent's
+    ``time.perf_counter()`` at submission -- CLOCK_MONOTONIC is
+    process-shared on Linux, so the difference to the worker's first
+    instruction is this chunk's queue latency.
     """
-
-    kind = "serial"
-    supports_cell_grouping = True
-
-    def map_tasks(
-        self,
-        fn,
-        payloads,
-        *,
-        progress=None,
-        chunk_plan=None,
-        retry=None,
-        cell_timeout=None,
-    ):
-        if chunk_plan is not None:
-            _check_plan(chunk_plan, len(payloads))
-        results = []
-        for i, payload in enumerate(payloads):
-            if retry is None and cell_timeout is None:
-                results.append(_run_one(fn, i, payload))
-            else:
-                results.append(
-                    run_one_with_retry(
-                        fn, i, payload, True, retry, cell_timeout
-                    )
-                )
-            if progress is not None:
-                progress(i + 1, len(payloads))
-        return results
+    queue_s = time.perf_counter() - submit_t
+    set_telemetry_enabled(collect)
+    results = fn(payloads, start_attempt, retry=retry, cell_timeout=cell_timeout)
+    for tr in results:
+        if tr.telemetry is not None:
+            tr.telemetry.extra["chunk_size"] = len(payloads)
+            tr.telemetry.extra["chunk_queue_s"] = queue_s
+    return results
 
 
-class _PoolExecutor(Executor):
+class _PoolExecutor:
     """The process pool's chunked, death-resilient submission driver.
 
     :class:`ProcessExecutor` is its only subclass.  ``map_tasks`` stays
@@ -478,13 +419,13 @@ class _PoolExecutor(Executor):
     shadow afterwards.
     """
 
-    def __init__(self, jobs: int = 2, chunksize: Optional[int] = None):
+    def __init__(self, jobs: int = 2):
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
-        if chunksize is not None and chunksize < 1:
-            raise ValueError(f"chunksize must be >= 1, got {chunksize}")
         self.jobs = jobs
-        self.chunksize = chunksize
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return f"{type(self).__name__}(jobs={self.jobs})"
 
     def _make_pool(self) -> _FuturesExecutor:
         from concurrent.futures import ProcessPoolExecutor
@@ -493,29 +434,56 @@ class _PoolExecutor(Executor):
 
     @staticmethod
     def _kill_pool(pool: _FuturesExecutor) -> None:
-        """Tear a (possibly broken, possibly hung) pool down hard."""
+        """Tear a (possibly broken, possibly hung) pool down hard.
+
+        The worker table is read before ``shutdown``, which drops it;
+        every worker is then terminated and joined, and one that
+        outlives :data:`KILL_JOIN_S` is SIGKILLed and joined, so no
+        worker outlives the pool.
+        """
+        procs = list((getattr(pool, "_processes", None) or {}).values())
         try:
             pool.shutdown(wait=False, cancel_futures=True)
         except Exception:
             pass
-        procs = getattr(pool, "_processes", None)
-        if procs:
-            for proc in list(procs.values()):
-                try:
-                    proc.terminate()
-                except Exception:
-                    pass
+        for proc in procs:
+            try:
+                proc.terminate()
+            except Exception:
+                pass
+        deadline = time.monotonic() + KILL_JOIN_S
+        for proc in procs:
+            proc.join(max(0.0, deadline - time.monotonic()))
+        for proc in procs:
+            if proc.exitcode is None:
+                proc.kill()
+                proc.join()
 
     def map_tasks(
         self,
-        fn,
-        payloads,
+        fn: Callable[..., list[TaskResult]],
+        payloads: Sequence[Any],
         *,
-        progress=None,
-        chunk_plan=None,
-        retry=None,
-        cell_timeout=None,
-    ):
+        progress: Optional[Callable[[int, int], None]] = None,
+        chunk_plan: Optional[Sequence[Sequence[int]]] = None,
+        retry: Optional[RetryPolicy] = None,
+        cell_timeout: Optional[float] = None,
+    ) -> list[TaskResult]:
+        """Evaluate ``payloads`` chunk by chunk; results in payload order.
+
+        ``fn(chunk_payloads, start_attempt, *, retry, cell_timeout)`` is
+        a picklable batch function returning one :class:`TaskResult`
+        per chunk payload, indexed by position in the chunk; the result
+        is re-indexed by payload.  ``progress`` (optional) is called as
+        ``progress(done, total)`` whenever the completed-task count
+        advances.  ``chunk_plan`` (optional) prescribes the chunks as
+        payload-index lists -- the cost-aware scheduler's hook (see
+        :func:`repro.runtime.cost.plan_chunks`); every index must
+        appear exactly once.  Without one, contiguous chunks of
+        :func:`auto_chunksize` payloads are submitted.  ``retry`` and
+        ``cell_timeout`` opt into the fault-tolerant path; both default
+        to off with zero overhead.
+        """
         n = len(payloads)
         if n == 0:
             return []
@@ -525,7 +493,7 @@ class _PoolExecutor(Executor):
                 [int(i) for i in chunk] for chunk in chunk_plan if len(chunk)
             ]
         else:
-            size = self.chunksize or auto_chunksize(n, self.jobs)
+            size = auto_chunksize(n, self.jobs)
             chunk_indices = [
                 list(range(lo, min(lo + size, n))) for lo in range(0, n, size)
             ]
@@ -547,35 +515,35 @@ class _PoolExecutor(Executor):
             sleeps = retry.sleep_budget() if retry is not None else 0.0
             per_cell_budget = attempts * float(cell_timeout) + sleeps
 
-        def finish(tr: TaskResult) -> None:
+        def finish(i: int, tr: TaskResult) -> None:
             nonlocal done
-            if prior_errors[tr.index]:
-                tr = dataclasses.replace(
-                    tr,
-                    attempt_errors=tuple(prior_errors[tr.index])
-                    + tuple(tr.attempt_errors),
-                )
-            results[tr.index] = tr
+            results[i] = dataclasses.replace(
+                tr,
+                index=i,
+                attempt_errors=(*prior_errors[i], *tr.attempt_errors),
+            )
             done += 1
             if progress is not None:
                 progress(done, n)
+
+        def finish_chunk(idxs: list[int], chunk_results) -> None:
+            for tr in chunk_results:
+                finish(idxs[tr.index], tr)
 
         pool = self._make_pool()
         pending: dict[Any, list[int]] = {}
         first_running: dict[Any, float] = {}
 
-        def submit(idxs: list[int]) -> None:
-            chunk = [(i, payloads[i]) for i in idxs]
-            starts = [exposures[i] + 1 for i in idxs]
+        def submit(idxs: list[int], start_attempt: int = 1) -> None:
             fut = pool.submit(
                 _run_chunk,
                 fn,
-                chunk,
+                [payloads[i] for i in idxs],
+                start_attempt,
                 time.perf_counter(),
                 collect,
                 retry,
                 cell_timeout,
-                starts,
             )
             pending[fut] = idxs
 
@@ -612,8 +580,7 @@ class _PoolExecutor(Executor):
                     idxs = pending.pop(fut)
                     first_running.pop(fut, None)
                     try:
-                        for tr in fut.result():
-                            finish(tr)
+                        finish_chunk(idxs, fut.result())
                     except Exception:
                         death = (idxs, traceback.format_exc(limit=10))
                         break
@@ -638,8 +605,7 @@ class _PoolExecutor(Executor):
                 for fut, idxs in list(pending.items()):
                     if fut.done():
                         try:
-                            for tr in fut.result():
-                                finish(tr)
+                            finish_chunk(idxs, fut.result())
                             continue  # completed before the death hit it
                         except Exception:
                             pass
@@ -668,6 +634,7 @@ class _PoolExecutor(Executor):
                             )
                         if exposures[i] > budget:
                             finish(
+                                i,
                                 TaskResult(
                                     index=i,
                                     error=(
@@ -678,7 +645,7 @@ class _PoolExecutor(Executor):
                                         f"{err}"
                                     ),
                                     attempts=exposures[i],
-                                )
+                                ),
                             )
                         else:
                             resubmit.append(i)
@@ -690,23 +657,21 @@ class _PoolExecutor(Executor):
                     # Injected worker kills degrade to raises here, so
                     # chaos campaigns still converge.
                     for i in resubmit:
-                        finish(
-                            run_one_with_retry(
-                                fn,
-                                i,
-                                payloads[i],
-                                collect,
-                                retry,
-                                cell_timeout,
-                                start_attempt=exposures[i] + 1,
-                            )
+                        finish_chunk(
+                            [i],
+                            fn(
+                                [payloads[i]],
+                                exposures[i] + 1,
+                                retry=retry,
+                                cell_timeout=cell_timeout,
+                            ),
                         )
                     continue
                 # Fresh pool; one cell per chunk so the next death
                 # isolates its culprit.
                 pool = self._make_pool()
                 for i in resubmit:
-                    submit([i])
+                    submit([i], exposures[i] + 1)
         finally:
             if pool is not None:
                 pool.shutdown(wait=True)
@@ -715,5 +680,3 @@ class _PoolExecutor(Executor):
 
 class ProcessExecutor(_PoolExecutor):
     """Multiprocessing pool; the scale backend for CPU-bound cells."""
-
-    kind = "process"

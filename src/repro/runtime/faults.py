@@ -13,8 +13,8 @@ evaluation or store write fails, and how:
     to everything above it.
 ``kill``
     ``os._exit`` in the worker **process** -- a hard death the parent
-    only sees as a broken pool.  In the parent process itself (serial
-    executor, degraded-serial fallback) a kill degrades to ``raise``:
+    only sees as a broken pool.  In the parent process itself (an
+    in-process run, degraded-serial fallback) a kill degrades to ``raise``:
     the campaign must survive its own chaos harness.
 ``delay`` / ``hang``
     ``time.sleep`` for :attr:`FaultPlan.delay_s` (a slow cell) or
@@ -72,7 +72,6 @@ __all__ = [
     "current_attempt",
     "attempt_scope",
     "check_fault",
-    "evaluate_cell_under_plan",
 ]
 
 #: Fault kinds the cell (kernel) site understands.
@@ -204,8 +203,9 @@ class FaultPlan:
 # ----------------------------------------------------------------------
 # Per-process plumbing (plan installation, attempt tracking)
 # ----------------------------------------------------------------------
-#: The process-wide active plan (installed per worker call by
-#: :func:`evaluate_cell_under_plan`, which crosses pickle boundaries).
+#: The process-wide active plan (installed around a batch's per-cell
+#: evaluation by ``runner.evaluate_batch``, which carries the plan
+#: across pickle boundaries).
 _PLAN: Optional[FaultPlan] = None
 
 #: Whether an injected ``kill`` may hard-exit *this* process even when
@@ -282,13 +282,3 @@ def check_fault(site: str, spec) -> None:
 
     _PLAN.apply_cell(spec_fingerprint(spec))
 
-
-def evaluate_cell_under_plan(plan: FaultPlan, scenario):
-    """Worker function for fault-injected campaigns (picklable via
-    ``functools.partial(evaluate_cell_under_plan, plan)``): installs
-    the plan in the executing process, then runs the normal cell
-    evaluation with injection live."""
-    from repro.scenarios.runner import evaluate_cell
-
-    with activate(plan):
-        return evaluate_cell(scenario)

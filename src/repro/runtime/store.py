@@ -79,6 +79,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -354,8 +355,8 @@ class ResultStore:
         """What the summary aggregates of each record, keyed by cell key.
 
         One streamed read: records are parsed one at a time and only
-        their :class:`_Verdict` fields kept, in :meth:`load`'s key order
-        (which ``max_tightness`` over ``NaN`` depends on).  At the
+        their :class:`_Verdict` fields kept, in :meth:`load`'s key
+        order.  At the
         first corrupt row this falls back to :meth:`load`, which
         quarantines it; :attr:`quarantined` is set as ``load`` sets it.
         """
@@ -459,8 +460,16 @@ class ResultStore:
             "unsound": sum(1 for v in cells if not v.sound and not v.error),
             "errors": sum(1 for v in cells if v.error),
             "budget_violations": sum(1 for v in cells if v.over_budget),
+            # NaN is skipped: max() over NaN would depend on the key
+            # order, which differs between backends, and a NaN
+            # tightness belongs to a cell already counted unsound or
+            # as an error.
             "max_tightness": max(
-                (v.tightness for v in cells if v.tightness is not None),
+                (
+                    v.tightness
+                    for v in cells
+                    if v.tightness is not None and not math.isnan(v.tightness)
+                ),
                 default=0.0,
             ),
             "quarantined_rows": self.quarantined,

@@ -22,8 +22,8 @@ evaluates a *batch of cells* instead:
    group.  :func:`evaluate_cell` is a batch of one through the same
    realiser and dispatch, so a cell whose realisation or simulation
    raises is re-run through it: its error (traceback included) is the
-   one a pool worker records, and a failing cell fails only its own
-   verdict.
+   one a cell evaluated on its own records, and a failing cell fails
+   only its own verdict.
 3. **Packed evaluation** -- each fluid host group packs its unique
    (trace, envelope) lanes into padded ``(n_lanes, n_bins_max + 1)``
    matrices and shapes them with the ``batch_fluid_*`` kernels of
@@ -607,11 +607,14 @@ def evaluate_grouped(
 ) -> list[TaskResult]:
     """Evaluate a matrix with SoA grouping; per-scenario task results.
 
-    The in-process evaluation path of every serial campaign, with the
-    contract of ``SerialExecutor.map_tasks(evaluate_cell, ...)``: one
-    :class:`TaskResult` per scenario in input order, failures captured
-    per cell, bit-identical values.  ``tick(done, total)`` is called as
-    cells complete (grouped cells complete per group).
+    The grouped half of the worker stage
+    (:func:`repro.scenarios.runner.evaluate_batch`), which runs every
+    clean first attempt through it: a serial campaign's matrix, a pool
+    worker's chunk, a lease.  Its contract is that of
+    ``run_each(evaluate_cell, ...)``: one :class:`TaskResult` per
+    scenario in input order, failures captured per cell, bit-identical
+    values.  ``tick(done, total)`` is called as cells complete (grouped
+    cells complete per group).
 
     Every cell is realised once, in one
     :func:`repro.scenarios.tracebatch.realise_batch` pass, and

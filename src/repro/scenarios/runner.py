@@ -2,22 +2,22 @@
 
 :func:`run_batch` is the engine behind ``scenarios run`` and the
 ``tests/test_scenarios_*`` matrix.  It is split into three stages so
-campaigns parallelise over the :mod:`repro.runtime` executors:
+campaigns parallelise over :mod:`repro.runtime`'s process pool and
+lease workers:
 
-1. **evaluate (worker side, picklable)** -- :func:`evaluate_cell` takes
-   one :class:`Scenario` (pure primitives) and evaluates it as a batch
-   of one: :func:`repro.scenarios.tracebatch.realise_batch` realises it
+1. **evaluate (worker side, picklable)** -- :func:`evaluate_batch`
+   turns a batch of :class:`Scenario` specs (pure primitives) -- a
+   serial campaign's matrix, a pool worker's chunk or a lease -- into
+   one :class:`CellResult` of primitives per cell.
+   :func:`repro.scenarios.tracebatch.realise_batch` realises the cells
    (traces generated, empirical envelopes measured, adaptive mode
-   resolved, tree topologies built), and the cell matrix's one
-   simulation dispatch (:func:`repro.scenarios.cellmatrix.simulate_cells`)
-   runs the simulated side -- a group kernel for groupable hosts,
-   :func:`_simulate` on the requested backend (vectorised fluid engine,
-   packet DES on the critical-path reduction, or whole-tree packet DES)
-   for the rest -- and returns a :class:`CellResult` of primitives.
-   Serial campaigns run the same realiser and dispatch over the whole
-   matrix at once (:func:`repro.scenarios.cellmatrix.evaluate_grouped`).
-   Both ends of the exchange pickle cheaply; heavyweight intermediates
-   (traces, trees, simulators) never cross the process boundary.
+   resolved, tree topologies built), and the one simulation dispatch
+   (:func:`repro.scenarios.cellmatrix.simulate_cells`) runs a group
+   kernel for groupable cells and :func:`_simulate` on the requested
+   backend (vectorised fluid engine, packet DES on the critical-path
+   reduction, or whole-tree packet DES) for the rest.  Both ends of
+   the exchange pickle cheaply; heavyweight intermediates (traces,
+   trees, simulators) never cross the process boundary.
 2. **analytic (parent side, vectorised)** -- Theorem 1/2 per hop,
    scaled by the Theorem 7 / Remark 2 hop count, plus propagation, is
    evaluated for the whole batch in one NumPy pass
@@ -35,7 +35,7 @@ A soundness violation is never tolerance-tuned away: the verdict line
 is the repo's central regression net, and any `sound=False` cell is a
 bug in either the theorems' implementation or a simulator.
 
-Determinism contract: every random draw inside :func:`evaluate_cell`
+Determinism contract: every random draw inside :func:`evaluate_batch`
 derives from ``scenario.seed`` via :func:`repro.utils.rng.derive_seed`,
 so serial and parallel executions of the same matrix produce
 bit-identical traces, measurements and verdicts regardless of worker
@@ -47,6 +47,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -59,11 +60,11 @@ from repro.core.multicast_bounds import dsct_height_bound
 from repro.overlay.groups import MultiGroupNetwork
 from repro.runtime import faults
 from repro.runtime.executor import (
-    Executor,
+    ProcessExecutor,
     RetryPolicy,
-    SerialExecutor,
     TaskResult,
     _error_head,
+    run_each,
     run_one_with_retry,
 )
 from repro.runtime.telemetry import CellTelemetry, counter_add, span
@@ -83,8 +84,8 @@ __all__ = [
     "CellResult",
     "ScenarioOutcome",
     "BatchReport",
+    "evaluate_batch",
     "evaluate_cell",
-    "evaluate_grouped_with_retry",
     "finalise_batch",
     "run_batch",
     "run_scenario",
@@ -565,13 +566,13 @@ def _cell_result(
 # Worker stage
 # ----------------------------------------------------------------------
 def evaluate_cell(scenario: Scenario) -> CellResult:
-    """Realise and simulate one cell (the picklable worker stage).
+    """Realise and simulate one cell: a batch of one.
 
-    A batch of one through the serial path's realiser and simulation
-    dispatch, so every worker runs the same code as a serial campaign.
-    Exceptions deliberately propagate: the executor layer captures them
-    into per-cell error results, which :func:`finalise_batch` turns
-    into failed verdicts.
+    The grouped path's realiser and simulation dispatch on one cell, so
+    a cell :func:`evaluate_batch` runs on its own gets the grouped
+    path's result.  Exceptions deliberately propagate: the executor
+    layer captures them into per-cell error results, which
+    :func:`finalise_batch` turns into failed verdicts.
     """
     # Looked up at call time: both modules import this one.
     from repro.scenarios.cellmatrix import group_key, simulate_cells
@@ -716,54 +717,83 @@ def finalise_batch(
 # ----------------------------------------------------------------------
 # Batch driver
 # ----------------------------------------------------------------------
-def evaluate_grouped_with_retry(
+def evaluate_batch(
     scenarios: Sequence[Scenario],
+    start_attempt: int = 1,
     *,
+    retry: Optional[RetryPolicy] = None,
+    cell_timeout: Optional[float] = None,
+    fault_plan: Optional[faults.FaultPlan] = None,
+    prior_errors: Sequence[str] = (),
     tick: Optional[callable] = None,
     stats: Optional[dict] = None,
     cost_model=None,
-    retry: Optional[RetryPolicy] = None,
-    cell_timeout: Optional[float] = None,
 ) -> list[TaskResult]:
-    """The in-process worker stage: grouped evaluation, then retries.
+    """The worker stage: one :class:`TaskResult` per scenario, in order.
 
-    :func:`repro.scenarios.cellmatrix.evaluate_grouped` runs the whole
-    batch (``tick``, ``stats`` and ``cost_model`` go to it); each cell
-    whose grouped attempt errored then gets the rest of its ``retry``
-    budget one :func:`evaluate_cell` call at a time.  Serial campaigns
-    and lease workers both evaluate through this.
+    Serial :func:`run_batch` calls it on the whole matrix, each pool
+    worker on one chunk (it is the pool's batch function) and each
+    lease worker on one lease.  A first attempt with no ``fault_plan``
+    and no ``cell_timeout`` runs through the grouped cell matrix
+    (:func:`repro.scenarios.cellmatrix.evaluate_grouped`, which takes
+    ``tick``, ``stats`` and ``cost_model``); a cell whose grouped
+    attempt errored retries on its own from attempt 2.  Anything else
+    runs cell by cell from ``start_attempt``
+    (:func:`repro.runtime.executor.run_each`), because injection lives
+    in :func:`evaluate_cell`, ``SIGALRM`` caps one cell's attempt, and
+    attempts spent by pool deaths or a reclaimed lease count per cell.
+    ``prior_errors`` opens every cell's attempt ledger.
     """
     # Looked up at call time (cellmatrix imports this module).
     from repro.scenarios.cellmatrix import evaluate_grouped
 
-    tasks = evaluate_grouped(
-        scenarios, tick=tick, stats=stats, cost_model=cost_model
-    )
-    if retry is None or retry.max_attempts <= 1:
-        return tasks
-    # Grouped evaluation already spent attempt 1 of any cell that
-    # errored; give it the rest of its budget per-cell.
-    return [
-        t
-        if t.ok
-        else run_one_with_retry(
-            evaluate_cell,
-            t.index,
-            scenarios[t.index],
-            True,
-            retry,
-            cell_timeout,
-            start_attempt=2,
-            prior_errors=(_error_head(t.error),),
+    scenarios = list(scenarios)
+    if fault_plan is None and cell_timeout is None and start_attempt == 1:
+        tasks = evaluate_grouped(
+            scenarios, tick=tick, stats=stats, cost_model=cost_model
         )
-        for t in tasks
-    ]
+        if retry is not None and retry.max_attempts > 1:
+            tasks = [
+                t
+                if t.ok
+                else run_one_with_retry(
+                    evaluate_cell,
+                    t.index,
+                    scenarios[t.index],
+                    retry,
+                    start_attempt=2,
+                    prior_errors=(_error_head(t.error),),
+                )
+                for t in tasks
+            ]
+    else:
+        with (
+            faults.activate(fault_plan)
+            if fault_plan is not None
+            else nullcontext()
+        ):
+            tasks = run_each(
+                evaluate_cell,
+                scenarios,
+                start_attempt,
+                retry=retry,
+                cell_timeout=cell_timeout,
+                tick=tick,
+            )
+    if prior_errors:
+        tasks = [
+            dataclasses.replace(
+                t, attempt_errors=(*prior_errors, *t.attempt_errors)
+            )
+            for t in tasks
+        ]
+    return tasks
 
 
 def run_batch(
     scenarios: Sequence[Scenario],
     *,
-    executor: Optional[Executor] = None,
+    executor: Optional[ProcessExecutor] = None,
     progress: Optional[callable] = None,
     tick: Optional[callable] = None,
     cost_model=None,
@@ -771,38 +801,24 @@ def run_batch(
     cell_timeout: Optional[float] = None,
     fault_plan: Optional[faults.FaultPlan] = None,
 ) -> BatchReport:
-    """Evaluate a scenario matrix: parallel cells, vectorised bounds.
+    """Evaluate a scenario matrix: batched cells, vectorised bounds.
 
-    ``executor`` defaults to the in-process serial backend; any
-    :class:`repro.runtime.executor.Executor` parallelises the worker
-    stage with identical results.  ``tick`` (optional) is called as
-    ``tick(done, total)`` while cells are in flight (per completed
-    chunk); ``progress`` (optional) is called as
-    ``progress(i, n, outcome)`` per finalised cell afterwards.
+    ``executor=None`` runs :func:`evaluate_batch` on the whole matrix
+    in this process (its ``grouping`` records land in
+    :attr:`BatchReport.group_stats`); a
+    :class:`repro.runtime.executor.ProcessExecutor` maps it over
+    chunks in worker processes.  Either way the parent finalises the
+    whole matrix once, so outcomes are bit-identical (``wall_time``
+    aside, which grouped evaluation amortises over batches and packs).
+    ``tick(done, total)`` (optional) is called while cells are in
+    flight, ``progress(i, n, outcome)`` (optional) per finalised cell.
 
     ``cost_model`` (a :class:`repro.runtime.cost.CellCostModel`,
-    optional) enables cost-aware scheduling on parallel executors:
-    dearest-first submission in cost-equalised, variance-shrunk chunks
-    (:func:`repro.runtime.cost.plan_chunks`).  Scheduling-only -- the
-    outcomes are bit-identical with or without it.
-
-    In-process executors (``Executor.supports_cell_grouping``, i.e.
-    the serial default) evaluate the matrix through the
-    structure-of-arrays grouped evaluator
-    (:func:`repro.scenarios.cellmatrix.evaluate_grouped`); the process
-    pool ships :func:`evaluate_cell` calls -- batches of one through
-    the same realiser and kernels -- to its workers.
-    Outcomes are bit-identical either way (``wall_time`` attribution
-    aside, which grouped evaluation estimates by amortising batch
-    realisation and each fluid host pack over their cells).
-
-    ``retry``/``cell_timeout`` opt into the executor's fault-tolerant
-    path (see :class:`repro.runtime.executor.RetryPolicy`); grouped
-    evaluation runs in-process, so there they apply as a serial
-    retry pass over the cells whose first (grouped) attempt errored.
-    ``fault_plan`` (a :class:`repro.runtime.faults.FaultPlan`) arms the
-    deterministic chaos harness; it forces per-cell evaluation, since
-    injection targets the ``evaluate_cell`` path.
+    optional) cuts the pool's chunks dearest first, cost-equalised,
+    variance-shrunk and group-coherent
+    (:func:`repro.runtime.cost.plan_chunks`); scheduling only.
+    ``retry``/``cell_timeout``/``fault_plan`` arm the fault-tolerant
+    path (see :func:`evaluate_batch`).
     """
     # An empty matrix is a legal degenerate case (e.g. a generator asked
     # for zero cells): report nothing rather than raising, so callers
@@ -811,52 +827,46 @@ def run_batch(
         return BatchReport(outcomes=(), elapsed=0.0)
     scenarios = list(scenarios)
     t0 = time.perf_counter()
-    ex = executor if executor is not None else SerialExecutor()
-    # Injection lives in evaluate_cell, which the grouped evaluator's
-    # batch kernels would bypass: an armed fault plan runs per cell.
-    if fault_plan is None and getattr(ex, "supports_cell_grouping", False):
-        stats: dict = {}
-        tasks = evaluate_grouped_with_retry(
+    stats: dict = {}
+    if executor is None:
+        tasks = evaluate_batch(
             scenarios,
+            retry=retry,
+            cell_timeout=cell_timeout,
+            fault_plan=fault_plan,
             tick=tick,
             stats=stats,
             cost_model=cost_model,
+        )
+    else:
+        plan = None
+        if cost_model is not None and executor.jobs > 1:
+            from repro.runtime.cost import plan_chunks, spec_group_key
+
+            plan = plan_chunks(
+                cost_model.estimate_many(scenarios),
+                executor.jobs,
+                variances=[
+                    cost_model.relative_variance(sc) for sc in scenarios
+                ],
+                groups=[spec_group_key(sc) for sc in scenarios],
+            )
+        tasks = executor.map_tasks(
+            functools.partial(evaluate_batch, fault_plan=fault_plan),
+            scenarios,
+            progress=tick,
+            chunk_plan=plan,
             retry=retry,
             cell_timeout=cell_timeout,
         )
-        report = finalise_batch(
-            scenarios, tasks, time.perf_counter() - t0, progress=progress
-        )
-        return dataclasses.replace(
-            report, group_stats=tuple(stats.get("records", ()))
-        )
-    plan = None
-    if cost_model is not None and getattr(ex, "jobs", 1) > 1:
-        from repro.runtime.cost import plan_chunks, spec_group_key
-
-        costs = cost_model.estimate_many(scenarios)
-        plan = plan_chunks(
-            costs,
-            ex.jobs,
-            variances=[cost_model.relative_variance(sc) for sc in scenarios],
-            groups=[spec_group_key(sc) for sc in scenarios],
-        )
-    worker = (
-        evaluate_cell
-        if fault_plan is None
-        else functools.partial(faults.evaluate_cell_under_plan, fault_plan)
-    )
-    tasks = ex.map_tasks(
-        worker,
-        scenarios,
-        progress=tick,
-        chunk_plan=plan,
-        retry=retry,
-        cell_timeout=cell_timeout,
-    )
-    return finalise_batch(
+    report = finalise_batch(
         scenarios, tasks, time.perf_counter() - t0, progress=progress
     )
+    if stats:
+        report = dataclasses.replace(
+            report, group_stats=tuple(stats["records"])
+        )
+    return report
 
 
 def run_scenario(scenario: Scenario) -> ScenarioOutcome:

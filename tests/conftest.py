@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -41,3 +43,21 @@ def paper_network(backbone):
 @pytest.fixture
 def rng():
     return np.random.default_rng(7)
+
+
+@pytest.fixture(scope="session")
+def mixed_matrix():
+    """Fluid hosts, chains and trees beside adversarial and FIFO DES
+    cells: every group kernel and a per-cell fallback."""
+    from repro.scenarios import generate_scenarios
+
+    cells = generate_scenarios(24, seed=13, horizon=0.6)
+    host = next(
+        sc for sc in cells if sc.topology == "host" and sc.backend == "fluid"
+    )
+    cells.append(
+        dataclasses.replace(
+            host, name=f"{host.name}-fifo", backend="des", discipline="fifo"
+        )
+    )
+    return cells

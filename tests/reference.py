@@ -20,6 +20,7 @@ streamed ``ResultStore.write_summary``.
 from __future__ import annotations
 
 import json
+import math
 from typing import Optional, Sequence
 
 from repro.calculus.envelope import ArrivalEnvelope
@@ -94,6 +95,7 @@ def load_summary_bytes(store) -> bytes:
         r["tightness"]
         for r in records.values()
         if isinstance(r.get("tightness"), (int, float))
+        and not math.isnan(r["tightness"])
     ]
     summary = {
         "v": 2,

@@ -14,6 +14,8 @@ keep the checked-in ``ci/baseline_smoke`` store honest:
 * ``ci/gate.sh`` must keep pointing at the pinned store and matrix,
   and the matrix must keep the adversarial fluid chains and trees (σ-ρ
   and λ) whose grouping the gate checks;
+* the gate must require the first ``--jobs 2`` run's pool workers to
+  group all 24 smoke cells;
 * the gate must run the lease coordinator both clean (grouped leases)
   and under worker-killing chaos (per-cell leases);
 * the DES leg's curated corpus (``ci/des_corpus.json``) must reproduce
@@ -140,6 +142,24 @@ def test_gate_script_runs_clean_and_chaos_coordinator_legs():
     assert f"--count {N_SMOKE} --seed {SMOKE_SEED}" in clean[0]
     assert 'per_cell_gate "clean coordinator" ci/baseline_smoke' in text
     assert "grouped in the lease workers" in text
+
+
+def test_gate_script_requires_the_pool_to_group():
+    """The first ``--jobs 2`` smoke run's workers evaluate their chunks
+    grouped; the gate sums its cell telemetry's ``grouped_cells`` and
+    fails unless all 24 cells count, right after that run."""
+    text = GATE.read_text()
+    commands = _gate_commands(text)
+    first_pool = next(
+        cmd
+        for cmd in commands
+        if "scenarios run" in cmd and "--jobs 2" in cmd
+    )
+    assert '--store "$STORE"' in first_pool
+    check = text.index("pool grouping gate: FAILED")
+    assert text.index('python - "$STORE"') < check
+    assert "grouped in the pool workers" in text
+    assert check < text.index("SERIAL_DIR=")
 
 
 def test_des_corpus_reproduces_its_pinned_baseline(tmp_path):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.experiments.cli import EXPERIMENTS, main
-from repro.runtime import ProcessExecutor, SerialExecutor
+from repro.runtime import ProcessExecutor
 
 
 def test_theory_runs(capsys):
@@ -128,10 +128,10 @@ class TestScenariosRuntime:
             ["scenarios", "run", "--count", "2", "--seed", "3",
              "--no-corpus", "--jobs", "1"]
         ) == 0
-        # --jobs N > 1 is the process pool; --jobs 1 stays serial.
+        # --jobs N > 1 is the process pool; --jobs 1 stays in process.
         pool, serial = executors
         assert type(pool) is ProcessExecutor and pool.jobs == 2
-        assert type(serial) is SerialExecutor
+        assert serial is None
 
     def test_store_and_resume_evaluate_zero_new_cells(self, capsys, tmp_path):
         store = str(tmp_path / "camp")

@@ -17,7 +17,6 @@ from repro.runtime import (
     CampaignConfig,
     ProcessExecutor,
     ResultStore,
-    SerialExecutor,
     build_campaign,
     cell_key,
     outcome_record,
@@ -52,7 +51,7 @@ def test_parallel_smoke_campaign(smoke_matrix, tmp_path):
 
 def test_serial_and_parallel_outcomes_are_bit_identical(smoke_matrix):
     """The determinism contract: worker count never changes a verdict."""
-    serial = run_batch(smoke_matrix, executor=SerialExecutor())
+    serial = run_batch(smoke_matrix)
     parallel = run_batch(smoke_matrix, executor=ProcessExecutor(jobs=2))
     for s, p in zip(serial.outcomes, parallel.outcomes):
         assert s.scenario.name == p.scenario.name
@@ -123,9 +122,9 @@ def test_crashing_cell_fails_its_verdict_not_the_campaign(
     victim = smoke_matrix[3].name
     real_simulate = cellmatrix_mod.simulate_cells
 
-    def sabotage(key, realised, pack_stats=None):
+    def sabotage(key, realised, *rest):
         # The dispatch reports a failed cell as its exception.
-        out = real_simulate(key, realised, pack_stats)
+        out = real_simulate(key, realised, *rest)
         return [
             RuntimeError("injected simulator crash")
             if r.scenario.name == victim
@@ -135,8 +134,8 @@ def test_crashing_cell_fails_its_verdict_not_the_campaign(
 
     monkeypatch.setattr(cellmatrix_mod, "simulate_cells", sabotage)
     # Through the process pool, whose fork-started workers inherit the
-    # patch; the grouped evaluator's error isolation has its own test
-    # in test_scenarios_cellmatrix.py.
+    # patch and evaluate their chunks grouped; the grouped evaluator's
+    # error isolation has its own test in test_scenarios_cellmatrix.py.
     campaign = run_campaign(
         smoke_matrix[:6], executor=ProcessExecutor(jobs=2),
         store=tmp_path / "crash",

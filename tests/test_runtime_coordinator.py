@@ -6,7 +6,6 @@ any combination of steals, splits, injected worker kills, hangs and
 coordinator restarts is byte-identical to an undisturbed serial run.
 """
 
-import dataclasses
 import multiprocessing
 import os
 import time
@@ -53,22 +52,6 @@ def reference_summary(matrix, tmp_path_factory):
     report = run_campaign(matrix, store=root)
     assert report.clean
     return (root / "summary.json").read_bytes()
-
-
-@pytest.fixture(scope="module")
-def mixed_matrix():
-    """Fluid hosts, chains and trees beside adversarial and FIFO DES
-    cells: every group kernel and a per-cell fallback."""
-    cells = generate_scenarios(24, seed=13, horizon=0.6)
-    host = next(
-        sc for sc in cells if sc.topology == "host" and sc.backend == "fluid"
-    )
-    cells.append(
-        dataclasses.replace(
-            host, name=f"{host.name}-fifo", backend="des", discipline="fifo"
-        )
-    )
-    return cells
 
 
 def _summary_bytes(store_root) -> bytes:
@@ -391,7 +374,7 @@ class TestWorkStore:
 
         out = coordinator_mod._run_lease(
             st, lt, lease, "w1", stolen=False, lease_ttl=30.0, retry=None,
-            cell_timeout=None, fault_plan=None, clock=clock, collect=True,
+            cell_timeout=None, fault_plan=None, clock=clock,
         )
         assert out is None and len(calls) == 2
         assert st.load() == {}

@@ -11,7 +11,7 @@ from repro.runtime.cost import (
     backend_profile,
     plan_chunks,
 )
-from repro.runtime.executor import ProcessExecutor, SerialExecutor
+from repro.runtime.executor import ProcessExecutor
 from repro.scenarios.generator import generate_scenarios
 from repro.scenarios.runner import run_batch
 from repro.scenarios.spec import Scenario
@@ -201,7 +201,7 @@ def test_single_high_variance_cell_travels_nearly_alone():
 @pytest.mark.runtime
 def test_cost_scheduled_batch_is_bit_identical():
     scenarios = generate_scenarios(10, seed=3, horizon=0.6)
-    serial = run_batch(scenarios, executor=SerialExecutor())
+    serial = run_batch(scenarios)
     pooled = run_batch(
         scenarios,
         executor=ProcessExecutor(jobs=2),

@@ -11,6 +11,7 @@ campaign writes a ``summary.json`` byte-identical to an undisturbed
 run on both store backends.
 """
 
+import functools
 import multiprocessing
 import signal
 import sqlite3
@@ -27,7 +28,7 @@ from repro.runtime.executor import (
     CellTimeout,
     ProcessExecutor,
     RetryPolicy,
-    SerialExecutor,
+    run_each,
 )
 from repro.runtime.faults import KILL_EXIT_CODE, FaultPlan, InjectedFault
 from repro.runtime.store import JsonlResultStore, cell_key
@@ -147,9 +148,7 @@ def _fail_first_attempt(x):
 
 
 def test_serial_retry_recovers(cells):
-    results = SerialExecutor().map_tasks(
-        _fail_first_attempt, [1, 2, 3], retry=FAST_RETRY
-    )
+    results = run_each(_fail_first_attempt, [1, 2, 3], retry=FAST_RETRY)
     assert [r.value for r in results] == [10, 20, 30]
     assert all(r.ok and r.attempts == 2 for r in results)
     assert all(len(r.attempt_errors) == 1 for r in results)
@@ -157,8 +156,26 @@ def test_serial_retry_recovers(cells):
 
 
 def test_serial_without_retry_fails():
-    results = SerialExecutor().map_tasks(_fail_first_attempt, [1])
+    results = run_each(_fail_first_attempt, [1])
     assert not results[0].ok and results[0].attempts == 1
+    assert results[0].attempt_errors == ()  # never retried, no ledger
+
+
+@pytest.mark.parametrize("executor", [None, ProcessExecutor(jobs=2)], ids=["serial", "pool"])
+def test_failed_cells_without_retries_are_not_counted_retried(cells, tmp_path, executor):
+    """With no retry budget a failed cell had one attempt: the campaign
+    must not report it retried (or recovered), in process or pooled."""
+    report = run_campaign(
+        cells[:3],
+        executor=executor,
+        store=tmp_path / "noretry",
+        fault_plan=FaultPlan(
+            seed=3, rate=1.0, kinds=("raise",), store_kinds=(), max_attempt=99
+        ),
+    )
+    assert len(report.report.errors) == 3
+    assert report.retried_cells == 0 and report.poisoned_cells == 0
+    assert attempt_rows(JsonlResultStore(tmp_path / "noretry").load_telemetry()) == []
 
 
 def _sleep_forever(x):
@@ -173,15 +190,13 @@ def _hang_first_attempt(x):
 
 
 def test_cell_timeout_serial():
-    results = SerialExecutor().map_tasks(
-        _sleep_forever, [1], cell_timeout=0.2
-    )
+    results = run_each(_sleep_forever, [1], cell_timeout=0.2)
     assert not results[0].ok
     assert CellTimeout.__name__ in results[0].error
 
 
 def test_cell_timeout_recovers_with_retry():
-    results = SerialExecutor().map_tasks(
+    results = run_each(
         _hang_first_attempt,
         [5],
         retry=RetryPolicy(max_attempts=2, backoff_base=0.0, jitter=0.0),
@@ -217,11 +232,26 @@ def _always_kill_target(x):
     return x * 2
 
 
+def _pool_map(fn, payloads, *, jobs=2, chunk=1, **kwargs):
+    """``fn`` over ``payloads`` through the pool as a batch function,
+    in contiguous chunks of ``chunk`` payloads; no worker may outlive
+    the call."""
+    plan = [
+        list(range(lo, min(lo + chunk, len(payloads))))
+        for lo in range(0, len(payloads), chunk)
+    ]
+    results = ProcessExecutor(jobs=jobs).map_tasks(
+        functools.partial(run_each, fn), payloads, chunk_plan=plan, **kwargs
+    )
+    assert multiprocessing.active_children() == []
+    return results
+
+
 def test_pool_death_isolates_culprit_and_recovers():
     """A worker kill no longer stamps the whole chunk with one shared
     traceback: every cell gets its own disposition and recovers."""
-    results = ProcessExecutor(jobs=2, chunksize=4).map_tasks(
-        _kill_target_first_attempt, list(range(8)), retry=FAST_RETRY
+    results = _pool_map(
+        _kill_target_first_attempt, list(range(8)), chunk=4, retry=FAST_RETRY
     )
     assert [r.value for r in results] == [2 * i for i in range(8)]
     assert all(r.ok for r in results)
@@ -233,17 +263,13 @@ def test_pool_death_isolates_culprit_and_recovers():
 def test_pool_death_recovers_without_retry_policy():
     """Even with no RetryPolicy, one pool death must not fail innocent
     chunk-mates: MIN_DEATH_EXPOSURES keeps one exposure survivable."""
-    results = ProcessExecutor(jobs=2, chunksize=4).map_tasks(
-        _kill_target_first_attempt, list(range(8))
-    )
+    results = _pool_map(_kill_target_first_attempt, list(range(8)), chunk=4)
     assert all(r.ok for r in results)
     assert [r.value for r in results] == [2 * i for i in range(8)]
 
 
 def test_repeated_deaths_declare_poison_spare_chunkmates():
-    results = ProcessExecutor(jobs=2, chunksize=2).map_tasks(
-        _always_kill_target, list(range(4))
-    )
+    results = _pool_map(_always_kill_target, list(range(4)), chunk=2)
     assert [r.ok for r in results] == [True, True, True, False]
     assert [r.value for r in results[:3]] == [0, 2, 4]
     assert "declared poison" in results[_KILL_TARGET].error
@@ -252,9 +278,10 @@ def test_repeated_deaths_declare_poison_spare_chunkmates():
 def test_degrades_to_serial_after_max_pool_deaths():
     """A payload that kills every pool eventually runs in-parent, where
     the 'kill' cannot fire -- the campaign outlives a poisonous pool."""
-    results = ProcessExecutor(jobs=1, chunksize=1).map_tasks(
+    results = _pool_map(
         _always_kill_target,
         [_KILL_TARGET],
+        jobs=1,
         retry=RetryPolicy(
             max_attempts=MAX_POOL_DEATHS + 1, backoff_base=0.0, jitter=0.0
         ),
@@ -273,9 +300,10 @@ def _block_sigalrm_and_hang_first(x):
 
 
 def test_watchdog_unsticks_signal_immune_hang():
-    results = ProcessExecutor(jobs=1, chunksize=1).map_tasks(
+    results = _pool_map(
         _block_sigalrm_and_hang_first,
         [5],
+        jobs=1,
         retry=RetryPolicy(max_attempts=2, backoff_base=0.0, jitter=0.0),
         cell_timeout=0.3,
     )

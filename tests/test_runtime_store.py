@@ -9,6 +9,7 @@ contract both backends share; concurrency-specific coverage lives in
 """
 
 import dataclasses
+import itertools
 import json
 from dataclasses import replace
 from pathlib import Path
@@ -396,9 +397,8 @@ SUMMARY_CASES = {
         _rec("d", sound=False),
         {"key": "e", "sound": True},
     ],
-    # max() over NaN depends on the key order: the streamed summary
-    # must meet the re-appended "a" where load() puts it (JSONL: where
-    # it first appeared, before NaN, so 0.7; the other order reads NaN).
+    # A NaN tightness is skipped, so max_tightness is 0.7 however the
+    # backend orders the re-appended "a" against "b".
     "missing-and-nan-tightness": [
         _rec("a", tightness=0.5),
         _rec("b", tightness=NAN),
@@ -444,6 +444,29 @@ class TestStreamedSummary:
         assert verdicts["a"] == (False, True, True, 0.5)
         assert verdicts["b"][:3] == (True, False, False)
         assert verdicts["b"].tightness != verdicts["b"].tightness  # NaN
+
+
+@pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
+def test_nan_tightness_summary_is_backend_independent(order, tmp_path):
+    """JSONL keeps a re-appended key where it first appeared, SQLite
+    moves it to its last write; with a NaN tightness between them the
+    summary must not see the difference."""
+    records = [
+        _rec("a", tightness=0.5),
+        _rec("b", tightness=NAN),
+        _rec("a", tightness=0.7),
+    ]
+    summaries = {}
+    for kind in BACKENDS:
+        store = _make_store(kind, tmp_path / kind)
+        for i in order:
+            store.append(records[i])
+        summary = store.write_summary()
+        summaries[kind] = store.summary_path.read_bytes()
+        last_a = [records[i] for i in order if i != 1][-1]["tightness"]
+        assert summary["max_tightness"] == last_a
+        assert summary["cells"] == 2 and summary["sound"] == 2
+    assert summaries["jsonl"] == summaries["sqlite"]
 
 
 class TestDiff:

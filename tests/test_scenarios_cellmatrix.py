@@ -30,15 +30,20 @@ from hypothesis import strategies as st
 import repro.scenarios.cellmatrix as cellmatrix_mod
 import repro.simulation.batched as batched_mod
 from repro.calculus.envelope import ArrivalEnvelope
-from repro.runtime.cost import _spec_features, plan_chunks, spec_group_key
-from repro.runtime.executor import SerialExecutor, _run_one
+from repro.runtime.cost import (
+    CellCostModel,
+    _spec_features,
+    plan_chunks,
+    spec_group_key,
+)
+from repro.runtime.executor import _run_one
 from repro.scenarios import adversarial_corpus, generate_scenarios, run_batch
 from repro.scenarios.cellmatrix import (
     evaluate_grouped,
     group_key,
     simulate_cells,
 )
-from repro.scenarios.runner import CellResult, evaluate_cell
+from repro.scenarios.runner import CellResult, evaluate_batch, evaluate_cell
 from repro.scenarios.spec import Scenario
 from repro.scenarios.tracebatch import _empirical_sigma_fast, realise_batch
 from repro.simulation.batched import primed_host
@@ -147,11 +152,29 @@ class TestGroupedEquivalence:
         for sc in cells:
             _assert_grouped_matches_percell([sc])
 
-    def test_serial_executor_advertises_grouping(self):
-        assert SerialExecutor().supports_cell_grouping
-        from repro.runtime import ProcessExecutor
-
-        assert not ProcessExecutor(jobs=2).supports_cell_grouping
+    def test_chunked_batches_match_the_whole_matrix(self):
+        """A ``--jobs`` worker evaluates its group-coherent chunk as one
+        batch: every chunk's results equal the whole matrix's, and each
+        cell lands in a group kernel or falls back exactly as it does
+        in the whole matrix."""
+        cells = generate_scenarios(48, seed=17, horizon=0.6)
+        model = CellCostModel()
+        chunks = plan_chunks(
+            model.estimate_many(cells),
+            2,
+            variances=[model.relative_variance(sc) for sc in cells],
+            groups=[spec_group_key(sc) for sc in cells],
+        )
+        assert 1 < len(chunks) < len(cells)
+        whole = evaluate_batch(cells)
+        for chunk in chunks:
+            part = evaluate_batch([cells[i] for i in chunk])
+            for i, t in zip(chunk, part):
+                assert t.ok and t.value == whole[i].value
+                counters = t.telemetry.counters
+                assert set(counters) & {"grouped_cells", "fallback_cells"}
+                for name in ("grouped_cells", "fallback_cells"):
+                    assert counters.get(name) == whole[i].telemetry.counters.get(name)
 
 
 # ----------------------------------------------------------------------

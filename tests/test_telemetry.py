@@ -23,7 +23,6 @@ from repro.runtime import (
     JsonlResultStore,
     ProcessExecutor,
     ResultStore,
-    SerialExecutor,
     SqliteResultStore,
     chrome_trace_events,
     set_telemetry_enabled,
@@ -76,9 +75,7 @@ class TestVerdictInvariance:
                 runs[flag, "parallel"] = run_batch(
                     scenarios, executor=ProcessExecutor(jobs=2)
                 )
-                runs[flag, "grouped"] = run_batch(
-                    scenarios, executor=SerialExecutor()
-                )
+                runs[flag, "grouped"] = run_batch(scenarios)
         finally:
             set_telemetry_enabled(was)
         reference = _normalised(runs[True, "parallel"].outcomes)
