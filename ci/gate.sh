@@ -29,7 +29,9 @@
 # baseline_bound/eps/sound values AND telemetry collection is invisible
 # to summaries (telemetry-on == telemetry-off == pinned baseline,
 # byte for byte, with `scenarios report` rendering the telemetry-on
-# store) AND the DES corpus, run serially and with --jobs 2, matches
+# store) AND `scenarios report` renders the retry ledger of both chaos
+# pool stores and the lease and retry ledgers of both chaos coordinator
+# stores AND the DES corpus, run serially and with --jobs 2, matches
 # ci/baseline_des the same way AND re-summarising copies of both pinned
 # stores with the current code writes their pinned summary.json byte
 # for byte; 1 otherwise (the CLI's --baseline flag gates the first part
@@ -101,6 +103,22 @@ for target in targets:
 print(f"per-cell gate: clean ({label}: {len(baseline)} cells equal the pinned "
       f"baseline in each of {len(targets)} store(s))")
 EOF
+}
+
+# `scenarios report` on a store must render every named section (the
+# ledgers a recovery leaves behind, on both backends and both paths).
+# Usage: report_gate LABEL STORE SECTION...
+report_gate() {
+  local label="$1" target="$2" report section
+  shift 2
+  report="$(PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m repro.experiments.cli \
+    scenarios report "$target")"
+  for section in "$@"; do
+    if ! grep -qF "$section" <<<"$report"; then
+      echo "$label: FAILED (scenarios report on $target missing $section)" >&2
+      exit 1
+    fi
+  done
 }
 
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m repro.experiments.cli \
@@ -208,12 +226,7 @@ fi
 per_cell_gate "telemetry off" ci/baseline_smoke "$TEL_DIR/off"
 
 # The report lens must render the telemetry the smoke run collected.
-PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m repro.experiments.cli \
-  scenarios report "$STORE" \
-  | grep "Phase breakdown per backend" >/dev/null || {
-  echo "telemetry gate: FAILED (scenarios report missing phase breakdown)" >&2
-  exit 1
-}
+report_gate "telemetry gate" "$STORE" "Phase breakdown per backend"
 echo "telemetry gate: clean (on == off == pinned baseline, report renders)"
 
 # -- chaos gate: retries never change results ------------------------------
@@ -221,8 +234,10 @@ echo "telemetry gate: clean (on == off == pinned baseline, report renders)"
 # (worker kills, kernel raises, delays, torn/failed store writes at a
 # >=10% rate) with bounded retries.  The campaign must recover every
 # cell and write a summary.json byte-identical to the pinned baseline
-# -- on both store backends.  This is the PR 8 invariant: cell seeds
-# derive from the spec alone, so retries are invisible to results.
+# -- on both store backends -- and `scenarios report` must render the
+# retry ledger each store's recovery left.  This is the campaign
+# invariant: cell seeds derive from the spec alone, so retries are
+# invisible to results.
 CHAOS_DIR="$(mktemp -d)"
 for backend in jsonl sqlite; do
   PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m repro.experiments.cli \
@@ -237,7 +252,10 @@ for backend in jsonl sqlite; do
   fi
 done
 per_cell_gate "chaos" ci/baseline_smoke "jsonl:$CHAOS_DIR/jsonl" "sqlite:$CHAOS_DIR/sqlite"
-echo "chaos gate: clean (fault-injected summaries byte-identical, both backends)"
+for backend in jsonl sqlite; do
+  report_gate "chaos gate" "$backend:$CHAOS_DIR/$backend" "Retry ledger"
+done
+echo "chaos gate: clean (fault-injected summaries byte-identical, retry ledgers render, both backends)"
 
 # -- clean coordinator gate: grouped leases keep the serial bytes ----------
 # The same 24-cell smoke through the lease coordinator with no faults:
@@ -284,8 +302,8 @@ echo "clean coordinator gate: clean (grouped leases byte-identical, both backend
 # (real kills -- the forked workers arm them).  Expired leases must be
 # stolen, split, and re-run until the store converges to a
 # summary.json byte-identical to the pinned baseline -- on both store
-# backends -- and `scenarios report` must render the lease ledger the
-# recovery left behind.
+# backends -- and `scenarios report` must render, on both, the lease
+# and retry ledgers the recovery left behind.
 COORD_DIR="$(mktemp -d)"
 for backend in jsonl sqlite; do
   PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m repro.experiments.cli \
@@ -300,13 +318,11 @@ for backend in jsonl sqlite; do
   fi
 done
 per_cell_gate "coordinator" ci/baseline_smoke "jsonl:$COORD_DIR/jsonl" "sqlite:$COORD_DIR/sqlite"
-PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m repro.experiments.cli \
-  scenarios report "sqlite:$COORD_DIR/sqlite" \
-  | grep "Lease ledger" >/dev/null || {
-  echo "coordinator gate: FAILED (scenarios report missing lease ledger)" >&2
-  exit 1
-}
-echo "coordinator gate: clean (worker-killing chaos byte-identical, both backends)"
+for backend in jsonl sqlite; do
+  report_gate "coordinator gate" "$backend:$COORD_DIR/$backend" \
+    "Lease ledger" "Retry ledger"
+done
+echo "coordinator gate: clean (worker-killing chaos byte-identical, ledgers render, both backends)"
 
 # -- DES gate: the packet simulators against their pinned baseline ---------
 # The curated DES corpus (hosts, chains and whole trees; adversarial and

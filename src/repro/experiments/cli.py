@@ -25,10 +25,10 @@ and drives the scenario-matrix cross-validation subsystem::
         --out corpus_curated.json                        # promote tight cells
 
 Stores are named by URL or path: ``sqlite:DIR`` opens the WAL-mode
-SQLite backend (the store for concurrent coordinator workers),
-``jsonl:DIR`` the append-only JSONL directory, and a bare path
-auto-detects whichever backend already lives there (JSONL for fresh
-directories).
+SQLite backend, ``jsonl:DIR`` the append-only JSONL directory (whose
+writes are ``flock``-ed, so it takes concurrent coordinator workers
+too), and a bare path auto-detects whichever backend already lives
+there (JSONL for fresh directories).
 
 Output is plain text shaped like the paper's figures/tables; the
 ``scenarios run`` exit status is non-zero when any soundness or
@@ -208,8 +208,8 @@ def _scenarios_main(argv: list[str]) -> int:
     p_run.add_argument(
         "--store", default=None, metavar="URL",
         help="persistent result store: a directory (JSONL), sqlite:DIR "
-        "(WAL-mode SQLite, safe for concurrent coordinator workers), or "
-        "jsonl:DIR",
+        "(WAL-mode SQLite), or jsonl:DIR; both backends take concurrent "
+        "coordinator workers",
     )
     p_run.add_argument(
         "--resume", action="store_true",
@@ -646,8 +646,11 @@ def _scenarios_main(argv: list[str]) -> int:
                 f"({recovered} recovered, {len(attempts) - recovered} poison)"
             )
         for sr in tele.store_retry_rows(records):
+            source = str(sr.get("source", "?"))
+            if "lease" in sr:
+                source += f" {sr['lease']}, worker {sr.get('worker', '?')}"
             print(
-                f"store-write retries ({sr.get('source', '?')}): "
+                f"store-write retries ({source}): "
                 f"{sr.get('append_retries', 0)} append, "
                 f"{sr.get('busy_retries', 0)} sqlite-busy"
             )
@@ -829,6 +832,21 @@ def _scenarios_main(argv: list[str]) -> int:
             parser.error("--coordinator must be >= 1 workers")
         if not args.store:
             parser.error("--coordinator requires --store")
+        # Flags that need this process (or its pool) to evaluate the
+        # cells would be dropped silently.
+        for flag, given in (
+            ("--jobs", args.jobs != 1),
+            ("--progress", args.progress),
+            ("--profile", args.profile),
+            ("--trace", args.trace),
+            ("--verbose", args.verbose),
+        ):
+            if given:
+                parser.error(
+                    f"{flag} does not combine with --coordinator: its cells "
+                    f"run in the forked lease workers (use 'scenarios "
+                    f"report' on the store instead)"
+                )
     if args.lease_ttl is not None:
         if args.lease_ttl <= 0:
             parser.error("--lease-ttl must be > 0 seconds")
@@ -877,12 +895,6 @@ def _scenarios_main(argv: list[str]) -> int:
         scenarios += curated
     if args.trace and args.no_telemetry:
         parser.error("--trace needs telemetry (drop --no-telemetry)")
-    if args.coordinator is not None and (args.trace or args.verbose):
-        parser.error(
-            "--trace/--verbose need in-process outcomes; coordinated "
-            "cells run in worker processes (use 'scenarios report' on "
-            "the store instead)"
-        )
 
     retry = None
     if args.retries:

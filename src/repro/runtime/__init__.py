@@ -29,10 +29,11 @@ tier-1 smoke slice to thousands of cells:
     plus a seed-independent ``spec_fingerprint`` used for deterministic
     per-cell seed derivation and lease planning.  Two backends share
     the contract behind ``open_store(url_or_path)``: the append-only
-    JSONL directory store (``jsonl:DIR`` or a bare path) and a WAL-mode
-    SQLite store (``sqlite:DIR``, :mod:`repro.runtime.store_sqlite`)
-    that is safe for concurrent coordinator workers.  Corrupt rows are
-    quarantined (file or table), never fatal; ``summary.json``
+    JSONL directory store (``jsonl:DIR`` or a bare path), whose JSONL
+    writes each hold an exclusive ``flock``, and a WAL-mode SQLite store
+    (``sqlite:DIR``, :mod:`repro.runtime.store_sqlite`); both take
+    concurrent coordinator workers without losing a record.  Corrupt
+    rows are quarantined (file or table), never fatal; ``summary.json``
     aggregates the store **deterministically** (verdict counts only, no
     wall clocks), so coordinated, pooled and serial runs summarise
     bit-identically; ``diff_stores`` compares two campaigns
@@ -42,10 +43,13 @@ tier-1 smoke slice to thousands of cells:
 
 ``campaign`` (:mod:`repro.runtime.campaign`)
     The driver tying both together: ``run_campaign`` evaluates a matrix
-    in process or on the process pool, appends verdicts to a store, skips already-completed
-    cells on ``resume``, and reports perf-budget violations alongside
-    soundness.  ``CampaignConfig`` is the JSON description
-    behind the CLI's ``--campaign`` flag.
+    in process or on the process pool, commits the outcomes to a store,
+    skips already-completed cells on ``resume``, and reports
+    perf-budget violations alongside soundness.  ``commit_outcomes`` is
+    the one way a finalised batch reaches a store (records, poison
+    diagnoses, telemetry), for campaigns and lease workers alike.
+    ``CampaignConfig`` is the JSON description behind the CLI's
+    ``--campaign`` flag.
 
 ``cost`` (:mod:`repro.runtime.cost`)
     Cost-model-driven scheduling: ``CellCostModel`` predicts per-cell
@@ -85,12 +89,14 @@ tier-1 smoke slice to thousands of cells:
     the store's ``leases``/``heartbeats`` tables (created ``IF NOT
     EXISTS``; the JSONL backend uses a ``leases.sqlite`` sidecar),
     ``scenarios work`` processes claim/steal them with atomic
-    compare-and-swap and commit through the campaign's
-    crash-consistent append path, and expired leases -- a SIGKILLed or
-    hung worker -- are stolen, split for culprit isolation, or routed
-    to the poison channel after repeated kills.  Leases only change
-    *who* runs a cell, never its seed: ``summary.json`` after any
-    chaos is byte-identical to an undisturbed serial run.
+    compare-and-swap and commit each lease through ``commit_outcomes``,
+    and expired leases -- a SIGKILLed or hung worker -- are stolen,
+    split for culprit isolation, or routed to the poison channel after
+    repeated kills.  No record is lost in flight, so there are no
+    recovery rounds: a planned cell without a record ends the run
+    unconverged.  Leases only change *who* runs a cell, never its
+    seed: ``summary.json`` after any chaos is byte-identical to an
+    undisturbed serial run.
 
 Usage::
 

@@ -15,9 +15,10 @@ On top of :func:`repro.scenarios.runner.run_batch` this layer adds:
 * **perf budgets** -- per-cell wall-clock budgets (see
   ``Scenario.perf_budget``) verdicted alongside soundness.
 
-Multi-process campaigns over one shared store run through the lease
-coordinator (:mod:`repro.runtime.coordinator`), whose workers commit
-through :func:`append_results_with_retry` like this driver does.
+:func:`commit_outcomes` is the one way a finalised batch reaches a
+store: :func:`run_campaign` commits its whole matrix through it, and
+the lease coordinator's workers (:mod:`repro.runtime.coordinator`)
+each lease.
 
 :class:`CampaignConfig` is the JSON-loadable description the CLI's
 ``--campaign`` flag consumes (see ``examples/campaign_thousand.json``).
@@ -31,7 +32,7 @@ import time
 from contextlib import nullcontext
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Any, Mapping, Optional, Sequence, Union
 
 from repro.runtime import faults
 from repro.runtime.executor import ProcessExecutor, RetryPolicy, _error_head
@@ -56,6 +57,7 @@ __all__ = [
     "CampaignReport",
     "append_results_with_retry",
     "build_campaign",
+    "commit_outcomes",
     "outcome_record",
     "run_campaign",
 ]
@@ -370,36 +372,20 @@ def run_campaign(
         else _empty_report()
     )
 
-    retried = sum(
-        1 for o in report.outcomes if o.attempts > 1 or o.attempt_errors
-    )
-    poison = (
-        [o for o in report.outcomes if o.error is not None]
-        if retry is not None and retry.max_attempts > 1
-        else []
-    )
-
+    poison = _poisoned(report, retry)
     store_records = 0
     telemetry_count = 0
     store_retries = 0
     if result_store is not None:
-        store_retries = append_results_with_retry(
+        store_retries, telemetry_count = commit_outcomes(
             result_store,
-            [outcome_record(o) for o in report.outcomes],
+            report,
             retry=retry,
             fault_plan=fault_plan,
+            poison=poison,
+            model=model,
+            run_records=[{"kind": "fit", **cost_fit}] if cost_fit else (),
         )
-        if poison:
-            result_store.append_poison(
-                {
-                    "key": cell_key(o.scenario),
-                    "name": o.scenario.name,
-                    "attempts": int(o.attempts),
-                    "error_head": _error_head(o.error),
-                    "attempt_errors": list(o.attempt_errors),
-                }
-                for o in poison
-            )
         if fault_plan is not None:
             # Heal pass: an injected torn write leaves residue on disk
             # exactly like a real crash; loading quarantines it (and
@@ -408,13 +394,6 @@ def run_campaign(
             # byte-identically to an undisturbed run.
             result_store.load()
             quarantined = max(quarantined, result_store.quarantined)
-        telemetry_count = _persist_telemetry(
-            result_store,
-            report,
-            model=model,
-            cost_fit=cost_fit,
-            store_retries=store_retries,
-        )
         # The summary is deterministic (content-derived aggregates
         # only, no run-local extras): a coordinated or pooled run's
         # final summary is bit-identical to the serial one over the
@@ -436,7 +415,7 @@ def run_campaign(
         quarantined=quarantined,
         cost_fit=cost_fit,
         telemetry_records=telemetry_count,
-        retried_cells=retried,
+        retried_cells=sum(1 for o in report.outcomes if o.retried),
         poisoned_cells=len(poison),
         store_retries=store_retries,
     )
@@ -465,9 +444,7 @@ def append_results_with_retry(
     layer so injected store faults respect ``max_attempt`` -- bounded
     retries provably recover.  Returns the number of retries spent.
 
-    The campaign driver and the lease-coordinator workers
-    (:mod:`repro.runtime.coordinator`) share this as their one
-    crash-consistent commit path.
+    :func:`commit_outcomes` writes every batch's records through it.
     """
     attempts = retry.max_attempts if retry is not None else 1
     if fault_plan is not None:
@@ -493,77 +470,144 @@ def append_results_with_retry(
     return attempts - 1  # pragma: no cover - loop always returns/raises
 
 
+def _poisoned(
+    report: BatchReport, retry: Optional[RetryPolicy]
+) -> tuple[ScenarioOutcome, ...]:
+    """A batch's share of the poison channel: its error outcomes, once
+    each has spent a retry budget of more than one attempt."""
+    if retry is None or retry.max_attempts <= 1:
+        return ()
+    return report.errors
+
+
+def commit_outcomes(
+    result_store: ResultStore,
+    report: BatchReport,
+    *,
+    retry: Optional[RetryPolicy],
+    fault_plan: Optional[FaultPlan],
+    poison: Sequence[ScenarioOutcome] = (),
+    stamp: Optional[Mapping[str, Any]] = None,
+    model=None,
+    run_records: Sequence[dict] = (),
+) -> tuple[int, int]:
+    """Persist one finalised batch: the only way outcomes reach a store.
+
+    Writes one record per outcome (:func:`outcome_record`, through
+    :func:`append_results_with_retry`), one poison diagnosis per outcome
+    in ``poison``, and the batch's telemetry (:func:`_persist_telemetry`).
+    ``stamp`` -- a lease worker's ``{"worker": ..., "lease": ...}`` --
+    is added to each poison diagnosis, attempt-ledger entry and
+    store-retry record; ``run_records`` are the caller's own telemetry
+    records (a resume's ``fit``, a lease's ledger entry), persisted with
+    the batch's.  ``model`` prices each cell record's
+    ``predicted_cost``.  Returns ``(store-append retries, telemetry
+    records written)``.
+    """
+    busy_before = getattr(result_store, "busy_retries", 0)
+    store_retries = append_results_with_retry(
+        result_store,
+        [outcome_record(o) for o in report.outcomes],
+        retry=retry,
+        fault_plan=fault_plan,
+    )
+    stamp = dict(stamp or {})
+    if poison:
+        result_store.append_poison(
+            {
+                "key": cell_key(o.scenario),
+                "name": o.scenario.name,
+                "attempts": int(o.attempts),
+                "error_head": _error_head(o.error),
+                "attempt_errors": list(o.attempt_errors),
+                **stamp,
+            }
+            for o in poison
+        )
+    telemetry_count = _persist_telemetry(
+        result_store,
+        report,
+        model=model,
+        stamp=stamp,
+        store_retries=store_retries,
+        busy_retries=getattr(result_store, "busy_retries", 0) - busy_before,
+        run_records=run_records,
+    )
+    return store_retries, telemetry_count
+
+
 def _persist_telemetry(
     result_store: ResultStore,
     report: BatchReport,
     *,
     model=None,
-    cost_fit: Optional[dict] = None,
-    store_retries: int = 0,
+    stamp: Mapping[str, Any],
+    store_retries: int,
+    busy_retries: int,
+    run_records: Sequence[dict],
 ) -> int:
-    """Append this run's telemetry to the store's telemetry channel.
+    """Append a committed batch's telemetry to the store's telemetry
+    channel (see :func:`commit_outcomes`).
 
-    One ``kind == "cell"`` record per outcome that carried telemetry
-    (annotated with the cell key, effective backend, recorded wall
-    clock and the scheduler's predicted cost, so the report's
+    One ``attempts`` ledger record per cell that needed more than a
+    single attempt (fault kinds, final disposition), one ``cell``
+    record per outcome that carried telemetry (annotated with the cell
+    key, effective backend and recorded wall clock, plus the
+    ``predicted_cost`` where ``model`` priced the cell, so the report's
     calibration table needs no join), the grouped evaluator's
-    ``grouping``/``grouping_summary`` records, one ``fit`` record when
-    a resume refit ran, one ``attempts`` ledger record per cell that
-    needed more than a single attempt (fault kinds, final
-    disposition), and one ``store_retries`` record when store writes
-    had to be retried.  Returns the record count; a disabled telemetry
-    switch (or a run with no telemetry) appends nothing.
+    ``grouping``/``grouping_summary`` records, the caller's
+    ``run_records``, and one ``store_retries`` record when the record
+    append had to be retried (with the SQLite busy retries this commit
+    spent; ``source`` ``"lease"`` for a stamped batch).
+    Returns the record count; a disabled telemetry switch (or a batch
+    with no telemetry) appends nothing.
     """
     from repro.runtime.telemetry import cell_record, enabled
 
     if not enabled():
         return 0
-    records: list[dict] = []
-    for o in report.outcomes:
-        if o.attempts <= 1 and not o.attempt_errors:
-            continue
-        records.append(
-            {
-                "kind": "attempts",
-                "key": cell_key(o.scenario),
-                "name": o.scenario.name,
-                "attempts": int(o.attempts),
-                "faults": list(o.attempt_errors),
-                "disposition": "poison" if o.error is not None else "recovered",
-            }
-        )
+    records: list[dict] = [
+        {
+            "kind": "attempts",
+            "key": cell_key(o.scenario),
+            "name": o.scenario.name,
+            "attempts": int(o.attempts),
+            "faults": list(o.attempt_errors),
+            "disposition": "poison" if o.error is not None else "recovered",
+            **stamp,
+        }
+        for o in report.outcomes
+        if o.retried
+    ]
     for o in report.outcomes:
         if o.telemetry is None:
             continue
-        predicted = None
+        priced = {}
         if model is not None:
             try:
-                predicted = float(model.estimate(o.scenario))
+                priced["predicted_cost"] = float(model.estimate(o.scenario))
             except Exception:
-                predicted = None
+                pass  # unpriced: the calibration table skips the cell
         records.append(
             cell_record(
                 o.telemetry,
                 key=cell_key(o.scenario),
                 eff_backend=o.eff_backend,
                 wall_time=float(o.wall_time),
-                predicted_cost=predicted,
                 primed=bool(o.primed),
+                **priced,
             )
         )
-    for g in report.group_stats:
-        records.append(dict(g))
-    if cost_fit:
-        records.append({"kind": "fit", **cost_fit})
+    records.extend(dict(g) for g in report.group_stats)
+    records.extend(run_records)
     if store_retries:
         records.append(
             {
                 "kind": "store_retries",
                 "append_retries": int(store_retries),
-                "busy_retries": int(
-                    getattr(result_store, "busy_retries", 0)
-                ),
-                "source": "campaign",
+                "busy_retries": int(busy_retries),
+                "source": "lease" if stamp else "campaign",
+                **stamp,
             }
         )
     if records:

@@ -6,8 +6,8 @@ summaries under injected chaos.  This module lifts the same contract
 to *many* processes sharing one store.  The coordination substrate is
 the store itself -- a ``leases`` + ``heartbeats`` table pair created
 ``IF NOT EXISTS`` on connect (old stores upgrade in place; the JSONL
-backend hosts them in a ``leases.sqlite`` sidecar because its record
-files are single-writer by design).
+backend hosts them in a ``leases.sqlite`` sidecar, because its files
+hold records only).
 
 The protocol, end to end:
 
@@ -27,9 +27,10 @@ The protocol, end to end:
    a fault plan or a cell timeout, cell by cell.  They renew its
    deadline and their heartbeat *between* cells -- never during one,
    and a group kernel counts as one step, so a hung cell lapses the
-   lease -- and commit whole-lease batches through the campaign's
-   crash-consistent
-   :func:`~repro.runtime.campaign.append_results_with_retry`.
+   lease -- and commit each lease through the campaign's one commit
+   path, :func:`~repro.runtime.campaign.commit_outcomes`.  Both store
+   backends take concurrent commits whole (SQLite transactions, locked
+   JSONL appends), so no record is lost in flight.
 3. A lease whose holder stops renewing (SIGKILLed, hung, partitioned)
    is **stolen** by any live worker once its deadline passes; stealing
    increments the lease's ``deaths``.  A stolen multi-cell lease is
@@ -39,9 +40,12 @@ The protocol, end to end:
    campaign.  The coordinator SIGKILLs workers whose heartbeat lapses
    far beyond the TTL and respawns replacements under a bounded
    budget.
-4. A **restarted coordinator** supersedes whatever leases its
-   predecessor left behind (carrying each cell's accumulated death
-   count), re-plans the still-missing cells, and converges.
+4. Once its workers exit, the coordinator reads the store once: a
+   planned cell without a record means the campaign did not converge
+   (``scenarios run`` exits 1).  A **restarted coordinator** supersedes
+   whatever leases its predecessor left behind (carrying each cell's
+   accumulated death count), re-plans the still-missing cells, and
+   converges.
 
 Determinism is the invariant the whole design leans on: a cell's RNG
 derives from ``(campaign seed, spec fingerprint)`` and its store
@@ -70,14 +74,9 @@ from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
 
 from repro.runtime import faults, telemetry
-from repro.runtime.campaign import append_results_with_retry, outcome_record
+from repro.runtime.campaign import _poisoned, commit_outcomes
 from repro.runtime.cost import CellCostModel, plan_leases
-from repro.runtime.executor import (
-    RetryPolicy,
-    TaskResult,
-    _error_head,
-    allowed_deaths,
-)
+from repro.runtime.executor import RetryPolicy, TaskResult, allowed_deaths
 from repro.runtime.faults import FaultPlan
 from repro.runtime.store import (
     ResultStore,
@@ -91,7 +90,6 @@ from repro.scenarios.spec import Scenario, scenario_from_dict
 __all__ = [
     "DEFAULT_LEASE_TTL",
     "IDLE_POLL_S",
-    "RECOVERY_ROUNDS",
     "WorkerReport",
     "CoordinatorReport",
     "plan_campaign_leases",
@@ -112,12 +110,6 @@ DEFAULT_LEASE_TTL = 30.0
 #: microseconds), so polling often is cheap, and it bounds the idle
 #: time between the last commit and the coordinator's return.
 IDLE_POLL_S = 0.05
-
-#: Bounded final-convergence rounds: after all workers exit, cells
-#: still missing a record (e.g. lost to a torn concurrent JSONL
-#: append) are re-leased to a fresh worker this many times before the
-#: coordinator reports non-convergence.
-RECOVERY_ROUNDS = 3
 
 
 def _cell_payload(sc: Scenario, cost: float) -> dict:
@@ -225,8 +217,9 @@ def work_store(
 
     The worker protocol: claim the dearest open lease (else steal the
     dearest expired one), renew deadline + heartbeat between cells,
-    evaluate, commit the whole lease through the campaign's
-    crash-consistent append path, mark the lease done.  A renew that
+    evaluate, commit the whole lease through the campaign's one commit
+    path (:func:`~repro.runtime.campaign.commit_outcomes`), mark the
+    lease done.  A renew that
     fails means the lease was reclaimed -- the worker abandons it
     without committing (the thief re-runs; duplicate records would be
     byte-identical anyway).  Returns when ``unfinished() == 0`` or
@@ -377,40 +370,26 @@ def _run_lease(
     except _LeaseLost:
         return None
     report = finalise_batch(scenarios, tasks, time.perf_counter() - t0)
-    store_retries = append_results_with_retry(
+    poison = _poisoned(report, retry)
+    store_retries, _ = commit_outcomes(
         st,
-        [outcome_record(o) for o in report.outcomes],
+        report,
         retry=retry,
         fault_plan=fault_plan,
-    )
-    poison = (
-        [o for o in report.outcomes if o.error is not None]
-        if retry is not None and retry.max_attempts > 1
-        else []
-    )
-    if poison:
-        st.append_poison(
-            {
-                "key": cell_key(o.scenario),
-                "name": o.scenario.name,
-                "attempts": int(o.attempts),
-                "error_head": _error_head(o.error),
-                "attempt_errors": list(o.attempt_errors),
-                "worker": worker_id,
-                "lease": int(lease["id"]),
-            }
-            for o in poison
-        )
-    _persist_worker_telemetry(
-        st, report, lease, worker_id, stolen=stolen, store_retries=store_retries
+        poison=poison,
+        stamp={"worker": worker_id, "lease": int(lease["id"])},
+        run_records=[
+            _lease_record(
+                lease, worker_id, "done", stolen=bool(stolen),
+                wall_s=float(report.elapsed),
+            )
+        ],
     )
     if not lt.finish(lease["id"], worker_id, "done"):
         return None  # stolen during the final commit; records are valid
     return {
         "cells": len(scenarios),
-        "retried": sum(
-            1 for o in report.outcomes if o.attempts > 1 or o.attempt_errors
-        ),
+        "retried": sum(1 for o in report.outcomes if o.retried),
         "poisoned": len(poison),
         "store_retries": store_retries,
     }
@@ -450,99 +429,33 @@ def _poison_lease(
         for i in range(len(scenarios))
     ]
     report = finalise_batch(scenarios, tasks, 0.0)
-    append_results_with_retry(
+    commit_outcomes(
         st,
-        [outcome_record(o) for o in report.outcomes],
+        report,
         retry=retry,
         fault_plan=fault_plan,
+        poison=report.outcomes,
+        stamp={"worker": worker_id, "lease": int(lease["id"])},
+        run_records=[_lease_record(lease, worker_id, "poison")],
     )
-    st.append_poison(
-        {
-            "key": cell_key(sc),
-            "name": sc.name,
-            "attempts": deaths,
-            "error_head": _error_head(msg),
-            "attempt_errors": [msg],
-            "worker": worker_id,
-            "lease": int(lease["id"]),
-        }
-        for sc in scenarios
-    )
-    if telemetry.enabled():
-        st.append_telemetry(
-            [
-                {
-                    "kind": "lease",
-                    "lease": int(lease["id"]),
-                    "worker": worker_id,
-                    "cells": len(scenarios),
-                    "deaths": deaths,
-                    "steals": int(lease["steals"]),
-                    "disposition": "poison",
-                }
-            ]
-        )
     return lt.finish(lease["id"], worker_id, "poison")
 
 
-def _persist_worker_telemetry(
-    st: ResultStore,
-    report,
-    lease: dict,
-    worker_id: str,
-    *,
-    stolen: bool,
-    store_retries: int,
-) -> int:
-    """One ``kind="lease"`` ledger record per lease plus the usual
-    per-cell telemetry and attempt-ledger records (see
-    :func:`repro.runtime.campaign._persist_telemetry`); the report's
-    "Lease ledger" section renders these."""
-    if not telemetry.enabled():
-        return 0
-    records: list[dict] = []
-    for o in report.outcomes:
-        if o.attempts > 1 or o.attempt_errors:
-            records.append(
-                {
-                    "kind": "attempts",
-                    "key": cell_key(o.scenario),
-                    "name": o.scenario.name,
-                    "attempts": int(o.attempts),
-                    "faults": list(o.attempt_errors),
-                    "disposition": (
-                        "poison" if o.error is not None else "recovered"
-                    ),
-                    "worker": worker_id,
-                    "lease": int(lease["id"]),
-                }
-            )
-        if o.telemetry is not None:
-            records.append(
-                telemetry.cell_record(
-                    o.telemetry,
-                    key=cell_key(o.scenario),
-                    eff_backend=o.eff_backend,
-                    wall_time=float(o.wall_time),
-                    primed=bool(o.primed),
-                )
-            )
-    records.append(
-        {
-            "kind": "lease",
-            "lease": int(lease["id"]),
-            "worker": worker_id,
-            "cells": len(lease["cells"]),
-            "stolen": bool(stolen),
-            "deaths": int(lease["deaths"]),
-            "steals": int(lease["steals"]),
-            "store_retries": int(store_retries),
-            "disposition": "done",
-            "wall_s": float(report.elapsed),
-        }
-    )
-    st.append_telemetry(records)
-    return len(records)
+def _lease_record(
+    lease: dict, worker_id: str, disposition: str, **fields
+) -> dict:
+    """A lease's ``kind="lease"`` ledger entry, which the report's
+    "Lease ledger" section renders."""
+    return {
+        "kind": "lease",
+        "lease": int(lease["id"]),
+        "worker": worker_id,
+        "cells": len(lease["cells"]),
+        "deaths": int(lease["deaths"]),
+        "steals": int(lease["steals"]),
+        "disposition": disposition,
+        **fields,
+    }
 
 
 # ----------------------------------------------------------------------
@@ -563,7 +476,6 @@ class CoordinatorReport:
     superseded_leases: int
     respawns: int
     hung_killed: int
-    recovery_rounds: int
     converged: bool
     summary: dict
     store_root: str
@@ -605,15 +517,10 @@ class CoordinatorReport:
                 f"{self.hung_killed} hung workers killed, "
                 f"{self.superseded_leases} stale leases superseded"
             )
-        if self.recovery_rounds:
-            lines.append(
-                f"recovery: {self.recovery_rounds} re-lease round(s) "
-                f"for records lost in flight"
-            )
         if not self.converged:
             lines.append(
                 "NOT CONVERGED: cells remain without records "
-                "(respawn/recovery budget exhausted)"
+                "(respawn budget exhausted, or a record was lost)"
             )
         s = self.summary
         lines.append(
@@ -707,7 +614,6 @@ def run_coordinator(
     cost_model: Optional[CellCostModel] = None,
     max_cells: int = 16,
     max_respawns: Optional[int] = None,
-    recovery_rounds: int = RECOVERY_ROUNDS,
 ) -> CoordinatorReport:
     """Run ``scenarios`` to completion with ``workers`` lease workers.
 
@@ -717,8 +623,12 @@ def run_coordinator(
     carried forward), forks ``workers`` local lease workers off this
     already-imported process (see :func:`_spawn_worker`), supervises
     them -- respawning dead ones and killing hung ones under a bounded
-    budget -- and finally heals the store and writes ``summary.json``.
-    Every worker has been waited for when this returns.  The summary is
+    budget -- and finally reads the store once: that read heals it
+    (quarantining any torn residue), checks that every planned cell
+    landed a record, and feeds ``summary.json``.  A missing record is
+    not re-leased: it reports ``converged=False`` (a store that loses
+    records is a fault to surface, not to paper over).  Every worker
+    has been waited for when this returns.  The summary is
     byte-identical to an undisturbed serial run over the same matrix:
     leases change *who* runs a cell, never its seed or record.
 
@@ -814,36 +724,11 @@ def run_coordinator(
                 proc.join(timeout=lease_ttl + 10)
                 _reap(procs.pop(wid), kill=proc.exitcode is None)
 
-        # Convergence: every planned cell must have landed a record (a
-        # concurrent torn JSONL append can lose one); re-lease stragglers
-        # to a fresh worker a bounded number of times.  Each pass is one
-        # streamed read that heals (its first corrupt row falls back to
-        # load(), which quarantines torn residue) and whose verdicts
-        # feed the missing set and, once no worker runs, the summary.
-        rounds = 0
+        # One streamed read heals the store (its first corrupt row falls
+        # back to load(), which quarantines torn residue), finds any
+        # planned cell without a record, and feeds the summary.
         verdicts = st.verdicts()
-        if converged:
-            for _ in range(max(0, recovery_rounds)):
-                missing = [sc for sc in todo if cell_key(sc) not in verdicts]
-                if not missing:
-                    break
-                rounds += 1
-                plan_campaign_leases(
-                    st,
-                    missing,
-                    1,
-                    cost_model=cost_model,
-                    max_cells=max_cells,
-                    deaths=carried or None,
-                )
-                _spawn()
-                for wid in list(procs):
-                    _reap(procs.pop(wid))
-                verdicts = st.verdicts()
-            else:
-                converged = not any(
-                    cell_key(sc) not in verdicts for sc in todo
-                )
+        converged = converged and all(cell_key(sc) in verdicts for sc in todo)
     finally:
         # Only an exception leaves workers here: never orphan them.
         for proc in procs.values():
@@ -869,7 +754,6 @@ def run_coordinator(
                     "worker_deaths": deaths_total,
                     "respawns": respawns,
                     "hung_killed": hung_killed,
-                    "recovery_rounds": rounds,
                     "converged": bool(converged),
                     "source": "coordinator",
                 }
@@ -891,7 +775,6 @@ def run_coordinator(
         superseded_leases=len(stale),
         respawns=respawns,
         hung_killed=hung_killed,
-        recovery_rounds=rounds,
         converged=converged,
         summary=dict(summary),
         store_root=str(st.root),

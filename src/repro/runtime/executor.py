@@ -34,6 +34,9 @@ Fault tolerance (opt-in, zero-overhead default):
   therefore retryable.
 * Pool resurrection -- a hard worker death (``BrokenProcessPool``)
   breaks *every* in-flight future and cannot name the culprit cell.
+  (Any other exception from a chunk is the batch function's own, as
+  deterministic as a serial run's: the pool is torn down and it
+  propagates.)
   The process backend responds by killing the pool, re-submitting all
   outstanding cells **individually** to a fresh pool (so the next
   death isolates its culprit to one cell, which starts at attempt
@@ -62,7 +65,12 @@ import signal
 import threading
 import time
 import traceback
-from concurrent.futures import FIRST_COMPLETED, Executor as _FuturesExecutor, wait
+from concurrent.futures import (
+    FIRST_COMPLETED,
+    BrokenExecutor,
+    Executor as _FuturesExecutor,
+    wait,
+)
 from contextlib import contextmanager
 from dataclasses import dataclass, field as dataclass_field
 from typing import Any, Callable, Optional, Sequence
@@ -581,7 +589,7 @@ class _PoolExecutor:
                     first_running.pop(fut, None)
                     try:
                         finish_chunk(idxs, fut.result())
-                    except Exception:
+                    except BrokenExecutor:  # a worker died: BrokenProcessPool
                         death = (idxs, traceback.format_exc(limit=10))
                         break
                 if death is None and expired is not None and expired in pending:
@@ -607,7 +615,7 @@ class _PoolExecutor:
                         try:
                             finish_chunk(idxs, fut.result())
                             continue  # completed before the death hit it
-                        except Exception:
+                        except BrokenExecutor:
                             pass
                     running = (
                         first_running.get(fut) is not None or fut.running()
@@ -672,6 +680,13 @@ class _PoolExecutor:
                 pool = self._make_pool()
                 for i in resubmit:
                     submit([i], exposures[i] + 1)
+        except BaseException:
+            # Not a worker death (the batch function raised, or the
+            # caller was interrupted): no worker may outlive the error.
+            if pool is not None:
+                self._kill_pool(pool)
+                pool = None
+            raise
         finally:
             if pool is not None:
                 pool.shutdown(wait=True)

@@ -6,15 +6,15 @@ keyed by a sha256 content hash of the cell's spec, plus an aggregate
 :class:`ResultStore` contract:
 
 :class:`JsonlResultStore` (``jsonl:DIR`` or a plain directory)
-    Append-only ``results.jsonl`` under a campaign directory.  The
-    original backend: human-greppable, diff-friendly, single-writer
-    (concurrent appends from multiple processes can tear lines, which
-    the quarantine then eats).
+    Append-only ``results.jsonl`` under a campaign directory: the
+    original backend, human-greppable and diff-friendly.  Every write
+    to one of its JSONL files holds an exclusive ``flock`` on that file,
+    so concurrent writers (lease workers, a campaign beside them) append
+    whole batches and never interleave within a line.
 :class:`SqliteResultStore` (``sqlite:DIR``)
     ``results.sqlite`` under a campaign directory, WAL-journaled, cell
-    keys as primary keys.  Safe for **concurrent writers**: the lease
-    coordinator's worker processes (or hosts on a shared filesystem)
-    fill one store without torn records.
+    keys as primary keys; concurrent writers serialise at commit
+    granularity, and it hosts the lease tables itself.
 
 :func:`open_store` is the factory: it accepts a store instance, a
 ``scheme:path`` URL, or a bare directory (auto-detected by the files
@@ -30,6 +30,12 @@ Shared semantics (the backend contract)
   (torn JSONL lines, manually edited SQLite payloads) are moved to the
   backend's quarantine (``quarantine.jsonl`` file / ``quarantine``
   table), counted in :attr:`ResultStore.quarantined`, and never raised.
+* Two side channels sit beside the records: run telemetry
+  (``append_telemetry``/``load_telemetry``) and poison diagnoses
+  (``append_poison``/``load_poison``).  Both are append-only and
+  best-effort (an unparseable row is skipped on load), and neither
+  feeds the summary.  They are written once, on :class:`ResultStore`,
+  over two backend hooks: append rows to a channel, read its rows.
 * ``write_summary`` rewrites ``summary.json`` from the records.  The
   summary is **deterministic**: it aggregates only content-derived
   fields (verdict counts, tightness), never wall clocks -- so a
@@ -77,10 +83,12 @@ matter how their matrices were ordered, chunked, or leased.
 from __future__ import annotations
 
 import dataclasses
+import fcntl
 import hashlib
 import json
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import (
@@ -91,6 +99,7 @@ from typing import (
     Mapping,
     NamedTuple,
     Optional,
+    TextIO,
     Union,
 )
 
@@ -132,6 +141,92 @@ def _fsync_dir(path: Path) -> None:
         pass
     finally:
         os.close(fd)
+
+
+def _atomic_write(path: Path, text: str) -> None:
+    """Replace ``path`` by a file holding ``text``, crash-consistently.
+
+    The text goes to a temporary sibling, which is fsynced and renamed
+    over ``path``; the directory is fsynced after the rename.  A reader,
+    a racing writer or a resume after SIGKILL therefore never sees a
+    truncated file, the new one survives a power cut at any instant, and
+    a write that fails leaves ``path`` as it was.
+    """
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with tmp.open("w") as fh:
+            fh.write(text)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    _fsync_dir(path.parent)
+
+
+@contextmanager
+def _locked(path: Path) -> Iterator[TextIO]:
+    """``path`` opened for appending under an exclusive ``flock``.
+
+    Every JSONL write goes through here, so concurrent writers append
+    whole batches in turn.  A writer that waited while a quarantine
+    replaced the file holds the lock of the replaced inode, where its
+    rows would be lost: it reopens the file until the lock it holds is
+    the current file's.  Closing the file flushes it, then releases the
+    lock.
+    """
+    while True:
+        fh = path.open("a+")
+        try:
+            fcntl.flock(fh, fcntl.LOCK_EX)
+            current = os.path.samestat(os.fstat(fh.fileno()), os.stat(path))
+        except FileNotFoundError:
+            current = False
+        except BaseException:
+            fh.close()
+            raise
+        if current:
+            break
+        fh.close()
+    with fh:
+        yield fh
+
+
+def _end_line(fh: TextIO) -> None:
+    """Start the next row on a fresh line.
+
+    A crash (or an injected torn write) can leave a file ending
+    mid-line; a row appended straight after would merge into that
+    residue and be lost with it.  Called under :func:`_locked`, where a
+    missing newline can only be such residue, never a peer mid-append.
+    """
+    size = os.fstat(fh.fileno()).st_size
+    if size and os.pread(fh.fileno(), 1, size - 1) != b"\n":
+        fh.write("\n")
+
+
+def _append_lines(path: Path, lines: Iterable[str]) -> None:
+    """Append ``lines`` (one row each) to ``path`` under its lock."""
+    with _locked(path) as fh:
+        _end_line(fh)
+        fh.write("".join(line + "\n" for line in lines))
+
+
+def _jsonl_lines(path: Path) -> Iterator[str]:
+    """The non-blank lines of a JSONL file, read one at a time (none
+    when the file does not exist)."""
+    if not path.exists():
+        return
+    with path.open() as fh:
+        for physical in fh:
+            # str.splitlines() also breaks at \f, \x1c, \u2028 and the
+            # like, which only a corrupt line holds raw: split each
+            # physical line the same way, so every line counts as it
+            # would in the whole file's splitlines().
+            for line in physical.splitlines():
+                if line.strip():
+                    yield line
 
 
 def _coerce_root(root: Any, scheme: str) -> Path:
@@ -253,10 +348,11 @@ class ResultStore:
     instead: ``type.__call__`` would re-run the instance's ``__init__``
     after the dispatching ``__new__`` returned it.)
 
-    Subclasses implement ``append``/``append_many``, the raw-row read
-    ``_rows`` and the quarantine move ``_quarantine``, plus the ``kind``
-    label; everything else (the parse loop behind ``load`` and the
-    summary, completed keys) is shared and backend-agnostic.
+    Subclasses implement ``append_many``, the raw-row read ``_rows``,
+    the quarantine move ``_quarantine`` and the side-channel hooks
+    ``_append_rows`` and ``_channel_rows``, plus the ``kind`` label;
+    everything else (the parse loop behind ``load`` and the summary,
+    completed keys, the side channels) is shared and backend-agnostic.
     """
 
     SUMMARY = "summary.json"
@@ -287,15 +383,15 @@ class ResultStore:
     def summary_path(self) -> Path:
         return self.root / self.SUMMARY
 
-    # -- backend hooks ---------------------------------------------------
     def append(self, record: Mapping[str, Any]) -> None:
         """Persist one cell record (must carry a ``key``)."""
-        raise NotImplementedError
+        self.append_many([record])
 
+    # -- backend hooks ---------------------------------------------------
     def append_many(self, records: Iterable[Mapping[str, Any]]) -> None:
-        """Persist many records (backends batch this into one commit)."""
-        for rec in records:
-            self.append(rec)
+        """Persist cell records (each must carry a ``key``) in one
+        write."""
+        raise NotImplementedError
 
     def _rows(self) -> Iterator[tuple[Any, str]]:
         """Every stored record row as ``(row id, raw JSON text)``, in
@@ -304,11 +400,24 @@ class ResultStore:
         raise NotImplementedError
 
     def _quarantine(
-        self, records: Mapping[str, Any], bad: list[tuple[Any, str]]
-    ) -> None:
-        """Move the corrupt rows ``bad`` aside; ``records`` holds every
-        valid record, for backends that rewrite the store."""
+        self, records: dict[str, Any], bad: list[tuple[Any, str]]
+    ) -> tuple[dict[str, Any], list[tuple[Any, str]]]:
+        """Move corrupt rows aside; returns the valid records and the
+        rows moved.  ``records`` and ``bad`` are a :meth:`_parse` of the
+        store; a backend that must re-read it first (to keep rows a peer
+        appended since) returns its own."""
         raise NotImplementedError
+
+    def _append_rows(
+        self, channel: str, rows: list[tuple[dict[str, Any], str]]
+    ) -> None:
+        """Append ``(record, JSON text)`` rows to a side channel
+        (``"telemetry"`` or ``"poison"``).  A no-op here, so store-like
+        test doubles ignore the side channels for free."""
+
+    def _channel_rows(self, channel: str) -> Iterable[str]:
+        """A side channel's raw JSON rows, in append order."""
+        return ()
 
     def _parse(
         self, project: Optional[Callable[[dict], Any]] = None
@@ -344,11 +453,10 @@ class ResultStore:
         Corrupt rows are moved to the backend's quarantine and counted
         in :attr:`quarantined` -- never raised.
         """
-        self.quarantined = 0
         records, bad = self._parse()
         if bad:
-            self.quarantined = len(bad)
-            self._quarantine(records, bad)
+            records, bad = self._quarantine(records, bad)
+        self.quarantined = len(bad)
         return records
 
     def verdicts(self) -> dict[str, _Verdict]:
@@ -366,20 +474,21 @@ class ResultStore:
         self.quarantined = 0
         return verdicts
 
+    # -- side channels ---------------------------------------------------
     def append_telemetry(self, records: Iterable[Mapping[str, Any]]) -> None:
         """Persist run telemetry records (spans/counters/grouping/fit).
 
         A separate channel from cell records: telemetry is run-local
         observability data, never feeds :meth:`write_summary` (which
         must stay deterministic), and needs no keys -- records
-        accumulate append-only across runs.  The base implementation is
-        a no-op so store-like test doubles ignore telemetry for free.
+        accumulate append-only across runs.
         """
+        self._append_channel("telemetry", records)
 
     def load_telemetry(self) -> list[dict[str, Any]]:
         """All telemetry records, in append order (unparseable rows are
         skipped -- telemetry must never fail a load)."""
-        return []
+        return self._load_channel("telemetry")
 
     def append_poison(self, records: Iterable[Mapping[str, Any]]) -> None:
         """Persist poison-cell records (cells that failed all retries).
@@ -387,12 +496,31 @@ class ResultStore:
         A dedicated quarantine-like channel, separate from results so a
         ``--resume`` can retry exactly the poisoned cells while the
         diagnosis (attempt count, last error) survives next to the
-        campaign.  Appends accumulate; no-op in the base class.
+        campaign.  Appends accumulate.
         """
+        self._append_channel("poison", records)
 
     def load_poison(self) -> list[dict[str, Any]]:
         """All poison records, in append order (best-effort parse)."""
-        return []
+        return self._load_channel("poison")
+
+    def _append_channel(
+        self, channel: str, records: Iterable[Mapping[str, Any]]
+    ) -> None:
+        rows = [(rec, _canonical_json(rec)) for rec in map(dict, records)]
+        if rows:
+            self._append_rows(channel, rows)
+
+    def _load_channel(self, channel: str) -> list[dict[str, Any]]:
+        out: list[dict[str, Any]] = []
+        for raw in self._channel_rows(channel):
+            try:
+                rec = json.loads(raw)
+            except json.JSONDecodeError:
+                continue  # best-effort: a torn row never fails a load
+            if isinstance(rec, dict):
+                out.append(rec)
+        return out
 
     def close(self) -> None:
         """Release backend resources: the lease table's connection (file
@@ -409,8 +537,7 @@ class ResultStore:
         The SQLite backend hosts the tables inside ``results.sqlite``;
         every other backend (including this base implementation)
         delegates to a ``leases.sqlite`` sidecar in the campaign
-        directory -- so lease claims are always multi-writer-safe even
-        when the records land in a single-writer JSONL file.
+        directory, whose transactions make claims atomic.
         """
         table = getattr(self, "_lease_table", None)
         if table is None:
@@ -476,21 +603,9 @@ class ResultStore:
         }
         if extra:
             summary.update(extra)
-        # Crash-consistent replace: concurrent campaign processes each
-        # rewrite the summary as they finish, and a reader (or a racing
-        # writer, or a resume after SIGKILL) must never observe a
-        # truncated file.  The tmp file is fsynced before the rename
-        # and the directory after it, so the summary survives not just
-        # a process kill but a power cut at any instant.
-        tmp = self.summary_path.with_name(
-            f".{self.SUMMARY}.{os.getpid()}.tmp"
-        )
-        with tmp.open("w") as fh:
-            fh.write(json.dumps(summary, indent=2) + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, self.summary_path)
-        _fsync_dir(self.root)
+        # Concurrent campaign processes each rewrite the summary as they
+        # finish; none may leave a reader a truncated file.
+        _atomic_write(self.summary_path, json.dumps(summary, indent=2) + "\n")
         return summary
 
 
@@ -500,10 +615,14 @@ class ResultStore:
 class JsonlResultStore(ResultStore):
     """Append-only JSONL store under one campaign directory.
 
-    Three files: ``results.jsonl`` (the source of truth),
-    ``quarantine.jsonl`` (lines that failed to parse -- torn writes,
-    manual edits), ``summary.json``.  Single-writer by design; use the
-    SQLite backend for concurrent writers.
+    ``results.jsonl`` (the source of truth), ``quarantine.jsonl``
+    (lines that failed to parse -- torn writes, manual edits),
+    ``summary.json`` and the side channels ``telemetry.jsonl`` and
+    ``poison.jsonl``.  Every write to a JSONL file holds an exclusive
+    ``flock`` on that file (see :func:`_locked`), so any number of
+    processes may append to one store; the quarantine rewrites
+    ``results.jsonl`` under that lock through a temporary file and a
+    rename.
     """
 
     RESULTS = "results.jsonl"
@@ -519,8 +638,8 @@ class JsonlResultStore(ResultStore):
         self.quarantined = 0
         #: Durability knob: fsync ``results.jsonl`` after every append
         #: batch, trading throughput for power-loss safety.  Off by
-        #: default -- append atomicity plus the quarantine already
-        #: cover process-kill crashes, the common failure.
+        #: default -- locked appends plus the quarantine already cover
+        #: process-kill crashes, the common failure.
         self.fsync = bool(fsync)
 
     @property
@@ -532,30 +651,14 @@ class JsonlResultStore(ResultStore):
         return self.root / self.QUARANTINE
 
     # -- writing ---------------------------------------------------------
-    def append(self, record: Mapping[str, Any]) -> None:
-        self.append_many([record])
-
     def append_many(self, records: Iterable[Mapping[str, Any]]) -> None:
         records = list(records)
         lines = [_canonical_json(self._stamp(rec)) + "\n" for rec in records]
         if not lines:
             return
         plan = active_plan()
-        # A crash (or injected torn write) can leave the file ending
-        # mid-line; appending straight after would merge this batch's
-        # first record into the torn residue and lose it.  Start every
-        # batch on a fresh line so the residue quarantines alone.
-        torn_tail = False
-        try:
-            if self.results_path.stat().st_size > 0:
-                with self.results_path.open("rb") as rf:
-                    rf.seek(-1, os.SEEK_END)
-                    torn_tail = rf.read(1) != b"\n"
-        except OSError:
-            pass
-        with self.results_path.open("a") as fh:
-            if torn_tail:
-                fh.write("\n")
+        with _locked(self.results_path) as fh:
+            _end_line(fh)
             if plan is None:
                 fh.write("".join(lines))
             else:
@@ -568,14 +671,12 @@ class JsonlResultStore(ResultStore):
                 for rec, line in zip(records, lines):
                     kind = plan.store_fault(str(rec.get("key", "")))
                     if kind == "fail":
-                        fh.flush()
                         raise InjectedFault(
                             f"injected store failure before record "
                             f"{rec.get('key')!r}"
                         )
                     if kind == "torn":
                         fh.write(line[: max(1, len(line) // 2)])
-                        fh.flush()
                         raise InjectedFault(
                             f"injected torn write at record "
                             f"{rec.get('key')!r}"
@@ -585,74 +686,32 @@ class JsonlResultStore(ResultStore):
                 fh.flush()
                 os.fsync(fh.fileno())
 
-    def append_telemetry(self, records: Iterable[Mapping[str, Any]]) -> None:
-        lines = [_canonical_json(dict(rec)) + "\n" for rec in records]
-        if not lines:
-            return
-        with (self.root / self.TELEMETRY).open("a") as fh:
-            fh.write("".join(lines))
-
-    def load_telemetry(self) -> list[dict[str, Any]]:
-        path = self.root / self.TELEMETRY
-        if not path.exists():
-            return []
-        out: list[dict[str, Any]] = []
-        for line in path.read_text().splitlines():
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError:
-                continue  # telemetry is best-effort: skip torn lines
-            if isinstance(rec, dict):
-                out.append(rec)
-        return out
-
-    def append_poison(self, records: Iterable[Mapping[str, Any]]) -> None:
-        lines = [_canonical_json(dict(rec)) + "\n" for rec in records]
-        if not lines:
-            return
-        with (self.root / self.POISON).open("a") as fh:
-            fh.write("".join(lines))
-
-    def load_poison(self) -> list[dict[str, Any]]:
-        path = self.root / self.POISON
-        if not path.exists():
-            return []
-        out: list[dict[str, Any]] = []
-        for line in path.read_text().splitlines():
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError:
-                continue  # diagnosis channel: best-effort like telemetry
-            if isinstance(rec, dict):
-                out.append(rec)
-        return out
+    def _append_rows(
+        self, channel: str, rows: list[tuple[dict[str, Any], str]]
+    ) -> None:
+        _append_lines(self.root / f"{channel}.jsonl", (raw for _, raw in rows))
 
     # -- reading ---------------------------------------------------------
     def _rows(self) -> Iterator[tuple[None, str]]:
-        if not self.results_path.exists():
-            return
-        with self.results_path.open() as fh:
-            for physical in fh:
-                # str.splitlines() also breaks at \f, \x1c, \u2028 and
-                # the like, which only a corrupt line holds raw: split
-                # each physical line the same way, so every line counts
-                # as it would in the whole file's splitlines().
-                for line in physical.splitlines():
-                    if line.strip():
-                        yield None, line
+        for line in _jsonl_lines(self.results_path):
+            yield None, line
+
+    def _channel_rows(self, channel: str) -> Iterator[str]:
+        return _jsonl_lines(self.root / f"{channel}.jsonl")
 
     def _quarantine(
-        self, records: Mapping[str, Any], bad: list[tuple[None, str]]
-    ) -> None:
-        with self.quarantine_path.open("a") as fh:
-            for _row, line in bad:
-                fh.write(line + "\n")
-        kept = [_canonical_json(rec) for rec in records.values()]
-        self.results_path.write_text("".join(r + "\n" for r in kept))
+        self, records: dict[str, Any], bad: list[tuple[None, str]]
+    ) -> tuple[dict[str, Any], list[tuple[None, str]]]:
+        with _locked(self.results_path):
+            # Re-read under the lock: a row a peer appended after the
+            # caller's read must survive the rewrite, and a row that was
+            # only mid-append then is whole now.
+            records, bad = self._parse()
+            if bad:
+                _append_lines(self.quarantine_path, (line for _, line in bad))
+                kept = (_canonical_json(r) + "\n" for r in records.values())
+                _atomic_write(self.results_path, "".join(kept))
+        return records, bad
 
 
 # ----------------------------------------------------------------------

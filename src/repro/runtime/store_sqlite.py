@@ -1,9 +1,9 @@
-"""SQLite result-store backend: safe concurrent writers for campaigns.
+"""SQLite result-store backend: one transactional file per campaign.
 
-The JSONL backend is single-writer: two processes appending to one
-``results.jsonl`` can interleave mid-line and tear records.  This
-backend keeps the exact store contract (records, last-write-wins keys,
-quarantine, deterministic ``summary.json``) on an SQLite file instead:
+This backend keeps the JSONL store's exact contract (records,
+last-write-wins keys, quarantine, side channels, deterministic
+``summary.json``) on an SQLite file instead, and hosts the lease tables
+in that same file:
 
 * **WAL journal + busy timeout** -- readers never block writers and
   concurrent writers serialise at commit granularity, so the lease
@@ -112,6 +112,9 @@ CREATE TABLE IF NOT EXISTS heartbeats (
 
 _SCHEMA += _LEASE_SCHEMA
 
+#: Side-channel table -> its indexed column and that column's default.
+_CHANNEL_INDEX = {"telemetry": ("kind", "cell"), "poison": ("key", "")}
+
 
 def _is_busy_error(exc: sqlite3.OperationalError) -> bool:
     msg = str(exc).lower()
@@ -196,9 +199,6 @@ class SqliteResultStore(ResultStore):
         rec = ResultStore._stamp(record)
         return (str(rec["key"]), int(rec["v"]), _canonical_json(rec))
 
-    def append(self, record: Mapping[str, Any]) -> None:
-        self.append_many([record])
-
     def append_many(self, records: Iterable[Mapping[str, Any]]) -> None:
         rows = [self._row(rec) for rec in records]
         if not rows:
@@ -238,87 +238,44 @@ class SqliteResultStore(ResultStore):
         if torn_exc is not None:
             raise torn_exc
 
-    def append_telemetry(self, records: Iterable[Mapping[str, Any]]) -> None:
-        rows = [
-            (str(rec.get("kind", "cell")), _canonical_json(dict(rec)))
-            for rec in records
-        ]
-        if not rows:
-            return
+    def _append_rows(
+        self, channel: str, rows: list[tuple[dict[str, Any], str]]
+    ) -> None:
+        column, default = _CHANNEL_INDEX[channel]
+        params = [(str(rec.get(column, default)), raw) for rec, raw in rows]
 
         def _commit():
             conn = self._connect()
             with conn:
                 conn.executemany(
-                    "INSERT INTO telemetry (kind, record) VALUES (?, ?)",
-                    rows,
+                    f"INSERT INTO {channel} ({column}, record) VALUES (?, ?)",
+                    params,
                 )
 
         self._with_busy_retry(_commit)
-
-    def load_telemetry(self) -> list[dict[str, Any]]:
-        if not self.db_path.exists():
-            return []
-        out: list[dict[str, Any]] = []
-        for (raw,) in self._connect().execute(
-            "SELECT record FROM telemetry ORDER BY id"
-        ):
-            try:
-                rec = json.loads(raw)
-            except json.JSONDecodeError:
-                continue  # telemetry is best-effort: skip bad rows
-            if isinstance(rec, dict):
-                out.append(rec)
-        return out
-
-    def append_poison(self, records: Iterable[Mapping[str, Any]]) -> None:
-        rows = [
-            (str(rec.get("key", "")), _canonical_json(dict(rec)))
-            for rec in records
-        ]
-        if not rows:
-            return
-
-        def _commit():
-            conn = self._connect()
-            with conn:
-                conn.executemany(
-                    "INSERT INTO poison (key, record) VALUES (?, ?)",
-                    rows,
-                )
-
-        self._with_busy_retry(_commit)
-
-    def load_poison(self) -> list[dict[str, Any]]:
-        if not self.db_path.exists():
-            return []
-        out: list[dict[str, Any]] = []
-        for (raw,) in self._connect().execute(
-            "SELECT record FROM poison ORDER BY id"
-        ):
-            try:
-                rec = json.loads(raw)
-            except json.JSONDecodeError:
-                continue  # diagnosis channel: best-effort like telemetry
-            if isinstance(rec, dict):
-                out.append(rec)
-        return out
 
     # -- reading ---------------------------------------------------------
-    def _rows(self) -> Iterator[tuple[str, str]]:
+    def _select(self, sql: str) -> Iterator[tuple]:
+        """The rows of one query, read one at a time (none before the
+        database file exists)."""
         if not self.db_path.exists():
             return
-        cur = self._connect().execute(
-            "SELECT key, record FROM results ORDER BY rowid"
-        )
+        cur = self._connect().execute(sql)
         try:
             yield from cur
         finally:
             cur.close()
 
+    def _rows(self) -> Iterator[tuple[str, str]]:
+        return self._select("SELECT key, record FROM results ORDER BY rowid")
+
+    def _channel_rows(self, channel: str) -> Iterator[str]:
+        rows = self._select(f"SELECT record FROM {channel} ORDER BY id")
+        return (raw for (raw,) in rows)
+
     def _quarantine(
-        self, records: Mapping[str, Any], bad: list[tuple[str, str]]
-    ) -> None:
+        self, records: dict[str, Any], bad: list[tuple[str, str]]
+    ) -> tuple[dict[str, Any], list[tuple[str, str]]]:
         conn = self._connect()
 
         def _commit():
@@ -333,17 +290,12 @@ class SqliteResultStore(ResultStore):
                 )
 
         self._with_busy_retry(_commit)
+        return records, bad
 
     def quarantine_lines(self) -> list[str]:
         """Raw payloads moved aside so far (parity with ``quarantine.jsonl``)."""
-        if not self.db_path.exists():
-            return []
-        return [
-            line
-            for (line,) in self._connect().execute(
-                "SELECT line FROM quarantine ORDER BY rowid"
-            )
-        ]
+        rows = self._select("SELECT line FROM quarantine ORDER BY rowid")
+        return [line for (line,) in rows]
 
     def leases(self) -> "LeaseTable":
         """This store's lease table, living inside ``results.sqlite``
@@ -373,9 +325,8 @@ class LeaseTable:
 
     The coordination half of the distributed-campaign story: the
     SQLite result store hosts these tables inside ``results.sqlite``;
-    the single-writer JSONL store delegates to a ``leases.sqlite``
-    sidecar in the same campaign directory, so coordination is always
-    multi-writer-safe regardless of where the records land.
+    the JSONL store, whose files hold records only, delegates to a
+    ``leases.sqlite`` sidecar in the same campaign directory.
 
     Every mutation is a single transaction under the same bounded
     busy-retry as the result tables.  Claim and steal are atomic

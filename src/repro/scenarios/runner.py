@@ -182,6 +182,12 @@ class ScenarioOutcome:
         return self.measured <= self.bound + self.eps and self.height_ok
 
     @property
+    def retried(self) -> bool:
+        """Needed more than one attempt or recorded a fault (a row of
+        the attempt ledger)."""
+        return self.attempts > 1 or bool(self.attempt_errors)
+
+    @property
     def budget_ok(self) -> bool:
         """Perf verdict: worker wall time within the cell's budget."""
         budget = self.scenario.perf_budget

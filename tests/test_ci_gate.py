@@ -18,6 +18,9 @@ keep the checked-in ``ci/baseline_smoke`` store honest:
   group all 24 smoke cells;
 * the gate must run the lease coordinator both clean (grouped leases)
   and under worker-killing chaos (per-cell leases);
+* ``scenarios report`` must render the retry ledger of both chaos pool
+  stores and the lease and retry ledgers of both chaos coordinator
+  stores, so the ledgers hold on both backends and both commit paths;
 * the DES leg's curated corpus (``ci/des_corpus.json``) must reproduce
   every verdict field of its pinned ``ci/baseline_des`` store;
 * both pinned stores, re-summarised by the current code, must give
@@ -142,6 +145,26 @@ def test_gate_script_runs_clean_and_chaos_coordinator_legs():
     assert f"--count {N_SMOKE} --seed {SMOKE_SEED}" in clean[0]
     assert 'per_cell_gate "clean coordinator" ci/baseline_smoke' in text
     assert "grouped in the lease workers" in text
+
+
+def test_gate_script_renders_the_chaos_ledgers_on_both_backends():
+    """The chaos legs check what ``scenarios report`` renders of each
+    store they write: the pool's retry ledger, and the coordinator's
+    lease and retry ledgers, on JSONL and SQLite alike."""
+    text = GATE.read_text()
+    assert "report_gate() {" in text
+    chaos = text.split("# -- chaos gate")[1].split("# -- clean coordinator")[0]
+    coord = text.split("# -- coordinator chaos gate")[1].split("# -- DES gate")[0]
+    for leg, store_dir, sections in (
+        (chaos, "$CHAOS_DIR", '"Retry ledger"'),
+        (coord, "$COORD_DIR", '"Lease ledger" "Retry ledger"'),
+    ):
+        gate = " ".join(
+            cmd for cmd in _gate_commands(leg) if cmd.startswith("report_gate")
+        )
+        assert "for backend in jsonl sqlite; do" in leg
+        assert f'"$backend:{store_dir}/$backend"' in gate
+        assert gate.endswith(sections)
 
 
 def test_gate_script_requires_the_pool_to_group():

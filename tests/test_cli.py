@@ -335,6 +335,42 @@ class TestScenariosRuntime:
         with pytest.raises(SystemExit):
             main(["scenarios", "run", "--count", "2", "--jobs", "0"])
 
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--jobs", "3"], "--jobs"),
+            (["--jobs", "2"], "--jobs"),
+            (["--progress"], "--progress"),
+            (["--profile"], "--profile"),
+            (["--trace", "t.json"], "--trace"),
+            (["--verbose"], "--verbose"),
+        ],
+        ids=["jobs3", "jobs2", "progress", "profile", "trace", "verbose"],
+    )
+    def test_coordinator_rejects_in_process_flags(
+        self, flags, named, tmp_path, monkeypatch, capsys
+    ):
+        """Coordinated cells run in forked lease workers: a flag that
+        needs this process's outcomes (or its pool) exits 2 and names
+        itself before anything runs, instead of being dropped."""
+        monkeypatch.chdir(tmp_path)
+        store = tmp_path / "camp"
+        with pytest.raises(SystemExit) as exc:
+            main(["scenarios", "run", "--count", "4", "--no-corpus",
+                  "--coordinator", "2", "--store", f"sqlite:{store}",
+                  *flags])
+        assert exc.value.code == 2
+        assert named in capsys.readouterr().err
+        assert not store.exists()
+
+    def test_coordinator_accepts_jobs_one(self, tmp_path, capsys):
+        assert main(
+            ["scenarios", "run", "--count", "4", "--seed", "3",
+             "--no-corpus", "--coordinator", "1", "--jobs", "1",
+             "--store", f"sqlite:{tmp_path / 'camp'}"]
+        ) == 0
+        assert "Coordinated campaign summary" in capsys.readouterr().out
+
 
 class TestDegradedStores:
     """report/diff on poison-only or partial stores: one useful line,

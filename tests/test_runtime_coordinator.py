@@ -14,9 +14,11 @@ from pathlib import Path
 import pytest
 
 import repro.runtime.coordinator as coordinator_mod
+import repro.scenarios.cellmatrix as cellmatrix_mod
 from repro.runtime import (
     FaultPlan,
     LeaseTable,
+    ProcessExecutor,
     RetryPolicy,
     open_store,
     run_campaign,
@@ -31,7 +33,12 @@ from repro.runtime.coordinator import (
 from repro.runtime.cost import CellCostModel, plan_leases
 from repro.runtime.store import JsonlResultStore, cell_key
 from repro.runtime.store_sqlite import SqliteResultStore
-from repro.runtime.telemetry import lease_rows, lease_summary
+from repro.runtime.telemetry import (
+    attempt_rows,
+    lease_rows,
+    lease_summary,
+    store_retry_rows,
+)
 from repro.scenarios import generate_scenarios
 
 pytestmark = pytest.mark.runtime
@@ -406,6 +413,154 @@ class TestWorkStore:
 
 
 # ----------------------------------------------------------------------
+# One commit path: campaigns and lease workers persist alike
+# ----------------------------------------------------------------------
+_CURSED = 3  # index into ``matrix`` of the cell whose simulation fails
+_REAL_SIMULATE = cellmatrix_mod.simulate_cells
+
+
+def _stamp_free(rows):
+    """Side-channel rows without the lease stamp, in key order."""
+    return sorted(
+        (
+            {k: v for k, v in r.items() if k not in ("worker", "lease")}
+            for r in rows
+        ),
+        key=lambda r: r["key"],
+    )
+
+
+class TestOneCommitPath:
+    @pytest.fixture
+    def cursed(self, matrix, monkeypatch):
+        """``matrix[_CURSED]`` fails every attempt, grouped or alone, in
+        this process and in any it forks."""
+        name = matrix[_CURSED].name
+
+        def simulate(key, realised, *rest):
+            out = _REAL_SIMULATE(key, realised, *rest)
+            return [
+                RuntimeError(f"cursed cell {name}")
+                if r.scenario.name == name
+                else cell
+                for r, cell in zip(realised, out)
+            ]
+
+        monkeypatch.setattr(cellmatrix_mod, "simulate_cells", simulate)
+        return cell_key(matrix[_CURSED])
+
+    def test_serial_pool_and_lease_commits_are_equal(
+        self, matrix, tmp_path, cursed
+    ):
+        """A failing cell with retries, run serially, through the pool
+        and through a lease worker: equal records (wall clocks aside)
+        and equal poison and attempt-ledger entries, which only the
+        lease path stamps with its worker and lease."""
+        retry = RetryPolicy(max_attempts=2, backoff_base=0.0, jitter=0.0)
+        run_campaign(
+            matrix, store=f"sqlite:{tmp_path / 'serial'}", retry=retry
+        )
+        run_campaign(
+            matrix, store=f"sqlite:{tmp_path / 'pool'}", retry=retry,
+            executor=ProcessExecutor(jobs=2),
+        )
+        url = f"sqlite:{tmp_path / 'lease'}"
+        planner = open_store(url)
+        plan_campaign_leases(planner, matrix, 2)
+        planner.close()
+        report = work_store(url, "w1", lease_ttl=30.0, retry=retry)
+        assert report.cells_poisoned == 1 and report.retried_cells == 1
+
+        seen = {}
+        for path in ("serial", "pool", "lease"):
+            st = open_store(tmp_path / path)
+            records = {
+                k: {f: v for f, v in r.items() if f != "wall_time"}
+                for k, r in st.load().items()
+            }
+            poison = st.load_poison()
+            attempts = attempt_rows(st.load_telemetry())
+            st.close()
+            assert [p["key"] for p in poison] == [cursed]
+            assert [a["key"] for a in attempts] == [cursed]
+            assert attempts[0]["disposition"] == "poison"
+            assert attempts[0]["attempts"] == 2
+            stamps = {("worker" in r, "lease" in r) for r in poison + attempts}
+            assert stamps == {(path == "lease",) * 2}
+            seen[path] = (records, _stamp_free(poison), _stamp_free(attempts))
+        assert seen["serial"] == seen["pool"] == seen["lease"]
+        records = seen["serial"][0]
+        assert set(records) == {cell_key(sc) for sc in matrix}
+        assert "cursed cell" in records[cursed]["error"]
+
+    def test_lease_store_retries_are_stamped_records(
+        self, matrix, tmp_path, capsys
+    ):
+        """A lease whose record append had to be retried leaves one
+        ``store_retries`` record naming its worker and lease (the lease
+        ledger entry no longer carries the count)."""
+        from repro.experiments.cli import main
+
+        url = f"jsonl:{tmp_path / 'camp'}"
+        st = open_store(url)
+        planned = plan_campaign_leases(st, matrix, 2)
+        st.close()
+        plan = FaultPlan(
+            seed=1, rate=0.0, store_rate=1.0, store_kinds=("fail",)
+        )
+        report = work_store(
+            url, "w1", lease_ttl=30.0, retry=RetryPolicy(max_attempts=2),
+            fault_plan=plan,
+        )
+        assert report.store_retries == len(planned)
+        assert set(st.load()) == {cell_key(sc) for sc in matrix}
+        tele = st.load_telemetry()
+        rows = store_retry_rows(tele)
+        assert sorted(r["lease"] for r in rows) == sorted(planned)
+        assert all(
+            (r["source"], r["worker"], r["append_retries"], r["busy_retries"])
+            == ("lease", "w1", 1, 0)
+            for r in rows
+        )
+        assert not any("store_retries" in r for r in lease_rows(tele))
+        st.close()
+        capsys.readouterr()
+        assert main(["scenarios", "report", url]) == 0
+        out = capsys.readouterr().out
+        lease = min(planned)
+        assert f"store-write retries (lease {lease}, worker w1): 1 append" in out
+
+    def test_poison_lease_commits_records_diagnoses_and_ledger(
+        self, matrix, tmp_path
+    ):
+        st = open_store(f"sqlite:{tmp_path / 'camp'}")
+        lt = st.leases()
+        cells = [coordinator_mod._cell_payload(sc, 1.0) for sc in matrix[:3]]
+        lt.add_many([{"cells": cells, "cost": 3.0, "deaths": 2}])
+        lease = lt.claim("w1", ttl=30.0, now=time.time())
+        assert coordinator_mod._poison_lease(
+            st, lt, lease, "w1", retry=None, fault_plan=None
+        )
+        keys = sorted(cell_key(sc) for sc in matrix[:3])
+        records = st.load()
+        assert sorted(records) == keys
+        assert all("poison channel" in r["error"] for r in records.values())
+        poison = st.load_poison()
+        assert sorted(p["key"] for p in poison) == keys
+        assert all(
+            (p["worker"], p["lease"], p["attempts"]) == ("w1", lease["id"], 2)
+            for p in poison
+        )
+        tele = st.load_telemetry()
+        (entry,) = lease_rows(tele)
+        assert entry["disposition"] == "poison" and entry["cells"] == 3
+        assert entry["deaths"] == 2 and entry["worker"] == "w1"
+        assert sorted(a["key"] for a in attempt_rows(tele)) == keys
+        assert lt.counts() == {"poison": 1}
+        st.close()
+
+
+# ----------------------------------------------------------------------
 # The coordinator (forked worker processes, injected chaos)
 # ----------------------------------------------------------------------
 class TestCoordinator:
@@ -460,9 +615,37 @@ class TestCoordinator:
             matrix, store=f"{backend}:{tmp_path / 'camp'}", workers=2,
             lease_ttl=20.0,
         )
-        assert coord.converged and coord.clean and coord.recovery_rounds == 0
+        assert coord.converged and coord.clean
         assert reads == [tmp_path / "camp"] * 2
         assert _summary_bytes(tmp_path / "camp") == reference_summary
+
+    @pytest.mark.parametrize("backend", ["jsonl", "sqlite"])
+    def test_lost_record_fails_convergence_without_re_leasing(
+        self, matrix, tmp_path, backend, monkeypatch
+    ):
+        """A planned cell without a record is a fault to surface: the
+        coordinator reports it unconverged (``scenarios run`` exits 1)
+        and plans no lease beyond the first plan."""
+        cls = {"jsonl": JsonlResultStore, "sqlite": SqliteResultStore}[backend]
+        lost = cell_key(matrix[0])
+        real_append = cls.append_many
+
+        def dropping_append(store, records):
+            real_append(store, [r for r in records if r["key"] != lost])
+
+        # The forked workers inherit the patch.
+        monkeypatch.setattr(cls, "append_many", dropping_append)
+        coord = run_coordinator(
+            matrix, store=f"{backend}:{tmp_path / 'camp'}", workers=2,
+            lease_ttl=20.0,
+        )
+        assert not coord.converged and not coord.clean
+        assert any("NOT CONVERGED" in line for line in coord.summary_lines())
+        assert coord.summary["cells"] == N_CELLS - 1
+        st = open_store(tmp_path / "camp")
+        assert len(st.leases().rows()) == coord.planned_leases
+        assert lease_summary(st.load_telemetry())["converged"] is False
+        st.close()
 
     @pytest.mark.parametrize("backend", ["jsonl", "sqlite"])
     def test_killed_workers_mid_lease_converge_byte_identical(

@@ -4,19 +4,28 @@ The store is the campaign's memory: content-hashed keys make resume
 and cross-campaign diffing order-independent, and a corrupt row (torn
 JSONL write, hand-edited SQLite payload) must quarantine rather than
 kill the next run.  The backend-parametrised classes here pin the
-contract both backends share; concurrency-specific coverage lives in
+contract both backends share; ``TestJsonlLocking`` pins the JSONL
+backend's locked writes (concurrent appenders, the quarantine rewrite),
+and SQLite's concurrency coverage lives in
 ``test_runtime_store_sqlite.py``.
 """
 
 import dataclasses
+import fcntl
 import itertools
 import json
+import multiprocessing
+import os
+import time
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+import repro.runtime.store as store_mod
+from repro.runtime import faults
 from repro.runtime.campaign import outcome_record
+from repro.runtime.faults import FaultPlan
 from repro.runtime.store import (
     JsonlResultStore,
     ResultStore,
@@ -333,6 +342,162 @@ class TestCorruption:
         # Healed: the next summary streams without load() and counts 0.
         assert streamed.write_summary()["quarantined_rows"] == 0
         assert loads == [1]
+
+
+def _append_after(root: str, key: str, go) -> None:
+    """Forked appender: one record into the JSONL store at ``root`` once
+    ``go`` is set."""
+    go.wait(30)
+    JsonlResultStore(root).append(_rec(key))
+
+
+def _write_batches(root: str, writer: int, batches: int, planned: bool):
+    """Forked writer: ``batches`` batches of ~1 kB records plus one
+    telemetry and one poison row per batch, on the plain write path or
+    the fault-plan one (record by record, with nothing injected)."""
+    store = JsonlResultStore(root)
+    plan = FaultPlan(seed=1, rate=0.0, store_rate=0.0) if planned else None
+    for b in range(batches):
+        recs = [
+            {**_rec(f"w{writer}-{b}-{i}"), "pad": "x" * 900} for i in range(25)
+        ]
+        with faults.activate(plan):
+            store.append_many(recs)
+        store.append_telemetry([{"kind": "cell", "writer": writer, "batch": b}])
+        store.append_poison([{"key": f"w{writer}-{b}", "pad": "y" * 900}])
+
+
+class TestJsonlLocking:
+    """Every JSONL write holds an exclusive ``flock`` on its file, so
+    concurrent writers never interleave within a line and no record
+    needs winning back."""
+
+    def _fork(self, target, *args):
+        proc = multiprocessing.get_context("fork").Process(
+            target=target, args=args
+        )
+        proc.start()
+        return proc
+
+    def test_append_waits_for_the_results_lock(self, tmp_path):
+        store = JsonlResultStore(tmp_path / "st")
+        store.append(_rec("aa"))
+        # Forked before the lock is taken: a child that inherited the
+        # locked descriptor would keep the lock alive past its release.
+        go = multiprocessing.get_context("fork").Event()
+        proc = self._fork(_append_after, str(store.root), "bb", go)
+        try:
+            with store.results_path.open("a") as held:
+                fcntl.flock(held, fcntl.LOCK_EX)
+                go.set()
+                proc.join(timeout=1.0)
+                assert proc.exitcode is None, "the appender did not wait"
+                assert set(store.load()) == {"aa"}
+            proc.join(timeout=30)
+            assert proc.exitcode == 0
+        finally:
+            if proc.exitcode is None:
+                proc.kill()
+                proc.join()
+        assert set(store.load()) == {"aa", "bb"}
+        assert store.quarantined == 0
+
+    @pytest.mark.parametrize(
+        "planned", [False, True], ids=["plain", "fault-plan"]
+    )
+    def test_forked_writers_lose_nothing(self, tmp_path, planned):
+        writers, batches = 3, 30
+        root = tmp_path / "st"
+        procs = [
+            self._fork(_write_batches, str(root), w, batches, planned)
+            for w in range(writers)
+        ]
+        for proc in procs:
+            proc.join(timeout=120)
+        assert [proc.exitcode for proc in procs] == [0] * writers
+        store = JsonlResultStore(root)
+        records = store.load()
+        assert store.quarantined == 0
+        assert set(records) == {
+            f"w{w}-{b}-{i}"
+            for w in range(writers)
+            for b in range(batches)
+            for i in range(25)
+        }
+        assert not store.quarantine_path.exists()
+        tele = store.load_telemetry()
+        assert sorted((t["writer"], t["batch"]) for t in tele) == [
+            (w, b) for w in range(writers) for b in range(batches)
+        ]
+        assert sorted(p["key"] for p in store.load_poison()) == sorted(
+            f"w{w}-{b}" for w in range(writers) for b in range(batches)
+        )
+
+    def _corrupt_store(self, root) -> JsonlResultStore:
+        store = JsonlResultStore(root)
+        store.append(_rec("aa"))
+        with store.results_path.open("a") as fh:
+            fh.write("{torn json!!\n")
+        store.append(_rec("bb"))
+        return store
+
+    def test_failed_quarantine_rewrite_leaves_results_unchanged(
+        self, tmp_path, monkeypatch
+    ):
+        """The rewrite goes through a temporary file and a rename: a
+        write that fails before the rename leaves ``results.jsonl`` as
+        it was (the old in-place rewrite truncated it first)."""
+        store = self._corrupt_store(tmp_path / "st")
+        before = store.results_path.read_bytes()
+
+        def failing_fsync(fd):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "fsync", failing_fsync)
+        with pytest.raises(OSError, match="disk full"):
+            store.load()
+        monkeypatch.undo()
+        assert store.results_path.read_bytes() == before
+        assert sorted(p.name for p in store.root.iterdir()) == [
+            JsonlResultStore.QUARANTINE, JsonlResultStore.RESULTS,
+        ]
+        # The next load quarantines as usual.
+        assert set(store.load()) == {"aa", "bb"}
+        assert store.quarantined == 1
+
+    def test_appender_blocked_across_a_quarantine_lands_in_the_new_file(
+        self, tmp_path, monkeypatch
+    ):
+        """An appender that waits while the quarantine rewrites
+        ``results.jsonl`` holds the lock of the replaced inode when it
+        wakes: it must reopen, or its record would vanish with the old
+        file."""
+        store = self._corrupt_store(tmp_path / "st")
+        go = multiprocessing.get_context("fork").Event()
+        proc = self._fork(_append_after, str(store.root), "cc", go)
+        real_write = store_mod._atomic_write
+        try:
+
+            def write_while_appender_waits(path, text):
+                go.set()
+                time.sleep(0.5)
+                assert proc.exitcode is None, "the appender did not wait"
+                real_write(path, text)
+
+            monkeypatch.setattr(
+                store_mod, "_atomic_write", write_while_appender_waits
+            )
+            assert set(store.load()) == {"aa", "bb"}
+            assert store.quarantined == 1
+            proc.join(timeout=30)
+            assert proc.exitcode == 0
+        finally:
+            if proc.exitcode is None:
+                proc.kill()
+                proc.join()
+        assert set(store.load()) == {"aa", "bb", "cc"}
+        assert store.quarantined == 0
+        assert store.quarantine_path.read_text() == "{torn json!!\n"
 
 
 class TestSummary:

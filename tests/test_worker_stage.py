@@ -165,3 +165,22 @@ def test_worker_killed_inside_a_grouped_chunk(cells, monkeypatch):
     culprit = next(t for t, sc in zip(tasks, cells) if sc.name == _VICTIM)
     assert culprit.attempts == 2
     assert any("pool death" in e for e in culprit.attempt_errors)
+
+
+def _raise_type_error(*_args, **_kwargs):
+    raise TypeError("grouped evaluator bug")
+
+
+def test_pool_raises_a_batch_function_error_like_the_serial_run(
+    cells, monkeypatch
+):
+    """An exception raised by the worker stage itself (not captured per
+    cell) is deterministic: the pool raises it as the serial run does,
+    instead of taking it for a worker death and resubmitting the cells,
+    and no worker outlives the call."""
+    monkeypatch.setattr(cellmatrix_mod, "evaluate_grouped", _raise_type_error)
+    with pytest.raises(TypeError, match="grouped evaluator bug"):
+        run_batch(cells)
+    with pytest.raises(TypeError, match="grouped evaluator bug"):
+        run_batch(cells, executor=ProcessExecutor(jobs=2))
+    assert multiprocessing.active_children() == []
