@@ -32,10 +32,13 @@
 # store) AND `scenarios report` renders the retry ledger of both chaos
 # pool stores and the lease and retry ledgers of both chaos coordinator
 # stores AND the DES corpus, run serially and with --jobs 2, matches
-# ci/baseline_des the same way AND re-summarising copies of both pinned
-# stores with the current code writes their pinned summary.json byte
-# for byte; 1 otherwise (the CLI's --baseline flag gates the first part
-# in one shot).
+# ci/baseline_des the same way AND a 600-cell matrix, which spans
+# three 256-cell slices serially, writes the same summary.json and
+# per-cell values serially and with --jobs 2, with all 600 cells in the
+# serial store's grouping_summary, AND re-summarising copies of both
+# pinned stores with the current code writes their pinned summary.json
+# byte for byte; 1 otherwise (the CLI's --baseline flag gates the first
+# part in one shot).
 #
 # To re-pin the baseline after an intentional change:
 #   PYTHONPATH=src python -m repro.experiments.cli scenarios run \
@@ -348,6 +351,47 @@ for run in serial jobs2; do
 done
 per_cell_gate "DES corpus" ci/baseline_des "$DES_DIR/serial" "$DES_DIR/jobs2"
 echo "DES gate: clean (serial and --jobs 2 byte-identical to ci/baseline_des)"
+
+# -- slice gate: a serial run that spans several slices -------------------
+# Both matrices above fit in one SLICE_CELLS (256-cell) slice.  600
+# cells span 3 slices serially, and chunks of at most 16 cells with
+# --jobs 2: the two stores must write the same summary.json and the same
+# per-cell values, and the serial store's grouping_summary must count
+# all 600 cells, summed over its slices.
+SLICE_DIR="$(mktemp -d)"
+for run in serial jobs2; do
+  jobs=""
+  if [ "$run" = jobs2 ]; then
+    jobs="--jobs 2"
+  fi
+  # shellcheck disable=SC2086  # $jobs is empty or two words
+  PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m repro.experiments.cli \
+    scenarios run \
+    --count 600 --seed 11 --no-corpus $jobs \
+    --store "$SLICE_DIR/$run" >/dev/null 2>&1
+done
+if ! cmp "$SLICE_DIR/serial/summary.json" "$SLICE_DIR/jobs2/summary.json"; then
+  echo "slice gate: FAILED (serial and --jobs 2 summaries of 600 cells differ)" >&2
+  exit 1
+fi
+per_cell_gate "slices" "$SLICE_DIR/serial" "$SLICE_DIR/jobs2"
+PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python - "$SLICE_DIR/serial" <<'EOF'
+import sys
+
+from repro.runtime import open_store
+
+target = sys.argv[1]
+summaries = [
+    r for r in open_store(target, must_exist=True).load_telemetry()
+    if r.get("kind") == "grouping_summary"
+]
+counts = [(s.get("cells"), s.get("batch_realised_cells")) for s in summaries]
+if counts != [(600, 600)]:
+    print(f"slice gate: FAILED ({target}: grouping_summary (cells, realised) "
+          f"{counts}, expected [(600, 600)])", file=sys.stderr)
+    sys.exit(1)
+EOF
+echo "slice gate: clean (600 cells: serial slices == --jobs 2 chunks, all 600 in the grouping summary)"
 
 # -- re-summarise gate: the streamed summary on stores earlier code wrote --
 # write_summary reads a store one record at a time.  Copies of both

@@ -16,9 +16,9 @@ On top of :func:`repro.scenarios.runner.run_batch` this layer adds:
   ``Scenario.perf_budget``) verdicted alongside soundness.
 
 :func:`commit_outcomes` is the one way a finalised batch reaches a
-store: :func:`run_campaign` commits its whole matrix through it, and
-the lease coordinator's workers (:mod:`repro.runtime.coordinator`)
-each lease.
+store, one slice of cells at a time: :func:`run_campaign` commits its
+whole matrix through it, and the lease coordinator's workers
+(:mod:`repro.runtime.coordinator`) each lease.
 
 :class:`CampaignConfig` is the JSON-loadable description the CLI's
 ``--campaign`` flag consumes (see ``examples/campaign_thousand.json``).
@@ -438,13 +438,13 @@ def append_results_with_retry(
 
     Injected store faults (chaos harness), transient ``OSError`` and
     SQLite lock errors are retried under the campaign's retry budget;
-    the whole batch is re-appended each time, which is safe because
+    all of ``records`` is re-appended each time, which is safe because
     records are keyed last-record-wins and torn residue is quarantined
     by the next load.  The attempt number is published to the fault
     layer so injected store faults respect ``max_attempt`` -- bounded
     retries provably recover.  Returns the number of retries spent.
 
-    :func:`commit_outcomes` writes every batch's records through it.
+    :func:`commit_outcomes` writes every slice's records through it.
     """
     attempts = retry.max_attempts if retry is not None else 1
     if fault_plan is not None:
@@ -493,74 +493,98 @@ def commit_outcomes(
 ) -> tuple[int, int]:
     """Persist one finalised batch: the only way outcomes reach a store.
 
-    Writes one record per outcome (:func:`outcome_record`, through
-    :func:`append_results_with_retry`), one poison diagnosis per outcome
-    in ``poison``, and the batch's telemetry (:func:`_persist_telemetry`).
-    ``stamp`` -- a lease worker's ``{"worker": ..., "lease": ...}`` --
-    is added to each poison diagnosis, attempt-ledger entry and
-    store-retry record; ``run_records`` are the caller's own telemetry
-    records (a resume's ``fit``, a lease's ledger entry), persisted with
-    the batch's.  ``model`` prices each cell record's
-    ``predicted_cost``.  Returns ``(store-append retries, telemetry
-    records written)``.
+    Commits the outcomes one slice of at most
+    :data:`repro.scenarios.cellmatrix.SLICE_CELLS` at a time, in order:
+    the slice's records (:func:`outcome_record`, through
+    :func:`append_results_with_retry`, so a retry re-appends that slice
+    only), a poison diagnosis for each of its outcomes in ``poison``
+    (outcomes of ``report``), then its telemetry
+    (:func:`_persist_telemetry`), every one keyed by its record's
+    ``key``.  So a commit holds one slice's records and lines at a
+    time, and hashes each cell's spec once per hash.  The last slice's
+    telemetry ends with the batch's grouping records, the caller's
+    ``run_records`` (a resume's ``fit``, a lease's ledger entry) and,
+    when a record append had to be retried, one ``store_retries``
+    record with the commit's totals.  ``stamp`` -- a lease worker's
+    ``{"worker": ..., "lease": ...}`` -- is added to each poison
+    diagnosis, attempt-ledger entry and store-retry record.  ``model``
+    prices each cell record's ``predicted_cost``.  Returns
+    ``(store-append retries, telemetry records written)``.
     """
+    # Looked up at call time: the cell matrix imports the runtime.
+    from repro.scenarios import cellmatrix
+
     busy_before = getattr(result_store, "busy_retries", 0)
-    store_retries = append_results_with_retry(
-        result_store,
-        [outcome_record(o) for o in report.outcomes],
-        retry=retry,
-        fault_plan=fault_plan,
-    )
     stamp = dict(stamp or {})
-    if poison:
-        result_store.append_poison(
-            {
-                "key": cell_key(o.scenario),
-                "name": o.scenario.name,
-                "attempts": int(o.attempts),
-                "error_head": _error_head(o.error),
-                "attempt_errors": list(o.attempt_errors),
-                **stamp,
-            }
-            for o in poison
+    poisoned = {id(o) for o in poison}
+    outcomes = report.outcomes
+    step = cellmatrix.SLICE_CELLS
+    store_retries = telemetry_count = 0
+    # At least one pass: a batch with no outcomes still commits its
+    # caller's run records.
+    for lo in range(0, max(len(outcomes), 1), step):
+        part = outcomes[lo:lo + step]
+        records = [outcome_record(o) for o in part]
+        store_retries += append_results_with_retry(
+            result_store, records, retry=retry, fault_plan=fault_plan
         )
-    telemetry_count = _persist_telemetry(
-        result_store,
-        report,
-        model=model,
-        stamp=stamp,
-        store_retries=store_retries,
-        busy_retries=getattr(result_store, "busy_retries", 0) - busy_before,
-        run_records=run_records,
-    )
+        keys = [rec["key"] for rec in records]
+        del records
+        if poisoned:
+            result_store.append_poison(
+                {
+                    "key": key,
+                    "name": o.scenario.name,
+                    "attempts": int(o.attempts),
+                    "error_head": _error_head(o.error),
+                    "attempt_errors": list(o.attempt_errors),
+                    **stamp,
+                }
+                for o, key in zip(part, keys)
+                if id(o) in poisoned
+            )
+        tail: list[dict] = []
+        if lo + step >= len(outcomes):
+            tail = [*map(dict, report.group_stats), *run_records]
+            if store_retries:
+                tail.append(
+                    {
+                        "kind": "store_retries",
+                        "append_retries": int(store_retries),
+                        "busy_retries": int(
+                            getattr(result_store, "busy_retries", 0)
+                            - busy_before
+                        ),
+                        "source": "lease" if stamp else "campaign",
+                        **stamp,
+                    }
+                )
+        telemetry_count += _persist_telemetry(
+            result_store, part, keys, model=model, stamp=stamp, tail=tail
+        )
     return store_retries, telemetry_count
 
 
 def _persist_telemetry(
     result_store: ResultStore,
-    report: BatchReport,
+    outcomes: Sequence[ScenarioOutcome],
+    keys: Sequence[str],
     *,
     model=None,
     stamp: Mapping[str, Any],
-    store_retries: int,
-    busy_retries: int,
-    run_records: Sequence[dict],
+    tail: Sequence[dict] = (),
 ) -> int:
-    """Append a committed batch's telemetry to the store's telemetry
+    """Append one committed slice's telemetry to the store's telemetry
     channel (see :func:`commit_outcomes`).
 
     One ``attempts`` ledger record per cell that needed more than a
-    single attempt (fault kinds, final disposition), one ``cell``
+    single attempt (fault kinds, final disposition), then one ``cell``
     record per outcome that carried telemetry (annotated with the cell
     key, effective backend and recorded wall clock, plus the
     ``predicted_cost`` where ``model`` priced the cell, so the report's
-    calibration table needs no join), the grouped evaluator's
-    ``grouping``/``grouping_summary`` records, the caller's
-    ``run_records``, and one ``store_retries`` record when the record
-    append had to be retried (with the SQLite busy retries this commit
-    spent; ``source`` ``"lease"`` for a stamped batch).
-    Returns the record count; a disabled telemetry switch (or a batch
-    with no telemetry) appends nothing.
+    calibration table needs no join), then the ``tail`` records.
+    ``keys`` are the outcomes' record keys.  Returns the record count;
+    a disabled telemetry switch (or nothing to write) appends nothing.
     """
     from repro.runtime.telemetry import cell_record, enabled
 
@@ -569,17 +593,17 @@ def _persist_telemetry(
     records: list[dict] = [
         {
             "kind": "attempts",
-            "key": cell_key(o.scenario),
+            "key": key,
             "name": o.scenario.name,
             "attempts": int(o.attempts),
             "faults": list(o.attempt_errors),
             "disposition": "poison" if o.error is not None else "recovered",
             **stamp,
         }
-        for o in report.outcomes
+        for o, key in zip(outcomes, keys)
         if o.retried
     ]
-    for o in report.outcomes:
+    for o, key in zip(outcomes, keys):
         if o.telemetry is None:
             continue
         priced = {}
@@ -591,25 +615,14 @@ def _persist_telemetry(
         records.append(
             cell_record(
                 o.telemetry,
-                key=cell_key(o.scenario),
+                key=key,
                 eff_backend=o.eff_backend,
                 wall_time=float(o.wall_time),
                 primed=bool(o.primed),
                 **priced,
             )
         )
-    records.extend(dict(g) for g in report.group_stats)
-    records.extend(run_records)
-    if store_retries:
-        records.append(
-            {
-                "kind": "store_retries",
-                "append_retries": int(store_retries),
-                "busy_retries": int(busy_retries),
-                "source": "lease" if stamp else "campaign",
-                **stamp,
-            }
-        )
+    records.extend(tail)
     if records:
         result_store.append_telemetry(records)
     return len(records)

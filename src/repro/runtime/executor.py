@@ -49,8 +49,8 @@ Fault tolerance (opt-in, zero-overhead default):
   additionally treats a chunk that overstays its worst-case attempt
   budget as a pool death, which unsticks cells hung in C code where
   ``SIGALRM`` cannot fire.  A torn-down pool's workers are terminated
-  and joined (SIGKILLed if they ignore that), so none outlives
-  ``map_tasks``.
+  and joined (SIGKILLed if they ignore that), and then its manager
+  thread, so neither outlives ``map_tasks``.
 
 Determinism under retry: attempt numbers are visible only to the fault
 injection layer (:mod:`repro.runtime.faults`) and the attempt ledger
@@ -444,12 +444,18 @@ class _PoolExecutor:
     def _kill_pool(pool: _FuturesExecutor) -> None:
         """Tear a (possibly broken, possibly hung) pool down hard.
 
-        The worker table is read before ``shutdown``, which drops it;
-        every worker is then terminated and joined, and one that
-        outlives :data:`KILL_JOIN_S` is SIGKILLed and joined, so no
-        worker outlives the pool.
+        The worker table and the pool's manager thread are read before
+        ``shutdown``, which drops both; every worker is then terminated
+        and joined, and one that outlives :data:`KILL_JOIN_S` is
+        SIGKILLed and joined, so no worker outlives the pool.  The
+        manager thread reaps the same workers, and a worker whose exit
+        it reaped first can stay listed as alive
+        (``multiprocessing.active_children``) until the thread is done:
+        once the workers are reaped it is joined, for at most another
+        :data:`KILL_JOIN_S`.
         """
         procs = list((getattr(pool, "_processes", None) or {}).values())
+        manager = getattr(pool, "_executor_manager_thread", None)
         try:
             pool.shutdown(wait=False, cancel_futures=True)
         except Exception:
@@ -466,6 +472,8 @@ class _PoolExecutor:
             if proc.exitcode is None:
                 proc.kill()
                 proc.join()
+        if manager is not None:
+            manager.join(KILL_JOIN_S)
 
     def map_tasks(
         self,

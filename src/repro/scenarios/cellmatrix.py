@@ -3,10 +3,14 @@
 Evaluating cells one at a time makes every cell pay its own kernel
 dispatch, regulator passes and curve bookkeeping even when the matrix
 holds hundreds of cells that differ only in parameters.  This module
-evaluates a *batch of cells* instead:
+evaluates a *batch of cells* instead, one slice of at most
+:data:`SLICE_CELLS` cells at a time, in input order: a slice is
+realised, simulated and dropped before the next is realised, so a
+matrix's peak memory is one slice's working set plus one small result
+per cell.
 
 1. **Batch realisation** -- every cell's traces and envelopes are
-   realised once, in flat cross-cell passes, by
+   realised once, in flat cross-cell passes over its slice, by
    :func:`repro.scenarios.tracebatch.realise_batch` (the only
    realiser).  A cell it cannot realise is re-run through
    :func:`evaluate_cell`, which reproduces the exact error.
@@ -97,14 +101,26 @@ __all__ = [
 #: invisible to results -- every kernel's valid prefix is independent
 #: of the batch it rides in.  The cap bounds a fluid host group's peak
 #: memory: beside the realised traces, a group holds one pack's binned
-#: rows, its matrix and a few matrix-sized kernel temporaries.  At 1M
-#: elements (8 MB a matrix) the 16,384 hosts of the ``realise_bound``
-#: benchmark campaign (7 packs) peak at 220 MB RSS, against 283 MB at
-#: 2M and 408 MB at 4M, with no trend in wall time across the caps
-#: (single runs, 2-vCPU host).  500k would save another 19 MB but
-#: split wide groups further: ``thousand``'s λ hosts take 13 packs at
-#: 1M and 21 at 500k.
+#: rows, its matrix and a few matrix-sized kernel temporaries.  Chosen
+#: when a serial campaign still realised its whole matrix at once: at
+#: 1M elements (8 MB a matrix) the 16,384 hosts of the ``realise_bound``
+#: benchmark campaign (then 7 packs) peaked at 220 MB RSS, against
+#: 283 MB at 2M and 408 MB at 4M, with no trend in wall time across
+#: the caps (single runs, 2-vCPU host).  A group now spans one
+#: :data:`SLICE_CELLS` slice, whose 256 hosts fit in one pack.
 MAX_PACK_ELEMENTS = 1_000_000
+
+#: Cells :func:`evaluate_grouped` realises and simulates at a time, and
+#: :func:`repro.runtime.campaign.commit_outcomes` commits at a time.
+#: A serial campaign's peak memory is one slice's realised traces, lane
+#: plans, packs and store lines plus one small result per cell; pool
+#: chunks and leases (at most 16 cells) are one slice.  Slicing is
+#: invisible to results.  On the 16,384 hosts of ``realise_bound``
+#: (single in-process campaigns, 2-vCPU host) slices of 16,384, 4096,
+#: 1024, 512 and 256 cells peaked at 220, 201, 158, 152 and 152 MB
+#: RSS, in 3.9-4.3 s with no trend; ``thousand`` peaked at 168 MB
+#: whole and 138 MB in slices of 256.
+SLICE_CELLS = 256
 
 #: Ceiling on padding waste within one pack: a cell whose grid is more
 #: than this factor wider than the pack's narrowest starts a new pack.
@@ -616,14 +632,17 @@ def evaluate_grouped(
     values.  ``tick(done, total)`` is called as cells complete (grouped
     cells complete per group).
 
-    Every cell is realised once, in one
-    :func:`repro.scenarios.tracebatch.realise_batch` pass, and
+    The matrix is evaluated in consecutive slices of at most
+    :data:`SLICE_CELLS` cells, in input order.  Each slice is realised
+    in one :func:`repro.scenarios.tracebatch.realise_batch` pass and
     simulated through :func:`simulate_cells`: grouped cells by their
     group kernel, the rest (the *fallback* cells, labelled with the
     :func:`group_key` fact that excluded them) one at a time, each with
-    its own telemetry record.  Only a cell whose realisation (reason
-    ``realise-error``) or simulation raised is re-run through
-    :func:`evaluate_cell`, which reproduces the exact error.
+    its own telemetry record.  Its realised cells, lane plans and packs
+    are dropped before the next slice is realised.  Only a cell whose
+    realisation (reason ``realise-error``) or simulation raised is
+    re-run through :func:`evaluate_cell`, which reproduces the exact
+    error.
 
     ``cost_model`` (optional,
     :class:`repro.runtime.cost.CellCostModel`) prices the batch's
@@ -632,7 +651,7 @@ def evaluate_grouped(
     realisation-cost calibration is observable in ``scenarios report``.
 
     ``stats`` (optional, a mutable mapping) receives
-    ``stats["records"]``: one mapping per evaluated group
+    ``stats["records"]``: one mapping per group key
     (``kind == "grouping"``: backend, topology, mode, cells, kernel
     seconds, and lane packing and padding waste for fluid host packs
     or grid-cut bins and attempts for the chain group) plus one
@@ -641,14 +660,20 @@ def evaluate_grouped(
     realisation source-cache hit rate, and the batch-realisation tally:
     cells realised, lanes generated, batch seconds vs. the cost model's
     prediction) -- the "no silent caps" ledger of the grouped path.
+    Every count, second, pack and bin field is summed over the slices
+    (``padding_waste`` is that of the sums), so the records describe
+    the whole call however many slices it took.
     """
     scenarios = list(scenarios)
     n = len(scenarios)
     results: list[Optional[TaskResult]] = [None] * n
-    groups: dict[tuple, list[tuple]] = {}
+    #: One ``grouping`` record per group key, in first-seen order.
+    grouping: dict[tuple, dict] = {}
     reasons: dict[str, int] = {}
-    records: list[dict] = []
-    done = 0
+    #: ``realise_batch``'s info, summed over the slices it returned.
+    batch_info: dict[str, int] = {}
+    done = grouped_cells = n_realised = 0
+    batch_s = 0.0
 
     def _fallback(i: int, task: TaskResult, reason: str) -> None:
         nonlocal done
@@ -662,141 +687,155 @@ def evaluate_grouped(
     def _rerun(i: int, reason: str) -> None:
         _fallback(i, _run_one(evaluate_cell, i, scenarios[i]), reason)
 
+    def _slice(lo: int, hi: int) -> None:
+        """Realise and simulate ``scenarios[lo:hi]``; its realised cells
+        die with this call."""
+        nonlocal done, grouped_cells, n_realised, batch_s
+        part = scenarios[lo:hi]
+        t0 = time.perf_counter()
+        try:
+            realised, info = realise_batch(part)
+        except Exception as exc:
+            realised, info = [exc] * len(part), {}
+        slice_s = time.perf_counter() - t0
+        for name, count in info.items():
+            batch_info[name] = batch_info.get(name, 0) + count
+        slice_realised = sum(not isinstance(r, Exception) for r in realised)
+        n_realised += slice_realised
+        batch_s += slice_s
+        # The batch pass ran the slice batch-wise: amortise its wall
+        # time evenly over the cells it realised (the same attribution
+        # rule as the group kernels below).
+        batch_share = slice_s / max(slice_realised, 1)
+
+        groups: dict[tuple, list[tuple]] = {}
+        for i, r in enumerate(realised, start=lo):
+            if isinstance(r, Exception):
+                _rerun(i, "realise-error")
+                continue
+            tel = begin_cell(scenarios[i].name)
+            t0 = time.perf_counter()
+            if tel is not None:
+                # Batch-realised before this cell's telemetry began:
+                # credit the amortised share so the report's phase
+                # breakdown still accounts for realisation honestly.
+                tel.add_phase("realise", batch_share, offset=0.0)
+            key = group_key(r)
+            if key is not None:
+                end_cell(tel)
+                prep = time.perf_counter() - t0 + batch_share
+                groups.setdefault(key, []).append((i, r, prep, tel))
+                continue
+            with span("simulate"):
+                (cell,) = simulate_cells(None, [r])
+            if isinstance(cell, Exception):
+                end_cell(tel)
+                _rerun(i, _fallback_reason(r))
+                continue
+            if cell.primed:
+                counter_add("primed_cells")
+            end_cell(tel)
+            wall = time.perf_counter() - t0 + batch_share
+            if tel is not None:
+                tel.dur = wall
+            _fallback(
+                i,
+                TaskResult(index=i, value=cell, wall_time=wall, telemetry=tel),
+                _fallback_reason(r),
+            )
+
+        for key, members in groups.items():
+            pack_stats: dict = {}
+            marks: list[float] = []
+            t0 = time.perf_counter()
+            cell_results = simulate_cells(
+                key, [m[1] for m in members], pack_stats, marks
+            )
+            t_end = time.perf_counter()
+            kernel_s = t_end - t0
+            if marks:
+                # The kernel ran its members one at a time: credit each
+                # the time up to its own end mark (the last one also the
+                # return), so the shares sum to kernel_s.
+                starts = [t0, *marks[:-1]]
+                ends = [*marks[:-1], t_end]
+                shares = [b - a for a, b in zip(starts, ends)]
+            else:
+                # A packed kernel ran its members batch-wise: credit
+                # each the amortised share, anchored at the kernel start
+                # so trace slices line up on the timeline.
+                starts = [t0] * len(members)
+                shares = [kernel_s / max(len(members), 1)] * len(members)
+            kernel_fallbacks = 0
+            for (i, _r, prep, tel), cell, start, share in zip(
+                members, cell_results, starts, shares
+            ):
+                if isinstance(cell, Exception):
+                    _rerun(i, "kernel-error")
+                    kernel_fallbacks += 1
+                    continue
+                if tel is not None:
+                    tel.add_phase("simulate", share, offset=start - tel.t0)
+                    tel.dur = prep + share
+                    tel.counters["grouped_cells"] = 1
+                    if cell.primed:
+                        tel.counters["primed_cells"] = 1
+                results[i] = TaskResult(
+                    index=i, value=cell, wall_time=prep + share, telemetry=tel,
+                )
+                grouped_cells += 1
+                done += 1
+                if tick is not None:
+                    tick(done, n)
+            rec = grouping.setdefault(key, {
+                "kind": "grouping",
+                "backend": key[0],
+                "topology": key[2],
+                # The chain group spans every mode.
+                "mode": key[3] if len(key) > 3 else "mixed",
+                "cells": 0,
+                "kernel_fallbacks": 0,
+                "prep_s": 0.0,
+                "kernel_s": 0.0,
+            })
+            rec["cells"] += len(members)
+            rec["kernel_fallbacks"] += kernel_fallbacks
+            rec["prep_s"] += float(sum(m[2] for m in members))
+            rec["kernel_s"] += kernel_s
+            for name, value in pack_stats.items():
+                rec[name] = rec.get(name, 0) + value
+
     predicted_realise_s = None
     if cost_model is not None and hasattr(cost_model, "estimate_realise"):
         try:
             predicted_realise_s = float(cost_model.estimate_realise(scenarios))
         except Exception:
             predicted_realise_s = None
-    batch_info: dict = {}
-    t0 = time.perf_counter()
-    try:
-        realised, batch_info = realise_batch(scenarios)
-    except Exception as exc:
-        realised = [exc] * n
-    batch_s = time.perf_counter() - t0
-    n_realised = sum(not isinstance(r, Exception) for r in realised)
-    # The batch pass ran cells batch-wise: amortise its wall time
-    # evenly over the cells it realised (the same attribution rule as
-    # the group kernels below).
-    batch_share = batch_s / max(n_realised, 1)
+    for lo in range(0, n, SLICE_CELLS):
+        _slice(lo, lo + SLICE_CELLS)
 
-    for i, r in enumerate(realised):
-        if isinstance(r, Exception):
-            _rerun(i, "realise-error")
-            continue
-        tel = begin_cell(scenarios[i].name)
-        t0 = time.perf_counter()
-        if tel is not None:
-            # Batch-realised before this cell's telemetry began: credit
-            # the amortised share so the report's phase breakdown still
-            # accounts for realisation honestly.
-            tel.add_phase("realise", batch_share, offset=0.0)
-        key = group_key(r)
-        if key is not None:
-            end_cell(tel)
-            prep = time.perf_counter() - t0 + batch_share
-            groups.setdefault(key, []).append((i, r, prep, tel))
-            continue
-        with span("simulate"):
-            (cell,) = simulate_cells(None, [r])
-        if isinstance(cell, Exception):
-            end_cell(tel)
-            _rerun(i, _fallback_reason(r))
-            continue
-        if cell.primed:
-            counter_add("primed_cells")
-        end_cell(tel)
-        wall = time.perf_counter() - t0 + batch_share
-        if tel is not None:
-            tel.dur = wall
-        _fallback(
-            i,
-            TaskResult(index=i, value=cell, wall_time=wall, telemetry=tel),
-            _fallback_reason(r),
-        )
-
-    grouped_cells = 0
-    for key, members in groups.items():
-        pack_stats: dict = {}
-        marks: list[float] = []
-        t0 = time.perf_counter()
-        cell_results = simulate_cells(
-            key, [m[1] for m in members], pack_stats, marks
-        )
-        t_end = time.perf_counter()
-        kernel_s = t_end - t0
-        if marks:
-            # The kernel ran its members one at a time: credit each the
-            # time up to its own end mark (the last one also the return),
-            # so the shares sum to kernel_s.
-            starts = [t0, *marks[:-1]]
-            ends = [*marks[:-1], t_end]
-            shares = [b - a for a, b in zip(starts, ends)]
-        else:
-            # A packed kernel ran its members batch-wise: credit each
-            # the amortised share, anchored at the kernel start so trace
-            # slices line up on the timeline.
-            starts = [t0] * len(members)
-            shares = [kernel_s / max(len(members), 1)] * len(members)
-        kernel_fallbacks = 0
-        for (i, _r, prep, tel), cell, start, share in zip(
-            members, cell_results, starts, shares
-        ):
-            if isinstance(cell, Exception):
-                _rerun(i, "kernel-error")
-                kernel_fallbacks += 1
-                continue
-            if tel is not None:
-                tel.add_phase("simulate", share, offset=start - tel.t0)
-                tel.dur = prep + share
-                tel.counters["grouped_cells"] = 1
-                if cell.primed:
-                    tel.counters["primed_cells"] = 1
-            results[i] = TaskResult(
-                index=i, value=cell, wall_time=prep + share, telemetry=tel,
-            )
-            grouped_cells += 1
-            done += 1
-            if tick is not None:
-                tick(done, n)
-        rec = {
-            "kind": "grouping",
-            "backend": key[0],
-            "topology": key[2],
-            # The chain group spans every mode.
-            "mode": key[3] if len(key) > 3 else "mixed",
-            "cells": len(members),
-            "kernel_fallbacks": kernel_fallbacks,
-            "prep_s": float(sum(m[2] for m in members)),
-            "kernel_s": kernel_s,
-        }
-        if pack_stats:
-            rec.update(pack_stats)
-            pad = pack_stats.get("pad_elements", 0)
-            if pad:
-                rec["padding_waste"] = (
-                    1.0 - pack_stats.get("valid_elements", 0) / pad
-                )
-        records.append(rec)
-
-    summary = {
-        "kind": "grouping_summary",
-        "cells": n,
-        "grouped_cells": grouped_cells,
-        "fallback_cells": n - grouped_cells,
-        "fallback_reasons": dict(sorted(reasons.items())),
-        "source_cache_hits": batch_info.get("source_cache_hits", 0),
-        "source_cache_misses": batch_info.get("source_cache_misses", 0),
-        "batch_realised_cells": n_realised,
-        "batch_realise_s": batch_s,
-    }
-    if batch_info:
-        summary["batch_lanes_generated"] = batch_info.get("lanes_generated", 0)
-        summary["batch_sigma_lanes"] = batch_info.get("sigma_lanes", 0)
-    if predicted_realise_s is not None:
-        summary["predicted_realise_s"] = predicted_realise_s
-    records.append(summary)
     if stats is not None:
-        stats["records"] = records
+        for rec in grouping.values():
+            pad = rec.get("pad_elements", 0)
+            if pad:
+                rec["padding_waste"] = 1.0 - rec.get("valid_elements", 0) / pad
+        summary = {
+            "kind": "grouping_summary",
+            "cells": n,
+            "grouped_cells": grouped_cells,
+            "fallback_cells": n - grouped_cells,
+            "fallback_reasons": dict(sorted(reasons.items())),
+            "source_cache_hits": batch_info.get("source_cache_hits", 0),
+            "source_cache_misses": batch_info.get("source_cache_misses", 0),
+            "batch_realised_cells": n_realised,
+            "batch_realise_s": batch_s,
+        }
+        if batch_info:
+            summary["batch_lanes_generated"] = batch_info.get(
+                "lanes_generated", 0
+            )
+            summary["batch_sigma_lanes"] = batch_info.get("sigma_lanes", 0)
+        if predicted_realise_s is not None:
+            summary["predicted_realise_s"] = predicted_realise_s
+        stats["records"] = [*grouping.values(), summary]
     return results

@@ -67,7 +67,12 @@ from repro.runtime.executor import (
     run_each,
     run_one_with_retry,
 )
-from repro.runtime.telemetry import CellTelemetry, counter_add, span
+from repro.runtime.telemetry import (
+    CellTelemetry,
+    counter_add,
+    enabled as telemetry_enabled,
+    span,
+)
 from repro.scenarios.analytic import batch_bounds
 from repro.scenarios.spec import Scenario
 from repro.simulation.chain import simulate_regulated_chain
@@ -211,7 +216,8 @@ class BatchReport:
     elapsed: float
     #: Grouped-evaluation accounting (one mapping per SoA group plus a
     #: ``grouping_summary`` entry) when the structure-of-arrays path
-    #: ran; empty for per-cell evaluation.  Excluded from equality for
+    #: ran in process, the ``grouping_summary`` alone when it ran in
+    #: pool workers; empty for per-cell evaluation.  Excluded from equality for
     #: the same reason as per-cell telemetry: timings are not verdicts.
     group_stats: tuple = field(default=(), compare=False, repr=False)
 
@@ -796,6 +802,33 @@ def evaluate_batch(
     return tasks
 
 
+def _grouping_summary(tasks: Sequence[TaskResult]) -> dict:
+    """The ``grouping_summary`` of cells grouped in other processes.
+
+    Pool workers keep their ``grouping`` records; this tallies the
+    ``grouped_cells``/``fallback_cells`` counters and
+    ``fallback_reason`` annotations their cells' telemetry carries.  It
+    has no batch-realisation fields: those are per worker batch.
+    """
+    grouped = fallback = 0
+    reasons: dict[str, int] = {}
+    for t in tasks:
+        if t.telemetry is None:
+            continue
+        grouped += t.telemetry.counters.get("grouped_cells", 0)
+        fallback += t.telemetry.counters.get("fallback_cells", 0)
+        reason = t.telemetry.extra.get("fallback_reason")
+        if reason is not None:
+            reasons[reason] = reasons.get(reason, 0) + 1
+    return {
+        "kind": "grouping_summary",
+        "cells": len(tasks),
+        "grouped_cells": grouped,
+        "fallback_cells": fallback,
+        "fallback_reasons": dict(sorted(reasons.items())),
+    }
+
+
 def run_batch(
     scenarios: Sequence[Scenario],
     *,
@@ -813,7 +846,9 @@ def run_batch(
     in this process (its ``grouping`` records land in
     :attr:`BatchReport.group_stats`); a
     :class:`repro.runtime.executor.ProcessExecutor` maps it over
-    chunks in worker processes.  Either way the parent finalises the
+    chunks in worker processes (when they group, the one
+    ``grouping_summary`` of :func:`_grouping_summary` lands there).
+    Either way the parent finalises the
     whole matrix once, so outcomes are bit-identical (``wall_time``
     aside, which grouped evaluation amortises over batches and packs).
     ``tick(done, total)`` (optional) is called while cells are in
@@ -865,6 +900,10 @@ def run_batch(
             retry=retry,
             cell_timeout=cell_timeout,
         )
+        if fault_plan is None and cell_timeout is None and telemetry_enabled():
+            # The workers grouped their chunks and kept their grouping
+            # records; their cells' telemetry still tells the tally.
+            stats["records"] = [_grouping_summary(tasks)]
     report = finalise_batch(
         scenarios, tasks, time.perf_counter() - t0, progress=progress
     )

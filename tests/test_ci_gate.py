@@ -23,6 +23,8 @@ keep the checked-in ``ci/baseline_smoke`` store honest:
   stores, so the ledgers hold on both backends and both commit paths;
 * the DES leg's curated corpus (``ci/des_corpus.json``) must reproduce
   every verdict field of its pinned ``ci/baseline_des`` store;
+* the gate must run a matrix that spans several ``SLICE_CELLS`` slices
+  serially and with ``--jobs 2`` and compare the two stores;
 * both pinned stores, re-summarised by the current code, must give
   their pinned ``summary.json`` byte for byte, and the gate must check
   that too;
@@ -40,6 +42,7 @@ from pathlib import Path
 
 import pytest
 
+import repro.scenarios.cellmatrix as cellmatrix_mod
 from repro.runtime import diff_records, open_store, run_campaign
 from repro.runtime.store import cell_key
 from repro.scenarios import generate_scenarios
@@ -183,6 +186,24 @@ def test_gate_script_requires_the_pool_to_group():
     assert text.index('python - "$STORE"') < check
     assert "grouped in the pool workers" in text
     assert check < text.index("SERIAL_DIR=")
+
+
+def test_gate_script_runs_a_matrix_that_spans_several_slices():
+    """Both pinned matrices fit in one ``SLICE_CELLS`` slice, so a slice
+    leg runs 600 cells serially (3 slices) and with ``--jobs 2``, and
+    compares the two stores with each other."""
+    text = GATE.read_text()
+    leg = text.split("# -- slice gate")[1].split("# -- re-summarise gate")[0]
+    (run,) = [cmd for cmd in _gate_commands(leg) if "scenarios run" in cmd]
+    assert "--count 600 --seed 11 --no-corpus $jobs" in run
+    assert 600 > 2 * cellmatrix_mod.SLICE_CELLS
+    assert 'jobs="--jobs 2"' in leg
+    assert (
+        'cmp "$SLICE_DIR/serial/summary.json" "$SLICE_DIR/jobs2/summary.json"'
+        in leg
+    )
+    assert 'per_cell_gate "slices" "$SLICE_DIR/serial" "$SLICE_DIR/jobs2"' in leg
+    assert "expected [(600, 600)]" in leg
 
 
 def test_des_corpus_reproduces_its_pinned_baseline(tmp_path):

@@ -12,17 +12,24 @@ from pathlib import Path
 
 import pytest
 
+import repro.runtime.store as store_mod
 import repro.scenarios.cellmatrix as cellmatrix_mod
 from repro.runtime import (
     CampaignConfig,
+    FaultPlan,
+    JsonlResultStore,
     ProcessExecutor,
     ResultStore,
+    RetryPolicy,
+    TaskResult,
     build_campaign,
     cell_key,
     outcome_record,
     run_campaign,
 )
+from repro.runtime.campaign import commit_outcomes
 from repro.scenarios import generate_scenarios, run_batch
+from repro.scenarios.runner import finalise_batch
 
 pytestmark = pytest.mark.runtime
 
@@ -175,6 +182,116 @@ def test_outcome_record_schema(smoke_matrix):
     assert rec["budget_ok"] is True
     assert rec["measured"] == pytest.approx(outcome.measured)
     assert rec["wall_time"] > 0
+
+
+# ----------------------------------------------------------------------
+# Sliced commits
+# ----------------------------------------------------------------------
+def _append_calls(monkeypatch) -> list:
+    """Spy on JSONL record appends: the keys of each call, in order."""
+    calls: list[list[str]] = []
+    real = JsonlResultStore.append_many
+
+    def append_many(self, records):
+        records = list(records)
+        calls.append([rec["key"] for rec in records])
+        return real(self, records)
+
+    monkeypatch.setattr(JsonlResultStore, "append_many", append_many)
+    return calls
+
+
+def test_commit_appends_one_slice_at_a_time(smoke_matrix, tmp_path, monkeypatch):
+    cells = smoke_matrix[:10]
+    keys = [cell_key(sc) for sc in cells]
+    report = run_batch(cells)
+    whole = JsonlResultStore(tmp_path / "whole")
+    commit_outcomes(whole, report, retry=None, fault_plan=None)
+    monkeypatch.setattr(cellmatrix_mod, "SLICE_CELLS", 3)
+    calls = _append_calls(monkeypatch)
+    sliced = JsonlResultStore(tmp_path / "sliced")
+    commit_outcomes(sliced, report, retry=None, fault_plan=None)
+    assert calls == [keys[0:3], keys[3:6], keys[6:9], keys[9:]]
+    assert sliced.results_path.read_bytes() == whole.results_path.read_bytes()
+    assert sliced.load_telemetry() == whole.load_telemetry()
+    assert [
+        r["key"] for r in sliced.load_telemetry() if r["kind"] == "cell"
+    ] == keys
+
+
+def _second_slice_store_fault(keys: list) -> FaultPlan:
+    """A plan whose first-attempt store faults hit only the second
+    3-cell slice of ``keys``."""
+    for seed in range(1000):
+        plan = FaultPlan(seed=seed, rate=0.0, store_rate=0.2)
+        hit = [plan.decide("store", key, 1) is not None for key in keys]
+        if any(hit[3:6]) and not any(hit[:3] + hit[6:]):
+            return plan
+    raise AssertionError("no seed below 1000 faults only the second slice")
+
+
+def test_store_fault_reappends_only_its_slice(smoke_matrix, tmp_path, monkeypatch):
+    cells = smoke_matrix[:10]
+    keys = [cell_key(sc) for sc in cells]
+    plan = _second_slice_store_fault(keys)
+    monkeypatch.setattr(cellmatrix_mod, "SLICE_CELLS", 3)
+    clean = run_campaign(cells, store=tmp_path / "clean")
+    calls = _append_calls(monkeypatch)
+    chaos = run_campaign(
+        cells,
+        store=tmp_path / "chaos",
+        fault_plan=plan,
+        retry=RetryPolicy(max_attempts=2, backoff_base=0.0, jitter=0.0),
+    )
+    assert calls == [keys[0:3], keys[3:6], keys[3:6], keys[6:9], keys[9:]]
+    assert chaos.store_retries == 1 and clean.store_retries == 0
+    (retries,) = [
+        r for r in ResultStore(tmp_path / "chaos").load_telemetry()
+        if r["kind"] == "store_retries"
+    ]
+    assert retries["append_retries"] == 1
+    assert (tmp_path / "chaos" / "summary.json").read_bytes() == (
+        tmp_path / "clean" / "summary.json"
+    ).read_bytes()
+
+
+def test_commit_hashes_each_spec_once_per_hash(smoke_matrix, tmp_path, monkeypatch):
+    """A commit hashes each cell's spec twice (key and fingerprint) and
+    keys its telemetry and poison records with the record's key."""
+    cells = smoke_matrix[:5]
+    keys = [cell_key(sc) for sc in cells]
+    clean = run_batch(cells)
+    failed = finalise_batch(
+        cells,
+        [
+            TaskResult(index=i, error="boom", attempts=2,
+                       attempt_errors=("boom", "boom"))
+            for i in range(len(cells))
+        ],
+        0.0,
+    )
+    hashes = []
+    real = store_mod._hash_fields
+
+    def counting(fields):
+        hashes.append(1)
+        return real(fields)
+
+    monkeypatch.setattr(store_mod, "_hash_fields", counting)
+    for name, report, poison in (
+        ("clean", clean, ()), ("poison", failed, failed.outcomes)
+    ):
+        hashes.clear()
+        store = JsonlResultStore(tmp_path / name)
+        commit_outcomes(store, report, retry=None, fault_plan=None, poison=poison)
+        assert len(hashes) == 2 * len(cells), name
+        kind = "cell" if name == "clean" else "attempts"
+        assert [
+            r["key"] for r in store.load_telemetry() if r["kind"] == kind
+        ] == keys
+        assert [r["key"] for r in store.load_poison()] == (
+            keys if poison else []
+        )
 
 
 class TestCampaignConfig:

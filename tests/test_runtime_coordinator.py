@@ -676,8 +676,12 @@ class TestCoordinator:
     ):
         """A hung cell never renews its lease: the deadline lapses, a
         live worker steals, and the woken holder abandons cleanly."""
+        # One cell hangs (gen-7-0006; at rate 0.25 four do), so the other
+        # worker runs out of open leases while the hung one lapses.  With
+        # four, both workers could hang side by side and each renew its
+        # own lease on waking, leaving nothing to steal.
         plan = FaultPlan(
-            seed=SEED, rate=0.25, kinds=("hang",), store_rate=0.0, hang_s=2.5
+            seed=SEED, rate=0.1, kinds=("hang",), store_rate=0.0, hang_s=2.5
         )
         coord = run_coordinator(
             matrix,

@@ -11,10 +11,12 @@ campaign writes a ``summary.json`` byte-identical to an undisturbed
 run on both store backends.
 """
 
+import concurrent.futures.process
 import functools
 import multiprocessing
 import signal
 import sqlite3
+import threading
 import time
 
 import pytest
@@ -234,8 +236,8 @@ def _always_kill_target(x):
 
 def _pool_map(fn, payloads, *, jobs=2, chunk=1, **kwargs):
     """``fn`` over ``payloads`` through the pool as a batch function,
-    in contiguous chunks of ``chunk`` payloads; no worker may outlive
-    the call."""
+    in contiguous chunks of ``chunk`` payloads; no worker and no pool
+    manager thread may outlive the call."""
     plan = [
         list(range(lo, min(lo + chunk, len(payloads))))
         for lo in range(0, len(payloads), chunk)
@@ -243,6 +245,10 @@ def _pool_map(fn, payloads, *, jobs=2, chunk=1, **kwargs):
     results = ProcessExecutor(jobs=jobs).map_tasks(
         functools.partial(run_each, fn), payloads, chunk_plan=plan, **kwargs
     )
+    assert [
+        t for t in threading.enumerate()
+        if isinstance(t, concurrent.futures.process._ExecutorManagerThread)
+    ] == []
     assert multiprocessing.active_children() == []
     return results
 

@@ -810,3 +810,166 @@ class TestEmptyShards:
         report = run_batch([])
         assert report.outcomes == ()
         assert report.elapsed == 0.0
+
+
+# ----------------------------------------------------------------------
+# Slices: a matrix is realised and simulated SLICE_CELLS cells at a time
+# ----------------------------------------------------------------------
+#: The horizon of the one cell whose realisation raises (see
+#: ``_crash_broken_cell``).
+_BROKEN_HORIZON = 0.77
+
+
+def _slice_matrix(mixed_matrix):
+    """Every group kernel and every fallback: fluid σ-ρ, λ and ``none``
+    hosts (``none-*`` cells, see ``_with_none_hosts``), fluid chains and
+    trees, adversarial and FIFO DES hosts and chains, a fluid FIFO host
+    and a cell whose realisation raises."""
+    base = dict(kinds=("cbr", "poisson", "onoff"), utilization=0.6)
+    extra = [
+        Scenario(name="none-0", kinds=("cbr",) * 3, utilization=0.5,
+                 mode="sigma-rho"),
+        Scenario(name="none-1", kinds=("cbr", "audio"), utilization=0.6,
+                 mode="sigma-rho", horizon=0.5),
+        Scenario(name="lambda-host", mode="sigma-rho-lambda", **base),
+        Scenario(name="fluid-fifo-host", discipline="fifo", **base),
+        Scenario(name="des-fifo-chain", topology="chain", hops=2,
+                 backend="des", discipline="fifo", mode="sigma-rho", **base),
+        Scenario(name="broken", kinds=("onoff", "cbr"), utilization=0.5,
+                 horizon=_BROKEN_HORIZON),
+    ]
+    return [*mixed_matrix[:12], *extra[:3], *mixed_matrix[12:], *extra[3:]]
+
+
+def _with_none_hosts(realise):
+    """``realise`` with the ``none-*`` cells' mode resolved to
+    ``"none"`` (unshaped fluid hosts; no scenario resolves to it)."""
+
+    def realise_none(scenarios):
+        realised, info = realise(scenarios)
+        return [
+            dataclasses.replace(r, eff_mode="none")
+            if not isinstance(r, Exception)
+            and r.scenario.name.startswith("none-")
+            else r
+            for r in realised
+        ], info
+
+    return realise_none
+
+
+def _crash_broken_cell(monkeypatch):
+    real = OnOffSource.generate
+
+    def generate(self, horizon, rng=None):
+        if horizon == _BROKEN_HORIZON:
+            raise RuntimeError("injected generate crash")
+        return real(self, horizon, rng=rng)
+
+    monkeypatch.setattr(OnOffSource, "generate", generate)
+
+
+def _grouping_fields(tasks):
+    return [
+        (t.telemetry.counters.get("grouped_cells"),
+         t.telemetry.counters.get("fallback_cells"))
+        for t in tasks
+    ]
+
+
+class TestSlices:
+    @pytest.mark.parametrize("size", [1, 7, cellmatrix_mod.SLICE_CELLS])
+    def test_slicing_is_invisible(self, size, mixed_matrix, monkeypatch):
+        """Results, per-cell grouping counters and the run's grouping
+        totals do not depend on the slice size."""
+        cells = _slice_matrix(mixed_matrix)
+        assert {
+            (sc.topology, sc.backend, sc.discipline) for sc in cells
+        } >= {
+            ("host", "fluid", "adversarial"), ("chain", "fluid", "adversarial"),
+            ("tree", "fluid", "adversarial"), ("host", "fluid", "fifo"),
+            ("host", "des", "adversarial"), ("host", "des", "fifo"),
+            ("chain", "des", "adversarial"), ("chain", "des", "fifo"),
+        }
+        _crash_broken_cell(monkeypatch)
+        monkeypatch.setattr(
+            cellmatrix_mod, "realise_batch", _with_none_hosts(realise_batch)
+        )
+        monkeypatch.setattr(cellmatrix_mod, "SLICE_CELLS", len(cells))
+        whole_stats: dict = {}
+        whole = evaluate_grouped(cells, stats=whole_stats)
+        monkeypatch.setattr(cellmatrix_mod, "SLICE_CELLS", size)
+        stats: dict = {}
+        sliced = evaluate_grouped(cells, stats=stats)
+
+        *whole_groups, whole_summary = whole_stats["records"]
+        assert {
+            (g["backend"], g["topology"], g["mode"]) for g in whole_groups
+        } >= {
+            ("fluid", "host", "sigma-rho"), ("fluid", "host", "none"),
+            ("fluid", "host", "sigma-rho-lambda"), ("fluid", "chain", "mixed"),
+            ("des", "host", "sigma-rho"), ("des", "host", "sigma-rho-lambda"),
+        }
+        assert set(whole_summary["fallback_reasons"]) == {
+            "realise-error", "discipline:fifo", "topology:chain",
+        }
+
+        assert [t.index for t in sliced] == list(range(len(cells)))
+        assert [t.value for t in sliced] == [t.value for t in whole]
+        assert [t.error for t in sliced] == [t.error for t in whole]
+        assert "injected generate crash" in sliced[-1].error
+        assert _grouping_fields(sliced) == _grouping_fields(whole)
+
+        *groups, summary = stats["records"]
+        assert [g["kind"] for g in groups] == ["grouping"] * len(whole_groups)
+        assert summary["kind"] == "grouping_summary"
+        for g, w in zip(groups, whole_groups):
+            for name in ("backend", "topology", "mode", "cells",
+                         "kernel_fallbacks", "lanes", "valid_elements",
+                         "sim_bins", "grid_bins", "cut_attempts"):
+                assert g.get(name) == w.get(name), name
+            if "pad_elements" in g:
+                assert g["padding_waste"] == (
+                    1.0 - g["valid_elements"] / g["pad_elements"]
+                )
+        for name in ("cells", "grouped_cells", "fallback_cells",
+                     "fallback_reasons", "batch_realised_cells",
+                     "batch_lanes_generated"):
+            assert summary[name] == whole_summary[name], name
+        assert (
+            summary["source_cache_hits"] + summary["source_cache_misses"]
+            == whole_summary["source_cache_hits"]
+            + whole_summary["source_cache_misses"]
+        )
+
+    def test_one_slice_of_realised_cells_is_alive(self, monkeypatch):
+        """When a group kernel starts, only its own slice's realised
+        cells are alive, and none outlives the call."""
+        cells = generate_scenarios(40, seed=13, horizon=0.4)
+        refs: list = []
+        alive_at_kernel: list[int] = []
+        real_realise = cellmatrix_mod.realise_batch
+        real_simulate = cellmatrix_mod.simulate_cells
+
+        def realise(scenarios):
+            realised, info = real_realise(scenarios)
+            refs.extend(
+                weakref.ref(r) for r in realised
+                if not isinstance(r, Exception)
+            )
+            return realised, info
+
+        def simulate(key, realised, *rest):
+            if key is not None:
+                alive_at_kernel.append(sum(ref() is not None for ref in refs))
+            return real_simulate(key, realised, *rest)
+
+        monkeypatch.setattr(cellmatrix_mod, "realise_batch", realise)
+        monkeypatch.setattr(cellmatrix_mod, "simulate_cells", simulate)
+        monkeypatch.setattr(cellmatrix_mod, "SLICE_CELLS", 8)
+        tasks = evaluate_grouped(cells)
+        assert all(t.ok for t in tasks)
+        assert len(refs) == len(cells)
+        assert len(alive_at_kernel) >= len(cells) // 8
+        assert max(alive_at_kernel) <= 8
+        assert all(ref() is None for ref in refs)

@@ -11,16 +11,18 @@ worker killed inside a grouped chunk must cost its chunk-mates nothing
 but a retry.
 """
 
+import concurrent.futures.process
 import dataclasses
 import itertools
 import multiprocessing
 import os
+import threading
 import time
 
 import pytest
 
 import repro.scenarios.cellmatrix as cellmatrix_mod
-from repro.runtime import faults
+from repro.runtime import faults, telemetry
 from repro.runtime.executor import CellTimeout, ProcessExecutor, RetryPolicy
 from repro.runtime.faults import KILL_EXIT_CODE, FaultPlan
 from repro.scenarios import generate_scenarios, run_batch
@@ -126,8 +128,18 @@ def test_pool_equals_serial_on_mixed_matrix(mixed_matrix):
         _grouping(o) for o in serial.outcomes
     ]
     assert any(_grouping(o)[0] for o in pooled.outcomes)
-    # Pool workers keep their grouping records to themselves.
-    assert pooled.group_stats == ()
+    # Pool workers keep their grouping records; the parent rebuilds one
+    # grouping_summary from their cells' telemetry, with the serial
+    # run's counts and no batch-realisation fields.
+    (summary,) = pooled.group_stats
+    serial_summary = serial.group_stats[-1]
+    assert summary["kind"] == serial_summary["kind"] == "grouping_summary"
+    fields = ("cells", "grouped_cells", "fallback_cells", "fallback_reasons")
+    assert {f: summary[f] for f in fields} == {
+        f: serial_summary[f] for f in fields
+    }
+    assert summary["fallback_cells"] > 0
+    assert set(summary) == {"kind", *fields}
 
 
 _VICTIM = "gen-11-0003-homogeneous-host"
@@ -177,10 +189,33 @@ def test_pool_raises_a_batch_function_error_like_the_serial_run(
     """An exception raised by the worker stage itself (not captured per
     cell) is deterministic: the pool raises it as the serial run does,
     instead of taking it for a worker death and resubmitting the cells,
-    and no worker outlives the call."""
+    and neither a worker nor the pool's manager thread outlives the
+    call."""
     monkeypatch.setattr(cellmatrix_mod, "evaluate_grouped", _raise_type_error)
     with pytest.raises(TypeError, match="grouped evaluator bug"):
         run_batch(cells)
     with pytest.raises(TypeError, match="grouped evaluator bug"):
         run_batch(cells, executor=ProcessExecutor(jobs=2))
+    assert _manager_threads() == []
     assert multiprocessing.active_children() == []
+
+
+def _manager_threads() -> list:
+    """Live process-pool manager threads."""
+    return [
+        t for t in threading.enumerate()
+        if isinstance(t, concurrent.futures.process._ExecutorManagerThread)
+    ]
+
+
+def test_pool_without_telemetry_has_no_grouping_summary(cells):
+    """The pool's summary is rebuilt from its cells' telemetry, so a
+    run with collection off has none."""
+    was = telemetry.enabled()
+    telemetry.set_enabled(False)
+    try:
+        pooled = run_batch(cells[:4], executor=ProcessExecutor(jobs=2))
+    finally:
+        telemetry.set_enabled(was)
+    assert pooled.group_stats == ()
+    assert all(o.telemetry is None for o in pooled.outcomes)
