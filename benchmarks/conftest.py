@@ -2,7 +2,8 @@
 
 Every benchmark regenerates one paper artefact (figure panel, table, or
 theory result) at full paper scale, prints it in the paper's layout,
-and asserts the qualitative *shape* criteria from DESIGN.md.  Absolute
+and asserts the qualitative *shape* criteria (the "Expected shape" of
+each experiment module's docstring, after the paper's text).  Absolute
 delays differ from the paper's ns-2/SPARC numbers by construction; the
 shapes (who wins, crossover position, growth trends) must hold.
 

@@ -1,4 +1,4 @@
-"""Ablation benches for the design choices called out in DESIGN.md.
+"""Ablation benches for the reproduction's main design choices.
 
 1. **Cluster size base k** -- the paper fixes k = 3; sweep k in {2..5}
    and report the height/per-hop trade-off.

@@ -4,7 +4,8 @@ PR 5 made single cells cheap; PR 6 makes the *matrix* cheap: cells
 sharing ``(backend, discipline, topology, mode)`` evaluate as one
 grouped pass -- sources built once per parameter point, traces and
 sigma measurements deduplicated within each cell, fluid lanes packed
-into padded matrices for the ``batch_fluid_*`` kernels, DES cells run
+into padded matrices for the fluid kernels (the scalar simulators' own,
+one lane per row), DES cells run
 through the primed host kernel with regulator passes shared across
 flows on the same trace.  Results stay bit-identical to the per-cell
 reference (``tests/reference.py``: per-cell realisation and the scalar

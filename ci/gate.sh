@@ -23,7 +23,9 @@
 # chains and trees are adversarial fluid cells, which the chain group
 # takes, so a silent fallback shows) AND a clean --coordinator 2 run
 # on both backends matches the baseline byte for byte with all 24 cells
-# grouped in its lease workers AND every cell record of every
+# grouped in its lease workers and in the one grouping_summary the
+# coordinator writes, which `scenarios report` renders, AND every cell
+# record of every
 # store the gate writes (pool, serial, telemetry-off, chaos and
 # coordinator runs) carries the baseline's measured/bound/
 # baseline_bound/eps/sound values AND telemetry collection is invisible
@@ -265,8 +267,10 @@ echo "chaos gate: clean (fault-injected summaries byte-identical, retry ledgers 
 # its 2 forked workers evaluate each lease through the grouped cell
 # matrix (the chaos leg below runs cell by cell, because an armed fault
 # plan forces that path).  Both backends must write the pinned
-# summary.json byte for byte and every record's verdict fields, and
-# the workers' cell telemetry must show all 24 cells grouped.
+# summary.json byte for byte and every record's verdict fields, the
+# workers' cell telemetry must show all 24 cells grouped, the
+# coordinator must tally them into one grouping_summary (24 cells, 24
+# grouped, 0 fallback), and `scenarios report` must render it.
 CLEAN_COORD_DIR="$(mktemp -d)"
 for backend in jsonl sqlite; do
   PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m repro.experiments.cli \
@@ -284,20 +288,33 @@ import sys
 from repro.runtime import open_store
 
 target = sys.argv[1]
+records = open_store(target, must_exist=True).load_telemetry()
 grouped = sum(
     r.get("counters", {}).get("grouped_cells", 0)
-    for r in open_store(target, must_exist=True).load_telemetry()
+    for r in records
     if r.get("kind") == "cell"
 )
 if grouped != 24:
     print(f"clean coordinator gate: FAILED ({target}: {grouped} of 24 cells "
           f"grouped in the lease workers)", file=sys.stderr)
     sys.exit(1)
+summaries = [
+    (r.get("cells"), r.get("grouped_cells"), r.get("fallback_cells"))
+    for r in records
+    if r.get("kind") == "grouping_summary"
+]
+if summaries != [(24, 24, 0)]:
+    print(f"clean coordinator gate: FAILED ({target}: grouping_summary "
+          f"(cells, grouped, fallback) {summaries}, expected [(24, 24, 0)])",
+          file=sys.stderr)
+    sys.exit(1)
 EOF
+  report_gate "clean coordinator gate" "$backend:$CLEAN_COORD_DIR/$backend" \
+    "Grouping efficiency"
 done
 per_cell_gate "clean coordinator" ci/baseline_smoke \
   "jsonl:$CLEAN_COORD_DIR/jsonl" "sqlite:$CLEAN_COORD_DIR/sqlite"
-echo "clean coordinator gate: clean (grouped leases byte-identical, both backends)"
+echo "clean coordinator gate: clean (grouped leases byte-identical, one 24-of-24 grouping summary that the report renders, both backends)"
 
 # -- coordinator chaos gate: leases never change results -------------------
 # The same 24-cell smoke through the lease-based coordinator: 2

@@ -1,6 +1,6 @@
 """Experiment harness: every figure and table of the paper.
 
-One module per experiment family (see DESIGN.md's per-experiment index):
+One module per experiment family:
 
 * :mod:`repro.experiments.single_host` -- Figures 4(a)-(c): WDB of one
   regulated end host vs the average input rate, (sigma, rho) against

@@ -730,11 +730,15 @@ def _scenarios_main(argv: list[str]) -> int:
                 ]
                 for g in grouping["groups"]
             ]
-            print(render_table(
-                ["backend", "topology", "mode", "cells", "packs", "lanes",
-                 "pad waste", "grid kept", "kernel [ms]"],
-                rows, title="== Grouping efficiency ==",
-            ))
+            # Pool and lease workers keep their grouping records, so
+            # such a store has the summary's totals alone.
+            print("== Grouping efficiency ==")
+            if rows:
+                print(render_table(
+                    ["backend", "topology", "mode", "cells", "packs", "lanes",
+                     "pad waste", "grid kept", "kernel [ms]"],
+                    rows,
+                ))
             s = grouping["summary"]
             if s:
                 print(

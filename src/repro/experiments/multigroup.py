@@ -9,12 +9,14 @@ per-hop load); the (sigma, rho, lambda) trees win beyond the rate
 threshold; DSCT beats NICE under every control scheme (location
 awareness shortens overlay hops).
 
-Methodology (see DESIGN.md substitution table): per group we build the
-full tree, then run the regulated-chain simulation along its *critical
-path* (the longest root-to-leaf path, which attains the worst case per
-Theorem 7's construction), with every forwarder loaded by all K group
-flows.  The reported WDB is the maximum over groups of (sum of per-hop
-worst-case delays + underlay propagation along the path).
+Methodology (in place of the paper's ns-2 runs over whole trees): per
+group we build the full tree, then run the regulated-chain simulation
+along its *critical path* (the longest root-to-leaf path, which attains
+the worst case per Theorem 7's construction), with every forwarder
+loaded by all K group flows.  The reported WDB is the maximum over
+groups of (sum of per-hop worst-case delays + underlay propagation
+along the path); ``tests/test_tree_sim.py`` checks that it bounds the
+whole-tree measurement.
 """
 
 from __future__ import annotations

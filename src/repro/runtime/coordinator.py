@@ -85,6 +85,7 @@ from repro.runtime.store import (
     open_store,
     spec_fingerprint,
 )
+from repro.scenarios.runner import _grouping_summary
 from repro.scenarios.spec import Scenario, scenario_from_dict
 
 __all__ = [
@@ -602,6 +603,19 @@ def _reap(proc: multiprocessing.Process, *, kill: bool = False) -> None:
     proc.close()
 
 
+def _grouping_tally(st: ResultStore, keys: set[str]) -> dict:
+    """The ``grouping_summary`` of this run's cells ``keys``, from the
+    ``cell`` telemetry records the lease workers committed, in one
+    streamed read.  A cell's last record wins, so a re-run lease counts
+    once."""
+    last: dict[str, tuple] = {}
+    for rec in st.iter_telemetry():
+        key = rec.get("key")
+        if rec.get("kind") == "cell" and isinstance(key, str) and key in keys:
+            last[key] = (rec.get("counters") or {}, rec.get("extra") or {})
+    return _grouping_summary(last.get(key, ({}, {})) for key in keys)
+
+
 def run_coordinator(
     scenarios: Sequence[Scenario],
     *,
@@ -634,6 +648,9 @@ def run_coordinator(
 
     ``fault_plan`` is handed to the workers as is (they arm real
     ``kill`` faults); the coordinator process itself never injects.
+    With telemetry on, the ``leases`` record is followed by the run's
+    ``grouping_summary`` (:func:`_grouping_tally`) when neither a fault
+    plan nor a cell timeout sent the leases cell by cell.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -653,7 +670,9 @@ def run_coordinator(
                 carried[key] = max(carried.get(key, 0), int(row["deaths"]))
 
     completed = st.completed_keys()
-    todo = [sc for sc in scenarios if cell_key(sc) not in completed]
+    keys = [cell_key(sc) for sc in scenarios]
+    todo = [sc for sc, key in zip(scenarios, keys) if key not in completed]
+    todo_keys = set(keys) - completed
     planned = plan_campaign_leases(
         st,
         todo,
@@ -728,7 +747,7 @@ def run_coordinator(
         # back to load(), which quarantines torn residue), finds any
         # planned cell without a record, and feeds the summary.
         verdicts = st.verdicts()
-        converged = converged and all(cell_key(sc) in verdicts for sc in todo)
+        converged = converged and todo_keys <= verdicts.keys()
     finally:
         # Only an exception leaves workers here: never orphan them.
         for proc in procs.values():
@@ -739,26 +758,28 @@ def run_coordinator(
     stolen = sum(int(r["steals"]) for r in rows)
     deaths_total = sum(int(r["deaths"]) for r in rows if int(r["steals"]))
     if telemetry.enabled():
-        st.append_telemetry(
-            [
-                {
-                    "kind": "leases",
-                    "planned": len(planned),
-                    "workers": int(workers),
-                    "lease_ttl": float(lease_ttl),
-                    "done": counts.get("done", 0),
-                    "split": counts.get("split", 0),
-                    "poison": counts.get("poison", 0),
-                    "superseded": len(stale),
-                    "stolen": stolen,
-                    "worker_deaths": deaths_total,
-                    "respawns": respawns,
-                    "hung_killed": hung_killed,
-                    "converged": bool(converged),
-                    "source": "coordinator",
-                }
-            ]
-        )
+        records = [
+            {
+                "kind": "leases",
+                "planned": len(planned),
+                "workers": int(workers),
+                "lease_ttl": float(lease_ttl),
+                "done": counts.get("done", 0),
+                "split": counts.get("split", 0),
+                "poison": counts.get("poison", 0),
+                "superseded": len(stale),
+                "stolen": stolen,
+                "worker_deaths": deaths_total,
+                "respawns": respawns,
+                "hung_killed": hung_killed,
+                "converged": bool(converged),
+                "source": "coordinator",
+            }
+        ]
+        if todo and fault_plan is None and cell_timeout is None:
+            # Grouped leases, as a pool run's chunks (see run_batch).
+            records.append(_grouping_tally(st, todo_keys))
+        st.append_telemetry(records)
     # A read that quarantined rows healed the store; the summary then
     # comes from a second read of the healed store, as it always has
     # (whose quarantined_rows is 0).

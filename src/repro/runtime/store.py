@@ -488,7 +488,11 @@ class ResultStore:
     def load_telemetry(self) -> list[dict[str, Any]]:
         """All telemetry records, in append order (unparseable rows are
         skipped -- telemetry must never fail a load)."""
-        return self._load_channel("telemetry")
+        return list(self.iter_telemetry())
+
+    def iter_telemetry(self) -> Iterator[dict[str, Any]]:
+        """:meth:`load_telemetry`'s records, parsed one at a time."""
+        return self._channel("telemetry")
 
     def append_poison(self, records: Iterable[Mapping[str, Any]]) -> None:
         """Persist poison-cell records (cells that failed all retries).
@@ -502,7 +506,7 @@ class ResultStore:
 
     def load_poison(self) -> list[dict[str, Any]]:
         """All poison records, in append order (best-effort parse)."""
-        return self._load_channel("poison")
+        return list(self._channel("poison"))
 
     def _append_channel(
         self, channel: str, records: Iterable[Mapping[str, Any]]
@@ -511,16 +515,14 @@ class ResultStore:
         if rows:
             self._append_rows(channel, rows)
 
-    def _load_channel(self, channel: str) -> list[dict[str, Any]]:
-        out: list[dict[str, Any]] = []
+    def _channel(self, channel: str) -> Iterator[dict[str, Any]]:
         for raw in self._channel_rows(channel):
             try:
                 rec = json.loads(raw)
             except json.JSONDecodeError:
                 continue  # best-effort: a torn row never fails a load
             if isinstance(rec, dict):
-                out.append(rec)
-        return out
+                yield rec
 
     def close(self) -> None:
         """Release backend resources: the lease table's connection (file

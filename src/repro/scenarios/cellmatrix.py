@@ -30,7 +30,7 @@ per cell.
    only its own verdict.
 3. **Packed evaluation** -- each fluid host group packs its unique
    (trace, envelope) lanes into padded ``(n_lanes, n_bins_max + 1)``
-   matrices and shapes them with the ``batch_fluid_*`` kernels of
+   matrices and shapes them with the fluid kernels of
    :mod:`repro.simulation.fluid`, one vectorised pass per pack.  Packs
    are capped at :data:`MAX_PACK_ELEMENTS`, and a cell's arrivals are
    binned only when its pack is built and dropped once the pack is
@@ -46,9 +46,9 @@ per cell.
 Equivalence contract: grouped evaluation is throughput-only.  Every
 ``CellResult`` field must equal the per-cell reference (the scalar
 simulators on a per-cell realisation, ``tests/reference.py``) bit for
-bit -- the shared-grid prefix property of the batch kernels, the
+bit -- the shared-grid prefix property of the fluid kernels, the
 exact-selection property of float min/max and the float-op-for-float-op
-lean replicas are what make that hold;
+lean sigma replica are what make that hold;
 ``tests/test_scenarios_cellmatrix.py`` enforces it over the corpus and
 generated matrices.  Only the ``wall_time`` attribution differs: batch
 realisation time is amortised evenly over the realised cells, and so is
@@ -80,12 +80,14 @@ from repro.simulation.batched import PRIMED_MODES, primed_host
 from repro.simulation.fluid import (
     _adversarial_worst,
     _default_drain_margin,
+    _trace_cum,
+    _window_params,
     adversarial_chain_delays,
-    batch_fluid_next_empty,
-    batch_fluid_on_time,
-    batch_fluid_token_bucket,
-    batch_fluid_work_conserving,
     chain_worst_case,
+    fluid_next_empty,
+    fluid_on_time,
+    fluid_token_bucket,
+    fluid_work_conserving,
 )
 
 __all__ = [
@@ -254,27 +256,11 @@ class _FluidCell:
         self.measure_key = measure_key
 
     def bin(self, dt: float) -> None:
-        """Fill ``arr_rows`` (see :func:`_binned_cum`)."""
+        """Fill ``arr_rows`` (see :func:`repro.simulation.fluid._trace_cum`)."""
         self.arr_rows = [
-            _binned_cum(tr, dt, self.horizon, self.total)
+            _trace_cum(tr, self.horizon, dt, self.total)
             for tr in self.lane_traces
         ]
-
-
-def _binned_cum(tr, dt: float, horizon: float, total: float) -> np.ndarray:
-    """``concatenate(([0], cumsum(tr.restrict(horizon).binned_arrivals(dt, total))))``.
-
-    Fused: the restrict copy is skipped, its keep-mask is AND-ed into
-    the bin mask instead (masking preserves element order, so the
-    ``np.add.at`` accumulation order -- and every float -- matches).
-    """
-    n_bins = int(np.ceil(total / dt))
-    bins = np.zeros(n_bins, dtype=np.float64)
-    if len(tr):
-        idx = np.floor(tr.times / dt).astype(np.int64)
-        keep = (tr.times < horizon) & (idx < n_bins)
-        np.add.at(bins, idx[keep], tr.sizes[keep])
-    return np.concatenate(([0.0], np.cumsum(bins)))
 
 
 def _prep_fluid_cell(r: _Realised, mode: str, dt: float) -> _FluidCell:
@@ -331,16 +317,10 @@ def _prep_fluid_cell(r: _Realised, mode: str, dt: float) -> _FluidCell:
         base = (sc.stagger_phase % 1.0) * plan.period
         lane_params = []
         for f, (reg, off) in enumerate(zip(plan.regulators, plan.offsets)):
-            working, period = reg.working_period, reg.regulator_period
-            offset = base + off
             # fluid_on_time's own validation, pre-flighted per lane.
-            if not (working > 0.0 and period > 0.0 and offset >= 0.0):
-                raise ValueError("invalid vacation window parameters")
-            if working > period + 1e-12:
-                raise ValueError(
-                    "working period cannot exceed the cycle period"
-                )
-            lane_params.append((arr_of_flow[f], working, period, offset))
+            lane_params.append((arr_of_flow[f], *_window_params(
+                reg.working_period, reg.regulator_period, base + off
+            )))
         shape_of_flow = list(range(k))
         measure_key = [None] * k
     return _FluidCell(
@@ -419,18 +399,17 @@ def _eval_fluid_pack(
     if mode == "none" or packed.shape[0] == 0:
         shaped = packed
     elif mode == "sigma-rho":
-        shaped = batch_fluid_token_bucket(
+        shaped = fluid_token_bucket(
             packed, t_grid, np.asarray(sigmas), np.asarray(rhos)
         )
     else:
-        on = batch_fluid_on_time(
+        on = fluid_on_time(
             t_grid,
             np.asarray(workings),
             np.asarray(periods),
             np.asarray(offsets),
         )
-        service = np.asarray(caps)[:, None] * on
-        shaped = batch_fluid_work_conserving(packed, service)
+        shaped = fluid_work_conserving(packed, np.asarray(caps)[:, None] * on)
 
     # Per-cell aggregates of the shaped flows (duplicates included:
     # np.sum over the k views runs the same stacked reduction as the
@@ -450,7 +429,7 @@ def _eval_fluid_pack(
         agg_pad[c, n + 1:] = agg[n]
         cell_caps[c] = cell.realised.scenario.capacity
         n_valid[c] = n
-    next_empty = batch_fluid_next_empty(t_grid, agg_pad, cell_caps, n_valid)
+    next_empty = fluid_next_empty(t_grid, agg_pad, cell_caps, n_valid=n_valid)
 
     results: dict[int, CellResult] = {}
     for c, (slot, cell) in enumerate(pack):

@@ -49,7 +49,7 @@ import functools
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -802,27 +802,28 @@ def evaluate_batch(
     return tasks
 
 
-def _grouping_summary(tasks: Sequence[TaskResult]) -> dict:
+def _grouping_summary(cells: Iterable[tuple[Mapping, Mapping]]) -> dict:
     """The ``grouping_summary`` of cells grouped in other processes.
 
-    Pool workers keep their ``grouping`` records; this tallies the
-    ``grouped_cells``/``fallback_cells`` counters and
-    ``fallback_reason`` annotations their cells' telemetry carries.  It
-    has no batch-realisation fields: those are per worker batch.
+    Pool and lease workers keep their ``grouping`` records; this
+    tallies the ``grouped_cells``/``fallback_cells`` counters and
+    ``fallback_reason`` annotations their cells' telemetry carries, one
+    ``(counters, extra)`` pair per cell (empty for a cell without
+    telemetry).  It has no batch-realisation fields: those are per
+    worker batch.
     """
-    grouped = fallback = 0
+    n = grouped = fallback = 0
     reasons: dict[str, int] = {}
-    for t in tasks:
-        if t.telemetry is None:
-            continue
-        grouped += t.telemetry.counters.get("grouped_cells", 0)
-        fallback += t.telemetry.counters.get("fallback_cells", 0)
-        reason = t.telemetry.extra.get("fallback_reason")
+    for counters, extra in cells:
+        n += 1
+        grouped += counters.get("grouped_cells", 0)
+        fallback += counters.get("fallback_cells", 0)
+        reason = extra.get("fallback_reason")
         if reason is not None:
             reasons[reason] = reasons.get(reason, 0) + 1
     return {
         "kind": "grouping_summary",
-        "cells": len(tasks),
+        "cells": n,
         "grouped_cells": grouped,
         "fallback_cells": fallback,
         "fallback_reasons": dict(sorted(reasons.items())),
@@ -903,7 +904,11 @@ def run_batch(
         if fault_plan is None and cell_timeout is None and telemetry_enabled():
             # The workers grouped their chunks and kept their grouping
             # records; their cells' telemetry still tells the tally.
-            stats["records"] = [_grouping_summary(tasks)]
+            stats["records"] = [_grouping_summary(
+                ({}, {}) if t.telemetry is None
+                else (t.telemetry.counters, t.telemetry.extra)
+                for t in tasks
+            )]
     report = finalise_batch(
         scenarios, tasks, time.perf_counter() - t0, progress=progress
     )

@@ -1,7 +1,7 @@
 """Traffic simulation substrate.
 
-The paper evaluates with ns-2; we provide two in-repo backends with the
-same regulator/MUX semantics (see DESIGN.md, substitution table):
+The paper evaluates with ns-2, which this repository does not use; two
+in-repo backends with the same regulator/MUX semantics stand in for it:
 
 * a **packet DES** (:mod:`repro.simulation.batched`) with exact packet
   semantics -- token-bucket regulators, staggered vacation regulators,

@@ -80,6 +80,7 @@ def simulate_host_with_background(
         background flows are load, not measurement targets.
     """
     check_positive(capacity, "capacity")
+    check_positive(dt, "dt")
     if len(traces) != len(envelopes):
         raise ValueError("traces and envelopes must align")
     if len(background_traces) != len(background_rates):

@@ -91,14 +91,7 @@ class PacketTrace:
         """
         check_positive(dt, "dt")
         check_positive(horizon, "horizon")
-        n_bins = int(np.ceil(horizon / dt))
-        bins = np.zeros(n_bins, dtype=np.float64)
-        if len(self) == 0:
-            return bins
-        idx = np.floor(self.times / dt).astype(np.int64)
-        keep = idx < n_bins
-        np.add.at(bins, idx[keep], self.sizes[keep])
-        return bins
+        return _binned(self.times, self.sizes, dt, int(np.ceil(horizon / dt)))
 
     def restrict(self, horizon: float) -> "PacketTrace":
         """Keep only packets emitted strictly before ``horizon``."""
@@ -153,6 +146,27 @@ def trace_from_arrays(times: np.ndarray, sizes: np.ndarray) -> PacketTrace:
     object.__setattr__(tr, "times", times)
     object.__setattr__(tr, "sizes", sizes)
     return tr
+
+
+def _binned(
+    times: np.ndarray,
+    sizes: np.ndarray,
+    dt: float,
+    n_bins: int,
+    before: Optional[float] = None,
+) -> np.ndarray:
+    """Data per bin ``[i dt, (i+1) dt)`` of the first ``n_bins`` bins,
+    leaving out packets emitted at or after ``before``: the unchecked
+    body of :meth:`PacketTrace.binned_arrivals`.  Masking keeps element
+    order, so every bin sums its packets in trace order."""
+    bins = np.zeros(n_bins, dtype=np.float64)
+    if len(times):
+        idx = np.floor(times / dt).astype(np.int64)
+        keep = idx < n_bins
+        if before is not None:
+            keep &= times < before
+        np.add.at(bins, idx[keep], sizes[keep])
+    return bins
 
 
 def _bursts_arange(

@@ -28,6 +28,11 @@ one ``np.minimum.accumulate``.  Every stage is an instance:
 * token bucket: ``D = min(A, sigma + rho t + min_{u<=t}[A(u) - rho u])``
   (greedy (sigma, rho) shaper, bucket initially full).
 
+Each kernel is written once, along the last axis: a 1-D curve with
+scalar parameters is one lane, and a ``(lanes, grid)`` matrix with one
+parameter per row is many -- the packs of
+:mod:`repro.scenarios.cellmatrix`.
+
 Every run spans its traffic horizon plus a drain margin sized from the
 bounds, so queues empty before the end.  That margin is mostly idle.
 Chains pay it on every hop, so :func:`adversarial_chain_delays`
@@ -48,8 +53,8 @@ import numpy as np
 from repro.calculus.envelope import ArrivalEnvelope
 from repro.core.adaptive import AdaptiveController, resolve_mode
 from repro.core.regulator import SigmaRhoLambdaRegulator
-from repro.simulation.flow import PacketTrace
-from repro.utils.piecewise import PiecewiseLinearCurve
+from repro.simulation.flow import PacketTrace, _binned
+from repro.utils.piecewise import PiecewiseLinearCurve, first_passage
 from repro.utils.validation import check_non_negative, check_positive
 
 __all__ = [
@@ -58,10 +63,7 @@ __all__ = [
     "fluid_on_time",
     "fluid_vacation_regulator",
     "fluid_mux",
-    "batch_fluid_work_conserving",
-    "batch_fluid_token_bucket",
-    "batch_fluid_on_time",
-    "batch_fluid_next_empty",
+    "fluid_next_empty",
     "FluidHostResult",
     "simulate_fluid_host",
     "FluidChainResult",
@@ -70,49 +72,67 @@ __all__ = [
     "chain_worst_case",
 ]
 
-#: Interpolation tolerance of the lean first-passage replica -- the
-#: same value as :data:`repro.utils.piecewise._EPS`, on which the
-#: bit-identity of `_first_passage_arrays` with
-#: :meth:`PiecewiseLinearCurve.first_passage` rests.
-_CURVE_EPS = 1e-12
-
 
 # ----------------------------------------------------------------------
 # Kernels
 # ----------------------------------------------------------------------
+# The lanes of a matrix share one grid.  Every operation is elementwise
+# or a forward running pass, so a row's prefix ``[: n_i + 1]`` equals
+# the kernel run on that prefix alone -- lanes of different lengths
+# share a matrix padded on the right.  Padded arrival tails must be
+# *flat* (repeat the last valid value) wherever a kernel's output is
+# read beyond pure prefix reads (see :func:`_next_empty`).
+def _lane_param(value, name: str, *, positive: bool = True):
+    """A kernel parameter, finite and ``> 0`` (``>= 0`` unless
+    ``positive``): a scalar checked and returned as a Python float, or
+    one value per row (an array) held lane by lane to the same rule
+    and returned as a column that broadcasts against the rows."""
+    check = check_positive if positive else check_non_negative
+    if not isinstance(value, np.ndarray):
+        return check(value, name)
+    lanes = np.asarray(value, dtype=np.float64)
+    bad = ~(np.isfinite(lanes) & (lanes > 0 if positive else lanes >= 0))
+    if bad.any():
+        lane = int(np.flatnonzero(bad)[0])
+        check(float(lanes.flat[lane]), f"{name}[{lane}]")
+    return lanes[..., None]
+
+
 def fluid_work_conserving(
     arrivals_cum: np.ndarray, service_cum: np.ndarray
 ) -> np.ndarray:
     """Departures of a work-conserving server with cumulative service ``S``.
 
     ``D = S + running_min(A - S)``; both inputs must be non-decreasing
-    arrays on the same grid with ``A[0] >= 0`` and ``S[0] = 0``.
+    along the last axis on the same grid with ``A[..., 0] >= 0`` and
+    ``S[..., 0] = 0``.
 
     One temporary total: the gap buffer is accumulated and re-added in
     place (HPC guidance: avoid copies in O(n) kernels).
     """
     gap = arrivals_cum - service_cum
-    np.minimum.accumulate(gap, out=gap)
+    np.minimum.accumulate(gap, axis=-1, out=gap)
     np.add(gap, service_cum, out=gap)
     return gap
 
 
 def fluid_token_bucket(
-    arrivals_cum: np.ndarray, t_grid: np.ndarray, sigma: float, rho: float
+    arrivals_cum: np.ndarray, t_grid: np.ndarray, sigma, rho
 ) -> np.ndarray:
     """Greedy (sigma, rho) shaper (token bucket, initially full).
 
     ``D(t) = min( A(t), sigma + rho t + min_{u<=t}[A(u) - rho u] )``.
-    An input already conforming to (sigma, rho) passes unchanged.
+    An input already conforming to (sigma, rho) passes unchanged.  Row
+    ``i`` of a matrix is shaped by ``(sigma[i], rho[i])``.
 
     Two temporaries total (the ramp and the running buffer); all other
     arithmetic is in place.
     """
-    check_positive(sigma, "sigma")
-    check_non_negative(rho, "rho")
+    sigma = _lane_param(sigma, "sigma")
+    rho = _lane_param(rho, "rho", positive=False)
     ramp = rho * t_grid
     run = arrivals_cum - ramp
-    np.minimum.accumulate(run, out=run)
+    np.minimum.accumulate(run, axis=-1, out=run)
     np.add(run, ramp, out=run)
     run += sigma
     np.minimum(arrivals_cum, run, out=run)
@@ -120,21 +140,31 @@ def fluid_token_bucket(
 
 
 def fluid_on_time(
-    t_grid: np.ndarray, working: float, period: float, offset: float = 0.0
+    t_grid: np.ndarray, working, period, offset=0.0
 ) -> np.ndarray:
     """Cumulative on-time of a periodic window schedule, in closed form.
 
-    Windows are ``[offset + m P, offset + m P + W)`` for ``m >= 0``.
+    Windows are ``[offset + m P, offset + m P + W)`` for ``m >= 0``;
+    with arrays, one schedule per row.
     """
-    check_positive(working, "working")
-    check_positive(period, "period")
-    check_non_negative(offset, "offset")
-    if working > period + 1e-12:
-        raise ValueError("working period cannot exceed the cycle period")
+    working, period, offset = _window_params(working, period, offset)
     shifted = np.maximum(t_grid - offset, 0.0)
     full = np.floor(shifted / period)
     phase = shifted - full * period
     return full * working + np.minimum(phase, working)
+
+
+def _window_params(working, period, offset):
+    """:func:`fluid_on_time`'s parameters, checked (see
+    :func:`_lane_param`): a working period no longer than its cycle,
+    both finite and ``> 0``, and a finite offset ``>= 0``."""
+    working = _lane_param(working, "working")
+    period = _lane_param(period, "period")
+    offset = _lane_param(offset, "offset", positive=False)
+    too_long = working > period + 1e-12
+    if too_long.any() if isinstance(too_long, np.ndarray) else too_long:
+        raise ValueError("working period cannot exceed the cycle period")
+    return working, period, offset
 
 
 def fluid_vacation_regulator(
@@ -218,8 +248,9 @@ def fluid_mux(
 def fluid_next_empty(
     t_grid: np.ndarray,
     arrivals_agg: np.ndarray,
-    capacity: float = 1.0,
+    capacity=1.0,
     tol: float = 1e-9,
+    n_valid: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """For every grid instant, the next time the aggregate queue is empty.
 
@@ -228,9 +259,14 @@ def fluid_next_empty(
     adversarial discipline may serve the bit behind everything that
     arrives before the busy period ends.  Grid points beyond the last
     empty instant map to ``inf`` (extend the horizon).
+
+    For a matrix of per-cell aggregates, ``capacity`` has one value per
+    row and ``n_valid[i]`` is row ``i``'s last valid index; see
+    :func:`_next_empty` for the padding it needs.
     """
+    capacity = _lane_param(capacity, "capacity")
     dep = fluid_work_conserving(arrivals_agg, capacity * (t_grid - t_grid[0]))
-    return _next_empty(t_grid, arrivals_agg, dep, tol)
+    return _next_empty(t_grid, arrivals_agg, dep, tol, n_valid)
 
 
 def _next_empty(
@@ -238,14 +274,26 @@ def _next_empty(
     arrivals_agg: np.ndarray,
     dep_agg: np.ndarray,
     tol: float = 1e-9,
+    n_valid: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """:func:`fluid_next_empty` from the aggregate's departures ``dep_agg``."""
+    """:func:`fluid_next_empty` from the aggregate's departures ``dep_agg``.
+
+    With ``n_valid``, row ``i`` must be *flat-padded* beyond
+    ``n_valid[i]`` (repeat the last valid value): the flat tail keeps
+    the row-end ``scale`` read equal to that of the row's own grid, and
+    the padded bins are forced to ``inf`` before the backward running
+    minimum, so an unstable cell's ``inf`` tail is never masked by
+    padded-bin drainage.  Each row's valid prefix is then bit-identical
+    to the kernel on that cell's own grid.
+    """
     backlog = arrivals_agg - dep_agg
-    scale = max(float(arrivals_agg[-1]), 1.0)
-    empty = backlog <= tol * scale
-    empty_times = np.where(empty, t_grid, np.inf)
+    scale = np.maximum(arrivals_agg[..., -1:], 1.0)
+    empty_times = np.where(backlog <= tol * scale, t_grid, np.inf)
+    if n_valid is not None:
+        beyond = np.arange(t_grid.shape[0]) > np.asarray(n_valid)[..., None]
+        empty_times[beyond] = np.inf
     # Backward running minimum: next empty time at or after each index.
-    return np.minimum.accumulate(empty_times[::-1])[::-1]
+    return np.minimum.accumulate(empty_times[..., ::-1], axis=-1)[..., ::-1]
 
 
 def _compose_by_level(
@@ -281,139 +329,6 @@ def _compose_by_level(
     low = dep_agg <= arr_agg[0]
     out[low] = np.minimum(arr_flow[0], out[low])
     np.minimum(out, arr_flow[-1], out=out)
-    return out
-
-
-# ----------------------------------------------------------------------
-# Batched (structure-of-arrays) kernels
-# ----------------------------------------------------------------------
-# Many lanes (one lane = one flow of one cell) share a single grid whose
-# per-lane prefix ``t_grid[:n_i + 1]`` equals that lane's own grid; all
-# kernels here are elementwise/prefix operations along axis 1, so every
-# lane's valid prefix is bit-identical to the scalar kernel run on that
-# lane alone.  Rows are padded on the right; padded arrival tails must
-# be *flat* (repeat the last valid value) wherever a kernel's output is
-# consumed beyond pure prefix reads (see :func:`batch_fluid_next_empty`).
-
-
-def batch_fluid_work_conserving(
-    arrivals_cum: np.ndarray, service_cum: np.ndarray
-) -> np.ndarray:
-    """Row-wise :func:`fluid_work_conserving` over ``(lanes, grid)`` matrices."""
-    gap = arrivals_cum - service_cum
-    np.minimum.accumulate(gap, axis=1, out=gap)
-    np.add(gap, service_cum, out=gap)
-    return gap
-
-
-def batch_fluid_token_bucket(
-    arrivals_cum: np.ndarray,
-    t_grid: np.ndarray,
-    sigmas: np.ndarray,
-    rhos: np.ndarray,
-) -> np.ndarray:
-    """Row-wise :func:`fluid_token_bucket`: lane ``i`` is shaped by
-    ``(sigmas[i], rhos[i])``.  All lanes share ``t_grid``."""
-    sigmas = np.asarray(sigmas, dtype=np.float64)
-    rhos = np.asarray(rhos, dtype=np.float64)
-    if np.any(sigmas <= 0):
-        raise ValueError("sigmas must be > 0")
-    if np.any(rhos < 0):
-        raise ValueError("rhos must be >= 0")
-    ramp = rhos[:, None] * t_grid[None, :]
-    run = arrivals_cum - ramp
-    np.minimum.accumulate(run, axis=1, out=run)
-    np.add(run, ramp, out=run)
-    run += sigmas[:, None]
-    np.minimum(arrivals_cum, run, out=run)
-    return run
-
-
-def batch_fluid_on_time(
-    t_grid: np.ndarray,
-    working: np.ndarray,
-    period: np.ndarray,
-    offset: np.ndarray,
-) -> np.ndarray:
-    """Row-wise :func:`fluid_on_time`: one window schedule per lane."""
-    working = np.asarray(working, dtype=np.float64)
-    period = np.asarray(period, dtype=np.float64)
-    offset = np.asarray(offset, dtype=np.float64)
-    if np.any(working <= 0):
-        raise ValueError("working periods must be > 0")
-    if np.any(period <= 0):
-        raise ValueError("cycle periods must be > 0")
-    if np.any(offset < 0):
-        raise ValueError("offsets must be >= 0")
-    if np.any(working > period + 1e-12):
-        raise ValueError("working period cannot exceed the cycle period")
-    shifted = np.maximum(t_grid[None, :] - offset[:, None], 0.0)
-    full = np.floor(shifted / period[:, None])
-    phase = shifted - full * period[:, None]
-    return full * working[:, None] + np.minimum(phase, working[:, None])
-
-
-def batch_fluid_next_empty(
-    t_grid: np.ndarray,
-    arrivals_agg: np.ndarray,
-    capacity: np.ndarray,
-    n_valid: np.ndarray,
-    tol: float = 1e-9,
-) -> np.ndarray:
-    """Row-wise :func:`fluid_next_empty` over per-cell aggregate rows.
-
-    ``arrivals_agg[i]`` must be *flat-padded* beyond ``n_valid[i]``
-    (repeat the last valid value): the flat tail keeps the row-end
-    ``scale`` read equal to the scalar kernel's, and the padded region
-    of ``empty_times`` is forced to ``inf`` before the backward running
-    minimum so an unstable cell's ``inf`` tail is never masked by
-    padded-bin drainage.  Each row's valid prefix is then bit-identical
-    to the scalar kernel on that cell's own grid.
-    """
-    capacity = np.asarray(capacity, dtype=np.float64)
-    n_valid = np.asarray(n_valid, dtype=np.int64)
-    base = t_grid - t_grid[0]
-    dep = batch_fluid_work_conserving(arrivals_agg, capacity[:, None] * base)
-    backlog = arrivals_agg - dep
-    scale = np.maximum(arrivals_agg[:, -1], 1.0)
-    empty = backlog <= tol * scale[:, None]
-    empty_times = np.where(empty, t_grid[None, :], np.inf)
-    beyond = np.arange(t_grid.shape[0])[None, :] > n_valid[:, None]
-    empty_times[beyond] = np.inf
-    return np.minimum.accumulate(empty_times[:, ::-1], axis=1)[:, ::-1]
-
-
-def _first_passage_arrays(
-    t: np.ndarray, v: np.ndarray, levels: np.ndarray
-) -> np.ndarray:
-    """Lean replica of :meth:`PiecewiseLinearCurve.first_passage`.
-
-    Operates on the raw breakpoint arrays, skipping the curve
-    constructor (whose validation and defensive copies dominate the
-    scalar call for grid-sized arrays but never change the values) --
-    every arithmetic step below matches the method line for line, so
-    the outputs are bit-identical.
-    """
-    idx = np.searchsorted(v, levels, side="left")
-    out = np.empty_like(levels)
-    beyond = idx >= len(v)
-    out[beyond] = np.inf
-    ok = ~beyond
-    i = idx[ok]
-    prev = np.maximum(i - 1, 0)
-    t0, t1 = t[prev], t[i]
-    v0, v1 = v[prev], v[i]
-    rise = v1 - v0
-    with np.errstate(invalid="ignore", divide="ignore"):
-        frac = np.where(
-            rise > _CURVE_EPS,
-            (levels[ok] - v0) / np.where(rise > _CURVE_EPS, rise, 1.0),
-            1.0,
-        )
-    frac = np.clip(frac, 0.0, 1.0)
-    res = t0 + frac * (t1 - t0)
-    res = np.where(levels[ok] <= v[0], t[0], res)
-    out[ok] = res
     return out
 
 
@@ -501,8 +416,7 @@ def _adversarial_worst(
 
     The one adversarial-worst kernel: host, chain and the grouped cell
     matrix all call it.  The regulator's first passage runs on the raw
-    arrays (:func:`_first_passage_arrays`, bit-identical to
-    :meth:`PiecewiseLinearCurve.first_passage`).
+    arrays (:func:`repro.utils.piecewise.first_passage`).
     """
     inc = np.diff(arr_cum)
     bins = np.nonzero(inc > 0)[0]
@@ -511,9 +425,7 @@ def _adversarial_worst(
     t_arr = t_grid[bins + 1]  # data in bin j has fully arrived by t[j+1]
     levels = arr_cum[bins + 1]
     tol = 1e-9 * max(float(arr_cum[-1]), 1.0)
-    release = _first_passage_arrays(
-        t_grid, reg_cum, np.maximum(levels - tol, 0.0)
-    )
+    release = first_passage(t_grid, reg_cum, np.maximum(levels - tol, 0.0))
     idx = np.searchsorted(t_grid, release, side="left")
     idx = np.clip(idx, 0, len(next_empty) - 1)
     worst_dep = next_empty[idx]
@@ -529,11 +441,15 @@ def _trace_cum(
     total: float,
     n_bins: Optional[int] = None,
 ) -> np.ndarray:
-    """Cumulative arrivals of ``trace`` (injection cut at ``horizon``) on
-    the grid ``dt * arange(ceil(total / dt) + 1)``, or on its first
-    ``n_bins + 1`` points (a running sum, so the prefix is exact)."""
-    binned = trace.restrict(horizon).binned_arrivals(dt, total)
-    return np.concatenate(([0.0], np.cumsum(binned[:n_bins])))
+    """Cumulative arrivals of ``trace`` (injection cut at ``horizon``,
+    fused into the bin mask) on the grid ``dt * arange(ceil(total / dt)
+    + 1)``, or on its first ``n_bins + 1`` points, whose bins alone are
+    filled.  The simulators check ``dt`` at their entry."""
+    n = int(np.ceil(total / dt))
+    if n_bins is not None:
+        n = min(n, n_bins)
+    bins = _binned(trace.times, trace.sizes, dt, n, horizon)
+    return np.concatenate(([0.0], np.cumsum(bins)))
 
 
 def simulate_fluid_host(
@@ -571,6 +487,7 @@ def simulate_fluid_host(
     (served last), realising the general-MUX worst case for every flow;
     with FIFO a single aggregate pass serves all flows.
     """
+    check_positive(dt, "dt")
     if len(traces) != len(envelopes):
         raise ValueError("traces and envelopes must align")
     if not traces:
@@ -677,6 +594,7 @@ def _chain_grid(
     spans ``total`` -- the horizon plus the drain margin of every hop
     plus the propagation.
     """
+    check_positive(dt, "dt")
     hops = len(cross_traces_per_hop)
     if hops < 1:
         raise ValueError("at least one hop is required")

@@ -4,8 +4,8 @@
 paper's Fig. 5.  The figure is a drawing without an adjacency list, so
 we hand-code a 19-node two-level mesh with the same flavour: a richly
 connected core ring with chords, plus peripheral routers hanging off
-core nodes (see DESIGN.md substitution table -- DSCT only needs
-router-locality and heterogeneous RTTs, not an exact adjacency).
+core nodes (a substitution: DSCT only needs router-locality and
+heterogeneous RTTs, not an exact adjacency).
 
 :func:`waxman_backbone` generates classic Waxman random backbones for
 scaling studies beyond the paper's fixed topology.

@@ -38,9 +38,35 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-__all__ = ["PiecewiseLinearCurve"]
+__all__ = ["PiecewiseLinearCurve", "first_passage"]
 
 _EPS = 1e-12
+
+
+def first_passage(t: np.ndarray, v: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """First times the curve with breakpoints ``(t, v)`` reaches each of
+    ``levels`` (a 1-D float array): the body of
+    :meth:`PiecewiseLinearCurve.first_passage`, on raw breakpoint arrays
+    a caller has already validated (the constructor's checks and copies
+    dominate a single query on grid-sized arrays)."""
+    idx = np.searchsorted(v, levels, side="left")  # first i with v[i] >= y
+    out = np.empty_like(levels)
+    beyond = idx >= len(v)
+    out[beyond] = np.inf
+    ok = ~beyond
+    i = idx[ok]
+    prev = np.maximum(i - 1, 0)
+    t0, t1 = t[prev], t[i]
+    v0, v1 = v[prev], v[i]
+    rise = v1 - v0
+    with np.errstate(invalid="ignore", divide="ignore"):
+        frac = np.where(rise > _EPS, (levels[ok] - v0) / np.where(rise > _EPS, rise, 1.0), 1.0)
+    frac = np.clip(frac, 0.0, 1.0)
+    res = t0 + frac * (t1 - t0)
+    # Levels at/below the initial value are reached at the start.
+    res = np.where(levels[ok] <= v[0], t[0], res)
+    out[ok] = res
+    return out
 
 
 class PiecewiseLinearCurve:
@@ -275,27 +301,8 @@ class PiecewiseLinearCurve:
         initial value yield the start time.
         """
         y = np.asarray(levels, dtype=np.float64)
-        scalar = y.ndim == 0
-        y = np.atleast_1d(y)
-        t, v = self._t, self._v
-        idx = np.searchsorted(v, y, side="left")  # first i with v[i] >= y
-        out = np.empty_like(y)
-        beyond = idx >= len(v)
-        out[beyond] = np.inf
-        ok = ~beyond
-        i = idx[ok]
-        prev = np.maximum(i - 1, 0)
-        t0, t1 = t[prev], t[i]
-        v0, v1 = v[prev], v[i]
-        rise = v1 - v0
-        with np.errstate(invalid="ignore", divide="ignore"):
-            frac = np.where(rise > _EPS, (y[ok] - v0) / np.where(rise > _EPS, rise, 1.0), 1.0)
-        frac = np.clip(frac, 0.0, 1.0)
-        res = t0 + frac * (t1 - t0)
-        # Levels at/below the initial value are reached at the start.
-        res = np.where(y[ok] <= v[0], t[0], res)
-        out[ok] = res
-        return float(out[0]) if scalar else out
+        out = first_passage(self._t, self._v, np.atleast_1d(y))
+        return float(out[0]) if y.ndim == 0 else out
 
     # ------------------------------------------------------------------
     # Transformations

@@ -88,7 +88,7 @@ def aggregate_utilization(rates_bps: list[float], capacity_bps: float) -> float:
     """Aggregate utilisation ``u = sum(rho_i)`` of a set of flows.
 
     This is the x-axis of the paper's Figures 4 and 6 ("average input
-    rate of 3 flows" times the flow count; see DESIGN.md section 1 for
+    rate of 3 flows" times the flow count; the module docstring states
     the unit convention).
     """
     return sum(normalize_rate(r, capacity_bps) for r in rates_bps)

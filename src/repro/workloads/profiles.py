@@ -2,7 +2,8 @@
 
 A :class:`TrafficMix` is an ordered set of per-group sources.  The
 experiments sweep the *aggregate utilisation* ``u = sum_i rho_i / C``
-(the x-axis of Figures 4 and 6; see DESIGN.md on the unit convention):
+(the x-axis of Figures 4 and 6; :mod:`repro.utils.units` states the
+unit convention):
 :meth:`TrafficMix.at_utilization` rescales every source so the mix sums
 to ``u`` while preserving the relative weights of the paper's natural
 rates (64 kbps audio vs 1.5 Mbps video).

@@ -17,7 +17,9 @@ keep the checked-in ``ci/baseline_smoke`` store honest:
 * the gate must require the first ``--jobs 2`` run's pool workers to
   group all 24 smoke cells;
 * the gate must run the lease coordinator both clean (grouped leases)
-  and under worker-killing chaos (per-cell leases);
+  and under worker-killing chaos (per-cell leases), and the clean
+  run's stores must each hold one 24-of-24 ``grouping_summary`` that
+  ``scenarios report`` renders;
 * ``scenarios report`` must render the retry ledger of both chaos pool
   stores and the lease and retry ledgers of both chaos coordinator
   stores, so the ledgers hold on both backends and both commit paths;
@@ -29,12 +31,15 @@ keep the checked-in ``ci/baseline_smoke`` store honest:
   their pinned ``summary.json`` byte for byte, and the gate must check
   that too;
 * production code must not reach into the test oracle: no module under
-  ``src/repro`` imports ``tests`` or the evented DES that lives there.
+  ``src/repro`` imports ``tests`` or the evented DES that lives there;
+* every Markdown file that code, tests, benchmarks, examples or the
+  README cite exists.
 """
 
 import ast
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -148,6 +153,24 @@ def test_gate_script_runs_clean_and_chaos_coordinator_legs():
     assert f"--count {N_SMOKE} --seed {SMOKE_SEED}" in clean[0]
     assert 'per_cell_gate "clean coordinator" ci/baseline_smoke' in text
     assert "grouped in the lease workers" in text
+
+
+def test_gate_script_requires_the_coordinator_grouping_summary():
+    """The clean coordinator leg requires, on both backends, one
+    ``grouping_summary`` of 24 cells, 24 grouped and 0 fallback, and
+    ``scenarios report`` to render its grouping section."""
+    text = GATE.read_text()
+    leg = text.split("# -- clean coordinator gate")[1].split(
+        "# -- coordinator chaos gate"
+    )[0]
+    assert "for backend in jsonl sqlite; do" in leg
+    assert 'r.get("kind") == "grouping_summary"' in leg
+    assert "if summaries != [(24, 24, 0)]:" in leg
+    gate = " ".join(
+        cmd for cmd in _gate_commands(leg) if cmd.startswith("report_gate")
+    )
+    assert '"$backend:$CLEAN_COORD_DIR/$backend"' in gate
+    assert gate.endswith('"Grouping efficiency"')
 
 
 def test_gate_script_renders_the_chaos_ledgers_on_both_backends():
@@ -309,3 +332,26 @@ def test_src_imports_no_test_code():
         capture_output=True, text=True, timeout=120, check=True,
     )
     assert done.stdout.split() == []
+
+
+#: A cited Markdown file: a path from the repository root, or a bare
+#: name at the root.
+_MARKDOWN = re.compile(r"[\w./-]*\b[A-Za-z_]\w*\.md\b")
+
+
+def test_every_cited_markdown_file_exists():
+    """A docstring or comment that cites a document the repository does
+    not have sends its reader nowhere."""
+    sources = [REPO / "README.md"] + [
+        path
+        for top in ("src", "tests", "benchmarks", "examples")
+        for path in sorted((REPO / top).rglob("*"))
+        if path.suffix in (".py", ".sh", ".json", ".md")
+    ]
+    missing = sorted(
+        f"{path.relative_to(REPO)}: {name}"
+        for path in sources
+        for name in set(_MARKDOWN.findall(path.read_text()))
+        if not (REPO / name).is_file()
+    )
+    assert not missing, "\n".join(missing)

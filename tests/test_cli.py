@@ -152,6 +152,25 @@ class TestScenariosRuntime:
         ) == 0
         assert "scenarios evaluated: 5" in capsys.readouterr().out
 
+    def test_report_renders_the_group_table_only_with_group_records(
+        self, capsys, tmp_path
+    ):
+        """A ``--jobs 2`` store holds the grouping summary its parent
+        rebuilt but no per-group records: its report has the title and
+        the totals line and no table.  A serial store keeps its table."""
+        for jobs, table in (("2", False), ("1", True)):
+            store = str(tmp_path / f"jobs{jobs}")
+            assert main(
+                ["scenarios", "run", "--count", "8", "--seed", "3",
+                 "--no-corpus", "--jobs", jobs, "--store", store]
+            ) == 0
+            capsys.readouterr()
+            assert main(["scenarios", "report", store]) == 0
+            out = capsys.readouterr().out
+            section = out[out.index("== Grouping efficiency =="):]
+            assert "grouped cells: " in section and "/8, fallbacks: " in section
+            assert ("pad waste" in section) is table
+
     def test_diff_clean_campaigns(self, capsys, tmp_path):
         store = str(tmp_path / "camp")
         argv = ["scenarios", "run", "--count", "4", "--seed", "5",

@@ -593,6 +593,31 @@ class TestCoordinator:
         assert again.skipped == N_CELLS and again.planned_leases == 0
         assert _summary_bytes(tmp_path / "camp") == reference_summary
 
+    def test_clean_run_writes_the_serial_grouping_summary(
+        self, mixed_matrix, tmp_path
+    ):
+        """A clean coordinator run tallies its lease workers' cell
+        telemetry into one ``grouping_summary`` whose four fields equal
+        the serial run's, the DES chains' fallbacks included."""
+        fields = ("cells", "grouped_cells", "fallback_cells", "fallback_reasons")
+
+        def summaries(target):
+            return [
+                {f: r.get(f) for f in fields}
+                for r in open_store(target).load_telemetry()
+                if r.get("kind") == "grouping_summary"
+            ]
+
+        assert run_campaign(mixed_matrix, store=tmp_path / "serial").clean
+        coord = run_coordinator(
+            mixed_matrix, store=f"sqlite:{tmp_path / 'camp'}", workers=2,
+            lease_ttl=20.0,
+        )
+        assert coord.converged and coord.clean
+        (serial,) = summaries(tmp_path / "serial")
+        assert serial["fallback_reasons"].get("topology:chain", 0) > 0
+        assert summaries(f"sqlite:{tmp_path / 'camp'}") == [serial]
+
     @pytest.mark.parametrize("backend", ["jsonl", "sqlite"])
     def test_clean_run_reads_the_store_once_after_its_workers(
         self, matrix, tmp_path, reference_summary, backend, monkeypatch

@@ -12,11 +12,13 @@ realisation or evaluation raises must fail only its own verdict with
 the exact error ``evaluate_cell`` records.  Splitting a fluid host
 group into packs must not move a result, no pack may outgrow
 ``MAX_PACK_ELEMENTS`` unless one cell alone does, and a group holds
-the binned arrival rows of one pack at a time.  The lean kernels the
-grouped path substitutes for the scalar ones
-(`_empirical_sigma_fast`, `_first_passage_arrays`, the
-``batch_fluid_*`` rows, the primed host's dedupe cache) are pinned
-against their scalar references here too.
+the binned arrival rows of one pack at a time.  What the grouped path
+shares with the scalar simulators is pinned here too: the fluid
+kernels, whose ``(lanes, grid)`` calls must equal per-row 1-D calls
+bit for bit and reject a bad parameter in any one lane as the 1-D
+call rejects it; the raw-array ``first_passage`` behind the curve
+method; and the lean `_empirical_sigma_fast` and primed-host dedupe
+cache against their scalar references.
 """
 
 import dataclasses
@@ -49,17 +51,12 @@ from repro.scenarios.tracebatch import _empirical_sigma_fast, realise_batch
 from repro.simulation.batched import primed_host
 from repro.simulation.flow import OnOffSource, PacketTrace
 from repro.simulation.fluid import (
-    _first_passage_arrays,
-    batch_fluid_next_empty,
-    batch_fluid_on_time,
-    batch_fluid_token_bucket,
-    batch_fluid_work_conserving,
     fluid_next_empty,
     fluid_on_time,
     fluid_token_bucket,
     fluid_work_conserving,
 )
-from repro.utils.piecewise import PiecewiseLinearCurve
+from repro.utils.piecewise import PiecewiseLinearCurve, first_passage
 from tests.reference import reference_cell
 
 pytestmark = pytest.mark.runtime
@@ -315,7 +312,7 @@ class TestErrorIsolation:
         def crash(*args, **kwargs):
             raise RuntimeError("injected pack crash")
 
-        monkeypatch.setattr(cellmatrix_mod, "batch_fluid_token_bucket", crash)
+        monkeypatch.setattr(cellmatrix_mod, "fluid_token_bucket", crash)
         out = simulate_cells(key, realised)
         assert all(isinstance(o, RuntimeError) for o in out)
         stats: dict = {}
@@ -387,7 +384,7 @@ class TestFluidPacks:
         assert max(sizes) > cap
         monkeypatch.setattr(cellmatrix_mod, "MAX_PACK_ELEMENTS", cap)
         matrices, members = [], []
-        real_shape = cellmatrix_mod.batch_fluid_token_bucket
+        real_shape = cellmatrix_mod.fluid_token_bucket
         real_pack = cellmatrix_mod._eval_fluid_pack
 
         def shape(arrivals_cum, *args):
@@ -398,7 +395,7 @@ class TestFluidPacks:
             members.append(len(cells))
             return real_pack(mode, dt, cells)
 
-        monkeypatch.setattr(cellmatrix_mod, "batch_fluid_token_bucket", shape)
+        monkeypatch.setattr(cellmatrix_mod, "fluid_token_bucket", shape)
         monkeypatch.setattr(cellmatrix_mod, "_eval_fluid_pack", pack)
         out = simulate_cells(key, realised)
         assert all(isinstance(r, CellResult) for r in out)
@@ -413,7 +410,7 @@ class TestFluidPacks:
         realised, key = _host_group("sigma-rho-lambda")
         rows = []
         live_at_pack = []
-        real_bin = cellmatrix_mod._binned_cum
+        real_bin = cellmatrix_mod._trace_cum
         real_pack = cellmatrix_mod._eval_fluid_pack
 
         def binned(*args):
@@ -427,7 +424,7 @@ class TestFluidPacks:
             live_at_pack.append((live, own))
             return real_pack(mode, dt, cells)
 
-        monkeypatch.setattr(cellmatrix_mod, "_binned_cum", binned)
+        monkeypatch.setattr(cellmatrix_mod, "_trace_cum", binned)
         monkeypatch.setattr(cellmatrix_mod, "_eval_fluid_pack", pack)
         monkeypatch.setattr(cellmatrix_mod, "MAX_PACK_ELEMENTS", 1)
         out = simulate_cells(key, realised)
@@ -456,14 +453,14 @@ class TestFluidPacks:
             for tr in r.traces
         }
         assert doomed
-        real_bin = cellmatrix_mod._binned_cum
+        real_bin = cellmatrix_mod._trace_cum
 
         def crash(tr, *args):
             if id(tr) in doomed:
                 raise RuntimeError("injected binning crash")
             return real_bin(tr, *args)
 
-        monkeypatch.setattr(cellmatrix_mod, "_binned_cum", crash)
+        monkeypatch.setattr(cellmatrix_mod, "_trace_cum", crash)
         out = simulate_cells(key, realised)
         assert isinstance(out[victim], RuntimeError)
         assert "injected binning crash" in str(out[victim])
@@ -499,7 +496,7 @@ class TestLeanKernels:
             [[0.0, v[0], v[-1], v[-1] + 1.0], rng.uniform(0, v[-1], 40)]
         )
         assert np.array_equal(
-            _first_passage_arrays(t, v, levels),
+            first_passage(t, v, levels),
             curve.first_passage(levels),
         )
 
@@ -512,7 +509,7 @@ class TestLeanKernels:
         t_grid = 0.01 * np.arange(rows.shape[1])
         sigmas = rng.uniform(0.01, 0.5, rows.shape[0])
         rhos = rng.uniform(0.0, 2.0, rows.shape[0])
-        batch = batch_fluid_token_bucket(rows, t_grid, sigmas, rhos)
+        batch = fluid_token_bucket(rows, t_grid, sigmas, rhos)
         for i in range(rows.shape[0]):
             assert np.array_equal(
                 batch[i], fluid_token_bucket(rows[i], t_grid, sigmas[i], rhos[i])
@@ -523,7 +520,7 @@ class TestLeanKernels:
         rows = self._rows(rng)
         service = np.cumsum(rng.uniform(0.0, 0.06, rows.shape), axis=1)
         service[:, 0] = 0.0
-        batch = batch_fluid_work_conserving(rows, service)
+        batch = fluid_work_conserving(rows, service)
         for i in range(rows.shape[0]):
             assert np.array_equal(
                 batch[i], fluid_work_conserving(rows[i], service[i])
@@ -534,7 +531,7 @@ class TestLeanKernels:
         working = np.array([0.05, 0.2, 0.31])
         period = np.array([0.11, 0.2, 0.5])
         offset = np.array([0.0, 0.07, 1.3])
-        batch = batch_fluid_on_time(t_grid, working, period, offset)
+        batch = fluid_on_time(t_grid, working, period, offset)
         for i in range(3):
             assert np.array_equal(
                 batch[i],
@@ -563,10 +560,52 @@ class TestLeanKernels:
             agg[i, :w] = row
             agg[i, w:] = row[-1]
         n_valid = np.array([w - 1 for w in widths])
-        batch = batch_fluid_next_empty(t_grid, agg, caps, n_valid)
+        batch = fluid_next_empty(t_grid, agg, caps, n_valid=n_valid)
         for i, w in enumerate(widths):
             scalar = fluid_next_empty(t_grid[:w], rows[i], caps[i])
             assert np.array_equal(batch[i, :w], scalar)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.5])
+    @pytest.mark.parametrize("kernel, param", [
+        ("token_bucket", "sigma"), ("token_bucket", "rho"),
+        ("on_time", "working"), ("on_time", "period"),
+        ("on_time", "offset"), ("next_empty", "capacity"),
+    ])
+    def test_bad_lane_parameter_raises(self, kernel, param, bad):
+        """A NaN, infinite or out-of-range parameter in any one lane
+        raises the ValueError the 1-D call raises on that value, with
+        the lane named."""
+        t_grid = 0.01 * np.arange(50)
+        rows = np.cumsum(np.full((3, 50), 0.004), axis=1)
+        calls = {
+            "token_bucket": lambda p: fluid_token_bucket(
+                rows, t_grid, p.get("sigma", 0.1), p.get("rho", 0.3)
+            ),
+            "on_time": lambda p: fluid_on_time(
+                t_grid, p.get("working", 0.05), p.get("period", 0.2),
+                p.get("offset", 0.0),
+            ),
+            "next_empty": lambda p: fluid_next_empty(
+                t_grid, rows, p.get("capacity", 1.0)
+            ),
+        }
+        with pytest.raises(ValueError) as scalar:
+            calls[kernel]({param: float(bad)})
+        for lane in range(3):
+            good = {"sigma": 0.1, "rho": 0.3, "working": 0.05,
+                    "period": 0.2, "offset": 0.0, "capacity": 1.0}
+            lanes = {name: np.full(3, value) for name, value in good.items()}
+            lanes[param][lane] = bad
+            message = str(scalar.value).replace(param, f"{param}[{lane}]", 1)
+            with pytest.raises(ValueError) as batch:
+                calls[kernel](lanes)
+            assert str(batch.value) == message
+
+    def test_working_beyond_period_in_one_lane_raises(self):
+        working = np.array([0.05, 0.3, 0.05])
+        period = np.array([0.2, 0.2, 0.2])
+        with pytest.raises(ValueError, match="cannot exceed the cycle"):
+            fluid_on_time(0.01 * np.arange(50), working, period, np.zeros(3))
 
     def test_primed_worst_dedupe_cache_is_invisible(self):
         times = np.sort(np.random.default_rng(2).uniform(0, 1.0, 30))

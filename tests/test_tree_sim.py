@@ -1,4 +1,5 @@
-"""Whole-tree DES vs the critical-path reduction (DESIGN.md validation)."""
+"""Whole-tree DES vs the critical-path reduction of Figure 6
+(:mod:`repro.experiments.multigroup`)."""
 
 import numpy as np
 import pytest
@@ -113,9 +114,9 @@ class TestPriorityDiscipline:
 
 
 class TestCriticalPathReduction:
-    """The methodology claim of DESIGN.md: the critical-path chain with
-    Theorem-7 (adversarial per-hop) accounting upper-bounds the
-    whole-tree FIFO measurement on the same workload."""
+    """The methodology claim of :mod:`repro.experiments.multigroup`: the
+    critical-path chain with Theorem-7 (adversarial per-hop) accounting
+    upper-bounds the whole-tree FIFO measurement on the same workload."""
 
     @pytest.mark.parametrize("mode", ["sigma-rho", "sigma-rho-lambda"])
     def test_reduction_dominates_whole_tree(self, world, mode):
